@@ -32,8 +32,10 @@ from .fields import (
 from .geometry import (
     MetricField,
     PrincipalSymbolField,
+    _metric_from_sigma,
     decode_frame,
     decode_metric,
+    pauli_components,
     torsion,
 )
 from .operators import FirstOrderOperator, subprincipal_symbol
@@ -62,11 +64,7 @@ def _bloch(smats: np.ndarray, xis: np.ndarray):
     smats: (3, 2, 2) symbol matrices at one point; xis: (K, 3).
     Returns (m, h) with m of shape (K, 3), h = |m| > 0.
     """
-    m_mat = np.tensordot(xis, smats, axes=(1, 0))  # (K, 2, 2)
-    m = np.empty((len(xis), 3))
-    m[:, 0] = m_mat[:, 0, 1].real
-    m[:, 1] = -m_mat[:, 0, 1].imag
-    m[:, 2] = m_mat[:, 0, 0].real
+    m = pauli_components(np.tensordot(xis, smats, axes=(1, 0)))  # (K, 3)
     h = np.sqrt((m**2).sum(axis=1))
     if np.any(h < 1e-12):
         raise InputError("covector is (numerically) zero; the fibre eigenvalue degenerates")
@@ -302,12 +300,19 @@ def a_density(metric: MetricField) -> np.ndarray:
     return metric.vol / (6.0 * np.pi**2)
 
 
+def _weyl_b(metric: MetricField, asub=None, tor=None) -> np.ndarray:
+    """Closed form (3 c *T_ax - 2 tr A_sub) sqrt(det g) / (8 pi^2) of b.
+
+    Leaving out the torsion gives b1, leaving out A_sub gives b2.
+    """
+    axial = 0.0 if tor is None else 3.0 * tor.charge * tor.axial_dual
+    trace = 0.0 if asub is None else (asub[..., 0, 0] + asub[..., 1, 1]).real
+    return (axial - 2.0 * trace) * metric.vol / (8.0 * np.pi**2)
+
+
 def b1_density(op: FirstOrderOperator) -> np.ndarray:
     """Subprincipal contribution -(tr A_sub) sqrt(det g) / (4 pi^2)."""
-    metric = decode_metric(op.sigma)
-    asub = subprincipal_symbol(op)
-    tr = (asub[..., 0, 0] + asub[..., 1, 1]).real
-    return -tr * metric.vol / (4.0 * np.pi**2)
+    return _weyl_b(decode_metric(op.sigma), asub=subprincipal_symbol(op))
 
 
 def b1_density_fiber(op: FirstOrderOperator, points) -> np.ndarray:
@@ -316,7 +321,6 @@ def b1_density_fiber(op: FirstOrderOperator, points) -> np.ndarray:
     Integrates -3 tr(A_sub P+) over the unit covector ball; agrees with
     the closed form within 1e-7.
     """
-    metric = decode_metric(op.sigma)
     asub = subprincipal_symbol(op)
     s = op.sigma.sigma
     out = np.empty(len(points))
@@ -324,7 +328,7 @@ def b1_density_fiber(op: FirstOrderOperator, points) -> np.ndarray:
         p = tuple(int(j) for j in p)
         smats = s[p]
         amat = asub[p]
-        g = metric.g_contra[p]
+        g = _metric_from_sigma(smats)
 
         def integrand(xis):
             m_mat = np.tensordot(xis, smats, axes=(1, 0))
@@ -341,10 +345,8 @@ def b1_density_fiber(op: FirstOrderOperator, points) -> np.ndarray:
 def b2_density(sym) -> np.ndarray:
     """Torsion contribution c (*T)^g_g sqrt(det g) / (8 pi^2), closed form."""
     sym = _principal(sym)
-    frame = decode_frame(sym)
     metric = decode_metric(sym)
-    tor = torsion(frame, metric)
-    return 3.0 * tor.charge * tor.axial_dual * metric.vol / (8.0 * np.pi**2)
+    return _weyl_b(metric, tor=torsion(decode_frame(sym), metric))
 
 
 def b2_density_fiber_torsion(sym, points) -> np.ndarray:
@@ -380,7 +382,6 @@ def b2_density_fiber_curvature(
     profile the curvature takes here.
     """
     sym = _principal(sym)
-    metric = decode_metric(sym)
     chart = sym.chart
     rule = sphere_design_14()
     out = np.empty(len(points))
@@ -388,7 +389,7 @@ def b2_density_fiber_curvature(
         p = tuple(int(j) for j in p)
         x = TWO_PI * np.array(p, dtype=float) / chart.n
         fib = _FiberFrame(sym, x, fd_step)
-        g = metric.g_contra[p]
+        g = _metric_from_sigma(sym.sigma[p])
 
         def integrand(xis):
             m, h, v, dv_dx, dv_dxi = fib.eval(xis)
@@ -426,19 +427,18 @@ def b_density(op: FirstOrderOperator) -> AsymptoticCoefficients:
     (3 c *T_ax - 2 tr A_sub) sqrt(det g)/(8 pi^2) and must coincide
     with b1 + b2 to rounding.
     """
-    frame = decode_frame(op.sigma)
     metric = decode_metric(op.sigma)
-    tor = torsion(frame, metric)
-    asub = subprincipal_symbol(op)
-    tr = (asub[..., 0, 0] + asub[..., 1, 1]).real
+    return _coefficients(metric, subprincipal_symbol(op), torsion(decode_frame(op.sigma), metric))
+
+
+def _coefficients(metric: MetricField, asub: np.ndarray, tor) -> AsymptoticCoefficients:
+    """The densities from an already decoded metric, subprincipal symbol and torsion."""
     a = a_density(metric)
-    b1 = -tr * metric.vol / (4.0 * np.pi**2)
-    b2 = 3.0 * tor.charge * tor.axial_dual * metric.vol / (8.0 * np.pi**2)
-    b = (3.0 * tor.charge * tor.axial_dual - 2.0 * tr) * metric.vol / (8.0 * np.pi**2)
+    b = _weyl_b(metric, asub, tor)
     return AsymptoticCoefficients(
         a=a,
-        b1=b1,
-        b2=b2,
+        b1=_weyl_b(metric, asub=asub),
+        b2=_weyl_b(metric, tor=tor),
         b=b,
         a_global=float(grid_integral(a)),
         b_global=float(grid_integral(b)),

@@ -14,7 +14,6 @@ Exit codes: 0 success (and positive verdict), 1 negative verdict,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -26,13 +25,7 @@ from .fields import grid_integral
 from .geometry import decode_frame, decode_metric, topological_charge, torsion
 from .operators import check_dirac
 from .scenarios import SCENARIO_NAMES, build_scenario
-from .serialize import (
-    load_frame,
-    load_operator,
-    load_symbol,
-    write_json_report,
-    write_spectrum_csv,
-)
+from .serialize import _from_document, _load_document, write_json_report, write_spectrum_csv
 from .spectra import (
     SpectrumTable,
     SpinStructure,
@@ -91,15 +84,9 @@ def _config_block(args, command: str) -> dict:
 
 
 def _load_any(path: str):
-    with open(path) as fh:
-        kind = json.load(fh).get("kind")
-    if kind == "operator":
-        return {"operator": load_operator(path)}
-    if kind == "principal-symbol":
-        return {"symbol": load_symbol(path)}
-    if kind == "frame":
-        return {"frame": load_frame(path)}
-    raise InputError(f"{path}: unsupported kind {kind!r}")
+    doc = _load_document(path)
+    key = {"principal-symbol": "symbol"}.get(doc["kind"], doc["kind"])
+    return {key: _from_document(doc, path)}
 
 
 def _resolve_objects(args, need: str):

@@ -46,9 +46,6 @@ class PeriodicChart:
         x = self.axis_coordinates()
         return np.meshgrid(x, x, x, indexing="ij")
 
-    def spacing(self) -> float:
-        return TWO_PI / self.n
-
 
 def chart_of(values: np.ndarray) -> PeriodicChart:
     """Recover the chart from the leading three axes of a field array."""
@@ -320,7 +317,3 @@ def hermitian_residual(field: np.ndarray) -> float:
     """Max entrywise deviation of a (..., k, k) matrix field from Hermitian."""
     return float(np.abs(field - np.conj(np.swapaxes(field, -1, -2))).max())
 
-
-def frobenius_max(field: np.ndarray) -> float:
-    """Max over the grid of the entrywise modulus."""
-    return float(np.abs(field).max())

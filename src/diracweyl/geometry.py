@@ -196,6 +196,11 @@ def _check_ellipticity(g_contra: np.ndarray):
         )
 
 
+def pauli_components(m: np.ndarray) -> np.ndarray:
+    """Components (m_1, m_2, m_3) of traceless Hermitian m = m_j s^j, on a (..., 2, 2) stack."""
+    return np.stack([m[..., 0, 1].real, -m[..., 0, 1].imag, m[..., 0, 0].real], axis=-1)
+
+
 def symbol_from_frame(frame: FrameField | np.ndarray) -> PrincipalSymbolField:
     """Assemble sigma^alpha = s^j e_j^alpha from an orthonormal frame."""
     e = frame.e if isinstance(frame, FrameField) else np.asarray(frame, dtype=float)
@@ -210,12 +215,7 @@ def decode_frame(sym: PrincipalSymbolField) -> FrameField:
     off-diagonal entry, leg 3 the upper diagonal entry; this inverts
     symbol_from_frame exactly.
     """
-    s = sym.sigma
-    e = np.empty(s.shape[:4] + (3,), dtype=float)
-    e[..., 0, :] = s[..., :, 0, 1].real
-    e[..., 1, :] = -s[..., :, 0, 1].imag
-    e[..., 2, :] = s[..., :, 0, 0].real
-    fr = FrameField(e)
+    fr = FrameField(np.ascontiguousarray(np.swapaxes(pauli_components(sym.sigma), -1, -2)))
     fr.orientation()  # force the degeneracy check
     return fr
 
@@ -286,8 +286,8 @@ def orthonormalize_frame(e: np.ndarray, g_cov: np.ndarray | None = None) -> Fram
 
 def coframe(frame: FrameField, metric: MetricField) -> CoframeField:
     """Metric-dual coframe c^k_b = delta^{kj} g_{bc} e_j^c."""
-    c = np.einsum("...bc,...kc->...kb", metric.g_cov, frame.e)
-    gap = np.abs(np.einsum("...ja,...ka->...jk", frame.e, c) - np.eye(3)).max()
+    c = frame.e @ np.swapaxes(metric.g_cov, -1, -2)
+    gap = np.abs(frame.e @ np.swapaxes(c, -1, -2) - np.eye(3)).max()
     if gap > 1e-10:
         raise ConsistencyError(f"frame/coframe duality violated by {gap:.2e}")
     return CoframeField(c)
@@ -306,9 +306,11 @@ def teleparallel_coefficients(frame: FrameField, metric: MetricField) -> np.ndar
     The defining property nabla_mu e_j = 0 holds by duality; the
     connection is metric compatible with vanishing curvature.
     """
-    cof = coframe(frame, metric).c
-    dcof = derivative_stack(cof)  # [..., mu, k, b]
-    return np.einsum("...ka,...mkb->...amb", frame.e, dcof)
+    return _teleparallel(frame.e, derivative_stack(coframe(frame, metric).c))
+
+
+def _teleparallel(e: np.ndarray, dcof: np.ndarray) -> np.ndarray:
+    return np.swapaxes(np.swapaxes(e, -1, -2)[..., None, :, :] @ dcof, -3, -2)
 
 
 def torsion_from_connection(gamma: np.ndarray) -> np.ndarray:
@@ -316,34 +318,33 @@ def torsion_from_connection(gamma: np.ndarray) -> np.ndarray:
     return gamma - gamma.transpose(0, 1, 2, 3, 5, 4)
 
 
-def torsion_from_coframe(frame: FrameField, metric: MetricField) -> np.ndarray:
+def _torsion_from_coframe(e: np.ndarray, dform: np.ndarray) -> np.ndarray:
     """T^a_{bc} = e_j^a (d_b c^j_c - d_c c^j_b), bypassing the connection."""
-    cof = coframe(frame, metric).c
-    dcof = derivative_stack(cof)
-    return np.einsum("...ja,...bjc->...abc", frame.e, dcof) - np.einsum(
-        "...ja,...cjb->...abc", frame.e, dcof
-    )
+    rows = np.swapaxes(e, -1, -2) @ dform.reshape(dform.shape[:-2] + (9,))
+    return rows.reshape(dform.shape)
 
 
-def star_torsion_from_curl(frame: FrameField, metric: MetricField) -> np.ndarray:
+def _dual_2forms(metric: MetricField, forms: np.ndarray) -> np.ndarray:
+    """(1/2) sqrt(det g) eps_{efb} g^{ec} g^{fd} w_{cd} for a stack of 2-forms w[..., k, c, d]."""
+    g = metric.g_contra[..., None, :, :]
+    raised = np.swapaxes(g, -1, -2) @ forms @ g
+    dual = np.tensordot(raised, EPSILON, axes=((-2, -1), (0, 1)))
+    return 0.5 * dual * metric.vol[..., None, None]
+
+
+def _star_torsion_from_curl(e: np.ndarray, metric: MetricField, dform: np.ndarray) -> np.ndarray:
     """(*T)^a_b as sum_j e_j (x) curl c^j, with the metric curl of a covector."""
-    cof = coframe(frame, metric).c
-    dcof = derivative_stack(cof)
-    dform = np.einsum("...cjd->...jcd", dcof) - np.einsum("...djc->...jcd", dcof)
-    raised = np.einsum("...jcd,...ce,...df->...jef", dform, metric.g_contra, metric.g_contra)
-    curl = 0.5 * np.einsum("...jef,efb->...jb", raised, EPSILON) * metric.vol[..., None, None]
-    return np.einsum("...ja,...jb->...ab", frame.e, curl)
+    return np.swapaxes(e, -1, -2) @ _dual_2forms(metric, dform)
 
 
-def axial_dual_from_coframe(frame: FrameField, metric: MetricField) -> np.ndarray:
+def _axial_dual_from_coframe(metric: MetricField, cof: np.ndarray, dcof: np.ndarray) -> np.ndarray:
     """Scalar dual of the axial torsion part, directly from coframe derivatives.
 
     *T_ax = (1/3) sqrt(det g_contra) * eps^{bmc} sum_k c^k_b d_mu c^k_c
     written out; an independent check on the trace of (*T)^a_b.
     """
-    cof = coframe(frame, metric).c
-    dcof = derivative_stack(cof)
-    contraction = np.einsum("bmc,...kb,...mkc->...", EPSILON, cof, dcof)
+    pairs = np.swapaxes(cof, -1, -2)[..., None, :, :] @ dcof  # sum_k c^k_b d_mu c^k_c as [mu, b, c]
+    contraction = np.tensordot(pairs, EPSILON.transpose(1, 0, 2), axes=3)
     return contraction / (3.0 * metric.vol)
 
 
@@ -353,26 +354,28 @@ def torsion(frame: FrameField, metric: MetricField) -> TorsionBundle:
     Computes the tensor from the connection and from coframe exterior
     derivatives, the dual from the Hodge definition and from the curl
     formula, and the axial scalar from the dual trace and from the
-    explicit coframe expression.  Any disagreement beyond 1e-10 (on
-    O(1) fields) raises ConsistencyError.
+    explicit coframe expression.  The routes share one coframe and one
+    derivative stack.  Any disagreement beyond 1e-10 (on O(1) fields)
+    raises ConsistencyError.
     """
-    gamma = teleparallel_coefficients(frame, metric)
-    t1 = torsion_from_connection(gamma)
-    t2 = torsion_from_coframe(frame, metric)
+    cof = coframe(frame, metric).c
+    dcof = derivative_stack(cof)  # [..., mu, k, b]
+    dform = np.einsum("...cjd->...jcd", dcof) - np.einsum("...djc->...jcd", dcof)  # (d c^j)_{cd}
+    t1 = torsion_from_connection(_teleparallel(frame.e, dcof))
+    t2 = _torsion_from_coframe(frame.e, dform)
     scale = max(1.0, float(np.abs(t1).max()))
     gap_t = float(np.abs(t1 - t2).max())
     if gap_t > 1e-10 * scale:
         raise ConsistencyError("torsion routes (connection vs coframe) disagree")
 
-    raised = np.einsum("...acd,...ce,...df->...aef", t1, metric.g_contra, metric.g_contra)
-    star1 = 0.5 * np.einsum("...aef,efb->...ab", raised, EPSILON) * metric.vol[..., None, None]
-    star2 = star_torsion_from_curl(frame, metric)
+    star1 = _dual_2forms(metric, t1)
+    star2 = _star_torsion_from_curl(frame.e, metric, dform)
     gap_star = float(np.abs(star1 - star2).max())
     if gap_star > 1e-10 * scale:
         raise ConsistencyError("dual torsion routes (Hodge vs curl) disagree")
 
     ax1 = np.einsum("...aa->...", star1) / 3.0
-    ax2 = axial_dual_from_coframe(frame, metric)
+    ax2 = _axial_dual_from_coframe(metric, cof, dcof)
     gap_ax = float(np.abs(ax1 - ax2).max())
     if gap_ax > 1e-10 * scale:
         raise ConsistencyError("axial dual routes (trace vs coframe formula) disagree")
@@ -413,8 +416,7 @@ def hodge_star(metric: MetricField, values: np.ndarray, q: int) -> np.ndarray:
         return np.einsum("...a,abc->...bc", vr, EPSILON) * vol[..., None, None]
     _check_antisymmetric(values, q)
     if q == 2:
-        vr = np.einsum("...ac,...bd,...cd->...ab", g, g, values)
-        return 0.5 * np.einsum("...ab,abc->...c", vr, EPSILON) * vol[..., None]
+        return _dual_2forms(metric, values[..., None, :, :])[..., 0, :]
     vr = np.einsum("...ad,...be,...cf,...def->...abc", g, g, g, values)
     return np.einsum("...abc,abc->...", vr, EPSILON) * vol / 6.0
 
@@ -445,18 +447,8 @@ def parallel_transport(
     path independent because the transporting connection is flat.
     """
     xi = np.asarray(xi, dtype=float)
-    s_from = sym.at(from_point)
-    s_to = sym.at(to_point)
-
-    def frame_rows(smat):
-        e = np.empty((3, 3))
-        e[0] = smat[:, 0, 1].real
-        e[1] = -smat[:, 0, 1].imag
-        e[2] = smat[:, 0, 0].real
-        return e
-
-    m_from = frame_rows(s_from)
-    m_to = frame_rows(s_to)
+    m_from = pauli_components(sym.at(from_point)).T
+    m_to = pauli_components(sym.at(to_point)).T
     if np.linalg.cond(m_to) > _FRAME_CONDITION_LIMIT:
         raise EllipticityError("frame at the target point is too ill-conditioned to invert")
     return np.linalg.solve(m_to, m_from @ xi)

@@ -106,12 +106,20 @@ def dirac_operator(frame: FrameField, metric: MetricField | None = None) -> Firs
     s = sym.sigma
     gamma = christoffel_symbols(metric)  # [b, a, g]
     s_low = np.einsum("...bd,...dpq->...bpq", metric.g_cov, s)
-    ds = derivative_stack(s)  # [a, b, p, q]
-    covd = ds + np.einsum("...bag,...gpq->...abpq", gamma, s)
-    a0 = -0.25j * np.einsum("...apq,...bqr,...abrs->...ps", s, s_low, covd)
+    covd = derivative_stack(s)  # [a, b, p, q]
+    covd += np.einsum("...bag,...gpq->...abpq", gamma, s)
+    a0 = -0.25j * _matrix_sum(s, _matrix_sum(s_low[..., None, :, :, :], covd))
     gtrace = np.einsum("...bab->...a", gamma)
     a0 = a0 + 0.5j * np.einsum("...apq,...a->...pq", s, gtrace)
     return FirstOrderOperator(sym, a0)
+
+
+def _matrix_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_b x[..., b, :, :] @ y[..., b, :, :] as one matmul over the joint (b, column) index;
+    unlike a three-operand einsum, no intermediate outgrows the output."""
+    k = x.shape[-3] * x.shape[-1]
+    rows = np.swapaxes(x, -3, -2).reshape(x.shape[:-3] + (x.shape[-2], k))
+    return rows @ y.reshape(y.shape[:-3] + (k, y.shape[-1]))
 
 
 def verify_subprincipal_identity(frame: FrameField, metric: MetricField | None = None) -> float:
@@ -370,8 +378,10 @@ def check_dirac(op: FirstOrderOperator, tol: float = 1e-7) -> DiracVerdict:
     * reconstructed_gap - max coefficient difference between the
       operator and the Dirac operator rebuilt from its decoded frame.
     """
-    from .asymptotics import b_density  # local import to avoid a cycle
+    from .asymptotics import _coefficients  # local import to avoid a cycle
 
+    frame = decode_frame(op.sigma)
+    metric = decode_metric(op.sigma)
     asub = subprincipal_symbol(op)
     trace_half = 0.5 * (asub[..., 0, 0] + asub[..., 1, 1])
     devi = asub - trace_half[..., None, None] * IDENTITY2
@@ -379,11 +389,9 @@ def check_dirac(op: FirstOrderOperator, tol: float = 1e-7) -> DiracVerdict:
         np.sqrt(np.abs(devi[..., 0, 0].real) ** 2 + np.abs(devi[..., 0, 1]) ** 2).max()
     )
 
-    coeffs = b_density(op)
+    coeffs = _coefficients(metric, asub, torsion(frame, metric))
     cond_b = float(np.abs(coeffs.b).max())
 
-    frame = decode_frame(op.sigma)
-    metric = decode_metric(op.sigma)
     rebuilt = dirac_operator(frame, metric)
     gap = max(
         float(np.abs(op.a0 - rebuilt.a0).max()),

@@ -39,11 +39,6 @@ def _encode_complex(arr: np.ndarray) -> list:
     return stacked.tolist()
 
 
-def _decode_complex(data) -> np.ndarray:
-    stacked = np.asarray(data, dtype=float)
-    return stacked[..., 0] + 1j * stacked[..., 1]
-
-
 def _header(kind: str, n: int) -> dict:
     return {
         "format_version": _FORMAT_VERSION,
@@ -61,10 +56,7 @@ def save_symbol(sym: PrincipalSymbolField, path: str) -> None:
 
 
 def load_symbol(path: str) -> PrincipalSymbolField:
-    doc = _load_document(path, "principal-symbol")
-    n = doc["chart"]["grid"]
-    sigma = _unflatten_grid(_decode_complex(doc["sigma"]), n)
-    return PrincipalSymbolField(sigma)
+    return _from_document(_load_document(path, "principal-symbol"), path)
 
 
 def save_frame(frame: FrameField, path: str) -> None:
@@ -76,10 +68,7 @@ def save_frame(frame: FrameField, path: str) -> None:
 
 
 def load_frame(path: str) -> FrameField:
-    doc = _load_document(path, "frame")
-    n = doc["chart"]["grid"]
-    e = _unflatten_grid(np.asarray(doc["frame"], dtype=float), n)
-    return FrameField(e)
+    return _from_document(_load_document(path, "frame"), path)
 
 
 def save_operator(op: FirstOrderOperator, path: str) -> None:
@@ -92,24 +81,55 @@ def save_operator(op: FirstOrderOperator, path: str) -> None:
 
 
 def load_operator(path: str) -> FirstOrderOperator:
-    doc = _load_document(path, "operator")
-    n = doc["chart"]["grid"]
-    sigma = _unflatten_grid(_decode_complex(doc["sigma"]), n)
-    a0 = _unflatten_grid(_decode_complex(doc["a0"]), n)
-    return FirstOrderOperator(PrincipalSymbolField(sigma), a0)
+    return _from_document(_load_document(path, "operator"), path)
 
 
-def _load_document(path: str, kind: str) -> dict:
-    with open(path) as fh:
-        try:
+def _from_document(doc: dict, path: str):
+    """The frame, symbol or operator a checked document holds."""
+    if doc["kind"] == "frame":
+        return FrameField(_grid_array(doc, "frame", (3, 3), path, is_complex=False))
+    sym = PrincipalSymbolField(_grid_array(doc, "sigma", (3, 2, 2), path))
+    if doc["kind"] == "principal-symbol":
+        return sym
+    return FirstOrderOperator(sym, _grid_array(doc, "a0", (2, 2), path))
+
+
+def _load_document(path: str, kind: str | None = None) -> dict:
+    """Parse a file once and check its header; kind=None accepts every known kind."""
+    try:
+        with open(path) as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path} is not valid JSON: {exc}") from exc
-    if doc.get("kind") != kind:
-        raise InputError(f"{path} holds {doc.get('kind')!r}, expected {kind!r}")
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    got = doc.get("kind") if isinstance(doc, dict) else None
+    wanted = (kind,) if kind else ("operator", "principal-symbol", "frame")
+    if got not in wanted:
+        raise InputError(f"{path} holds {got!r}, expected {' or '.join(map(repr, wanted))}")
     if doc.get("format_version") != _FORMAT_VERSION:
         raise InputError(f"unsupported format version {doc.get('format_version')}")
+    chart = doc.get("chart")
+    if not isinstance(chart, dict) or not isinstance(chart.get("grid"), int) or chart["grid"] < 1:
+        raise InputError(f"{path}: chart.grid must be a positive integer")
     return doc
+
+
+def _grid_array(doc: dict, key: str, comp: tuple, path: str, is_complex: bool = True) -> np.ndarray:
+    """The grid field stored under key, checked against the chart before reshaping."""
+    n = doc["chart"]["grid"]
+    want = (n**3,) + comp + ((2,) if is_complex else ())
+    try:
+        flat = np.asarray(doc[key], dtype=float)
+    except (KeyError, TypeError, ValueError):
+        raise InputError(f"{path}: {key!r} is missing or not a regular array of numbers") from None
+    if flat.shape != want:
+        raise InputError(f"{path}: {key!r} has shape {flat.shape}, grid {n} needs {want}")
+    if not np.all(np.isfinite(flat)):
+        raise InputError(f"{path}: {key!r} holds non-finite numbers")
+    if is_complex:
+        flat = flat[..., 0] + 1j * flat[..., 1]
+    return _unflatten_grid(flat, n)
 
 
 def write_json_report(report: dict, path: str | None) -> str:

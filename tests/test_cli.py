@@ -1,6 +1,10 @@
 """Command-line entry points, exercised through main()."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -213,3 +217,35 @@ def test_report_written_to_file(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out.read_text())["charge"] == 1
+
+
+# --- the input boundary ------------------------------------------------------
+
+def _truncated_operator(path):
+    dw.save_operator(dw.dirac_operator(dw.standard_frame(8)), str(path))
+    doc = json.loads(path.read_text())
+    doc["a0"] = doc["a0"][: len(doc["a0"]) // 2]
+    path.write_text(json.dumps(doc))
+
+
+MALFORMED = {
+    "wrong-length-array": ("decode", _truncated_operator),
+    "missing-path": ("check-dirac", lambda path: None),
+    "not-json": ("asymptotics", lambda path: path.write_text("sigma = [[0, 1], [1, 0]]\n")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2_without_traceback(case, tmp_path):
+    command, write = MALFORMED[case]
+    path = tmp_path / "input.json"
+    write(path)
+    src = str(Path(dw.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "diracweyl.cli", command, "--input", str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
