@@ -6,7 +6,11 @@ round-sphere Dirac operator.  Numerical spectra come from a plane-wave
 Galerkin projection of a first-order operator; for band-limited
 coefficients the matrix elements are exact Fourier data, so interior
 eigenvalues converge extremely fast and are reliable in a window well
-inside the mode cutoff.
+inside the mode cutoff.  The projected matrix splits exactly into
+blocks, one per coset of the lattice spanned by the coefficients'
+Fourier support, and each block is solved on its own.  Requests whose
+dense blocks or exact-table histograms exceed a fixed memory budget
+are refused before anything is allocated.
 
 Counting utilities: the sharp eigenvalue counting function (strict
 inequality, ambiguity surfaced rather than resolved), comparison
@@ -26,6 +30,13 @@ from .operators import FirstOrderOperator
 
 _CLUSTER_TOL = 1e-7
 _KERNEL_TAIL_MASS = 1e-6
+
+# Largest Hermitian block solved densely: order 8000 is about 1 GB of
+# complex128.  Larger Galerkin blocks are refused before allocation.
+_DENSE_ORDER_BUDGET = 8000
+# Longest histogram of q = 4|m - s|^2 an exact table builds (lambda_max
+# up to 1024); it and its table take about 40 bytes per entry.
+_Q_LENGTH_BUDGET = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -92,47 +103,56 @@ def _coerce_shift(shift) -> SpinStructure:
     return SpinStructure(tuple(shift))
 
 
+def _shell_counts(shift, lambda_max: float, qmax: int) -> np.ndarray:
+    """r[q] = #{m in Z^3 : 4|m - s|^2 = q} for 0 <= q <= qmax.
+
+    Exact integer convolution of the three axis histograms of
+    (2 m_a - 2 s_a)^2, each nonzero only at the O(lambda) squares, so
+    memory stays O(qmax) = O(lambda^2).
+    """
+    hists = []
+    for sa in shift:
+        m = np.arange(int(np.floor(sa - lambda_max)), int(np.ceil(sa + lambda_max)) + 1)
+        sq = (2 * m - int(2 * sa)) ** 2
+        hists.append(np.bincount(sq[sq <= qmax], minlength=qmax + 1))
+    counts = hists[0]
+    for hist in hists[1:]:
+        out = np.zeros_like(counts)
+        for v in np.flatnonzero(hist):
+            out[v:] += hist[v] * counts[: qmax + 1 - v]
+        counts = out
+    return counts
+
+
 def torus_exact_spectrum(shift, lambda_max: float) -> SpectrumTable:
     """Exact flat-torus Dirac spectrum for the given spin structure.
 
     Trivial shift: a two-dimensional kernel plus one pair +-|m| for
     every nonzero lattice point.  Nontrivial shift s: one pair
     +-|m - s| for every lattice point, and no kernel.  Eigenvalues are
-    grouped exactly via the integer 4|m - s|^2.
+    grouped exactly via the integer 4|m - s|^2, whose counts come from
+    a histogram of length (2 lambda_max)^2 + 1; one longer than
+    _Q_LENGTH_BUDGET is refused.
     """
     s = _coerce_shift(shift)
     if lambda_max <= 0.0:
         raise InputError("lambda_max must be positive")
-    lo = [int(np.floor(sa - lambda_max)) for sa in s.shift]
-    hi = [int(np.ceil(sa + lambda_max)) for sa in s.shift]
-    axes = [np.arange(lo[a], hi[a] + 1) for a in range(3)]
-    m1, m2, m3 = np.meshgrid(*axes, indexing="ij")
-    q = (
-        (2 * m1 - int(2 * s.shift[0])) ** 2
-        + (2 * m2 - int(2 * s.shift[1])) ** 2
-        + (2 * m3 - int(2 * s.shift[2])) ** 2
-    ).ravel()
     qmax = int(np.floor((2.0 * lambda_max) ** 2))
-    q = q[q <= qmax]
-    counts = np.bincount(q)
-    qvals = np.nonzero(counts)[0]
-    vals, mults = [], []
-    for qi in qvals[::-1]:
-        if qi == 0:
-            continue
-        vals.append(-0.5 * np.sqrt(float(qi)))
-        mults.append(int(counts[qi]))
-    if s.is_trivial() and counts[0] > 0:
-        vals.append(0.0)
-        mults.append(2 * int(counts[0]))
-    for qi in qvals:
-        if qi == 0:
-            continue
-        vals.append(0.5 * np.sqrt(float(qi)))
-        mults.append(int(counts[qi]))
+    if qmax + 1 > _Q_LENGTH_BUDGET:
+        raise InputError(
+            f"lambda_max {lambda_max} needs a histogram of q = 4|m - s|^2 of length "
+            f"{qmax + 1}, over the budget of {_Q_LENGTH_BUDGET}; lower lambda_max"
+        )
+    counts = _shell_counts(s.shift, lambda_max, qmax)
+    q = np.flatnonzero(counts[1:]) + 1
+    pos = 0.5 * np.sqrt(q.astype(float))
+    mult = counts[q]
+    zero_v, zero_m = [], []
+    if s.is_trivial():
+        zero_v, zero_m = [0.0], [2 * int(counts[0])]
     return SpectrumTable(
-        values=np.array(vals),
-        multiplicities=np.array(mults),
+        values=np.concatenate([-pos[::-1], zero_v, pos]),
+        multiplicities=np.concatenate([mult[::-1], zero_m, mult]).astype(int),
         provenance=f"torus-exact shift={s.shift}",
         coverage=(-lambda_max, lambda_max),
         metadata={"shift": s.shift},
@@ -165,17 +185,16 @@ def lattice_count(center, radius: float) -> int:
 
     Distances are compared exactly the same way eigenvalue tables are
     queried (via the rounded square root), so counting identities
-    against exact spectra hold verbatim.
+    against exact spectra hold verbatim.  One m1 plane is evaluated at
+    a time, so memory stays O(radius^2).
     """
     center = np.asarray(center, dtype=float)
     if center.shape != (3,) or radius <= 0.0:
         raise InputError("center must be a 3-vector and radius positive")
     lo = np.floor(center - radius).astype(int)
     hi = np.ceil(center + radius).astype(int)
-    axes = [np.arange(lo[a], hi[a] + 1) for a in range(3)]
-    m1, m2, m3 = np.meshgrid(*axes, indexing="ij")
-    d2 = (m1 - center[0]) ** 2 + (m2 - center[1]) ** 2 + (m3 - center[2]) ** 2
-    return int((np.sqrt(d2) < radius).sum())
+    d1, d2, d3 = ((np.arange(lo[a], hi[a] + 1) - center[a]) ** 2 for a in range(3))
+    return sum(int(np.count_nonzero(np.sqrt((a + d2)[:, None] + d3) < radius)) for a in d1)
 
 
 # ---------------------------------------------------------------------------
@@ -198,23 +217,89 @@ def _operator_fourier_data(op: FirstOrderOperator, tol: float = 1e-13):
     a0_hat = np.fft.fftn(op.a0, axes=(0, 1, 2)) / n**3
     mags = np.abs(sig_hat).reshape(n, n, n, -1).max(axis=-1)
     mags = np.maximum(mags, np.abs(a0_hat).reshape(n, n, n, -1).max(axis=-1))
-    modes = _integer_modes(n)
-    nyquist_tol = 1e-9 * max(1.0, float(mags.max()))
-    nz = np.argwhere(mags > tol)
-    ks, sig_list, a0_list = [], [], []
-    for i1, i2, i3 in nz:
-        k = (int(modes[i1]), int(modes[i2]), int(modes[i3]))
-        if any(abs(ka) == n // 2 for ka in k):
-            if mags[i1, i2, i3] > nyquist_tol:
-                raise ConsistencyError(
-                    "operator coefficients have content at the Nyquist mode; "
-                    "increase the grid resolution"
-                )
-            continue
-        ks.append(k)
-        sig_list.append(sig_hat[i1, i2, i3])
-        a0_list.append(a0_hat[i1, i2, i3])
-    return np.array(ks), np.array(sig_list), np.array(a0_list)
+    nz = np.nonzero(mags > tol)
+    ks = _integer_modes(n)[np.stack(nz, axis=1)]
+    nyquist = np.any(np.abs(ks) == n // 2, axis=1)
+    if np.any(mags[nz][nyquist] > 1e-9 * max(1.0, float(mags.max()))):
+        raise ConsistencyError(
+            "operator coefficients have content at the Nyquist mode; "
+            "increase the grid resolution"
+        )
+    keep = ~nyquist
+    return ks[keep], sig_hat[nz][keep], a0_hat[nz][keep]
+
+
+def _lattice_basis(ks: np.ndarray) -> np.ndarray:
+    """Hermite normal form of the integer lattice spanned by the rows of ks.
+
+    Each row's first nonzero entry (its pivot) is positive and lies
+    right of the previous row's; entries above a pivot are reduced
+    modulo it.  Built by Euclidean row reduction, vectorised over rows.
+    """
+    rows = ks[np.any(ks != 0, axis=1)].astype(np.int64)
+    basis, pivots = [], []
+    for col in range(3):
+        while np.count_nonzero(rows[:, col]) > 1:
+            if rows.dtype != object and np.abs(rows).max() >= 1 << 31:
+                rows = rows.astype(object)  # Python integers: q * pivot cannot wrap
+            nz = np.flatnonzero(rows[:, col])
+            p = nz[np.argmin(np.abs(rows[nz, col]))]
+            pivot = rows[p].copy()
+            rows = rows - (rows[:, col] // pivot[col])[:, None] * pivot
+            rows[p] = pivot
+            rows = rows[np.any(rows != 0, axis=1)]
+        nz = np.flatnonzero(rows[:, col])
+        if len(nz):
+            pivot = rows[nz[0]]
+            basis.append(pivot if pivot[col] > 0 else -pivot)
+            pivots.append(col)
+            rows = np.delete(rows, nz[0], axis=0)
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            basis[i] = basis[i] - (basis[i][pivots[j]] // basis[j][pivots[j]]) * basis[j]
+    return np.array(basis, dtype=np.int64).reshape(-1, 3)
+
+
+def _coset_blocks(modes: np.ndarray, ks: np.ndarray) -> list:
+    """Mode indices grouped by coset of the lattice spanned by ks.
+
+    Returns one (count, size) index array per distinct coset size.  A
+    coefficient with mode k couples m to m + k only, so the projected
+    matrix has no entry between two cosets.  Reducing each mode by the
+    Hermite basis, pivot by pivot, gives a canonical coset label.
+    """
+    rep = modes.copy()
+    for row in _lattice_basis(ks):
+        col = np.flatnonzero(row)[0]
+        rep -= (rep[:, col] // row[col])[:, None] * row
+    label = np.unique(rep, axis=0, return_inverse=True)[1].ravel()
+    size = np.bincount(label)[label]
+    order = np.lexsort((label, size))
+    sizes, n_modes = np.unique(size[order], return_counts=True)
+    bounds = np.cumsum(n_modes)[:-1]
+    return [idx.reshape(-1, b) for idx, b in zip(np.split(order, bounds), sizes)]
+
+
+def _coset_matrices(m: np.ndarray, code: np.ndarray, slot: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Projected matrices of a batch of equal-size cosets, shape (batch, 2, b, 2, b).
+
+    m holds the cosets' modes (batch, b, 3) and code their codes, whose
+    differences address the support table slot.  Entry [p, i, q, j] is
+    the [p, q] entry of sigma_hat(k) . m_j + a0_hat(k) with k = m_i - m_j;
+    a k outside the support reads the zero column of coef.
+    """
+    sup = slot[code[:, :, None] - code[:, None, :]]
+    mj = m[:, None, :, :]
+    b = m.shape[1]
+    h = np.empty((len(m), 2, b, 2, b), dtype=complex)
+    for p in range(2):
+        for q in range(2):
+            out, cpq = h[:, p, :, q, :], coef[p, q]
+            np.multiply(cpq[0][sup], mj[..., 0], out=out)
+            out += cpq[1][sup] * mj[..., 1]
+            out += cpq[2][sup] * mj[..., 2]
+            out += cpq[3][sup]
+    return h
 
 
 def galerkin_spectrum(
@@ -227,11 +312,14 @@ def galerkin_spectrum(
     """Eigenvalues of the operator projected on plane waves |m|_inf <= cutoff.
 
     The projected matrix is assembled from the exact Fourier
-    coefficients of the symbol (a band-limited convolution), checked
-    Hermitian, and solved densely.  Only eigenvalues inside `window`
-    are tabulated; the window must sit inside the reliable zone
-    |lambda| <= reliable_fraction * mode_cutoff.  Degenerate eigenvalues
-    are clustered at tolerance cluster_tol.
+    coefficients of the symbol (a band-limited convolution).  It is
+    exactly block-diagonal over the cosets of the lattice spanned by
+    the coefficients' Fourier support; each block is assembled, checked
+    Hermitian and solved densely on its own, and a block of order above
+    _DENSE_ORDER_BUDGET is refused before anything is allocated.  Only
+    eigenvalues inside `window` are tabulated; the window must sit
+    inside the reliable zone |lambda| <= reliable_fraction * mode_cutoff.
+    Degenerate eigenvalues are clustered at tolerance cluster_tol.
     """
     if mode_cutoff < 1:
         raise InputError("mode cutoff must be at least 1")
@@ -249,35 +337,53 @@ def galerkin_spectrum(
 
     ks, sig_hats, a0_hats = _operator_fourier_data(op)
     c = mode_cutoff
-    side = 2 * c + 1
+    couples = np.all(np.abs(ks) <= 2 * c, axis=1)  # the rest never joins two cube modes
+    ks, sig_hats, a0_hats = ks[couples], sig_hats[couples], a0_hats[couples]
     ax = np.arange(-c, c + 1)
-    mm1, mm2, mm3 = np.meshgrid(ax, ax, ax, indexing="ij")
-    mprime = np.stack([mm1.ravel(), mm2.ravel(), mm3.ravel()], axis=1)
-    nm = len(mprime)
+    modes = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
+    nm = len(modes)
+    groups = _coset_blocks(modes, ks)
+    largest = groups[-1].shape[1]
+    if 2 * largest > _DENSE_ORDER_BUDGET:
+        coupled = "every mode" if largest == nm else f"{largest} of its {nm} modes"
+        raise InputError(
+            f"Galerkin cutoff {c} needs a dense block of order {2 * largest}, over the "
+            f"budget of {_DENSE_ORDER_BUDGET}: the operator's Fourier support couples "
+            f"{coupled} into one block; lower the cutoff"
+        )
 
-    h4 = np.zeros((nm, 2, nm, 2), dtype=complex)
-    src_idx_all = (
-        (mprime[:, 0] + c) * side + (mprime[:, 1] + c)
-    ) * side + (mprime[:, 2] + c)
-    for k, sig_k, a0_k in zip(ks, sig_hats, a0_hats):
-        tgt = mprime + k[None, :]
-        ok = np.all(np.abs(tgt) <= c, axis=1)
-        if not np.any(ok):
-            continue
-        src = src_idx_all[ok]
-        tgt_idx = ((tgt[ok, 0] + c) * side + (tgt[ok, 1] + c)) * side + (tgt[ok, 2] + c)
-        blocks = np.einsum("apq,sa->spq", sig_k, mprime[ok].astype(float)) + a0_k
-        h4[tgt_idx, :, src, :] += blocks
+    # Support table over the differences k in [-2c, 2c]^3, addressed by the
+    # mixed-radix code k @ radix, which is linear in k and unique in that box;
+    # negative codes index from the end of slot.  Absent k read the last,
+    # all-zero column of coef.
+    span = 4 * c + 1
+    radix = np.array([span * span, span, 1])
+    slot = np.full(span**3, len(ks))
+    slot[ks @ radix] = np.arange(len(ks))
+    code = modes @ radix
+    coef = np.zeros((2, 2, 4, len(ks) + 1), dtype=complex)
+    coef[:, :, :3, :-1] = sig_hats.transpose(2, 3, 1, 0)
+    coef[:, :, 3, :-1] = a0_hats.transpose(1, 2, 0)
 
-    h = h4.reshape(2 * nm, 2 * nm)
-    herm = float(np.abs(h - h.conj().T).max())
-    scale = max(1.0, float(np.abs(h).max()))
+    parts, herm, scale = [], 0.0, 1.0
+    for group in groups:
+        b = group.shape[1]
+        # blocks of one size are solved together, up to one budget-order block's memory
+        step = max(1, _DENSE_ORDER_BUDGET**2 // (2 * b) ** 2)
+        for first in range(0, len(group), step):
+            idx = group[first:first + step]
+            h = _coset_matrices(modes[idx], code[idx], slot, coef)
+            for p, q in ((0, 0), (0, 1), (1, 1)):
+                gap = h[:, p, :, q, :] - h[:, q, :, p, :].conj().swapaxes(1, 2)
+                herm = max(herm, float(np.abs(gap).max()))
+            scale = max(scale, float(np.abs(h).max()))
+            parts.append(np.linalg.eigvalsh(h.reshape(len(idx), 2 * b, 2 * b)).ravel())
     if herm > 1e-10 * scale:
         raise ConsistencyError(
             f"projected matrix is not Hermitian (residual {herm:.2e}); "
             "the zeroth-order coefficient is inconsistent with formal self-adjointness"
         )
-    eigs = np.linalg.eigvalsh(h)
+    eigs = np.sort(np.concatenate(parts))
 
     # pad by the cluster tolerance so a degenerate cluster sitting on a
     # window edge is kept or dropped whole, never split
@@ -291,6 +397,8 @@ def galerkin_spectrum(
         metadata={
             "mode_cutoff": mode_cutoff,
             "matrix_order": 2 * nm,
+            "block_count": sum(len(g) for g in groups),
+            "max_block_order": 2 * largest,
             "hermiticity_residual": herm,
             "cluster_tol": cluster_tol,
         },

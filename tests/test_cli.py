@@ -235,17 +235,32 @@ MALFORMED = {
 }
 
 
+def _cli_process(*argv):
+    src = str(Path(dw.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "diracweyl.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_exits_2_without_traceback(case, tmp_path):
     command, write = MALFORMED[case]
     path = tmp_path / "input.json"
     write(path)
-    src = str(Path(dw.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "diracweyl.cli", command, "--input", str(path)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = _cli_process(command, "--input", str(path))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+def test_galerkin_over_memory_budget_exits_2_without_traceback():
+    """A random frame couples all 9261 modes of cutoff 10 into one block of order 18522."""
+    proc = _cli_process(
+        "spectrum", "--scenario", "random-band-limited", "--method", "galerkin", "--cutoff", "10"
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "budget" in proc.stderr

@@ -5,6 +5,7 @@ import pytest
 
 import diracweyl as dw
 from diracweyl.errors import ConsistencyError, InputError
+from diracweyl.spectra import _cluster, _coset_blocks
 
 TRIVIAL = dw.SpinStructure((0.0, 0.0, 0.0))
 HALF3 = dw.SpinStructure((0.0, 0.0, 0.5))
@@ -60,6 +61,66 @@ class TestTorusExact:
         assert table.coverage[1] >= 7.0
         assert (table.multiplicities > 0).all()
         assert (np.diff(table.values) > 0).all()
+
+
+def _meshgrid_exact(shift, lambda_max):
+    """The exact table enumerated over the full (2 lambda + 1)^3 box."""
+    axes = [np.arange(int(np.floor(sa - lambda_max)), int(np.ceil(sa + lambda_max)) + 1) for sa in shift]
+    m1, m2, m3 = np.meshgrid(*axes, indexing="ij")
+    q = ((2 * m1 - int(2 * shift[0])) ** 2 + (2 * m2 - int(2 * shift[1])) ** 2
+         + (2 * m3 - int(2 * shift[2])) ** 2).ravel()
+    counts = np.bincount(q[q <= int(np.floor((2.0 * lambda_max) ** 2))])
+    vals, mults = [], []
+    for qi in np.nonzero(counts)[0][::-1]:
+        if qi:
+            vals.append(-0.5 * np.sqrt(float(qi)))
+            mults.append(int(counts[qi]))
+    if shift == (0.0, 0.0, 0.0):
+        vals.append(0.0)
+        mults.append(2 * int(counts[0]))
+    for qi in np.nonzero(counts)[0]:
+        if qi:
+            vals.append(0.5 * np.sqrt(float(qi)))
+            mults.append(int(counts[qi]))
+    return np.array(vals), np.array(mults)
+
+
+def _meshgrid_lattice_count(center, radius):
+    center = np.asarray(center, dtype=float)
+    lo = np.floor(center - radius).astype(int)
+    hi = np.ceil(center + radius).astype(int)
+    m1, m2, m3 = np.meshgrid(*[np.arange(lo[a], hi[a] + 1) for a in range(3)], indexing="ij")
+    d2 = (m1 - center[0]) ** 2 + (m2 - center[1]) ** 2 + (m3 - center[2]) ** 2
+    return int((np.sqrt(d2) < radius).sum())
+
+
+@pytest.mark.parametrize("lam", [0.7, 5.5, 45.0])
+def test_exact_tables_match_box_enumeration(lam):
+    for structure in dw.all_spin_structures():
+        table = dw.torus_exact_spectrum(structure, lam)
+        values, mults = _meshgrid_exact(structure.shift, lam)
+        assert np.array_equal(table.values, values)
+        assert np.array_equal(table.multiplicities, mults)
+
+
+def test_lattice_count_matches_box_enumeration():
+    rng = np.random.default_rng(7)
+    cases = [(rng.uniform(-3.0, 3.0, 3), rng.uniform(0.2, 9.0)) for _ in range(40)]
+    for center in ((0.0, 0.0, 0.0), (0.5, 0.0, 0.5), (0.5, 0.5, 0.5), (0.0, 0.0, 0.5)):
+        for d2 in (0.25, 0.5, 1.0, 1.25, 2.0, 2.75, 3.0, 9.0, 14.25, 26.0):
+            cases.append((center, np.sqrt(d2)))  # the sphere passes through lattice points
+    for center, radius in cases:
+        assert dw.lattice_count(center, radius) == _meshgrid_lattice_count(center, radius)
+
+
+def test_exact_table_memory_is_quadratic(peak_mb):
+    """Enumerating the (2 lambda + 1)^3 box peaks at 326 MB for this call."""
+    assert peak_mb(lambda: dw.torus_exact_spectrum(HALF3, 100.0)) <= 20.0
+
+
+def test_exact_table_over_budget_refused():
+    with pytest.raises(InputError, match="budget"):
+        dw.torus_exact_spectrum(TRIVIAL, 1100.0)
 
 
 def test_lattice_count_reference_values():
@@ -137,6 +198,104 @@ def _match_tables(got, want_vals, want_mults, tol):
     assert len(got.values) == len(want_vals)
     assert np.abs(got.values - want_vals).max() < tol
     assert (got.multiplicities == want_mults).all()
+
+
+def _dense_galerkin(op, cutoff, window, cluster_tol=1e-7):
+    """One dense matrix over the whole cube basis, assembled mode vector by mode vector."""
+    n = op.sigma.sigma.shape[0]
+    sig_hat = np.fft.fftn(op.sigma.sigma, axes=(0, 1, 2)) / n**3
+    a0_hat = np.fft.fftn(op.a0, axes=(0, 1, 2)) / n**3
+    mags = np.maximum(
+        np.abs(sig_hat).reshape(n, n, n, -1).max(axis=-1),
+        np.abs(a0_hat).reshape(n, n, n, -1).max(axis=-1),
+    )
+    freq = np.fft.fftfreq(n, d=1.0 / n).astype(int)
+    side = 2 * cutoff + 1
+    ax = np.arange(-cutoff, cutoff + 1)
+    mprime = np.stack([g.ravel() for g in np.meshgrid(ax, ax, ax, indexing="ij")], axis=1)
+    nm = len(mprime)
+    h4 = np.zeros((nm, 2, nm, 2), dtype=complex)
+    src = np.arange(nm)
+    for i1, i2, i3 in np.argwhere(mags > 1e-13):
+        k = np.array([freq[i1], freq[i2], freq[i3]])
+        if np.any(np.abs(k) == n // 2):
+            continue
+        tgt = mprime + k
+        ok = np.all(np.abs(tgt) <= cutoff, axis=1)
+        tgt_idx = ((tgt[ok, 0] + cutoff) * side + (tgt[ok, 1] + cutoff)) * side + (tgt[ok, 2] + cutoff)
+        blocks = np.einsum("apq,sa->spq", sig_hat[i1, i2, i3], mprime[ok].astype(float))
+        h4[tgt_idx, :, src[ok], :] += blocks + a0_hat[i1, i2, i3]
+    eigs = np.linalg.eigvalsh(h4.reshape(2 * nm, 2 * nm))
+    inside = eigs[(eigs >= window[0] - cluster_tol) & (eigs <= window[1] + cluster_tol)]
+    return _cluster(inside, cluster_tol)
+
+
+def _standard_plus_cosine(n=8, amplitude=0.2):
+    """Flat Dirac operator plus amplitude * cos(x1 + x2) * I: support {0, +-(1, 1, 0)}."""
+    base = dw.dirac_operator(dw.standard_frame(n))
+    x1, x2, _ = dw.PeriodicChart(n).mesh()
+    a0 = base.a0 + amplitude * np.cos(x1 + x2)[..., None, None] * np.eye(2)
+    return dw.FirstOrderOperator(base.sigma, a0)
+
+
+# (operator, number of coset blocks, largest block order) at cutoff 4
+BLOCK_CASES = {
+    "twisted-k3-2": (lambda: dw.dirac_operator(dw.twisted_frame(2, 12)), 2 * 81, 10),
+    "cosine-diagonal": (_standard_plus_cosine, 17 * 9, 18),
+    "random-one-coset": (lambda: dw.dirac_operator(dw.random_band_limited_frame(0)), 1, 2 * 729),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_block_solve_matches_dense_matrix(case):
+    build, n_blocks, largest = BLOCK_CASES[case]
+    op = build()
+    got = dw.galerkin_spectrum(op, 4)
+    values, mults = _dense_galerkin(op, 4, got.coverage)
+    assert len(got.values) == len(values) > 0
+    assert np.abs(got.values - values).max() <= 1e-12
+    assert np.array_equal(got.multiplicities, mults)
+    assert got.metadata["matrix_order"] == 2 * 9**3
+    assert got.metadata["block_count"] == n_blocks
+    assert got.metadata["max_block_order"] == largest
+
+
+def test_coset_blocks_follow_lattice_membership():
+    """Modes share a block exactly when their difference lies in the lattice
+    the support spans; this one has index 19 in Z^3."""
+    ks = np.array([[0, 0, 0], [2, 1, 0], [-2, -1, 0], [0, 3, 1], [1, 0, 3]])
+    coeffs = np.stack(np.meshgrid(*[np.arange(-12, 13)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    lattice = {tuple(v) for v in coeffs @ ks[[1, 3, 4]]}
+    ax = np.arange(-2, 3)
+    modes = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
+    blocks = [row for grp in _coset_blocks(modes, ks) for row in grp]
+    assert len(blocks) == 19
+    block_of = np.empty(len(modes), dtype=int)
+    for b, row in enumerate(blocks):
+        block_of[row] = b
+    in_lattice = np.array([[tuple(d) in lattice for d in modes - m] for m in modes])
+    assert np.array_equal(in_lattice, block_of[:, None] == block_of[None, :])
+
+
+def test_block_solve_memory(peak_mb):
+    """The dense cutoff-6 matrix alone is 309 MB."""
+    op = dw.dirac_operator(dw.twisted_frame(1, 12))
+    assert peak_mb(lambda: dw.galerkin_spectrum(op, 6)) <= 40.0
+
+
+def test_fully_coupled_block_over_budget_refused():
+    op = dw.dirac_operator(dw.random_band_limited_frame(0))
+    with pytest.raises(InputError, match="18522.*couples every mode into one block"):
+        dw.galerkin_spectrum(op, 10)
+
+
+def test_split_blocks_within_budget_solved():
+    """Cutoff 10 is order 18522 in all, but the twisted frame splits it into blocks of order 42."""
+    got = dw.galerkin_spectrum(dw.dirac_operator(dw.twisted_frame(1, 12)), 10, window=(-2.0, 2.0))
+    assert got.metadata["max_block_order"] == 42
+    exact = dw.torus_exact_spectrum(HALF3, 2.5)
+    keep = np.abs(exact.values) <= 2.0
+    _match_tables(got, exact.values[keep], exact.multiplicities[keep], 1e-10)
 
 
 class TestGalerkin:
