@@ -113,13 +113,14 @@ def cmd_decode(args) -> int:
     metric = decode_metric(sym)
     charge = topological_charge(sym)
     tors = torsion(frame, metric)
+    eigs = np.linalg.eigvalsh(metric.g_contra)
     report = {
         "config": _config_block(args, "decode"),
         "charge": int(charge),
         "metric": {
             "volume": float(grid_integral(metric.vol)),
-            "eigenvalue_min": float(np.linalg.eigvalsh(metric.g_contra).min()),
-            "eigenvalue_max": float(np.linalg.eigvalsh(metric.g_contra).max()),
+            "eigenvalue_min": float(eigs[..., 0].min()),
+            "eigenvalue_max": float(eigs[..., -1].max()),
         },
         "torsion": {
             "axial_dual_mean": float(tors.axial_dual.mean()),

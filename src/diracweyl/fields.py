@@ -81,15 +81,15 @@ def spectral_derivative(values: np.ndarray, axis: int) -> np.ndarray:
         raise InputError(f"axis must be 1, 2 or 3, got {axis}")
     n = chart_of(values).n
     ax = axis - 1
-    fh = np.fft.fft(values, axis=ax)
-    mult = 1j * _integer_modes(n)
+    real = np.isrealobj(values)
+    # real fields use the half spectrum, whose last bin is the Nyquist mode
+    mult = 1j * (np.arange(n // 2 + 1) if real else _integer_modes(n))
     mult[n // 2] = 0.0
     shape = [1] * values.ndim
-    shape[ax] = n
-    out = np.fft.ifft(fh * mult.reshape(shape), axis=ax)
-    if np.isrealobj(values):
-        return out.real
-    return out
+    shape[ax] = len(mult)
+    if real:
+        return np.fft.irfft(np.fft.rfft(values, axis=ax) * mult.reshape(shape), n=n, axis=ax)
+    return np.fft.ifft(np.fft.fft(values, axis=ax) * mult.reshape(shape), axis=ax)
 
 
 def derivative_stack(values: np.ndarray) -> np.ndarray:
@@ -98,7 +98,10 @@ def derivative_stack(values: np.ndarray) -> np.ndarray:
     Output shape: (n, n, n, 3, *component_shape); index 3 is the
     differentiation direction.
     """
-    return np.stack([spectral_derivative(values, ax) for ax in (1, 2, 3)], axis=3)
+    out = np.empty(values.shape[:3] + (3,) + values.shape[3:], dtype=np.result_type(values, float))
+    for ax in (1, 2, 3):
+        out[:, :, :, ax - 1] = spectral_derivative(values, ax)
+    return out
 
 
 def fourier_modes(values: np.ndarray, drop_tol: float = 0.0) -> dict:
@@ -112,15 +115,9 @@ def fourier_modes(values: np.ndarray, drop_tol: float = 0.0) -> dict:
         raise InputError("fourier_modes expects a scalar field (three grid axes)")
     n = chart_of(values).n
     coefs = np.fft.fftn(values) / values.size
-    modes = _integer_modes(n)
-    out = {}
-    for i1 in range(n):
-        for i2 in range(n):
-            for i3 in range(n):
-                c = coefs[i1, i2, i3]
-                if abs(c) > drop_tol or drop_tol == 0.0:
-                    out[(int(modes[i1]), int(modes[i2]), int(modes[i3]))] = complex(c)
-    return out
+    keep = np.abs(coefs) > drop_tol if drop_tol != 0.0 else np.ones(coefs.shape, dtype=bool)
+    mvecs = _integer_modes(n)[np.argwhere(keep)].tolist()  # FFT storage order, as coefs[keep]
+    return dict(zip(map(tuple, mvecs), coefs[keep].tolist()))
 
 
 def field_from_modes(modes: dict, n: int) -> np.ndarray:

@@ -48,8 +48,20 @@ for _i, _j, _k, _s in [(0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
 _FRAME_CONDITION_LIMIT = 1e8
 
 
-def _det2(m: np.ndarray) -> np.ndarray:
-    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+def _adjugate3(m: np.ndarray) -> np.ndarray:
+    """Adjugate of a (..., 3, 3) stack in closed form: adj(m) @ m = det(m) I."""
+    adj = np.empty_like(m)
+    for i in range(3):
+        i1, i2 = (i + 1) % 3, (i + 2) % 3
+        for j in range(3):
+            j1, j2 = (j + 1) % 3, (j + 2) % 3
+            adj[..., j, i] = m[..., i1, j1] * m[..., i2, j2] - m[..., i1, j2] * m[..., i2, j1]
+    return adj
+
+
+def _det3(m: np.ndarray) -> np.ndarray:
+    """Determinant of a (..., 3, 3) stack as the triple product of its rows."""
+    return (m[..., 0, :] * np.cross(m[..., 1, :], m[..., 2, :])).sum(axis=-1)
 
 
 @dataclass(eq=False)
@@ -113,9 +125,9 @@ class FrameField:
 
     def orientation(self) -> int:
         """Sign of det e, checked to be uniform across the grid."""
-        d = np.linalg.det(self.e)
+        d = _det3(self.e)
         if np.any(np.abs(d) < 1e-14):
-            idx = np.unravel_index(np.argmin(np.abs(d)), d.shape)
+            idx = tuple(int(i) for i in np.unravel_index(np.argmin(np.abs(d)), d.shape))
             raise EllipticityError(f"frame degenerates at grid point {idx}")
         signs = np.sign(d)
         if signs.min() != signs.max():
@@ -145,11 +157,18 @@ class MetricField:
         if float(np.abs(g - np.swapaxes(g, -1, -2)).max()) > 1e-12:
             raise InputError("metric must be symmetric")
         _check_ellipticity(g)
+        self._complete(g)
+
+    def _complete(self, g: np.ndarray):
+        """Fill g_cov = adj(g)/det(g) and vol = 1/sqrt(det g) where not given."""
         self.g_contra = g
-        if self.g_cov is None:
-            self.g_cov = np.linalg.inv(g)
-        if self.vol is None:
-            self.vol = np.sqrt(np.linalg.det(self.g_cov))
+        if self.g_cov is None or self.vol is None:
+            adj = _adjugate3(g)
+            det = (g[..., 0, :] * adj[..., :, 0]).sum(axis=-1)  # first row against its cofactors
+            if self.g_cov is None:
+                self.g_cov = adj / det[..., None, None]
+            if self.vol is None:
+                self.vol = 1.0 / np.sqrt(det)
 
 
 @dataclass(eq=False)
@@ -173,12 +192,14 @@ class TorsionBundle:
 def _metric_from_sigma(sigma: np.ndarray) -> np.ndarray:
     """Contravariant metric from the symbol determinant, by polarisation.
 
-    det(sigma . xi) = -g(xi, xi) fixes g; polarising in the three basis
-    covectors gives g^{ab} = -(det(s^a + s^b) - det s^a - det s^b)/2.
+    det(sigma . xi) = -g(xi, xi) fixes g; polarising the determinant of
+    trace-free 2x2 matrices in the three basis covectors gives
+    g^{ab} = -(s^a_00 s^b_11 + s^b_00 s^a_11 - s^a_01 s^b_10 - s^b_01 s^a_10)/2.
     """
-    d = _det2(sigma)  # (..., 3)
-    pair = _det2(sigma[..., :, None, :, :] + sigma[..., None, :, :, :])  # (..., 3, 3)
-    g = -0.5 * (pair - d[..., :, None] - d[..., None, :])
+    s00, s11 = sigma[..., 0, 0], sigma[..., 1, 1]  # (..., 3)
+    s01, s10 = sigma[..., 0, 1], sigma[..., 1, 0]
+    mixed = s00[..., :, None] * s11[..., None, :] - s01[..., :, None] * s10[..., None, :]
+    g = -0.5 * (mixed + np.swapaxes(mixed, -1, -2))
     if float(np.abs(g.imag).max()) > 1e-11:
         raise ConsistencyError("decoded metric has a non-real part; symbol is not Hermitian enough")
     return g.real
@@ -187,7 +208,7 @@ def _metric_from_sigma(sigma: np.ndarray) -> np.ndarray:
 def _check_ellipticity(g_contra: np.ndarray):
     w = np.linalg.eigvalsh(g_contra)
     if np.any(w[..., 0] <= 0.0):
-        idx = np.unravel_index(np.argmin(w[..., 0]), w[..., 0].shape)
+        idx = tuple(int(i) for i in np.unravel_index(np.argmin(w[..., 0]), w[..., 0].shape))
         raise EllipticityError(f"symbol fails ellipticity at grid point {idx}")
     cond = np.sqrt(float((w[..., 2] / w[..., 0]).max()))
     if cond > _FRAME_CONDITION_LIMIT:
@@ -201,11 +222,27 @@ def pauli_components(m: np.ndarray) -> np.ndarray:
     return np.stack([m[..., 0, 1].real, -m[..., 0, 1].imag, m[..., 0, 0].real], axis=-1)
 
 
+def pauli_matrices(c: np.ndarray) -> np.ndarray:
+    """s^j c[..., j] for real components c, as a complex (..., 2, 2) stack.
+
+    The inverse of pauli_components, written entry by entry from the
+    real components without a complex copy of them.
+    """
+    out = np.empty(c.shape[:-1] + (2, 2), dtype=complex)
+    re, im = out.real, out.imag
+    re[..., 0, 0] = c[..., 2]
+    np.negative(c[..., 2], out=re[..., 1, 1])
+    re[..., 0, 1] = re[..., 1, 0] = c[..., 0]
+    np.negative(c[..., 1], out=im[..., 0, 1])
+    im[..., 1, 0] = c[..., 1]
+    im[..., 0, 0] = im[..., 1, 1] = 0.0
+    return out
+
+
 def symbol_from_frame(frame: FrameField | np.ndarray) -> PrincipalSymbolField:
     """Assemble sigma^alpha = s^j e_j^alpha from an orthonormal frame."""
     e = frame.e if isinstance(frame, FrameField) else np.asarray(frame, dtype=float)
-    sigma = np.einsum("jpq,...ja->...apq", PAULI, e)
-    return PrincipalSymbolField(sigma)
+    return PrincipalSymbolField(pauli_matrices(np.swapaxes(e, -1, -2)))
 
 
 def decode_frame(sym: PrincipalSymbolField) -> FrameField:
@@ -221,15 +258,21 @@ def decode_frame(sym: PrincipalSymbolField) -> FrameField:
 
 
 def decode_metric(sym: PrincipalSymbolField) -> MetricField:
-    """Riemannian metric defined by the symbol determinant."""
-    return MetricField(_metric_from_sigma(sym.sigma))
+    """Riemannian metric defined by the symbol determinant.
+
+    The symbol's constructor checked ellipticity on this very g, so the
+    check is not repeated; a directly constructed MetricField runs it.
+    """
+    metric = MetricField.__new__(MetricField)
+    metric.g_cov = metric.vol = None
+    metric._complete(_metric_from_sigma(sym.sigma))
+    return metric
 
 
 def metric_from_frame(frame: FrameField) -> MetricField:
     """g^{ab} = delta^{jk} e_j^a e_k^b; equals decode_metric on the
     corresponding symbol up to rounding."""
-    g = np.einsum("...ja,...jb->...ab", frame.e, frame.e)
-    return MetricField(g)
+    return MetricField(np.swapaxes(frame.e, -1, -2) @ frame.e)
 
 
 def topological_charge(sym: PrincipalSymbolField) -> int:
@@ -253,7 +296,8 @@ def topological_charge(sym: PrincipalSymbolField) -> int:
     if c0 not in (-1, 1):
         raise ConsistencyError(f"charge {c_field.flat[0]!r} is not a unit")
     if float(np.abs(c_field - c0).max()) > 1e-6:
-        idx = np.unravel_index(np.argmax(np.abs(c_field - c0)), c_field.shape)
+        worst = np.unravel_index(np.argmax(np.abs(c_field - c0)), c_field.shape)
+        idx = tuple(int(i) for i in worst)
         raise ConsistencyError(f"charge is not constant across the grid (worst point {idx})")
     if frame.orientation() != c0:
         raise ConsistencyError("fibre-determinant charge disagrees with frame orientation")
@@ -297,7 +341,8 @@ def christoffel_symbols(metric: MetricField) -> np.ndarray:
     """Levi-Civita connection coefficients G[..., b, a, c] (upper, lower, lower)."""
     dg = derivative_stack(metric.g_cov)  # [..., mu, alpha, beta]
     s = dg + dg.transpose(0, 1, 2, 4, 3, 5) - dg.transpose(0, 1, 2, 5, 3, 4)
-    return 0.5 * np.einsum("...bd,...acd->...bac", metric.g_contra, s)
+    lowered = s.reshape(s.shape[:3] + (9, 3)) @ np.swapaxes(metric.g_contra, -1, -2)  # [(a, c), b]
+    return 0.5 * lowered.reshape(s.shape).transpose(0, 1, 2, 5, 3, 4)
 
 
 def teleparallel_coefficients(frame: FrameField, metric: MetricField) -> np.ndarray:
@@ -325,11 +370,19 @@ def _torsion_from_coframe(e: np.ndarray, dform: np.ndarray) -> np.ndarray:
 
 
 def _dual_2forms(metric: MetricField, forms: np.ndarray) -> np.ndarray:
-    """(1/2) sqrt(det g) eps_{efb} g^{ec} g^{fd} w_{cd} for a stack of 2-forms w[..., k, c, d]."""
-    g = metric.g_contra[..., None, :, :]
-    raised = np.swapaxes(g, -1, -2) @ forms @ g
-    dual = np.tensordot(raised, EPSILON, axes=((-2, -1), (0, 1)))
-    return 0.5 * dual * metric.vol[..., None, None]
+    """(1/2) sqrt(det g) eps_{efb} g^{ec} g^{fd} w_{cd} for a stack of 2-forms w[..., k, c, d].
+
+    By eps_{efb} g^{ec} g^{fd} = det(g^{..}) eps^{cdh} g_{hb} this is
+    (curl w)_h g_{hb} / (2 vol) with vol = sqrt(det g_{..}): one 3x3
+    matvec per form.
+    """
+    curl = np.stack(
+        [forms[..., 1, 2] - forms[..., 2, 1],
+         forms[..., 2, 0] - forms[..., 0, 2],
+         forms[..., 0, 1] - forms[..., 1, 0]],
+        axis=-1,
+    )
+    return (curl @ metric.g_cov) / (2.0 * metric.vol)[..., None, None]
 
 
 def _star_torsion_from_curl(e: np.ndarray, metric: MetricField, dform: np.ndarray) -> np.ndarray:

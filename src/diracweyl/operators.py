@@ -28,6 +28,7 @@ from .geometry import (
     decode_frame,
     decode_metric,
     metric_from_frame,
+    pauli_matrices,
     symbol_from_frame,
     torsion,
 )
@@ -36,6 +37,18 @@ from .geometry import (
 EPS_CONJ = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 IDENTITY2 = np.eye(2, dtype=complex)
+
+
+def _pauli_triples() -> np.ndarray:
+    """Real t with s^j s^k s^l = t_n s^n + t_3 i I, one row per (j, l, k):
+    t_n = tr(s^j s^k s^l s^n) / 2 and t_3 = Im tr(s^j s^k s^l) / 2."""
+    prod = np.einsum("jpq,kqr,lrs->jlkps", PAULI, PAULI, PAULI)
+    t = np.einsum("jlkps,nsp->jlkn", prod, PAULI).real
+    t3 = np.einsum("jlkpp->jlk", prod).imag
+    return np.concatenate([t, t3[..., None]], axis=-1).reshape(27, 4) / 2.0
+
+
+_PAULI_TRIPLES = _pauli_triples()
 
 
 def pauli_basis() -> np.ndarray:
@@ -99,27 +112,30 @@ def dirac_operator(frame: FrameField, metric: MetricField | None = None) -> Firs
     with G the Levi-Civita coefficients of the decoded metric.  The
     last term is the half-density conjugation, folded in analytically
     via the identity G^b_{ab} = d_a log sqrt(det g).
+
+    Everything is contracted on real frame components: with sigma^a =
+    s^j e_j^a, sigma_b = s^k c^k_b (c the coframe) and the bracket
+    s^l D[a, l, b], the first term is -(i/4) M_jkl s^j s^k s^l where
+    M_jkl = e_j^a c^k_b D[a, l, b].  Pauli products of three are
+    real combinations of s^1, s^2, s^3 and i I, so a0 is a real
+    multiple of I plus i times one traceless Hermitian matrix.
     """
     if metric is None:
         metric = metric_from_frame(frame)
-    sym = symbol_from_frame(frame)
-    s = sym.sigma
-    gamma = christoffel_symbols(metric)  # [b, a, g]
-    s_low = np.einsum("...bd,...dpq->...bpq", metric.g_cov, s)
-    covd = derivative_stack(s)  # [a, b, p, q]
-    covd += np.einsum("...bag,...gpq->...abpq", gamma, s)
-    a0 = -0.25j * _matrix_sum(s, _matrix_sum(s_low[..., None, :, :, :], covd))
-    gtrace = np.einsum("...bab->...a", gamma)
-    a0 = a0 + 0.5j * np.einsum("...apq,...a->...pq", s, gtrace)
-    return FirstOrderOperator(sym, a0)
-
-
-def _matrix_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """sum_b x[..., b, :, :] @ y[..., b, :, :] as one matmul over the joint (b, column) index;
-    unlike a three-operand einsum, no intermediate outgrows the output."""
-    k = x.shape[-3] * x.shape[-1]
-    rows = np.swapaxes(x, -3, -2).reshape(x.shape[:-3] + (x.shape[-2], k))
-    return rows @ y.reshape(y.shape[:-3] + (k, y.shape[-1]))
+    e = frame.e
+    grid = e.shape[:3]
+    gamma = christoffel_symbols(metric).transpose(0, 1, 2, 4, 5, 3)  # G^b_{ag} as [a, g, b]
+    bracket = derivative_stack(e)  # D[a, l, b] = d_a e_l^b + G^b_{ag} e_l^g
+    bracket += e[..., None, :, :] @ gamma
+    cof = e @ np.swapaxes(metric.g_cov, -1, -2)
+    m = (e @ bracket.reshape(grid + (3, 9))).reshape(grid + (9, 3))
+    m = m @ np.swapaxes(cof, -1, -2)  # M_jkl stored as [(j, l), k]
+    coef = m.reshape(grid + (27,)) @ _PAULI_TRIPLES  # M_jkl s^j s^k s^l = coef_n s^n + i coef_3 I
+    half_density = (e @ np.trace(gamma, axis1=-2, axis2=-1)[..., None])[..., 0]  # e_j^a G^b_{ab}
+    a0 = 1j * pauli_matrices(0.5 * half_density - 0.25 * coef[..., :3])
+    a0[..., 0, 0] += 0.25 * coef[..., 3]
+    a0[..., 1, 1] += 0.25 * coef[..., 3]
+    return FirstOrderOperator(symbol_from_frame(frame), a0)
 
 
 def verify_subprincipal_identity(frame: FrameField, metric: MetricField | None = None) -> float:

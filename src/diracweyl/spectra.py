@@ -20,6 +20,7 @@ compactly-band-limited bump kernel.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -574,20 +575,16 @@ def asymptotic_comparison(
 # mollified counting
 # ---------------------------------------------------------------------------
 
-_kernel_cache: dict = {}
-
-
+@functools.lru_cache(maxsize=4)  # the last few widths; each costs about 0.4 s to build
 def _kernel_cdf(tau: float):
     """Cumulative distribution of the band-limited bump kernel.
 
     The kernel is defined through its Fourier transform
     rho_hat(t) = exp(1 - 1/(1 - (t/tau)^2)) on |t| < tau, zero outside;
     rho itself comes from a high-resolution numerical inverse Fourier
-    transform (zero-padded FFT), then cumulative integration.
+    transform (zero-padded FFT), then cumulative integration.  Callers
+    round tau to 12 decimals so nearby widths share one entry.
     """
-    key = round(float(tau), 12)
-    if key in _kernel_cache:
-        return _kernel_cache[key]
     m = 8192
     t = np.linspace(-tau, tau, m, endpoint=False)
     u = (t / tau) ** 2
@@ -611,8 +608,9 @@ def _kernel_cdf(tau: float):
     if abs(total - 1.0) > 1e-6:
         raise ConsistencyError(f"kernel mass {total} deviates from 1")
     tail = float(mu[np.searchsorted(cdf, 1.0 - _KERNEL_TAIL_MASS)])
-    _kernel_cache[key] = (mu, cdf, tail)
-    return _kernel_cache[key]
+    mu.setflags(write=False)  # every caller of a cached width shares these arrays
+    cdf.setflags(write=False)
+    return mu, cdf, tail
 
 
 def mollified_count(table: SpectrumTable, lam: float, kernel_width: float = 6.0) -> float:
@@ -628,7 +626,7 @@ def mollified_count(table: SpectrumTable, lam: float, kernel_width: float = 6.0)
         raise InputError(f"kernel width must lie in (0, 2*pi), got {tau}")
     if lam <= 0.0:
         raise InputError("lambda must be positive")
-    mu, cdf, tail = _kernel_cdf(tau)
+    mu, cdf, tail = _kernel_cdf(round(tau, 12))
     if lam + tail > table.coverage[1] + 1e-12:
         raise InputError(
             f"table coverage {table.coverage[1]} is too short for lambda {lam} "

@@ -206,3 +206,43 @@ def test_hermitian_residual_detects_skew_part():
     assert hermitian_residual(h) < 1e-15
     h[..., 1, 0] = 1.0 + 0.5j
     assert abs(hermitian_residual(h) - 0.5) < 1e-12
+
+
+def _complex_fft_derivative(values, axis):
+    """The complex-FFT derivative, Nyquist bin zeroed, taken back to real."""
+    n = values.shape[0]
+    mult = 1j * np.fft.fftfreq(n, d=1.0 / n)
+    mult[n // 2] = 0.0
+    shape = [1] * values.ndim
+    shape[axis - 1] = n
+    return np.fft.ifft(np.fft.fft(values, axis=axis - 1) * mult.reshape(shape), axis=axis - 1).real
+
+
+@pytest.mark.parametrize("shape", [(12, 12, 12), (8, 8, 8, 3, 3)])
+def test_real_fft_derivative_matches_complex_path(shape):
+    """Real fields take the half-spectrum route; it agrees with the full
+    complex transform, including on random data with Nyquist content."""
+    f = np.random.default_rng(3).standard_normal(shape)
+    for axis in (1, 2, 3):
+        got = spectral_derivative(f, axis)
+        want = _complex_fft_derivative(f, axis)
+        assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
+    stack = derivative_stack(f)
+    assert stack.dtype == np.float64
+    assert np.array_equal(stack[:, :, :, 1], spectral_derivative(f, 2))
+
+
+def test_fourier_modes_match_the_mode_by_mode_scan():
+    """Same keys, values and insertion order as reading every FFT bin in turn."""
+    n = 6
+    f = np.random.default_rng(5).standard_normal((n, n, n))
+    coefs = np.fft.fftn(f) / f.size
+    freq = np.fft.fftfreq(n, d=1.0 / n).astype(int)
+    for tol in (0.0, 0.02):
+        want = {
+            (int(freq[i]), int(freq[j]), int(freq[k])): complex(coefs[i, j, k])
+            for i in range(n) for j in range(n) for k in range(n)
+            if tol == 0.0 or abs(coefs[i, j, k]) > tol
+        }
+        got = fourier_modes(f, drop_tol=tol)
+        assert list(got.items()) == list(want.items())

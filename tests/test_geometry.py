@@ -6,6 +6,7 @@ import pytest
 import diracweyl as dw
 from diracweyl.errors import EllipticityError, InputError
 from diracweyl.fields import PeriodicChart, derivative_stack
+from diracweyl import geometry
 from diracweyl.geometry import (
     christoffel_symbols,
     coframe,
@@ -279,3 +280,124 @@ def test_torsion_peak_memory(peak_mb):
     fr = _random_frame(0, n=16)
     met = dw.metric_from_frame(fr)
     assert peak_mb(lambda: dw.torsion(fr, met)) <= 7.5
+
+
+# --- closed-form pointwise algebra -------------------------------------------
+
+FRAMES = {
+    "random": lambda: _random_frame(3),
+    "twisted": lambda: dw.twisted_frame(1, N),
+    "strong": lambda: dw.random_band_limited_frame(4, n=N, amplitude=0.3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRAMES))
+def test_closed_form_metric_matches_lapack(name):
+    """g_cov = adj(g)/det(g), vol = 1/sqrt(det g) and det e against np.linalg."""
+    fr = FRAMES[name]()
+    for met in (dw.metric_from_frame(fr), dw.decode_metric(dw.symbol_from_frame(fr))):
+        g_cov = np.linalg.inv(met.g_contra)
+        assert np.abs(met.g_cov - g_cov).max() <= 1e-13 * np.abs(g_cov).max()
+        vol = np.sqrt(np.linalg.det(g_cov))
+        assert np.abs(met.vol / vol - 1.0).max() <= 1e-13
+    d = geometry._det3(fr.e)
+    want = np.linalg.det(fr.e)
+    assert np.abs(d / want - 1.0).max() <= 1e-13
+    flipped = fr.e.copy()
+    flipped[..., 0, :] *= -1.0
+    assert dw.FrameField(flipped).orientation() == -fr.orientation() == -1
+
+
+def _polarised_metric(sigma):
+    """g^{ab} = -(det(s^a + s^b) - det s^a - det s^b)/2, as determinants."""
+    def det2(m):
+        return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    d = det2(sigma)
+    pair = det2(sigma[..., :, None, :, :] + sigma[..., None, :, :, :])
+    return (-0.5 * (pair - d[..., :, None] - d[..., None, :])).real
+
+
+@pytest.mark.parametrize("name", sorted(FRAMES))
+def test_metric_bilinear_form_matches_polarised_determinants(name):
+    sigma = dw.symbol_from_frame(FRAMES[name]()).sigma
+    got = geometry._metric_from_sigma(sigma)
+    assert np.array_equal(got, np.swapaxes(got, -1, -2))
+    assert np.abs(got - _polarised_metric(sigma)).max() <= 1e-14
+
+
+def _dual_by_raised_contraction(metric, forms):
+    """(1/2) sqrt(det g) eps_{efb} g^{ec} g^{fd} w_{cd}, indices raised first."""
+    g = metric.g_contra[..., None, :, :]
+    raised = np.swapaxes(g, -1, -2) @ forms @ g
+    dual = np.tensordot(raised, geometry.EPSILON, axes=((-2, -1), (0, 1)))
+    return 0.5 * dual * metric.vol[..., None, None]
+
+
+@pytest.mark.parametrize("name", sorted(FRAMES))
+def test_dual_2forms_matches_raised_contraction(name):
+    fr = FRAMES[name]()
+    met = dw.metric_from_frame(fr)
+    w = np.random.default_rng(1).standard_normal(fr.e.shape[:3] + (3, 3, 3))
+    w = w - np.swapaxes(w, -1, -2)
+    want = _dual_by_raised_contraction(met, w)
+    assert np.abs(geometry._dual_2forms(met, w) - want).max() <= 1e-14 * np.abs(want).max()
+    tor = dw.torsion(fr, met)
+    want = _dual_by_raised_contraction(met, tor.T)
+    assert np.abs(tor.star_T - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
+
+
+# --- one ellipticity check per symbol ------------------------------------------
+
+def test_decode_metric_does_not_recheck_ellipticity(monkeypatch):
+    sym = dw.symbol_from_frame(_random_frame(2))
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    met = dw.decode_metric(sym)
+    assert calls == []
+    dw.MetricField(met.g_contra)
+    assert calls == [met.g_contra.shape]
+
+
+def test_indefinite_metric_field_still_rejected():
+    g = np.broadcast_to(np.eye(3), (8, 8, 8, 3, 3)).copy()
+    g[3, 4, 5, 2, 2] = -0.5
+    with pytest.raises(EllipticityError, match=r"grid point \(3, 4, 5\)"):
+        dw.MetricField(g)
+    e = dw.standard_frame(8).e.copy()
+    e[..., 2, :] = e[..., 1, :]
+    with pytest.raises(EllipticityError):
+        dw.metric_from_frame(dw.FrameField(e))
+
+
+def test_verdict_analysis_inverts_no_grid_matrices(monkeypatch):
+    """Metric inverse, density and orientation come from closed forms, so a
+    full analysis leaves np.linalg.inv and np.linalg.det to 3x3 point work."""
+    op = dw.gauge_transform(
+        dw.dirac_operator(_random_frame(4, n=16)), dw.random_gauge_field(5, 16)
+    )
+    pts = np.array([[0, 1, 2], [5, 7, 11]])
+    shapes = []
+    for name in ("inv", "det"):
+        real = getattr(np.linalg, name)
+
+        def counting(a, *args, _real=real, **kwargs):
+            shapes.append(np.shape(a))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    sym = op.sigma
+    frame, metric = dw.decode_frame(sym), dw.decode_metric(sym)
+    dw.topological_charge(sym)
+    dw.torsion(frame, metric)
+    assert dw.check_dirac(op).is_dirac
+    dw.b_density(op)
+    dw.b1_density_fiber(op, pts)
+    dw.b2_density_fiber_torsion(sym, pts)
+    dw.b2_density_fiber_curvature(sym, pts)
+    assert all(len(s) <= 2 for s in shapes), shapes

@@ -83,3 +83,18 @@ def test_write_spectrum_csv(tmp_path):
     first = lines[1].split(",")
     assert float(first[0]) == table.values[0]
     assert int(first[1]) == table.multiplicities[0]
+
+
+def test_saved_files_equal_the_streamed_encoder_output(tmp_path):
+    """Each save writes exactly the bytes json.dump would have written."""
+    frame = dw.twisted_frame(1, 8)
+    op = dw.dirac_operator(frame)
+    for save, obj in ((dw.save_operator, op), (dw.save_symbol, op.sigma), (dw.save_frame, frame)):
+        path = tmp_path / "doc.json"
+        save(obj, str(path))
+        with open(path) as fh:
+            doc = json.load(fh)
+        streamed = tmp_path / "streamed.json"
+        with open(streamed, "w") as fh:
+            json.dump(doc, fh)
+        assert path.read_bytes() == streamed.read_bytes()

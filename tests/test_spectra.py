@@ -200,8 +200,9 @@ def _match_tables(got, want_vals, want_mults, tol):
     assert (got.multiplicities == want_mults).all()
 
 
-def _dense_galerkin(op, cutoff, window, cluster_tol=1e-7):
-    """One dense matrix over the whole cube basis, assembled mode vector by mode vector."""
+def _dense_galerkin(op, cutoff, window, cluster_tol=1e-7, ball=False):
+    """One dense matrix over the whole cube basis |m|_inf <= cutoff (or the
+    ball |m|_2 <= cutoff), assembled mode vector by mode vector."""
     n = op.sigma.sigma.shape[0]
     sig_hat = np.fft.fftn(op.sigma.sigma, axes=(0, 1, 2)) / n**3
     a0_hat = np.fft.fftn(op.a0, axes=(0, 1, 2)) / n**3
@@ -213,6 +214,11 @@ def _dense_galerkin(op, cutoff, window, cluster_tol=1e-7):
     side = 2 * cutoff + 1
     ax = np.arange(-cutoff, cutoff + 1)
     mprime = np.stack([g.ravel() for g in np.meshgrid(ax, ax, ax, indexing="ij")], axis=1)
+    position = np.arange(len(mprime))
+    if ball:
+        in_ball = (mprime**2).sum(axis=1) <= cutoff**2
+        mprime = mprime[in_ball]
+        position = np.where(in_ball, np.cumsum(in_ball) - 1, -1)
     nm = len(mprime)
     h4 = np.zeros((nm, 2, nm, 2), dtype=complex)
     src = np.arange(nm)
@@ -222,7 +228,10 @@ def _dense_galerkin(op, cutoff, window, cluster_tol=1e-7):
             continue
         tgt = mprime + k
         ok = np.all(np.abs(tgt) <= cutoff, axis=1)
-        tgt_idx = ((tgt[ok, 0] + cutoff) * side + (tgt[ok, 1] + cutoff)) * side + (tgt[ok, 2] + cutoff)
+        code = ((tgt[ok, 0] + cutoff) * side + (tgt[ok, 1] + cutoff)) * side + (tgt[ok, 2] + cutoff)
+        tgt_idx = position[code]
+        ok[ok] = tgt_idx >= 0
+        tgt_idx = tgt_idx[tgt_idx >= 0]
         blocks = np.einsum("apq,sa->spq", sig_hat[i1, i2, i3], mprime[ok].astype(float))
         h4[tgt_idx, :, src[ok], :] += blocks + a0_hat[i1, i2, i3]
     eigs = np.linalg.eigvalsh(h4.reshape(2 * nm, 2 * nm))
@@ -258,6 +267,21 @@ def test_block_solve_matches_dense_matrix(case):
     assert got.metadata["matrix_order"] == 2 * 9**3
     assert got.metadata["block_count"] == n_blocks
     assert got.metadata["max_block_order"] == largest
+
+
+def test_ball_basis_pollutes_the_twisted_spectrum():
+    """Truncating the twisted frame's strongly coupled m3 chains to the ball
+    |m|_2 <= 4 yields 80 eigenvalues in [-2, 2] where the exact table has 56;
+    the cube basis galerkin_spectrum uses matches the table (Levitin and
+    Shargorodsky, IMA J. Numer. Anal. 2004)."""
+    op = dw.dirac_operator(dw.twisted_frame(1, 12))
+    exact = dw.torus_exact_spectrum(HALF3, 2.5)
+    keep = np.abs(exact.values) <= 2.0
+    assert exact.multiplicities[keep].sum() == 56
+    _, ball_mults = _dense_galerkin(op, 4, (-2.0, 2.0), ball=True)
+    assert ball_mults.sum() == 80
+    cube = dw.galerkin_spectrum(op, 4, window=(-2.0, 2.0))
+    _match_tables(cube, exact.values[keep], exact.multiplicities[keep], 1e-10)
 
 
 def test_coset_blocks_follow_lattice_membership():
@@ -420,6 +444,23 @@ class TestMollifiedCount:
         table = dw.torus_exact_spectrum(TRIVIAL, 20.0)
         smooth = dw.mollified_count(table, 10.0)
         assert abs(smooth - 4.0 * np.pi / 3.0 * 1000.0) < 25.0
+
+    def test_kernel_cache_stays_bounded(self):
+        """Each new width builds a 2^21-point kernel; only the last few are kept."""
+        from diracweyl import spectra
+
+        table = dw.torus_exact_spectrum(TRIVIAL, 30.0)
+        cached = spectra._kernel_cdf
+        cached.cache_clear()
+        first = dw.mollified_count(table, 5.0, kernel_width=6.0)
+        widths = [6.0 + 1e-14, 5.0, 5.25, 5.5, 5.75]
+        for tau in widths:
+            dw.mollified_count(table, 5.0, kernel_width=tau)
+        info = cached.cache_info()
+        assert info.currsize == info.maxsize < len(widths)
+        assert info.hits == 1  # 6.0 + 1e-14 rounds onto the first width
+        cached.cache_clear()
+        assert dw.mollified_count(table, 5.0, kernel_width=6.0) == first
 
     def test_kernel_width_capped(self):
         table = dw.torus_exact_spectrum(TRIVIAL, 20.0)
