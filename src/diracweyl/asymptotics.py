@@ -11,9 +11,12 @@ decoded frame and A_sub the subprincipal symbol.  The module computes
 these closed forms and, independently, the momentum-space fibre
 integrals they compress: the first coefficient from tr(A_sub P+), the
 second both from the dual torsion quadratic form and from the U(1)
-curvature of the positive eigenbundle (computed from gauge-anchored
-eigenvector derivatives).  Route agreement is what the test-suite and
-the acceptance gate lean on.
+curvature of the positive eigenbundle.  That curvature takes the x- and
+xi-derivatives of the gauge-anchored eigenvector from one first-order
+perturbation formula, with the symbol's x-derivative read from the
+analytic gradient of its trigonometric interpolant; no finite
+differences are taken.  Route agreement is what the test-suite and the
+acceptance gate lean on.
 """
 
 from __future__ import annotations
@@ -40,8 +43,7 @@ from .geometry import (
 )
 from .operators import FirstOrderOperator, subprincipal_symbol
 
-_ANCHOR_FLOOR = 1e-3
-_FD_STEP = 1e-4
+_CURVATURE_RADIAL_NODES = 16
 
 _CONJ = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -58,124 +60,72 @@ def _principal(obj) -> PrincipalSymbolField:
 # fibre eigenvector algebra
 # ---------------------------------------------------------------------------
 
-def _bloch(smats: np.ndarray, xis: np.ndarray):
-    """Pauli components and eigenvalue of M(xi) = sigma^a xi_a.
+def _positive_band(smats: np.ndarray, xis: np.ndarray):
+    """Positive eigenvalue and anchored eigenvector of M(xi) = sigma^a xi_a.
 
     smats: (3, 2, 2) symbol matrices at one point; xis: (K, 3).
-    Returns (m, h) with m of shape (K, 3), h = |m| > 0.
+    Returns (h, v, anchors): h = |m| > 0 of shape (K,), v of shape
+    (K, 2) and anchors[k] in {0, 1}, the component of v kept real
+    positive.  The anchor is the component of larger modulus, so it is
+    at least 1/sqrt(2).
     """
     m = pauli_components(np.tensordot(xis, smats, axes=(1, 0)))  # (K, 3)
     h = np.sqrt((m**2).sum(axis=1))
     if np.any(h < 1e-12):
         raise InputError("covector is (numerically) zero; the fibre eigenvalue degenerates")
-    return m, h
-
-
-def _anchored_vector(m: np.ndarray, h: np.ndarray, anchors: np.ndarray):
-    """Positive-eigenvalue eigenvector with the anchored phase convention.
-
-    anchors[k] in {0, 1} names the component kept real positive.
-    Returns (v, anchor_modulus).
-    """
-    k = len(h)
-    v = np.empty((k, 2), dtype=complex)
-    a0 = anchors == 0
-    a1 = ~a0
-    if np.any(a0):
-        hh, mm = h[a0], m[a0]
-        norm = np.sqrt(2.0 * hh * (hh + mm[:, 2]))
-        v[a0, 0] = (hh + mm[:, 2]) / norm
-        v[a0, 1] = (mm[:, 0] + 1j * mm[:, 1]) / norm
-    if np.any(a1):
-        hh, mm = h[a1], m[a1]
-        norm = np.sqrt(2.0 * hh * (hh - mm[:, 2]))
-        v[a1, 0] = (mm[:, 0] - 1j * mm[:, 1]) / norm
-        v[a1, 1] = (hh - mm[:, 2]) / norm
-    mod = np.abs(v[np.arange(k), anchors])
-    return v, mod
+    up = m[:, 2] >= 0.0
+    w = h + np.abs(m[:, 2])
+    off = m[:, 0] + 1j * m[:, 1]
+    v = np.stack([np.where(up, w, np.conj(off)), np.where(up, off, w)], axis=1)
+    return h, v / np.sqrt(2.0 * h * w)[:, None], np.where(up, 0, 1)
 
 
 class _FiberFrame:
     """Eigenvector derivatives of the positive fibre band at a fixed base point.
 
-    Evaluates the symbol at the base point and at the twelve shifted
-    points needed for Richardson-extrapolated central differences in x;
-    covector derivatives come from exact first-order perturbation of
-    the 2x2 eigenproblem.  The eigenvector phase is anchored: the
-    larger-modulus component at the base point is kept real positive,
-    switching anchor automatically if it degenerates along the way.
+    Reads the symbol and its coordinate gradient at the base point from
+    the trigonometric interpolant, once each.  Both derivatives of v+
+    come from exact first-order perturbation of the 2x2 eigenproblem,
+
+        d v+ = (v-* dM v+) / (2 h) v- + i gamma v+,
+
+    with dM = sigma^a for the covector slot a and dM = (d_a sigma^b) xi_b
+    for the coordinate slot a.  The phase term i gamma v+ keeps the
+    anchored component of v+ real; no finite differences are taken.
     """
 
-    def __init__(self, sym: PrincipalSymbolField, x: np.ndarray, fd_step: float = _FD_STEP):
-        interp = sym.interpolant()
+    def __init__(self, sym: PrincipalSymbolField, x: np.ndarray):
         x = np.asarray(x, dtype=float)
         if x.shape != (3,):
             raise InputError("base point must be a 3-vector")
-        self.fd_step = fd_step
-        self.s_center = np.asarray(interp(x))
-        self.s_shift = {}
-        for a in range(3):
-            unit = np.zeros(3)
-            unit[a] = 1.0
-            for step in (fd_step, -fd_step, 0.5 * fd_step, -0.5 * fd_step):
-                self.s_shift[(a, step)] = np.asarray(interp(x + step * unit))
-
-    def _vectors_for_anchor(self, xis, anchors):
-        """v at the centre and all shifted evaluations; worst anchor modulus."""
-        m, h = _bloch(self.s_center, xis)
-        v, mod = _anchored_vector(m, h, anchors)
-        worst = mod.copy()
-        shifted = {}
-        for key, smats in self.s_shift.items():
-            ms, hs = _bloch(smats, xis)
-            vs, mods = _anchored_vector(ms, hs, anchors)
-            worst = np.minimum(worst, mods)
-            shifted[key] = vs
-        return m, h, v, shifted, worst
+        interp = sym.interpolant()
+        self.s_center = np.asarray(interp(x))  # (3, 2, 2)
+        self.ds = interp.gradient(x)  # (3, 3, 2, 2): d_a sigma^b
 
     def eval(self, xis: np.ndarray):
-        """Return (m, h, v, dv_dx, dv_dxi) for a batch of covectors.
+        """Return (h, v, dv_dx, dv_dxi) for a batch of covectors.
 
         dv_dx and dv_dxi have shape (3, K, 2); the leading index is the
         coordinate/covector slot.
         """
         xis = np.atleast_2d(np.asarray(xis, dtype=float))
-        anchors = np.zeros(len(xis), dtype=int)
-        m0, _ = _bloch(self.s_center, xis)
-        anchors[m0[:, 2] < 0.0] = 1
-        m, h, v, shifted, worst = self._vectors_for_anchor(xis, anchors)
-        bad = worst < _ANCHOR_FLOOR
-        if np.any(bad):
-            anchors2 = anchors.copy()
-            anchors2[bad] = 1 - anchors2[bad]
-            m2, h2, v2, shifted2, worst2 = self._vectors_for_anchor(xis, anchors2)
-            if np.any(worst2[bad] < _ANCHOR_FLOOR):
-                raise ConsistencyError(
-                    "both eigenvector anchors degenerate near the sample point"
-                )
-            anchors = anchors2
-            m, h, v = m2, h2, v2
-            shifted = shifted2
-
-        step = self.fd_step
-        dv_dx = np.empty((3, len(xis), 2), dtype=complex)
-        for a in range(3):
-            d_full = (shifted[(a, step)] - shifted[(a, -step)]) / (2.0 * step)
-            d_half = (shifted[(a, 0.5 * step)] - shifted[(a, -0.5 * step)]) / step
-            dv_dx[a] = (4.0 * d_half - d_full) / 3.0
-
-        # Covector derivatives: exact rank-one perturbation plus the
-        # phase correction that keeps the anchored component real.
-        v_minus = np.einsum("pq,kq->kp", _CONJ, np.conj(v))
+        h, v, anchors = _positive_band(self.s_center, xis)
+        v_minus = np.conj(v) @ _CONJ.T
         idx = np.arange(len(xis))
-        dv_dxi = np.empty((3, len(xis), 2), dtype=complex)
-        for a in range(3):
-            sa = self.s_center[a]
-            coef = np.einsum("kp,pq,kq->k", np.conj(v_minus), sa, v) / (2.0 * h)
-            delta = coef[:, None] * v_minus
-            gamma = -delta[idx, anchors].imag / v[idx, anchors].real
-            dv_dxi[a] = delta + 1j * gamma[:, None] * v
-        return m, h, v, dv_dx, dv_dxi
+
+        def derivative(dm):  # dm: (3, K or 1, 2, 2)
+            coef = (np.conj(v_minus)[:, None, :] @ dm @ v[:, :, None])[..., 0, 0] / (2.0 * h)
+            delta = coef[..., None] * v_minus
+            gamma = -delta[:, idx, anchors].imag / v[idx, anchors].real
+            return delta + 1j * gamma[..., None] * v
+
+        dm_dx = np.tensordot(xis, self.ds, axes=(1, 1)).transpose(1, 0, 2, 3)
+        return h, v, derivative(dm_dx), derivative(self.s_center[:, None])
+
+    def curvature(self, xis: np.ndarray) -> np.ndarray:
+        """-i {v+*, v+} = 2 Im sum_a <d_{x^a} v+, d_{xi_a} v+> for a batch of covectors."""
+        _, _, dv_dx, dv_dxi = self.eval(xis)
+        return 2.0 * np.einsum("akp,akp->k", np.conj(dv_dx), dv_dxi).imag
 
 
 @dataclass(eq=False)
@@ -190,13 +140,9 @@ class EigenpairOnFiber:
 def fiber_eigenpair(sym, x, xi) -> EigenpairOnFiber:
     """Positive eigenvalue, anchored eigenvector and spectral projector."""
     sym = _principal(sym)
-    interp = sym.interpolant()
-    smats = np.asarray(interp(np.asarray(x, dtype=float)))
+    smats = sym.at(x)
     xis = np.atleast_2d(np.asarray(xi, dtype=float))
-    m, h = _bloch(smats, xis)
-    anchors = np.zeros(len(xis), dtype=int)
-    anchors[m[:, 2] < 0.0] = 1
-    v, _ = _anchored_vector(m, h, anchors)
+    h, v, _ = _positive_band(smats, xis)
     proj = v[0][:, None] * np.conj(v[0])[None, :]
     mat = np.tensordot(xis[0], smats, axes=(0, 0))
     res = float(np.abs(mat @ v[0] - h[0] * v[0]).max())
@@ -205,26 +151,14 @@ def fiber_eigenpair(sym, x, xi) -> EigenpairOnFiber:
     return EigenpairOnFiber(h_plus=float(h[0]), v_plus=v[0], projector=proj)
 
 
-def u1_curvature_batch(sym, x, xis, fd_step: float = _FD_STEP) -> np.ndarray:
-    """-i {v+*, v+} for a batch of covectors at one base point."""
-    sym = _principal(sym)
-    fib = _FiberFrame(sym, np.asarray(x, dtype=float), fd_step)
-    _, _, _, dv_dx, dv_dxi = fib.eval(xis)
-    s = np.einsum("akp,akp->k", np.conj(dv_dx), dv_dxi)
-    curv = -1j * (s - np.conj(s))
-    if float(np.abs(curv.imag).max()) > 1e-9:
-        raise ConsistencyError("curvature came out non-real; gauge anchoring failed")
-    return curv.real
-
-
-def u1_curvature(sym, x, xi, fd_step: float = _FD_STEP) -> float:
+def u1_curvature(sym, x, xi) -> float:
     """Curvature of the positive eigenbundle at one point of phase space.
 
     Equals (c/2) (*T)(xi, xi) / g(xi, xi)^{3/2} for the decoded
     geometry; homogeneous of degree -1 in xi and independent of the
     anchoring gauge.
     """
-    return float(u1_curvature_batch(sym, x, np.atleast_2d(xi), fd_step)[0])
+    return float(_FiberFrame(_principal(sym), x).curvature(xi)[0])
 
 
 @dataclass
@@ -237,9 +171,7 @@ class PoissonCheckResult:
     n_samples: int
 
 
-def generalized_poisson_check(
-    sym, n_samples: int = 20, seed: int = 0, fd_step: float = _FD_STEP
-) -> PoissonCheckResult:
+def generalized_poisson_check(sym, n_samples: int = 20, seed: int = 0) -> PoissonCheckResult:
     """Sample the bracket identities behind the curvature form of b2.
 
     At seeded random (x, xi): the bracket with the shifted principal
@@ -256,8 +188,8 @@ def generalized_poisson_check(
         x = rng.uniform(0.0, TWO_PI, size=3)
         xi = rng.normal(size=3)
         xi *= rng.uniform(0.5, 2.0) / np.linalg.norm(xi)
-        fib = _FiberFrame(sym, x, fd_step)
-        m, h, v, dv_dx, dv_dxi = fib.eval(xi[None, :])
+        fib = _FiberFrame(sym, x)
+        h, v, dv_dx, dv_dxi = fib.eval(xi)
         h0, v0 = h[0], v[0]
         dx = dv_dx[:, 0, :]
         dxi = dv_dxi[:, 0, :]
@@ -315,17 +247,37 @@ def b1_density(op: FirstOrderOperator) -> np.ndarray:
     return _weyl_b(decode_metric(op.sigma), asub=subprincipal_symbol(op))
 
 
+def _grid_points(points, n: int) -> list:
+    """Index triples of a (k, 3) array of integer grid indices in [0, n).
+
+    Anything else raises InputError naming the first bad row.
+    """
+    arr = np.asarray(points)
+    if arr.ndim != 2 or arr.shape[1] != 3 or arr.dtype.kind not in "iuf":
+        raise InputError(
+            f"points must be a (k, 3) array of integer grid indices, "
+            f"got {arr.dtype} of shape {arr.shape}"
+        )
+    bad = ~((arr == np.floor(arr)) & (arr >= 0) & (arr < n)).all(axis=1)
+    if np.any(bad):
+        row = int(np.argmax(bad))
+        raise InputError(
+            f"points row {row} = {arr[row].tolist()} is not a grid index triple in [0, {n})"
+        )
+    return [tuple(p) for p in arr.astype(np.int64).tolist()]
+
+
 def b1_density_fiber(op: FirstOrderOperator, points) -> np.ndarray:
     """Fibre-quadrature route to b1 at selected grid points.
 
     Integrates -3 tr(A_sub P+) over the unit covector ball; agrees with
     the closed form within 1e-7.
     """
+    points = _grid_points(points, op.sigma.chart.n)
     asub = subprincipal_symbol(op)
     s = op.sigma.sigma
     out = np.empty(len(points))
     for i, p in enumerate(points):
-        p = tuple(int(j) for j in p)
         smats = s[p]
         amat = asub[p]
         g = _metric_from_sigma(smats)
@@ -352,13 +304,13 @@ def b2_density(sym) -> np.ndarray:
 def b2_density_fiber_torsion(sym, points) -> np.ndarray:
     """Fibre quadrature of (9c/4) (*T)(xi, xi)/g(xi, xi) at grid points."""
     sym = _principal(sym)
+    points = _grid_points(points, sym.chart.n)
     frame = decode_frame(sym)
     metric = decode_metric(sym)
     tor = torsion(frame, metric)
     star_up = np.einsum("...ac,...cb->...ab", tor.star_T, metric.g_contra)
     out = np.empty(len(points))
     for i, p in enumerate(points):
-        p = tuple(int(j) for j in p)
         tmat = star_up[p]
         g = metric.g_contra[p]
 
@@ -371,33 +323,29 @@ def b2_density_fiber_torsion(sym, points) -> np.ndarray:
     return out
 
 
-def b2_density_fiber_curvature(
-    sym, points, n_radial: int = 16, fd_step: float = _FD_STEP
-) -> np.ndarray:
+def b2_density_fiber_curvature(sym, points) -> np.ndarray:
     """Fibre quadrature of (9/2) h+ times the eigenbundle curvature.
 
-    The heaviest route: eigenvector derivatives at every quadrature
-    node.  Uses the 14-point degree-5 spherical rule with 16 radial
+    The heaviest route: eigenvector derivatives, both from first-order
+    perturbation (see _FiberFrame), at every quadrature node.  Uses the
+    14-point degree-5 spherical rule with _CURVATURE_RADIAL_NODES radial
     nodes, which is exact for the quadratic-over-quadratic angular
     profile the curvature takes here.
     """
     sym = _principal(sym)
-    chart = sym.chart
+    n = sym.chart.n
+    points = _grid_points(points, n)
     rule = sphere_design_14()
     out = np.empty(len(points))
     for i, p in enumerate(points):
-        p = tuple(int(j) for j in p)
-        x = TWO_PI * np.array(p, dtype=float) / chart.n
-        fib = _FiberFrame(sym, x, fd_step)
+        fib = _FiberFrame(sym, TWO_PI * np.array(p, dtype=float) / n)
         g = _metric_from_sigma(sym.sigma[p])
 
         def integrand(xis):
-            m, h, v, dv_dx, dv_dxi = fib.eval(xis)
-            s = np.einsum("akp,akp->k", np.conj(dv_dx), dv_dxi)
-            curv = (-1j * (s - np.conj(s))).real
-            return 4.5 * h * curv
+            h = np.sqrt(np.einsum("ka,ab,kb->k", xis, g, xis))
+            return 4.5 * h * fib.curvature(xis)
 
-        out[i] = fiber_ball_quadrature(g, integrand, n_radial=n_radial, rule=rule)
+        out[i] = fiber_ball_quadrature(g, integrand, n_radial=_CURVATURE_RADIAL_NODES, rule=rule)
     return out
 
 

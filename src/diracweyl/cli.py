@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import b_density
-from .errors import ConsistencyError, DiracweylError, EllipticityError, InputError
+from .errors import DiracweylError, InputError
 from .fields import grid_integral
 from .geometry import decode_frame, decode_metric, topological_charge, torsion
 from .operators import check_dirac
@@ -361,9 +361,6 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (EllipticityError, ConsistencyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except DiracweylError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

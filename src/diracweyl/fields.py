@@ -122,14 +122,13 @@ def fourier_modes(values: np.ndarray, drop_tol: float = 0.0) -> dict:
 
 def field_from_modes(modes: dict, n: int) -> np.ndarray:
     """Inverse of fourier_modes: synthesise grid samples from a mode map."""
-    chart = PeriodicChart(n)
+    PeriodicChart(n)  # validates n
     coefs = np.zeros((n, n, n), dtype=complex)
     half = n // 2
     for m, c in modes.items():
-        if any(not (-half <= mi < half) and not (mi == half) for mi in m):
+        if not all(-half <= mi <= half for mi in m):
             raise InputError(f"mode {m} is not representable on an n={n} grid")
         coefs[m[0] % n, m[1] % n, m[2] % n] += c
-    del chart
     return np.fft.ifftn(coefs) * n**3
 
 
@@ -187,12 +186,24 @@ class TrigInterpolant:
         single = points.ndim == 1
         pts = np.atleast_2d(points)
         phases = np.exp(1j * pts @ self.modes.T)  # (npts, nmodes)
-        vals = np.tensordot(phases, self.coefs, axes=(1, 0))
-        if self.real_input:
-            vals = vals.real
+        vals = self._sum(phases)
         if single:
             return vals[0]
         return vals.reshape(points.shape[:-1] + self.value_shape)
+
+    def gradient(self, point: np.ndarray) -> np.ndarray:
+        """Analytic coordinate derivatives at one point, shape (3, *value_shape).
+
+        Index 0 is the differentiation direction; at grid points this is
+        the spectral derivative of the samples.
+        """
+        phase = np.exp(1j * self.modes @ np.asarray(point, dtype=float))  # (nmodes,)
+        return self._sum(1j * self.modes.T * phase)
+
+    def _sum(self, weights: np.ndarray) -> np.ndarray:
+        # (k, nmodes) mode weights against the coefficients; real fields stay real
+        vals = np.tensordot(weights, self.coefs, axes=(1, 0))
+        return vals.real if self.real_input else vals
 
 
 def _flip(m: np.ndarray, ax: int, n: int) -> np.ndarray:

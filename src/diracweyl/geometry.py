@@ -136,13 +136,6 @@ class FrameField:
 
 
 @dataclass(eq=False)
-class CoframeField:
-    """Dual coframe samples c[..., k, beta] with <e_j, c^k> = delta."""
-
-    c: np.ndarray
-
-
-@dataclass(eq=False)
 class MetricField:
     """Contravariant/covariant metric samples plus the Riemannian density."""
 
@@ -328,13 +321,13 @@ def orthonormalize_frame(e: np.ndarray, g_cov: np.ndarray | None = None) -> Fram
     return FrameField(e)
 
 
-def coframe(frame: FrameField, metric: MetricField) -> CoframeField:
-    """Metric-dual coframe c^k_b = delta^{kj} g_{bc} e_j^c."""
+def coframe(frame: FrameField, metric: MetricField) -> np.ndarray:
+    """Metric-dual coframe c[..., k, b] = c^k_b = delta^{kj} g_{bc} e_j^c, shape (n, n, n, 3, 3)."""
     c = frame.e @ np.swapaxes(metric.g_cov, -1, -2)
     gap = np.abs(frame.e @ np.swapaxes(c, -1, -2) - np.eye(3)).max()
     if gap > 1e-10:
         raise ConsistencyError(f"frame/coframe duality violated by {gap:.2e}")
-    return CoframeField(c)
+    return c
 
 
 def christoffel_symbols(metric: MetricField) -> np.ndarray:
@@ -351,7 +344,7 @@ def teleparallel_coefficients(frame: FrameField, metric: MetricField) -> np.ndar
     The defining property nabla_mu e_j = 0 holds by duality; the
     connection is metric compatible with vanishing curvature.
     """
-    return _teleparallel(frame.e, derivative_stack(coframe(frame, metric).c))
+    return _teleparallel(frame.e, derivative_stack(coframe(frame, metric)))
 
 
 def _teleparallel(e: np.ndarray, dcof: np.ndarray) -> np.ndarray:
@@ -411,7 +404,7 @@ def torsion(frame: FrameField, metric: MetricField) -> TorsionBundle:
     derivative stack.  Any disagreement beyond 1e-10 (on O(1) fields)
     raises ConsistencyError.
     """
-    cof = coframe(frame, metric).c
+    cof = coframe(frame, metric)
     dcof = derivative_stack(cof)  # [..., mu, k, b]
     dform = np.einsum("...cjd->...jcd", dcof) - np.einsum("...djc->...jcd", dcof)  # (d c^j)_{cd}
     t1 = torsion_from_connection(_teleparallel(frame.e, dcof))

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 import diracweyl as dw
+from diracweyl.asymptotics import _FiberFrame
 from diracweyl.errors import ConsistencyError, InputError
+from diracweyl.fields import TrigInterpolant
+from diracweyl.geometry import pauli_components
 
 SAMPLE_INDICES = np.array([(0, 0, 0), (3, 7, 11), (8, 2, 5), (15, 15, 1), (4, 12, 9)])
 
@@ -54,6 +57,70 @@ class TestU1Curvature:
         assert abs(dw.u1_curvature(std, x, xi)) < 1e-10
         twisted = dw.symbol_from_frame(dw.twisted_frame(2, 12))
         assert abs(dw.u1_curvature(twisted, x, xi) + 1.0) < 1e-9
+
+
+    def test_twisted_value_off_the_grid(self):
+        """u1 = -k3/2 at xi = e^1 on the twisted frame, to rounding."""
+        sym = dw.symbol_from_frame(dw.twisted_frame(2, 12))
+        val = dw.u1_curvature(sym, np.array([0.2, 0.4, 1.0]), np.array([1.0, 0.0, 0.0]))
+        assert abs(val + 1.0) <= 1e-13
+
+
+def _anchored(smats, xis, anchors):
+    """Positive eigenvector of sigma^a xi_a with component `anchors` kept real positive."""
+    m = pauli_components(np.tensordot(xis, smats, axes=(1, 0)))
+    h = np.linalg.norm(m, axis=1)
+    up = anchors == 0
+    w = np.where(up, h + m[:, 2], h - m[:, 2])
+    off = m[:, 0] + 1j * m[:, 1]
+    v = np.stack([np.where(up, w, np.conj(off)), np.where(up, off, w)], axis=1)
+    return v / np.sqrt(2.0 * h * w)[:, None]
+
+
+def _richardson(f, step=1e-4):
+    """Richardson-extrapolated central difference of f at 0 along the three unit vectors."""
+    out = []
+    for a in range(3):
+        unit = np.eye(3)[a]
+        d_full = (f(step * unit) - f(-step * unit)) / (2.0 * step)
+        d_half = (f(0.5 * step * unit) - f(-0.5 * step * unit)) / step
+        out.append((4.0 * d_half - d_full) / 3.0)
+    return np.array(out)
+
+
+def test_fiber_frame_derivatives_match_richardson_differences(random_setup):
+    """Both perturbation derivatives against finite differences with the anchor held fixed."""
+    _, sym, _ = random_setup
+    interp = sym.interpolant()
+    rng = np.random.default_rng(8)
+    for _ in range(4):
+        x = rng.uniform(0.0, 2.0 * np.pi, size=3)
+        xis = rng.standard_normal((6, 3))
+        m = pauli_components(np.tensordot(xis, interp(x), axes=(1, 0)))
+        anchors = (m[:, 2] < 0).astype(int)
+        _, v, dv_dx, dv_dxi = _FiberFrame(sym, x).eval(xis)
+        assert np.abs(v - _anchored(interp(x), xis, anchors)).max() <= 1e-14
+        ref_x = _richardson(lambda dx: _anchored(interp(x + dx), xis, anchors))
+        ref_xi = _richardson(lambda dxi: _anchored(interp(x), xis + dxi, anchors))
+        assert np.abs(dv_dx - ref_x).max() <= 1e-9
+        assert np.abs(dv_dxi - ref_xi).max() <= 1e-9
+
+
+def test_curvature_route_reads_the_interpolant_once_per_point(random_setup, monkeypatch):
+    """One value and one gradient evaluation per base point, however many quadrature nodes."""
+    _, sym, _ = random_setup
+    interp = sym.interpolant()
+    calls = {"value": 0, "gradient": 0}
+    for name, key in (("__call__", "value"), ("gradient", "gradient")):
+        real = getattr(TrigInterpolant, name)
+
+        def counting(self, *args, _real=real, _key=key):
+            calls[_key] += self is interp
+            return _real(self, *args)
+
+        monkeypatch.setattr(TrigInterpolant, name, counting)
+    dw.b2_density_fiber_curvature(sym, SAMPLE_INDICES[:2])
+    assert calls == {"value": 2, "gradient": 2}
 
 
 def test_generalized_poisson_identities(random_setup):
@@ -151,6 +218,26 @@ def test_fiber_eigenpair_properties(random_setup):
     pair0 = dw.fiber_eigenpair(sym, np.zeros(3), xi)
     g0 = met.g_contra[0, 0, 0]
     assert abs(pair0.h_plus - np.sqrt(xi @ g0 @ xi)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        ([(0, 0, 0), (8, 0, 0)], "row 1"),
+        ([(0, 0, 0), (1, -1, 2)], "row 1"),
+        (np.array([(0.0, 1.5, 0.0)]), "row 0"),
+        (np.array([1, 2, 3]), r"\(k, 3\)"),
+    ],
+    ids=["index-n", "index-minus-one", "fractional", "single-triple"],
+)
+@pytest.mark.parametrize(
+    "route", [dw.b1_density_fiber, dw.b2_density_fiber_torsion, dw.b2_density_fiber_curvature]
+)
+def test_fiber_routes_refuse_bad_points(route, points, message):
+    op = dw.dirac_operator(dw.standard_frame(8))
+    target = op if route is dw.b1_density_fiber else op.sigma
+    with pytest.raises(InputError, match=message):
+        route(target, points)
 
 
 def test_fiber_eigenpair_rejects_zero_covector(random_setup):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from diracweyl.errors import EllipticityError, InputError
+from diracweyl.geometry import symbol_from_frame
+from diracweyl.scenarios import random_band_limited_frame
 from diracweyl.fields import (
     PeriodicChart,
     TrigInterpolant,
@@ -136,6 +138,27 @@ class TestTrigInterpolant:
         v = interp(np.array([0.3, 0.0, 0.0]))
         assert v.shape == (2, 2)
         assert abs(v[0, 1] - np.sin(0.3)) < 1e-11
+
+
+def _gradient_cases():
+    rng = np.random.default_rng(17)
+    real = rng.standard_normal((8, 8, 8))  # populates every Nyquist bin
+    symbol = symbol_from_frame(random_band_limited_frame(4, n=8)).sigma
+    return {"real-with-nyquist": real, "complex-symbol": symbol}
+
+
+@pytest.mark.parametrize("name", ["real-with-nyquist", "complex-symbol"])
+def test_interpolant_gradient_is_the_spectral_derivative_at_grid_points(name):
+    """The analytic gradient of the interpolant reproduces derivative_stack on the grid."""
+    values = _gradient_cases()[name]
+    interp = TrigInterpolant(values)
+    stack = derivative_stack(values)
+    rng = np.random.default_rng(23)
+    for p in rng.integers(0, 8, size=(12, 3)):
+        grad = interp.gradient(TWO_PI * p / 8)
+        assert grad.shape == (3,) + values.shape[3:]
+        assert np.isrealobj(grad) == np.isrealobj(values)
+        assert np.abs(grad - stack[tuple(p)]).max() <= 1e-12
 
 
 # --- quadrature ------------------------------------------------------------

@@ -186,7 +186,7 @@ def test_connection_kills_frame_derivative():
 def test_coframe_duality():
     fr = _random_frame(6)
     cof = coframe(fr, dw.metric_from_frame(fr))
-    pairing = np.einsum("...ja,...ka->...jk", fr.e, cof.c)
+    pairing = np.einsum("...ja,...ka->...jk", fr.e, cof)
     assert np.abs(pairing - np.eye(3)).max() < 1e-12
 
 
