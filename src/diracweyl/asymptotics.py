@@ -33,19 +33,18 @@ from .fields import (
     sphere_design_14,
 )
 from .geometry import (
+    PAULI,
     MetricField,
     PrincipalSymbolField,
-    _metric_from_sigma,
     decode_frame,
     decode_metric,
     pauli_components,
+    pauli_matrices,
     torsion,
 )
-from .operators import FirstOrderOperator, subprincipal_symbol
+from .operators import EPS_CONJ, FirstOrderOperator, subprincipal_symbol
 
 _CURVATURE_RADIAL_NODES = 16
-
-_CONJ = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 def _principal(obj) -> PrincipalSymbolField:
@@ -54,6 +53,13 @@ def _principal(obj) -> PrincipalSymbolField:
     if isinstance(obj, PrincipalSymbolField):
         return obj
     raise InputError(f"expected a symbol or operator, got {type(obj).__name__}")
+
+
+def _vector3(value, name: str) -> np.ndarray:
+    arr = np.asarray(value, dtype=float)
+    if arr.shape != (3,):
+        raise InputError(f"{name} must be a 3-vector, got shape {arr.shape}")
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -83,9 +89,10 @@ def _positive_band(smats: np.ndarray, xis: np.ndarray):
 class _FiberFrame:
     """Eigenvector derivatives of the positive fibre band at a fixed base point.
 
-    Reads the symbol and its coordinate gradient at the base point from
-    the trigonometric interpolant, once each.  Both derivatives of v+
-    come from exact first-order perturbation of the 2x2 eigenproblem,
+    Reads p and its coordinate gradient at the base point from the
+    trigonometric interpolant, once each, as symbol matrices.  Both
+    derivatives of v+ come from exact first-order perturbation of the
+    2x2 eigenproblem,
 
         d v+ = (v-* dM v+) / (2 h) v- + i gamma v+,
 
@@ -95,12 +102,10 @@ class _FiberFrame:
     """
 
     def __init__(self, sym: PrincipalSymbolField, x: np.ndarray):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (3,):
-            raise InputError("base point must be a 3-vector")
+        x = _vector3(x, "base point x")
         interp = sym.interpolant()
-        self.s_center = np.asarray(interp(x))  # (3, 2, 2)
-        self.ds = interp.gradient(x)  # (3, 3, 2, 2): d_a sigma^b
+        self.s_center = pauli_matrices(interp(x).T)  # (3, 2, 2)
+        self.ds = pauli_matrices(np.swapaxes(interp.gradient(x), -1, -2))  # d_a sigma^b
 
     def eval(self, xis: np.ndarray):
         """Return (h, v, dv_dx, dv_dxi) for a batch of covectors.
@@ -110,7 +115,7 @@ class _FiberFrame:
         """
         xis = np.atleast_2d(np.asarray(xis, dtype=float))
         h, v, anchors = _positive_band(self.s_center, xis)
-        v_minus = np.conj(v) @ _CONJ.T
+        v_minus = np.conj(v) @ EPS_CONJ.T
         idx = np.arange(len(xis))
 
         def derivative(dm):  # dm: (3, K or 1, 2, 2)
@@ -140,8 +145,8 @@ class EigenpairOnFiber:
 def fiber_eigenpair(sym, x, xi) -> EigenpairOnFiber:
     """Positive eigenvalue, anchored eigenvector and spectral projector."""
     sym = _principal(sym)
-    smats = sym.at(x)
-    xis = np.atleast_2d(np.asarray(xi, dtype=float))
+    smats = sym.at(_vector3(x, "base point x"))
+    xis = _vector3(xi, "covector xi")[None, :]
     h, v, _ = _positive_band(smats, xis)
     proj = v[0][:, None] * np.conj(v[0])[None, :]
     mat = np.tensordot(xis[0], smats, axes=(0, 0))
@@ -158,7 +163,7 @@ def u1_curvature(sym, x, xi) -> float:
     geometry; homogeneous of degree -1 in xi and independent of the
     anchoring gauge.
     """
-    return float(_FiberFrame(_principal(sym), x).curvature(xi)[0])
+    return float(_FiberFrame(_principal(sym), x).curvature(_vector3(xi, "covector xi"))[0])
 
 
 @dataclass
@@ -209,8 +214,8 @@ def generalized_poisson_check(sym, n_samples: int = 20, seed: int = 0) -> Poisso
         proj = v0[:, None] * np.conj(v0)[None, :]
         worst_proj = max(worst_proj, float(abs(bracket(proj))))
 
-        dx_m = np.einsum("pq,aq->ap", _CONJ, np.conj(dx))
-        dxi_m = np.einsum("pq,aq->ap", _CONJ, np.conj(dxi))
+        dx_m = np.einsum("pq,aq->ap", EPS_CONJ, np.conj(dx))
+        dxi_m = np.einsum("pq,aq->ap", EPS_CONJ, np.conj(dxi))
         plain_minus = np.einsum("ap,ap->", np.conj(dx_m), dxi_m) - np.einsum(
             "ap,ap->", np.conj(dxi_m), dx_m
         )
@@ -273,22 +278,20 @@ def b1_density_fiber(op: FirstOrderOperator, points) -> np.ndarray:
     Integrates -3 tr(A_sub P+) over the unit covector ball; agrees with
     the closed form within 1e-7.
     """
+    if not isinstance(op, FirstOrderOperator):
+        raise InputError(f"op must be a FirstOrderOperator, got {type(op).__name__}")
     points = _grid_points(points, op.sigma.chart.n)
     asub = subprincipal_symbol(op)
-    s = op.sigma.sigma
     out = np.empty(len(points))
     for i, p in enumerate(points):
-        smats = s[p]
-        amat = asub[p]
-        g = _metric_from_sigma(smats)
+        comps, amat = op.sigma.p[p], asub[p]
+        g = comps.T @ comps
+        tr_as = np.einsum("pq,jqp->j", amat, PAULI).real  # tr(A_sub s^j)
 
         def integrand(xis):
-            m_mat = np.tensordot(xis, smats, axes=(1, 0))
-            gxx = np.einsum("ka,ab,kb->k", xis, g, xis)
-            h = np.sqrt(gxx)
-            tr_am = np.einsum("pq,kqp->k", amat, m_mat).real
-            tr_a = np.trace(amat).real
-            return -3.0 * (tr_am + h * tr_a) / (2.0 * h)
+            h = np.sqrt(np.einsum("ka,ab,kb->k", xis, g, xis))
+            tr_am = xis @ comps.T @ tr_as  # tr(A_sub sigma(xi)) with sigma(xi) = s^j p_j^a xi_a
+            return -3.0 * (tr_am + h * np.trace(amat).real) / (2.0 * h)
 
         out[i] = fiber_ball_quadrature(g, integrand)
     return out
@@ -339,7 +342,7 @@ def b2_density_fiber_curvature(sym, points) -> np.ndarray:
     out = np.empty(len(points))
     for i, p in enumerate(points):
         fib = _FiberFrame(sym, TWO_PI * np.array(p, dtype=float) / n)
-        g = _metric_from_sigma(sym.sigma[p])
+        g = sym.p[p].T @ sym.p[p]
 
         def integrand(xis):
             h = np.sqrt(np.einsum("ka,ab,kb->k", xis, g, xis))

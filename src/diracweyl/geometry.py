@@ -26,7 +26,6 @@ from .fields import (
     chart_of,
     derivative_stack,
     hermitian_residual,
-    spectral_derivative,
 )
 
 # Standard Pauli matrices; the fixed fibre basis for all 2x2 symbols.
@@ -64,19 +63,18 @@ def _det3(m: np.ndarray) -> np.ndarray:
     return (m[..., 0, :] * np.cross(m[..., 1, :], m[..., 2, :])).sum(axis=-1)
 
 
-@dataclass(eq=False)
 class PrincipalSymbolField:
-    """Grid samples sigma[..., alpha, :, :] of the three symbol matrices.
+    """Symbol sigma^alpha = s^j p_j^alpha, held as the read-only real array p[..., j, alpha].
 
-    Validated on construction: each matrix Hermitian and trace-free,
-    and the induced quadratic form elliptic at every grid point.
+    p has the layout of FrameField.e.  PrincipalSymbolField(sigma) gates
+    the complex stack sigma[..., alpha, :, :] on Hermitian and trace-free
+    matrices and reads p off it; symbol_from_frame sets p directly.  Both
+    check ellipticity.  The sigma property rebuilds the complex stack on
+    each access and keeps nothing.
     """
 
-    sigma: np.ndarray
-    _interp: TrigInterpolant | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        s = np.asarray(self.sigma, dtype=complex)
+    def __init__(self, sigma: np.ndarray):
+        s = np.asarray(sigma, dtype=complex)
         if s.ndim != 6 or s.shape[3:] != (3, 2, 2):
             raise InputError(f"symbol field must have shape (n, n, n, 3, 2, 2), got {s.shape}")
         chart_of(s)
@@ -85,23 +83,33 @@ class PrincipalSymbolField:
             raise InputError("symbol matrices must be Hermitian")
         if float(np.abs(s[..., 0, 0] + s[..., 1, 1]).max()) > 1e-13 * scale:
             raise InputError("symbol matrices must be trace-free")
-        self.sigma = s
-        _check_ellipticity(_metric_from_sigma(s))
+        self._hold(np.swapaxes(pauli_components(s), -1, -2).copy())
+
+    def _hold(self, p: np.ndarray):
+        """Take ownership of the component array p and check ellipticity."""
+        _check_ellipticity(np.swapaxes(p, -1, -2) @ p)
+        p.flags.writeable = False
+        self.p = p
+        self._interp = None
+
+    @property
+    def sigma(self) -> np.ndarray:
+        """The complex (n, n, n, 3, 2, 2) stack s^j p_j^alpha, built on each access."""
+        return pauli_matrices(np.swapaxes(self.p, -1, -2))
 
     @property
     def chart(self):
-        return chart_of(self.sigma)
+        return chart_of(self.p)
 
     def interpolant(self) -> TrigInterpolant:
-        """Band-limited evaluator for off-grid points (cached)."""
+        """Band-limited evaluator of p for off-grid points (cached)."""
         if self._interp is None:
-            self._interp = TrigInterpolant(self.sigma)
+            self._interp = TrigInterpolant(self.p)
         return self._interp
 
     def at(self, point: np.ndarray) -> np.ndarray:
         """The three symbol matrices at an arbitrary point, shape (3, 2, 2)."""
-        out = self.interpolant()(np.asarray(point, dtype=float))
-        return out
+        return pauli_matrices(np.swapaxes(self.interpolant()(point), -1, -2))
 
 
 @dataclass(eq=False)
@@ -182,22 +190,6 @@ class TorsionBundle:
     route_residuals: dict = field(default_factory=dict)
 
 
-def _metric_from_sigma(sigma: np.ndarray) -> np.ndarray:
-    """Contravariant metric from the symbol determinant, by polarisation.
-
-    det(sigma . xi) = -g(xi, xi) fixes g; polarising the determinant of
-    trace-free 2x2 matrices in the three basis covectors gives
-    g^{ab} = -(s^a_00 s^b_11 + s^b_00 s^a_11 - s^a_01 s^b_10 - s^b_01 s^a_10)/2.
-    """
-    s00, s11 = sigma[..., 0, 0], sigma[..., 1, 1]  # (..., 3)
-    s01, s10 = sigma[..., 0, 1], sigma[..., 1, 0]
-    mixed = s00[..., :, None] * s11[..., None, :] - s01[..., :, None] * s10[..., None, :]
-    g = -0.5 * (mixed + np.swapaxes(mixed, -1, -2))
-    if float(np.abs(g.imag).max()) > 1e-11:
-        raise ConsistencyError("decoded metric has a non-real part; symbol is not Hermitian enough")
-    return g.real
-
-
 def _check_ellipticity(g_contra: np.ndarray):
     w = np.linalg.eigvalsh(g_contra)
     if np.any(w[..., 0] <= 0.0):
@@ -233,32 +225,39 @@ def pauli_matrices(c: np.ndarray) -> np.ndarray:
 
 
 def symbol_from_frame(frame: FrameField | np.ndarray) -> PrincipalSymbolField:
-    """Assemble sigma^alpha = s^j e_j^alpha from an orthonormal frame."""
-    e = frame.e if isinstance(frame, FrameField) else np.asarray(frame, dtype=float)
-    return PrincipalSymbolField(pauli_matrices(np.swapaxes(e, -1, -2)))
+    """The symbol sigma^alpha = s^j e_j^alpha of an orthonormal frame.
+
+    The symbol holds a copy of e as p, so the caller's array is never
+    aliased.  Hermitian and trace-free hold by construction; only
+    ellipticity is checked.
+    """
+    e = frame.e if isinstance(frame, FrameField) else FrameField(frame).e
+    sym = PrincipalSymbolField.__new__(PrincipalSymbolField)
+    sym._hold(e.copy())
+    return sym
 
 
 def decode_frame(sym: PrincipalSymbolField) -> FrameField:
-    """Read the frame off the symbol entries.
+    """The frame e_j^alpha = p_j^alpha the symbol holds, over its read-only array.
 
     Leg 1 and 2 are the real and negated imaginary parts of the
-    off-diagonal entry, leg 3 the upper diagonal entry; this inverts
-    symbol_from_frame exactly.
+    off-diagonal symbol entry, leg 3 the upper diagonal entry; this
+    inverts symbol_from_frame exactly.
     """
-    fr = FrameField(np.ascontiguousarray(np.swapaxes(pauli_components(sym.sigma), -1, -2)))
+    fr = FrameField(sym.p)
     fr.orientation()  # force the degeneracy check
     return fr
 
 
 def decode_metric(sym: PrincipalSymbolField) -> MetricField:
-    """Riemannian metric defined by the symbol determinant.
+    """Riemannian metric g^{ab} = p_j^a p_j^b, so that det(sigma . xi) = -g(xi, xi).
 
     The symbol's constructor checked ellipticity on this very g, so the
     check is not repeated; a directly constructed MetricField runs it.
     """
     metric = MetricField.__new__(MetricField)
     metric.g_cov = metric.vol = None
-    metric._complete(_metric_from_sigma(sym.sigma))
+    metric._complete(np.swapaxes(sym.p, -1, -2) @ sym.p)
     return metric
 
 
@@ -277,12 +276,10 @@ def topological_charge(sym: PrincipalSymbolField) -> int:
     """
     frame = decode_frame(sym)
     metric = decode_metric(sym)
-    s = sym.sigma
-    trip = np.einsum(
-        "...pq,...qr,...rp->...", s[..., 0, :, :], s[..., 1, :, :], s[..., 2, :, :]
-    )
-    c_field = (-0.5j * metric.vol * trip).real
-    c_imag = float(np.abs((-0.5j * metric.vol * trip).imag).max())
+    trip = np.einsum("...pq,...qr,...rp->...", *np.moveaxis(sym.sigma, -3, 0))  # tr(s^1 s^2 s^3)
+    fibre = -0.5j * metric.vol * trip
+    c_field = fibre.real
+    c_imag = float(np.abs(fibre.imag).max())
     if c_imag > 1e-10:
         raise ConsistencyError(f"charge formula gave a non-real value (imag {c_imag:.2e})")
     c0 = int(np.rint(c_field.flat[0]))
@@ -333,7 +330,7 @@ def coframe(frame: FrameField, metric: MetricField) -> np.ndarray:
 def christoffel_symbols(metric: MetricField) -> np.ndarray:
     """Levi-Civita connection coefficients G[..., b, a, c] (upper, lower, lower)."""
     dg = derivative_stack(metric.g_cov)  # [..., mu, alpha, beta]
-    s = dg + dg.transpose(0, 1, 2, 4, 3, 5) - dg.transpose(0, 1, 2, 5, 3, 4)
+    s = dg + dg.transpose(0, 1, 2, 4, 3, 5) - dg.transpose(0, 1, 2, 4, 5, 3)  # [a, c, d]
     lowered = s.reshape(s.shape[:3] + (9, 3)) @ np.swapaxes(metric.g_contra, -1, -2)  # [(a, c), b]
     return 0.5 * lowered.reshape(s.shape).transpose(0, 1, 2, 5, 3, 4)
 
@@ -406,22 +403,26 @@ def torsion(frame: FrameField, metric: MetricField) -> TorsionBundle:
     """
     cof = coframe(frame, metric)
     dcof = derivative_stack(cof)  # [..., mu, k, b]
-    dform = np.einsum("...cjd->...jcd", dcof) - np.einsum("...djc->...jcd", dcof)  # (d c^j)_{cd}
+    ax2 = _axial_dual_from_coframe(metric, cof, dcof)
     t1 = torsion_from_connection(_teleparallel(frame.e, dcof))
+    dform = np.einsum("...cjd->...jcd", dcof) - np.einsum("...djc->...jcd", dcof)  # (d c^j)_{cd}
+    del dcof  # each (n, n, n, 3, 3, 3) array is freed once used, and the gap is taken in place
     t2 = _torsion_from_coframe(frame.e, dform)
-    scale = max(1.0, float(np.abs(t1).max()))
-    gap_t = float(np.abs(t1 - t2).max())
+    t2 -= t1
+    scale = max(1.0, float(t1.max()), -float(t1.min()))
+    gap_t = max(float(t2.max()), -float(t2.min()))
+    del t2
     if gap_t > 1e-10 * scale:
         raise ConsistencyError("torsion routes (connection vs coframe) disagree")
 
     star1 = _dual_2forms(metric, t1)
     star2 = _star_torsion_from_curl(frame.e, metric, dform)
+    del dform
     gap_star = float(np.abs(star1 - star2).max())
     if gap_star > 1e-10 * scale:
         raise ConsistencyError("dual torsion routes (Hodge vs curl) disagree")
 
     ax1 = np.einsum("...aa->...", star1) / 3.0
-    ax2 = _axial_dual_from_coframe(metric, cof, dcof)
     gap_ax = float(np.abs(ax1 - ax2).max())
     if gap_ax > 1e-10 * scale:
         raise ConsistencyError("axial dual routes (trace vs coframe formula) disagree")
@@ -493,8 +494,7 @@ def parallel_transport(
     path independent because the transporting connection is flat.
     """
     xi = np.asarray(xi, dtype=float)
-    m_from = pauli_components(sym.at(from_point)).T
-    m_to = pauli_components(sym.at(to_point)).T
+    m_from, m_to = sym.interpolant()(np.array([from_point, to_point], dtype=float))
     if np.linalg.cond(m_to) > _FRAME_CONDITION_LIMIT:
         raise EllipticityError("frame at the target point is too ill-conditioned to invert")
     return np.linalg.solve(m_to, m_from @ xi)

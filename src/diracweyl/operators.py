@@ -51,11 +51,6 @@ def _pauli_triples() -> np.ndarray:
 _PAULI_TRIPLES = _pauli_triples()
 
 
-def pauli_basis() -> np.ndarray:
-    """The three Pauli matrices, shape (3, 2, 2)."""
-    return PAULI.copy()
-
-
 @dataclass(eq=False)
 class FirstOrderOperator:
     """Full symbol of a formally self-adjoint first-order 2x2 operator.
@@ -73,7 +68,7 @@ class FirstOrderOperator:
         if not isinstance(self.sigma, PrincipalSymbolField):
             self.sigma = PrincipalSymbolField(np.asarray(self.sigma))
         a0 = np.asarray(self.a0, dtype=complex)
-        if a0.shape != self.sigma.sigma.shape[:3] + (2, 2):
+        if a0.shape != self.sigma.p.shape[:3] + (2, 2):
             raise InputError(f"a0 must have shape (n, n, n, 2, 2), got {a0.shape}")
         self.a0 = a0
         scale = max(1.0, float(np.abs(a0).max()))
@@ -90,9 +85,12 @@ class FirstOrderOperator:
 
 
 def divergence_sigma(sym: PrincipalSymbolField) -> np.ndarray:
-    """sum_a d(sigma^a)/dx^a, the derivative term of the subprincipal symbol."""
-    s = sym.sigma
-    return sum(spectral_derivative(s[..., a, :, :], a + 1) for a in range(3))
+    """sum_a d(sigma^a)/dx^a = s^j d_a p_j^a, the derivative term of the subprincipal symbol.
+
+    Three real-FFT derivatives of the symbol's real components; the
+    result is one complex (n, n, n, 2, 2) matrix field.
+    """
+    return pauli_matrices(sum(spectral_derivative(sym.p[..., :, a], a + 1) for a in range(3)))
 
 
 def subprincipal_symbol(op: FirstOrderOperator) -> np.ndarray:
@@ -127,11 +125,13 @@ def dirac_operator(frame: FrameField, metric: MetricField | None = None) -> Firs
     gamma = christoffel_symbols(metric).transpose(0, 1, 2, 4, 5, 3)  # G^b_{ag} as [a, g, b]
     bracket = derivative_stack(e)  # D[a, l, b] = d_a e_l^b + G^b_{ag} e_l^g
     bracket += e[..., None, :, :] @ gamma
+    half_density = (e @ np.trace(gamma, axis1=-2, axis2=-1)[..., None])[..., 0]  # e_j^a G^b_{ab}
+    del gamma  # the (n, n, n, 3, 3, 3) arrays are freed once used
     cof = e @ np.swapaxes(metric.g_cov, -1, -2)
     m = (e @ bracket.reshape(grid + (3, 9))).reshape(grid + (9, 3))
+    del bracket
     m = m @ np.swapaxes(cof, -1, -2)  # M_jkl stored as [(j, l), k]
     coef = m.reshape(grid + (27,)) @ _PAULI_TRIPLES  # M_jkl s^j s^k s^l = coef_n s^n + i coef_3 I
-    half_density = (e @ np.trace(gamma, axis1=-2, axis2=-1)[..., None])[..., 0]  # e_j^a G^b_{ab}
     a0 = 1j * pauli_matrices(0.5 * half_density - 0.25 * coef[..., :3])
     a0[..., 0, 0] += 0.25 * coef[..., 3]
     a0[..., 1, 1] += 0.25 * coef[..., 3]
@@ -212,18 +212,17 @@ class Obstruction:
 def gauge_transform(op: FirstOrderOperator, gauge: GaugeField) -> FirstOrderOperator:
     """Conjugate the operator by a smooth SU(2) field: A -> R A R*.
 
-    The principal coefficients rotate pointwise; a0 picks up the
+    The principal coefficients rotate pointwise, R s^j R* = s^k O_kj
+    with O = so3_from_su2(R), so p becomes O p; a0 picks up the
     product-rule term -i R sigma^a d_a(R*).
     """
     r = gauge.R
     rh = np.conj(np.swapaxes(r, -1, -2))
-    s = op.sigma.sigma
-    s_new = np.einsum("...pq,...aqr,...rs->...aps", r, s, rh)
     drh = derivative_stack(rh)  # [a, p, q]
     a0_new = np.einsum("...pq,...qr,...rs->...ps", r, op.a0, rh) - 1j * np.einsum(
-        "...pq,...aqr,...ars->...ps", r, s, drh
+        "...pq,...aqr,...ars->...ps", r, op.sigma.sigma, drh
     )
-    return FirstOrderOperator(PrincipalSymbolField(s_new), a0_new)
+    return FirstOrderOperator(symbol_from_frame(so3_from_su2(r) @ op.sigma.p), a0_new)
 
 
 def so3_from_su2(r: np.ndarray) -> np.ndarray:
@@ -391,8 +390,9 @@ def check_dirac(op: FirstOrderOperator, tol: float = 1e-7) -> DiracVerdict:
       the identity (max operator norm of its trace-free part);
     * cond_b_residual - vanishing of the second Weyl coefficient
       density b(x) (max modulus over the grid);
-    * reconstructed_gap - max coefficient difference between the
-      operator and the Dirac operator rebuilt from its decoded frame.
+    * reconstructed_gap - max difference between a0 and the a0 of the
+      Dirac operator rebuilt from the decoded frame; the rebuilt
+      principal part is the operator's own p, so it adds exactly 0.
     """
     from .asymptotics import _coefficients  # local import to avoid a cycle
 
@@ -408,11 +408,7 @@ def check_dirac(op: FirstOrderOperator, tol: float = 1e-7) -> DiracVerdict:
     coeffs = _coefficients(metric, asub, torsion(frame, metric))
     cond_b = float(np.abs(coeffs.b).max())
 
-    rebuilt = dirac_operator(frame, metric)
-    gap = max(
-        float(np.abs(op.a0 - rebuilt.a0).max()),
-        float(np.abs(op.sigma.sigma - rebuilt.sigma.sigma).max()),
-    )
+    gap = float(np.abs(op.a0 - dirac_operator(frame, metric).a0).max())
 
     ok = cond_a <= tol and cond_b <= tol and gap <= tol
     return DiracVerdict(

@@ -55,8 +55,7 @@ def _write_document(doc: dict, path: str) -> None:
 
 
 def save_symbol(sym: PrincipalSymbolField, path: str) -> None:
-    n = sym.sigma.shape[0]
-    doc = _header("principal-symbol", n)
+    doc = _header("principal-symbol", sym.chart.n)
     doc["sigma"] = _encode_complex(_flatten_grid(sym.sigma))
     _write_document(doc, path)
 
@@ -77,8 +76,7 @@ def load_frame(path: str) -> FrameField:
 
 
 def save_operator(op: FirstOrderOperator, path: str) -> None:
-    n = op.sigma.sigma.shape[0]
-    doc = _header("operator", n)
+    doc = _header("operator", op.chart.n)
     doc["sigma"] = _encode_complex(_flatten_grid(op.sigma.sigma))
     doc["a0"] = _encode_complex(_flatten_grid(op.a0))
     _write_document(doc, path)
@@ -132,7 +130,7 @@ def _grid_array(doc: dict, key: str, comp: tuple, path: str, is_complex: bool = 
     if not np.all(np.isfinite(flat)):
         raise InputError(f"{path}: {key!r} holds non-finite numbers")
     if is_complex:
-        flat = flat[..., 0] + 1j * flat[..., 1]
+        flat = np.ascontiguousarray(flat).view(complex)[..., 0]  # keeps signed zeros
     return _unflatten_grid(flat, n)
 
 

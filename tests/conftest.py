@@ -2,7 +2,10 @@
 
 import tracemalloc
 
+import numpy as np
 import pytest
+
+import diracweyl as dw
 
 
 @pytest.fixture
@@ -20,3 +23,21 @@ def peak_mb():
             tracemalloc.stop()
 
     return measure
+
+
+@pytest.fixture(scope="session")
+def curved_frame():
+    """A frame with a non-flat metric and torsion, depending on x^3 alone.
+
+    e1 = f (cos x3, sin x3, 0), e2 = (-sin x3, cos x3, 0), e3 = d3 with
+    f = 1 + 0.1 cos x3, on 24^3: at 16^3 its Dirac operator misses the
+    1e-10 self-adjointness gate.
+    """
+    n = 24
+    x3 = dw.PeriodicChart(n).mesh()[2]
+    f = 1.0 + 0.1 * np.cos(x3)
+    e = np.zeros((n, n, n, 3, 3))
+    e[..., 0, 0], e[..., 0, 1] = f * np.cos(x3), f * np.sin(x3)
+    e[..., 1, 0], e[..., 1, 1] = -np.sin(x3), np.cos(x3)
+    e[..., 2, 2] = 1.0
+    return dw.FrameField(e)

@@ -91,17 +91,16 @@ def _richardson(f, step=1e-4):
 def test_fiber_frame_derivatives_match_richardson_differences(random_setup):
     """Both perturbation derivatives against finite differences with the anchor held fixed."""
     _, sym, _ = random_setup
-    interp = sym.interpolant()
     rng = np.random.default_rng(8)
     for _ in range(4):
         x = rng.uniform(0.0, 2.0 * np.pi, size=3)
         xis = rng.standard_normal((6, 3))
-        m = pauli_components(np.tensordot(xis, interp(x), axes=(1, 0)))
+        m = pauli_components(np.tensordot(xis, sym.at(x), axes=(1, 0)))
         anchors = (m[:, 2] < 0).astype(int)
         _, v, dv_dx, dv_dxi = _FiberFrame(sym, x).eval(xis)
-        assert np.abs(v - _anchored(interp(x), xis, anchors)).max() <= 1e-14
-        ref_x = _richardson(lambda dx: _anchored(interp(x + dx), xis, anchors))
-        ref_xi = _richardson(lambda dxi: _anchored(interp(x), xis + dxi, anchors))
+        assert np.abs(v - _anchored(sym.at(x), xis, anchors)).max() <= 1e-14
+        ref_x = _richardson(lambda dx: _anchored(sym.at(x + dx), xis, anchors))
+        ref_xi = _richardson(lambda dxi: _anchored(sym.at(x), xis + dxi, anchors))
         assert np.abs(dv_dx - ref_x).max() <= 1e-9
         assert np.abs(dv_dxi - ref_xi).max() <= 1e-9
 
@@ -206,8 +205,7 @@ def test_fiber_eigenpair_properties(random_setup):
     x = np.array([0.3, 1.1, 2.0])
     xi = np.array([0.7, -0.2, 0.4])
     pair = dw.fiber_eigenpair(sym, x, xi)
-    interp = sym.interpolant()
-    smats = np.asarray(interp(x))
+    smats = sym.at(x)
     mat = np.tensordot(xi, smats, axes=(0, 0))
     assert np.abs(mat @ pair.v_plus - pair.h_plus * pair.v_plus).max() < 1e-12
     p = pair.projector
@@ -244,3 +242,37 @@ def test_fiber_eigenpair_rejects_zero_covector(random_setup):
     _, sym, _ = random_setup
     with pytest.raises(InputError, match="zero"):
         dw.fiber_eigenpair(sym, np.zeros(3), np.zeros(3))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda op: dw.fiber_eigenpair(op.sigma, np.zeros(2), np.ones(3)), "base point x"),
+        (lambda op: dw.u1_curvature(op.sigma, np.zeros(3), np.ones(2)), "covector xi"),
+        (lambda op: dw.b1_density_fiber(op.sigma, [(0, 0, 0)]), "op must be a FirstOrderOperator"),
+    ],
+    ids=["eigenpair-2-vector-point", "u1-2-vector-covector", "b1-given-a-symbol"],
+)
+def test_fiber_inputs_are_refused_by_name(call, message):
+    op = dw.dirac_operator(dw.standard_frame(8))
+    with pytest.raises(InputError, match=message):
+        call(op)
+
+
+def test_fiber_routes_match_closed_forms_on_a_curved_frame(curved_frame):
+    """Dirac plus 0.2 cos(x3) I on a non-flat metric: b1 and b2 are both non-zero."""
+    op = dw.dirac_operator(curved_frame)
+    x3 = dw.PeriodicChart(24).mesh()[2]
+    q = 0.2 * np.cos(x3)[..., None, None] * np.eye(2)
+    shifted = dw.FirstOrderOperator(op.sigma, op.a0 + q)
+    pts = np.array([(0, 0, 0), (3, 5, 7), (1, 2, 11), (4, 4, 17), (0, 9, 20)])
+    b1, b2 = dw.b1_density(shifted), dw.b2_density(shifted.sigma)
+    assert np.abs(b1).max() > 0.01 and np.abs(b2).max() > 0.01
+    idx = tuple(pts.T)
+    gaps = {
+        "b1": np.abs(dw.b1_density_fiber(shifted, pts) - b1[idx]).max(),
+        "b2 torsion": np.abs(dw.b2_density_fiber_torsion(shifted.sigma, pts) - b2[idx]).max(),
+        "b2 curvature": np.abs(dw.b2_density_fiber_curvature(shifted.sigma, pts) - b2[idx]).max(),
+    }
+    print({k: f"{v:.1e}" for k, v in gaps.items()})
+    assert max(gaps.values()) <= 1e-12

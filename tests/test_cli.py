@@ -264,3 +264,11 @@ def test_galerkin_over_memory_budget_exits_2_without_traceback():
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "budget" in proc.stderr
+
+
+def test_check_dirac_accepts_a_curved_dirac_operator(curved_frame, tmp_path):
+    path = tmp_path / "curved.json"
+    dw.save_operator(dw.dirac_operator(curved_frame), str(path))
+    proc = _cli_process("check-dirac", "--input", str(path))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["is_dirac"] is True

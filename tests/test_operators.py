@@ -6,10 +6,8 @@ import pytest
 import diracweyl as dw
 from diracweyl.errors import ConsistencyError, InputError
 from diracweyl.fields import PeriodicChart, derivative_stack
-from diracweyl.geometry import christoffel_symbols
-from diracweyl.operators import pauli_basis
-
-PAULI = pauli_basis()
+from diracweyl.geometry import PAULI, christoffel_symbols
+from diracweyl.operators import divergence_sigma
 
 
 def _twist_gauge(k3, n):
@@ -315,3 +313,49 @@ def test_dirac_operator_peak_memory(peak_mb):
     fr = dw.random_band_limited_frame(0, 16)
     met = dw.metric_from_frame(fr)
     assert peak_mb(lambda: dw.dirac_operator(fr, met)) <= 8.6
+
+
+def test_dirac_operator_frees_the_connection_once_used(peak_mb):
+    """Keeping the Christoffel symbols and the bracket alive to the end peaked at
+    5.93 MB at n=16; freeing each once used gives 3.54 MB."""
+    fr = dw.random_band_limited_frame(0, 16)
+    met = dw.metric_from_frame(fr)
+    assert peak_mb(lambda: dw.dirac_operator(fr, met)) <= 4.0
+
+
+def test_divergence_sigma_takes_real_transforms_only(monkeypatch):
+    """sum_a d_a sigma^a from the real components against the complex-FFT derivative."""
+    sym = dw.symbol_from_frame(dw.random_band_limited_frame(1, 12, amplitude=0.01))
+    sigma = sym.sigma
+    mult = 1j * np.fft.fftfreq(12, d=1.0 / 12)
+    mult[6] = 0.0
+    want = 0.0
+    for a in range(3):
+        spectrum = np.fft.fft(sigma[..., a, :, :], axis=a)
+        shape = [-1 if i == a else 1 for i in range(5)]
+        want = want + np.fft.ifft(spectrum * mult.reshape(shape), axis=a)
+    calls = []
+    for name in ("fft", "ifft"):
+        real = getattr(np.fft, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counting)
+    got = divergence_sigma(sym)
+    assert calls == []
+    assert np.abs(want).max() > 1e-3
+    assert np.abs(got - want).max() <= 1e-14
+
+
+def test_curved_frame_with_torsion_is_dirac(curved_frame):
+    """A non-flat metric: the verdict and the subprincipal identity hold once the
+    Levi-Civita connection is right."""
+    tor = dw.torsion(curved_frame, dw.metric_from_frame(curved_frame))
+    assert np.abs(tor.axial_dual).min() > 0.5
+    verdict = dw.check_dirac(dw.dirac_operator(curved_frame))
+    residual = dw.verify_subprincipal_identity(curved_frame)
+    print(f"curved frame: {verdict}, identity residual {residual:.2e}")
+    assert verdict.is_dirac
+    assert residual <= 1e-12

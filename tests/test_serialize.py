@@ -98,3 +98,16 @@ def test_saved_files_equal_the_streamed_encoder_output(tmp_path):
         with open(streamed, "w") as fh:
             json.dump(doc, fh)
         assert path.read_bytes() == streamed.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [("standard-torus", {}), ("twisted-torus", {"k3": 1}), ("random-band-limited", {"seed": 3})],
+)
+def test_save_load_save_is_byte_stable(name, params, tmp_path):
+    """Loading keeps every signed zero of the stored complex entries."""
+    op = dw.build_scenario(name, 16, **params)["operator"]
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    dw.save_operator(op, str(first))
+    dw.save_operator(dw.load_operator(str(first)), str(second))
+    assert first.read_bytes() == second.read_bytes()
