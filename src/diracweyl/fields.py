@@ -21,6 +21,8 @@ from .errors import EllipticityError, InputError
 
 TWO_PI = 2.0 * np.pi
 VOLUME = TWO_PI**3
+_PRUNE_TOL = 1e-15  # TrigInterpolant drops smaller Fourier coefficients
+_SPHERE_DEGREE = 17  # fiber_ball_quadrature's spherical rule unless one is given
 
 
 @dataclass(frozen=True)
@@ -148,10 +150,10 @@ class TrigInterpolant:
     The interpolant agrees with the samples at grid points and is the
     unique band-limited representative (Nyquist content split evenly
     between +n/2 and -n/2 so real fields interpolate to real values).
-    Small coefficients are pruned for speed; prune_tol=0 keeps all.
+    Coefficients of magnitude at most _PRUNE_TOL are pruned for speed.
     """
 
-    def __init__(self, values: np.ndarray, prune_tol: float = 1e-15):
+    def __init__(self, values: np.ndarray):
         n = chart_of(values).n
         self.value_shape = values.shape[3:]
         self.real_input = np.isrealobj(values)
@@ -161,7 +163,7 @@ class TrigInterpolant:
         mvec = np.stack([m1.ravel(), m2.ravel(), m3.ravel()], axis=1).astype(float)
         cflat = coefs.reshape(n**3, *self.value_shape)
         mags = np.abs(cflat).reshape(n**3, -1).max(axis=1)
-        keep = mags > prune_tol
+        keep = mags > _PRUNE_TOL
         mvec, cflat = mvec[keep], cflat[keep]
         # Split Nyquist-bin content between the two aliased partners.
         nyq = np.any(mvec == -(n // 2), axis=1)
@@ -284,7 +286,6 @@ def fiber_ball_quadrature(
     g_contra: np.ndarray,
     integrand,
     n_radial: int = 32,
-    sphere_degree: int = 17,
     rule=None,
 ):
     """Integrate over the covector ball g(xi, xi) < 1 against (2*pi)^-3 dxi.
@@ -297,18 +298,19 @@ def fiber_ball_quadrature(
     integrand : callable
         Vectorised map taking an (N, 3) array of covectors to an (N,)
         array of values.
-    n_radial, sphere_degree : int
-        Resolution of the radial Gauss-Legendre rule and the spherical
-        rule.  The defaults integrate p(xi) * (g(xi,xi))^(-k/2) exactly
-        for polynomial degree <= 6 and k <= 3 (continuous integrands).
+    n_radial : int
+        Resolution of the radial Gauss-Legendre rule.  With the spherical
+        rule of degree _SPHERE_DEGREE, the default integrates
+        p(xi) * (g(xi,xi))^(-k/2) exactly for polynomial degree <= 6 and
+        k <= 3 (continuous integrands).
     rule : (points, weights), optional
-        Explicit spherical rule overriding sphere_degree, e.g.
+        Explicit spherical rule used in place of sphere_rule(_SPHERE_DEGREE), e.g.
         sphere_design_14() for cheap low-degree integrands.
 
     Returns the quadrature value (float for real integrands).
     """
     amap, jac = metric_ball_map(g_contra)
-    upts, uw = rule if rule is not None else sphere_rule(sphere_degree)
+    upts, uw = rule if rule is not None else sphere_rule(_SPHERE_DEGREE)
     r, rw = radial_rule(n_radial)
     dirs = upts @ amap.T  # rows: A @ u
     xi = (r[:, None, None] * dirs[None, :, :]).reshape(-1, 3)

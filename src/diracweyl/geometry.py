@@ -330,9 +330,12 @@ def coframe(frame: FrameField, metric: MetricField) -> np.ndarray:
 def christoffel_symbols(metric: MetricField) -> np.ndarray:
     """Levi-Civita connection coefficients G[..., b, a, c] (upper, lower, lower)."""
     dg = derivative_stack(metric.g_cov)  # [..., mu, alpha, beta]
-    s = dg + dg.transpose(0, 1, 2, 4, 3, 5) - dg.transpose(0, 1, 2, 4, 5, 3)  # [a, c, d]
-    lowered = s.reshape(s.shape[:3] + (9, 3)) @ np.swapaxes(metric.g_contra, -1, -2)  # [(a, c), b]
-    return 0.5 * lowered.reshape(s.shape).transpose(0, 1, 2, 5, 3, 4)
+    s = dg + dg.transpose(0, 1, 2, 4, 3, 5)  # [a, c, d]
+    s -= dg.transpose(0, 1, 2, 4, 5, 3)
+    del dg
+    half_up = 0.5 * np.swapaxes(metric.g_contra, -1, -2)  # the 1/2, where scaling by 0.5 is exact
+    lowered = s.reshape(s.shape[:3] + (9, 3)) @ half_up  # [(a, c), b]
+    return lowered.reshape(s.shape).transpose(0, 1, 2, 5, 3, 4)
 
 
 def teleparallel_coefficients(frame: FrameField, metric: MetricField) -> np.ndarray:

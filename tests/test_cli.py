@@ -158,6 +158,24 @@ class TestSpectrum:
         assert code == 0
         assert abs(report["mollified"]["value"] - 4 * np.pi / 3 * 1000) < 25
 
+    def test_narrow_kernel_width(self, capsys):
+        """Width 1.5 exited 3: the FFT kernel failed its own mass check below 2.75.
+        The kernel's second moment 2/tau^2 adds 4 pi lambda * 2/tau^2 to the ball volume."""
+        code, report = _run(
+            capsys,
+            "spectrum", "--lambda-max", "60", "--mollified", "10", "--kernel-width", "1.5",
+        )
+        assert code == 0
+        assert abs(report["mollified"]["value"] - 4 * np.pi / 3 * (1000 + 6 * 10 / 1.5**2)) < 25
+
+    def test_count_block_counts_each_eigenvalue_once(self, capsys):
+        """Just above lambda = 1 the six |m| = 1 modes were counted as 6 and 12."""
+        code, report = _run(capsys, "spectrum", "--lambda-max", "5", "--count", "1.0000000005")
+        assert code == 0
+        assert report["count"] == {
+            "lambda": 1.0000000005, "strict": 0, "with_boundary": 6, "ambiguous": True,
+        }
+
     def test_compare_block_end_to_end(self, capsys):
         """Counting vs the computed growth law: fitted b within 10% of -4*pi*q."""
         code, report = _run(

@@ -158,6 +158,20 @@ def test_counting_bounds_flags_spectral_points():
     assert (below, above, ambiguous) == (26, 26, False)
 
 
+@pytest.mark.parametrize("lam,want", [
+    (2.0 + 5e-10, (2, 6, True)),
+    (1.0 + 5e-10, (0, 2, True)),
+    (1.0 - 5e-10, (0, 2, True)),
+    (1.5, (2, 2, False)),
+    (2.5, (6, 6, False)),
+])
+def test_counting_bounds_count_each_eigenvalue_once(lam, want):
+    """below counts (0, lam - tol), above counts (0, lam + tol]: an eigenvalue
+    in [lam - tol, lam) was counted twice, giving (6, 10, True) at 2 + 5e-10."""
+    table = dw.SpectrumTable(np.array([-1.0, 1.0, 2.0]), np.array([2, 2, 4]), "test", (-5.0, 5.0))
+    assert dw.counting_bounds(table, lam) == want
+
+
 class TestSphereExact:
     def test_multiplicities(self):
         got = _as_dict(dw.sphere_exact_spectrum(4.0))
@@ -445,22 +459,64 @@ class TestMollifiedCount:
         smooth = dw.mollified_count(table, 10.0)
         assert abs(smooth - 4.0 * np.pi / 3.0 * 1000.0) < 25.0
 
-    def test_kernel_cache_stays_bounded(self):
-        """Each new width builds a 2^21-point kernel; only the last few are kept."""
+    @pytest.mark.parametrize("tau", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 6.0])
+    def test_isolated_eigenvalue_gets_half_weight_at_every_width(self, tau):
+        """The FFT kernel, cut off at |mu| <= 40, failed its mass check below tau ~ 2.75."""
+        table = dw.SpectrumTable(np.array([3.0]), np.array([4]), "test", (-100.0, 100.0))
+        assert abs(dw.mollified_count(table, 3.0, kernel_width=tau) - 2.0) <= 1e-9
+
+    def test_unit_cdf_matches_direct_quadrature(self):
+        """The sampled width-1 CDF against a 400-node trapezoid rule of
+        F(x) = 1/2 + (1/pi) int_0^1 rho_hat(t) sin(xt)/t dt."""
+        from diracweyl import spectra
+
+        x, cdf = spectra._unit_cdf()
+        assert cdf[np.flatnonzero(x == 0.0)[0]] == 0.5
+        pts = np.random.default_rng(0).uniform(-240.0, 240.0, 12_000)
+        t = np.arange(1, 400) / 400
+        w = np.exp(1.0 - 1.0 / (1.0 - t**2)) / (400 * t)
+        xt = np.outer(pts, t)
+        want = 0.5 + (pts / 800 + np.sin(xt, out=xt) @ w) / np.pi
+        gap = np.abs(np.interp(pts, x, cdf) - want).max()
+        print(f"sampled unit CDF off the direct quadrature by {gap:.2e}")
+        assert gap <= 1e-6
+
+    def test_rebuilt_kernel_gives_identical_counts(self, monkeypatch):
         from diracweyl import spectra
 
         table = dw.torus_exact_spectrum(TRIVIAL, 30.0)
-        cached = spectra._kernel_cdf
-        cached.cache_clear()
-        first = dw.mollified_count(table, 5.0, kernel_width=6.0)
-        widths = [6.0 + 1e-14, 5.0, 5.25, 5.5, 5.75]
-        for tau in widths:
-            dw.mollified_count(table, 5.0, kernel_width=tau)
-        info = cached.cache_info()
-        assert info.currsize == info.maxsize < len(widths)
-        assert info.hits == 1  # 6.0 + 1e-14 rounds onto the first width
-        cached.cache_clear()
-        assert dw.mollified_count(table, 5.0, kernel_width=6.0) == first
+        first = dw.mollified_count(table, 5.0)
+        assert spectra._unit_cdf() is spectra._unit_cdf()
+        monkeypatch.setattr(spectra, "_unit_cdf_grid", None)
+        assert dw.mollified_count(table, 5.0) == first
+
+    def test_widths_agree_on_an_evenly_spaced_table(self, peak_mb):
+        """2e6 unit eigenvalues evenly spaced on (0, 1100]: the FFT kernels of
+        widths 3 and 6 disagreed by 0.062, and one call peaked at 66.1 MB."""
+        n = 2_000_000
+        values = np.arange(1, n + 1) * (1100.0 / n)
+        table = dw.SpectrumTable(values, np.ones(n, dtype=int), "even", (-1100.0, 1100.0))
+        gap = abs(dw.mollified_count(table, 1000.0, 3.0) - dw.mollified_count(table, 1000.0, 6.0))
+        print(f"widths 3 and 6 differ by {gap:.2e}")
+        assert gap <= 1e-3
+        assert peak_mb(lambda: dw.mollified_count(table, 1000.0)) <= 66.1
+
+    @pytest.mark.parametrize("which,lam,before", [
+        ("sphere", 10.0, 331.36921615305806),
+        ("torus", 5.0, 526.0910973825135),
+        ("torus", 10.0, 4194.7713798906425),
+        ("torus", 33.3, 154697.66892485842),
+        ("torus", 90.0, 3053690.3035454648),
+    ])
+    def test_agrees_with_the_fft_kernel_within_its_error(self, which, lam, before):
+        """Values of the width-6 kernel built by a 2^21-point FFT of rho_hat: the
+        counts move by at most 1e-6 per eigenvalue within reach 240/6 of lambda."""
+        if which == "sphere":
+            table = dw.sphere_exact_spectrum(18.0)
+        else:
+            table = dw.torus_exact_spectrum(TRIVIAL, 100.0)
+        reach = (table.values > 0.0) & (np.abs(table.values - lam) <= 40.0)
+        assert abs(dw.mollified_count(table, lam) - before) <= 1e-6 * table.multiplicities[reach].sum()
 
     def test_kernel_width_capped(self):
         table = dw.torus_exact_spectrum(TRIVIAL, 20.0)
