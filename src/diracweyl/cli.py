@@ -7,6 +7,12 @@ check-dirac  decide whether an operator is a massless Dirac operator
 asymptotics  two-term spectral growth coefficients of an operator
 spectrum     exact or Galerkin eigenvalue tables, counting, mollification
 
+Every subcommand reads one source: --scenario (a row of
+scenarios.SCENARIOS), --input (a saved operator, symbol or frame) or,
+for spectrum only, --shift (a flat-torus spin structure, by default
+0,0,0).  A second source, or a flag the source does not read, is bad
+input.
+
 Exit codes: 0 success (and positive verdict), 1 negative verdict,
 2 bad input, 3 ellipticity or internal-consistency failure.
 """
@@ -22,100 +28,115 @@ from . import __version__
 from .asymptotics import b_density
 from .errors import DiracweylError, InputError
 from .fields import grid_integral
-from .geometry import decode_frame, decode_metric, topological_charge, torsion
-from .operators import check_dirac
-from .scenarios import SCENARIO_NAMES, build_scenario
-from .serialize import _from_document, _load_document, write_json_report, write_spectrum_csv
-from .spectra import (
-    SpectrumTable,
-    SpinStructure,
-    asymptotic_comparison,
-    counting_bounds,
-    galerkin_spectrum,
-    mollified_count,
-    sphere_exact_spectrum,
-    torus_exact_spectrum,
-)
+from .geometry import FrameField, decode_frame, decode_metric, symbol_from_frame
+from .geometry import topological_charge, torsion
+from .operators import FirstOrderOperator, check_dirac
+from .scenarios import _DEFAULT_GRID, SCENARIOS, build_scenario, scenario_params, scenario_spectrum
+from .serialize import _from_document, _load_document, load_operator, write_csv, write_json_report
+from .spectra import SpinStructure, asymptotic_comparison, counting_bounds, galerkin_spectrum
+from .spectra import mollified_count, torus_exact_spectrum
+
+# Every flat-torus spin structure counts like the unit ball: a = 4 pi/3, b = 0.
+_FLAT_TORUS_GROWTH = (4.0 * np.pi / 3.0, 0.0)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scenario", choices=SCENARIO_NAMES, help="built-in scenario name")
-    p.add_argument("--input", help="JSON file holding a symbol or operator")
-    p.add_argument("--grid", type=int, default=16, help="grid points per axis (default 16)")
-    p.add_argument("--k3", type=int, default=1, help="twist number for twisted-torus")
-    p.add_argument("--q", type=float, default=0.3, help="scalar shift for dirac-plus-scalar")
-    p.add_argument(
-        "--epsilon", type=float, default=0.1, help="traceless shift for dirac-plus-traceless"
-    )
-    p.add_argument("--seed", type=int, default=0, help="seed for random-band-limited")
-    p.add_argument("--amplitude", type=float, default=0.003, help="random frame amplitude")
+def _parameters() -> dict:
+    """Each scenario parameter with the (scenario, default) pairs that read it."""
+    readers = {}
+    for name, row in SCENARIOS.items():
+        for key, default in row.params.items():
+            readers.setdefault(key, []).append((name, default))
+    return readers
+
+
+def _add_common(p: argparse.ArgumentParser, csv: bool = False) -> None:
+    p.add_argument("--scenario", choices=tuple(SCENARIOS), help="built-in scenario name")
+    p.add_argument("--input", help="JSON file holding an operator, a principal symbol or a frame")
+    p.add_argument("--grid", type=int, help=f"scenario grid size per axis (default {_DEFAULT_GRID})")
+    for key, readers in _parameters().items():
+        help_ = "read by " + ", ".join(f"{name} (default {d})" for name, d in readers)
+        p.add_argument(f"--{key}", type=type(readers[0][1]), help=help_)
     p.add_argument("--out", help="write the report to this path")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    if csv:
+        p.add_argument("--format", choices=("json", "csv"), default="json",
+                       help="csv writes the table to --out and the report to stdout only")
 
 
-def _scenario_params(args) -> dict:
-    return {
-        "k3": args.k3,
-        "q": args.q,
-        "epsilon": args.epsilon,
-        "seed": args.seed,
-        "amplitude": args.amplitude,
-    }
+class _Source:
+    """The one source the flags name, and the report's config block.
+
+    The config block echoes the grid, the source and every parameter
+    the source reads; an input file reports its own grid once read.
+    """
+
+    def __init__(self, args):
+        self.args = args
+        flags = ["--scenario", "--input"] + (["--shift"] if hasattr(args, "shift") else [])
+        named = [f for f in flags if getattr(args, f[2:]) is not None]
+        if len(named) > 1 or not (named or "--shift" in flags):
+            got = " and ".join(named) or "none"
+            raise InputError(f"provide exactly one of {', '.join(flags)}; got {got}")
+        given = {k: getattr(args, k) for k in ("grid", *_parameters())}
+        given = {k: v for k, v in given.items() if v is not None}
+        if given and args.scenario is None:
+            raise InputError(f"{', '.join('--' + k for k in given)} only apply to --scenario")
+        grid = given.pop("grid", _DEFAULT_GRID)
+        self.params = scenario_params(args.scenario, **given) if args.scenario else {}
+        self.config = {"command": args.command, "version": __version__, "grid": grid,
+                       "scenario": args.scenario, "input": args.input, **self.params}
+
+    def _read(self, obj):
+        self.config["grid"] = obj.chart.n
+        return obj
+
+    def operator(self) -> FirstOrderOperator:
+        if self.args.input is not None:
+            return self._read(load_operator(self.args.input))
+        if self.args.scenario is None:
+            raise InputError("--method galerkin needs --scenario or --input, not a --shift table")
+        return build_scenario(self.args.scenario, self.config["grid"], **self.params)
+
+    def symbol(self):
+        """The scenario's symbol, or the one an input operator, symbol or frame holds."""
+        if self.args.input is None:
+            return self.operator().sigma
+        obj = _from_document(_load_document(self.args.input), self.args.input)
+        if isinstance(obj, FirstOrderOperator):
+            obj = obj.sigma
+        elif isinstance(obj, FrameField):
+            obj = symbol_from_frame(obj)
+        return self._read(obj)
+
+    def exact(self, lambda_max: float):
+        """The exact table and its growth law (a, b), or None where the operator gives it."""
+        if self.args.input is not None:
+            raise InputError("--input has no exact spectrum; add --method galerkin")
+        if self.args.scenario is not None:
+            table = scenario_spectrum(self.args.scenario, lambda_max, **self.params)
+            return table, SCENARIOS[self.args.scenario].growth
+        text = "0,0,0" if self.args.shift is None else self.args.shift
+        shift = _parse_floats(text, 3, "--shift")
+        return torus_exact_spectrum(SpinStructure(tuple(shift)), lambda_max), _FLAT_TORUS_GROWTH
 
 
-def _config_block(args, command: str) -> dict:
-    cfg = {
-        "command": command,
-        "version": __version__,
-        "grid": args.grid,
-        "scenario": args.scenario,
-        "input": args.input,
-    }
-    if args.scenario == "twisted-torus":
-        cfg["k3"] = args.k3
-    if args.scenario == "dirac-plus-scalar":
-        cfg["q"] = args.q
-    if args.scenario == "dirac-plus-traceless":
-        cfg["epsilon"] = args.epsilon
-    if args.scenario == "random-band-limited":
-        cfg["seed"] = args.seed
-        cfg["amplitude"] = args.amplitude
-    return cfg
-
-
-def _load_any(path: str):
-    doc = _load_document(path)
-    key = {"principal-symbol": "symbol"}.get(doc["kind"], doc["kind"])
-    return {key: _from_document(doc, path)}
-
-
-def _resolve_objects(args, need: str):
-    """Fetch the requested object ('symbol' or 'operator') from flags."""
-    if args.input:
-        objs = _load_any(args.input)
-        if need == "symbol" and "symbol" not in objs:
-            if "operator" in objs:
-                objs["symbol"] = objs["operator"].sigma
-            else:
-                raise InputError("input file does not provide a principal symbol")
-        if need == "operator" and "operator" not in objs:
-            raise InputError("input file does not provide an operator")
-        return objs
-    if not args.scenario:
-        raise InputError("provide either --scenario or --input")
-    return build_scenario(args.scenario, args.grid, **_scenario_params(args))
+def _emit(args, report: dict, columns: dict | None = None) -> None:
+    """Print the report, and write it to --out; with --format csv, --out gets the columns."""
+    csv = getattr(args, "format", "json") == "csv"
+    if csv:
+        write_csv(columns, args.out)
+    print(write_json_report(report, None if csv else args.out))
 
 
 def cmd_decode(args) -> int:
-    objs = _resolve_objects(args, "symbol")
-    sym = objs["symbol"]
+    src = _Source(args)
+    sym = src.symbol()
     frame = decode_frame(sym)
     metric = decode_metric(sym)
     charge = topological_charge(sym)
     tors = torsion(frame, metric)
     eigs = np.linalg.eigvalsh(metric.g_contra)
     report = {
-        "config": _config_block(args, "decode"),
+        "config": src.config,
         "charge": int(charge),
         "metric": {
             "volume": float(grid_integral(metric.vol)),
@@ -130,30 +151,30 @@ def cmd_decode(args) -> int:
             "route_residuals": {k: float(v) for k, v in tors.route_residuals.items()},
         },
     }
-    print(write_json_report(report, args.out))
+    _emit(args, report)
     return 0
 
 
 def cmd_check_dirac(args) -> int:
-    objs = _resolve_objects(args, "operator")
-    verdict = check_dirac(objs["operator"], tol=args.tol)
+    src = _Source(args)
+    verdict = check_dirac(src.operator(), tol=args.tol)
     report = {
-        "config": _config_block(args, "check-dirac"),
+        "config": src.config,
         "is_dirac": bool(verdict.is_dirac),
         "tolerance": verdict.tol,
         "cond_a_residual": verdict.cond_a_residual,
         "cond_b_residual": verdict.cond_b_residual,
         "reconstructed_gap": verdict.reconstructed_gap,
     }
-    print(write_json_report(report, args.out))
+    _emit(args, report)
     return 0 if verdict.is_dirac else 1
 
 
 def cmd_asymptotics(args) -> int:
-    objs = _resolve_objects(args, "operator")
-    coeffs = b_density(objs["operator"])
+    src = _Source(args)
+    coeffs = b_density(src.operator())
     report = {
-        "config": _config_block(args, "asymptotics"),
+        "config": src.config,
         "charge": int(coeffs.charge),
         "a_global": coeffs.a_global,
         "b_global": coeffs.b_global,
@@ -164,33 +185,12 @@ def cmd_asymptotics(args) -> int:
             "b": [float(coeffs.b.min()), float(coeffs.b.max())],
         },
     }
-    if args.format == "csv" and args.out:
-        _write_density_csv(coeffs, args.out)
-        print(write_json_report(report, None))
-    else:
-        print(write_json_report(report, args.out))
-    return 0
-
-
-def _write_density_csv(coeffs, path: str) -> None:
-    """Densities along the x^3 axis at x^1 = x^2 = 0."""
-    import csv
-
     n = coeffs.b.shape[0]
-    x3 = 2.0 * np.pi * np.arange(n) / n
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x3", "a_density", "b1_density", "b2_density", "b_density"])
-        for i in range(n):
-            writer.writerow(
-                [
-                    f"{x3[i]:.15g}",
-                    f"{coeffs.a[0, 0, i]:.15g}",
-                    f"{coeffs.b1[0, 0, i]:.15g}",
-                    f"{coeffs.b2[0, 0, i]:.15g}",
-                    f"{coeffs.b[0, 0, i]:.15g}",
-                ]
-            )
+    # the densities along the x^3 axis at x^1 = x^2 = 0
+    columns = {"x3": 2.0 * np.pi * np.arange(n) / n}
+    columns.update({f"{k}_density": getattr(coeffs, k)[0, 0] for k in ("a", "b1", "b2", "b")})
+    _emit(args, report, columns)
+    return 0
 
 
 def _parse_floats(text: str, count: int, flag: str) -> list:
@@ -203,52 +203,20 @@ def _parse_floats(text: str, count: int, flag: str) -> list:
     return parts
 
 
-def _parse_shift(text: str) -> SpinStructure:
-    return SpinStructure(tuple(_parse_floats(text, 3, "--shift")))
-
-
 def cmd_spectrum(args) -> int:
-    if args.scenario == "sphere":
-        table = sphere_exact_spectrum(args.lambda_max)
-    elif args.method == "exact":
-        if args.shift is not None:
-            shift = _parse_shift(args.shift)
-        elif args.scenario == "twisted-torus":
-            shift = SpinStructure((0.0, 0.0, (args.k3 / 2.0) % 1.0))
-        elif args.scenario in ("standard-torus", None):
-            shift = SpinStructure((0.0, 0.0, 0.0))
-        elif args.scenario == "dirac-plus-scalar":
-            # Adding q*I shifts every eigenvalue of the flat operator by q.
-            base = torus_exact_spectrum(
-                SpinStructure((0.0, 0.0, 0.0)), args.lambda_max + abs(args.q)
-            )
-            table = SpectrumTable(
-                values=base.values + args.q,
-                multiplicities=base.multiplicities,
-                provenance="exact-shifted",
-                coverage=(base.coverage[0] + args.q, base.coverage[1] + args.q),
-                metadata={"q": args.q},
-            )
-            shift = None
-        else:
-            raise InputError(f"no exact spectrum for scenario {args.scenario!r}")
-        if shift is not None:
-            table = torus_exact_spectrum(shift, args.lambda_max)
-    else:
-        objs = _resolve_objects(args, "operator")
-        window = None
-        if args.window:
-            lo, hi = _parse_floats(args.window, 2, "--window")
-            window = (lo, hi)
+    src = _Source(args)
+    op = growth = None
+    if args.method == "galerkin":
+        window = _parse_floats(args.window, 2, "--window") if args.window else None
+        op = src.operator()
         table = galerkin_spectrum(
-            objs["operator"],
-            args.cutoff,
-            window=window,
-            reliable_fraction=args.reliable_fraction,
+            op, args.cutoff, window=window, reliable_fraction=args.reliable_fraction
         )
+    else:
+        table, growth = src.exact(args.lambda_max)
 
     report = {
-        "config": _config_block(args, "spectrum"),
+        "config": src.config,
         "provenance": table.provenance,
         "coverage": list(table.coverage),
         "n_distinct": len(table),
@@ -271,16 +239,10 @@ def cmd_spectrum(args) -> int:
         }
     if args.compare is not None:
         parts = _parse_floats(args.compare, 2, "--compare")
-        if args.scenario == "sphere":
-            # The round-sphere count is the exact cubic lam**3/3 - lam/3.
-            a_g, b_g = 1.0 / 3.0, 0.0
-        else:
-            if args.scenario is None and not args.input:
-                # Bare exact tables default to the standard torus above;
-                # use the matching operator for the growth coefficients.
-                args.scenario = "standard-torus"
-            coeffs = b_density(_resolve_objects(args, "operator")["operator"])
-            a_g, b_g = coeffs.a_global, coeffs.b_global
+        if growth is None:
+            coeffs = b_density(src.operator() if op is None else op)
+            growth = coeffs.a_global, coeffs.b_global
+        a_g, b_g = growth
         comp = asymptotic_comparison(table, a_g, b_g, lambda_range=(parts[0], parts[1]))
         lam = comp.lambda_grid
         b_fit = float(np.sum((comp.counts - a_g * lam**3) * lam**2) / np.sum(lam**4))
@@ -295,16 +257,11 @@ def cmd_spectrum(args) -> int:
             "window_maxima_decreasing": bool(comp.decreasing),
             "fitted_exponent": comp.fitted_exponent,
         }
-    if args.format == "csv":
-        if not args.out:
-            raise InputError("csv output requires --out")
-        write_spectrum_csv(table, args.out)
-        print(write_json_report(report, None))
-    else:
+    if args.format == "json":
         report["eigenvalues"] = [
             [float(v), int(m)] for v, m in zip(table.values, table.multiplicities)
         ]
-        print(write_json_report(report, args.out))
+    _emit(args, report, {"eigenvalue": table.values, "multiplicity": table.multiplicities})
     return 0
 
 
@@ -326,29 +283,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check_dirac)
 
     p = sub.add_parser("asymptotics", help="two-term Weyl coefficients")
-    _add_common(p)
+    _add_common(p, csv=True)
     p.set_defaults(func=cmd_asymptotics)
 
     p = sub.add_parser("spectrum", help="eigenvalue tables and counting")
-    _add_common(p)
+    _add_common(p, csv=True)
     p.add_argument("--method", choices=("exact", "galerkin"), default="exact")
     p.add_argument("--lambda-max", type=float, default=20.0, help="exact-table reach")
-    p.add_argument("--shift", help="spin-structure shift a,b,c (entries 0 or 0.5)")
+    p.add_argument("--shift", help="exact flat-torus table of spin-structure shift a,b,c "
+                                   "(entries 0 or 0.5); the source when none is named, as 0,0,0")
     p.add_argument("--cutoff", type=int, default=4, help="Galerkin mode cutoff")
     p.add_argument("--window", help="Galerkin window lo,hi (write --window=-2,2 for negative lo)")
-    p.add_argument(
-        "--reliable-fraction",
-        type=float,
-        default=0.5,
-        help="fraction of the cutoff considered spectrally reliable",
-    )
+    p.add_argument("--reliable-fraction", type=float, default=0.5,
+                   help="fraction of the cutoff considered spectrally reliable")
     p.add_argument("--count", type=float, help="report N(lambda) at this lambda")
     p.add_argument("--mollified", type=float, help="report mollified count at this lambda")
     p.add_argument("--kernel-width", type=float, default=6.0)
-    p.add_argument(
-        "--compare",
-        help="lo,hi range: compare counts against the two-term growth law",
-    )
+    p.add_argument("--compare", help="lo,hi range: compare counts against the two-term growth law")
     p.set_defaults(func=cmd_spectrum)
     return parser
 
@@ -357,6 +308,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "format", "json") == "csv" and not args.out:
+            raise InputError("csv output requires --out")
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

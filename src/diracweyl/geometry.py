@@ -148,8 +148,8 @@ class MetricField:
     """Contravariant/covariant metric samples plus the Riemannian density."""
 
     g_contra: np.ndarray
-    g_cov: np.ndarray = None
-    vol: np.ndarray = None  # sqrt(det g_cov)
+    g_cov: np.ndarray = field(init=False)
+    vol: np.ndarray = field(init=False)  # sqrt(det g_cov)
 
     def __post_init__(self):
         g = np.asarray(self.g_contra, dtype=float)
@@ -161,15 +161,12 @@ class MetricField:
         self._complete(g)
 
     def _complete(self, g: np.ndarray):
-        """Fill g_cov = adj(g)/det(g) and vol = 1/sqrt(det g) where not given."""
+        """Hold g and fill g_cov = adj(g)/det(g) and vol = 1/sqrt(det g)."""
         self.g_contra = g
-        if self.g_cov is None or self.vol is None:
-            adj = _adjugate3(g)
-            det = (g[..., 0, :] * adj[..., :, 0]).sum(axis=-1)  # first row against its cofactors
-            if self.g_cov is None:
-                self.g_cov = adj / det[..., None, None]
-            if self.vol is None:
-                self.vol = 1.0 / np.sqrt(det)
+        adj = _adjugate3(g)
+        det = (g[..., 0, :] * adj[..., :, 0]).sum(axis=-1)  # first row against its cofactors
+        self.g_cov = adj / det[..., None, None]
+        self.vol = 1.0 / np.sqrt(det)
 
 
 @dataclass(eq=False)
@@ -256,7 +253,6 @@ def decode_metric(sym: PrincipalSymbolField) -> MetricField:
     check is not repeated; a directly constructed MetricField runs it.
     """
     metric = MetricField.__new__(MetricField)
-    metric.g_cov = metric.vol = None
     metric._complete(np.swapaxes(sym.p, -1, -2) @ sym.p)
     return metric
 
@@ -294,19 +290,17 @@ def topological_charge(sym: PrincipalSymbolField) -> int:
     return c0
 
 
-def orthonormalize_frame(e: np.ndarray, g_cov: np.ndarray | None = None) -> FrameField:
-    """Gram-Schmidt the frame legs, in the given metric (Euclidean default).
+def orthonormalize_frame(e: np.ndarray) -> FrameField:
+    """Gram-Schmidt the frame legs in the Euclidean inner product.
 
     Explicitly opt-in: decoding never orthonormalises behind the
     caller's back.  Rows are processed in order 1, 2, 3.
     """
     e = np.asarray(e, dtype=float).copy()
-    if g_cov is None:
-        def dot(a, b):
-            return np.einsum("...a,...a->...", a, b)
-    else:
-        def dot(a, b):
-            return np.einsum("...a,...ab,...b->...", a, g_cov, b)
+
+    def dot(a, b):
+        return np.einsum("...a,...a->...", a, b)
+
     for j in range(3):
         v = e[..., j, :]
         for k in range(j):

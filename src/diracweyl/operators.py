@@ -62,7 +62,6 @@ class FirstOrderOperator:
 
     sigma: PrincipalSymbolField
     a0: np.ndarray
-    acts_on: str = "half-densities"
 
     def __post_init__(self):
         if not isinstance(self.sigma, PrincipalSymbolField):

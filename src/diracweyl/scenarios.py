@@ -1,11 +1,15 @@
-"""Ready-made frames and operators used by the CLI and the test suite.
+"""Ready-made frames and operators, and the named scenarios of the CLI.
 
 Each builder returns plain library objects (FrameField,
-FirstOrderOperator, ...) on an n^3 periodic grid.  The named scenarios
-are the ones the command-line tool accepts.
+FirstOrderOperator, ...) on an n^3 periodic grid.  SCENARIOS is the one
+table of named scenarios: the parameters each reads with their
+defaults, the operator it builds and its exact spectrum, if it has one.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -13,6 +17,7 @@ from .errors import InputError
 from .fields import PeriodicChart
 from .geometry import PAULI, FrameField, orthonormalize_frame
 from .operators import FirstOrderOperator, GaugeField, dirac_operator
+from .spectra import SpectrumTable, SpinStructure, sphere_exact_spectrum, torus_exact_spectrum
 
 _DEFAULT_GRID = 16
 
@@ -21,14 +26,8 @@ _DEFAULT_GRID = 16
 # (overtone amplitude scales like the fourth power of this number).
 _DEFAULT_AMPLITUDE = 0.003
 
-SCENARIO_NAMES = (
-    "standard-torus",
-    "twisted-torus",
-    "dirac-plus-scalar",
-    "dirac-plus-traceless",
-    "random-band-limited",
-    "sphere",
-)
+# Fourier modes |m|_inf <= _RANDOM_MAX_MODE perturb a random frame.
+_RANDOM_MAX_MODE = 2
 
 
 def standard_frame(n: int = _DEFAULT_GRID) -> FrameField:
@@ -63,12 +62,11 @@ def random_band_limited_frame(
     seed: int,
     n: int = _DEFAULT_GRID,
     amplitude: float = _DEFAULT_AMPLITUDE,
-    max_mode: int = 2,
 ) -> FrameField:
     """Random orientation-preserving orthonormal frame, g = identity.
 
     Perturbs the identity by a random trigonometric polynomial with
-    modes up to max_mode, then Gram-Schmidts the rows in the Euclidean
+    modes up to _RANDOM_MAX_MODE, then Gram-Schmidts the rows in the Euclidean
     inner product.  The rows stay exactly orthonormal pointwise (so the
     decoded metric is the identity); the frame itself is analytic but
     no longer strictly band-limited, so keep the amplitude moderate for
@@ -78,13 +76,8 @@ def random_band_limited_frame(
         raise InputError("amplitude must lie in [0, 0.5) to keep the frame nondegenerate")
     rng = np.random.default_rng(seed)
     x1, x2, x3 = PeriodicChart(n).mesh()
-    ms = [
-        (m1, m2, m3)
-        for m1 in range(-max_mode, max_mode + 1)
-        for m2 in range(-max_mode, max_mode + 1)
-        for m3 in range(-max_mode, max_mode + 1)
-        if (m1, m2, m3) != (0, 0, 0)
-    ]
+    ax = range(-_RANDOM_MAX_MODE, _RANDOM_MAX_MODE + 1)
+    ms = [(m1, m2, m3) for m1 in ax for m2 in ax for m3 in ax if (m1, m2, m3) != (0, 0, 0)]
     pert = np.zeros((n, n, n, 3, 3))
     for m in ms:
         phase = m[0] * x1 + m[1] * x2 + m[2] * x3
@@ -146,38 +139,90 @@ def dirac_plus_traceless(frame: FrameField, epsilon: float) -> FirstOrderOperato
     return FirstOrderOperator(op.sigma, a0)
 
 
-def build_scenario(name: str, grid: int = _DEFAULT_GRID, **params):
-    """Construct the named scenario; returns a dict of library objects.
+def _shifted_torus_spectrum(lambda_max: float, q: float) -> SpectrumTable:
+    """Adding q*I shifts every eigenvalue of the flat operator by q."""
+    base = torus_exact_spectrum(SpinStructure((0.0, 0.0, 0.0)), lambda_max + abs(q))
+    lo, hi = base.coverage
+    return SpectrumTable(
+        base.values + q, base.multiplicities, "exact-shifted", (lo + q, hi + q), {"q": q}
+    )
 
-    Parameters: k3 (twisted-torus), q (dirac-plus-scalar), epsilon
-    (dirac-plus-traceless), seed and amplitude (random-band-limited).
-    The sphere scenario carries no operator, only its exact spectrum,
-    and is rejected here.
+
+@dataclass(frozen=True)
+class Scenario:
+    """One named scenario.
+
+    params maps every parameter the scenario reads to its default.
+    operator(grid, **params) builds its operator and spectrum(lambda_max,
+    **params) its exact eigenvalue table; either may be absent.  growth
+    is the two-term law (a, b) of a table that has no operator to
+    compute it from.
     """
-    if name == "standard-torus":
-        frame = standard_frame(grid)
-    elif name == "twisted-torus":
-        frame = twisted_frame(int(params.get("k3", 1)), grid)
-    elif name in ("dirac-plus-scalar", "dirac-plus-traceless"):
-        frame = standard_frame(grid)
-    elif name == "random-band-limited":
-        frame = random_band_limited_frame(
-            int(params.get("seed", 0)),
-            grid,
-            amplitude=float(params.get("amplitude", _DEFAULT_AMPLITUDE)),
-        )
-    elif name == "sphere":
+
+    params: dict
+    operator: Callable | None = None
+    spectrum: Callable | None = None
+    growth: tuple | None = None
+
+
+SCENARIOS = {
+    "standard-torus": Scenario(
+        {},
+        lambda n: dirac_operator(standard_frame(n)),
+        lambda lam: torus_exact_spectrum(SpinStructure((0.0, 0.0, 0.0)), lam),
+    ),
+    # k3 turns of the frame along x^3 lift to the spin structure shifted by k3/2 there
+    "twisted-torus": Scenario(
+        {"k3": 1},
+        lambda n, k3: dirac_operator(twisted_frame(k3, n)),
+        lambda lam, k3: torus_exact_spectrum(SpinStructure((0.0, 0.0, (k3 / 2.0) % 1.0)), lam),
+    ),
+    "dirac-plus-scalar": Scenario(
+        {"q": 0.3}, lambda n, q: dirac_plus_scalar(standard_frame(n), q), _shifted_torus_spectrum
+    ),
+    "dirac-plus-traceless": Scenario(
+        {"epsilon": 0.1}, lambda n, epsilon: dirac_plus_traceless(standard_frame(n), epsilon)
+    ),
+    "random-band-limited": Scenario(
+        {"seed": 0, "amplitude": _DEFAULT_AMPLITUDE},
+        lambda n, seed, amplitude: dirac_operator(random_band_limited_frame(seed, n, amplitude)),
+    ),
+    # the round unit 3-sphere counts exactly lambda^3/3 - lambda/3
+    "sphere": Scenario({}, spectrum=sphere_exact_spectrum, growth=(1.0 / 3.0, 0.0)),
+}
+
+SCENARIO_NAMES = tuple(SCENARIOS)
+
+
+def scenario_params(name: str, **given) -> dict:
+    """Every parameter the named scenario reads: its defaults, updated by given.
+
+    A parameter the scenario does not read is refused rather than dropped.
+    """
+    if name not in SCENARIOS:
+        raise InputError(f"unknown scenario {name!r}; choose one of {SCENARIO_NAMES}")
+    params = SCENARIOS[name].params
+    unread = [k for k in given if k not in params]
+    if unread:
+        reads = ", ".join(params) or "no parameters"
+        raise InputError(f"scenario {name!r} does not read {', '.join(unread)}; it reads {reads}")
+    return {**params, **given}
+
+
+def build_scenario(name: str, grid: int = _DEFAULT_GRID, **params) -> FirstOrderOperator:
+    """The named scenario's operator on a grid^3 grid; params override its defaults."""
+    params = scenario_params(name, **params)
+    if SCENARIOS[name].operator is None:
         raise InputError(
-            "the sphere scenario only provides an exact spectrum; "
+            f"scenario {name!r} only provides an exact spectrum; "
             "it has no operator on the torus grid"
         )
-    else:
-        raise InputError(f"unknown scenario {name!r}; choose one of {SCENARIO_NAMES}")
+    return SCENARIOS[name].operator(grid, **params)
 
-    if name == "dirac-plus-scalar":
-        op = dirac_plus_scalar(frame, float(params.get("q", 0.3)))
-    elif name == "dirac-plus-traceless":
-        op = dirac_plus_traceless(frame, float(params.get("epsilon", 0.1)))
-    else:
-        op = dirac_operator(frame)
-    return {"frame": frame, "operator": op, "symbol": op.sigma, "name": name}
+
+def scenario_spectrum(name: str, lambda_max: float, **params) -> SpectrumTable:
+    """The named scenario's exact eigenvalue table up to lambda_max."""
+    params = scenario_params(name, **params)
+    if SCENARIOS[name].spectrum is None:
+        raise InputError(f"scenario {name!r} has no exact spectrum; solve it by Galerkin")
+    return SCENARIOS[name].spectrum(lambda_max, **params)

@@ -142,10 +142,9 @@ def write_json_report(report: dict, path: str | None) -> str:
     return text
 
 
-def write_spectrum_csv(table, path: str) -> None:
-    """Eigenvalue table as CSV: value, multiplicity."""
+def write_csv(columns: dict, path: str) -> None:
+    """Named equal-length columns as CSV: a header row, then numbers to 15 significant digits."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["eigenvalue", "multiplicity"])
-        for v, m in zip(table.values, table.multiplicities):
-            writer.writerow([f"{v:.15g}", int(m)])
+        writer.writerow(columns)
+        writer.writerows(zip(*([f"{v:.15g}" for v in col] for col in columns.values())))

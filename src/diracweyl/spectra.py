@@ -30,6 +30,7 @@ from .fields import _integer_modes
 from .operators import FirstOrderOperator
 
 _CLUSTER_TOL = 1e-7
+_SAMPLES_PER_OCTAVE = 24  # dense geometric sampling of asymptotic_comparison
 _FOURIER_TOL = 1e-13  # smaller Fourier coefficients of operator data are dropped
 
 # Largest Hermitian block solved densely: order 8000 is about 1 GB of
@@ -301,7 +302,6 @@ def galerkin_spectrum(
     op: FirstOrderOperator,
     mode_cutoff: int,
     window=None,
-    cluster_tol: float = _CLUSTER_TOL,
     reliable_fraction: float = 0.5,
 ) -> SpectrumTable:
     """Eigenvalues of the operator projected on plane waves |m|_inf <= cutoff.
@@ -314,7 +314,7 @@ def galerkin_spectrum(
     _DENSE_ORDER_BUDGET is refused before anything is allocated.  Only
     eigenvalues inside `window` are tabulated; the window must sit
     inside the reliable zone |lambda| <= reliable_fraction * mode_cutoff.
-    Degenerate eigenvalues are clustered at tolerance cluster_tol.
+    Degenerate eigenvalues are clustered at tolerance _CLUSTER_TOL.
     """
     if mode_cutoff < 1:
         raise InputError("mode cutoff must be at least 1")
@@ -382,8 +382,8 @@ def galerkin_spectrum(
 
     # pad by the cluster tolerance so a degenerate cluster sitting on a
     # window edge is kept or dropped whole, never split
-    inside = eigs[(eigs >= lo - cluster_tol) & (eigs <= hi + cluster_tol)]
-    vals, mults = _cluster(inside, cluster_tol)
+    inside = eigs[(eigs >= lo - _CLUSTER_TOL) & (eigs <= hi + _CLUSTER_TOL)]
+    vals, mults = _cluster(inside, _CLUSTER_TOL)
     return SpectrumTable(
         values=vals,
         multiplicities=mults,
@@ -395,7 +395,7 @@ def galerkin_spectrum(
             "block_count": sum(len(g) for g in groups),
             "max_block_order": 2 * largest,
             "hermiticity_residual": herm,
-            "cluster_tol": cluster_tol,
+            "cluster_tol": _CLUSTER_TOL,
         },
     )
 
@@ -510,23 +510,22 @@ def asymptotic_comparison(
     a_global: float,
     b_global: float,
     lambda_range=(5.0, 40.0),
-    samples_per_octave: int = 24,
 ) -> CountingReport:
     """Residuals of N(lambda) against a*lambda^3 + b*lambda^2.
 
-    Samples geometrically (dyadically refined; sample points landing on
-    an eigenvalue are nudged just above it, where the strict count is
-    unambiguous).  Reports |residual|/lambda^2 maxima on dyadic
-    windows -- their decay is the sharp-remainder diagnostic -- and a
-    log-log least-squares growth exponent of |residual|.
+    Samples geometrically, _SAMPLES_PER_OCTAVE per octave (sample
+    points landing on an eigenvalue are nudged just above it, where the
+    strict count is unambiguous).  Reports |residual|/lambda^2 maxima
+    on dyadic windows -- their decay is the sharp-remainder diagnostic
+    -- and a log-log least-squares growth exponent of |residual|.
     """
     lo, hi = float(lambda_range[0]), float(lambda_range[1])
     if not (0.0 < lo < hi):
         raise InputError("lambda_range must be positive and increasing")
     _check_threshold(table, hi)
     n_oct = np.log2(hi / lo)
-    n_dense = int(np.floor(samples_per_octave * n_oct)) + 1
-    lams = lo * 2.0 ** (np.arange(n_dense) / samples_per_octave)
+    n_dense = int(np.floor(_SAMPLES_PER_OCTAVE * n_oct)) + 1
+    lams = lo * 2.0 ** (np.arange(n_dense) / _SAMPLES_PER_OCTAVE)
     lams = np.minimum(lams, hi)
     lams = _tie_free(np.unique(lams), table.values)
     counts = _counts(table, lams).astype(float)
@@ -610,7 +609,9 @@ def mollified_count(table: SpectrumTable, lam: float, kernel_width: float = 6.0)
     sampled width-1 CDF F serves every tau in (0, 2*pi).  The table must
     reach a kernel tail 45.75/tau past lambda.  The kernel is not
     positive, so its CDF overshoots 1 and settles slowly: past the tail
-    it stays within 6.2e-5 of 1, not closer.
+    it stays within 6.2e-5 of 1, not closer.  F is sampled out to a
+    reach of 240/tau either side of lambda; eigenvalues further below
+    weigh 1 and are summed without it, those further above weigh 0.
     """
     tau = float(kernel_width)
     if not (0.0 < tau < 2.0 * np.pi):
@@ -624,6 +625,9 @@ def mollified_count(table: SpectrumTable, lam: float, kernel_width: float = 6.0)
             f"plus kernel tail {tail:.2f}"
         )
     x, cdf = _unit_cdf()
+    reach = x[-1] / tau
     first = np.searchsorted(table.values, 0.0, side="right")
-    phi = np.interp(tau * (lam - table.values[first:]), x, cdf, left=0.0, right=1.0)
-    return float(table.multiplicities[first:] @ phi)
+    lo = max(first, np.searchsorted(table.values, lam - reach))
+    hi = np.searchsorted(table.values, lam + reach, side="right")
+    phi = np.interp(tau * (lam - table.values[lo:hi]), x, cdf, left=0.0, right=1.0)
+    return float(table.multiplicities[first:lo].sum() + table.multiplicities[lo:hi] @ phi)

@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -45,6 +47,20 @@ def test_decode_inverted_frame_file(tmp_path, capsys):
     code, report = _run(capsys, "decode", "--input", str(path))
     assert code == 0
     assert report["charge"] == -1
+
+
+def test_decode_frame_file(tmp_path, capsys):
+    """A frame file decodes through its symbol; operator commands refuse it by kind."""
+    path = tmp_path / "frame.json"
+    dw.save_frame(dw.twisted_frame(1, 8), str(path))
+    code, report = _run(capsys, "decode", "--input", str(path))
+    assert code == 0
+    assert report["charge"] == 1
+    assert report["config"]["grid"] == 8
+    assert abs(report["torsion"]["axial_dual_mean"] + 2.0 / 3.0) < 1e-10
+    for command in ("check-dirac", "asymptotics"):
+        assert main([command, "--input", str(path)]) == 2
+        assert "'frame'" in capsys.readouterr().err
 
 
 def test_decode_without_source_is_usage_error(capsys):
@@ -235,6 +251,75 @@ def test_report_written_to_file(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out.read_text())["charge"] == 1
+
+
+# --- one source, every flag read or refused --------------------------------------
+
+REFUSED = {
+    # each exited 0 and answered for another operator, or ignored a flag
+    "exact-table-of-input": ["spectrum", "--input", "OP"],
+    "scenario-and-input": ["check-dirac", "--scenario", "standard-torus", "--input", "OP"],
+    "shift-and-scenario": ["spectrum", "--shift", "0,0,0", "--scenario", "standard-torus"],
+    "shift-and-input": ["spectrum", "--shift", "0,0,0", "--input", "OP", "--method", "galerkin"],
+    "sphere-galerkin": ["spectrum", "--scenario", "sphere", "--method", "galerkin"],
+    "unread-parameter": ["decode", "--scenario", "standard-torus", "--k3", "5"],
+    "parameter-of-shift": ["spectrum", "--shift", "0,0,0", "--q", "0.3"],
+    "grid-of-input": ["check-dirac", "--input", "OP", "--grid", "8"],
+    "csv-without-out": ["asymptotics", "--scenario", "standard-torus", "--format", "csv"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_wrong_source_or_unread_flag_exits_2(case, tmp_path, capsys):
+    path = tmp_path / "op.json"
+    dw.save_operator(dw.dirac_plus_scalar(dw.standard_frame(8), 0.3), str(path))
+    code = main([str(path) if a == "OP" else a for a in REFUSED[case]])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
+def test_format_only_where_a_csv_exists():
+    for command in ("decode", "check-dirac"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--scenario", "standard-torus", "--format", "csv", "--out", "x.csv"])
+        assert exc.value.code == 2
+
+
+def test_config_echoes_what_the_source_reads(tmp_path, capsys):
+    _, report = _run(
+        capsys, "check-dirac", "--scenario", "twisted-torus", "--k3", "2", "--grid", "8"
+    )
+    assert report["config"] == {
+        "command": "check-dirac", "version": dw.__version__, "grid": 8,
+        "scenario": "twisted-torus", "input": None, "k3": 2,
+    }
+    _, report = _run(capsys, "decode", "--scenario", "random-band-limited")
+    assert report["config"]["seed"] == 0 and report["config"]["amplitude"] == 0.003
+    path = tmp_path / "op.json"
+    dw.save_operator(dw.dirac_operator(dw.standard_frame(12)), str(path))
+    _, report = _run(capsys, "check-dirac", "--input", str(path))
+    assert report["config"] == {
+        "command": "check-dirac", "version": dw.__version__, "grid": 12,
+        "scenario": None, "input": str(path),
+    }
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+README_LINES = [
+    line
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    for line in block.splitlines()
+    if line.startswith("diracweyl ")
+]
+
+
+@pytest.mark.parametrize("line", README_LINES)
+def test_readme_command_runs(line, tmp_path, monkeypatch, capsys):
+    """Every diracweyl line of the README exits 0, or 1 where it says -> 1."""
+    monkeypatch.chdir(tmp_path)
+    argv = shlex.split(line.split(";")[0], comments=True)[1:]
+    assert main(argv) == (1 if "-> 1" in line else 0), capsys.readouterr().err
 
 
 # --- the input boundary ------------------------------------------------------

@@ -492,14 +492,39 @@ class TestMollifiedCount:
 
     def test_widths_agree_on_an_evenly_spaced_table(self, peak_mb):
         """2e6 unit eigenvalues evenly spaced on (0, 1100]: the FFT kernels of
-        widths 3 and 6 disagreed by 0.062, and one call peaked at 66.1 MB."""
+        widths 3 and 6 disagreed by 0.062, and one call peaked at 66.1 MB; it
+        still traced 32.4 MB while F was interpolated at every eigenvalue.  Now
+        only the eigenvalues within the kernel's reach take arrays, so a call
+        stays below one table-length float array (16 MB)."""
         n = 2_000_000
         values = np.arange(1, n + 1) * (1100.0 / n)
         table = dw.SpectrumTable(values, np.ones(n, dtype=int), "even", (-1100.0, 1100.0))
         gap = abs(dw.mollified_count(table, 1000.0, 3.0) - dw.mollified_count(table, 1000.0, 6.0))
         print(f"widths 3 and 6 differ by {gap:.2e}")
         assert gap <= 1e-3
-        assert peak_mb(lambda: dw.mollified_count(table, 1000.0)) <= 66.1
+        peak = peak_mb(lambda: dw.mollified_count(table, 1000.0))
+        print(f"one call traces {peak:.1f} MB")
+        assert peak < 16.0
+
+    @pytest.mark.parametrize("tau", [1.5, 6.0])
+    def test_summing_below_the_reach_matches_interpolating_every_eigenvalue(self, tau):
+        """F is 1 past 240 (interp's right fill), so the eigenvalues more than
+        240/tau below lambda can be summed instead of interpolated."""
+        from diracweyl import spectra
+
+        x, cdf = spectra._unit_cdf()
+        gap = 0.0
+        for table in (
+            dw.torus_exact_spectrum(TRIVIAL, 100.0),
+            dw.torus_exact_spectrum(HALF3, 100.0),
+            dw.sphere_exact_spectrum(101.0),
+        ):
+            v, m = table.values[table.values > 0.0], table.multiplicities[table.values > 0.0]
+            for lam in (5.0, 33.3, 60.0, 90.0 - 45.75 / tau):
+                want = m @ np.interp(tau * (lam - v), x, cdf, left=0.0, right=1.0)
+                gap = max(gap, abs(dw.mollified_count(table, lam, tau) - want) / want)
+        print(f"relative gap to interpolating every eigenvalue: {gap:.1e}")
+        assert gap <= 1e-12
 
     @pytest.mark.parametrize("which,lam,before", [
         ("sphere", 10.0, 331.36921615305806),
