@@ -26,12 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, InputError
-from .fields import (
-    TWO_PI,
-    fiber_ball_quadrature,
-    grid_integral,
-    sphere_design_14,
-)
+from .fields import TWO_PI, fiber_ball_quadrature, grid_integral
 from .geometry import (
     PAULI,
     MetricField,
@@ -43,8 +38,6 @@ from .geometry import (
     torsion,
 )
 from .operators import EPS_CONJ, FirstOrderOperator, subprincipal_symbol
-
-_CURVATURE_RADIAL_NODES = 16
 
 
 def _principal(obj) -> PrincipalSymbolField:
@@ -330,15 +323,13 @@ def b2_density_fiber_curvature(sym, points) -> np.ndarray:
     """Fibre quadrature of (9/2) h+ times the eigenbundle curvature.
 
     The heaviest route: eigenvector derivatives, both from first-order
-    perturbation (see _FiberFrame), at every quadrature node.  Uses the
-    14-point degree-5 spherical rule with _CURVATURE_RADIAL_NODES radial
-    nodes, which is exact for the quadratic-over-quadratic angular
-    profile the curvature takes here.
+    perturbation (see _FiberFrame), at every quadrature node.  The
+    integrand equals (9c/4) (*T)(xi, xi) on the unit cosphere, a
+    quadratic form, so the cosphere rule is exact for it.
     """
     sym = _principal(sym)
     n = sym.chart.n
     points = _grid_points(points, n)
-    rule = sphere_design_14()
     out = np.empty(len(points))
     for i, p in enumerate(points):
         fib = _FiberFrame(sym, TWO_PI * np.array(p, dtype=float) / n)
@@ -348,7 +339,7 @@ def b2_density_fiber_curvature(sym, points) -> np.ndarray:
             h = np.sqrt(np.einsum("ka,ab,kb->k", xis, g, xis))
             return 4.5 * h * fib.curvature(xis)
 
-        out[i] = fiber_ball_quadrature(g, integrand, n_radial=_CURVATURE_RADIAL_NODES, rule=rule)
+        out[i] = fiber_ball_quadrature(g, integrand)
     return out
 
 

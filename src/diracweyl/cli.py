@@ -10,8 +10,8 @@ spectrum     exact or Galerkin eigenvalue tables, counting, mollification
 Every subcommand reads one source: --scenario (a row of
 scenarios.SCENARIOS), --input (a saved operator, symbol or frame) or,
 for spectrum only, --shift (a flat-torus spin structure, by default
-0,0,0).  A second source, or a flag the source does not read, is bad
-input.
+0,0,0).  A second source, a flag the source does not read, or a
+spectrum flag the chosen method or block does not read is bad input.
 
 Exit codes: 0 success (and positive verdict), 1 negative verdict,
 2 bad input, 3 ellipticity or internal-consistency failure.
@@ -30,14 +30,30 @@ from .errors import DiracweylError, InputError
 from .fields import grid_integral
 from .geometry import FrameField, decode_frame, decode_metric, symbol_from_frame
 from .geometry import topological_charge, torsion
-from .operators import FirstOrderOperator, check_dirac
+from .operators import _DEFAULT_TOL, FirstOrderOperator, check_dirac
 from .scenarios import _DEFAULT_GRID, SCENARIOS, build_scenario, scenario_params, scenario_spectrum
 from .serialize import _from_document, _load_document, load_operator, write_csv, write_json_report
-from .spectra import SpinStructure, asymptotic_comparison, counting_bounds, galerkin_spectrum
-from .spectra import mollified_count, torus_exact_spectrum
+from .spectra import _DEFAULT_KERNEL_WIDTH, _DEFAULT_RELIABLE_FRACTION, SpinStructure
+from .spectra import asymptotic_comparison, counting_bounds, galerkin_spectrum, mollified_count
+from .spectra import torus_exact_spectrum
 
 # Every flat-torus spin structure counts like the unit ball: a = 4 pi/3, b = 0.
 _FLAT_TORUS_GROWTH = (4.0 * np.pi / 3.0, 0.0)
+
+
+def _galerkin(args) -> bool:
+    return args.method == "galerkin"
+
+
+# spectrum options that one method or block alone reads:
+# option -> (default, its reader, whether the arguments select that reader)
+_SPECTRUM_OPTIONS = {
+    "lambda_max": (20.0, "--method exact", lambda a: not _galerkin(a)),
+    "cutoff": (4, "--method galerkin", _galerkin),
+    "window": (None, "--method galerkin", _galerkin),
+    "reliable_fraction": (_DEFAULT_RELIABLE_FRACTION, "--method galerkin", _galerkin),
+    "kernel_width": (_DEFAULT_KERNEL_WIDTH, "--mollified", lambda a: a.mollified is not None),
+}
 
 
 def _parameters() -> dict:
@@ -80,6 +96,9 @@ class _Source:
         given = {k: v for k, v in given.items() if v is not None}
         if given and args.scenario is None:
             raise InputError(f"{', '.join('--' + k for k in given)} only apply to --scenario")
+        if "grid" in given and SCENARIOS[args.scenario].operator is None:
+            raise InputError(f"--grid is read only by scenarios with an operator; "
+                             f"{args.scenario!r} has none")
         grid = given.pop("grid", _DEFAULT_GRID)
         self.params = scenario_params(args.scenario, **given) if args.scenario else {}
         self.config = {"command": args.command, "version": __version__, "grid": grid,
@@ -203,8 +222,18 @@ def _parse_floats(text: str, count: int, flag: str) -> list:
     return parts
 
 
+def _read_spectrum_options(args) -> None:
+    """Give each absent option its default; refuse one that no chosen method or block reads."""
+    for key, (default, reader, reads) in _SPECTRUM_OPTIONS.items():
+        if getattr(args, key) is None:
+            setattr(args, key, default)
+        elif not reads(args):
+            raise InputError(f"--{key.replace('_', '-')} is read only by {reader}")
+
+
 def cmd_spectrum(args) -> int:
     src = _Source(args)
+    _read_spectrum_options(args)
     op = growth = None
     if args.method == "galerkin":
         window = _parse_floats(args.window, 2, "--window") if args.window else None
@@ -265,6 +294,13 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
+def _add_read_by(p: argparse.ArgumentParser, key: str, help_: str, type_) -> None:
+    """Add one of _SPECTRUM_OPTIONS; its help names the reader and the default."""
+    default, reader, _ = _SPECTRUM_OPTIONS[key]
+    note = f"read by {reader}" + ("" if default is None else f", default {default}")
+    p.add_argument("--" + key.replace("_", "-"), type=type_, help=f"{help_} ({note})")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diracweyl",
@@ -279,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-dirac", help="massless Dirac verdict for an operator")
     _add_common(p)
-    p.add_argument("--tol", type=float, default=1e-7, help="verdict tolerance")
+    p.add_argument("--tol", type=float, default=_DEFAULT_TOL, help="verdict tolerance")
     p.set_defaults(func=cmd_check_dirac)
 
     p = sub.add_parser("asymptotics", help="two-term Weyl coefficients")
@@ -289,16 +325,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="eigenvalue tables and counting")
     _add_common(p, csv=True)
     p.add_argument("--method", choices=("exact", "galerkin"), default="exact")
-    p.add_argument("--lambda-max", type=float, default=20.0, help="exact-table reach")
+    _add_read_by(p, "lambda_max", "exact-table reach", float)
     p.add_argument("--shift", help="exact flat-torus table of spin-structure shift a,b,c "
                                    "(entries 0 or 0.5); the source when none is named, as 0,0,0")
-    p.add_argument("--cutoff", type=int, default=4, help="Galerkin mode cutoff")
-    p.add_argument("--window", help="Galerkin window lo,hi (write --window=-2,2 for negative lo)")
-    p.add_argument("--reliable-fraction", type=float, default=0.5,
-                   help="fraction of the cutoff considered spectrally reliable")
+    _add_read_by(p, "cutoff", "Galerkin mode cutoff", int)
+    _add_read_by(p, "window", "Galerkin window lo,hi (write --window=-2,2 for negative lo)", str)
+    _add_read_by(p, "reliable_fraction", "fraction of the cutoff considered spectrally reliable",
+                 float)
     p.add_argument("--count", type=float, help="report N(lambda) at this lambda")
     p.add_argument("--mollified", type=float, help="report mollified count at this lambda")
-    p.add_argument("--kernel-width", type=float, default=6.0)
+    _add_read_by(p, "kernel_width", "mollifier Fourier half-width", float)
     p.add_argument("--compare", help="lo,hi range: compare counts against the two-term growth law")
     p.set_defaults(func=cmd_spectrum)
     return parser

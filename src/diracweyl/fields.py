@@ -7,8 +7,9 @@ components.  Differentiation is FFT-based and therefore exact (to
 rounding) for trigonometric polynomials of per-axis degree < n/2.
 
 The module also provides the momentum-space quadrature used by the
-asymptotic coefficient routines: integration over the unit ball of a
-covariantly defined quadratic form, normalised by (2*pi)^-3.
+asymptotic coefficient routines: integration of degree-0 integrands
+over the unit ball of a covariantly defined quadratic form, normalised
+by (2*pi)^-3.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .errors import EllipticityError, InputError
 TWO_PI = 2.0 * np.pi
 VOLUME = TWO_PI**3
 _PRUNE_TOL = 1e-15  # TrigInterpolant drops smaller Fourier coefficients
-_SPHERE_DEGREE = 17  # fiber_ball_quadrature's spherical rule unless one is given
 
 
 @dataclass(frozen=True)
@@ -218,40 +218,11 @@ def _flip(m: np.ndarray, ax: int, n: int) -> np.ndarray:
 # momentum-space quadrature
 # ---------------------------------------------------------------------------
 
-def sphere_rule(degree: int = 17):
-    """Quadrature on the unit sphere exact for harmonics up to `degree`.
-
-    Product construction: Gauss-Legendre in cos(theta) times uniform
-    angles in phi.  Returns (points, weights) with weights summing to
-    4*pi.
-    """
-    if degree < 1:
-        raise InputError("sphere rule degree must be positive")
-    n_theta = (degree + 2) // 2
-    n_phi = degree + 1
-    u, wu = np.polynomial.legendre.leggauss(n_theta)
-    phi = TWO_PI * np.arange(n_phi) / n_phi
-    s = np.sqrt(1.0 - u**2)
-    pts = np.empty((n_theta * n_phi, 3))
-    pts[:, 0] = np.outer(s, np.cos(phi)).ravel()
-    pts[:, 1] = np.outer(s, np.sin(phi)).ravel()
-    pts[:, 2] = np.outer(u, np.ones(n_phi)).ravel()
-    w = np.outer(wu, np.full(n_phi, TWO_PI / n_phi)).ravel()
-    return pts, w
-
-
-def radial_rule(n_nodes: int = 32):
-    """Gauss-Legendre nodes/weights for integrals over [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
 def sphere_design_14():
     """Weighted 14-point rule on the sphere, exact through degree 5.
 
     Octahedron vertices carry 2/5 of the total weight, cube vertices
-    the remaining 3/5; weights sum to 4*pi.  A cheap rule for smooth
-    integrands with low angular degree.
+    the remaining 3/5; weights sum to 4*pi.
     """
     oct_pts = np.array(
         [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]], dtype=float
@@ -282,12 +253,7 @@ def metric_ball_map(g_contra: np.ndarray) -> tuple[np.ndarray, float]:
     return a, float(1.0 / np.sqrt(np.prod(w)))
 
 
-def fiber_ball_quadrature(
-    g_contra: np.ndarray,
-    integrand,
-    n_radial: int = 32,
-    rule=None,
-):
+def fiber_ball_quadrature(g_contra: np.ndarray, integrand):
     """Integrate over the covector ball g(xi, xi) < 1 against (2*pi)^-3 dxi.
 
     Parameters
@@ -297,26 +263,26 @@ def fiber_ball_quadrature(
         positive definite.
     integrand : callable
         Vectorised map taking an (N, 3) array of covectors to an (N,)
-        array of values.
-    n_radial : int
-        Resolution of the radial Gauss-Legendre rule.  With the spherical
-        rule of degree _SPHERE_DEGREE, the default integrates
-        p(xi) * (g(xi,xi))^(-k/2) exactly for polynomial degree <= 6 and
-        k <= 3 (continuous integrands).
-    rule : (points, weights), optional
-        Explicit spherical rule used in place of sphere_rule(_SPHERE_DEGREE), e.g.
-        sphere_design_14() for cheap low-degree integrands.
+        array of values; it must be homogeneous of degree 0 in xi.
 
-    Returns the quadrature value (float for real integrands).
+    A degree-0 integrand is constant along rays, so with xi = A u from
+    metric_ball_map its ball integral is (jac / 3) times its integral
+    over the unit sphere in u, taken by sphere_design_14.  That is exact
+    whenever the integrand restricts to a polynomial of degree <= 5 on
+    the unit cosphere g(xi, xi) = 1.  The integrand is evaluated again
+    at the half-length nodes; a relative change above 1e-12 raises
+    InputError, since it is then not homogeneous of degree 0.
     """
     amap, jac = metric_ball_map(g_contra)
-    upts, uw = rule if rule is not None else sphere_rule(_SPHERE_DEGREE)
-    r, rw = radial_rule(n_radial)
-    dirs = upts @ amap.T  # rows: A @ u
-    xi = (r[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
-    vals = np.asarray(integrand(xi)).reshape(len(r), len(upts))
-    weights = (rw * r**2)[:, None] * uw[None, :]
-    return (weights * vals).sum() * jac / VOLUME
+    upts, uw = sphere_design_14()
+    xis = upts @ amap.T  # rows: A @ u, on the unit cosphere
+    vals = np.asarray(integrand(xis))
+    drift = float(np.abs(np.asarray(integrand(0.5 * xis)) - vals).max())
+    if drift > 1e-12 * float(np.abs(vals).max()):
+        raise InputError(
+            f"integrand is not homogeneous of degree 0: halving xi moves it by {drift:.2e}"
+        )
+    return (uw @ vals) * jac / (3.0 * VOLUME)
 
 
 # ---------------------------------------------------------------------------

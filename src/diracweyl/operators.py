@@ -38,6 +38,8 @@ EPS_CONJ = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 IDENTITY2 = np.eye(2, dtype=complex)
 
+_DEFAULT_TOL = 1e-7  # check_dirac's verdict tolerance
+
 
 def _pauli_triples() -> np.ndarray:
     """Real t with s^j s^k s^l = t_n s^n + t_3 i I, one row per (j, l, k):
@@ -233,63 +235,21 @@ def so3_from_su2(r: np.ndarray) -> np.ndarray:
     return out.real
 
 
-def _quaternion_from_rotation(m: np.ndarray) -> np.ndarray:
-    """One quaternion (w, x, y, z) per point for a rotation field, sign arbitrary.
-
-    Branch selection a la Shepperd: use the largest of the four squared
-    components for numerical safety.
-    """
-    t = np.einsum("...aa->...", m)
-    qsq = np.stack(
-        [
-            1.0 + t,
-            1.0 + 2.0 * m[..., 0, 0] - t,
-            1.0 + 2.0 * m[..., 1, 1] - t,
-            1.0 + 2.0 * m[..., 2, 2] - t,
-        ],
-        axis=-1,
-    ) / 4.0
-    branch = np.argmax(qsq, axis=-1)
-    q = np.zeros(m.shape[:-2] + (4,))
-    for b in range(4):
-        mask = branch == b
-        if not np.any(mask):
-            continue
-        mm = m[mask]
-        big = np.sqrt(np.maximum(qsq[mask][:, b], 0.0))
-        inv = 0.25 / big
-        if b == 0:
-            w = big
-            x = (mm[:, 2, 1] - mm[:, 1, 2]) * inv
-            y = (mm[:, 0, 2] - mm[:, 2, 0]) * inv
-            z = (mm[:, 1, 0] - mm[:, 0, 1]) * inv
-        elif b == 1:
-            x = big
-            w = (mm[:, 2, 1] - mm[:, 1, 2]) * inv
-            y = (mm[:, 0, 1] + mm[:, 1, 0]) * inv
-            z = (mm[:, 0, 2] + mm[:, 2, 0]) * inv
-        elif b == 2:
-            y = big
-            w = (mm[:, 0, 2] - mm[:, 2, 0]) * inv
-            x = (mm[:, 0, 1] + mm[:, 1, 0]) * inv
-            z = (mm[:, 1, 2] + mm[:, 2, 1]) * inv
-        else:
-            z = big
-            w = (mm[:, 1, 0] - mm[:, 0, 1]) * inv
-            x = (mm[:, 0, 2] + mm[:, 2, 0]) * inv
-            y = (mm[:, 1, 2] + mm[:, 2, 1]) * inv
-        q[mask] = np.stack([w, x, y, z], axis=-1)
-    return q
+# Since sum_k s^k X s^k = 2 tr(X) I - X, Y_A = A + sum_jk O_jk s^j A s^k
+# equals 2 tr(R* A) R for either lift R of O.  Over the four A below,
+# tr(R* A) runs through twice the quaternion components of R, so the
+# largest det Y_A = 4 tr(R* A)^2 is at least 4.
+_LIFT_BASIS = np.stack([IDENTITY2, -1j * PAULI[0], -1j * PAULI[1], -1j * PAULI[2]])
+_LIFT_TABLE = np.einsum("jpq,Aqr,krs->Ajkps", PAULI, _LIFT_BASIS, PAULI)  # s^j A s^k
 
 
-def _su2_from_quaternion(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    r = np.empty(q.shape[:-1] + (2, 2), dtype=complex)
-    r[..., 0, 0] = w - 1j * z
-    r[..., 0, 1] = -1j * x - y
-    r[..., 1, 0] = -1j * x + y
-    r[..., 1, 1] = w + 1j * z
-    return r
+def _su2_from_rotation(o: np.ndarray) -> np.ndarray:
+    """One SU(2) lift R = Y_A / sqrt(det Y_A) per point of a rotation field, sign arbitrary."""
+    y = _LIFT_BASIS + np.tensordot(o, _LIFT_TABLE, axes=([-2, -1], [1, 2]))  # (..., A, 2, 2)
+    det = (y[..., 0, 0] * y[..., 1, 1] - y[..., 0, 1] * y[..., 1, 0]).real
+    best = np.argmax(det, axis=-1)[..., None]
+    y = np.take_along_axis(y, best[..., None, None], axis=-3)[..., 0, :, :]
+    return y / np.sqrt(np.take_along_axis(det, best, axis=-1))[..., None]
 
 
 def _pair_alignment(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -321,7 +281,7 @@ def su2_lift(o_field: np.ndarray):
     if np.any(np.linalg.det(o) < 0.0):
         raise InputError("rotation field must be special orthogonal (det +1)")
 
-    r = _su2_from_quaternion(_quaternion_from_rotation(o))
+    r = _su2_from_rotation(o)
 
     # Base point: nonnegative real trace.
     if np.real(r[0, 0, 0, 0, 0] + r[0, 0, 0, 1, 1]) < 0.0:
@@ -380,7 +340,7 @@ class DiracVerdict:
     tol: float
 
 
-def check_dirac(op: FirstOrderOperator, tol: float = 1e-7) -> DiracVerdict:
+def check_dirac(op: FirstOrderOperator, tol: float = _DEFAULT_TOL) -> DiracVerdict:
     """Decide whether the operator is the massless Dirac operator of its frame.
 
     Three residuals, all required below tol:

@@ -21,9 +21,9 @@ from .spectra import SpectrumTable, SpinStructure, sphere_exact_spectrum, torus_
 
 _DEFAULT_GRID = 16
 
-# Largest perturbation for which Gram-Schmidt overtones still decay
-# below the operator's 1e-10 self-adjointness gate on a 16^3 grid
-# (overtone amplitude scales like the fourth power of this number).
+# A random frame's Gram-Schmidt overtones stay below the operator's 1e-10
+# self-adjointness gate on a 16^3 grid at this amplitude; at 0.01 they
+# need 24^3 (tests/test_scenarios.py::test_random_frame_resolution_limit).
 _DEFAULT_AMPLITUDE = 0.003
 
 # Fourier modes |m|_inf <= _RANDOM_MAX_MODE perturb a random frame.

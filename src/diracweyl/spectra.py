@@ -30,6 +30,8 @@ from .fields import _integer_modes
 from .operators import FirstOrderOperator
 
 _CLUSTER_TOL = 1e-7
+_DEFAULT_RELIABLE_FRACTION = 0.5  # of the Galerkin mode cutoff
+_DEFAULT_KERNEL_WIDTH = 6.0  # mollifier Fourier half-width, a margin below 2*pi
 _SAMPLES_PER_OCTAVE = 24  # dense geometric sampling of asymptotic_comparison
 _FOURIER_TOL = 1e-13  # smaller Fourier coefficients of operator data are dropped
 
@@ -75,6 +77,8 @@ class SpectrumTable:
 
     coverage = (lo, hi) is the interval over which the table is
     guaranteed complete; counting refuses queries beyond it.
+    positive_cumsum[i], built once here, counts the positive
+    eigenvalues among values[:i] with multiplicity; every count reads it.
     """
 
     values: np.ndarray
@@ -82,6 +86,7 @@ class SpectrumTable:
     provenance: str
     coverage: tuple
     metadata: dict = field(default_factory=dict)
+    positive_cumsum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -94,6 +99,7 @@ class SpectrumTable:
             raise InputError("multiplicities must be positive")
         self.values = v
         self.multiplicities = m
+        self.positive_cumsum = np.concatenate([[0], np.cumsum(np.where(v > 0.0, m, 0))])
 
     def __len__(self):
         return len(self.values)
@@ -302,7 +308,7 @@ def galerkin_spectrum(
     op: FirstOrderOperator,
     mode_cutoff: int,
     window=None,
-    reliable_fraction: float = 0.5,
+    reliable_fraction: float = _DEFAULT_RELIABLE_FRACTION,
 ) -> SpectrumTable:
     """Eigenvalues of the operator projected on plane waves |m|_inf <= cutoff.
 
@@ -417,9 +423,7 @@ def _cluster(sorted_vals: np.ndarray, tol: float):
 
 def _counts(table: SpectrumTable, lams, side: str = "left"):
     """Positive eigenvalues, with multiplicity, below each lambda (at or below for side="right")."""
-    first = np.searchsorted(table.values, 0.0, side="right")
-    cum = np.concatenate([[0], np.cumsum(table.multiplicities[first:])])
-    return cum[np.searchsorted(table.values[first:], lams, side=side)]
+    return table.positive_cumsum[np.searchsorted(table.values, lams, side=side)]
 
 
 def _check_threshold(table: SpectrumTable, lam: float) -> None:
@@ -600,18 +604,21 @@ def _unit_cdf():
     return _unit_cdf_grid
 
 
-def mollified_count(table: SpectrumTable, lam: float, kernel_width: float = 6.0) -> float:
+def mollified_count(
+    table: SpectrumTable, lam: float, kernel_width: float = _DEFAULT_KERNEL_WIDTH
+) -> float:
     """Counting function convolved with the band-limited bump kernel.
 
     kernel_width is the Fourier support half-width tau and must stay
-    below 2*pi (the torus length spectrum floor); the default 6.0 keeps
-    a little margin.  The width-tau kernel's CDF is F(tau mu), so one
+    below 2*pi (the torus length spectrum floor); the default keeps a
+    little margin.  The width-tau kernel's CDF is F(tau mu), so one
     sampled width-1 CDF F serves every tau in (0, 2*pi).  The table must
     reach a kernel tail 45.75/tau past lambda.  The kernel is not
     positive, so its CDF overshoots 1 and settles slowly: past the tail
     it stays within 6.2e-5 of 1, not closer.  F is sampled out to a
     reach of 240/tau either side of lambda; eigenvalues further below
-    weigh 1 and are summed without it, those further above weigh 0.
+    weigh 1 and are read off the table's cumulative count, those further
+    above weigh 0.
     """
     tau = float(kernel_width)
     if not (0.0 < tau < 2.0 * np.pi):
@@ -630,4 +637,4 @@ def mollified_count(table: SpectrumTable, lam: float, kernel_width: float = 6.0)
     lo = max(first, np.searchsorted(table.values, lam - reach))
     hi = np.searchsorted(table.values, lam + reach, side="right")
     phi = np.interp(tau * (lam - table.values[lo:hi]), x, cdf, left=0.0, right=1.0)
-    return float(table.multiplicities[first:lo].sum() + table.multiplicities[lo:hi] @ phi)
+    return float(table.positive_cumsum[lo] + table.multiplicities[lo:hi] @ phi)

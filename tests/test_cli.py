@@ -79,6 +79,7 @@ class TestCheckDirac:
         code, report = _run(capsys, "check-dirac", "--scenario", "twisted-torus", "--grid", "12")
         assert code == 0
         assert report["is_dirac"] is True
+        assert report["tolerance"] == 1e-7
 
     def test_scalar_shift_fails(self, capsys):
         code, report = _run(
@@ -172,6 +173,7 @@ class TestSpectrum:
             "--mollified", "10",
         )
         assert code == 0
+        assert report["mollified"]["kernel_width"] == 6.0
         assert abs(report["mollified"]["value"] - 4 * np.pi / 3 * 1000) < 25
 
     def test_narrow_kernel_width(self, capsys):
@@ -266,6 +268,23 @@ REFUSED = {
     "parameter-of-shift": ["spectrum", "--shift", "0,0,0", "--q", "0.3"],
     "grid-of-input": ["check-dirac", "--input", "OP", "--grid", "8"],
     "csv-without-out": ["asymptotics", "--scenario", "standard-torus", "--format", "csv"],
+    # spectrum flags that the chosen method or block does not read
+    "cutoff-of-exact": ["spectrum", "--scenario", "standard-torus", "--cutoff", "9"],
+    "window-of-exact": ["spectrum", "--lambda-max", "3", "--window=-1,1"],
+    "reliable-fraction-of-exact": ["spectrum", "--shift", "0,0,0.5", "--reliable-fraction", "0.9"],
+    "lambda-max-of-galerkin": ["spectrum", "--scenario", "standard-torus", "--grid", "8",
+                               "--method", "galerkin", "--cutoff", "3", "--lambda-max", "3"],
+    "kernel-width-without-mollified": ["spectrum", "--count", "2", "--kernel-width", "3"],
+    "grid-of-sphere": ["spectrum", "--scenario", "sphere", "--grid", "8"],
+}
+# the flag and its reader, which the error message names
+NAMED = {
+    "cutoff-of-exact": ("--cutoff", "--method galerkin"),
+    "window-of-exact": ("--window", "--method galerkin"),
+    "reliable-fraction-of-exact": ("--reliable-fraction", "--method galerkin"),
+    "lambda-max-of-galerkin": ("--lambda-max", "--method exact"),
+    "kernel-width-without-mollified": ("--kernel-width", "--mollified"),
+    "grid-of-sphere": ("--grid", "operator"),
 }
 
 
@@ -277,6 +296,7 @@ def test_wrong_source_or_unread_flag_exits_2(case, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert code == 2
     assert out == "" and err.startswith("error: ")
+    assert all(word in err for word in NAMED.get(case, ())), err
 
 
 def test_format_only_where_a_csv_exists():
@@ -320,6 +340,15 @@ def test_readme_command_runs(line, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     argv = shlex.split(line.split(";")[0], comments=True)[1:]
     assert main(argv) == (1 if "-> 1" in line else 0), capsys.readouterr().err
+
+
+def test_readme_python_blocks_run():
+    """The README's python blocks run in order, in one namespace, as a reader pastes them."""
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert blocks
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
 
 
 # --- the input boundary ------------------------------------------------------

@@ -17,9 +17,7 @@ from diracweyl.fields import (
     grid_integral,
     hermitian_residual,
     metric_ball_map,
-    radial_rule,
     sphere_design_14,
-    sphere_rule,
     spectral_derivative,
 )
 
@@ -163,26 +161,11 @@ def test_interpolant_gradient_is_the_spectral_derivative_at_grid_points(name):
 
 # --- quadrature ------------------------------------------------------------
 
-def test_sphere_rule_moments():
-    pts, w = sphere_rule(17)
-    assert abs(w.sum() - 4 * np.pi) < 1e-12
-    # even monomial moments: x^2 -> 4pi/3, x^2 y^4 -> 4pi/35
-    assert abs((w * pts[:, 0] ** 2).sum() - 4 * np.pi / 3) < 1e-12
-    assert abs((w * pts[:, 0] ** 2 * pts[:, 1] ** 4).sum() - 4 * np.pi / 35) < 1e-12
-    # odd moments vanish
-    assert abs((w * pts[:, 2] ** 3).sum()) < 1e-12
-
-
 def test_sphere_design_14_low_degree_moments():
     pts, w = sphere_design_14()
     assert abs(w.sum() - 4 * np.pi) < 1e-12
     assert abs((w * pts[:, 1] ** 2).sum() - 4 * np.pi / 3) < 1e-12
     assert abs((w * pts[:, 0] ** 2 * pts[:, 2] ** 2).sum() - 4 * np.pi / 15) < 1e-12
-
-
-def test_radial_rule_polynomial():
-    r, w = radial_rule(8)
-    assert abs((w * r**3).sum() - 0.25) < 1e-14
 
 
 def test_metric_ball_map_is_sqrt_of_covariant_metric():
@@ -205,21 +188,37 @@ class TestFiberBallQuadrature:
         val = fiber_ball_quadrature(np.eye(3), lambda xi: np.ones(len(xi)))
         assert abs(val - 1.0 / (6 * np.pi**2)) < 1e-13
 
-    def test_euclidean_quadratic(self):
-        # integral of |xi|^2 over the unit ball is 4pi/5
-        val = fiber_ball_quadrature(np.eye(3), lambda xi: (xi**2).sum(axis=1))
-        assert abs(val - (4 * np.pi / 5) / TWO_PI**3) < 1e-13
-
     def test_anisotropic_volume(self):
         # g_contra = diag(4,1,1): ball volume scales by sqrt(det g_cov) = 1/2
         val = fiber_ball_quadrature(np.diag([4.0, 1.0, 1.0]), lambda xi: np.ones(len(xi)))
         assert abs(val - 0.5 / (6 * np.pi**2)) < 1e-13
 
-    def test_cheap_rule_override(self):
-        val = fiber_ball_quadrature(
-            np.eye(3), lambda xi: xi[:, 0] ** 2, rule=sphere_design_14()
-        )
-        assert abs(val - (4 * np.pi / 15) / TWO_PI**3) < 1e-13
+    def test_degree_zero_integrand_exact_under_anisotropic_metric(self):
+        """Affine, quadratic and quartic profiles on the cosphere g(xi, xi) = 1,
+        made degree 0 by powers of g(xi, xi): with xi = A u and M = A Q A,
+        the sphere moments of u.Mu and (u.Mu)^2 are 4pi/3 tr M and
+        4pi/15 (2 tr M^2 + (tr M)^2), and odd ones vanish."""
+        g = np.array([[2.0, 0.3, -0.2], [0.3, 1.0, 0.1], [-0.2, 0.1, 1.5]])
+        q = np.array([[1.0, 0.5, 0.0], [0.5, -2.0, 0.7], [0.0, 0.7, 0.3]])
+        c = np.array([0.4, -1.0, 2.0])
+
+        def integrand(xi):
+            norm2 = np.einsum("ka,ab,kb->k", xi, g, xi)
+            quad = np.einsum("ka,ab,kb->k", xi, q, xi) / norm2
+            return 0.5 + xi @ c / np.sqrt(norm2) + quad + quad**2
+
+        amap, jac = metric_ball_map(g)
+        m = amap @ q @ amap
+        tr, tr2 = np.trace(m), np.trace(m @ m)
+        sphere = 4 * np.pi * (0.5 + tr / 3 + (2 * tr2 + tr**2) / 15)
+        want = jac * sphere / (3 * TWO_PI**3)
+        val = fiber_ball_quadrature(g, integrand)
+        print(f"degree-0 ball integral off by {abs(val - want):.1e}")
+        assert abs(val - want) < 1e-13 * abs(want)
+
+    def test_refuses_an_integrand_not_homogeneous_of_degree_zero(self):
+        with pytest.raises(InputError, match="homogeneous of degree 0"):
+            fiber_ball_quadrature(np.eye(3), lambda xi: (xi**2).sum(axis=1))
 
 
 def test_hermitian_residual_detects_skew_part():

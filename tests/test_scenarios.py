@@ -1,10 +1,12 @@
 """Built-in scenario constructors."""
 
+import re
+
 import numpy as np
 import pytest
 
 import diracweyl as dw
-from diracweyl.errors import InputError
+from diracweyl.errors import ConsistencyError, InputError
 from diracweyl.scenarios import SCENARIO_NAMES, build_scenario
 
 
@@ -51,6 +53,28 @@ def test_random_frame_is_orthonormal():
     assert np.abs(gram - np.eye(3)).max() < 1e-12
     # stays close to the identity frame at the default amplitude
     assert np.abs(fr.e - np.eye(3)).max() < 0.05
+
+
+def _self_adjointness(seed, n, amplitude):
+    """'passes', or the residual the operator's 1e-10 self-adjointness gate refused."""
+    try:
+        dw.dirac_operator(dw.random_band_limited_frame(seed, n, amplitude))
+    except ConsistencyError as exc:
+        return float(re.search(r"residual ([0-9.e+-]+)\)", str(exc)).group(1))
+    return "passes"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_random_frame_resolution_limit(seed):
+    """The amplitude-vs-grid table behind the default amplitude 0.003: Gram-Schmidt
+    overtones of a random frame stay under the gate at 16^3 for 0.003, not for
+    0.01 (measured residuals 7.75e-10, 5.99e-10, 5.77e-10 for seeds 0-2), which
+    24^3 resolves."""
+    cases = ((0.003, 16), (0.01, 16), (0.01, 24))
+    table = {(a, n): _self_adjointness(seed, n, a) for a, n in cases}
+    print(f"seed {seed}: " + ", ".join(f"{a} at {n}^3 {r}" for (a, n), r in table.items()))
+    assert table[0.003, 16] == "passes" and table[0.01, 24] == "passes"
+    assert table[0.01, 16] != "passes" and 1e-10 < table[0.01, 16] < 1e-8
 
 
 def test_random_gauge_field_properties():

@@ -172,6 +172,25 @@ def test_counting_bounds_count_each_eigenvalue_once(lam, want):
     assert dw.counting_bounds(table, lam) == want
 
 
+def test_sharp_counts_read_the_stored_cumulative_count(peak_mb):
+    """2e6 unit eigenvalues evenly spaced on (0, 1100]: each call took the
+    cumulative sum of the whole table and traced 32.0 MB.  The table now
+    holds that sum from construction, so a count is one lookup."""
+    n = 2_000_000
+    values = np.arange(1, n + 1) * (1100.0 / n)
+    table = dw.SpectrumTable(values, np.ones(n, dtype=int), "even", (-1100.0, 1100.0))
+    want = int(np.count_nonzero(values < 1000.0))
+    assert dw.counting_function(table, 1000.0) == want
+    assert dw.counting_bounds(table, 1000.0) == (want, want, False)
+    for name, call in (
+        ("counting_function", lambda: dw.counting_function(table, 1000.0)),
+        ("counting_bounds", lambda: dw.counting_bounds(table, 1000.0)),
+    ):
+        peak = peak_mb(call)
+        print(f"{name} traces {peak:.3f} MB")
+        assert peak < 1.0
+
+
 class TestSphereExact:
     def test_multiplicities(self):
         got = _as_dict(dw.sphere_exact_spectrum(4.0))
