@@ -56,6 +56,17 @@ _SPECTRUM_OPTIONS = {
 }
 
 
+def _finite(text: str) -> float:
+    """A float flag's value; nan and inf are refused like any other non-number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parameters() -> dict:
     """Each scenario parameter with the (scenario, default) pairs that read it."""
     readers = {}
@@ -71,7 +82,8 @@ def _add_common(p: argparse.ArgumentParser, csv: bool = False) -> None:
     p.add_argument("--grid", type=int, help=f"scenario grid size per axis (default {_DEFAULT_GRID})")
     for key, readers in _parameters().items():
         help_ = "read by " + ", ".join(f"{name} (default {d})" for name, d in readers)
-        p.add_argument(f"--{key}", type=type(readers[0][1]), help=help_)
+        type_ = _finite if isinstance(readers[0][1], float) else type(readers[0][1])
+        p.add_argument(f"--{key}", type=type_, help=help_)
     p.add_argument("--out", help="write the report to this path")
     if csv:
         p.add_argument("--format", choices=("json", "csv"), default="json",
@@ -81,8 +93,10 @@ def _add_common(p: argparse.ArgumentParser, csv: bool = False) -> None:
 class _Source:
     """The one source the flags name, and the report's config block.
 
-    The config block echoes the grid, the source and every parameter
-    the source reads; an input file reports its own grid once read.
+    The config block echoes the grid (null where the source builds
+    none), the source, every parameter the source reads and, for
+    spectrum, the shift of a --shift table; an input file reports its
+    own grid once read.
     """
 
     def __init__(self, args):
@@ -96,13 +110,19 @@ class _Source:
         given = {k: v for k, v in given.items() if v is not None}
         if given and args.scenario is None:
             raise InputError(f"{', '.join('--' + k for k in given)} only apply to --scenario")
-        if "grid" in given and SCENARIOS[args.scenario].operator is None:
+        gridless = args.input is None and (args.scenario is None
+                                           or SCENARIOS[args.scenario].operator is None)
+        if "grid" in given and gridless:
             raise InputError(f"--grid is read only by scenarios with an operator; "
                              f"{args.scenario!r} has none")
-        grid = given.pop("grid", _DEFAULT_GRID)
+        grid = None if gridless else given.pop("grid", _DEFAULT_GRID)
         self.params = scenario_params(args.scenario, **given) if args.scenario else {}
         self.config = {"command": args.command, "version": __version__, "grid": grid,
                        "scenario": args.scenario, "input": args.input, **self.params}
+        if "--shift" in flags:  # the shift table is the source when no other is named
+            table = args.scenario is None and args.input is None
+            self.config["shift"] = (_parse_floats(args.shift or "0,0,0", 3, "--shift")
+                                    if table else None)
 
     def _read(self, obj):
         self.config["grid"] = obj.chart.n
@@ -133,9 +153,8 @@ class _Source:
         if self.args.scenario is not None:
             table = scenario_spectrum(self.args.scenario, lambda_max, **self.params)
             return table, SCENARIOS[self.args.scenario].growth
-        text = "0,0,0" if self.args.shift is None else self.args.shift
-        shift = _parse_floats(text, 3, "--shift")
-        return torus_exact_spectrum(SpinStructure(tuple(shift)), lambda_max), _FLAT_TORUS_GROWTH
+        shift = SpinStructure(tuple(self.config["shift"]))
+        return torus_exact_spectrum(shift, lambda_max), _FLAT_TORUS_GROWTH
 
 
 def _emit(args, report: dict, columns: dict | None = None) -> None:
@@ -214,8 +233,8 @@ def cmd_asymptotics(args) -> int:
 
 def _parse_floats(text: str, count: int, flag: str) -> list:
     try:
-        parts = [float(p) for p in text.split(",")]
-    except ValueError as exc:
+        parts = [_finite(p) for p in text.split(",")]
+    except argparse.ArgumentTypeError as exc:
         raise InputError(f"{flag} expects {count} comma-separated numbers: {exc}") from None
     if len(parts) != count:
         raise InputError(f"{flag} expects {count} comma-separated numbers, got {len(parts)}")
@@ -315,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-dirac", help="massless Dirac verdict for an operator")
     _add_common(p)
-    p.add_argument("--tol", type=float, default=_DEFAULT_TOL, help="verdict tolerance")
+    p.add_argument("--tol", type=_finite, default=_DEFAULT_TOL, help="verdict tolerance")
     p.set_defaults(func=cmd_check_dirac)
 
     p = sub.add_parser("asymptotics", help="two-term Weyl coefficients")
@@ -325,16 +344,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="eigenvalue tables and counting")
     _add_common(p, csv=True)
     p.add_argument("--method", choices=("exact", "galerkin"), default="exact")
-    _add_read_by(p, "lambda_max", "exact-table reach", float)
+    _add_read_by(p, "lambda_max", "exact-table reach", _finite)
     p.add_argument("--shift", help="exact flat-torus table of spin-structure shift a,b,c "
                                    "(entries 0 or 0.5); the source when none is named, as 0,0,0")
     _add_read_by(p, "cutoff", "Galerkin mode cutoff", int)
     _add_read_by(p, "window", "Galerkin window lo,hi (write --window=-2,2 for negative lo)", str)
     _add_read_by(p, "reliable_fraction", "fraction of the cutoff considered spectrally reliable",
-                 float)
-    p.add_argument("--count", type=float, help="report N(lambda) at this lambda")
-    p.add_argument("--mollified", type=float, help="report mollified count at this lambda")
-    _add_read_by(p, "kernel_width", "mollifier Fourier half-width", float)
+                 _finite)
+    p.add_argument("--count", type=_finite, help="report N(lambda) at this lambda")
+    p.add_argument("--mollified", type=_finite, help="report mollified count at this lambda")
+    _add_read_by(p, "kernel_width", "mollifier Fourier half-width", _finite)
     p.add_argument("--compare", help="lo,hi range: compare counts against the two-term growth law")
     p.set_defaults(func=cmd_spectrum)
     return parser

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EllipticityError, InputError
+from .errors import EllipticityError, InputError, gate
 
 TWO_PI = 2.0 * np.pi
 VOLUME = TWO_PI**3
@@ -165,21 +165,12 @@ class TrigInterpolant:
         mags = np.abs(cflat).reshape(n**3, -1).max(axis=1)
         keep = mags > _PRUNE_TOL
         mvec, cflat = mvec[keep], cflat[keep]
-        # Split Nyquist-bin content between the two aliased partners.
-        nyq = np.any(mvec == -(n // 2), axis=1)
-        if np.any(nyq):
-            extra_m, extra_c = [], []
-            for m, c in zip(mvec[nyq], cflat[nyq]):
-                partners = [m.copy()]
-                for ax in range(3):
-                    if m[ax] == -(n // 2):
-                        partners = [p for q in partners for p in (q, _flip(q, ax, n))]
-                w = 1.0 / len(partners)
-                for p in partners:
-                    extra_m.append(p)
-                    extra_c.append(c * w)
-            mvec = np.concatenate([mvec[~nyq], np.array(extra_m)], axis=0)
-            cflat = np.concatenate([cflat[~nyq], np.array(extra_c)], axis=0)
+        for ax in range(3):  # split Nyquist-bin content between the two aliased partners
+            nyq = mvec[:, ax] == -(n // 2)
+            cflat[nyq] *= 0.5
+            partners = mvec[nyq]
+            partners[:, ax] = n // 2
+            mvec, cflat = np.concatenate([mvec, partners]), np.concatenate([cflat, cflat[nyq]])
         self.modes = mvec
         self.coefs = cflat
 
@@ -206,12 +197,6 @@ class TrigInterpolant:
         # (k, nmodes) mode weights against the coefficients; real fields stay real
         vals = np.tensordot(weights, self.coefs, axes=(1, 0))
         return vals.real if self.real_input else vals
-
-
-def _flip(m: np.ndarray, ax: int, n: int) -> np.ndarray:
-    out = m.copy()
-    out[ax] = n // 2
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +262,8 @@ def fiber_ball_quadrature(g_contra: np.ndarray, integrand):
     upts, uw = sphere_design_14()
     xis = upts @ amap.T  # rows: A @ u, on the unit cosphere
     vals = np.asarray(integrand(xis))
-    drift = float(np.abs(np.asarray(integrand(0.5 * xis)) - vals).max())
-    if drift > 1e-12 * float(np.abs(vals).max()):
-        raise InputError(
-            f"integrand is not homogeneous of degree 0: halving xi moves it by {drift:.2e}"
-        )
+    gate("integrand is not homogeneous of degree 0: halving xi moves it",
+         np.asarray(integrand(0.5 * xis)) - vals, 1e-12 * float(np.abs(vals).max()), InputError)
     return (uw @ vals) * jac / (3.0 * VOLUME)
 
 

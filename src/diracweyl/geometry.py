@@ -20,13 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConsistencyError, EllipticityError, InputError
-from .fields import (
-    TrigInterpolant,
-    chart_of,
-    derivative_stack,
-    hermitian_residual,
-)
+from .errors import ConsistencyError, EllipticityError, InputError, gate
+from .fields import TrigInterpolant, chart_of, derivative_stack, hermitian_residual
 
 # Standard Pauli matrices; the fixed fibre basis for all 2x2 symbols.
 PAULI = np.array(
@@ -78,11 +73,9 @@ class PrincipalSymbolField:
         if s.ndim != 6 or s.shape[3:] != (3, 2, 2):
             raise InputError(f"symbol field must have shape (n, n, n, 3, 2, 2), got {s.shape}")
         chart_of(s)
-        scale = max(1.0, float(np.abs(s).max()))
-        if hermitian_residual(s) > 1e-13 * scale:
-            raise InputError("symbol matrices must be Hermitian")
-        if float(np.abs(s[..., 0, 0] + s[..., 1, 1]).max()) > 1e-13 * scale:
-            raise InputError("symbol matrices must be trace-free")
+        bound = 1e-13 * max(1.0, float(np.abs(s).max()))
+        gate("symbol matrices must be Hermitian", hermitian_residual(s), bound, InputError)
+        gate("symbol matrices must be trace-free", s[..., 0, 0] + s[..., 1, 1], bound, InputError)
         self._hold(np.swapaxes(pauli_components(s), -1, -2).copy())
 
     def _hold(self, p: np.ndarray):
@@ -155,8 +148,7 @@ class MetricField:
         g = np.asarray(self.g_contra, dtype=float)
         if g.ndim != 5 or g.shape[3:] != (3, 3):
             raise InputError(f"metric field must have shape (n, n, n, 3, 3), got {g.shape}")
-        if float(np.abs(g - np.swapaxes(g, -1, -2)).max()) > 1e-12:
-            raise InputError("metric must be symmetric")
+        gate("metric must be symmetric", g - np.swapaxes(g, -1, -2), 1e-12, InputError)
         _check_ellipticity(g)
         self._complete(g)
 
@@ -192,11 +184,8 @@ def _check_ellipticity(g_contra: np.ndarray):
     if np.any(w[..., 0] <= 0.0):
         idx = tuple(int(i) for i in np.unravel_index(np.argmin(w[..., 0]), w[..., 0].shape))
         raise EllipticityError(f"symbol fails ellipticity at grid point {idx}")
-    cond = np.sqrt(float((w[..., 2] / w[..., 0]).max()))
-    if cond > _FRAME_CONDITION_LIMIT:
-        raise EllipticityError(
-            f"frame condition number {cond:.3e} exceeds limit {_FRAME_CONDITION_LIMIT:.0e}"
-        )
+    gate("frame condition number", np.sqrt(w[..., 2] / w[..., 0]), _FRAME_CONDITION_LIMIT,
+         EllipticityError)
 
 
 def pauli_components(m: np.ndarray) -> np.ndarray:
@@ -275,16 +264,11 @@ def topological_charge(sym: PrincipalSymbolField) -> int:
     trip = np.einsum("...pq,...qr,...rp->...", *np.moveaxis(sym.sigma, -3, 0))  # tr(s^1 s^2 s^3)
     fibre = -0.5j * metric.vol * trip
     c_field = fibre.real
-    c_imag = float(np.abs(fibre.imag).max())
-    if c_imag > 1e-10:
-        raise ConsistencyError(f"charge formula gave a non-real value (imag {c_imag:.2e})")
+    gate("charge formula gave a non-real value", fibre.imag, 1e-10)
     c0 = int(np.rint(c_field.flat[0]))
     if c0 not in (-1, 1):
         raise ConsistencyError(f"charge {c_field.flat[0]!r} is not a unit")
-    if float(np.abs(c_field - c0).max()) > 1e-6:
-        worst = np.unravel_index(np.argmax(np.abs(c_field - c0)), c_field.shape)
-        idx = tuple(int(i) for i in worst)
-        raise ConsistencyError(f"charge is not constant across the grid (worst point {idx})")
+    gate("charge is not constant across the grid", c_field - c0, 1e-6)
     if frame.orientation() != c0:
         raise ConsistencyError("fibre-determinant charge disagrees with frame orientation")
     return c0
@@ -315,9 +299,7 @@ def orthonormalize_frame(e: np.ndarray) -> FrameField:
 def coframe(frame: FrameField, metric: MetricField) -> np.ndarray:
     """Metric-dual coframe c[..., k, b] = c^k_b = delta^{kj} g_{bc} e_j^c, shape (n, n, n, 3, 3)."""
     c = frame.e @ np.swapaxes(metric.g_cov, -1, -2)
-    gap = np.abs(frame.e @ np.swapaxes(c, -1, -2) - np.eye(3)).max()
-    if gap > 1e-10:
-        raise ConsistencyError(f"frame/coframe duality violated by {gap:.2e}")
+    gate("frame/coframe duality violated", frame.e @ np.swapaxes(c, -1, -2) - np.eye(3), 1e-10)
     return c
 
 
@@ -406,23 +388,17 @@ def torsion(frame: FrameField, metric: MetricField) -> TorsionBundle:
     del dcof  # each (n, n, n, 3, 3, 3) array is freed once used, and the gap is taken in place
     t2 = _torsion_from_coframe(frame.e, dform)
     t2 -= t1
-    scale = max(1.0, float(t1.max()), -float(t1.min()))
-    gap_t = max(float(t2.max()), -float(t2.min()))
+    bound = 1e-10 * max(1.0, float(t1.max()), -float(t1.min()))
+    gap_t = gate("torsion routes (connection vs coframe) disagree", t2, bound)
     del t2
-    if gap_t > 1e-10 * scale:
-        raise ConsistencyError("torsion routes (connection vs coframe) disagree")
 
     star1 = _dual_2forms(metric, t1)
     star2 = _star_torsion_from_curl(frame.e, metric, dform)
     del dform
-    gap_star = float(np.abs(star1 - star2).max())
-    if gap_star > 1e-10 * scale:
-        raise ConsistencyError("dual torsion routes (Hodge vs curl) disagree")
+    gap_star = gate("dual torsion routes (Hodge vs curl) disagree", star1 - star2, bound)
 
     ax1 = np.einsum("...aa->...", star1) / 3.0
-    gap_ax = float(np.abs(ax1 - ax2).max())
-    if gap_ax > 1e-10 * scale:
-        raise ConsistencyError("axial dual routes (trace vs coframe formula) disagree")
+    gap_ax = gate("axial dual routes (trace vs coframe formula) disagree", ax1 - ax2, bound)
 
     residuals = {
         "connection_vs_coframe": gap_t,
@@ -466,16 +442,10 @@ def hodge_star(metric: MetricField, values: np.ndarray, q: int) -> np.ndarray:
 
 
 def _check_antisymmetric(values: np.ndarray, q: int):
-    if q == 2:
-        gap = float(np.abs(values + np.swapaxes(values, -1, -2)).max())
-    else:
-        gap = max(
-            float(np.abs(values + values.transpose(0, 1, 2, 3, 5, 4)).max()),
-            float(np.abs(values + values.transpose(0, 1, 2, 4, 3, 5)).max()),
-        )
     scale = max(1.0, float(np.abs(values).max()))
-    if gap > 1e-12 * scale:
-        raise InputError("form field is not antisymmetric")
+    for axis in range(-2, -q - 1, -1):  # swap each adjacent index pair
+        gate("form field is not antisymmetric", values + np.swapaxes(values, axis, axis + 1),
+             1e-12 * scale, InputError)
 
 
 def parallel_transport(
@@ -492,6 +462,6 @@ def parallel_transport(
     """
     xi = np.asarray(xi, dtype=float)
     m_from, m_to = sym.interpolant()(np.array([from_point, to_point], dtype=float))
-    if np.linalg.cond(m_to) > _FRAME_CONDITION_LIMIT:
-        raise EllipticityError("frame at the target point is too ill-conditioned to invert")
+    gate("frame at the target point is too ill-conditioned to invert", np.linalg.cond(m_to),
+         _FRAME_CONDITION_LIMIT, EllipticityError)
     return np.linalg.solve(m_to, m_from @ xi)

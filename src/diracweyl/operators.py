@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, InputError
-from .fields import chart_of, derivative_stack, hermitian_residual, spectral_derivative
+from .errors import InputError, gate
+from .fields import chart_of, derivative_stack, spectral_derivative
 from .geometry import (
     PAULI,
     FrameField,
@@ -59,7 +59,8 @@ class FirstOrderOperator:
 
     sigma holds the principal coefficients, a0 the zeroth-order matrix.
     Formal self-adjointness is equivalent to the subprincipal symbol
-    being Hermitian pointwise; that is validated on construction.
+    being Hermitian pointwise; that is validated on construction, and a
+    NaN anywhere in a0 fails it.
     """
 
     sigma: PrincipalSymbolField
@@ -67,18 +68,15 @@ class FirstOrderOperator:
 
     def __post_init__(self):
         if not isinstance(self.sigma, PrincipalSymbolField):
-            self.sigma = PrincipalSymbolField(np.asarray(self.sigma))
+            got = type(self.sigma).__name__
+            raise InputError(f"sigma must be a PrincipalSymbolField, got {got}")
         a0 = np.asarray(self.a0, dtype=complex)
         if a0.shape != self.sigma.p.shape[:3] + (2, 2):
             raise InputError(f"a0 must have shape (n, n, n, 2, 2), got {a0.shape}")
         self.a0 = a0
-        scale = max(1.0, float(np.abs(a0).max()))
-        res = hermitian_residual(subprincipal_symbol(self))
-        if res > 1e-10 * scale:
-            raise ConsistencyError(
-                f"subprincipal symbol is not Hermitian (residual {res:.2e}); "
-                "operator is not formally self-adjoint"
-            )
+        asub = subprincipal_symbol(self)
+        gate("operator is not formally self-adjoint: subprincipal symbol is not Hermitian",
+             asub - np.conj(np.swapaxes(asub, -1, -2)), 1e-10 * max(1.0, float(np.abs(a0).max())))
 
     @property
     def chart(self):
@@ -190,11 +188,9 @@ class GaugeField:
             raise InputError(f"gauge field must have shape (n, n, n, 2, 2), got {r.shape}")
         chart_of(r)
         unit = np.einsum("...pq,...rq->...pr", r, np.conj(r))
-        if float(np.abs(unit - IDENTITY2).max()) > 1e-12:
-            raise InputError("gauge field is not unitary within 1e-12")
+        gate("gauge field is not unitary", unit - IDENTITY2, 1e-12, InputError)
         det = r[..., 0, 0] * r[..., 1, 1] - r[..., 0, 1] * r[..., 1, 0]
-        if float(np.abs(det - 1.0).max()) > 1e-12:
-            raise InputError("gauge field must have unit determinant")
+        gate("gauge field must have unit determinant", det - 1.0, 1e-12, InputError)
         self.R = r
 
 
@@ -230,8 +226,7 @@ def so3_from_su2(r: np.ndarray) -> np.ndarray:
     """Adjoint rotation O_jk = (1/2) tr(s_j R s^k R*); works pointwise on fields."""
     r = np.asarray(r, dtype=complex)
     out = 0.5 * np.einsum("jpq,...qr,krs,...ps->...jk", PAULI, r, PAULI, np.conj(r))
-    if float(np.abs(out.imag).max()) > 1e-12:
-        raise ConsistencyError("adjoint rotation came out non-real; input is not SU(2)")
+    gate("adjoint rotation came out non-real; input is not SU(2)", out.imag, 1e-12)
     return out.real
 
 
@@ -275,9 +270,8 @@ def su2_lift(o_field: np.ndarray):
     if o.ndim != 5 or o.shape[3:] != (3, 3):
         raise InputError(f"rotation field must have shape (n, n, n, 3, 3), got {o.shape}")
     chart_of(o)
-    gap = float(np.abs(np.einsum("...ja,...ka->...jk", o, o) - np.eye(3)).max())
-    if gap > 1e-8:
-        raise InputError(f"input is not orthogonal (residual {gap:.2e})")
+    gate("input is not orthogonal", np.einsum("...ja,...ka->...jk", o, o) - np.eye(3), 1e-8,
+         InputError)
     if np.any(np.linalg.det(o) < 0.0):
         raise InputError("rotation field must be special orthogonal (det +1)")
 
@@ -322,10 +316,7 @@ def su2_lift(o_field: np.ndarray):
             )
 
     out = GaugeField(r)
-    back = so3_from_su2(out.R)
-    res = float(np.abs(back - o).max())
-    if res > 1e-10:
-        raise ConsistencyError(f"lift does not reproduce the rotation field (residual {res:.2e})")
+    gate("lift does not reproduce the rotation field", so3_from_su2(out.R) - o, 1e-10)
     return out
 
 

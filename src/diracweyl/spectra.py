@@ -25,11 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConsistencyError, InputError
+from .errors import InputError, gate
 from .fields import _integer_modes
 from .operators import FirstOrderOperator
 
 _CLUSTER_TOL = 1e-7
+_ON_EIGENVALUE_TOL = 1e-9  # a lambda this close to an eigenvalue sits on it
 _DEFAULT_RELIABLE_FRACTION = 0.5  # of the Galerkin mode cutoff
 _DEFAULT_KERNEL_WIDTH = 6.0  # mollifier Fourier half-width, a margin below 2*pi
 _SAMPLES_PER_OCTAVE = 24  # dense geometric sampling of asymptotic_comparison
@@ -143,8 +144,8 @@ def torus_exact_spectrum(shift, lambda_max: float) -> SpectrumTable:
     _Q_LENGTH_BUDGET is refused.
     """
     s = _coerce_shift(shift)
-    if lambda_max <= 0.0:
-        raise InputError("lambda_max must be positive")
+    if not 0.0 < lambda_max < np.inf:
+        raise InputError(f"lambda_max must be positive and finite, got {lambda_max}")
     qmax = int(np.floor((2.0 * lambda_max) ** 2))
     if qmax + 1 > _Q_LENGTH_BUDGET:
         raise InputError(
@@ -169,8 +170,8 @@ def torus_exact_spectrum(shift, lambda_max: float) -> SpectrumTable:
 
 def sphere_exact_spectrum(lambda_max: float) -> SpectrumTable:
     """Exact round-sphere Dirac spectrum: +-(k + 1/2), multiplicity k(k+1)."""
-    if lambda_max <= 0.0:
-        raise InputError("lambda_max must be positive")
+    if not 0.0 < lambda_max < np.inf:
+        raise InputError(f"lambda_max must be positive and finite, got {lambda_max}")
     ks = np.arange(1, int(np.floor(lambda_max - 0.5)) + 1)
     pos = ks + 0.5
     mult = ks * (ks + 1)
@@ -222,11 +223,8 @@ def _operator_fourier_data(op: FirstOrderOperator):
     nz = np.nonzero(mags > _FOURIER_TOL)
     ks = _integer_modes(n)[np.stack(nz, axis=1)]
     nyquist = np.any(np.abs(ks) == n // 2, axis=1)
-    if np.any(mags[nz][nyquist] > 1e-9 * max(1.0, float(mags.max()))):
-        raise ConsistencyError(
-            "operator coefficients have content at the Nyquist mode; "
-            "increase the grid resolution"
-        )
+    gate("operator coefficients have content at the Nyquist mode; increase the grid resolution",
+         mags[nz][nyquist], 1e-9 * max(1.0, float(mags.max())))
     keep = ~nyquist
     return ks[keep], sig_hat[nz][keep], a0_hat[nz][keep]
 
@@ -376,14 +374,11 @@ def galerkin_spectrum(
             h = _coset_matrices(modes[idx], code[idx], slot, coef)
             for p, q in ((0, 0), (0, 1), (1, 1)):
                 gap = h[:, p, :, q, :] - h[:, q, :, p, :].conj().swapaxes(1, 2)
-                herm = max(herm, float(np.abs(gap).max()))
+                herm = np.maximum(herm, np.abs(gap).max())  # a NaN is kept
             scale = max(scale, float(np.abs(h).max()))
             parts.append(np.linalg.eigvalsh(h.reshape(len(idx), 2 * b, 2 * b)).ravel())
-    if herm > 1e-10 * scale:
-        raise ConsistencyError(
-            f"projected matrix is not Hermitian (residual {herm:.2e}); "
-            "the zeroth-order coefficient is inconsistent with formal self-adjointness"
-        )
+    herm = gate("projected matrix is not Hermitian; the zeroth-order coefficient is "
+                "inconsistent with formal self-adjointness", herm, 1e-10 * scale)
     eigs = np.sort(np.concatenate(parts))
 
     # pad by the cluster tolerance so a degenerate cluster sitting on a
@@ -442,17 +437,17 @@ def counting_function(table: SpectrumTable, lam: float) -> int:
     return int(_counts(table, lam))
 
 
-def counting_bounds(table: SpectrumTable, lam: float, tol: float = 1e-9):
+def counting_bounds(table: SpectrumTable, lam: float):
     """Counts on either side of the band lambda +- tol: (below, above, ambiguous).
 
-    below counts the eigenvalues in (0, lambda - tol) and above those in
-    (0, lambda + tol], each once with its multiplicity.  ambiguous =
-    above > below flags a lambda (numerically) on an eigenvalue, where
-    the sharp count is left for the caller to decide.
+    With tol = _ON_EIGENVALUE_TOL, below counts the eigenvalues in (0, lambda - tol)
+    and above those in (0, lambda + tol], each once with its multiplicity.
+    ambiguous = above > below flags a lambda (numerically) on an eigenvalue,
+    where the sharp count is left for the caller to decide.
     """
     _check_threshold(table, lam)
-    below = int(_counts(table, lam - tol))
-    above = int(_counts(table, lam + tol, side="right"))
+    below = int(_counts(table, lam - _ON_EIGENVALUE_TOL))
+    above = int(_counts(table, lam + _ON_EIGENVALUE_TOL, side="right"))
     return below, above, above > below
 
 
@@ -480,11 +475,11 @@ class CountingReport:
     b_global: float
 
 
-def _tie_free(lams: np.ndarray, values: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def _tie_free(lams: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Nudge sample points off eigenvalues so strict counts are unambiguous."""
     v = np.concatenate([[-np.inf], values, [np.inf]])
     j = np.searchsorted(v, lams)
-    near = np.minimum(v[j] - lams, lams - v[j - 1]) <= tol
+    near = np.minimum(v[j] - lams, lams - v[j - 1]) <= _ON_EIGENVALUE_TOL
     return np.where(near, lams + 1e-6, lams)
 
 

@@ -299,6 +299,38 @@ def test_wrong_source_or_unread_flag_exits_2(case, tmp_path, capsys):
     assert all(word in err for word in NAMED.get(case, ())), err
 
 
+NON_FINITE = {
+    # each exited 1 with a traceback, exited 0, or printed NaN into the JSON report
+    "lambda-max-nan": ["spectrum", "--lambda-max", "nan"],
+    "lambda-max-inf": ["spectrum", "--lambda-max", "inf"],
+    "q-nan-spectrum": ["spectrum", "--scenario", "dirac-plus-scalar", "--q", "nan",
+                       "--lambda-max", "3"],
+    "count-nan": ["spectrum", "--lambda-max", "5", "--count", "nan"],
+    "mollified-nan": ["spectrum", "--mollified", "nan"],
+    "window-nan": ["spectrum", "--scenario", "standard-torus", "--grid", "8",
+                   "--method", "galerkin", "--window=nan,1"],
+    "reliable-fraction-nan": ["spectrum", "--scenario", "standard-torus", "--grid", "8",
+                              "--method", "galerkin", "--reliable-fraction", "nan"],
+    "q-nan-decode": ["decode", "--scenario", "dirac-plus-scalar", "--q", "nan"],
+    "tol-nan": ["check-dirac", "--scenario", "standard-torus", "--grid", "8", "--tol", "nan"],
+    "shift-inf": ["spectrum", "--shift", "0,inf,0"],
+    "compare-nan": ["spectrum", "--lambda-max", "20", "--compare", "5,nan"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_number_exits_2_naming_the_flag(case, capsys):
+    argv = NON_FINITE[case]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses a flag's value before main runs
+        code = exc.code
+    out, err = capsys.readouterr()
+    flag = next(a for a in reversed(argv) if a.startswith("--")).split("=")[0]
+    assert code == 2 and out == ""
+    assert flag in err and "finite" in err and "Traceback" not in err, err
+
+
 def test_format_only_where_a_csv_exists():
     for command in ("decode", "check-dirac"):
         with pytest.raises(SystemExit) as exc:
@@ -323,6 +355,21 @@ def test_config_echoes_what_the_source_reads(tmp_path, capsys):
         "command": "check-dirac", "version": dw.__version__, "grid": 12,
         "scenario": None, "input": str(path),
     }
+    # a shift table and the sphere build no grid; spectrum names the shift of its table
+    _, report = _run(capsys, "spectrum", "--shift", "0,0,0.5", "--lambda-max", "2")
+    assert report["config"] == {
+        "command": "spectrum", "version": dw.__version__, "grid": None,
+        "scenario": None, "input": None, "shift": [0.0, 0.0, 0.5],
+    }
+    _, report = _run(capsys, "spectrum", "--lambda-max", "2")
+    assert report["config"]["grid"] is None and report["config"]["shift"] == [0.0, 0.0, 0.0]
+    _, report = _run(capsys, "spectrum", "--scenario", "sphere", "--lambda-max", "2")
+    assert report["config"] == {
+        "command": "spectrum", "version": dw.__version__, "grid": None,
+        "scenario": "sphere", "input": None, "shift": None,
+    }
+    _, report = _run(capsys, "spectrum", "--scenario", "standard-torus", "--lambda-max", "2")
+    assert report["config"]["grid"] == 16 and report["config"]["shift"] is None
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -396,6 +443,21 @@ def test_galerkin_over_memory_budget_exits_2_without_traceback():
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "budget" in proc.stderr
+
+
+def test_failed_gate_exits_3_saying_how_far_off_and_where(tmp_path):
+    """1e-3 added to one a0[0, 1] entry of a saved 8^3 Dirac operator, at flat
+    index 100 (x1 fastest), which is grid point (4, 4, 1)."""
+    path = tmp_path / "op.json"
+    dw.save_operator(dw.dirac_operator(dw.standard_frame(8)), str(path))
+    doc = json.loads(path.read_text())
+    doc["a0"][100][0][1][0] += 1e-3
+    path.write_text(json.dumps(doc))
+    proc = _cli_process("check-dirac", "--input", str(path))
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
+    for words in ("self-adjoint", "measured 1.000e-03", "bound 1e-10", "grid point (4, 4, 1)"):
+        assert words in proc.stderr, proc.stderr
 
 
 def test_check_dirac_accepts_a_curved_dirac_operator(curved_frame, tmp_path):

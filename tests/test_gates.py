@@ -1,0 +1,151 @@
+"""The one residual gate: what it returns, what its failures say, and that NaN fails."""
+
+import re
+
+import numpy as np
+import pytest
+
+import diracweyl as dw
+from diracweyl import geometry
+from diracweyl.errors import ConsistencyError, InputError, gate
+from diracweyl.fields import fiber_ball_quadrature
+
+MESSAGE = re.compile(r"measured (\S+) against bound (\S+), ratio (\S+)")
+POINT = re.compile(r"at grid point \((\d+), (\d+), (\d+)\)$")
+
+
+def test_gate_returns_the_largest_modulus():
+    assert gate("x", np.array([0.25, -0.5, 0.125]), 1.0) == 0.5
+    assert gate("x", np.array([3j, -1.0]), 3.0) == 3.0
+    assert gate("x", 0.5, 0.5) == 0.5
+
+
+def test_empty_residual_passes_with_zero():
+    assert gate("x", np.empty(0), 0.0) == 0.0
+
+
+def test_nan_fails_and_is_located():
+    r = np.zeros((4, 4, 4, 2))
+    r[3, 0, 2, 1] = np.nan
+    r[0, 0, 0, 0] = 1.0
+    with pytest.raises(ConsistencyError, match=r"measured nan .* at grid point \(3, 0, 2\)"):
+        gate("x", r, 2.0)
+    with pytest.raises(InputError, match="measured nan"):
+        gate("x", np.nan, 1.0, InputError)
+
+
+def test_real_residual_is_read_without_a_copy(peak_mb):
+    big = np.linspace(-1.0, 0.5, 1_000_000)  # 8 MB
+    assert gate("x", big, 1.0) == 1.0
+    assert peak_mb(lambda: gate("x", big, 1.0)) < 0.01
+
+
+def _bump(shape, point, size):
+    out = np.zeros(shape)
+    out[point] = size
+    return out
+
+
+def _route_with_offset(monkeypatch):
+    """The curl route of the dual torsion, off by 1e-6 at grid point (2, 5, 1)."""
+    curl = geometry._star_torsion_from_curl
+    monkeypatch.setattr(geometry, "_star_torsion_from_curl",
+                        lambda *a: curl(*a) + _bump((8, 8, 8, 3, 3), (2, 5, 1, 0, 0), 1e-6))
+    frame = dw.twisted_frame(1, 8)
+    dw.torsion(frame, dw.metric_from_frame(frame))
+
+
+def _self_adjointness():
+    op = dw.dirac_operator(dw.standard_frame(8))
+    dw.FirstOrderOperator(op.sigma, op.a0 + _bump(op.a0.shape, (4, 4, 1, 0, 1), 1e-3))
+
+
+def _galerkin_hermiticity():
+    op = dw.dirac_operator(dw.standard_frame(8))
+    op.a0 = op.a0 + 1e-6 * np.array([[0.0, 1.0], [0.0, 0.0]])  # bypasses the constructor's gate
+    dw.galerkin_spectrum(op, 2)
+
+
+def _b_decomposition():
+    b = _bump((8, 8, 8), (3, 0, 7), 1e-9)
+    zero = np.zeros((8, 8, 8))
+    dw.AsymptoticCoefficients(a=zero, b1=zero, b2=zero, b=b, a_global=0.0, b_global=0.0, charge=1)
+
+
+# case -> (trip, error class, words the message keeps, worst grid point or None)
+TRIPPED = {
+    "fields-homogeneity": (
+        lambda mp: fiber_ball_quadrature(np.eye(3), lambda xi: (xi**2).sum(axis=1)),
+        InputError, "homogeneous of degree 0", None),
+    "geometry-torsion-route": (_route_with_offset, ConsistencyError, "Hodge vs curl", (2, 5, 1)),
+    "geometry-metric-symmetry": (
+        lambda mp: dw.MetricField(np.eye(3) + _bump((8, 8, 8, 3, 3), (1, 2, 3, 0, 1), 1e-6)),
+        InputError, "symmetric", (1, 2, 3)),
+    "operators-self-adjointness": (lambda mp: _self_adjointness(), ConsistencyError,
+                                   "self-adjoint", (4, 4, 1)),
+    "operators-gauge-unitarity": (
+        lambda mp: dw.GaugeField(np.eye(2) * (1.0 + _bump((8, 8, 8, 1, 1), (0, 1, 2, 0, 0), 1e-9))),
+        InputError, "unitary", (0, 1, 2)),
+    "asymptotics-b-decomposition": (lambda mp: _b_decomposition(), ConsistencyError,
+                                    "decomposition", (3, 0, 7)),
+    "spectra-nyquist": (lambda mp: dw.galerkin_spectrum(dw.dirac_operator(dw.twisted_frame(4, 8)), 3),
+                        ConsistencyError, "Nyquist", None),
+    "spectra-galerkin-hermiticity": (lambda mp: _galerkin_hermiticity(), ConsistencyError,
+                                     "not Hermitian", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRIPPED))
+def test_tripped_gate_says_how_far_off_and_where(case, monkeypatch):
+    trip, error, words, point = TRIPPED[case]
+    with pytest.raises(error, match=words) as exc:
+        trip(monkeypatch)
+    text = str(exc.value)
+    print(f"{case}: {text}")
+    measured, bound, ratio = map(float, MESSAGE.search(text).groups())
+    assert measured > bound > 0.0
+    assert ratio == pytest.approx(measured / bound, rel=1e-2)
+    where = POINT.search(text)
+    assert (tuple(map(int, where.groups())) if where else None) == point
+
+
+def _with_nan(values, point):
+    out = np.array(values, dtype=np.result_type(values, float))
+    out[point] = np.nan
+    return out
+
+
+def test_operator_with_a_nan_a0_entry_is_refused():
+    op = dw.dirac_operator(dw.standard_frame(8))
+    with pytest.raises(ConsistencyError, match=r"self-adjoint.*measured nan.*\(2, 3, 4\)"):
+        dw.FirstOrderOperator(op.sigma, _with_nan(op.a0, (2, 3, 4, 1, 1)))
+
+
+def test_symbol_with_a_nan_is_input_error():
+    sigma = dw.symbol_from_frame(dw.standard_frame(8)).sigma
+    with pytest.raises(InputError, match="measured nan"):
+        dw.PrincipalSymbolField(_with_nan(sigma, (0, 0, 5, 2, 0, 0)))
+
+
+def test_metric_of_nan_is_input_error():
+    with pytest.raises(InputError, match="measured nan"):
+        dw.MetricField(np.full((8, 8, 8, 3, 3), np.nan))
+
+
+def test_gauge_field_of_nan_is_input_error():
+    with pytest.raises(InputError, match="measured nan"):
+        dw.GaugeField(np.full((8, 8, 8, 2, 2), np.nan))
+
+
+def test_operator_refuses_a_raw_sigma_array():
+    op = dw.dirac_operator(dw.standard_frame(8))
+    with pytest.raises(InputError, match="PrincipalSymbolField, got ndarray"):
+        dw.FirstOrderOperator(op.sigma.sigma, op.a0)
+
+
+@pytest.mark.parametrize("reach", [np.nan, np.inf, -1.0])
+def test_exact_tables_refuse_a_non_finite_reach(reach):
+    with pytest.raises(InputError, match="positive and finite"):
+        dw.torus_exact_spectrum((0, 0, 0), reach)
+    with pytest.raises(InputError, match="positive and finite"):
+        dw.sphere_exact_spectrum(reach)

@@ -60,7 +60,7 @@ def _self_adjointness(seed, n, amplitude):
     try:
         dw.dirac_operator(dw.random_band_limited_frame(seed, n, amplitude))
     except ConsistencyError as exc:
-        return float(re.search(r"residual ([0-9.e+-]+)\)", str(exc)).group(1))
+        return float(re.search(r"measured ([0-9.e+-]+) against", str(exc)).group(1))
     return "passes"
 
 
