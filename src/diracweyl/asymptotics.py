@@ -158,68 +158,6 @@ def u1_curvature(sym, x, xi) -> float:
     return float(_FiberFrame(_principal(sym), x).curvature(_vector3(xi, "covector xi"))[0])
 
 
-@dataclass
-class PoissonCheckResult:
-    """Worst-case residuals of the generalised-bracket identities."""
-
-    rewrite_residual: float
-    projector_residual: float
-    conjugate_sum_residual: float
-    n_samples: int
-
-
-def generalized_poisson_check(sym, n_samples: int = 20, seed: int = 0) -> PoissonCheckResult:
-    """Sample the bracket identities behind the curvature form of b2.
-
-    At seeded random (x, xi): the bracket with the shifted principal
-    symbol rewrites as -3 h+ times the plain curvature bracket (the
-    projector drops out), and the curvatures of the two eigenbundles
-    cancel.  Returns worst-case residuals over the samples.
-    """
-    sym = _principal(sym)
-    rng = np.random.default_rng(seed)
-    worst_rewrite = 0.0
-    worst_proj = 0.0
-    worst_sum = 0.0
-    for _ in range(n_samples):
-        x = rng.uniform(0.0, TWO_PI, size=3)
-        xi = rng.normal(size=3)
-        xi *= rng.uniform(0.5, 2.0) / np.linalg.norm(xi)
-        fib = _FiberFrame(sym, x)
-        h, v, dv_dx, dv_dxi = fib.eval(xi)
-        h0, v0 = h[0], v[0]
-        dx = dv_dx[:, 0, :]
-        dxi = dv_dxi[:, 0, :]
-        mat = np.tensordot(xi, fib.s_center, axes=(0, 0))
-
-        def bracket(q):
-            left = np.einsum("ap,pq,aq->", np.conj(dx), q, dxi)
-            right = np.einsum("ap,pq,aq->", np.conj(dxi), q, dx)
-            return left - right
-
-        eye = np.eye(2)
-        plain = bracket(eye)
-        lhs = 1.5j * bracket(mat - 2.0 * h0 * eye)
-        rhs = -4.5j * h0 * plain
-        worst_rewrite = max(worst_rewrite, float(abs(lhs - rhs)))
-
-        proj = v0[:, None] * np.conj(v0)[None, :]
-        worst_proj = max(worst_proj, float(abs(bracket(proj))))
-
-        dx_m = np.einsum("pq,aq->ap", EPS_CONJ, np.conj(dx))
-        dxi_m = np.einsum("pq,aq->ap", EPS_CONJ, np.conj(dxi))
-        plain_minus = np.einsum("ap,ap->", np.conj(dx_m), dxi_m) - np.einsum(
-            "ap,ap->", np.conj(dxi_m), dx_m
-        )
-        worst_sum = max(worst_sum, float(abs(plain + plain_minus)))
-    return PoissonCheckResult(
-        rewrite_residual=worst_rewrite,
-        projector_residual=worst_proj,
-        conjugate_sum_residual=worst_sum,
-        n_samples=n_samples,
-    )
-
-
 # ---------------------------------------------------------------------------
 # coefficient densities
 # ---------------------------------------------------------------------------

@@ -106,34 +106,6 @@ def derivative_stack(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def fourier_modes(values: np.ndarray, drop_tol: float = 0.0) -> dict:
-    """Fourier coefficients of a scalar grid field.
-
-    Returns a map from integer mode vector (m1, m2, m3) to the complex
-    coefficient c_m in f(x) = sum_m c_m exp(i m.x).  Coefficients with
-    modulus <= drop_tol are omitted (drop_tol=0 keeps the full set).
-    """
-    if values.ndim != 3:
-        raise InputError("fourier_modes expects a scalar field (three grid axes)")
-    n = chart_of(values).n
-    coefs = np.fft.fftn(values) / values.size
-    keep = np.abs(coefs) > drop_tol if drop_tol != 0.0 else np.ones(coefs.shape, dtype=bool)
-    mvecs = _integer_modes(n)[np.argwhere(keep)].tolist()  # FFT storage order, as coefs[keep]
-    return dict(zip(map(tuple, mvecs), coefs[keep].tolist()))
-
-
-def field_from_modes(modes: dict, n: int) -> np.ndarray:
-    """Inverse of fourier_modes: synthesise grid samples from a mode map."""
-    PeriodicChart(n)  # validates n
-    coefs = np.zeros((n, n, n), dtype=complex)
-    half = n // 2
-    for m, c in modes.items():
-        if not all(-half <= mi <= half for mi in m):
-            raise InputError(f"mode {m} is not representable on an n={n} grid")
-        coefs[m[0] % n, m[1] % n, m[2] % n] += c
-    return np.fft.ifftn(coefs) * n**3
-
-
 def grid_integral(values: np.ndarray):
     """Integral over the torus: periodic trapezoid = grid mean * (2*pi)^3.
 
@@ -265,13 +237,3 @@ def fiber_ball_quadrature(g_contra: np.ndarray, integrand):
     gate("integrand is not homogeneous of degree 0: halving xi moves it",
          np.asarray(integrand(0.5 * xis)) - vals, 1e-12 * float(np.abs(vals).max()), InputError)
     return (uw @ vals) * jac / (3.0 * VOLUME)
-
-
-# ---------------------------------------------------------------------------
-# small matrix-field helpers used across modules
-# ---------------------------------------------------------------------------
-
-def hermitian_residual(field: np.ndarray) -> float:
-    """Max entrywise deviation of a (..., k, k) matrix field from Hermitian."""
-    return float(np.abs(field - np.conj(np.swapaxes(field, -1, -2))).max())
-

@@ -5,8 +5,8 @@ pointwise, an orthonormal frame, a Riemannian metric, an orientation
 sign, and a metric-compatible flat connection whose torsion carries all
 the remaining local information.  This module decodes those objects
 from grid samples of the symbol and provides the associated tensor
-calculus (connection coefficients, torsion in several equivalent
-computational routes, Hodge duality).
+calculus (connection coefficients and torsion in several equivalent
+computational routes).
 
 Index conventions: frames are stored as e[..., j, alpha] with j the
 orthonormal-leg label and alpha the coordinate index (vectors);
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConsistencyError, EllipticityError, InputError, gate
-from .fields import TrigInterpolant, chart_of, derivative_stack, hermitian_residual
+from .fields import TrigInterpolant, chart_of, derivative_stack
 
 # Standard Pauli matrices; the fixed fibre basis for all 2x2 symbols.
 PAULI = np.array(
@@ -74,7 +74,8 @@ class PrincipalSymbolField:
             raise InputError(f"symbol field must have shape (n, n, n, 3, 2, 2), got {s.shape}")
         chart_of(s)
         bound = 1e-13 * max(1.0, float(np.abs(s).max()))
-        gate("symbol matrices must be Hermitian", hermitian_residual(s), bound, InputError)
+        skew = s - np.conj(np.swapaxes(s, -1, -2))
+        gate("symbol matrices must be Hermitian", skew, bound, InputError)
         gate("symbol matrices must be trace-free", s[..., 0, 0] + s[..., 1, 1], bound, InputError)
         self._hold(np.swapaxes(pauli_components(s), -1, -2).copy())
 
@@ -314,15 +315,6 @@ def christoffel_symbols(metric: MetricField) -> np.ndarray:
     return lowered.reshape(s.shape).transpose(0, 1, 2, 5, 3, 4)
 
 
-def teleparallel_coefficients(frame: FrameField, metric: MetricField) -> np.ndarray:
-    """Connection G[..., a, mu, b] = e_k^a d_mu c^k_b making the frame parallel.
-
-    The defining property nabla_mu e_j = 0 holds by duality; the
-    connection is metric compatible with vanishing curvature.
-    """
-    return _teleparallel(frame.e, derivative_stack(coframe(frame, metric)))
-
-
 def _teleparallel(e: np.ndarray, dcof: np.ndarray) -> np.ndarray:
     return np.swapaxes(np.swapaxes(e, -1, -2)[..., None, :, :] @ dcof, -3, -2)
 
@@ -412,56 +404,3 @@ def torsion(frame: FrameField, metric: MetricField) -> TorsionBundle:
         charge=frame.orientation(),
         route_residuals=residuals,
     )
-
-
-def hodge_star(metric: MetricField, values: np.ndarray, q: int) -> np.ndarray:
-    """Hodge dual of an antisymmetric covariant q-tensor field, q in 0..3.
-
-    Indices are raised with the metric before contraction with the
-    permutation symbol; the output carries the complementary (3-q)
-    covariant indices.  On a 3-torus the double dual is the identity on
-    every rank.
-    """
-    if q not in (0, 1, 2, 3):
-        raise InputError(f"form degree must be 0..3, got {q}")
-    vol = metric.vol
-    g = metric.g_contra
-    expected = values.ndim - 3
-    if expected != q:
-        raise InputError(f"rank-{q} form must carry {q} component axes, got {expected}")
-    if q == 0:
-        return np.einsum("...,abc->...abc", values * vol, EPSILON)
-    if q == 1:
-        vr = np.einsum("...ab,...b->...a", g, values)
-        return np.einsum("...a,abc->...bc", vr, EPSILON) * vol[..., None, None]
-    _check_antisymmetric(values, q)
-    if q == 2:
-        return _dual_2forms(metric, values[..., None, :, :])[..., 0, :]
-    vr = np.einsum("...ad,...be,...cf,...def->...abc", g, g, g, values)
-    return np.einsum("...abc,abc->...", vr, EPSILON) * vol / 6.0
-
-
-def _check_antisymmetric(values: np.ndarray, q: int):
-    scale = max(1.0, float(np.abs(values).max()))
-    for axis in range(-2, -q - 1, -1):  # swap each adjacent index pair
-        gate("form field is not antisymmetric", values + np.swapaxes(values, axis, axis + 1),
-             1e-12 * scale, InputError)
-
-
-def parallel_transport(
-    sym: PrincipalSymbolField,
-    xi: np.ndarray,
-    from_point: np.ndarray,
-    to_point: np.ndarray,
-) -> np.ndarray:
-    """Transport a covector so the symbol matrix is preserved exactly.
-
-    Solves sigma(to) . xi_new = sigma(from) . xi for xi_new; in frame
-    components this is one 3x3 linear solve, and the result is
-    path independent because the transporting connection is flat.
-    """
-    xi = np.asarray(xi, dtype=float)
-    m_from, m_to = sym.interpolant()(np.array([from_point, to_point], dtype=float))
-    gate("frame at the target point is too ill-conditioned to invert", np.linalg.cond(m_to),
-         _FRAME_CONDITION_LIMIT, EllipticityError)
-    return np.linalg.solve(m_to, m_from @ xi)

@@ -8,7 +8,7 @@ assembled analytically, including the log-derivative of det(g) that
 the half-density conjugation contributes.
 
 The SU(2)/SO(3) machinery (gauge transforms, spin lifts and their
-topological obstruction, charge conjugation) lives here as well.
+topological obstruction) lives here as well.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ from .geometry import (
     torsion,
 )
 
-# Antisymmetric unit used by charge conjugation; C(v) = EPS_CONJ @ conj(v).
+# Antisymmetric unit eps; conj(v) @ EPS_CONJ.T is the negative-band eigenvector
+# that the fibre frame in asymptotics pairs with the positive one v.
 EPS_CONJ = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 IDENTITY2 = np.eye(2, dtype=complex)
@@ -137,15 +138,14 @@ def dirac_operator(frame: FrameField, metric: MetricField | None = None) -> Firs
     return FirstOrderOperator(symbol_from_frame(frame), a0)
 
 
-def verify_subprincipal_identity(frame: FrameField, metric: MetricField | None = None) -> float:
+def verify_subprincipal_identity(frame: FrameField) -> float:
     """Residual of the subprincipal/axial-torsion identity for a Dirac operator.
 
     For the Dirac operator of the frame, the subprincipal symbol equals
     (3c/4) * (*T_ax) * Id with c the orientation charge.  Returns the
     max entrywise deviation over the grid.
     """
-    if metric is None:
-        metric = metric_from_frame(frame)
+    metric = metric_from_frame(frame)
     op = dirac_operator(frame, metric)
     asub = subprincipal_symbol(op)
     tor = torsion(frame, metric)
@@ -165,15 +165,6 @@ def apply_operator(op: FirstOrderOperator, v: np.ndarray) -> np.ndarray:
             "...pq,...q->...p", s[..., a, :, :], spectral_derivative(v, a + 1)
         )
     return out
-
-
-def charge_conjugation(v: np.ndarray) -> np.ndarray:
-    """Antilinear conjugation C(v) = eps conj(v); C^2 = -1.
-
-    Commutes with every Dirac operator, which forces even eigenvalue
-    multiplicities.
-    """
-    return np.einsum("pq,...q->...p", EPS_CONJ, np.conj(v))
 
 
 @dataclass(eq=False)
@@ -346,6 +337,8 @@ def check_dirac(op: FirstOrderOperator, tol: float = _DEFAULT_TOL) -> DiracVerdi
     """
     from .asymptotics import _coefficients  # local import to avoid a cycle
 
+    if not tol >= 0.0:
+        raise InputError(f"tol must be a non-negative number, got {tol}")
     frame = decode_frame(op.sigma)
     metric = decode_metric(op.sigma)
     asub = subprincipal_symbol(op)

@@ -192,8 +192,9 @@ def lattice_count(center, radius: float) -> int:
     a time, so memory stays O(radius^2).
     """
     center = np.asarray(center, dtype=float)
-    if center.shape != (3,) or radius <= 0.0:
-        raise InputError("center must be a 3-vector and radius positive")
+    if center.shape != (3,) or not np.isfinite(center).all() or not 0.0 < radius < np.inf:
+        raise InputError(f"center must be a finite 3-vector and radius positive and finite, "
+                         f"got center {center.tolist()} and radius {radius}")
     lo = np.floor(center - radius).astype(int)
     hi = np.ceil(center + radius).astype(int)
     d1, d2, d3 = ((np.arange(lo[a], hi[a] + 1) - center[a]) ** 2 for a in range(3))
@@ -320,15 +321,17 @@ def galerkin_spectrum(
     inside the reliable zone |lambda| <= reliable_fraction * mode_cutoff.
     Degenerate eigenvalues are clustered at tolerance _CLUSTER_TOL.
     """
-    if mode_cutoff < 1:
-        raise InputError("mode cutoff must be at least 1")
+    if not mode_cutoff >= 1:
+        raise InputError(f"mode_cutoff must be at least 1, got {mode_cutoff}")
+    if not reliable_fraction > 0.0:
+        raise InputError(f"reliable_fraction must be positive, got {reliable_fraction}")
     zone = reliable_fraction * mode_cutoff
     if window is None:
         window = (-zone, zone)
     lo, hi = float(window[0]), float(window[1])
-    if lo >= hi:
-        raise InputError("window must be a nonempty interval")
-    if lo < -zone - 1e-12 or hi > zone + 1e-12:
+    if not lo < hi:
+        raise InputError(f"window must be a nonempty interval, got {window}")
+    if not -zone - 1e-12 <= lo < hi <= zone + 1e-12:
         raise InputError(
             f"window {window} exceeds the reliable zone [-{zone}, {zone}] "
             f"at cutoff {mode_cutoff}; raise the cutoff or reliable_fraction"
@@ -422,8 +425,8 @@ def _counts(table: SpectrumTable, lams, side: str = "left"):
 
 
 def _check_threshold(table: SpectrumTable, lam: float) -> None:
-    if lam <= 0.0:
-        raise InputError("counting threshold must be positive")
+    if not lam > 0.0:
+        raise InputError(f"counting threshold lam must be positive, got {lam}")
     if lam > table.coverage[1] + 1e-12:
         raise InputError(
             f"lambda {lam} exceeds table coverage {table.coverage[1]}; "
@@ -618,8 +621,8 @@ def mollified_count(
     tau = float(kernel_width)
     if not (0.0 < tau < 2.0 * np.pi):
         raise InputError(f"kernel width must lie in (0, 2*pi), got {tau}")
-    if lam <= 0.0:
-        raise InputError("lambda must be positive")
+    if not lam > 0.0:
+        raise InputError(f"lam must be positive, got {lam}")
     tail = 45.75 / tau
     if lam + tail > table.coverage[1] + 1e-12:
         raise InputError(

@@ -8,6 +8,7 @@ from diracweyl.asymptotics import _FiberFrame
 from diracweyl.errors import ConsistencyError, InputError
 from diracweyl.fields import TrigInterpolant
 from diracweyl.geometry import pauli_components
+from diracweyl.operators import EPS_CONJ
 
 SAMPLE_INDICES = np.array([(0, 0, 0), (3, 7, 11), (8, 2, 5), (15, 15, 1), (4, 12, 9)])
 
@@ -123,12 +124,36 @@ def test_curvature_route_reads_the_interpolant_once_per_point(random_setup, monk
 
 
 def test_generalized_poisson_identities(random_setup):
+    """The bracket identities behind the curvature form of b2, at 20 seeded (x, xi).
+
+    The bracket with the shifted principal symbol rewrites as -3 h+ times
+    the plain curvature bracket (the projector drops out), and the
+    curvatures of the two eigenbundles cancel.
+    """
     _, sym, _ = random_setup
-    res = dw.generalized_poisson_check(sym, n_samples=20, seed=1)
-    assert res.n_samples == 20
-    assert res.rewrite_residual < 1e-9
-    assert res.projector_residual < 1e-9
-    assert res.conjugate_sum_residual < 1e-9
+    rng = np.random.default_rng(1)
+    eye = np.eye(2)
+    for _ in range(20):
+        x = rng.uniform(0.0, 2.0 * np.pi, size=3)
+        xi = rng.normal(size=3)
+        xi *= rng.uniform(0.5, 2.0) / np.linalg.norm(xi)
+        fib = _FiberFrame(sym, x)
+        h, v, dv_dx, dv_dxi = fib.eval(xi)
+        h0, v0 = h[0], v[0]
+        dx, dxi = dv_dx[:, 0, :], dv_dxi[:, 0, :]
+
+        def bracket(q, dx=dx, dxi=dxi):
+            left = np.einsum("ap,pq,aq->", np.conj(dx), q, dxi)
+            return left - np.einsum("ap,pq,aq->", np.conj(dxi), q, dx)
+
+        plain = bracket(eye)
+        mat = np.tensordot(xi, fib.s_center, axes=(0, 0))
+        assert abs(1.5j * bracket(mat - 2.0 * h0 * eye) + 4.5j * h0 * plain) < 1e-9
+        assert abs(bracket(np.outer(v0, np.conj(v0)))) < 1e-9
+        dx_m = np.conj(dx) @ EPS_CONJ.T
+        dxi_m = np.conj(dxi) @ EPS_CONJ.T
+        plain_minus = np.vdot(dx_m, dxi_m) - np.vdot(dxi_m, dx_m)
+        assert abs(plain + plain_minus) < 1e-9
 
 
 # --- densities -----------------------------------------------------------------

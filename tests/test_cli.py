@@ -414,13 +414,23 @@ MALFORMED = {
 }
 
 
-def _cli_process(*argv):
+def _python(*args):
     src = str(Path(dw.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, "-m", "diracweyl.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def _cli_process(*argv):
+    return _python("-m", "diracweyl.cli", *argv)
+
+
+def test_library_and_cli_import_with_numpy_alone():
+    """numpy is the one runtime dependency: blocking scipy and pytest breaks no import."""
+    code = "import sys; sys.modules.update(scipy=None, pytest=None); import diracweyl, diracweyl.cli"
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))

@@ -1,4 +1,4 @@
-"""Grid calculus: spectral derivatives, mode maps, quadrature."""
+"""Grid calculus: spectral derivatives, interpolation, quadrature."""
 
 import numpy as np
 import pytest
@@ -12,10 +12,7 @@ from diracweyl.fields import (
     chart_of,
     derivative_stack,
     fiber_ball_quadrature,
-    field_from_modes,
-    fourier_modes,
     grid_integral,
-    hermitian_residual,
     metric_ball_map,
     sphere_design_14,
     spectral_derivative,
@@ -76,23 +73,6 @@ def test_derivative_stack_matches_componentwise_derivatives():
     assert np.abs(st[..., 0, 0] - np.cos(x1)).max() < 1e-12
     assert np.abs(st[..., 1, 1] + np.sin(x2)).max() < 1e-12
     assert np.abs(st[..., 2, :]).max() < 1e-13
-
-
-def test_fourier_round_trip():
-    """fourier_modes and field_from_modes are mutually inverse."""
-    rng = np.random.default_rng(0)
-    n = 8
-    f = rng.standard_normal((n, n, n))
-    modes = fourier_modes(f)
-    back = field_from_modes(modes, n)
-    assert np.abs(back - f).max() < 1e-12
-
-
-def test_fourier_modes_drop_tol_prunes():
-    f = field_from_modes({(1, 0, 0): 1.0, (0, 3, 0): 1e-9}, 8)
-    kept = fourier_modes(f, drop_tol=1e-6)
-    assert all(abs(c) > 1e-6 for c in kept.values())
-    assert (0, 3, 0) not in kept
 
 
 def test_grid_integral_constant_and_sin_squared():
@@ -221,15 +201,6 @@ class TestFiberBallQuadrature:
             fiber_ball_quadrature(np.eye(3), lambda xi: (xi**2).sum(axis=1))
 
 
-def test_hermitian_residual_detects_skew_part():
-    h = np.zeros((4, 4, 4, 2, 2), complex)
-    h[..., 0, 1] = 1.0
-    h[..., 1, 0] = 1.0
-    assert hermitian_residual(h) < 1e-15
-    h[..., 1, 0] = 1.0 + 0.5j
-    assert abs(hermitian_residual(h) - 0.5) < 1e-12
-
-
 def _complex_fft_derivative(values, axis):
     """The complex-FFT derivative, Nyquist bin zeroed, taken back to real."""
     n = values.shape[0]
@@ -252,19 +223,3 @@ def test_real_fft_derivative_matches_complex_path(shape):
     stack = derivative_stack(f)
     assert stack.dtype == np.float64
     assert np.array_equal(stack[:, :, :, 1], spectral_derivative(f, 2))
-
-
-def test_fourier_modes_match_the_mode_by_mode_scan():
-    """Same keys, values and insertion order as reading every FFT bin in turn."""
-    n = 6
-    f = np.random.default_rng(5).standard_normal((n, n, n))
-    coefs = np.fft.fftn(f) / f.size
-    freq = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-    for tol in (0.0, 0.02):
-        want = {
-            (int(freq[i]), int(freq[j]), int(freq[k])): complex(coefs[i, j, k])
-            for i in range(n) for j in range(n) for k in range(n)
-            if tol == 0.0 or abs(coefs[i, j, k]) > tol
-        }
-        got = fourier_modes(f, drop_tol=tol)
-        assert list(got.items()) == list(want.items())

@@ -66,6 +66,11 @@ def _galerkin_hermiticity():
     dw.galerkin_spectrum(op, 2)
 
 
+def _skew_symbol():
+    sigma = dw.symbol_from_frame(dw.standard_frame(8)).sigma
+    dw.PrincipalSymbolField(sigma + _bump(sigma.shape, (1, 6, 3, 0, 0, 1), 1e-6))
+
+
 def _b_decomposition():
     b = _bump((8, 8, 8), (3, 0, 7), 1e-9)
     zero = np.zeros((8, 8, 8))
@@ -78,6 +83,7 @@ TRIPPED = {
         lambda mp: fiber_ball_quadrature(np.eye(3), lambda xi: (xi**2).sum(axis=1)),
         InputError, "homogeneous of degree 0", None),
     "geometry-torsion-route": (_route_with_offset, ConsistencyError, "Hodge vs curl", (2, 5, 1)),
+    "geometry-symbol-hermitian": (lambda mp: _skew_symbol(), InputError, "Hermitian", (1, 6, 3)),
     "geometry-metric-symmetry": (
         lambda mp: dw.MetricField(np.eye(3) + _bump((8, 8, 8, 3, 3), (1, 2, 3, 0, 1), 1e-6)),
         InputError, "symmetric", (1, 2, 3)),
@@ -123,7 +129,7 @@ def test_operator_with_a_nan_a0_entry_is_refused():
 
 def test_symbol_with_a_nan_is_input_error():
     sigma = dw.symbol_from_frame(dw.standard_frame(8)).sigma
-    with pytest.raises(InputError, match="measured nan"):
+    with pytest.raises(InputError, match=r"measured nan.*\(0, 0, 5\)"):
         dw.PrincipalSymbolField(_with_nan(sigma, (0, 0, 5, 2, 0, 0)))
 
 
@@ -149,3 +155,33 @@ def test_exact_tables_refuse_a_non_finite_reach(reach):
         dw.torus_exact_spectrum((0, 0, 0), reach)
     with pytest.raises(InputError, match="positive and finite"):
         dw.sphere_exact_spectrum(reach)
+
+
+def _structured_dirac():
+    return dw.dirac_operator(dw.standard_frame(8))
+
+
+# call -> the argument its refusal must name
+NAN_THRESHOLDS = {
+    "counting_bounds": (lambda: dw.counting_bounds(dw.torus_exact_spectrum((0, 0, 0), 5), np.nan),
+                        "lam"),
+    "counting_function": (
+        lambda: dw.counting_function(dw.torus_exact_spectrum((0, 0, 0), 5), np.nan), "lam"),
+    "mollified_count": (lambda: dw.mollified_count(dw.torus_exact_spectrum((0, 0, 0), 20), np.nan),
+                        "lam"),
+    "check_dirac-tol": (lambda: dw.check_dirac(_structured_dirac(), tol=np.nan), "tol"),
+    "galerkin-window": (lambda: dw.galerkin_spectrum(_structured_dirac(), 2, window=(np.nan, 0.5)),
+                        "window"),
+    "galerkin-reliable_fraction": (
+        lambda: dw.galerkin_spectrum(_structured_dirac(), 2, reliable_fraction=np.nan),
+        "reliable_fraction"),
+    "lattice_count-nan": (lambda: dw.lattice_count((0, 0, 0), np.nan), "radius"),
+    "lattice_count-inf": (lambda: dw.lattice_count((0, 0, 0), np.inf), "radius"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAN_THRESHOLDS))
+def test_a_nan_threshold_is_refused_by_name(case):
+    call, argument = NAN_THRESHOLDS[case]
+    with pytest.raises(InputError, match=rf"\b{argument}\b"):
+        call()

@@ -7,17 +7,18 @@ import diracweyl as dw
 from diracweyl.errors import EllipticityError, InputError
 from diracweyl.fields import PeriodicChart, derivative_stack
 from diracweyl import geometry
-from diracweyl.geometry import (
-    christoffel_symbols,
-    coframe,
-    teleparallel_coefficients,
-)
+from diracweyl.geometry import christoffel_symbols, coframe
 
 N = 12
 
 
 def _random_frame(seed, n=N):
     return dw.random_band_limited_frame(seed, n=n)
+
+
+def _teleparallel_coefficients(fr, met):
+    """Connection G[..., a, mu, b] = e_k^a d_mu c^k_b that makes the frame parallel."""
+    return geometry._teleparallel(fr.e, derivative_stack(coframe(fr, met)))
 
 
 # --- decode round trips ------------------------------------------------------
@@ -157,7 +158,7 @@ def test_contortion_identity(curved_frame):
     flat-metric random frame and on a curved frame with torsion."""
     for fr in (_random_frame(4, n=16), curved_frame):
         met = dw.metric_from_frame(fr)
-        gam = teleparallel_coefficients(fr, met)
+        gam = _teleparallel_coefficients(fr, met)
         t_low = np.einsum("...am,...mbc->...abc", met.g_cov, dw.torsion(fr, met).T)
         k_low = 0.5 * (
             t_low
@@ -174,14 +175,14 @@ def test_connection_kills_frame_derivative():
     """The defining property: each frame leg is parallel."""
     fr = dw.twisted_frame(1, 16)
     met = dw.metric_from_frame(fr)
-    gam = teleparallel_coefficients(fr, met)
+    gam = _teleparallel_coefficients(fr, met)
     de = derivative_stack(fr.e)
     cov = de + np.einsum("...amb,...jb->...mja", gam, fr.e)
     assert np.abs(cov).max() < 1e-12
     fr = _random_frame(2, n=16)
     met = dw.metric_from_frame(fr)
     cov = derivative_stack(fr.e) + np.einsum(
-        "...amb,...jb->...mja", teleparallel_coefficients(fr, met), fr.e
+        "...amb,...jb->...mja", _teleparallel_coefficients(fr, met), fr.e
     )
     assert np.abs(cov).max() < 1e-6
 
@@ -191,72 +192,6 @@ def test_coframe_duality():
     cof = coframe(fr, dw.metric_from_frame(fr))
     pairing = np.einsum("...ja,...ka->...jk", fr.e, cof)
     assert np.abs(pairing - np.eye(3)).max() < 1e-12
-
-
-# --- hodge -------------------------------------------------------------------
-
-def test_hodge_star_flat_examples():
-    met = dw.metric_from_frame(dw.standard_frame(8))
-    one = np.ones((8, 8, 8))
-    top = dw.hodge_star(met, one, 0)
-    assert top.shape == (8, 8, 8, 3, 3, 3)
-    assert abs(top[0, 0, 0, 0, 1, 2] - 1.0) < 1e-14
-    assert abs(dw.hodge_star(met, top, 3) - one).max() < 1e-13
-    dx1 = np.zeros((8, 8, 8, 3))
-    dx1[..., 0] = 1.0
-    two = dw.hodge_star(met, dx1, 1)
-    assert abs(two[0, 0, 0, 1, 2] - 1.0) < 1e-14
-    assert abs(two[0, 0, 0, 2, 1] + 1.0) < 1e-14
-
-
-def test_hodge_double_star_is_identity_on_two_forms():
-    rng = np.random.default_rng(13)
-    fr = _random_frame(3, n=8)
-    met = dw.metric_from_frame(fr)
-    raw = rng.standard_normal((8, 8, 8, 3, 3))
-    omega = raw - np.swapaxes(raw, -1, -2)
-    back = dw.hodge_star(met, dw.hodge_star(met, omega, 2), 1)
-    assert np.abs(back - omega).max() < 1e-12
-
-
-def test_hodge_star_input_checks():
-    met = dw.metric_from_frame(dw.standard_frame(8))
-    with pytest.raises(InputError, match="degree"):
-        dw.hodge_star(met, np.ones((8, 8, 8)), 4)
-    with pytest.raises(InputError, match="antisymmetric"):
-        dw.hodge_star(met, np.ones((8, 8, 8, 3, 3)), 2)
-    with pytest.raises(InputError, match="component axes"):
-        dw.hodge_star(met, np.ones((8, 8, 8)), 1)
-
-
-# --- transport ---------------------------------------------------------------
-
-class TestParallelTransport:
-    def test_standard_frame_transport_is_identity(self):
-        sym = dw.symbol_from_frame(dw.standard_frame(8))
-        xi = np.array([0.3, -1.0, 0.7])
-        out = dw.parallel_transport(sym, xi, np.zeros(3), np.array([1.0, 2.0, 3.0]))
-        assert np.abs(out - xi).max() < 1e-12
-
-    def test_norm_preserved_on_twisted(self):
-        sym = dw.symbol_from_frame(dw.twisted_frame(1, 12))
-        xi = np.array([0.0, 1.0, 0.0])
-        a = np.array([0.2, 0.4, 1.1])
-        b = np.array([2.0, 0.1, 4.0])
-        out = dw.parallel_transport(sym, xi, a, b)
-        # the twisted metric is Euclidean, so the coordinate norm is invariant
-        assert abs(np.linalg.norm(out) - 1.0) < 1e-12
-
-    def test_path_independence(self):
-        """A flat connection transports independently of the route taken."""
-        sym = dw.symbol_from_frame(dw.random_band_limited_frame(11, n=12))
-        xi = np.array([1.0, 0.5, -0.25])
-        a = np.zeros(3)
-        mid = np.array([3.0, 1.0, 0.5])
-        b = np.array([0.7, 5.0, 2.2])
-        direct = dw.parallel_transport(sym, xi, a, b)
-        via = dw.parallel_transport(sym, dw.parallel_transport(sym, xi, a, mid), mid, b)
-        assert np.abs(direct - via).max() < 1e-9
 
 
 # --- one pass over the coframe -------------------------------------------------
@@ -356,6 +291,19 @@ def test_dual_2forms_matches_raised_contraction(name):
     tor = dw.torsion(fr, met)
     want = _dual_by_raised_contraction(met, tor.T)
     assert np.abs(tor.star_T - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
+
+
+def test_dual_2forms_is_its_docstring_contraction():
+    """(1/2) sqrt(det g_cov) eps_{efb} g^{ec} g^{fd} w_{cd}, as one einsum, on a generic metric."""
+    met = dw.metric_from_frame(_generic_frame(8))
+    raw = np.random.default_rng(13).standard_normal((8, 8, 8, 3, 3, 3))
+    w = raw - np.swapaxes(raw, -1, -2)
+    g = met.g_contra
+    want = 0.5 * np.sqrt(np.linalg.det(met.g_cov))[..., None, None] * np.einsum(
+        "...ec,...fd,efb,...kcd->...kb", g, g, geometry.EPSILON, w, optimize=True)
+    gap = np.abs(geometry._dual_2forms(met, w) - want).max()
+    print(f"dual of 2-forms off by {gap:.1e}, max |value| {np.abs(want).max():.1f}")
+    assert gap < 1e-12
 
 
 # --- one ellipticity check per symbol ------------------------------------------
@@ -492,7 +440,13 @@ def test_christoffel_traces_are_the_log_volume_derivative(curved_frame):
 def test_symbol_from_frame_holds_one_real_array(monkeypatch):
     """p is the only grid array; the Hermitian gate is for complex input only."""
     calls = []
-    monkeypatch.setattr(geometry, "hermitian_residual", lambda s: calls.append(s) or 0.0)
+    real_gate = geometry.gate
+
+    def recording_gate(what, *args):
+        calls.append(what)
+        return real_gate(what, *args)
+
+    monkeypatch.setattr(geometry, "gate", recording_gate)
     frame = _random_frame(3, n=8)
     sym = dw.symbol_from_frame(frame)
     arrays = [v for v in vars(sym).values() if isinstance(v, np.ndarray)]
@@ -500,7 +454,9 @@ def test_symbol_from_frame_holds_one_real_array(monkeypatch):
     assert sym.p.dtype == np.float64 and sym.p.shape == (8, 8, 8, 3, 3)
     assert np.array_equal(sym.p, frame.e) and not np.shares_memory(sym.p, frame.e)
     assert np.array_equal(sym.sigma, geometry.pauli_matrices(np.swapaxes(frame.e, -1, -2)))
-    assert calls == []
+    assert not any("Hermitian" in what for what in calls)
+    dw.PrincipalSymbolField(sym.sigma)  # complex input does run it
+    assert any("Hermitian" in what for what in calls)
 
 
 def test_decoded_frame_is_the_read_only_component_array():
@@ -518,5 +474,5 @@ def test_nearly_hermitian_complex_input_rebuilds_sigma():
     sigma = dw.symbol_from_frame(_random_frame(3, n=8)).sigma
     rng = np.random.default_rng(11)
     noisy = sigma + 1e-14 * (rng.uniform(-1, 1, sigma.shape) + 1j * rng.uniform(-1, 1, sigma.shape))
-    assert 0.0 < geometry.hermitian_residual(noisy) <= 1e-13
+    assert 0.0 < np.abs(noisy - np.conj(np.swapaxes(noisy, -1, -2))).max() <= 1e-13
     assert np.abs(dw.PrincipalSymbolField(noisy).sigma - noisy).max() <= 1e-13
