@@ -121,10 +121,6 @@ class FrameField:
             raise InputError("frame field contains non-finite entries")
         self.e = e
 
-    @property
-    def chart(self):
-        return chart_of(self.e)
-
     def orientation(self) -> int:
         """Sign of det e, checked to be uniform across the grid."""
         d = _det3(self.e)

@@ -22,12 +22,10 @@ from .fields import chart_of, derivative_stack, spectral_derivative
 from .geometry import (
     PAULI,
     FrameField,
-    MetricField,
     PrincipalSymbolField,
     christoffel_symbols,
     decode_frame,
     decode_metric,
-    metric_from_frame,
     pauli_matrices,
     symbol_from_frame,
     torsion,
@@ -98,11 +96,12 @@ def subprincipal_symbol(op: FirstOrderOperator) -> np.ndarray:
     return op.a0 + 0.5j * divergence_sigma(op.sigma)
 
 
-def dirac_operator(frame: FrameField, metric: MetricField | None = None) -> FirstOrderOperator:
+def dirac_operator(frame: FrameField) -> FirstOrderOperator:
     """Massless Dirac operator of an orthonormal frame, on half-densities.
 
-    The principal part is the frame contracted with Pauli matrices; the
-    zeroth-order part is
+    The frame fixes the operator.  Its principal part is the symbol
+    symbol_from_frame builds, which checks ellipticity once; the metric
+    is decoded from that symbol, and the zeroth-order part is
 
         a0 = -(i/4) sigma^a sigma_b (d_a sigma^b + G^b_{ag} sigma^g)
              + (i/2) sigma^a G^b_{ab}
@@ -118,8 +117,8 @@ def dirac_operator(frame: FrameField, metric: MetricField | None = None) -> Firs
     real combinations of s^1, s^2, s^3 and i I, so a0 is a real
     multiple of I plus i times one traceless Hermitian matrix.
     """
-    if metric is None:
-        metric = metric_from_frame(frame)
+    sym = symbol_from_frame(frame)
+    metric = decode_metric(sym)
     e = frame.e
     grid = e.shape[:3]
     gamma = christoffel_symbols(metric).transpose(0, 1, 2, 4, 5, 3)  # G^b_{ag} as [a, g, b]
@@ -135,7 +134,7 @@ def dirac_operator(frame: FrameField, metric: MetricField | None = None) -> Firs
     a0 = 1j * pauli_matrices(0.5 * half_density - 0.25 * coef[..., :3])
     a0[..., 0, 0] += 0.25 * coef[..., 3]
     a0[..., 1, 1] += 0.25 * coef[..., 3]
-    return FirstOrderOperator(symbol_from_frame(frame), a0)
+    return FirstOrderOperator(sym, a0)
 
 
 def verify_subprincipal_identity(frame: FrameField) -> float:
@@ -145,10 +144,9 @@ def verify_subprincipal_identity(frame: FrameField) -> float:
     (3c/4) * (*T_ax) * Id with c the orientation charge.  Returns the
     max entrywise deviation over the grid.
     """
-    metric = metric_from_frame(frame)
-    op = dirac_operator(frame, metric)
+    op = dirac_operator(frame)
     asub = subprincipal_symbol(op)
-    tor = torsion(frame, metric)
+    tor = torsion(frame, decode_metric(op.sigma))
     rhs = (0.75 * tor.charge * tor.axial_dual)[..., None, None] * IDENTITY2
     return float(np.abs(asub - rhs).max())
 
@@ -337,8 +335,8 @@ def check_dirac(op: FirstOrderOperator, tol: float = _DEFAULT_TOL) -> DiracVerdi
     """
     from .asymptotics import _coefficients  # local import to avoid a cycle
 
-    if not tol >= 0.0:
-        raise InputError(f"tol must be a non-negative number, got {tol}")
+    if not 0.0 <= tol < np.inf:
+        raise InputError(f"tol must be a finite non-negative number, got {tol}")
     frame = decode_frame(op.sigma)
     metric = decode_metric(op.sigma)
     asub = subprincipal_symbol(op)
@@ -351,7 +349,7 @@ def check_dirac(op: FirstOrderOperator, tol: float = _DEFAULT_TOL) -> DiracVerdi
     coeffs = _coefficients(metric, asub, torsion(frame, metric))
     cond_b = float(np.abs(coeffs.b).max())
 
-    gap = float(np.abs(op.a0 - dirac_operator(frame, metric).a0).max())
+    gap = float(np.abs(op.a0 - dirac_operator(frame).a0).max())
 
     ok = cond_a <= tol and cond_b <= tol and gap <= tol
     return DiracVerdict(

@@ -9,13 +9,14 @@ defaults, the operator it builds and its exact spectrum, if it has one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable
 
 import numpy as np
 
 from .errors import InputError
 from .fields import PeriodicChart
-from .geometry import PAULI, FrameField, orthonormalize_frame
+from .geometry import PAULI, FrameField, orthonormalize_frame, pauli_matrices
 from .operators import FirstOrderOperator, GaugeField, dirac_operator
 from .spectra import SpectrumTable, SpinStructure, sphere_exact_spectrum, torus_exact_spectrum
 
@@ -58,6 +59,23 @@ def twisted_frame(k3: int, n: int = _DEFAULT_GRID) -> FrameField:
     return FrameField(e)
 
 
+def _trig_polynomial(modes: np.ndarray, coef: np.ndarray, n: int) -> np.ndarray:
+    """sum_m coef[m, 0] cos(m . x) + coef[m, 1] sin(m . x) on the n^3 grid, by one inverse FFT.
+
+    Each mode puts a - ib in its bin; modes that alias onto one bin of a
+    coarse grid add up there, as their sampled cosines and sines do.
+    """
+    spectrum = np.zeros((n, n, n) + coef.shape[2:], dtype=complex)
+    np.add.at(spectrum, tuple((modes % n).T), coef[:, 0] - 1j * coef[:, 1])
+    return n**3 * np.fft.ifftn(spectrum, axes=(0, 1, 2)).real
+
+
+_FRAME_MODES = np.array(
+    [m for m in product(range(-_RANDOM_MAX_MODE, _RANDOM_MAX_MODE + 1), repeat=3) if any(m)]
+)
+_GAUGE_MODES = np.array([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 0, 1)])
+
+
 def random_band_limited_frame(
     seed: int,
     n: int = _DEFAULT_GRID,
@@ -66,61 +84,44 @@ def random_band_limited_frame(
     """Random orientation-preserving orthonormal frame, g = identity.
 
     Perturbs the identity by a random trigonometric polynomial with
-    modes up to _RANDOM_MAX_MODE, then Gram-Schmidts the rows in the Euclidean
-    inner product.  The rows stay exactly orthonormal pointwise (so the
-    decoded metric is the identity); the frame itself is analytic but
-    no longer strictly band-limited, so keep the amplitude moderate for
+    modes up to _RANDOM_MAX_MODE, built by one inverse FFT of its
+    coefficients, then Gram-Schmidts the rows in the Euclidean inner
+    product.  The rows stay exactly orthonormal pointwise (so the
+    decoded metric is the identity); the frame is analytic but no longer
+    strictly band-limited, so keep the amplitude moderate for
     spectrally-accurate derivatives on coarse grids.
     """
     if amplitude < 0.0 or amplitude >= 0.5:
         raise InputError("amplitude must lie in [0, 0.5) to keep the frame nondegenerate")
-    rng = np.random.default_rng(seed)
-    x1, x2, x3 = PeriodicChart(n).mesh()
-    ax = range(-_RANDOM_MAX_MODE, _RANDOM_MAX_MODE + 1)
-    ms = [(m1, m2, m3) for m1 in ax for m2 in ax for m3 in ax if (m1, m2, m3) != (0, 0, 0)]
-    pert = np.zeros((n, n, n, 3, 3))
-    for m in ms:
-        phase = m[0] * x1 + m[1] * x2 + m[2] * x3
-        a = rng.standard_normal((3, 3))
-        b = rng.standard_normal((3, 3))
-        pert += np.cos(phase)[..., None, None] * a + np.sin(phase)[..., None, None] * b
+    coef = np.random.default_rng(seed).standard_normal((len(_FRAME_MODES), 2, 3, 3))
+    pert = _trig_polynomial(_FRAME_MODES, coef, n)
     peak = np.abs(pert).max()
     if peak > 0:
         pert *= amplitude / peak
-    e = standard_frame(n).e + pert
-    return orthonormalize_frame(e)
+    return orthonormalize_frame(standard_frame(n).e + pert)
 
 
 def random_gauge_field(seed: int, n: int = _DEFAULT_GRID, amplitude: float = 0.04) -> GaugeField:
     """Smooth random SU(2) field R = cos(t) - i sin(t) (u . s).
 
-    The angle t and axis u are low-mode trigonometric polynomials, so R
-    is analytic and pointwise exactly special unitary.  The axis is a
-    perturbed constant direction to keep it nonvanishing.  Composing
-    trigonometric functions leaves the analytic tail, not the grid, as
-    the accuracy limit; the default amplitude keeps gauge-transformed
-    operators inside the 1e-10 self-adjointness gate on a 16^3 grid.
+    The angle t and axis u are low-mode trigonometric polynomials, all
+    four components built by one inverse FFT, so R is analytic and
+    pointwise exactly special unitary.  The axis is a perturbed constant
+    direction to keep it nonvanishing.  Composing trigonometric
+    functions leaves the analytic tail, not the grid, as the accuracy
+    limit; the default amplitude keeps gauge-transformed operators
+    inside the 1e-10 self-adjointness gate on a 16^3 grid.
     """
-    rng = np.random.default_rng(seed)
-    x1, x2, x3 = PeriodicChart(n).mesh()
-
-    def scalar(scale):
-        f = np.zeros((n, n, n))
-        for m in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 0, 1)]:
-            phase = m[0] * x1 + m[1] * x2 + m[2] * x3
-            f += rng.standard_normal() * np.cos(phase) + rng.standard_normal() * np.sin(phase)
-        peak = np.abs(f).max()
-        return scale * f / peak if peak > 0 else f
-
-    theta = scalar(amplitude)
-    axis = np.stack(
-        [1.0 + scalar(amplitude), scalar(amplitude), scalar(amplitude)], axis=-1
-    )
+    coef = np.random.default_rng(seed).standard_normal((4, len(_GAUGE_MODES), 2))
+    fields = _trig_polynomial(_GAUGE_MODES, np.moveaxis(coef, 0, -1), n)  # t, u^1, u^2, u^3
+    fields = amplitude * fields / np.abs(fields).max(axis=(0, 1, 2))
+    theta = fields[..., 0]
+    axis = fields[..., 1:]
+    axis[..., 0] += 1.0
     axis /= np.linalg.norm(axis, axis=-1, keepdims=True)
-    n_dot_s = np.einsum("...j,jpq->...pq", axis, PAULI)
     r = (
         np.cos(theta)[..., None, None] * np.eye(2)
-        - 1j * np.sin(theta)[..., None, None] * n_dot_s
+        - 1j * np.sin(theta)[..., None, None] * pauli_matrices(axis)
     )
     return GaugeField(r)
 

@@ -318,13 +318,14 @@ def galerkin_spectrum(
     Hermitian and solved densely on its own, and a block of order above
     _DENSE_ORDER_BUDGET is refused before anything is allocated.  Only
     eigenvalues inside `window` are tabulated; the window must sit
-    inside the reliable zone |lambda| <= reliable_fraction * mode_cutoff.
+    inside the reliable zone |lambda| <= reliable_fraction * mode_cutoff,
+    with reliable_fraction in (0, 1] so the zone never passes the cutoff.
     Degenerate eigenvalues are clustered at tolerance _CLUSTER_TOL.
     """
     if not mode_cutoff >= 1:
         raise InputError(f"mode_cutoff must be at least 1, got {mode_cutoff}")
-    if not reliable_fraction > 0.0:
-        raise InputError(f"reliable_fraction must be positive, got {reliable_fraction}")
+    if not 0.0 < reliable_fraction <= 1.0:
+        raise InputError(f"reliable_fraction must lie in (0, 1], got {reliable_fraction}")
     zone = reliable_fraction * mode_cutoff
     if window is None:
         window = (-zone, zone)

@@ -276,6 +276,9 @@ REFUSED = {
                                "--method", "galerkin", "--cutoff", "3", "--lambda-max", "3"],
     "kernel-width-without-mollified": ["spectrum", "--count", "2", "--kernel-width", "3"],
     "grid-of-sphere": ["spectrum", "--scenario", "sphere", "--grid", "8"],
+    # exited 0 with a coverage wider than the cutoff reaches
+    "reliable-fraction-above-one": ["spectrum", "--scenario", "standard-torus", "--grid", "8",
+                                    "--method", "galerkin", "--reliable-fraction", "5"],
 }
 # the flag and its reader, which the error message names
 NAMED = {
@@ -285,6 +288,7 @@ NAMED = {
     "lambda-max-of-galerkin": ("--lambda-max", "--method exact"),
     "kernel-width-without-mollified": ("--kernel-width", "--mollified"),
     "grid-of-sphere": ("--grid", "operator"),
+    "reliable-fraction-above-one": ("reliable_fraction", "(0, 1]"),
 }
 
 

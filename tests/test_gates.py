@@ -7,8 +7,9 @@ import pytest
 
 import diracweyl as dw
 from diracweyl import geometry
-from diracweyl.errors import ConsistencyError, InputError, gate
+from diracweyl.errors import ConsistencyError, EllipticityError, InputError, gate
 from diracweyl.fields import fiber_ball_quadrature
+from diracweyl.scenarios import scenario_spectrum
 
 MESSAGE = re.compile(r"measured (\S+) against bound (\S+), ratio (\S+)")
 POINT = re.compile(r"at grid point \((\d+), (\d+), (\d+)\)$")
@@ -170,10 +171,20 @@ NAN_THRESHOLDS = {
     "mollified_count": (lambda: dw.mollified_count(dw.torus_exact_spectrum((0, 0, 0), 20), np.nan),
                         "lam"),
     "check_dirac-tol": (lambda: dw.check_dirac(_structured_dirac(), tol=np.nan), "tol"),
+    # an infinite tol passed every operator, a shifted one included
+    "check_dirac-tol-inf": (
+        lambda: dw.check_dirac(dw.dirac_plus_scalar(dw.standard_frame(8), 0.3), tol=np.inf), "tol"),
     "galerkin-window": (lambda: dw.galerkin_spectrum(_structured_dirac(), 2, window=(np.nan, 0.5)),
                         "window"),
     "galerkin-reliable_fraction": (
         lambda: dw.galerkin_spectrum(_structured_dirac(), 2, reliable_fraction=np.nan),
+        "reliable_fraction"),
+    # above 1 the table claimed coverage past its largest eigenvalue, and counts there fell short
+    "galerkin-reliable_fraction-5": (
+        lambda: dw.galerkin_spectrum(_structured_dirac(), 2, reliable_fraction=5.0),
+        "reliable_fraction"),
+    "galerkin-reliable_fraction-inf": (
+        lambda: dw.galerkin_spectrum(_structured_dirac(), 2, reliable_fraction=np.inf),
         "reliable_fraction"),
     "lattice_count-nan": (lambda: dw.lattice_count((0, 0, 0), np.nan), "radius"),
     "lattice_count-inf": (lambda: dw.lattice_count((0, 0, 0), np.inf), "radius"),
@@ -184,4 +195,60 @@ NAN_THRESHOLDS = {
 def test_a_nan_threshold_is_refused_by_name(case):
     call, argument = NAN_THRESHOLDS[case]
     with pytest.raises(InputError, match=rf"\b{argument}\b"):
+        call()
+
+
+def _grid_of(matrix):
+    """An 8^3 grid of copies of one matrix."""
+    return np.broadcast_to(np.asarray(matrix, dtype=float), (8, 8, 8) + np.shape(matrix)).copy()
+
+
+def _flipped_frame():
+    e = _grid_of(np.eye(3))
+    e[4:, :, :, 0, 0] = -1.0
+    return dw.FrameField(e)
+
+
+def _non_finite_frame():
+    e = _grid_of(np.eye(3))
+    e[1, 2, 3, 0, 0] = np.inf
+    return dw.FrameField(e)
+
+
+def _dependent_legs():
+    return dw.orthonormalize_frame(_grid_of([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
+
+
+# call -> (error class, words its message keeps); no other test reached these branches
+REFUSED_BRANCHES = {
+    "frame-shape": (lambda: dw.FrameField(np.zeros((8, 8, 8, 3))), InputError,
+                    "frame field must have shape"),
+    "frame-non-finite": (_non_finite_frame, InputError, "non-finite"),
+    "metric-shape": (lambda: dw.MetricField(np.zeros((8, 8, 8, 2, 2))), InputError,
+                     "metric field must have shape"),
+    "gauge-shape": (lambda: dw.GaugeField(np.zeros((8, 8, 8, 3, 3))), InputError,
+                    "gauge field must have shape"),
+    "lift-shape": (lambda: dw.su2_lift(np.zeros((8, 8, 8, 2, 2))), InputError,
+                   "rotation field must have shape"),
+    "lift-det-minus-one": (lambda: dw.su2_lift(_grid_of(np.diag([1.0, 1.0, -1.0]))), InputError,
+                           "special orthogonal"),
+    "galerkin-cutoff-0": (lambda: dw.galerkin_spectrum(_structured_dirac(), 0), InputError,
+                          "mode_cutoff must be at least 1"),
+    "twist-fractional": (lambda: dw.twisted_frame(1.5, 8), InputError, "must be an integer"),
+    "random-amplitude": (lambda: dw.random_band_limited_frame(0, 8, amplitude=0.5), InputError,
+                         "amplitude must lie in"),
+    "scenario-without-table": (lambda: scenario_spectrum("dirac-plus-traceless", 5), InputError,
+                               "has no exact spectrum"),
+    "orientation-flips": (lambda: _flipped_frame().orientation(), ConsistencyError,
+                          "orientation changes sign"),
+    "orientation-zero-frame": (lambda: dw.FrameField(np.zeros((8, 8, 8, 3, 3))).orientation(),
+                               EllipticityError, "degenerates at grid point"),
+    "dependent-legs": (_dependent_legs, EllipticityError, "linearly dependent"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_BRANCHES))
+def test_refusal_branch_raises_its_error(case):
+    call, error, words = REFUSED_BRANCHES[case]
+    with pytest.raises(error, match=re.escape(words)):
         call()

@@ -324,6 +324,22 @@ def test_decode_metric_does_not_recheck_ellipticity(monkeypatch):
     assert calls == [met.g_contra.shape]
 
 
+def test_dirac_operator_checks_ellipticity_once(monkeypatch):
+    """Its symbol checks ellipticity and its metric is decoded from that symbol;
+    building the metric from the frame as well checked the same g twice."""
+    fr = dw.random_band_limited_frame(2)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    dw.dirac_operator(fr)
+    assert calls == [fr.e.shape]
+
+
 def test_indefinite_metric_field_still_rejected():
     g = np.broadcast_to(np.eye(3), (8, 8, 8, 3, 3)).copy()
     g[3, 4, 5, 2, 2] = -0.5

@@ -218,7 +218,8 @@ class TestCheckDirac:
         assert not dw.check_dirac(op, tol=1e-12).is_dirac
 
     def test_check_dirac_decodes_the_metric_once(self, monkeypatch):
-        """The verdict, its b density step and the rebuilt operator share one decode."""
+        """The verdict and its b density step share one decode of the operator's
+        symbol; the rebuilt Dirac operator decodes its own symbol once."""
         from diracweyl import asymptotics, geometry, operators
 
         op = dw.dirac_operator(dw.random_band_limited_frame(6))
@@ -231,7 +232,7 @@ class TestCheckDirac:
         for module in (operators, asymptotics):
             monkeypatch.setattr(module, "decode_metric", counting)
         assert dw.check_dirac(op).is_dirac
-        assert len(calls) == 1
+        assert len(calls) == 2 and calls[0] is op.sigma and calls[1] is not op.sigma
 
 
 # --- the zeroth-order contraction ----------------------------------------------
@@ -307,16 +308,15 @@ def test_dirac_operator_peak_memory(peak_mb):
     """At n=16 the one-shot three-operand einsum peaked at 8.59 MB of traced
     allocation; an optimize=True contraction adds a 4 MB intermediate on top."""
     fr = dw.random_band_limited_frame(0, 16)
-    met = dw.metric_from_frame(fr)
-    assert peak_mb(lambda: dw.dirac_operator(fr, met)) <= 8.6
+    assert peak_mb(lambda: dw.dirac_operator(fr)) <= 8.6
 
 
 def test_dirac_operator_frees_the_connection_once_used(peak_mb):
     """Keeping the Christoffel symbols and the bracket alive to the end peaked at
-    5.93 MB at n=16; freeing each once used gives 3.54 MB."""
+    5.93 MB at n=16; freeing each once used gives 3.57 MB, the symbol and the
+    metric the operator builds for itself included."""
     fr = dw.random_band_limited_frame(0, 16)
-    met = dw.metric_from_frame(fr)
-    assert peak_mb(lambda: dw.dirac_operator(fr, met)) <= 4.0
+    assert peak_mb(lambda: dw.dirac_operator(fr)) <= 4.0
 
 
 def test_divergence_sigma_takes_real_transforms_only(monkeypatch):

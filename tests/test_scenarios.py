@@ -7,6 +7,7 @@ import pytest
 
 import diracweyl as dw
 from diracweyl.errors import ConsistencyError, InputError
+from diracweyl.geometry import PAULI
 from diracweyl.scenarios import SCENARIO_NAMES, build_scenario
 
 
@@ -82,6 +83,48 @@ def test_random_gauge_field_properties():
     det = g.R[..., 0, 0] * g.R[..., 1, 1] - g.R[..., 0, 1] * g.R[..., 1, 0]
     assert np.abs(det - 1.0).max() < 1e-12
     assert np.abs(g.R[0, 0, 0] - np.eye(2)).max() > 1e-4  # genuinely non-constant
+
+
+# --- the random builders against their mode-by-mode sums ----------------------
+
+def _mode_sum(rng, modes, n, draw):
+    """sum_m a_m cos(m . x) + b_m sin(m . x), one mode at a time, a_m then b_m drawn."""
+    x1, x2, x3 = dw.PeriodicChart(n).mesh()
+    out = 0.0
+    for m in modes:
+        phase = (m[0] * x1 + m[1] * x2 + m[2] * x3)[(...,) + (None,) * len(draw)]
+        a, b = rng.standard_normal(draw), rng.standard_normal(draw)
+        out = out + np.cos(phase) * a + np.sin(phase) * b
+    return out
+
+
+def _reference_frame(seed, n, amplitude=0.003):
+    ax = range(-2, 3)
+    modes = [(m1, m2, m3) for m1 in ax for m2 in ax for m3 in ax if (m1, m2, m3) != (0, 0, 0)]
+    pert = _mode_sum(np.random.default_rng(seed), modes, n, (3, 3))
+    return dw.orthonormalize_frame(np.eye(3) + pert * (amplitude / np.abs(pert).max())).e
+
+
+def _reference_gauge(seed, n, amplitude=0.04):
+    rng = np.random.default_rng(seed)
+    modes = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 0, 1)]
+    t, u1, u2, u3 = (amplitude * f / np.abs(f).max() for f in
+                     (_mode_sum(rng, modes, n, ()) for _ in range(4)))
+    u = np.stack([1.0 + u1, u2, u3], axis=-1)
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    u_dot_s = np.einsum("...j,jpq->...pq", u, PAULI)
+    return np.cos(t)[..., None, None] * np.eye(2) - 1j * np.sin(t)[..., None, None] * u_dot_s
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_random_fields_match_their_mode_sums(seed, n):
+    """One inverse FFT of the coefficients reproduces the sum over modes; at n = 4
+    the modes +-2 of the frame share the Nyquist bin, where their terms add up."""
+    frame_gap = np.abs(dw.random_band_limited_frame(seed, n).e - _reference_frame(seed, n)).max()
+    gauge_gap = np.abs(dw.random_gauge_field(seed, n).R - _reference_gauge(seed, n)).max()
+    print(f"seed {seed}, n {n}: frame {frame_gap:.1e}, gauge {gauge_gap:.1e}")
+    assert frame_gap <= 1e-14 and gauge_gap <= 1e-14
 
 
 def test_parameter_the_scenario_does_not_read_is_refused():
