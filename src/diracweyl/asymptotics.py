@@ -241,11 +241,10 @@ def b2_density_fiber_torsion(sym, points) -> np.ndarray:
     frame = decode_frame(sym)
     metric = decode_metric(sym)
     tor = torsion(frame, metric)
-    star_up = np.einsum("...ac,...cb->...ab", tor.star_T, metric.g_contra)
     out = np.empty(len(points))
     for i, p in enumerate(points):
-        tmat = star_up[p]
         g = metric.g_contra[p]
+        tmat = tor.star_T[p] @ g  # (*T)^a_c g^{cb}, at this point only
 
         def integrand(xis):
             num = np.einsum("ka,ab,kb->k", xis, tmat, xis)

@@ -112,8 +112,7 @@ def grid_integral(values: np.ndarray):
     Scalar fields give a scalar; trailing component axes are kept.
     """
     n3 = values.shape[0] * values.shape[1] * values.shape[2]
-    total = values.reshape(n3, *values.shape[3:]).mean(axis=0) * VOLUME
-    return total
+    return values.reshape(n3, *values.shape[3:]).mean(axis=0) * VOLUME
 
 
 class TrigInterpolant:

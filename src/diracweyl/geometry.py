@@ -33,11 +33,8 @@ PAULI = np.array(
     dtype=complex,
 )
 
-# Totally antisymmetric symbol, eps[0,1,2] = +1.
-EPSILON = np.zeros((3, 3, 3))
-for _i, _j, _k, _s in [(0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
-                       (0, 2, 1, -1), (2, 1, 0, -1), (1, 0, 2, -1)]:
-    EPSILON[_i, _j, _k] = _s
+# Totally antisymmetric symbol, eps[0,1,2] = +1: eps[i, j] = e_i x e_j.
+EPSILON = np.cross(np.eye(3)[:, None], np.eye(3))
 
 _FRAME_CONDITION_LIMIT = 1e8
 
@@ -243,12 +240,6 @@ def decode_metric(sym: PrincipalSymbolField) -> MetricField:
     return metric
 
 
-def metric_from_frame(frame: FrameField) -> MetricField:
-    """g^{ab} = delta^{jk} e_j^a e_k^b; equals decode_metric on the
-    corresponding symbol up to rounding."""
-    return MetricField(np.swapaxes(frame.e, -1, -2) @ frame.e)
-
-
 def topological_charge(sym: PrincipalSymbolField) -> int:
     """Orientation invariant of the symbol, +1 or -1.
 
@@ -256,7 +247,7 @@ def topological_charge(sym: PrincipalSymbolField) -> int:
     determinant -(i/2) sqrt(det g_cov) tr(s^1 s^2 s^3), and as the sign
     of the frame determinant.  Both must be constant across the grid.
     """
-    frame = decode_frame(sym)
+    orientation = FrameField(sym.p).orientation()  # decode_frame would evaluate it twice
     metric = decode_metric(sym)
     trip = np.einsum("...pq,...qr,...rp->...", *np.moveaxis(sym.sigma, -3, 0))  # tr(s^1 s^2 s^3)
     fibre = -0.5j * metric.vol * trip
@@ -266,7 +257,7 @@ def topological_charge(sym: PrincipalSymbolField) -> int:
     if c0 not in (-1, 1):
         raise ConsistencyError(f"charge {c_field.flat[0]!r} is not a unit")
     gate("charge is not constant across the grid", c_field - c0, 1e-6)
-    if frame.orientation() != c0:
+    if orientation != c0:
         raise ConsistencyError("fibre-determinant charge disagrees with frame orientation")
     return c0
 
@@ -368,6 +359,9 @@ def torsion(frame: FrameField, metric: MetricField) -> TorsionBundle:
     derivative stack.  Any disagreement beyond 1e-10 (on O(1) fields)
     raises ConsistencyError.
     """
+    if frame.e.shape != metric.g_contra.shape:
+        raise InputError(f"frame on the {frame.e.shape[0]}^3 grid and metric on the "
+                         f"{metric.g_contra.shape[0]}^3 grid do not match")
     cof = coframe(frame, metric)
     dcof = derivative_stack(cof)  # [..., mu, k, b]
     ax2 = _axial_dual_from_coframe(metric, cof, dcof)

@@ -22,10 +22,12 @@ from .fields import chart_of, derivative_stack, spectral_derivative
 from .geometry import (
     PAULI,
     FrameField,
+    MetricField,
     PrincipalSymbolField,
     christoffel_symbols,
     decode_frame,
     decode_metric,
+    pauli_components,
     pauli_matrices,
     symbol_from_frame,
     torsion,
@@ -99,16 +101,22 @@ def subprincipal_symbol(op: FirstOrderOperator) -> np.ndarray:
 def dirac_operator(frame: FrameField) -> FirstOrderOperator:
     """Massless Dirac operator of an orthonormal frame, on half-densities.
 
-    The frame fixes the operator.  Its principal part is the symbol
-    symbol_from_frame builds, which checks ellipticity once; the metric
-    is decoded from that symbol, and the zeroth-order part is
+    The frame fixes the operator: symbol_from_frame builds its symbol,
+    checking ellipticity once, and _dirac_a0 its zeroth-order part.
+    """
+    sym = symbol_from_frame(frame)
+    return FirstOrderOperator(sym, _dirac_a0(sym.p, decode_metric(sym)))
+
+
+def _dirac_a0(e: np.ndarray, metric: MetricField) -> np.ndarray:
+    """Zeroth-order part of the Dirac operator of frame e, whose metric is given:
 
         a0 = -(i/4) sigma^a sigma_b (d_a sigma^b + G^b_{ag} sigma^g)
              + (i/2) sigma^a G^b_{ab}
 
-    with G the Levi-Civita coefficients of the decoded metric.  The
-    last term is the half-density conjugation, folded in analytically
-    via the identity G^b_{ab} = d_a log sqrt(det g).
+    with G the Levi-Civita coefficients of the metric.  The last term
+    is the half-density conjugation, folded in analytically via the
+    identity G^b_{ab} = d_a log sqrt(det g).
 
     Everything is contracted on real frame components: with sigma^a =
     s^j e_j^a, sigma_b = s^k c^k_b (c the coframe) and the bracket
@@ -117,9 +125,6 @@ def dirac_operator(frame: FrameField) -> FirstOrderOperator:
     real combinations of s^1, s^2, s^3 and i I, so a0 is a real
     multiple of I plus i times one traceless Hermitian matrix.
     """
-    sym = symbol_from_frame(frame)
-    metric = decode_metric(sym)
-    e = frame.e
     grid = e.shape[:3]
     gamma = christoffel_symbols(metric).transpose(0, 1, 2, 4, 5, 3)  # G^b_{ag} as [a, g, b]
     bracket = derivative_stack(e)  # D[a, l, b] = d_a e_l^b + G^b_{ag} e_l^g
@@ -134,7 +139,7 @@ def dirac_operator(frame: FrameField) -> FirstOrderOperator:
     a0 = 1j * pauli_matrices(0.5 * half_density - 0.25 * coef[..., :3])
     a0[..., 0, 0] += 0.25 * coef[..., 3]
     a0[..., 1, 1] += 0.25 * coef[..., 3]
-    return FirstOrderOperator(sym, a0)
+    return a0
 
 
 def verify_subprincipal_identity(frame: FrameField) -> float:
@@ -203,6 +208,9 @@ def gauge_transform(op: FirstOrderOperator, gauge: GaugeField) -> FirstOrderOper
     product-rule term -i R sigma^a d_a(R*).
     """
     r = gauge.R
+    if r.shape[:3] != op.a0.shape[:3]:
+        raise InputError(f"gauge field on the {r.shape[0]}^3 grid and operator on the "
+                         f"{op.a0.shape[0]}^3 grid do not match")
     rh = np.conj(np.swapaxes(r, -1, -2))
     drh = derivative_stack(rh)  # [a, p, q]
     a0_new = np.einsum("...pq,...qr,...rs->...ps", r, op.a0, rh) - 1j * np.einsum(
@@ -330,8 +338,8 @@ def check_dirac(op: FirstOrderOperator, tol: float = _DEFAULT_TOL) -> DiracVerdi
     * cond_b_residual - vanishing of the second Weyl coefficient
       density b(x) (max modulus over the grid);
     * reconstructed_gap - max difference between a0 and the a0 of the
-      Dirac operator rebuilt from the decoded frame; the rebuilt
-      principal part is the operator's own p, so it adds exactly 0.
+      Dirac operator of the decoded frame, contracted on the frame and
+      metric decoded here; no second operator is built.
     """
     from .asymptotics import _coefficients  # local import to avoid a cycle
 
@@ -341,21 +349,14 @@ def check_dirac(op: FirstOrderOperator, tol: float = _DEFAULT_TOL) -> DiracVerdi
     metric = decode_metric(op.sigma)
     asub = subprincipal_symbol(op)
     trace_half = 0.5 * (asub[..., 0, 0] + asub[..., 1, 1])
-    devi = asub - trace_half[..., None, None] * IDENTITY2
-    cond_a = float(
-        np.sqrt(np.abs(devi[..., 0, 0].real) ** 2 + np.abs(devi[..., 0, 1]) ** 2).max()
-    )
+    devi = pauli_components(asub - trace_half[..., None, None] * IDENTITY2)
+    cond_a = float(np.sqrt((devi**2).sum(axis=-1)).max())
 
     coeffs = _coefficients(metric, asub, torsion(frame, metric))
     cond_b = float(np.abs(coeffs.b).max())
 
-    gap = float(np.abs(op.a0 - dirac_operator(frame).a0).max())
+    gap = float(np.abs(op.a0 - _dirac_a0(frame.e, metric)).max())
 
     ok = cond_a <= tol and cond_b <= tol and gap <= tol
-    return DiracVerdict(
-        is_dirac=bool(ok),
-        cond_a_residual=cond_a,
-        cond_b_residual=cond_b,
-        reconstructed_gap=gap,
-        tol=tol,
-    )
+    return DiracVerdict(is_dirac=bool(ok), cond_a_residual=cond_a, cond_b_residual=cond_b,
+                        reconstructed_gap=gap, tol=tol)

@@ -46,8 +46,8 @@ def twisted_frame(k3: int, n: int = _DEFAULT_GRID) -> FrameField:
     twisted: for odd k3 the induced rotation field admits no global
     spin lift.
     """
-    if int(k3) != k3:
-        raise InputError("twist number k3 must be an integer")
+    if not np.isfinite(k3) or int(k3) != k3:
+        raise InputError(f"twist number k3 must be an integer, got {k3}")
     _, _, x3 = PeriodicChart(n).mesh()
     c, s = np.cos(k3 * x3), np.sin(k3 * x3)
     e = np.zeros((n, n, n, 3, 3))
@@ -129,15 +129,13 @@ def random_gauge_field(seed: int, n: int = _DEFAULT_GRID, amplitude: float = 0.0
 def dirac_plus_scalar(frame: FrameField, q: float) -> FirstOrderOperator:
     """The Dirac operator of the frame shifted by a constant scalar potential."""
     op = dirac_operator(frame)
-    a0 = op.a0 + q * np.eye(2)
-    return FirstOrderOperator(op.sigma, a0)
+    return FirstOrderOperator(op.sigma, op.a0 + q * np.eye(2))
 
 
 def dirac_plus_traceless(frame: FrameField, epsilon: float) -> FirstOrderOperator:
     """The Dirac operator plus a constant traceless Hermitian perturbation."""
     op = dirac_operator(frame)
-    a0 = op.a0 + epsilon * PAULI[2]
-    return FirstOrderOperator(op.sigma, a0)
+    return FirstOrderOperator(op.sigma, op.a0 + epsilon * PAULI[2])
 
 
 def _shifted_torus_spectrum(lambda_max: float, q: float) -> SpectrumTable:

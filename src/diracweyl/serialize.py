@@ -35,8 +35,7 @@ def _unflatten_grid(flat: np.ndarray, n: int) -> np.ndarray:
 
 
 def _encode_complex(arr: np.ndarray) -> list:
-    stacked = np.stack([np.real(arr), np.imag(arr)], axis=-1)
-    return stacked.tolist()
+    return np.stack([np.real(arr), np.imag(arr)], axis=-1).tolist()
 
 
 def _header(kind: str, n: int) -> dict:

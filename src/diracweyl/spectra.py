@@ -40,7 +40,8 @@ _FOURIER_TOL = 1e-13  # smaller Fourier coefficients of operator data are droppe
 # complex128.  Larger Galerkin blocks are refused before allocation.
 _DENSE_ORDER_BUDGET = 8000
 # Longest histogram of q = 4|m - s|^2 an exact table builds (lambda_max
-# up to 1024); it and its table take about 40 bytes per entry.
+# up to 1024); it and its table take about 40 bytes per entry.  The same
+# budget caps a sphere table's length and a lattice_count plane.
 _Q_LENGTH_BUDGET = 1 << 22
 
 
@@ -62,14 +63,8 @@ class SpinStructure:
 
 def all_spin_structures():
     """The eight shift vectors, trivial one first."""
-    out = [
-        SpinStructure((a, b, c))
-        for a in (0.0, 0.5)
-        for b in (0.0, 0.5)
-        for c in (0.0, 0.5)
-    ]
-    out.sort(key=lambda s: sum(s.shift))
-    return out
+    out = [SpinStructure((a, b, c)) for a in (0.0, 0.5) for b in (0.0, 0.5) for c in (0.0, 0.5)]
+    return sorted(out, key=lambda s: sum(s.shift))
 
 
 @dataclass(eq=False)
@@ -169,10 +164,17 @@ def torus_exact_spectrum(shift, lambda_max: float) -> SpectrumTable:
 
 
 def sphere_exact_spectrum(lambda_max: float) -> SpectrumTable:
-    """Exact round-sphere Dirac spectrum: +-(k + 1/2), multiplicity k(k+1)."""
+    """Exact round-sphere Dirac spectrum: +-(k + 1/2), multiplicity k(k+1).
+
+    A table longer than _Q_LENGTH_BUDGET is refused before allocation.
+    """
     if not 0.0 < lambda_max < np.inf:
         raise InputError(f"lambda_max must be positive and finite, got {lambda_max}")
-    ks = np.arange(1, int(np.floor(lambda_max - 0.5)) + 1)
+    k_max = int(np.floor(lambda_max - 0.5))
+    if 2 * k_max > _Q_LENGTH_BUDGET:
+        raise InputError(f"lambda_max {lambda_max} needs a sphere table of length {2 * k_max}, "
+                         f"over the budget of {_Q_LENGTH_BUDGET}; lower lambda_max")
+    ks = np.arange(1, k_max + 1)
     pos = ks + 0.5
     mult = ks * (ks + 1)
     return SpectrumTable(
@@ -189,14 +191,20 @@ def lattice_count(center, radius: float) -> int:
     Distances are compared exactly the same way eigenvalue tables are
     queried (via the rounded square root), so counting identities
     against exact spectra hold verbatim.  One m1 plane is evaluated at
-    a time, so memory stays O(radius^2).
+    a time, so memory stays O(radius^2); a plane of more than
+    _Q_LENGTH_BUDGET points is refused before allocation.
     """
     center = np.asarray(center, dtype=float)
     if center.shape != (3,) or not np.isfinite(center).all() or not 0.0 < radius < np.inf:
         raise InputError(f"center must be a finite 3-vector and radius positive and finite, "
                          f"got center {center.tolist()} and radius {radius}")
-    lo = np.floor(center - radius).astype(int)
-    hi = np.ceil(center + radius).astype(int)
+    lo = np.floor(center - radius)
+    hi = np.ceil(center + radius)
+    plane = (hi[1] - lo[1] + 1) * (hi[2] - lo[2] + 1)
+    if plane > _Q_LENGTH_BUDGET:
+        raise InputError(f"radius {radius} needs a plane of {plane:.0f} lattice points, over "
+                         f"the budget of {_Q_LENGTH_BUDGET}; lower radius")
+    lo, hi = lo.astype(int), hi.astype(int)
     d1, d2, d3 = ((np.arange(lo[a], hi[a] + 1) - center[a]) ** 2 for a in range(3))
     return sum(int(np.count_nonzero(np.sqrt((a + d2)[:, None] + d3) < radius)) for a in d1)
 
@@ -322,8 +330,8 @@ def galerkin_spectrum(
     with reliable_fraction in (0, 1] so the zone never passes the cutoff.
     Degenerate eigenvalues are clustered at tolerance _CLUSTER_TOL.
     """
-    if not mode_cutoff >= 1:
-        raise InputError(f"mode_cutoff must be at least 1, got {mode_cutoff}")
+    if not isinstance(mode_cutoff, (int, np.integer)) or mode_cutoff < 1:
+        raise InputError(f"mode_cutoff must be at least 1 and an integer, got {mode_cutoff!r}")
     if not 0.0 < reliable_fraction <= 1.0:
         raise InputError(f"reliable_fraction must lie in (0, 1], got {reliable_fraction}")
     zone = reliable_fraction * mode_cutoff

@@ -54,7 +54,7 @@ def test_criterion_02_curvature_identity():
     worst = 0.0
     for name, frame in FRAMES:
         sym = dw.symbol_from_frame(frame)
-        met = dw.metric_from_frame(frame)
+        met = dw.decode_metric(dw.symbol_from_frame(frame))
         tor = dw.torsion(frame, met)
         star_up = np.einsum("...ag,...gb->...ab", tor.star_T, met.g_contra)
         for _ in range(50):

@@ -279,6 +279,8 @@ REFUSED = {
     # exited 0 with a coverage wider than the cutoff reaches
     "reliable-fraction-above-one": ["spectrum", "--scenario", "standard-torus", "--grid", "8",
                                     "--method", "galerkin", "--reliable-fraction", "5"],
+    # died with a MemoryError traceback and exit 1
+    "sphere-over-budget": ["spectrum", "--scenario", "sphere", "--lambda-max", "1e9"],
 }
 # the flag and its reader, which the error message names
 NAMED = {
@@ -289,6 +291,7 @@ NAMED = {
     "kernel-width-without-mollified": ("--kernel-width", "--mollified"),
     "grid-of-sphere": ("--grid", "operator"),
     "reliable-fraction-above-one": ("reliable_fraction", "(0, 1]"),
+    "sphere-over-budget": ("lambda_max", "budget"),
 }
 
 

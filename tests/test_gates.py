@@ -53,7 +53,7 @@ def _route_with_offset(monkeypatch):
     monkeypatch.setattr(geometry, "_star_torsion_from_curl",
                         lambda *a: curl(*a) + _bump((8, 8, 8, 3, 3), (2, 5, 1, 0, 0), 1e-6))
     frame = dw.twisted_frame(1, 8)
-    dw.torsion(frame, dw.metric_from_frame(frame))
+    dw.torsion(frame, dw.decode_metric(dw.symbol_from_frame(frame)))
 
 
 def _self_adjointness():
@@ -244,6 +244,27 @@ REFUSED_BRANCHES = {
     "orientation-zero-frame": (lambda: dw.FrameField(np.zeros((8, 8, 8, 3, 3))).orientation(),
                                EllipticityError, "degenerates at grid point"),
     "dependent-legs": (_dependent_legs, EllipticityError, "linearly dependent"),
+    # each asked numpy for gigabytes and died with MemoryError
+    "sphere-over-budget": (lambda: dw.sphere_exact_spectrum(1e9), InputError,
+                           "sphere table of length 1999999998, over the budget of 4194304"),
+    "lattice-radius-1e4": (lambda: dw.lattice_count((0, 0, 0), 1e4), InputError,
+                           "plane of 400040001 lattice points, over the budget"),
+    "lattice-radius-1e5": (lambda: dw.lattice_count((0, 0, 0), 1e5), InputError,
+                           "over the budget of 4194304; lower radius"),
+    # each raised TypeError or ValueError from inside numpy
+    "galerkin-cutoff-2.5": (lambda: dw.galerkin_spectrum(_structured_dirac(), 2.5), InputError,
+                            "mode_cutoff must be at least 1 and an integer, got 2.5"),
+    "galerkin-cutoff-inf": (lambda: dw.galerkin_spectrum(_structured_dirac(), np.inf), InputError,
+                            "mode_cutoff must be at least 1 and an integer, got inf"),
+    "galerkin-cutoff-str": (lambda: dw.galerkin_spectrum(_structured_dirac(), "2"), InputError,
+                            "mode_cutoff must be at least 1 and an integer, got '2'"),
+    "twist-inf": (lambda: dw.twisted_frame(np.inf, 8), InputError, "must be an integer, got inf"),
+    "twist-nan": (lambda: dw.twisted_frame(np.nan, 8), InputError, "must be an integer, got nan"),
+    "gauge-grid": (lambda: dw.gauge_transform(_structured_dirac(), dw.random_gauge_field(0, 16)),
+                   InputError, "gauge field on the 16^3 grid and operator on the 8^3 grid"),
+    "torsion-grid": (
+        lambda: dw.torsion(dw.standard_frame(8), dw.MetricField(_grid_of(np.eye(3))[::2, ::2, ::2])),
+        InputError, "frame on the 8^3 grid and metric on the 4^3 grid"),
 }
 
 

@@ -42,7 +42,7 @@ def test_metric_routes_agree():
     fr = _random_frame(5)
     sym = dw.symbol_from_frame(fr)
     g1 = dw.decode_metric(sym).g_contra
-    g2 = dw.metric_from_frame(fr).g_contra
+    g2 = dw.MetricField(np.swapaxes(fr.e, -1, -2) @ fr.e).g_contra
     assert np.abs(g1 - g2).max() < 1e-12
 
 
@@ -105,7 +105,7 @@ class TestTorsion:
         """The twist shows up as constant axial torsion -2*k3/3."""
         for k3 in (1, 2):
             fr = dw.twisted_frame(k3, 12)
-            tor = dw.torsion(fr, dw.metric_from_frame(fr))
+            tor = dw.torsion(fr, dw.decode_metric(dw.symbol_from_frame(fr)))
             assert np.abs(tor.axial_dual + 2.0 * k3 / 3.0).max() < 1e-12
             trace = np.einsum("...aa->...", tor.star_T)
             assert np.abs(trace + 2.0 * k3).max() < 1e-12
@@ -113,13 +113,13 @@ class TestTorsion:
 
     def test_standard_frame_torsion_vanishes(self):
         fr = dw.standard_frame(8)
-        tor = dw.torsion(fr, dw.metric_from_frame(fr))
+        tor = dw.torsion(fr, dw.decode_metric(dw.symbol_from_frame(fr)))
         assert np.abs(tor.T).max() < 1e-13
         assert np.abs(tor.axial_dual).max() < 1e-13
 
     def test_route_residuals_reported(self):
         fr = _random_frame(7)
-        tor = dw.torsion(fr, dw.metric_from_frame(fr))
+        tor = dw.torsion(fr, dw.decode_metric(dw.symbol_from_frame(fr)))
         assert set(tor.route_residuals) == {
             "connection_vs_coframe",
             "hodge_vs_curl",
@@ -129,7 +129,7 @@ class TestTorsion:
 
     def test_torsion_antisymmetry(self):
         fr = _random_frame(8)
-        tor = dw.torsion(fr, dw.metric_from_frame(fr))
+        tor = dw.torsion(fr, dw.decode_metric(dw.symbol_from_frame(fr)))
         assert np.abs(tor.T + np.einsum("...abc->...acb", tor.T)).max() < 1e-12
 
     def test_microrotation_linearisation(self):
@@ -145,7 +145,7 @@ class TestTorsion:
         e[..., 0, 1] = f
         e[..., 1, 0] = -f
         fr = dw.FrameField(e)
-        met = dw.metric_from_frame(fr)
+        met = dw.decode_metric(dw.symbol_from_frame(fr))
         tor = dw.torsion(fr, met)
         lowered = np.einsum("...ga,...gb->...ab", met.g_cov, tor.star_T)
         expected = np.zeros((n, n, n, 3, 3))
@@ -157,7 +157,7 @@ def test_contortion_identity(curved_frame):
     """Flat connection = Levi-Civita + contortion built from its torsion, on a
     flat-metric random frame and on a curved frame with torsion."""
     for fr in (_random_frame(4, n=16), curved_frame):
-        met = dw.metric_from_frame(fr)
+        met = dw.decode_metric(dw.symbol_from_frame(fr))
         gam = _teleparallel_coefficients(fr, met)
         t_low = np.einsum("...am,...mbc->...abc", met.g_cov, dw.torsion(fr, met).T)
         k_low = 0.5 * (
@@ -174,13 +174,13 @@ def test_contortion_identity(curved_frame):
 def test_connection_kills_frame_derivative():
     """The defining property: each frame leg is parallel."""
     fr = dw.twisted_frame(1, 16)
-    met = dw.metric_from_frame(fr)
+    met = dw.decode_metric(dw.symbol_from_frame(fr))
     gam = _teleparallel_coefficients(fr, met)
     de = derivative_stack(fr.e)
     cov = de + np.einsum("...amb,...jb->...mja", gam, fr.e)
     assert np.abs(cov).max() < 1e-12
     fr = _random_frame(2, n=16)
-    met = dw.metric_from_frame(fr)
+    met = dw.decode_metric(dw.symbol_from_frame(fr))
     cov = derivative_stack(fr.e) + np.einsum(
         "...amb,...jb->...mja", _teleparallel_coefficients(fr, met), fr.e
     )
@@ -189,7 +189,7 @@ def test_connection_kills_frame_derivative():
 
 def test_coframe_duality():
     fr = _random_frame(6)
-    cof = coframe(fr, dw.metric_from_frame(fr))
+    cof = coframe(fr, dw.decode_metric(dw.symbol_from_frame(fr)))
     pairing = np.einsum("...ja,...ka->...jk", fr.e, cof)
     assert np.abs(pairing - np.eye(3)).max() < 1e-12
 
@@ -207,7 +207,7 @@ def test_torsion_differentiates_the_coframe_once(monkeypatch):
         return derivative_stack(values)
 
     fr = _random_frame(1)
-    met = dw.metric_from_frame(fr)
+    met = dw.decode_metric(dw.symbol_from_frame(fr))
     monkeypatch.setattr(geometry, "derivative_stack", counting)
     dw.torsion(fr, met)
     assert shapes == [fr.e.shape]
@@ -216,7 +216,7 @@ def test_torsion_differentiates_the_coframe_once(monkeypatch):
 def test_torsion_peak_memory(peak_mb):
     """At n=16 the four-fold coframe rebuild peaked at 7.44 MB of traced allocation."""
     fr = _random_frame(0, n=16)
-    met = dw.metric_from_frame(fr)
+    met = dw.decode_metric(dw.symbol_from_frame(fr))
     assert peak_mb(lambda: dw.torsion(fr, met)) <= 7.5
 
 
@@ -224,7 +224,7 @@ def test_torsion_frees_its_rank_3_arrays_once_used(peak_mb):
     """With full-size temporaries for |t1 - t2| and every (n, n, n, 3, 3, 3) array
     alive to the end, the peak at n=16 was 5.60 MB; it is 3.38 MB now."""
     fr = _random_frame(0, n=16)
-    met = dw.metric_from_frame(fr)
+    met = dw.decode_metric(dw.symbol_from_frame(fr))
     assert peak_mb(lambda: dw.torsion(fr, met)) <= 3.8
 
 
@@ -241,7 +241,8 @@ FRAMES = {
 def test_closed_form_metric_matches_lapack(name):
     """g_cov = adj(g)/det(g), vol = 1/sqrt(det g) and det e against np.linalg."""
     fr = FRAMES[name]()
-    for met in (dw.metric_from_frame(fr), dw.decode_metric(dw.symbol_from_frame(fr))):
+    for met in (dw.MetricField(np.swapaxes(fr.e, -1, -2) @ fr.e),
+                dw.decode_metric(dw.symbol_from_frame(fr))):
         g_cov = np.linalg.inv(met.g_contra)
         assert np.abs(met.g_cov - g_cov).max() <= 1e-13 * np.abs(g_cov).max()
         vol = np.sqrt(np.linalg.det(g_cov))
@@ -283,7 +284,7 @@ def _dual_by_raised_contraction(metric, forms):
 @pytest.mark.parametrize("name", sorted(FRAMES))
 def test_dual_2forms_matches_raised_contraction(name):
     fr = FRAMES[name]()
-    met = dw.metric_from_frame(fr)
+    met = dw.decode_metric(dw.symbol_from_frame(fr))
     w = np.random.default_rng(1).standard_normal(fr.e.shape[:3] + (3, 3, 3))
     w = w - np.swapaxes(w, -1, -2)
     want = _dual_by_raised_contraction(met, w)
@@ -295,7 +296,7 @@ def test_dual_2forms_matches_raised_contraction(name):
 
 def test_dual_2forms_is_its_docstring_contraction():
     """(1/2) sqrt(det g_cov) eps_{efb} g^{ec} g^{fd} w_{cd}, as one einsum, on a generic metric."""
-    met = dw.metric_from_frame(_generic_frame(8))
+    met = dw.decode_metric(dw.symbol_from_frame(_generic_frame(8)))
     raw = np.random.default_rng(13).standard_normal((8, 8, 8, 3, 3, 3))
     w = raw - np.swapaxes(raw, -1, -2)
     g = met.g_contra
@@ -348,7 +349,7 @@ def test_indefinite_metric_field_still_rejected():
     e = dw.standard_frame(8).e.copy()
     e[..., 2, :] = e[..., 1, :]
     with pytest.raises(EllipticityError):
-        dw.metric_from_frame(dw.FrameField(e))
+        dw.MetricField(np.swapaxes(e, -1, -2) @ e)
 
 
 def test_verdict_analysis_inverts_no_grid_matrices(monkeypatch):
@@ -409,7 +410,7 @@ def test_christoffel_matches_the_warped_closed_form():
     want = np.zeros((n, n, n, 3, 3, 3))
     want[..., 2, 0, 0] = fp / f**3
     want[..., 0, 0, 2] = want[..., 0, 2, 0] = -fp / f
-    got = christoffel_symbols(dw.metric_from_frame(_warped_frame(n)))
+    got = christoffel_symbols(dw.decode_metric(dw.symbol_from_frame(_warped_frame(n))))
     gap = np.abs(got - want).max()
     print(f"warped Christoffel gap {gap:.2e}")
     assert gap <= 1e-13
@@ -417,7 +418,7 @@ def test_christoffel_matches_the_warped_closed_form():
 
 def test_christoffel_matches_the_three_einsum_formula():
     """G^b_ac = g^bd (d_a g_cd + d_c g_ad - d_d g_ac) / 2, term by term."""
-    met = dw.metric_from_frame(_generic_frame(12))
+    met = dw.decode_metric(dw.symbol_from_frame(_generic_frame(12)))
     dg = derivative_stack(met.g_cov)  # [..., mu, alpha, beta]
     g = met.g_contra
     want = 0.5 * (
@@ -433,7 +434,7 @@ def test_christoffel_matches_the_three_einsum_formula():
 def test_christoffel_peak_memory(peak_mb):
     """Summing d g into one array and freeing it before the lowering: the
     full-size sums and the final 0.5 * copy peaked at 3.5 MB at 16^3."""
-    met = dw.metric_from_frame(_generic_frame(16))
+    met = dw.decode_metric(dw.symbol_from_frame(_generic_frame(16)))
     assert peak_mb(lambda: christoffel_symbols(met)) <= 2.6
 
 
@@ -443,7 +444,7 @@ def test_christoffel_traces_are_the_log_volume_derivative(curved_frame):
     Both sides are spectral derivatives of different fields, so they agree to
     the grid's truncation error (5.1e-13 at 24^3), not to rounding.
     """
-    met = dw.metric_from_frame(curved_frame)
+    met = dw.decode_metric(dw.symbol_from_frame(curved_frame))
     gamma = christoffel_symbols(met)
     want = derivative_stack(np.log(met.vol))
     assert np.abs(want[..., 2]).max() > 0.04

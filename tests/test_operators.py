@@ -218,28 +218,61 @@ class TestCheckDirac:
         assert not dw.check_dirac(op, tol=1e-12).is_dirac
 
     def test_check_dirac_decodes_the_metric_once(self, monkeypatch):
-        """The verdict and its b density step share one decode of the operator's
-        symbol; the rebuilt Dirac operator decodes its own symbol once."""
+        """The verdict decodes the operator's symbol once and builds no second
+        operator: no Dirac operator, no symbol and no ellipticity check."""
         from diracweyl import asymptotics, geometry, operators
 
         op = dw.dirac_operator(dw.random_band_limited_frame(6))
-        calls = []
+        calls = {"decode_metric": [], "eigvalsh": 0, "dirac_operator": 0, "built": 0}
 
-        def counting(sym):
-            calls.append(sym)
+        def decoding(sym):
+            calls["decode_metric"].append(sym)
             return geometry.decode_metric(sym)
 
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
         for module in (operators, asymptotics):
-            monkeypatch.setattr(module, "decode_metric", counting)
+            monkeypatch.setattr(module, "decode_metric", decoding)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+        monkeypatch.setattr(operators, "dirac_operator",
+                            counted("dirac_operator", dw.dirac_operator))
+        for cls, method in ((dw.FirstOrderOperator, "__post_init__"),
+                            (dw.PrincipalSymbolField, "_hold")):
+            monkeypatch.setattr(cls, method, counted("built", getattr(cls, method)))
         assert dw.check_dirac(op).is_dirac
-        assert len(calls) == 2 and calls[0] is op.sigma and calls[1] is not op.sigma
+        assert len(calls["decode_metric"]) == 1 and calls["decode_metric"][0] is op.sigma
+        assert calls["eigvalsh"] == calls["dirac_operator"] == calls["built"] == 0
+
+
+def test_reconstructed_gap_is_the_gap_to_the_rebuilt_operator():
+    """The verdict's gap, contracted without building an operator, equals bit for
+    bit the gap to the Dirac operator built from the decoded frame."""
+    rand = dw.dirac_operator(dw.random_band_limited_frame(3, 16))
+    ops = {
+        "standard": dw.dirac_operator(dw.standard_frame(16)),
+        "twisted": dw.dirac_operator(dw.twisted_frame(1, 16)),
+        "random": rand,
+        "gauged": dw.gauge_transform(rand, dw.random_gauge_field(4, 16)),
+        "scalar": dw.dirac_plus_scalar(dw.standard_frame(16), 0.3),
+        "traceless": dw.dirac_plus_traceless(dw.twisted_frame(1, 16), 0.1),
+    }
+    for name, op in ops.items():
+        rebuilt = dw.dirac_operator(dw.decode_frame(op.sigma))
+        want = float(np.abs(op.a0 - rebuilt.a0).max())
+        got = dw.check_dirac(op).reconstructed_gap
+        print(f"{name}: reconstructed_gap {got!r}")
+        assert got == want, name
 
 
 # --- the zeroth-order contraction ----------------------------------------------
 
 def _a0_one_shot(frame):
     """The Dirac zeroth-order term with its contraction written as one einsum."""
-    metric = dw.metric_from_frame(frame)
+    metric = dw.decode_metric(dw.symbol_from_frame(frame))
     s = dw.symbol_from_frame(frame).sigma
     gamma = christoffel_symbols(metric)
     s_low = np.einsum("...bd,...dpq->...bpq", metric.g_cov, s)
@@ -348,7 +381,7 @@ def test_divergence_sigma_takes_real_transforms_only(monkeypatch):
 def test_curved_frame_with_torsion_is_dirac(curved_frame):
     """A non-flat metric: the verdict and the subprincipal identity hold once the
     Levi-Civita connection is right."""
-    tor = dw.torsion(curved_frame, dw.metric_from_frame(curved_frame))
+    tor = dw.torsion(curved_frame, dw.decode_metric(dw.symbol_from_frame(curved_frame)))
     assert np.abs(tor.axial_dual).min() > 0.5
     verdict = dw.check_dirac(dw.dirac_operator(curved_frame))
     residual = dw.verify_subprincipal_identity(curved_frame)

@@ -1,8 +1,9 @@
 """Static checks on the package source, with the standard library's ast.
 
-No linter is a dependency, so these two run with the tests: every module
-uses what it imports, and every module-level private name is read
-somewhere in the package.
+No linter is a dependency, so these run with the tests: every module
+uses what it imports, every module-level private name is read
+somewhere in the package, and the package's __all__ lists exactly the
+names its __init__ imports.
 """
 
 import ast
@@ -70,3 +71,13 @@ def test_every_private_name_is_read():
     dead = [f"{module}:{line} {name}" for module, tree in TREES.items()
             for name, line in _module_level_private(tree) if name not in read]
     assert dead == []
+
+
+def test_init_exports_exactly_what_it_imports():
+    """__all__ lists each name __init__ imports, once, and nothing else but __version__."""
+    tree = TREES["__init__.py"]
+    listed = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "__all__")
+    imported = [name for name, _ in _imported(tree)]
+    assert len(listed) == len(set(listed))
+    assert set(listed) - {"__version__"} == set(imported)
