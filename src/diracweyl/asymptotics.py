@@ -31,6 +31,7 @@ from .geometry import (
     PAULI,
     MetricField,
     PrincipalSymbolField,
+    _gram,
     decode_frame,
     decode_metric,
     pauli_components,
@@ -108,7 +109,7 @@ class _FiberFrame:
         """
         xis = np.atleast_2d(np.asarray(xis, dtype=float))
         h, v, anchors = _positive_band(self.s_center, xis)
-        v_minus = np.conj(v) @ EPS_CONJ.T
+        v_minus = np.conj(v) @ -EPS_CONJ  # EPS_CONJ.T = -EPS_CONJ
         idx = np.arange(len(xis))
 
         def derivative(dm):  # dm: (3, K or 1, 2, 2)
@@ -215,12 +216,12 @@ def b1_density_fiber(op: FirstOrderOperator, points) -> np.ndarray:
     out = np.empty(len(points))
     for i, p in enumerate(points):
         comps, amat = op.sigma.p[p], asub[p]
-        g = comps.T @ comps
+        g = _gram(comps)
         tr_as = np.einsum("pq,jqp->j", amat, PAULI).real  # tr(A_sub s^j)
 
         def integrand(xis):
             h = np.sqrt(np.einsum("ka,ab,kb->k", xis, g, xis))
-            tr_am = xis @ comps.T @ tr_as  # tr(A_sub sigma(xi)) with sigma(xi) = s^j p_j^a xi_a
+            tr_am = xis @ (tr_as @ comps)  # tr(A_sub sigma(xi)) with sigma(xi) = s^j p_j^a xi_a
             return -3.0 * (tr_am + h * np.trace(amat).real) / (2.0 * h)
 
         out[i] = fiber_ball_quadrature(g, integrand)
@@ -269,7 +270,7 @@ def b2_density_fiber_curvature(sym, points) -> np.ndarray:
     out = np.empty(len(points))
     for i, p in enumerate(points):
         fib = _FiberFrame(sym, TWO_PI * np.array(p, dtype=float) / n)
-        g = sym.p[p].T @ sym.p[p]
+        g = _gram(sym.p[p])
 
         def integrand(xis):
             h = np.sqrt(np.einsum("ka,ab,kb->k", xis, g, xis))

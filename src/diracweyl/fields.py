@@ -61,6 +61,16 @@ def _integer_modes(n: int) -> np.ndarray:
     return np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
 
 
+def _transposed(m: np.ndarray) -> np.ndarray:
+    """m with its last two axes swapped, as a C-contiguous copy.
+
+    A swapped view as an operand of @ sends numpy's batched matmul to
+    its non-BLAS loop, which takes about three times as long on a grid
+    of 3x3 matrices as the copy and the BLAS loop together.
+    """
+    return np.ascontiguousarray(np.swapaxes(m, -1, -2))
+
+
 def spectral_derivative(values: np.ndarray, axis: int) -> np.ndarray:
     """Differentiate a periodic grid field along coordinate axis 1, 2 or 3.
 
@@ -89,9 +99,11 @@ def spectral_derivative(values: np.ndarray, axis: int) -> np.ndarray:
     mult[n // 2] = 0.0
     shape = [1] * values.ndim
     shape[ax] = len(mult)
+    spectrum = np.fft.rfft(values, axis=ax) if real else np.fft.fft(values, axis=ax)
+    spectrum *= mult.reshape(shape)  # in place: one spectrum-sized temporary, not two
     if real:
-        return np.fft.irfft(np.fft.rfft(values, axis=ax) * mult.reshape(shape), n=n, axis=ax)
-    return np.fft.ifft(np.fft.fft(values, axis=ax) * mult.reshape(shape), axis=ax)
+        return np.fft.irfft(spectrum, n=n, axis=ax)
+    return np.fft.ifft(spectrum, axis=ax)
 
 
 def derivative_stack(values: np.ndarray) -> np.ndarray:
@@ -142,14 +154,14 @@ class TrigInterpolant:
             partners = mvec[nyq]
             partners[:, ax] = n // 2
             mvec, cflat = np.concatenate([mvec, partners]), np.concatenate([cflat, cflat[nyq]])
-        self.modes = mvec
+        self.modes = _transposed(mvec)  # (3, nmodes)
         self.coefs = cflat
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
         single = points.ndim == 1
         pts = np.atleast_2d(points)
-        phases = np.exp(1j * pts @ self.modes.T)  # (npts, nmodes)
+        phases = np.exp(1j * pts @ self.modes)  # (npts, nmodes)
         vals = self._sum(phases)
         if single:
             return vals[0]
@@ -161,8 +173,8 @@ class TrigInterpolant:
         Index 0 is the differentiation direction; at grid points this is
         the spectral derivative of the samples.
         """
-        phase = np.exp(1j * self.modes @ np.asarray(point, dtype=float))  # (nmodes,)
-        return self._sum(1j * self.modes.T * phase)
+        phase = np.exp(1j * np.asarray(point, dtype=float) @ self.modes)  # (nmodes,)
+        return self._sum(1j * self.modes * phase)
 
     def _sum(self, weights: np.ndarray) -> np.ndarray:
         # (k, nmodes) mode weights against the coefficients; real fields stay real
@@ -205,7 +217,7 @@ def metric_ball_map(g_contra: np.ndarray) -> tuple[np.ndarray, float]:
     w, v = np.linalg.eigh(g)
     if np.any(w <= 0.0):
         raise EllipticityError(f"metric is not positive definite, eigenvalues {w}")
-    a = (v * (1.0 / np.sqrt(w))) @ v.T  # g_contra^(-1/2) = sqrt(g_cov)
+    a = (v * (1.0 / np.sqrt(w))) @ _transposed(v)  # g_contra^(-1/2) = sqrt(g_cov)
     return a, float(1.0 / np.sqrt(np.prod(w)))
 
 
@@ -231,7 +243,7 @@ def fiber_ball_quadrature(g_contra: np.ndarray, integrand):
     """
     amap, jac = metric_ball_map(g_contra)
     upts, uw = sphere_design_14()
-    xis = upts @ amap.T  # rows: A @ u, on the unit cosphere
+    xis = upts @ _transposed(amap)  # rows: A @ u, on the unit cosphere
     vals = np.asarray(integrand(xis))
     gate("integrand is not homogeneous of degree 0: halving xi moves it",
          np.asarray(integrand(0.5 * xis)) - vals, 1e-12 * float(np.abs(vals).max()), InputError)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConsistencyError, EllipticityError, InputError, gate
-from .fields import TrigInterpolant, chart_of, derivative_stack
+from .fields import TrigInterpolant, _transposed, chart_of, spectral_derivative
 
 # Standard Pauli matrices; the fixed fibre basis for all 2x2 symbols.
 PAULI = np.array(
@@ -32,9 +32,6 @@ PAULI = np.array(
     ],
     dtype=complex,
 )
-
-# Totally antisymmetric symbol, eps[0,1,2] = +1: eps[i, j] = e_i x e_j.
-EPSILON = np.cross(np.eye(3)[:, None], np.eye(3))
 
 _FRAME_CONDITION_LIMIT = 1e8
 
@@ -51,8 +48,15 @@ def _adjugate3(m: np.ndarray) -> np.ndarray:
 
 
 def _det3(m: np.ndarray) -> np.ndarray:
-    """Determinant of a (..., 3, 3) stack as the triple product of its rows."""
-    return (m[..., 0, :] * np.cross(m[..., 1, :], m[..., 2, :])).sum(axis=-1)
+    """Determinant of a (..., 3, 3) stack, expanded along its first row."""
+    return (m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1])
+            + m[..., 0, 1] * (m[..., 1, 2] * m[..., 2, 0] - m[..., 1, 0] * m[..., 2, 2])
+            + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0]))
+
+
+def _gram(p: np.ndarray) -> np.ndarray:
+    """g^{ab} = p_j^a p_j^b of a (..., 3, 3) component stack: the metric of a symbol."""
+    return _transposed(p) @ p
 
 
 class PrincipalSymbolField:
@@ -78,7 +82,7 @@ class PrincipalSymbolField:
 
     def _hold(self, p: np.ndarray):
         """Take ownership of the component array p and check ellipticity."""
-        _check_ellipticity(np.swapaxes(p, -1, -2) @ p)
+        _check_ellipticity(_gram(p))
         p.flags.writeable = False
         self.p = p
         self._interp = None
@@ -155,22 +159,39 @@ class MetricField:
         self.vol = 1.0 / np.sqrt(det)
 
 
+# (b, c) = (h + 1, h + 2) mod 3: the index pair of the h-th independent component of a 2-form.
+_PAIRS = ((1, 2), (2, 0), (0, 1))
+
+
 @dataclass(eq=False)
 class TorsionBundle:
     """Torsion of the frame connection and its duals.
 
-    T[..., a, b, c] = T^a_{bc}; star_T[..., a, b] = (*T)^a_b;
+    components[..., a, h] = T^a_{bc} with (b, c) = (h + 1, h + 2) mod 3,
+    the three independent components of each leg's antisymmetric
+    T^a_{bc}; the T property builds the full T[..., a, b, c] from them
+    on each access and keeps nothing.  star_T[..., a, b] = (*T)^a_b;
     axial_dual is the scalar *T_ax = (1/3) (*T)^g_g; charge is the
     orientation sign of the generating frame.  route_residuals records
     the largest disagreement between the independent computation routes
     that were cross-checked while building the bundle.
     """
 
-    T: np.ndarray
+    components: np.ndarray
     star_T: np.ndarray
     axial_dual: np.ndarray
     charge: int
     route_residuals: dict = field(default_factory=dict)
+
+    @property
+    def T(self) -> np.ndarray:
+        """The full (n, n, n, 3, 3, 3) tensor T^a_{bc}, zero on b = c, built on each access."""
+        comps = self.components
+        t = np.zeros(comps.shape + (3,))
+        for h, (b, c) in enumerate(_PAIRS):
+            t[..., b, c] = comps[..., h]
+            np.negative(comps[..., h], out=t[..., c, b])
+        return t
 
 
 def _check_ellipticity(g_contra: np.ndarray):
@@ -236,7 +257,7 @@ def decode_metric(sym: PrincipalSymbolField) -> MetricField:
     check is not repeated; a directly constructed MetricField runs it.
     """
     metric = MetricField.__new__(MetricField)
-    metric._complete(np.swapaxes(sym.p, -1, -2) @ sym.p)
+    metric._complete(_gram(sym.p))
     return metric
 
 
@@ -286,98 +307,96 @@ def orthonormalize_frame(e: np.ndarray) -> FrameField:
 
 def coframe(frame: FrameField, metric: MetricField) -> np.ndarray:
     """Metric-dual coframe c[..., k, b] = c^k_b = delta^{kj} g_{bc} e_j^c, shape (n, n, n, 3, 3)."""
-    c = frame.e @ np.swapaxes(metric.g_cov, -1, -2)
-    gate("frame/coframe duality violated", frame.e @ np.swapaxes(c, -1, -2) - np.eye(3), 1e-10)
+    c = frame.e @ metric.g_cov  # g_cov is symmetric
+    gate("frame/coframe duality violated", c @ _transposed(frame.e) - np.eye(3), 1e-10)
     return c
 
 
 def christoffel_symbols(metric: MetricField) -> np.ndarray:
-    """Levi-Civita connection coefficients G[..., b, a, c] (upper, lower, lower)."""
-    dg = derivative_stack(metric.g_cov)  # [..., mu, alpha, beta]
-    s = dg + dg.transpose(0, 1, 2, 4, 3, 5)  # [a, c, d]
-    s -= dg.transpose(0, 1, 2, 4, 5, 3)
-    del dg
-    half_up = 0.5 * np.swapaxes(metric.g_contra, -1, -2)  # the 1/2, where scaling by 0.5 is exact
-    lowered = s.reshape(s.shape[:3] + (9, 3)) @ half_up  # [(a, c), b]
-    return lowered.reshape(s.shape).transpose(0, 1, 2, 5, 3, 4)
+    """Levi-Civita connection coefficients G[..., b, a, c] (upper, lower, lower).
 
-
-def _teleparallel(e: np.ndarray, dcof: np.ndarray) -> np.ndarray:
-    return np.swapaxes(np.swapaxes(e, -1, -2)[..., None, :, :] @ dcof, -3, -2)
-
-
-def torsion_from_connection(gamma: np.ndarray) -> np.ndarray:
-    """T^a_{bc} as the antisymmetric part of the connection coefficients."""
-    return gamma - gamma.transpose(0, 1, 2, 3, 5, 4)
-
-
-def _torsion_from_coframe(e: np.ndarray, dform: np.ndarray) -> np.ndarray:
-    """T^a_{bc} = e_j^a (d_b c^j_c - d_c c^j_b), bypassing the connection."""
-    rows = np.swapaxes(e, -1, -2) @ dform.reshape(dform.shape[:-2] + (9,))
-    return rows.reshape(dform.shape)
+    The lowered symbols (d_a g_cd + d_c g_ad - d_d g_ac) / 2 are
+    accumulated one derivative direction at a time, so no stack of
+    derivatives is held, and raised by g^{bd} in place, one a-slice at
+    a time: the one (n, n, n, 3, 3, 3) array allocated is the result.
+    """
+    g_cov = metric.g_cov
+    s = np.zeros(g_cov.shape[:3] + (3, 3, 3))  # [a, c, d]
+    for mu in range(3):
+        d = spectral_derivative(g_cov, mu + 1)
+        d *= 0.5  # the 1/2 of the symbols, where scaling by 0.5 is exact
+        s[..., mu, :, :] += d
+        s[..., :, mu, :] += d
+        s[..., :, :, mu] -= d
+        del d  # before the next direction's transforms allocate
+    for a in range(3):  # in place: [a, c, b]; g_contra is symmetric
+        s[..., a, :, :] = s[..., a, :, :] @ metric.g_contra
+    return s.transpose(0, 1, 2, 5, 3, 4)
 
 
 def _dual_2forms(metric: MetricField, forms: np.ndarray) -> np.ndarray:
-    """(1/2) sqrt(det g) eps_{efb} g^{ec} g^{fd} w_{cd} for a stack of 2-forms w[..., k, c, d].
+    """(1/2) sqrt(det g) eps_{efb} g^{ec} g^{fd} w_{cd} for a stack of 2-forms.
 
-    By eps_{efb} g^{ec} g^{fd} = det(g^{..}) eps^{cdh} g_{hb} this is
-    (curl w)_h g_{hb} / (2 vol) with vol = sqrt(det g_{..}): one 3x3
-    matvec per form.
+    The forms come as their independent components forms[..., k, h] =
+    w_{bc} with (b, c) = (h + 1, h + 2) mod 3, the layout of
+    TorsionBundle.components.  By eps_{efb} g^{ec} g^{fd} =
+    det(g^{..}) eps^{cdh} g_{hb} the dual is forms[..., k, h] g_{hb} / vol
+    with vol = sqrt(det g_{..}): one 3x3 matmul per point.
     """
-    curl = np.stack(
-        [forms[..., 1, 2] - forms[..., 2, 1],
-         forms[..., 2, 0] - forms[..., 0, 2],
-         forms[..., 0, 1] - forms[..., 1, 0]],
-        axis=-1,
-    )
-    return (curl @ metric.g_cov) / (2.0 * metric.vol)[..., None, None]
+    out = forms @ metric.g_cov
+    out /= metric.vol[..., None, None]
+    return out
 
 
-def _star_torsion_from_curl(e: np.ndarray, metric: MetricField, dform: np.ndarray) -> np.ndarray:
-    """(*T)^a_b as sum_j e_j (x) curl c^j, with the metric curl of a covector."""
-    return np.swapaxes(e, -1, -2) @ _dual_2forms(metric, dform)
-
-
-def _axial_dual_from_coframe(metric: MetricField, cof: np.ndarray, dcof: np.ndarray) -> np.ndarray:
-    """Scalar dual of the axial torsion part, directly from coframe derivatives.
-
-    *T_ax = (1/3) sqrt(det g_contra) * eps^{bmc} sum_k c^k_b d_mu c^k_c
-    written out; an independent check on the trace of (*T)^a_b.
-    """
-    pairs = np.swapaxes(cof, -1, -2)[..., None, :, :] @ dcof  # sum_k c^k_b d_mu c^k_c as [mu, b, c]
-    contraction = np.tensordot(pairs, EPSILON.transpose(1, 0, 2), axes=3)
-    return contraction / (3.0 * metric.vol)
+def _star_torsion_from_curl(e_t: np.ndarray, metric: MetricField, curl: np.ndarray) -> np.ndarray:
+    """(*T)^a_b as sum_j e_j^a (*d c^j)_b, from e_t[..., a, j] = e_j^a and the coframe curls."""
+    return e_t @ _dual_2forms(metric, curl)
 
 
 def torsion(frame: FrameField, metric: MetricField) -> TorsionBundle:
     """Torsion of the frame connection, with all routes cross-checked.
 
-    Computes the tensor from the connection and from coframe exterior
-    derivatives, the dual from the Hodge definition and from the curl
-    formula, and the axial scalar from the dual trace and from the
-    explicit coframe expression.  The routes share one coframe and one
-    derivative stack.  Any disagreement beyond 1e-10 (on O(1) fields)
-    raises ConsistencyError.
+    Computes the tensor from the connection G^a_{mu b} = e_j^a d_mu c^j_b
+    and from the coframe exterior derivatives, the dual from the Hodge
+    definition and from the curl formula, and the axial scalar from the
+    dual trace and from the explicit coframe expression
+    *T_ax = (1/3) sqrt(det g_contra) eps^{bmc} sum_k c^k_b d_m c^k_c.
+    Every route works on the three independent components of each
+    antisymmetric pair of indices, and all share one coframe,
+    differentiated one direction at a time.  Any disagreement beyond
+    1e-10 (on O(1) fields) raises ConsistencyError.
     """
     if frame.e.shape != metric.g_contra.shape:
         raise InputError(f"frame on the {frame.e.shape[0]}^3 grid and metric on the "
                          f"{metric.g_contra.shape[0]}^3 grid do not match")
     cof = coframe(frame, metric)
-    dcof = derivative_stack(cof)  # [..., mu, k, b]
-    ax2 = _axial_dual_from_coframe(metric, cof, dcof)
-    t1 = torsion_from_connection(_teleparallel(frame.e, dcof))
-    dform = np.einsum("...cjd->...jcd", dcof) - np.einsum("...djc->...jcd", dcof)  # (d c^j)_{cd}
-    del dcof  # each (n, n, n, 3, 3, 3) array is freed once used, and the gap is taken in place
-    t2 = _torsion_from_coframe(frame.e, dform)
-    t2 -= t1
-    bound = 1e-10 * max(1.0, float(t1.max()), -float(t1.min()))
-    gap_t = gate("torsion routes (connection vs coframe) disagree", t2, bound)
-    del t2
+    e_t = _transposed(frame.e)  # e_t[..., a, j] = e_j^a
+    conn = np.zeros_like(cof)  # T^a_{bc} = G^a_{bc} - G^a_{cb}, by component
+    curl = np.zeros_like(cof)  # (d c^j)_{bc} = d_b c^j_c - d_c c^j_b, by component
+    for mu in range(3):
+        # component mu - 1 has (b, c) = (mu, mu + 1) and component mu + 1 has (mu - 1, mu)
+        before, after = (mu - 1) % 3, (mu + 1) % 3
+        d = spectral_derivative(cof, mu + 1)  # d_mu c^j_b as [j, b]
+        g = e_t @ d  # G^a_{mu b} as [a, b]
+        conn[..., before] += g[..., after]
+        conn[..., after] -= g[..., before]
+        curl[..., before] += d[..., after]
+        curl[..., after] -= d[..., before]
+        del d, g  # before the next direction's transforms allocate
+    # eps^{bmc} sum_k c^k_b d_m c^k_c = sum_k c^k . curl c^k
+    ax2 = np.einsum("...kh,...kh->...", cof, curl) / (3.0 * metric.vol)
+    del cof
+    bound = 1e-10 * max(1.0, float(conn.max()), -float(conn.min()))
+    gap = e_t @ curl  # sum_j e_j^a (d c^j)_{bc}
+    gap -= conn
+    gap_t = gate("torsion routes (connection vs coframe) disagree", gap, bound)
+    del gap
 
-    star1 = _dual_2forms(metric, t1)
-    star2 = _star_torsion_from_curl(frame.e, metric, dform)
-    del dform
-    gap_star = gate("dual torsion routes (Hodge vs curl) disagree", star1 - star2, bound)
+    star1 = _dual_2forms(metric, conn)
+    star2 = _star_torsion_from_curl(e_t, metric, curl)
+    star2 -= star1
+    gap_star = gate("dual torsion routes (Hodge vs curl) disagree", star2, bound)
+    del star2
 
     ax1 = np.einsum("...aa->...", star1) / 3.0
     gap_ax = gate("axial dual routes (trace vs coframe formula) disagree", ax1 - ax2, bound)
@@ -388,7 +407,7 @@ def torsion(frame: FrameField, metric: MetricField) -> TorsionBundle:
         "trace_vs_coframe_axial": gap_ax,
     }
     return TorsionBundle(
-        T=t1,
+        components=conn,
         star_T=star1,
         axial_dual=ax1,
         charge=frame.orientation(),

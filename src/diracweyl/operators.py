@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, gate
-from .fields import chart_of, derivative_stack, spectral_derivative
+from .fields import _transposed, chart_of, derivative_stack, spectral_derivative
 from .geometry import (
     PAULI,
     FrameField,
@@ -33,8 +33,8 @@ from .geometry import (
     torsion,
 )
 
-# Antisymmetric unit eps; conj(v) @ EPS_CONJ.T is the negative-band eigenvector
-# that the fibre frame in asymptotics pairs with the positive one v.
+# Antisymmetric unit eps; conj(v) @ EPS_CONJ.T = -conj(v) @ EPS_CONJ is the negative-band
+# eigenvector that the fibre frame in asymptotics pairs with the positive one v.
 EPS_CONJ = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 IDENTITY2 = np.eye(2, dtype=complex)
@@ -126,15 +126,18 @@ def _dirac_a0(e: np.ndarray, metric: MetricField) -> np.ndarray:
     multiple of I plus i times one traceless Hermitian matrix.
     """
     grid = e.shape[:3]
-    gamma = christoffel_symbols(metric).transpose(0, 1, 2, 4, 5, 3)  # G^b_{ag} as [a, g, b]
-    bracket = derivative_stack(e)  # D[a, l, b] = d_a e_l^b + G^b_{ag} e_l^g
-    bracket += e[..., None, :, :] @ gamma
-    half_density = (e @ np.trace(gamma, axis1=-2, axis2=-1)[..., None])[..., 0]  # e_j^a G^b_{ab}
-    del gamma  # the (n, n, n, 3, 3, 3) arrays are freed once used
-    cof = e @ np.swapaxes(metric.g_cov, -1, -2)
-    m = (e @ bracket.reshape(grid + (3, 9))).reshape(grid + (9, 3))
-    del bracket
-    m = m @ np.swapaxes(cof, -1, -2)  # M_jkl stored as [(j, l), k]
+    work = christoffel_symbols(metric).transpose(0, 1, 2, 4, 5, 3)  # G^b_{ag} as [a, g, b]
+    half_density = (e @ np.trace(work, axis1=-2, axis2=-1)[..., None])[..., 0]  # e_j^a G^b_{ab}
+    cof_t = metric.g_cov @ _transposed(e)  # c^k_b as [b, k]; g_cov is symmetric
+    # each a-slice of G becomes (D c)[a, l, k], with D[a, l, b] = d_a e_l^b + G^b_{ag} e_l^g
+    for a in range(3):
+        d = spectral_derivative(e, a + 1)
+        d += e @ work[..., a, :, :]
+        work[..., a, :, :] = d @ cof_t
+        del d  # before the next direction's transforms allocate
+    del cof_t
+    m = e @ work.reshape(grid + (3, 9))  # M_jkl = e_j^a (D c)[a, l, k] as [j, (l, k)]
+    del work
     coef = m.reshape(grid + (27,)) @ _PAULI_TRIPLES  # M_jkl s^j s^k s^l = coef_n s^n + i coef_3 I
     a0 = 1j * pauli_matrices(0.5 * half_density - 0.25 * coef[..., :3])
     a0[..., 0, 0] += 0.25 * coef[..., 3]
@@ -347,6 +350,9 @@ def check_dirac(op: FirstOrderOperator, tol: float = _DEFAULT_TOL) -> DiracVerdi
         raise InputError(f"tol must be a finite non-negative number, got {tol}")
     frame = decode_frame(op.sigma)
     metric = decode_metric(op.sigma)
+    # the a0 contraction first, so its temporaries never sit on top of A_sub and the torsion
+    gap = float(np.abs(op.a0 - _dirac_a0(frame.e, metric)).max())
+
     asub = subprincipal_symbol(op)
     trace_half = 0.5 * (asub[..., 0, 0] + asub[..., 1, 1])
     devi = pauli_components(asub - trace_half[..., None, None] * IDENTITY2)
@@ -354,8 +360,6 @@ def check_dirac(op: FirstOrderOperator, tol: float = _DEFAULT_TOL) -> DiracVerdi
 
     coeffs = _coefficients(metric, asub, torsion(frame, metric))
     cond_b = float(np.abs(coeffs.b).max())
-
-    gap = float(np.abs(op.a0 - _dirac_a0(frame.e, metric)).max())
 
     ok = cond_a <= tol and cond_b <= tol and gap <= tol
     return DiracVerdict(is_dirac=bool(ok), cond_a_residual=cond_a, cond_b_residual=cond_b,

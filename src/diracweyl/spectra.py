@@ -190,9 +190,11 @@ def lattice_count(center, radius: float) -> int:
 
     Distances are compared exactly the same way eigenvalue tables are
     queried (via the rounded square root), so counting identities
-    against exact spectra hold verbatim.  One m1 plane is evaluated at
-    a time, so memory stays O(radius^2); a plane of more than
-    _Q_LENGTH_BUDGET points is refused before allocation.
+    against exact spectra hold verbatim.  That test is monotone along
+    the sorted m3 distances, so each (m1, m2) pair gets its count by
+    bisection, all pairs at once: memory stays O(radius^2) and time
+    O(radius^2 log radius); a plane of more than _Q_LENGTH_BUDGET points
+    is refused before allocation.
     """
     center = np.asarray(center, dtype=float)
     if center.shape != (3,) or not np.isfinite(center).all() or not 0.0 < radius < np.inf:
@@ -206,7 +208,16 @@ def lattice_count(center, radius: float) -> int:
                          f"the budget of {_Q_LENGTH_BUDGET}; lower radius")
     lo, hi = lo.astype(int), hi.astype(int)
     d1, d2, d3 = ((np.arange(lo[a], hi[a] + 1) - center[a]) ** 2 for a in range(3))
-    return sum(int(np.count_nonzero(np.sqrt((a + d2)[:, None] + d3) < radius)) for a in d1)
+    d12 = (d1[:, None] + d2).ravel()
+    d3 = np.sort(d3)
+    # inside[k] = sqrt(d12 + d3[k]) < radius holds on a prefix of k; find its length per pair
+    count = np.zeros(d12.shape, dtype=np.int32)
+    step = 1 << (d3.size.bit_length() - 1)
+    while step:
+        probe = np.minimum(count + step, d3.size)
+        count = np.where(np.sqrt(d12 + d3[probe - 1]) < radius, probe, count)
+        step >>= 1
+    return int(count.sum(dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,14 @@ import pytest
 
 import diracweyl as dw
 from diracweyl.errors import EllipticityError, InputError
-from diracweyl.fields import PeriodicChart, derivative_stack
+from diracweyl.fields import PeriodicChart, derivative_stack, spectral_derivative
 from diracweyl import geometry
 from diracweyl.geometry import christoffel_symbols, coframe
 
 N = 12
+
+# Totally antisymmetric symbol, eps[0,1,2] = +1: eps[i, j] = e_i x e_j.
+EPSILON = np.cross(np.eye(3)[:, None], np.eye(3))
 
 
 def _random_frame(seed, n=N):
@@ -18,7 +21,12 @@ def _random_frame(seed, n=N):
 
 def _teleparallel_coefficients(fr, met):
     """Connection G[..., a, mu, b] = e_k^a d_mu c^k_b that makes the frame parallel."""
-    return geometry._teleparallel(fr.e, derivative_stack(coframe(fr, met)))
+    return np.einsum("...ka,...mkb->...amb", fr.e, derivative_stack(coframe(fr, met)))
+
+
+def _pair_components(w):
+    """The independent components w[..., k, h] = w_{h+1, h+2} (mod 3) of 2-forms w[..., k, b, c]."""
+    return np.stack([w[..., 1, 2], w[..., 2, 0], w[..., 0, 1]], axis=-1)
 
 
 # --- decode round trips ------------------------------------------------------
@@ -197,35 +205,50 @@ def test_coframe_duality():
 # --- one pass over the coframe -------------------------------------------------
 
 def test_torsion_differentiates_the_coframe_once(monkeypatch):
-    """The three cross-check routes share one coframe and one derivative stack."""
-    from diracweyl import geometry
+    """The three cross-check routes share one coframe, differentiated once per direction;
+    nothing else is differentiated."""
+    coframes, derivatives = [], []
+    real_coframe = geometry.coframe
 
-    shapes = []
+    def counting_coframe(*args):
+        coframes.append(real_coframe(*args))
+        return coframes[-1]
 
-    def counting(values):
-        shapes.append(values.shape)
+    def counting_derivative(values, axis):
+        derivatives.append((values, axis))
+        return spectral_derivative(values, axis)
+
+    def counting_stack(values):
+        derivatives.append((values, "all"))
         return derivative_stack(values)
 
     fr = _random_frame(1)
     met = dw.decode_metric(dw.symbol_from_frame(fr))
-    monkeypatch.setattr(geometry, "derivative_stack", counting)
+    monkeypatch.setattr(geometry, "coframe", counting_coframe)
+    monkeypatch.setattr(geometry, "spectral_derivative", counting_derivative)
+    monkeypatch.setattr(geometry, "derivative_stack", counting_stack, raising=False)
     dw.torsion(fr, met)
-    assert shapes == [fr.e.shape]
+    assert len(coframes) == 1
+    assert [axis for _, axis in derivatives] == [1, 2, 3]
+    assert all(values is coframes[0] for values, _ in derivatives)
 
 
 def test_torsion_peak_memory(peak_mb):
-    """At n=16 the four-fold coframe rebuild peaked at 7.44 MB of traced allocation."""
+    """At n=16 the four-fold coframe rebuild peaked at 7.44 MB of traced allocation and
+    the one-stack version with full (n, n, n, 3, 3, 3) tensors at 3.38 MB; by component
+    and by direction it is 1.81 MB."""
     fr = _random_frame(0, n=16)
     met = dw.decode_metric(dw.symbol_from_frame(fr))
-    assert peak_mb(lambda: dw.torsion(fr, met)) <= 7.5
+    assert peak_mb(lambda: dw.torsion(fr, met)) <= 2.0
 
 
 def test_torsion_frees_its_rank_3_arrays_once_used(peak_mb):
-    """With full-size temporaries for |t1 - t2| and every (n, n, n, 3, 3, 3) array
-    alive to the end, the peak at n=16 was 5.60 MB; it is 3.38 MB now."""
+    """Keeping each direction's derivative into the next direction's transforms, the
+    coframe to the end and the route gaps alive peaked at 2.98 MB at n=16; freeing each
+    once used gives 1.81 MB."""
     fr = _random_frame(0, n=16)
     met = dw.decode_metric(dw.symbol_from_frame(fr))
-    assert peak_mb(lambda: dw.torsion(fr, met)) <= 3.8
+    assert peak_mb(lambda: dw.torsion(fr, met)) <= 2.0
 
 
 # --- closed-form pointwise algebra -------------------------------------------
@@ -277,7 +300,7 @@ def _dual_by_raised_contraction(metric, forms):
     """(1/2) sqrt(det g) eps_{efb} g^{ec} g^{fd} w_{cd}, indices raised first."""
     g = metric.g_contra[..., None, :, :]
     raised = np.swapaxes(g, -1, -2) @ forms @ g
-    dual = np.tensordot(raised, geometry.EPSILON, axes=((-2, -1), (0, 1)))
+    dual = np.tensordot(raised, EPSILON, axes=((-2, -1), (0, 1)))
     return 0.5 * dual * metric.vol[..., None, None]
 
 
@@ -288,10 +311,35 @@ def test_dual_2forms_matches_raised_contraction(name):
     w = np.random.default_rng(1).standard_normal(fr.e.shape[:3] + (3, 3, 3))
     w = w - np.swapaxes(w, -1, -2)
     want = _dual_by_raised_contraction(met, w)
-    assert np.abs(geometry._dual_2forms(met, w) - want).max() <= 1e-14 * np.abs(want).max()
+    got = geometry._dual_2forms(met, _pair_components(w))
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
     tor = dw.torsion(fr, met)
     want = _dual_by_raised_contraction(met, tor.T)
     assert np.abs(tor.star_T - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
+
+
+def _connection_route_torsion(fr, met):
+    """T^a_{bc} = G^a_{bc} - G^a_{cb} from the teleparallel connection, as full tensors."""
+    gam = _teleparallel_coefficients(fr, met)
+    return gam - np.swapaxes(gam, -1, -2)
+
+
+@pytest.mark.parametrize("name", ["random", "strong", "twisted"])
+def test_torsion_tensor_built_on_access(name):
+    """T is antisymmetric in (b, c) with a zero diagonal, its dual is star_T, and it
+    equals the connection route computed here on full tensors."""
+    fr = FRAMES[name]()
+    met = dw.decode_metric(dw.symbol_from_frame(fr))
+    tor = dw.torsion(fr, met)
+    t = tor.T
+    assert t.shape == fr.e.shape + (3,)
+    assert np.array_equal(t, -np.swapaxes(t, -1, -2))
+    assert not np.diagonal(t, axis1=-2, axis2=-1).any()
+    assert np.array_equal(_pair_components(t), tor.components)
+    dual = geometry._dual_2forms(met, _pair_components(t))
+    assert np.abs(dual - tor.star_T).max() <= 1e-14 * np.abs(tor.star_T).max()
+    want = _connection_route_torsion(fr, met)
+    assert np.abs(t - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_dual_2forms_is_its_docstring_contraction():
@@ -301,8 +349,8 @@ def test_dual_2forms_is_its_docstring_contraction():
     w = raw - np.swapaxes(raw, -1, -2)
     g = met.g_contra
     want = 0.5 * np.sqrt(np.linalg.det(met.g_cov))[..., None, None] * np.einsum(
-        "...ec,...fd,efb,...kcd->...kb", g, g, geometry.EPSILON, w, optimize=True)
-    gap = np.abs(geometry._dual_2forms(met, w) - want).max()
+        "...ec,...fd,efb,...kcd->...kb", g, g, EPSILON, w, optimize=True)
+    gap = np.abs(geometry._dual_2forms(met, _pair_components(w)) - want).max()
     print(f"dual of 2-forms off by {gap:.1e}, max |value| {np.abs(want).max():.1f}")
     assert gap < 1e-12
 

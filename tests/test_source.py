@@ -2,8 +2,8 @@
 
 No linter is a dependency, so these run with the tests: every module
 uses what it imports, every module-level private name is read
-somewhere in the package, and the package's __all__ lists exactly the
-names its __init__ imports.
+somewhere in the package, the package's __all__ lists exactly the
+names its __init__ imports, and no matmul operand is a transposed view.
 """
 
 import ast
@@ -81,3 +81,41 @@ def test_init_exports_exactly_what_it_imports():
     imported = [name for name, _ in _imported(tree)]
     assert len(listed) == len(set(listed))
     assert set(listed) - {"__version__"} == set(imported)
+
+
+def _transposed_view(node):
+    """Whether an expression is a swapaxes/transpose/moveaxis call or a .T/.mT, maybe indexed."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    if isinstance(node, ast.Attribute):
+        return node.attr in ("T", "mT")
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        return name in ("swapaxes", "transpose", "moveaxis")
+    return False
+
+
+def _transposed_matmul_operands(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            for operand in (node.left, node.right):
+                if _transposed_view(operand):
+                    yield node.lineno, ast.unparse(operand)
+
+
+def test_no_matmul_operand_is_a_transposed_view():
+    """A swapped view as an @ operand sends numpy's batched matmul to its non-BLAS loop
+    (p^T p on 32^3 points: 11.7 ms against 2.9 ms plus a 1.0 ms copy); fields._transposed
+    makes the contiguous copy."""
+    caught = [line for line, _ in _transposed_matmul_operands(ast.parse(
+        "a = np.swapaxes(p, -1, -2) @ p\n"
+        "b = x @ y.T\n"
+        "c = np.swapaxes(e, -1, -2)[..., None, :, :] @ d\n"
+        "d = m.transpose(0, 2, 1) @ m\n"
+        "e = _transposed(p) @ p\n"
+    ))]
+    assert caught == [1, 2, 3, 4]
+    found = [f"{module}:{line} {text}" for module, tree in TREES.items()
+             for line, text in _transposed_matmul_operands(tree)]
+    assert found == []
