@@ -28,7 +28,6 @@ import numpy as np
 from .errors import InputError, gate
 from .fields import TWO_PI, fiber_ball_quadrature, grid_integral
 from .geometry import (
-    PAULI,
     MetricField,
     PrincipalSymbolField,
     _gram,
@@ -127,28 +126,6 @@ class _FiberFrame:
         return 2.0 * np.einsum("akp,akp->k", np.conj(dv_dx), dv_dxi).imag
 
 
-@dataclass(eq=False)
-class EigenpairOnFiber:
-    """Positive-band eigendata of the symbol at one (x, xi)."""
-
-    h_plus: float
-    v_plus: np.ndarray
-    projector: np.ndarray
-
-
-def fiber_eigenpair(sym, x, xi) -> EigenpairOnFiber:
-    """Positive eigenvalue, anchored eigenvector and spectral projector."""
-    sym = _principal(sym)
-    smats = sym.at(_vector3(x, "base point x"))
-    xis = _vector3(xi, "covector xi")[None, :]
-    h, v, _ = _positive_band(smats, xis)
-    proj = v[0][:, None] * np.conj(v[0])[None, :]
-    mat = np.tensordot(xis[0], smats, axes=(0, 0))
-    gate("fibre eigenpair does not solve M(xi) v = h v", mat @ v[0] - h[0] * v[0],
-         1e-10 * max(1.0, h[0]))
-    return EigenpairOnFiber(h_plus=float(h[0]), v_plus=v[0], projector=proj)
-
-
 def u1_curvature(sym, x, xi) -> float:
     """Curvature of the positive eigenbundle at one point of phase space.
 
@@ -217,12 +194,13 @@ def b1_density_fiber(op: FirstOrderOperator, points) -> np.ndarray:
     for i, p in enumerate(points):
         comps, amat = op.sigma.p[p], asub[p]
         g = _gram(comps)
-        tr_as = np.einsum("pq,jqp->j", amat, PAULI).real  # tr(A_sub s^j)
+        tr_a = np.trace(amat).real
+        tr_as = 2.0 * pauli_components(amat - 0.5 * tr_a * np.eye(2))  # tr(A_sub s^j)
 
         def integrand(xis):
             h = np.sqrt(np.einsum("ka,ab,kb->k", xis, g, xis))
             tr_am = xis @ (tr_as @ comps)  # tr(A_sub sigma(xi)) with sigma(xi) = s^j p_j^a xi_a
-            return -3.0 * (tr_am + h * np.trace(amat).real) / (2.0 * h)
+            return -3.0 * (tr_am + h * tr_a) / (2.0 * h)
 
         out[i] = fiber_ball_quadrature(g, integrand)
     return out

@@ -24,6 +24,7 @@ from .geometry import (
     FrameField,
     MetricField,
     PrincipalSymbolField,
+    _gram,
     christoffel_symbols,
     decode_frame,
     decode_metric,
@@ -223,11 +224,16 @@ def gauge_transform(op: FirstOrderOperator, gauge: GaugeField) -> FirstOrderOper
 
 
 def so3_from_su2(r: np.ndarray) -> np.ndarray:
-    """Adjoint rotation O_jk = (1/2) tr(s_j R s^k R*); works pointwise on fields."""
+    """Adjoint rotation O with R s^k R* = s^j O_jk; works pointwise on fields.
+
+    An R whose O is not orthogonal (to 1e-10) is refused: it is not in SU(2).
+    """
     r = np.asarray(r, dtype=complex)
-    out = 0.5 * np.einsum("jpq,...qr,krs,...ps->...jk", PAULI, r, PAULI, np.conj(r))
-    gate("adjoint rotation came out non-real; input is not SU(2)", out.imag, 1e-12)
-    return out.real
+    rot = np.einsum("...pq,kqr,...sr->...kps", r, PAULI, np.conj(r), optimize=True)  # R s^k R*
+    o = _transposed(pauli_components(rot))
+    gate("adjoint rotation is not orthogonal; input is not SU(2)", _gram(o) - np.eye(3), 1e-10,
+         InputError)
+    return o
 
 
 # Since sum_k s^k X s^k = 2 tr(X) I - X, Y_A = A + sum_jk O_jk s^j A s^k

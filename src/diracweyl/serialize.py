@@ -2,8 +2,12 @@
 
 File layout: one JSON object with a chart descriptor and flattened
 arrays.  Grid points are flattened with the first coordinate varying
-fastest; complex entries are stored as [re, im] pairs.  Everything is
-plain JSON so files are diffable and readable from any language.
+fastest.  Frame, symbol and operator files all store the 9 real frame
+components per point under "frame" (a symbol's p, which is its frame);
+only an operator's a0 is complex, stored as [re, im] pairs.  Version-1
+symbol and operator files, which stored the complex symbol matrices
+under "sigma", still load.  Everything is plain JSON so files are
+diffable and readable from any language.
 """
 
 from __future__ import annotations
@@ -14,10 +18,10 @@ import json
 import numpy as np
 
 from .errors import InputError
-from .geometry import FrameField, PrincipalSymbolField
+from .geometry import FrameField, PrincipalSymbolField, symbol_from_frame
 from .operators import FirstOrderOperator
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 
 def _flatten_grid(arr: np.ndarray) -> np.ndarray:
@@ -34,15 +38,13 @@ def _unflatten_grid(flat: np.ndarray, n: int) -> np.ndarray:
     return np.transpose(arr, (2, 1, 0) + tuple(range(3, arr.ndim)))
 
 
-def _encode_complex(arr: np.ndarray) -> list:
-    return np.stack([np.real(arr), np.imag(arr)], axis=-1).tolist()
-
-
-def _header(kind: str, n: int) -> dict:
+def _frame_document(kind: str, e: np.ndarray) -> dict:
+    """The header and the frame components e[..., j, alpha] every document kind holds."""
     return {
         "format_version": _FORMAT_VERSION,
         "kind": kind,
-        "chart": {"grid": n, "domain": "[0, 2*pi)^3", "point_order": "x1-fastest"},
+        "chart": {"grid": e.shape[0], "domain": "[0, 2*pi)^3", "point_order": "x1-fastest"},
+        "frame": _flatten_grid(e).tolist(),
     }
 
 
@@ -54,9 +56,7 @@ def _write_document(doc: dict, path: str) -> None:
 
 
 def save_symbol(sym: PrincipalSymbolField, path: str) -> None:
-    doc = _header("principal-symbol", sym.chart.n)
-    doc["sigma"] = _encode_complex(_flatten_grid(sym.sigma))
-    _write_document(doc, path)
+    _write_document(_frame_document("principal-symbol", sym.p), path)
 
 
 def load_symbol(path: str) -> PrincipalSymbolField:
@@ -64,10 +64,7 @@ def load_symbol(path: str) -> PrincipalSymbolField:
 
 
 def save_frame(frame: FrameField, path: str) -> None:
-    n = frame.e.shape[0]
-    doc = _header("frame", n)
-    doc["frame"] = _flatten_grid(frame.e).tolist()
-    _write_document(doc, path)
+    _write_document(_frame_document("frame", frame.e), path)
 
 
 def load_frame(path: str) -> FrameField:
@@ -75,9 +72,9 @@ def load_frame(path: str) -> FrameField:
 
 
 def save_operator(op: FirstOrderOperator, path: str) -> None:
-    doc = _header("operator", op.chart.n)
-    doc["sigma"] = _encode_complex(_flatten_grid(op.sigma.sigma))
-    doc["a0"] = _encode_complex(_flatten_grid(op.a0))
+    doc = _frame_document("operator", op.sigma.p)
+    a0 = _flatten_grid(op.a0)
+    doc["a0"] = np.stack([a0.real, a0.imag], axis=-1).tolist()
     _write_document(doc, path)
 
 
@@ -87,9 +84,13 @@ def load_operator(path: str) -> FirstOrderOperator:
 
 def _from_document(doc: dict, path: str):
     """The frame, symbol or operator a checked document holds."""
-    if doc["kind"] == "frame":
-        return FrameField(_grid_array(doc, "frame", (3, 3), path, is_complex=False))
-    sym = PrincipalSymbolField(_grid_array(doc, "sigma", (3, 2, 2), path))
+    if doc["format_version"] == 1 and doc["kind"] != "frame":
+        sym = PrincipalSymbolField(_grid_array(doc, "sigma", (3, 2, 2), path))
+    else:
+        e = _grid_array(doc, "frame", (3, 3), path, is_complex=False)
+        if doc["kind"] == "frame":
+            return FrameField(e)
+        sym = symbol_from_frame(e)
     if doc["kind"] == "principal-symbol":
         return sym
     return FirstOrderOperator(sym, _grid_array(doc, "a0", (2, 2), path))
@@ -108,7 +109,7 @@ def _load_document(path: str, kind: str | None = None) -> dict:
     wanted = (kind,) if kind else ("operator", "principal-symbol", "frame")
     if got not in wanted:
         raise InputError(f"{path} holds {got!r}, expected {' or '.join(map(repr, wanted))}")
-    if doc.get("format_version") != _FORMAT_VERSION:
+    if doc.get("format_version") not in (1, _FORMAT_VERSION):
         raise InputError(f"unsupported format version {doc.get('format_version')}")
     chart = doc.get("chart")
     if not isinstance(chart, dict) or not isinstance(chart.get("grid"), int) or chart["grid"] < 1:

@@ -555,10 +555,6 @@ def asymptotic_comparison(
     resid = counts - model
     scaled = np.abs(resid) / lams**2
 
-    oct_lams = _tie_free(lo * 2.0 ** np.arange(int(np.floor(n_oct)) + 1), table.values)
-    oct_counts = _counts(table, oct_lams).astype(float)
-    oct_scaled = np.abs(oct_counts - a_global * oct_lams**3 - b_global * oct_lams**2) / oct_lams**2
-
     edges = []
     maxima = []
     left = lo
@@ -578,8 +574,8 @@ def asymptotic_comparison(
         counts=counts,
         residuals=resid,
         max_scaled_residual=float(scaled.max()),
-        octave_lambdas=oct_lams,
-        octave_scaled_residuals=oct_scaled,
+        octave_lambdas=lams[::_SAMPLES_PER_OCTAVE],  # every octave sample is a dense one
+        octave_scaled_residuals=scaled[::_SAMPLES_PER_OCTAVE],
         window_edges=edges,
         window_maxima=maxima,
         decreasing=bool(decreasing),

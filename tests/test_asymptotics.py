@@ -98,7 +98,10 @@ def test_fiber_frame_derivatives_match_richardson_differences(random_setup):
         xis = rng.standard_normal((6, 3))
         m = pauli_components(np.tensordot(xis, sym.at(x), axes=(1, 0)))
         anchors = (m[:, 2] < 0).astype(int)
-        _, v, dv_dx, dv_dxi = _FiberFrame(sym, x).eval(xis)
+        h, v, dv_dx, dv_dxi = _FiberFrame(sym, x).eval(xis)
+        mats = np.tensordot(xis, sym.at(x), axes=(1, 0))  # sigma(xi), with det = -g(xi, xi)
+        assert np.abs((mats @ v[:, :, None])[..., 0] - h[:, None] * v).max() <= 1e-12
+        assert np.abs(np.linalg.det(mats) + h**2).max() <= 1e-12
         assert np.abs(v - _anchored(sym.at(x), xis, anchors)).max() <= 1e-14
         ref_x = _richardson(lambda dx: _anchored(sym.at(x + dx), xis, anchors))
         ref_xi = _richardson(lambda dxi: _anchored(sym.at(x), xis + dxi, anchors))
@@ -223,26 +226,6 @@ class TestFiberRoutes:
         assert np.abs(dw.b2_density_fiber_curvature(sym, idx) - expect).max() < 1e-6
 
 
-# --- fibre eigenpairs ------------------------------------------------------------
-
-def test_fiber_eigenpair_properties(random_setup):
-    _, sym, _ = random_setup
-    x = np.array([0.3, 1.1, 2.0])
-    xi = np.array([0.7, -0.2, 0.4])
-    pair = dw.fiber_eigenpair(sym, x, xi)
-    smats = sym.at(x)
-    mat = np.tensordot(xi, smats, axes=(0, 0))
-    assert np.abs(mat @ pair.v_plus - pair.h_plus * pair.v_plus).max() < 1e-12
-    p = pair.projector
-    assert np.abs(p @ p - p).max() < 1e-12
-    assert abs(np.trace(p).real - 1.0) < 1e-12
-    met = dw.decode_metric(sym)
-    # h_plus equals the metric length of xi (checked against grid metric at x=0)
-    pair0 = dw.fiber_eigenpair(sym, np.zeros(3), xi)
-    g0 = met.g_contra[0, 0, 0]
-    assert abs(pair0.h_plus - np.sqrt(xi @ g0 @ xi)) < 1e-12
-
-
 @pytest.mark.parametrize(
     "points, message",
     [
@@ -263,20 +246,20 @@ def test_fiber_routes_refuse_bad_points(route, points, message):
         route(target, points)
 
 
-def test_fiber_eigenpair_rejects_zero_covector(random_setup):
+def test_u1_curvature_rejects_zero_covector(random_setup):
     _, sym, _ = random_setup
     with pytest.raises(InputError, match="zero"):
-        dw.fiber_eigenpair(sym, np.zeros(3), np.zeros(3))
+        dw.u1_curvature(sym, np.zeros(3), np.zeros(3))
 
 
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda op: dw.fiber_eigenpair(op.sigma, np.zeros(2), np.ones(3)), "base point x"),
+        (lambda op: dw.u1_curvature(op.sigma, np.zeros(2), np.ones(3)), "base point x"),
         (lambda op: dw.u1_curvature(op.sigma, np.zeros(3), np.ones(2)), "covector xi"),
         (lambda op: dw.b1_density_fiber(op.sigma, [(0, 0, 0)]), "op must be a FirstOrderOperator"),
     ],
-    ids=["eigenpair-2-vector-point", "u1-2-vector-covector", "b1-given-a-symbol"],
+    ids=["u1-2-vector-point", "u1-2-vector-covector", "b1-given-a-symbol"],
 )
 def test_fiber_inputs_are_refused_by_name(call, message):
     op = dw.dirac_operator(dw.standard_frame(8))

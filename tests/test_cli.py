@@ -407,15 +407,32 @@ def test_readme_python_blocks_run():
 
 # --- the input boundary ------------------------------------------------------
 
-def _truncated_operator(path):
-    dw.save_operator(dw.dirac_operator(dw.standard_frame(8)), str(path))
-    doc = json.loads(path.read_text())
+def _edited_operator(edit):
+    """A writer of a saved 8^3 Dirac operator whose document edit(doc) has changed."""
+
+    def write(path):
+        dw.save_operator(dw.dirac_operator(dw.standard_frame(8)), str(path))
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+
+    return write
+
+
+def _truncate_a0(doc):
     doc["a0"] = doc["a0"][: len(doc["a0"]) // 2]
-    path.write_text(json.dumps(doc))
+
+
+def _nan_in_frame(doc):
+    doc["frame"][5][1][2] = float("nan")  # json writes NaN and reads it back
 
 
 MALFORMED = {
-    "wrong-length-array": ("decode", _truncated_operator),
+    "wrong-length-array": ("decode", _edited_operator(_truncate_a0)),
+    "frame-missing": ("decode", _edited_operator(lambda doc: doc.pop("frame"))),
+    "frame-wrong-shape": ("check-dirac", _edited_operator(
+        lambda doc: doc.update(frame=[point[:2] for point in doc["frame"]]))),
+    "frame-non-finite": ("asymptotics", _edited_operator(_nan_in_frame)),
     "missing-path": ("check-dirac", lambda path: None),
     "not-json": ("asymptotics", lambda path: path.write_text("sigma = [[0, 1], [1, 0]]\n")),
 }

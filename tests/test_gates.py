@@ -262,6 +262,11 @@ REFUSED_BRANCHES = {
     "twist-nan": (lambda: dw.twisted_frame(np.nan, 8), InputError, "must be an integer, got nan"),
     "gauge-grid": (lambda: dw.gauge_transform(_structured_dirac(), dw.random_gauge_field(0, 16)),
                    InputError, "gauge field on the 16^3 grid and operator on the 8^3 grid"),
+    # the non-real gate these replace could not fire: (1/2) tr(s_j R s^k R*) is real for every R
+    "so3-scaled-identity": (lambda: dw.so3_from_su2(2.0 * np.eye(2)), InputError,
+                            "input is not SU(2)"),
+    "so3-shear": (lambda: dw.so3_from_su2(np.array([[1.0, 1.0], [0.0, 1.0]])), InputError,
+                  "input is not SU(2)"),
     "torsion-grid": (
         lambda: dw.torsion(dw.standard_frame(8), dw.MetricField(_grid_of(np.eye(3))[::2, ::2, ::2])),
         InputError, "frame on the 8^3 grid and metric on the 4^3 grid"),

@@ -73,6 +73,25 @@ def test_charge_twisted(k3):
     assert dw.topological_charge(dw.symbol_from_frame(dw.twisted_frame(k3, 8))) == 1
 
 
+def test_fibre_triple_product_is_twice_i_det_p(curved_frame):
+    """tr(sigma^1 sigma^2 sigma^3) = 2i det p, the identity the charge's fibre route reads."""
+    for frame in (_random_frame(1), curved_frame):
+        sym = dw.symbol_from_frame(frame)
+        s = np.moveaxis(sym.sigma, -3, 0)
+        trip = np.einsum("...pq,...qr,...rp->...", *s)
+        assert np.abs(trip - 2j * np.linalg.det(sym.p)).max() <= 1e-15
+
+
+def test_charge_builds_no_complex_symbol_stack(monkeypatch):
+    calls = []
+    real = geometry.pauli_matrices
+    monkeypatch.setattr(geometry, "pauli_matrices", lambda c: calls.append(c.shape) or real(c))
+    flipped = _random_frame(1).e.copy()
+    flipped[..., 2, :] *= -1.0
+    assert dw.topological_charge(dw.symbol_from_frame(flipped)) == -1
+    assert calls == []
+
+
 def test_degenerate_frame_rejected():
     e = dw.standard_frame(8).e.copy()
     e[..., 1, :] = e[..., 0, :]

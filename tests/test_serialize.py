@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import diracweyl as dw
+from diracweyl import geometry
 from diracweyl.errors import InputError
 
 
@@ -99,12 +100,66 @@ def test_saved_files_equal_the_streamed_encoder_output(tmp_path):
         assert path.read_bytes() == streamed.read_bytes()
 
 
+def _version_1(kind, sym, a0=None):
+    """The document the version-1 writer made: complex symbol matrices under "sigma"."""
+
+    def encode(arr):  # x1 fastest, complex entries as [re, im]
+        flat = np.transpose(arr, (2, 1, 0) + tuple(range(3, arr.ndim)))
+        flat = flat.reshape((arr.shape[0] ** 3,) + arr.shape[3:])
+        return np.stack([flat.real, flat.imag], axis=-1).tolist()
+
+    chart = {"grid": sym.chart.n, "domain": "[0, 2*pi)^3", "point_order": "x1-fastest"}
+    doc = {"format_version": 1, "kind": kind, "chart": chart, "sigma": encode(sym.sigma)}
+    if a0 is not None:
+        doc["a0"] = encode(a0)
+    return doc
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+@pytest.mark.parametrize("name", ["standard-torus", "random-band-limited"])
+def test_version_1_documents_load_bit_identical(name, tmp_path):
+    op = dw.build_scenario(name, 16)
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(_version_1("operator", op.sigma, op.a0)))
+    back = dw.load_operator(str(path))
+    assert _same_bits(back.sigma.p, op.sigma.p) and _same_bits(back.a0, op.a0)
+    path.write_text(json.dumps(_version_1("principal-symbol", op.sigma)))
+    assert _same_bits(dw.load_symbol(str(path)).p, op.sigma.p)
+
+
+def test_saved_documents_hold_the_nine_frame_components(tmp_path):
+    op = dw.build_scenario("random-band-limited", 16)
+    docs = {}
+    for kind, save, obj in (("operator", dw.save_operator, op), ("symbol", dw.save_symbol, op.sigma),
+                            ("frame", dw.save_frame, dw.decode_frame(op.sigma))):
+        path = tmp_path / f"{kind}.json"
+        save(obj, str(path))
+        docs[kind] = json.loads(path.read_text())
+    for kind in ("operator", "symbol"):
+        assert docs[kind]["format_version"] == 2 and "sigma" not in docs[kind]
+        assert np.asarray(docs[kind]["frame"]).shape == (16**3, 3, 3)
+    assert docs["symbol"]["frame"] == docs["frame"]["frame"]
+
+
+def test_saving_builds_no_complex_symbol_stack(tmp_path, monkeypatch):
+    op = dw.dirac_operator(dw.twisted_frame(1, 8))
+    calls = []
+    real = geometry.pauli_matrices
+    monkeypatch.setattr(geometry, "pauli_matrices", lambda c: calls.append(c.shape) or real(c))
+    dw.save_symbol(op.sigma, str(tmp_path / "sym.json"))
+    dw.save_operator(op, str(tmp_path / "op.json"))
+    assert calls == []
+
+
 @pytest.mark.parametrize(
     "name, params",
     [("standard-torus", {}), ("twisted-torus", {"k3": 1}), ("random-band-limited", {"seed": 3})],
 )
 def test_save_load_save_is_byte_stable(name, params, tmp_path):
-    """Loading keeps every signed zero of the stored complex entries."""
+    """Loading keeps every signed zero of the stored entries."""
     op = dw.build_scenario(name, 16, **params)
     first, second = tmp_path / "first.json", tmp_path / "second.json"
     dw.save_operator(op, str(first))

@@ -3,7 +3,8 @@
 No linter is a dependency, so these run with the tests: every module
 uses what it imports, every module-level private name is read
 somewhere in the package, the package's __all__ lists exactly the
-names its __init__ imports, and no matmul operand is a transposed view.
+names its __init__ imports, no matmul operand is a transposed view, and
+the Pauli encoding stays out of the file format.
 """
 
 import ast
@@ -119,3 +120,17 @@ def test_no_matmul_operand_is_a_transposed_view():
     found = [f"{module}:{line} {text}" for module, tree in TREES.items()
              for line, text in _transposed_matmul_operands(tree)]
     assert found == []
+
+
+def test_serialize_stores_no_pauli_encoding():
+    """Files hold the symbol's real frame components; the Pauli encoding lives in geometry.
+
+    A version-1 file's complex matrices are decoded by PrincipalSymbolField, not here.
+    """
+    tree = TREES["serialize.py"]
+    imported = {name for name, _ in _imported(tree)}
+    assert imported.isdisjoint({"PAULI", "pauli_components", "pauli_matrices"})
+    chains = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+              and node.attr == "sigma" and isinstance(node.value, ast.Attribute)
+              and node.value.attr == "sigma"]
+    assert chains == []

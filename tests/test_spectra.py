@@ -5,7 +5,7 @@ import pytest
 
 import diracweyl as dw
 from diracweyl.errors import ConsistencyError, InputError
-from diracweyl.spectra import _cluster, _coset_blocks
+from diracweyl.spectra import _cluster, _coset_blocks, _tie_free
 
 TRIVIAL = dw.SpinStructure((0.0, 0.0, 0.0))
 HALF3 = dw.SpinStructure((0.0, 0.0, 0.5))
@@ -435,6 +435,12 @@ class TestAsymptoticComparison:
         assert np.abs(report.octave_lambdas - [5.0, 10.0, 20.0, 40.0]).max() < 1e-5
         expect = [0.383963, 0.207915, 0.275817, 0.201621]
         assert np.abs(report.octave_scaled_residuals - expect).max() < 1e-5
+        # every 24th dense sample is an octave sample, residual included
+        dense = report.lambda_grid[::24]
+        assert np.array_equal(report.octave_lambdas, dense)
+        assert np.array_equal(report.octave_scaled_residuals, np.abs(report.residuals[::24]) / dense**2)
+        table = dw.torus_exact_spectrum(TRIVIAL, 40.5)
+        assert np.array_equal(dense, _tie_free(5.0 * 2.0 ** np.arange(4), table.values))
 
     def test_remainder_exponent_subquadratic(self, report):
         assert report.fitted_exponent < 2.0
