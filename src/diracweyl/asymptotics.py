@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, gate
-from .fields import TWO_PI, fiber_ball_quadrature, grid_integral
+from .fields import TWO_PI, TrigInterpolant, fiber_ball_quadrature, grid_integral
 from .geometry import (
     MetricField,
     PrincipalSymbolField,
@@ -48,10 +48,11 @@ def _principal(obj) -> PrincipalSymbolField:
     raise InputError(f"expected a symbol or operator, got {type(obj).__name__}")
 
 
-def _vector3(value, name: str) -> np.ndarray:
+def _vectors3(value, name: str) -> np.ndarray:
+    """A 3-vector or a (k, 3) array of them, as floats."""
     arr = np.asarray(value, dtype=float)
-    if arr.shape != (3,):
-        raise InputError(f"{name} must be a 3-vector, got shape {arr.shape}")
+    if arr.ndim not in (1, 2) or arr.shape[-1] != 3:
+        raise InputError(f"{name} must be a 3-vector or a (k, 3) array, got shape {arr.shape}")
     return arr
 
 
@@ -82,8 +83,8 @@ def _positive_band(smats: np.ndarray, xis: np.ndarray):
 class _FiberFrame:
     """Eigenvector derivatives of the positive fibre band at a fixed base point.
 
-    Reads p and its coordinate gradient at the base point from the
-    trigonometric interpolant, once each, as symbol matrices.  Both
+    Reads p and its coordinate gradient at the base point from a
+    trigonometric interpolant of p, once each, as symbol matrices.  Both
     derivatives of v+ come from exact first-order perturbation of the
     2x2 eigenproblem,
 
@@ -94,9 +95,7 @@ class _FiberFrame:
     anchored component of v+ real; no finite differences are taken.
     """
 
-    def __init__(self, sym: PrincipalSymbolField, x: np.ndarray):
-        x = _vector3(x, "base point x")
-        interp = sym.interpolant()
+    def __init__(self, interp: TrigInterpolant, x: np.ndarray):
         self.s_center = pauli_matrices(interp(x).T)  # (3, 2, 2)
         self.ds = pauli_matrices(np.swapaxes(interp.gradient(x), -1, -2))  # d_a sigma^b
 
@@ -126,14 +125,23 @@ class _FiberFrame:
         return 2.0 * np.einsum("akp,akp->k", np.conj(dv_dx), dv_dxi).imag
 
 
-def u1_curvature(sym, x, xi) -> float:
-    """Curvature of the positive eigenbundle at one point of phase space.
+def u1_curvature(sym, x, xi):
+    """Curvature of the positive eigenbundle at points of phase space.
 
     Equals (c/2) (*T)(xi, xi) / g(xi, xi)^{3/2} for the decoded
     geometry; homogeneous of degree -1 in xi and independent of the
-    anchoring gauge.
+    anchoring gauge.  A base point x and covector xi give a float; (k, 3)
+    arrays of them, paired row by row, give k values from one
+    interpolant of the symbol.
     """
-    return float(_FiberFrame(_principal(sym), x).curvature(_vector3(xi, "covector xi"))[0])
+    sym = _principal(sym)
+    xs, xis = _vectors3(x, "base point x"), _vectors3(xi, "covector xi")
+    if xs.shape != xis.shape:
+        raise InputError(f"base points {xs.shape} and covectors {xis.shape} must pair row by row")
+    interp = TrigInterpolant(sym.p)
+    vals = np.array([_FiberFrame(interp, pt).curvature(cov)[0]
+                     for pt, cov in zip(np.atleast_2d(xs), np.atleast_2d(xis))])
+    return float(vals[0]) if xs.ndim == 1 else vals
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +253,10 @@ def b2_density_fiber_curvature(sym, points) -> np.ndarray:
     sym = _principal(sym)
     n = sym.chart.n
     points = _grid_points(points, n)
+    interp = TrigInterpolant(sym.p)
     out = np.empty(len(points))
     for i, p in enumerate(points):
-        fib = _FiberFrame(sym, TWO_PI * np.array(p, dtype=float) / n)
+        fib = _FiberFrame(interp, TWO_PI * np.array(p, dtype=float) / n)
         g = _gram(sym.p[p])
 
         def integrand(xis):

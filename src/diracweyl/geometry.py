@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConsistencyError, EllipticityError, InputError, gate
-from .fields import TrigInterpolant, _transposed, chart_of, spectral_derivative
+from .fields import _transposed, chart_of, spectral_derivative
 
 # Standard Pauli matrices; the fixed fibre basis for all 2x2 symbols.
 PAULI = np.array(
@@ -65,8 +65,9 @@ class PrincipalSymbolField:
     p has the layout of FrameField.e.  PrincipalSymbolField(sigma) gates
     the complex stack sigma[..., alpha, :, :] on Hermitian and trace-free
     matrices and reads p off it; symbol_from_frame sets p directly.  Both
-    check ellipticity.  The sigma property rebuilds the complex stack on
-    each access and keeps nothing.
+    check ellipticity.  p is the one attribute a symbol holds: the sigma
+    property rebuilds the complex stack on each access and keeps nothing,
+    and off-grid readers build their own TrigInterpolant of p.
     """
 
     def __init__(self, sigma: np.ndarray):
@@ -85,7 +86,6 @@ class PrincipalSymbolField:
         _check_ellipticity(_gram(p))
         p.flags.writeable = False
         self.p = p
-        self._interp = None
 
     @property
     def sigma(self) -> np.ndarray:
@@ -95,16 +95,6 @@ class PrincipalSymbolField:
     @property
     def chart(self):
         return chart_of(self.p)
-
-    def interpolant(self) -> TrigInterpolant:
-        """Band-limited evaluator of p for off-grid points (cached)."""
-        if self._interp is None:
-            self._interp = TrigInterpolant(self.p)
-        return self._interp
-
-    def at(self, point: np.ndarray) -> np.ndarray:
-        """The three symbol matrices at an arbitrary point, shape (3, 2, 2)."""
-        return pauli_matrices(np.swapaxes(self.interpolant()(point), -1, -2))
 
 
 @dataclass(eq=False)

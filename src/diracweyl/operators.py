@@ -24,6 +24,7 @@ from .geometry import (
     FrameField,
     MetricField,
     PrincipalSymbolField,
+    TorsionBundle,
     _gram,
     christoffel_symbols,
     decode_frame,
@@ -154,8 +155,16 @@ def verify_subprincipal_identity(frame: FrameField) -> float:
     max entrywise deviation over the grid.
     """
     op = dirac_operator(frame)
-    asub = subprincipal_symbol(op)
-    tor = torsion(frame, decode_metric(op.sigma))
+    return _identity_residual(subprincipal_symbol(op), torsion(frame, decode_metric(op.sigma)))
+
+
+def _identity_residual(asub: np.ndarray, tor: TorsionBundle) -> float:
+    """max |A_sub - (3c/4) (*T_ax) Id| over the grid, from the torsion of the operator's frame.
+
+    Zero for the Dirac operator of that frame.  For any operator with the
+    same principal symbol it equals max |a0 - a0_Dirac|, since the two
+    subprincipal symbols share their derivative term.
+    """
     rhs = (0.75 * tor.charge * tor.axial_dual)[..., None, None] * IDENTITY2
     return float(np.abs(asub - rhs).max())
 
@@ -174,6 +183,11 @@ def apply_operator(op: FirstOrderOperator, v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _det2(r: np.ndarray) -> np.ndarray:
+    """Determinant of a (..., 2, 2) stack."""
+    return r[..., 0, 0] * r[..., 1, 1] - r[..., 0, 1] * r[..., 1, 0]
+
+
 @dataclass(eq=False)
 class GaugeField:
     """Grid field of SU(2) matrices."""
@@ -187,8 +201,7 @@ class GaugeField:
         chart_of(r)
         unit = np.einsum("...pq,...rq->...pr", r, np.conj(r))
         gate("gauge field is not unitary", unit - IDENTITY2, 1e-12, InputError)
-        det = r[..., 0, 0] * r[..., 1, 1] - r[..., 0, 1] * r[..., 1, 0]
-        gate("gauge field must have unit determinant", det - 1.0, 1e-12, InputError)
+        gate("gauge field must have unit determinant", _det2(r) - 1.0, 1e-12, InputError)
         self.R = r
 
 
@@ -226,13 +239,16 @@ def gauge_transform(op: FirstOrderOperator, gauge: GaugeField) -> FirstOrderOper
 def so3_from_su2(r: np.ndarray) -> np.ndarray:
     """Adjoint rotation O with R s^k R* = s^j O_jk; works pointwise on fields.
 
-    An R whose O is not orthogonal (to 1e-10) is refused: it is not in SU(2).
+    An R whose O is not orthogonal, or whose determinant is not 1 (each
+    to 1e-10), is refused: it is not in SU(2).  The determinant check
+    catches unitary R off SU(2), such as i Id, whose O is a rotation.
     """
     r = np.asarray(r, dtype=complex)
     rot = np.einsum("...pq,kqr,...sr->...kps", r, PAULI, np.conj(r), optimize=True)  # R s^k R*
     o = _transposed(pauli_components(rot))
     gate("adjoint rotation is not orthogonal; input is not SU(2)", _gram(o) - np.eye(3), 1e-10,
          InputError)
+    gate("determinant is not 1; input is not SU(2)", _det2(r) - 1.0, 1e-10, InputError)
     return o
 
 
@@ -328,7 +344,12 @@ def su2_lift(o_field: np.ndarray):
 
 @dataclass
 class DiracVerdict:
-    """Outcome of the massless-Dirac characterisation for one operator."""
+    """Outcome of the massless-Dirac characterisation for one operator.
+
+    cond_a_residual and cond_b_residual measure the paper's two conditions;
+    reconstructed_gap is the distance of a0 from the Dirac operator of the
+    decoded frame, read off the subprincipal/axial-torsion identity.
+    """
 
     is_dirac: bool
     cond_a_residual: float
@@ -346,26 +367,25 @@ def check_dirac(op: FirstOrderOperator, tol: float = _DEFAULT_TOL) -> DiracVerdi
       the identity (max operator norm of its trace-free part);
     * cond_b_residual - vanishing of the second Weyl coefficient
       density b(x) (max modulus over the grid);
-    * reconstructed_gap - max difference between a0 and the a0 of the
-      Dirac operator of the decoded frame, contracted on the frame and
-      metric decoded here; no second operator is built.
+    * reconstructed_gap - max |A_sub - (3c/4) (*T_ax) Id|, which equals
+      max |a0 - a0_Dirac| for the Dirac operator of the decoded frame.
+      It reads the subprincipal symbol and torsion the other two
+      residuals use, so no Dirac a0 and no Christoffel symbols are built.
     """
     from .asymptotics import _coefficients  # local import to avoid a cycle
 
     if not 0.0 <= tol < np.inf:
         raise InputError(f"tol must be a finite non-negative number, got {tol}")
-    frame = decode_frame(op.sigma)
     metric = decode_metric(op.sigma)
-    # the a0 contraction first, so its temporaries never sit on top of A_sub and the torsion
-    gap = float(np.abs(op.a0 - _dirac_a0(frame.e, metric)).max())
-
     asub = subprincipal_symbol(op)
+    tor = torsion(decode_frame(op.sigma), metric)
+    gap = _identity_residual(asub, tor)
+
     trace_half = 0.5 * (asub[..., 0, 0] + asub[..., 1, 1])
     devi = pauli_components(asub - trace_half[..., None, None] * IDENTITY2)
     cond_a = float(np.sqrt((devi**2).sum(axis=-1)).max())
 
-    coeffs = _coefficients(metric, asub, torsion(frame, metric))
-    cond_b = float(np.abs(coeffs.b).max())
+    cond_b = float(np.abs(_coefficients(metric, asub, tor).b).max())
 
     ok = cond_a <= tol and cond_b <= tol and gap <= tol
     return DiracVerdict(is_dirac=bool(ok), cond_a_residual=cond_a, cond_b_residual=cond_b,

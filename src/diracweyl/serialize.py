@@ -109,8 +109,10 @@ def _load_document(path: str, kind: str | None = None) -> dict:
     wanted = (kind,) if kind else ("operator", "principal-symbol", "frame")
     if got not in wanted:
         raise InputError(f"{path} holds {got!r}, expected {' or '.join(map(repr, wanted))}")
-    if doc.get("format_version") not in (1, _FORMAT_VERSION):
-        raise InputError(f"unsupported format version {doc.get('format_version')}")
+    version = doc.get("format_version")
+    if type(version) is not int or version not in (1, _FORMAT_VERSION):  # not a bool, not 2.0
+        raise InputError(f"{path}: unsupported format version {version!r}; "
+                         f"expected the integer 1 or {_FORMAT_VERSION}")
     chart = doc.get("chart")
     if not isinstance(chart, dict) or not isinstance(chart.get("grid"), int) or chart["grid"] < 1:
         raise InputError(f"{path}: chart.grid must be a positive integer")

@@ -57,13 +57,13 @@ def test_criterion_02_curvature_identity():
         met = dw.decode_metric(dw.symbol_from_frame(frame))
         tor = dw.torsion(frame, met)
         star_up = np.einsum("...ag,...gb->...ab", tor.star_T, met.g_contra)
-        for _ in range(50):
-            i, j, k = (int(v) for v in rng.integers(0, GRID, 3))
-            x = 2.0 * np.pi * np.array([i, j, k]) / GRID
-            xi = rng.standard_normal(3)
+        draws = [(rng.integers(0, GRID, 3), rng.standard_normal(3)) for _ in range(50)]
+        idx, xis = (np.array(column) for column in zip(*draws))
+        u1 = dw.u1_curvature(sym, 2.0 * np.pi * idx / GRID, xis)  # one call for the 50 samples
+        for (i, j, k), xi, value in zip(idx, xis, u1):
             gxx = xi @ met.g_contra[i, j, k] @ xi
             closed = 0.5 * tor.charge * (xi @ star_up[i, j, k] @ xi) / gxx**1.5
-            gap = abs(dw.u1_curvature(sym, x, xi) - closed)
+            gap = abs(value - closed)
             worst = max(worst, gap)
             assert gap <= 1e-6, f"{name}: u1 identity residual {gap:.3e}"
     print(f"criterion 2 PASS: u1 identity residual <= {worst:.3e} (50 samples x {len(FRAMES)} frames)")

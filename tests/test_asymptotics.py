@@ -7,7 +7,7 @@ import diracweyl as dw
 from diracweyl.asymptotics import _FiberFrame
 from diracweyl.errors import ConsistencyError, InputError
 from diracweyl.fields import TrigInterpolant
-from diracweyl.geometry import pauli_components
+from diracweyl.geometry import pauli_components, pauli_matrices
 from diracweyl.operators import EPS_CONJ
 
 SAMPLE_INDICES = np.array([(0, 0, 0), (3, 7, 11), (8, 2, 5), (15, 15, 1), (4, 12, 9)])
@@ -89,41 +89,67 @@ def _richardson(f, step=1e-4):
     return np.array(out)
 
 
+def _symbol_at(interp, x):
+    """The three symbol matrices sigma^a = s^j p_j^a at an arbitrary point, shape (3, 2, 2)."""
+    return pauli_matrices(np.swapaxes(interp(x), -1, -2))
+
+
 def test_fiber_frame_derivatives_match_richardson_differences(random_setup):
     """Both perturbation derivatives against finite differences with the anchor held fixed."""
     _, sym, _ = random_setup
+    interp = TrigInterpolant(sym.p)
     rng = np.random.default_rng(8)
     for _ in range(4):
         x = rng.uniform(0.0, 2.0 * np.pi, size=3)
         xis = rng.standard_normal((6, 3))
-        m = pauli_components(np.tensordot(xis, sym.at(x), axes=(1, 0)))
+        s_x = _symbol_at(interp, x)
+        m = pauli_components(np.tensordot(xis, s_x, axes=(1, 0)))
         anchors = (m[:, 2] < 0).astype(int)
-        h, v, dv_dx, dv_dxi = _FiberFrame(sym, x).eval(xis)
-        mats = np.tensordot(xis, sym.at(x), axes=(1, 0))  # sigma(xi), with det = -g(xi, xi)
+        h, v, dv_dx, dv_dxi = _FiberFrame(interp, x).eval(xis)
+        mats = np.tensordot(xis, s_x, axes=(1, 0))  # sigma(xi), with det = -g(xi, xi)
         assert np.abs((mats @ v[:, :, None])[..., 0] - h[:, None] * v).max() <= 1e-12
         assert np.abs(np.linalg.det(mats) + h**2).max() <= 1e-12
-        assert np.abs(v - _anchored(sym.at(x), xis, anchors)).max() <= 1e-14
-        ref_x = _richardson(lambda dx: _anchored(sym.at(x + dx), xis, anchors))
-        ref_xi = _richardson(lambda dxi: _anchored(sym.at(x), xis + dxi, anchors))
+        assert np.abs(v - _anchored(s_x, xis, anchors)).max() <= 1e-14
+        ref_x = _richardson(lambda dx: _anchored(_symbol_at(interp, x + dx), xis, anchors))
+        ref_xi = _richardson(lambda dxi: _anchored(s_x, xis + dxi, anchors))
         assert np.abs(dv_dx - ref_x).max() <= 1e-9
         assert np.abs(dv_dxi - ref_xi).max() <= 1e-9
 
 
-def test_curvature_route_reads_the_interpolant_once_per_point(random_setup, monkeypatch):
-    """One value and one gradient evaluation per base point, however many quadrature nodes."""
-    _, sym, _ = random_setup
-    interp = sym.interpolant()
-    calls = {"value": 0, "gradient": 0}
-    for name, key in (("__call__", "value"), ("gradient", "gradient")):
+def _count_interpolant_use(monkeypatch):
+    """Patch TrigInterpolant to count builds and value and gradient evaluations."""
+    calls = {"built": 0, "value": 0, "gradient": 0}
+    for name, key in (("__init__", "built"), ("__call__", "value"), ("gradient", "gradient")):
         real = getattr(TrigInterpolant, name)
 
         def counting(self, *args, _real=real, _key=key):
-            calls[_key] += self is interp
+            calls[_key] += 1
             return _real(self, *args)
 
         monkeypatch.setattr(TrigInterpolant, name, counting)
+    return calls
+
+
+def test_curvature_route_reads_the_interpolant_once_per_point(random_setup, monkeypatch):
+    """One interpolant per call, and one value and one gradient evaluation per
+    base point, however many quadrature nodes."""
+    _, sym, _ = random_setup
+    calls = _count_interpolant_use(monkeypatch)
     dw.b2_density_fiber_curvature(sym, SAMPLE_INDICES[:2])
-    assert calls == {"value": 2, "gradient": 2}
+    assert calls == {"built": 1, "value": 2, "gradient": 2}
+
+
+def test_u1_curvature_batch_builds_one_interpolant(random_setup, monkeypatch):
+    """k (x, xi) pairs take one interpolant and give the k single-pair values."""
+    _, sym, _ = random_setup
+    rng = np.random.default_rng(5)
+    xs, xis = rng.uniform(0.0, 2.0 * np.pi, size=(4, 3)), rng.standard_normal((4, 3))
+    singles = [dw.u1_curvature(sym, x, xi) for x, xi in zip(xs, xis)]
+    assert all(isinstance(v, float) for v in singles)
+    calls = _count_interpolant_use(monkeypatch)
+    batch = dw.u1_curvature(sym, xs, xis)
+    assert calls == {"built": 1, "value": 4, "gradient": 4}
+    assert batch.shape == (4,) and np.array_equal(batch, singles)
 
 
 def test_generalized_poisson_identities(random_setup):
@@ -134,13 +160,14 @@ def test_generalized_poisson_identities(random_setup):
     curvatures of the two eigenbundles cancel.
     """
     _, sym, _ = random_setup
+    interp = TrigInterpolant(sym.p)
     rng = np.random.default_rng(1)
     eye = np.eye(2)
     for _ in range(20):
         x = rng.uniform(0.0, 2.0 * np.pi, size=3)
         xi = rng.normal(size=3)
         xi *= rng.uniform(0.5, 2.0) / np.linalg.norm(xi)
-        fib = _FiberFrame(sym, x)
+        fib = _FiberFrame(interp, x)
         h, v, dv_dx, dv_dxi = fib.eval(xi)
         h0, v0 = h[0], v[0]
         dx, dxi = dv_dx[:, 0, :], dv_dxi[:, 0, :]
@@ -257,9 +284,14 @@ def test_u1_curvature_rejects_zero_covector(random_setup):
     [
         (lambda op: dw.u1_curvature(op.sigma, np.zeros(2), np.ones(3)), "base point x"),
         (lambda op: dw.u1_curvature(op.sigma, np.zeros(3), np.ones(2)), "covector xi"),
+        (lambda op: dw.u1_curvature(op.sigma, np.zeros((2, 3)), np.ones((3, 3))),
+         "must pair row by row"),
+        (lambda op: dw.u1_curvature(op.sigma, np.zeros((1, 1, 3)), np.ones((1, 1, 3))),
+         "base point x"),
         (lambda op: dw.b1_density_fiber(op.sigma, [(0, 0, 0)]), "op must be a FirstOrderOperator"),
     ],
-    ids=["u1-2-vector-point", "u1-2-vector-covector", "b1-given-a-symbol"],
+    ids=["u1-2-vector-point", "u1-2-vector-covector", "u1-unpaired-batch", "u1-rank-3-points",
+         "b1-given-a-symbol"],
 )
 def test_fiber_inputs_are_refused_by_name(call, message):
     op = dw.dirac_operator(dw.standard_frame(8))

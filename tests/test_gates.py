@@ -267,6 +267,9 @@ REFUSED_BRANCHES = {
                             "input is not SU(2)"),
     "so3-shear": (lambda: dw.so3_from_su2(np.array([[1.0, 1.0], [0.0, 1.0]])), InputError,
                   "input is not SU(2)"),
+    # unitary with the identity rotation, but det(i Id) = -1
+    "so3-unit-phase": (lambda: dw.so3_from_su2(1j * np.eye(2)), InputError,
+                       "determinant is not 1; input is not SU(2)"),
     "torsion-grid": (
         lambda: dw.torsion(dw.standard_frame(8), dw.MetricField(_grid_of(np.eye(3))[::2, ::2, ::2])),
         InputError, "frame on the 8^3 grid and metric on the 4^3 grid"),

@@ -560,3 +560,34 @@ def test_nearly_hermitian_complex_input_rebuilds_sigma():
     noisy = sigma + 1e-14 * (rng.uniform(-1, 1, sigma.shape) + 1j * rng.uniform(-1, 1, sigma.shape))
     assert 0.0 < np.abs(noisy - np.conj(np.swapaxes(noisy, -1, -2))).max() <= 1e-13
     assert np.abs(dw.PrincipalSymbolField(noisy).sigma - noisy).max() <= 1e-13
+
+
+# --- a symbol holds p alone ----------------------------------------------------
+
+_ANALYSES = {
+    "sigma": lambda op: op.sigma.sigma,
+    "decode_frame": lambda op: dw.decode_frame(op.sigma),
+    "decode_metric": lambda op: dw.decode_metric(op.sigma),
+    "topological_charge": lambda op: dw.topological_charge(op.sigma),
+    "torsion": lambda op: dw.torsion(dw.decode_frame(op.sigma), dw.decode_metric(op.sigma)),
+    "subprincipal_symbol": dw.subprincipal_symbol,
+    "check_dirac": dw.check_dirac,
+    "b_density": dw.b_density,
+    "b1_density": dw.b1_density,
+    "b2_density": lambda op: dw.b2_density(op.sigma),
+    "b1_density_fiber": lambda op: dw.b1_density_fiber(op, [(0, 1, 2)]),
+    "b2_density_fiber_torsion": lambda op: dw.b2_density_fiber_torsion(op.sigma, [(0, 1, 2)]),
+    "b2_density_fiber_curvature": lambda op: dw.b2_density_fiber_curvature(op, [(0, 1, 2)]),
+    "u1_curvature": lambda op: dw.u1_curvature(op.sigma, np.ones((2, 3)), np.eye(3)[:2]),
+    "apply_operator": lambda op: dw.apply_operator(op, np.ones(op.a0.shape[:4], dtype=complex)),
+    "gauge_transform": lambda op: dw.gauge_transform(op, dw.random_gauge_field(1, 16)),
+    "galerkin_spectrum": lambda op: dw.galerkin_spectrum(op, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ANALYSES))
+def test_symbol_keeps_only_p_after_analysis(name):
+    """An analysis leaves nothing on the symbol it read: every live operator holds p alone."""
+    op = dw.dirac_operator(dw.random_band_limited_frame(3, n=16))
+    _ANALYSES[name](op)
+    assert list(vars(op.sigma)) == ["p"]

@@ -219,11 +219,13 @@ class TestCheckDirac:
 
     def test_check_dirac_decodes_the_metric_once(self, monkeypatch):
         """The verdict decodes the operator's symbol once and builds no second
-        operator: no Dirac operator, no symbol and no ellipticity check."""
+        operator: no Dirac operator, no symbol, no ellipticity check, and
+        neither the Dirac a0 nor the Christoffel symbols behind it."""
         from diracweyl import asymptotics, geometry, operators
 
         op = dw.dirac_operator(dw.random_band_limited_frame(6))
-        calls = {"decode_metric": [], "eigvalsh": 0, "dirac_operator": 0, "built": 0}
+        calls = {"decode_metric": [], "eigvalsh": 0, "dirac_operator": 0, "built": 0,
+                 "christoffel_symbols": 0, "_dirac_a0": 0}
 
         def decoding(sym):
             calls["decode_metric"].append(sym)
@@ -240,32 +242,42 @@ class TestCheckDirac:
         monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
         monkeypatch.setattr(operators, "dirac_operator",
                             counted("dirac_operator", dw.dirac_operator))
+        for module, name in ((operators, "christoffel_symbols"), (geometry, "christoffel_symbols"),
+                             (operators, "_dirac_a0")):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         for cls, method in ((dw.FirstOrderOperator, "__post_init__"),
                             (dw.PrincipalSymbolField, "_hold")):
             monkeypatch.setattr(cls, method, counted("built", getattr(cls, method)))
         assert dw.check_dirac(op).is_dirac
         assert len(calls["decode_metric"]) == 1 and calls["decode_metric"][0] is op.sigma
         assert calls["eigvalsh"] == calls["dirac_operator"] == calls["built"] == 0
+        assert calls["christoffel_symbols"] == calls["_dirac_a0"] == 0
 
 
 def test_reconstructed_gap_is_the_gap_to_the_rebuilt_operator():
-    """The verdict's gap, contracted without building an operator, equals bit for
-    bit the gap to the Dirac operator built from the decoded frame."""
-    rand = dw.dirac_operator(dw.random_band_limited_frame(3, 16))
-    ops = {
-        "standard": dw.dirac_operator(dw.standard_frame(16)),
-        "twisted": dw.dirac_operator(dw.twisted_frame(1, 16)),
-        "random": rand,
-        "gauged": dw.gauge_transform(rand, dw.random_gauge_field(4, 16)),
-        "scalar": dw.dirac_plus_scalar(dw.standard_frame(16), 0.3),
-        "traceless": dw.dirac_plus_traceless(dw.twisted_frame(1, 16), 0.1),
-    }
-    for name, op in ops.items():
-        rebuilt = dw.dirac_operator(dw.decode_frame(op.sigma))
-        want = float(np.abs(op.a0 - rebuilt.a0).max())
-        got = dw.check_dirac(op).reconstructed_gap
-        print(f"{name}: reconstructed_gap {got!r}")
-        assert got == want, name
+    """The verdict's gap, read off the identity A_sub = (3c/4)(*T_ax) Id, agrees
+    with the gap to the Dirac operator built from the decoded frame.
+
+    The two differ by rounding alone.  The bounds sit above the largest
+    differences measured: 6.5e-12 at 16^3 (random frame) and 1.2e-15 at 32^3.
+    The analytic frames (standard and twisted, their gaps at most 6.2e-16
+    apart at 32^3) run at 16^3 only, to keep the test short.
+    """
+    for n, bound in ((16, 1e-11), (32, 1e-14)):
+        rand = dw.dirac_operator(dw.random_band_limited_frame(3, n))
+        ops = {"random": rand, "gauged": dw.gauge_transform(rand, dw.random_gauge_field(4, n))}
+        if n == 16:
+            ops.update(standard=dw.dirac_operator(dw.standard_frame(n)),
+                       twisted=dw.dirac_operator(dw.twisted_frame(1, n)),
+                       scalar=dw.dirac_plus_scalar(dw.standard_frame(n), 0.3),
+                       traceless=dw.dirac_plus_traceless(dw.twisted_frame(1, n), 0.1))
+        for name, op in ops.items():
+            rebuilt = dw.dirac_operator(dw.decode_frame(op.sigma))
+            want = float(np.abs(op.a0 - rebuilt.a0).max())
+            got = dw.check_dirac(op).reconstructed_gap
+            print(f"{name} {n}^3: reconstructed_gap {got!r}, rebuilt-operator gap {want!r}, "
+                  f"difference {abs(got - want):.2e}")
+            assert abs(got - want) <= bound, f"{name} at {n}^3"
 
 
 # --- the zeroth-order contraction ----------------------------------------------

@@ -61,6 +61,18 @@ def test_version_field_checked(tmp_path):
         dw.load_frame(str(path))
 
 
+@pytest.mark.parametrize("version", [True, 2.0, 1.0, "2", None], ids=repr)
+def test_version_must_be_the_integer_1_or_2(tmp_path, version):
+    """A JSON true or 2.0 compares equal to a known version but is not one."""
+    path = tmp_path / "frame.json"
+    dw.save_frame(dw.standard_frame(8), str(path))
+    doc = json.loads(path.read_text())
+    doc["format_version"] = version
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InputError, match="unsupported format version .*expected the integer 1 or 2"):
+        dw.load_frame(str(path))
+
+
 def test_write_json_report(tmp_path):
     from diracweyl.serialize import write_json_report
 

@@ -3,8 +3,9 @@
 No linter is a dependency, so these run with the tests: every module
 uses what it imports, every module-level private name is read
 somewhere in the package, the package's __all__ lists exactly the
-names its __init__ imports, no matmul operand is a transposed view, and
-the Pauli encoding stays out of the file format.
+names its __init__ imports, no matmul operand is a transposed view, the
+Pauli encoding stays out of the file format, and a principal symbol
+holds its components p and nothing else.
 """
 
 import ast
@@ -134,3 +135,39 @@ def test_serialize_stores_no_pauli_encoding():
               and node.attr == "sigma" and isinstance(node.value, ast.Attribute)
               and node.value.attr == "sigma"]
     assert chains == []
+
+
+def _self_attributes_assigned(cls):
+    """The self.<name> targets a class body assigns, augments or deletes, with line numbers."""
+    for node in ast.walk(cls):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.Delete):
+            targets = node.targets
+        else:
+            continue
+        for target in targets:
+            for sub in ast.walk(target):
+                if (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+                        and sub.value.id == "self"):
+                    yield sub.attr, sub.lineno
+
+
+def test_principal_symbol_assigns_only_p():
+    """Nothing derived is kept on a symbol: a cache there would be held by every operator."""
+    caught = [name for name, _ in _self_attributes_assigned(ast.parse(
+        "class S:\n"
+        "    def f(self):\n"
+        "        self.p = 1\n"
+        "        self._cache = 2\n"
+        "        self.a, self.b = 3, 4\n"
+        "        self.n += 1\n"
+    ))]
+    assert caught == ["p", "_cache", "a", "b", "n"]
+    cls = next(node for node in TREES["geometry.py"].body
+               if isinstance(node, ast.ClassDef) and node.name == "PrincipalSymbolField")
+    assigned = {f"{name} (line {line})" for name, line in _self_attributes_assigned(cls)
+                if name != "p"}
+    assert assigned == set()
