@@ -1,17 +1,21 @@
 """JSON round-tripping for grid fields and small report/CSV helpers.
 
-File layout: one JSON object with a chart descriptor and flattened
-arrays.  Grid points are flattened with the first coordinate varying
-fastest.  Frame, symbol and operator files all store the 9 real frame
-components per point under "frame" (a symbol's p, which is its frame);
-only an operator's a0 is complex, stored as [re, im] pairs.  Version-1
-symbol and operator files, which stored the complex symbol matrices
-under "sigma", still load.  Everything is plain JSON so files are
-diffable and readable from any language.
+File layout (format version 3): one JSON object whose header
+(format_version, kind, chart) is plain JSON and whose grid arrays are
+each one base64 string of little-endian float64 bytes.  Grid points are
+flattened with the first coordinate varying fastest.  Frame, symbol and
+operator files all store the 9 real frame components per point under
+"frame" (a symbol's p, which is its frame); only an operator's a0 is
+complex, stored as (re, im) pairs of float64.  Version-2 files, which
+held the same arrays as nested JSON lists, and version-1 symbol and
+operator files, which stored the complex symbol matrices under "sigma",
+still load.  Headers stay readable and diffable; the arrays are
+readable from any language with a base64 decoder but are not diffable.
 """
 
 from __future__ import annotations
 
+import base64
 import csv
 import json
 
@@ -21,7 +25,7 @@ from .errors import InputError
 from .geometry import FrameField, PrincipalSymbolField, symbol_from_frame
 from .operators import FirstOrderOperator
 
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 
 
 def _flatten_grid(arr: np.ndarray) -> np.ndarray:
@@ -44,8 +48,14 @@ def _frame_document(kind: str, e: np.ndarray) -> dict:
         "format_version": _FORMAT_VERSION,
         "kind": kind,
         "chart": {"grid": e.shape[0], "domain": "[0, 2*pi)^3", "point_order": "x1-fastest"},
-        "frame": _flatten_grid(e).tolist(),
+        "frame": _encoded(e),
     }
+
+
+def _encoded(arr: np.ndarray) -> str:
+    """A grid array as base64 of its little-endian float64 values, x^1 fastest, complex as (re, im)."""
+    dtype = "<c16" if np.iscomplexobj(arr) else "<f8"
+    return base64.b64encode(_flatten_grid(arr).astype(dtype, copy=False).tobytes()).decode("ascii")
 
 
 def _write_document(doc: dict, path: str) -> None:
@@ -73,8 +83,7 @@ def load_frame(path: str) -> FrameField:
 
 def save_operator(op: FirstOrderOperator, path: str) -> None:
     doc = _frame_document("operator", op.sigma.p)
-    a0 = _flatten_grid(op.a0)
-    doc["a0"] = np.stack([a0.real, a0.imag], axis=-1).tolist()
+    doc["a0"] = _encoded(op.a0)
     _write_document(doc, path)
 
 
@@ -110,9 +119,9 @@ def _load_document(path: str, kind: str | None = None) -> dict:
     if got not in wanted:
         raise InputError(f"{path} holds {got!r}, expected {' or '.join(map(repr, wanted))}")
     version = doc.get("format_version")
-    if type(version) is not int or version not in (1, _FORMAT_VERSION):  # not a bool, not 2.0
+    if type(version) is not int or version not in (1, 2, _FORMAT_VERSION):  # not a bool, not 2.0
         raise InputError(f"{path}: unsupported format version {version!r}; "
-                         f"expected the integer 1 or {_FORMAT_VERSION}")
+                         f"expected the integer 1, 2 or {_FORMAT_VERSION}")
     chart = doc.get("chart")
     if not isinstance(chart, dict) or not isinstance(chart.get("grid"), int) or chart["grid"] < 1:
         raise InputError(f"{path}: chart.grid must be a positive integer")
@@ -120,13 +129,21 @@ def _load_document(path: str, kind: str | None = None) -> dict:
 
 
 def _grid_array(doc: dict, key: str, comp: tuple, path: str, is_complex: bool = True) -> np.ndarray:
-    """The grid field stored under key, checked against the chart before reshaping."""
+    """The grid field stored under key, checked against the chart before reshaping.
+
+    A version-3 array is one base64 string of little-endian float64
+    bytes; versions 1 and 2 hold nested lists.  Either way the result
+    is a writable view of a fresh array, sharing no memory with doc.
+    """
     n = doc["chart"]["grid"]
     want = (n**3,) + comp + ((2,) if is_complex else ())
-    try:
-        flat = np.asarray(doc[key], dtype=float)
-    except (KeyError, TypeError, ValueError):
-        raise InputError(f"{path}: {key!r} is missing or not a regular array of numbers") from None
+    if doc["format_version"] == 3:
+        flat = _decoded(doc.get(key), key, want, path)
+    else:
+        try:
+            flat = np.asarray(doc[key], dtype=float)
+        except (KeyError, TypeError, ValueError):
+            raise InputError(f"{path}: {key!r} is missing or not a regular array of numbers") from None
     if flat.shape != want:
         raise InputError(f"{path}: {key!r} has shape {flat.shape}, grid {n} needs {want}")
     if not np.all(np.isfinite(flat)):
@@ -134,6 +151,22 @@ def _grid_array(doc: dict, key: str, comp: tuple, path: str, is_complex: bool = 
     if is_complex:
         flat = np.ascontiguousarray(flat).view(complex)[..., 0]  # keeps signed zeros
     return _unflatten_grid(flat, n)
+
+
+def _decoded(text, key: str, want: tuple, path: str) -> np.ndarray:
+    """The float64 array of shape want that a version-3 base64 string holds."""
+    if not isinstance(text, str):
+        raise InputError(f"{path}: {key!r} is missing or not a base64 string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise InputError(f"{path}: {key!r} is not valid base64: {exc}") from None
+    need = 8 * int(np.prod(want))
+    if len(raw) != need:
+        raise InputError(f"{path}: {key!r} holds {len(raw)} bytes, chart.grid needs {need}: "
+                         f"8 per float64 of shape {want}")
+    # frombuffer over bytes is read-only; astype copies into native, writable memory
+    return np.frombuffer(raw, dtype="<f8").astype(float).reshape(want)
 
 
 def write_json_report(report: dict, path: str | None) -> str:

@@ -41,7 +41,8 @@ _FOURIER_TOL = 1e-13  # smaller Fourier coefficients of operator data are droppe
 _DENSE_ORDER_BUDGET = 8000
 # Longest histogram of q = 4|m - s|^2 an exact table builds (lambda_max
 # up to 1024); it and its table take about 40 bytes per entry.  The same
-# budget caps a sphere table's length and a lattice_count plane.
+# budget caps a sphere table's length and, through _q_max, a lattice_count
+# radius.
 _Q_LENGTH_BUDGET = 1 << 22
 
 
@@ -107,6 +108,20 @@ def _coerce_shift(shift) -> SpinStructure:
     return SpinStructure(tuple(shift))
 
 
+def _q_max(radius: float, name: str) -> int:
+    """floor((2 radius)^2), the largest q = 4|m - s|^2 inside a ball of this radius.
+
+    The one admission rule of exact tables and lattice counts: a q
+    histogram longer than _Q_LENGTH_BUDGET (radius 1024 and up) is
+    refused, so lattice_count admits every radius a table covers.
+    """
+    qmax = int(np.floor((2.0 * radius) ** 2))
+    if qmax + 1 > _Q_LENGTH_BUDGET:
+        raise InputError(f"{name} {radius} needs q = 4|m - s|^2 up to {qmax}, a histogram of "
+                         f"length {qmax + 1}, over the budget of {_Q_LENGTH_BUDGET}; lower {name}")
+    return qmax
+
+
 def _shell_counts(shift, lambda_max: float, qmax: int) -> np.ndarray:
     """r[q] = #{m in Z^3 : 4|m - s|^2 = q} for 0 <= q <= qmax.
 
@@ -136,17 +151,12 @@ def torus_exact_spectrum(shift, lambda_max: float) -> SpectrumTable:
     +-|m - s| for every lattice point, and no kernel.  Eigenvalues are
     grouped exactly via the integer 4|m - s|^2, whose counts come from
     a histogram of length (2 lambda_max)^2 + 1; one longer than
-    _Q_LENGTH_BUDGET is refused.
+    _Q_LENGTH_BUDGET is refused (see _q_max).
     """
     s = _coerce_shift(shift)
     if not 0.0 < lambda_max < np.inf:
         raise InputError(f"lambda_max must be positive and finite, got {lambda_max}")
-    qmax = int(np.floor((2.0 * lambda_max) ** 2))
-    if qmax + 1 > _Q_LENGTH_BUDGET:
-        raise InputError(
-            f"lambda_max {lambda_max} needs a histogram of q = 4|m - s|^2 of length "
-            f"{qmax + 1}, over the budget of {_Q_LENGTH_BUDGET}; lower lambda_max"
-        )
+    qmax = _q_max(lambda_max, "lambda_max")
     counts = _shell_counts(s.shift, lambda_max, qmax)
     q = np.flatnonzero(counts[1:]) + 1
     pos = 0.5 * np.sqrt(q.astype(float))
@@ -193,20 +203,18 @@ def lattice_count(center, radius: float) -> int:
     against exact spectra hold verbatim.  That test is monotone along
     the sorted m3 distances, so each (m1, m2) pair gets its count by
     bisection, all pairs at once: memory stays O(radius^2) and time
-    O(radius^2 log radius); a plane of more than _Q_LENGTH_BUDGET points
-    is refused before allocation.
+    O(radius^2 log radius).  A radius is admitted exactly when
+    torus_exact_spectrum admits it as lambda_max (radius < 1024, see
+    _q_max), so its plane holds at most (2 radius + 3)^2 points;
+    larger radii are refused before allocation.
     """
     center = np.asarray(center, dtype=float)
     if center.shape != (3,) or not np.isfinite(center).all() or not 0.0 < radius < np.inf:
         raise InputError(f"center must be a finite 3-vector and radius positive and finite, "
                          f"got center {center.tolist()} and radius {radius}")
-    lo = np.floor(center - radius)
-    hi = np.ceil(center + radius)
-    plane = (hi[1] - lo[1] + 1) * (hi[2] - lo[2] + 1)
-    if plane > _Q_LENGTH_BUDGET:
-        raise InputError(f"radius {radius} needs a plane of {plane:.0f} lattice points, over "
-                         f"the budget of {_Q_LENGTH_BUDGET}; lower radius")
-    lo, hi = lo.astype(int), hi.astype(int)
+    _q_max(radius, "radius")
+    lo = np.floor(center - radius).astype(int)
+    hi = np.ceil(center + radius).astype(int)
     d1, d2, d3 = ((np.arange(lo[a], hi[a] + 1) - center[a]) ** 2 for a in range(3))
     d12 = (d1[:, None] + d2).ravel()
     d3 = np.sort(d3)

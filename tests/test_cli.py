@@ -1,5 +1,6 @@
 """Command-line entry points, exercised through main()."""
 
+import base64
 import json
 import os
 import re
@@ -419,20 +420,43 @@ def _edited_operator(edit):
     return write
 
 
-def _truncate_a0(doc):
-    doc["a0"] = doc["a0"][: len(doc["a0"]) // 2]
+_POINT_SHAPE = {"frame": (3, 3), "a0": (2, 2, 2)}  # a0 entries as (re, im)
 
 
-def _nan_in_frame(doc):
-    doc["frame"][5][1][2] = float("nan")  # json writes NaN and reads it back
+def _edit_array(doc, key, edit):
+    """Decode doc[key] to a (points, *components) float64 array, x1 fastest,
+    replace it with what edit returns and encode that back."""
+    arr = np.frombuffer(base64.b64decode(doc[key]), dtype="<f8").reshape((-1,) + _POINT_SHAPE[key])
+    out = np.ascontiguousarray(edit(arr.copy()), dtype="<f8")
+    doc[key] = base64.b64encode(out.tobytes()).decode("ascii")
+
+
+def _edit_bytes(doc, key, edit):
+    """Replace doc[key]'s decoded bytes with edit(bytes), base64 encoded."""
+    doc[key] = base64.b64encode(edit(base64.b64decode(doc[key]))).decode("ascii")
+
+
+def _nan_in_frame(frame):
+    frame[5, 1, 2] = float("nan")
+    return frame
 
 
 MALFORMED = {
-    "wrong-length-array": ("decode", _edited_operator(_truncate_a0)),
+    "wrong-length-array": ("decode", _edited_operator(
+        lambda doc: _edit_array(doc, "a0", lambda a0: a0[: len(a0) // 2]))),
     "frame-missing": ("decode", _edited_operator(lambda doc: doc.pop("frame"))),
     "frame-wrong-shape": ("check-dirac", _edited_operator(
-        lambda doc: doc.update(frame=[point[:2] for point in doc["frame"]]))),
-    "frame-non-finite": ("asymptotics", _edited_operator(_nan_in_frame)),
+        lambda doc: _edit_array(doc, "frame", lambda frame: frame[:, :2]))),
+    "frame-non-finite": ("asymptotics", _edited_operator(
+        lambda doc: _edit_array(doc, "frame", _nan_in_frame))),
+    "frame-not-base64": ("decode", _edited_operator(
+        lambda doc: doc.update(frame=doc["frame"][:100] + "!" + doc["frame"][101:]))),
+    "a0-bytes-not-multiple-of-8": ("check-dirac", _edited_operator(
+        lambda doc: _edit_bytes(doc, "a0", lambda raw: raw[:-3]))),
+    "frame-json-list": ("asymptotics", _edited_operator(
+        lambda doc: doc.update(frame=[[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]] * 8**3))),
+    "frame-nan-bytes": ("decode", _edited_operator(
+        lambda doc: _edit_bytes(doc, "frame", lambda raw: b"\xff" * 8 + raw[8:]))),
     "missing-path": ("check-dirac", lambda path: None),
     "not-json": ("asymptotics", lambda path: path.write_text("sigma = [[0, 1], [1, 0]]\n")),
 }
@@ -485,7 +509,12 @@ def test_failed_gate_exits_3_saying_how_far_off_and_where(tmp_path):
     path = tmp_path / "op.json"
     dw.save_operator(dw.dirac_operator(dw.standard_frame(8)), str(path))
     doc = json.loads(path.read_text())
-    doc["a0"][100][0][1][0] += 1e-3
+
+    def nudge(a0):
+        a0[100, 0, 1, 0] += 1e-3
+        return a0
+
+    _edit_array(doc, "a0", nudge)
     path.write_text(json.dumps(doc))
     proc = _cli_process("check-dirac", "--input", str(path))
     assert proc.returncode == 3 and proc.stdout == ""

@@ -248,7 +248,9 @@ REFUSED_BRANCHES = {
     "sphere-over-budget": (lambda: dw.sphere_exact_spectrum(1e9), InputError,
                            "sphere table of length 1999999998, over the budget of 4194304"),
     "lattice-radius-1e4": (lambda: dw.lattice_count((0, 0, 0), 1e4), InputError,
-                           "plane of 400040001 lattice points, over the budget"),
+                           "radius 10000.0 needs q = 4|m - s|^2 up to 400000000, a histogram"),
+    "lattice-radius-1024": (lambda: dw.lattice_count((0, 0, 0), 1024.0), InputError,
+                            "radius 1024.0 needs q = 4|m - s|^2 up to 4194304"),
     "lattice-radius-1e5": (lambda: dw.lattice_count((0, 0, 0), 1e5), InputError,
                            "over the budget of 4194304; lower radius"),
     # each raised TypeError or ValueError from inside numpy

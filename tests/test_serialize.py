@@ -1,6 +1,8 @@
 """JSON persistence round trips and report writers."""
 
+import base64
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 import diracweyl as dw
 from diracweyl import geometry
 from diracweyl.errors import InputError
+from diracweyl.serialize import _grid_array, _load_document
 
 
 def test_symbol_round_trip(tmp_path):
@@ -61,15 +64,15 @@ def test_version_field_checked(tmp_path):
         dw.load_frame(str(path))
 
 
-@pytest.mark.parametrize("version", [True, 2.0, 1.0, "2", None], ids=repr)
-def test_version_must_be_the_integer_1_or_2(tmp_path, version):
-    """A JSON true or 2.0 compares equal to a known version but is not one."""
+@pytest.mark.parametrize("version", [True, 2.0, 1.0, 3.0, "2", None], ids=repr)
+def test_version_must_be_the_integer_1_2_or_3(tmp_path, version):
+    """A JSON true or 3.0 compares equal to a known version but is not one."""
     path = tmp_path / "frame.json"
     dw.save_frame(dw.standard_frame(8), str(path))
     doc = json.loads(path.read_text())
     doc["format_version"] = version
     path.write_text(json.dumps(doc))
-    with pytest.raises(InputError, match="unsupported format version .*expected the integer 1 or 2"):
+    with pytest.raises(InputError, match="unsupported format version .*expected the integer 1, 2 or 3"):
         dw.load_frame(str(path))
 
 
@@ -112,19 +115,43 @@ def test_saved_files_equal_the_streamed_encoder_output(tmp_path):
         assert path.read_bytes() == streamed.read_bytes()
 
 
+def _flat(arr):
+    """(n, n, n, *comp) -> (n^3, *comp) with x1 fastest, as every format version orders points."""
+    flat = np.transpose(arr, (2, 1, 0) + tuple(range(3, arr.ndim)))
+    return flat.reshape((arr.shape[0] ** 3,) + arr.shape[3:])
+
+
+def _nested(arr):
+    """Nested lists of the flattened array, complex entries as [re, im]: the version-1 and 2 arrays."""
+    flat = _flat(arr)
+    if np.iscomplexobj(flat):
+        flat = np.stack([flat.real, flat.imag], axis=-1)
+    return flat.tolist()
+
+
+def _chart(n):
+    return {"grid": n, "domain": "[0, 2*pi)^3", "point_order": "x1-fastest"}
+
+
 def _version_1(kind, sym, a0=None):
     """The document the version-1 writer made: complex symbol matrices under "sigma"."""
-
-    def encode(arr):  # x1 fastest, complex entries as [re, im]
-        flat = np.transpose(arr, (2, 1, 0) + tuple(range(3, arr.ndim)))
-        flat = flat.reshape((arr.shape[0] ** 3,) + arr.shape[3:])
-        return np.stack([flat.real, flat.imag], axis=-1).tolist()
-
-    chart = {"grid": sym.chart.n, "domain": "[0, 2*pi)^3", "point_order": "x1-fastest"}
-    doc = {"format_version": 1, "kind": kind, "chart": chart, "sigma": encode(sym.sigma)}
+    doc = {"format_version": 1, "kind": kind, "chart": _chart(sym.chart.n), "sigma": _nested(sym.sigma)}
     if a0 is not None:
-        doc["a0"] = encode(a0)
+        doc["a0"] = _nested(a0)
     return doc
+
+
+def _version_2(kind, e, a0=None):
+    """The document the version-2 writer made: the frame components and a0 as nested lists."""
+    doc = {"format_version": 2, "kind": kind, "chart": _chart(e.shape[0]), "frame": _nested(e)}
+    if a0 is not None:
+        doc["a0"] = _nested(a0)
+    return doc
+
+
+def _decoded(doc, key):
+    """A version-3 array, flat: little-endian float64 from base64."""
+    return np.frombuffer(base64.b64decode(doc[key], validate=True), dtype="<f8")
 
 
 def _same_bits(a, b):
@@ -142,6 +169,19 @@ def test_version_1_documents_load_bit_identical(name, tmp_path):
     assert _same_bits(dw.load_symbol(str(path)).p, op.sigma.p)
 
 
+@pytest.mark.parametrize("name", ["standard-torus", "random-band-limited"])
+def test_version_2_documents_load_bit_identical(name, tmp_path):
+    op = dw.build_scenario(name, 16)
+    path = tmp_path / "v2.json"
+    path.write_text(json.dumps(_version_2("operator", op.sigma.p, op.a0)))
+    back = dw.load_operator(str(path))
+    assert _same_bits(back.sigma.p, op.sigma.p) and _same_bits(back.a0, op.a0)
+    path.write_text(json.dumps(_version_2("principal-symbol", op.sigma.p)))
+    assert _same_bits(dw.load_symbol(str(path)).p, op.sigma.p)
+    path.write_text(json.dumps(_version_2("frame", op.sigma.p)))
+    assert _same_bits(dw.load_frame(str(path)).e, op.sigma.p)
+
+
 def test_saved_documents_hold_the_nine_frame_components(tmp_path):
     op = dw.build_scenario("random-band-limited", 16)
     docs = {}
@@ -151,9 +191,38 @@ def test_saved_documents_hold_the_nine_frame_components(tmp_path):
         save(obj, str(path))
         docs[kind] = json.loads(path.read_text())
     for kind in ("operator", "symbol"):
-        assert docs[kind]["format_version"] == 2 and "sigma" not in docs[kind]
-        assert np.asarray(docs[kind]["frame"]).shape == (16**3, 3, 3)
+        assert docs[kind]["format_version"] == 3 and "sigma" not in docs[kind]
+        assert _same_bits(_decoded(docs[kind], "frame").reshape(16**3, 3, 3), _flat(op.sigma.p))
     assert docs["symbol"]["frame"] == docs["frame"]["frame"]
+    a0 = _decoded(docs["operator"], "a0").view("<c16").reshape(16**3, 2, 2)  # (re, im) pairs
+    assert _same_bits(a0, _flat(op.a0))
+
+
+def test_loaded_arrays_own_writable_memory(tmp_path):
+    """Arrays decoded from a base64 string do not alias its bytes, which are read-only."""
+    path = tmp_path / "op.json"
+    dw.save_operator(dw.dirac_operator(dw.twisted_frame(1, 8)), str(path))
+    doc = _load_document(str(path))
+    for key, comp, is_complex in (("frame", (3, 3), False), ("a0", (2, 2), True)):
+        arr = _grid_array(doc, key, comp, str(path), is_complex)
+        owner = arr if arr.base is None else arr.base
+        assert arr.flags.writeable and owner.flags.owndata and owner.flags.writeable
+    assert dw.load_operator(str(path)).a0.flags.writeable
+
+
+@pytest.mark.parametrize("key, value, words", [
+    ("frame", [[1.0, 0.0, 0.0]], "'frame' is missing or not a base64 string"),
+    ("frame", "AAAA*AAA", "'frame' is not valid base64"),
+    ("a0", "AAAAAAAAAAA=", "'a0' holds 8 bytes, chart.grid needs 32768"),
+], ids=["list", "bad-character", "byte-count"])
+def test_version_3_arrays_are_checked_by_name(key, value, words, tmp_path):
+    path = tmp_path / "op.json"
+    dw.save_operator(dw.dirac_operator(dw.standard_frame(8)), str(path))
+    doc = json.loads(path.read_text())
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InputError, match=re.escape(f"{path}: {words}")):
+        dw.load_operator(str(path))
 
 
 def test_saving_builds_no_complex_symbol_stack(tmp_path, monkeypatch):

@@ -4,8 +4,8 @@ No linter is a dependency, so these run with the tests: every module
 uses what it imports, every module-level private name is read
 somewhere in the package, the package's __all__ lists exactly the
 names its __init__ imports, no matmul operand is a transposed view, the
-Pauli encoding stays out of the file format, and a principal symbol
-holds its components p and nothing else.
+Pauli encoding and per-float Python lists stay out of the file format,
+and a principal symbol holds its components p and nothing else.
 """
 
 import ast
@@ -135,6 +135,20 @@ def test_serialize_stores_no_pauli_encoding():
               and node.attr == "sigma" and isinstance(node.value, ast.Attribute)
               and node.value.attr == "sigma"]
     assert chains == []
+
+
+def _tolist_calls(tree):
+    """Line numbers of every .tolist() call in the tree."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and node.func.attr == "tolist"]
+
+
+def test_serialize_builds_no_python_float_lists():
+    """Version-3 files hold each grid array as base64 bytes; a .tolist() in the writer
+    would go back to one Python float, and one JSON float, per stored number."""
+    caught = _tolist_calls(ast.parse("a = e.tolist()\nb = list(e)\nc = np.asarray(e).tolist()\n"))
+    assert caught == [1, 3]
+    assert _tolist_calls(TREES["serialize.py"]) == []
 
 
 def _self_attributes_assigned(cls):

@@ -130,6 +130,15 @@ def test_lattice_count_reference_values():
     assert dw.lattice_count((0, 0, 0.5), 0.6) == 2
 
 
+def test_lattice_count_admits_every_radius_the_exact_table_admits():
+    """r = 1023.3 is inside the exact tables' range (lambda_max < 1024) but
+    its plane, 2049^2 points, is just over _Q_LENGTH_BUDGET.  The number is
+    counting_function(torus_exact_spectrum((0, 0, 0), 1023.4), 1023.3) + 1,
+    criterion 5's identity; that table takes about 13 s to build, so the
+    test keeps only its count."""
+    assert dw.lattice_count((0, 0, 0), 1023.3) == 4488468719
+
+
 @pytest.mark.parametrize("shift,center", [(TRIVIAL, (0, 0, 0)), (HALF3, (0, 0, 0.5))])
 def test_counting_matches_lattice_count(shift, center):
     """N(lambda) is lattice counting: +1 offset for the trivial shift
