@@ -15,30 +15,31 @@ spectrum flag the chosen method or block does not read is bad input.
 
 Exit codes: 0 success (and positive verdict), 1 negative verdict,
 2 bad input, 3 ellipticity or internal-consistency failure.
+
+The parser and every check of a request, an input file's header and
+its base64 arrays included, run on the standard library.  A subcommand
+imports numpy and the numerical modules once its source is read, so
+--version, --help and refused requests load none of them.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .asymptotics import b_density
+from .defaults import _DEFAULT_KERNEL_WIDTH, _DEFAULT_RELIABLE_FRACTION, _DEFAULT_TOL
 from .errors import DiracweylError, InputError
-from .fields import grid_integral
-from .geometry import FrameField, decode_frame, decode_metric, symbol_from_frame
-from .geometry import topological_charge, torsion
-from .operators import _DEFAULT_TOL, FirstOrderOperator, check_dirac
 from .scenarios import _DEFAULT_GRID, SCENARIOS, build_scenario, scenario_params, scenario_spectrum
 from .serialize import _from_document, _load_document, load_operator, write_csv, write_json_report
-from .spectra import _DEFAULT_KERNEL_WIDTH, _DEFAULT_RELIABLE_FRACTION, SpinStructure
-from .spectra import asymptotic_comparison, counting_bounds, galerkin_spectrum, mollified_count
-from .spectra import torus_exact_spectrum
+
+if TYPE_CHECKING:
+    from .operators import FirstOrderOperator
 
 # Every flat-torus spin structure counts like the unit ball: a = 4 pi/3, b = 0.
-_FLAT_TORUS_GROWTH = (4.0 * np.pi / 3.0, 0.0)
+_FLAT_TORUS_GROWTH = (4.0 * math.pi / 3.0, 0.0)
 
 
 def _galerkin(args) -> bool:
@@ -61,8 +62,8 @@ def _finite(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        value = np.nan
-    if not np.isfinite(value):
+        value = math.nan
+    if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
 
@@ -140,6 +141,9 @@ class _Source:
         if self.args.input is None:
             return self.operator().sigma
         obj = _from_document(_load_document(self.args.input), self.args.input)
+        from .geometry import FrameField, symbol_from_frame
+        from .operators import FirstOrderOperator
+
         if isinstance(obj, FirstOrderOperator):
             obj = obj.sigma
         elif isinstance(obj, FrameField):
@@ -153,6 +157,8 @@ class _Source:
         if self.args.scenario is not None:
             table = scenario_spectrum(self.args.scenario, lambda_max, **self.params)
             return table, SCENARIOS[self.args.scenario].growth
+        from .spectra import SpinStructure, torus_exact_spectrum
+
         shift = SpinStructure(tuple(self.config["shift"]))
         return torus_exact_spectrum(shift, lambda_max), _FLAT_TORUS_GROWTH
 
@@ -168,18 +174,24 @@ def _emit(args, report: dict, columns: dict | None = None) -> None:
 def cmd_decode(args) -> int:
     src = _Source(args)
     sym = src.symbol()
+    import numpy as np
+
+    from .fields import grid_integral
+    from .geometry import _det3, _eigenvalue_extremes, decode_frame, decode_metric
+    from .geometry import topological_charge, torsion
+
     frame = decode_frame(sym)
     metric = decode_metric(sym)
     charge = topological_charge(sym)
     tors = torsion(frame, metric)
-    eigs = np.linalg.eigvalsh(metric.g_contra)
+    lo, hi = _eigenvalue_extremes(metric.g_contra, _det3(sym.p) ** 2)
     report = {
         "config": src.config,
         "charge": int(charge),
         "metric": {
             "volume": float(grid_integral(metric.vol)),
-            "eigenvalue_min": float(eigs[..., 0].min()),
-            "eigenvalue_max": float(eigs[..., -1].max()),
+            "eigenvalue_min": float(lo.min()),
+            "eigenvalue_max": float(hi.max()),
         },
         "torsion": {
             "axial_dual_mean": float(tors.axial_dual.mean()),
@@ -195,7 +207,10 @@ def cmd_decode(args) -> int:
 
 def cmd_check_dirac(args) -> int:
     src = _Source(args)
-    verdict = check_dirac(src.operator(), tol=args.tol)
+    op = src.operator()
+    from .operators import check_dirac
+
+    verdict = check_dirac(op, tol=args.tol)
     report = {
         "config": src.config,
         "is_dirac": bool(verdict.is_dirac),
@@ -210,7 +225,12 @@ def cmd_check_dirac(args) -> int:
 
 def cmd_asymptotics(args) -> int:
     src = _Source(args)
-    coeffs = b_density(src.operator())
+    op = src.operator()
+    import numpy as np
+
+    from .asymptotics import b_density
+
+    coeffs = b_density(op)
     report = {
         "config": src.config,
         "charge": int(coeffs.charge),
@@ -257,11 +277,16 @@ def cmd_spectrum(args) -> int:
     if args.method == "galerkin":
         window = _parse_floats(args.window, 2, "--window") if args.window else None
         op = src.operator()
+        from .spectra import galerkin_spectrum
+
         table = galerkin_spectrum(
             op, args.cutoff, window=window, reliable_fraction=args.reliable_fraction
         )
     else:
         table, growth = src.exact(args.lambda_max)
+    import numpy as np
+
+    from .spectra import asymptotic_comparison, counting_bounds, mollified_count
 
     report = {
         "config": src.config,
@@ -288,6 +313,8 @@ def cmd_spectrum(args) -> int:
     if args.compare is not None:
         parts = _parse_floats(args.compare, 2, "--compare")
         if growth is None:
+            from .asymptotics import b_density
+
             coeffs = b_density(src.operator() if op is None else op)
             growth = coeffs.a_global, coeffs.b_global
         a_g, b_g = growth

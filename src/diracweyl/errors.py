@@ -2,10 +2,10 @@
 
 The command line tool maps these onto exit codes: bad or malformed input
 data exits with 2, numerical-consistency failures (loss of ellipticity,
-route disagreement, Hermiticity violations) exit with 3.
+route disagreement, Hermiticity violations) exit with 3.  The module
+imports no numpy, so the command line refuses bad input without it;
+gate loads numpy when it is first called.
 """
-
-import numpy as np
 
 
 class DiracweylError(Exception):
@@ -32,6 +32,8 @@ def gate(what: str, residual, bound: float, error=ConsistencyError) -> float:
     point.  A NaN fails; an empty residual passes with 0.  A real
     residual is read through max() and -min(), without an abs copy.
     """
+    import numpy as np
+
     r = np.asarray(residual)
     if r.size == 0:
         return 0.0

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .defaults import _DEFAULT_TOL
 from .errors import InputError, gate
 from .fields import _transposed, chart_of, derivative_stack, spectral_derivative
 from .geometry import (
@@ -40,8 +41,6 @@ from .geometry import (
 EPS_CONJ = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 IDENTITY2 = np.eye(2, dtype=complex)
-
-_DEFAULT_TOL = 1e-7  # check_dirac's verdict tolerance
 
 
 def _pauli_triples() -> np.ndarray:

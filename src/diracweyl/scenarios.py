@@ -4,21 +4,25 @@ Each builder returns plain library objects (FrameField,
 FirstOrderOperator, ...) on an n^3 periodic grid.  SCENARIOS is the one
 table of named scenarios: the parameters each reads with their
 defaults, the operator it builds and its exact spectrum, if it has one.
+The module imports no numpy: the command line reads the table to parse
+and check a request, and each builder imports the numerical modules
+when it is called.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from typing import Callable
-
-import numpy as np
+from operator import index
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import InputError
-from .fields import PeriodicChart
-from .geometry import PAULI, FrameField, orthonormalize_frame, pauli_matrices
-from .operators import FirstOrderOperator, GaugeField, dirac_operator
-from .spectra import SpectrumTable, SpinStructure, sphere_exact_spectrum, torus_exact_spectrum
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .geometry import FrameField
+    from .operators import FirstOrderOperator, GaugeField
+    from .spectra import SpectrumTable
 
 _DEFAULT_GRID = 16
 
@@ -33,6 +37,12 @@ _RANDOM_MAX_MODE = 2
 
 def standard_frame(n: int = _DEFAULT_GRID) -> FrameField:
     """The constant coordinate frame on the flat torus."""
+    import numpy as np
+
+    from .fields import PeriodicChart
+    from .geometry import FrameField
+
+    PeriodicChart(n)  # refuse a bad n before allocating
     e = np.zeros((n, n, n, 3, 3))
     for j in range(3):
         e[..., j, j] = 1.0
@@ -46,6 +56,11 @@ def twisted_frame(k3: int, n: int = _DEFAULT_GRID) -> FrameField:
     twisted: for odd k3 the induced rotation field admits no global
     spin lift.
     """
+    import numpy as np
+
+    from .fields import PeriodicChart
+    from .geometry import FrameField
+
     if not np.isfinite(k3) or int(k3) != k3:
         raise InputError(f"twist number k3 must be an integer, got {k3}")
     _, _, x3 = PeriodicChart(n).mesh()
@@ -59,21 +74,39 @@ def twisted_frame(k3: int, n: int = _DEFAULT_GRID) -> FrameField:
     return FrameField(e)
 
 
-def _trig_polynomial(modes: np.ndarray, coef: np.ndarray, n: int) -> np.ndarray:
+def _trig_polynomial(modes: tuple, coef: np.ndarray, n: int) -> np.ndarray:
     """sum_m coef[m, 0] cos(m . x) + coef[m, 1] sin(m . x) on the n^3 grid, by one inverse FFT.
 
     Each mode puts a - ib in its bin; modes that alias onto one bin of a
     coarse grid add up there, as their sampled cosines and sines do.
     """
+    import numpy as np
+
+    from .fields import PeriodicChart
+
+    PeriodicChart(n)  # refuse a bad n before allocating
     spectrum = np.zeros((n, n, n) + coef.shape[2:], dtype=complex)
-    np.add.at(spectrum, tuple((modes % n).T), coef[:, 0] - 1j * coef[:, 1])
+    np.add.at(spectrum, tuple((np.array(modes) % n).T), coef[:, 0] - 1j * coef[:, 1])
     return n**3 * np.fft.ifftn(spectrum, axes=(0, 1, 2)).real
 
 
-_FRAME_MODES = np.array(
-    [m for m in product(range(-_RANDOM_MAX_MODE, _RANDOM_MAX_MODE + 1), repeat=3) if any(m)]
+_FRAME_MODES = tuple(
+    m for m in product(range(-_RANDOM_MAX_MODE, _RANDOM_MAX_MODE + 1), repeat=3) if any(m)
 )
-_GAUGE_MODES = np.array([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 0, 1)])
+_GAUGE_MODES = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 0, 1))
+
+
+def _rng(seed):
+    """numpy's generator of a seed, which must be a non-negative integer."""
+    import numpy as np
+
+    try:
+        value = index(seed)  # int or numpy integer; no float, string or sequence
+    except TypeError:
+        value = -1
+    if value < 0:
+        raise InputError(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.default_rng(value)
 
 
 def random_band_limited_frame(
@@ -91,9 +124,14 @@ def random_band_limited_frame(
     strictly band-limited, so keep the amplitude moderate for
     spectrally-accurate derivatives on coarse grids.
     """
+    import numpy as np
+
+    from .geometry import orthonormalize_frame
+
+    rng = _rng(seed)
     if amplitude < 0.0 or amplitude >= 0.5:
         raise InputError("amplitude must lie in [0, 0.5) to keep the frame nondegenerate")
-    coef = np.random.default_rng(seed).standard_normal((len(_FRAME_MODES), 2, 3, 3))
+    coef = rng.standard_normal((len(_FRAME_MODES), 2, 3, 3))
     pert = _trig_polynomial(_FRAME_MODES, coef, n)
     peak = np.abs(pert).max()
     if peak > 0:
@@ -112,7 +150,12 @@ def random_gauge_field(seed: int, n: int = _DEFAULT_GRID, amplitude: float = 0.0
     limit; the default amplitude keeps gauge-transformed operators
     inside the 1e-10 self-adjointness gate on a 16^3 grid.
     """
-    coef = np.random.default_rng(seed).standard_normal((4, len(_GAUGE_MODES), 2))
+    import numpy as np
+
+    from .geometry import pauli_matrices
+    from .operators import GaugeField
+
+    coef = _rng(seed).standard_normal((4, len(_GAUGE_MODES), 2))
     fields = _trig_polynomial(_GAUGE_MODES, np.moveaxis(coef, 0, -1), n)  # t, u^1, u^2, u^3
     fields = amplitude * fields / np.abs(fields).max(axis=(0, 1, 2))
     theta = fields[..., 0]
@@ -128,27 +171,53 @@ def random_gauge_field(seed: int, n: int = _DEFAULT_GRID, amplitude: float = 0.0
 
 def dirac_plus_scalar(frame: FrameField, q: float) -> FirstOrderOperator:
     """The Dirac operator of the frame shifted by a constant scalar potential."""
+    import numpy as np
+
+    from .operators import FirstOrderOperator, dirac_operator
+
     op = dirac_operator(frame)
     return FirstOrderOperator(op.sigma, op.a0 + q * np.eye(2))
 
 
 def dirac_plus_traceless(frame: FrameField, epsilon: float) -> FirstOrderOperator:
     """The Dirac operator plus a constant traceless Hermitian perturbation."""
+    from .geometry import PAULI
+    from .operators import FirstOrderOperator, dirac_operator
+
     op = dirac_operator(frame)
     return FirstOrderOperator(op.sigma, op.a0 + epsilon * PAULI[2])
 
 
+def _dirac(frame: FrameField) -> FirstOrderOperator:
+    from .operators import dirac_operator
+
+    return dirac_operator(frame)
+
+
+def _torus_spectrum(shift: tuple, lambda_max: float) -> SpectrumTable:
+    from .spectra import SpinStructure, torus_exact_spectrum
+
+    return torus_exact_spectrum(SpinStructure(shift), lambda_max)
+
+
+def _sphere_spectrum(lambda_max: float) -> SpectrumTable:
+    from .spectra import sphere_exact_spectrum
+
+    return sphere_exact_spectrum(lambda_max)
+
+
 def _shifted_torus_spectrum(lambda_max: float, q: float) -> SpectrumTable:
     """Adding q*I shifts every eigenvalue of the flat operator by q."""
-    base = torus_exact_spectrum(SpinStructure((0.0, 0.0, 0.0)), lambda_max + abs(q))
+    from .spectra import SpectrumTable
+
+    base = _torus_spectrum((0.0, 0.0, 0.0), lambda_max + abs(q))
     lo, hi = base.coverage
     return SpectrumTable(
         base.values + q, base.multiplicities, "exact-shifted", (lo + q, hi + q), {"q": q}
     )
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     """One named scenario.
 
     params maps every parameter the scenario reads to its default.
@@ -167,14 +236,14 @@ class Scenario:
 SCENARIOS = {
     "standard-torus": Scenario(
         {},
-        lambda n: dirac_operator(standard_frame(n)),
-        lambda lam: torus_exact_spectrum(SpinStructure((0.0, 0.0, 0.0)), lam),
+        lambda n: _dirac(standard_frame(n)),
+        lambda lam: _torus_spectrum((0.0, 0.0, 0.0), lam),
     ),
     # k3 turns of the frame along x^3 lift to the spin structure shifted by k3/2 there
     "twisted-torus": Scenario(
         {"k3": 1},
-        lambda n, k3: dirac_operator(twisted_frame(k3, n)),
-        lambda lam, k3: torus_exact_spectrum(SpinStructure((0.0, 0.0, (k3 / 2.0) % 1.0)), lam),
+        lambda n, k3: _dirac(twisted_frame(k3, n)),
+        lambda lam, k3: _torus_spectrum((0.0, 0.0, (k3 / 2.0) % 1.0), lam),
     ),
     "dirac-plus-scalar": Scenario(
         {"q": 0.3}, lambda n, q: dirac_plus_scalar(standard_frame(n), q), _shifted_torus_spectrum
@@ -184,10 +253,10 @@ SCENARIOS = {
     ),
     "random-band-limited": Scenario(
         {"seed": 0, "amplitude": _DEFAULT_AMPLITUDE},
-        lambda n, seed, amplitude: dirac_operator(random_band_limited_frame(seed, n, amplitude)),
+        lambda n, seed, amplitude: _dirac(random_band_limited_frame(seed, n, amplitude)),
     ),
     # the round unit 3-sphere counts exactly lambda^3/3 - lambda/3
-    "sphere": Scenario({}, spectrum=sphere_exact_spectrum, growth=(1.0 / 3.0, 0.0)),
+    "sphere": Scenario({}, spectrum=_sphere_spectrum, growth=(1.0 / 3.0, 0.0)),
 }
 
 SCENARIO_NAMES = tuple(SCENARIOS)

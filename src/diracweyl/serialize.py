@@ -11,6 +11,11 @@ held the same arrays as nested JSON lists, and version-1 symbol and
 operator files, which stored the complex symbol matrices under "sigma",
 still load.  Headers stay readable and diffable; the arrays are
 readable from any language with a base64 decoder but are not diffable.
+
+Reading checks a file with the standard library first: the header and,
+in version 3, each array's base64 and byte count.  Only then does it
+import numpy and the classes, so the command line refuses a malformed
+file without them.
 """
 
 from __future__ import annotations
@@ -18,28 +23,36 @@ from __future__ import annotations
 import base64
 import csv
 import json
-
-import numpy as np
+from math import prod
+from typing import TYPE_CHECKING
 
 from .errors import InputError
-from .geometry import FrameField, PrincipalSymbolField, symbol_from_frame
-from .operators import FirstOrderOperator
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .geometry import FrameField, PrincipalSymbolField
+    from .operators import FirstOrderOperator
 
 _FORMAT_VERSION = 3
+
+# Components per grid point of each stored array, and whether they are
+# complex (stored as (re, im) pairs); "sigma" holds a version-1 file's symbol matrices.
+_COMPONENTS = {"sigma": ((3, 2, 2), True), "frame": ((3, 3), False), "a0": ((2, 2), True)}
 
 
 def _flatten_grid(arr: np.ndarray) -> np.ndarray:
     """(n, n, n, *comp) -> (n^3, *comp) with the x^1 index fastest."""
     n = arr.shape[0]
     comp = arr.shape[3:]
-    swapped = np.transpose(arr, (2, 1, 0) + tuple(range(3, arr.ndim)))
+    swapped = arr.transpose((2, 1, 0) + tuple(range(3, arr.ndim)))
     return swapped.reshape((n**3,) + comp)
 
 
 def _unflatten_grid(flat: np.ndarray, n: int) -> np.ndarray:
     comp = flat.shape[1:]
     arr = flat.reshape((n, n, n) + comp)
-    return np.transpose(arr, (2, 1, 0) + tuple(range(3, arr.ndim)))
+    return arr.transpose((2, 1, 0) + tuple(range(3, arr.ndim)))
 
 
 def _frame_document(kind: str, e: np.ndarray) -> dict:
@@ -54,7 +67,7 @@ def _frame_document(kind: str, e: np.ndarray) -> dict:
 
 def _encoded(arr: np.ndarray) -> str:
     """A grid array as base64 of its little-endian float64 values, x^1 fastest, complex as (re, im)."""
-    dtype = "<c16" if np.iscomplexobj(arr) else "<f8"
+    dtype = "<c16" if arr.dtype.kind == "c" else "<f8"
     return base64.b64encode(_flatten_grid(arr).astype(dtype, copy=False).tobytes()).decode("ascii")
 
 
@@ -93,20 +106,27 @@ def load_operator(path: str) -> FirstOrderOperator:
 
 def _from_document(doc: dict, path: str):
     """The frame, symbol or operator a checked document holds."""
+    from .geometry import FrameField, PrincipalSymbolField, symbol_from_frame
+    from .operators import FirstOrderOperator
+
     if doc["format_version"] == 1 and doc["kind"] != "frame":
-        sym = PrincipalSymbolField(_grid_array(doc, "sigma", (3, 2, 2), path))
+        sym = PrincipalSymbolField(_grid_array(doc, "sigma", path))
     else:
-        e = _grid_array(doc, "frame", (3, 3), path, is_complex=False)
+        e = _grid_array(doc, "frame", path)
         if doc["kind"] == "frame":
             return FrameField(e)
         sym = symbol_from_frame(e)
     if doc["kind"] == "principal-symbol":
         return sym
-    return FirstOrderOperator(sym, _grid_array(doc, "a0", (2, 2), path))
+    return FirstOrderOperator(sym, _grid_array(doc, "a0", path))
 
 
 def _load_document(path: str, kind: str | None = None) -> dict:
-    """Parse a file once and check its header; kind=None accepts every known kind."""
+    """Parse a file once and check it with the standard library; kind=None accepts every known kind.
+
+    Checks the header and, in version 3, replaces each array the kind
+    holds by its base64-decoded bytes, checked against the chart.
+    """
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -125,20 +145,33 @@ def _load_document(path: str, kind: str | None = None) -> dict:
     chart = doc.get("chart")
     if not isinstance(chart, dict) or not isinstance(chart.get("grid"), int) or chart["grid"] < 1:
         raise InputError(f"{path}: chart.grid must be a positive integer")
+    if version == _FORMAT_VERSION:
+        for key in ("frame", "a0") if got == "operator" else ("frame",):
+            doc[key] = _decoded(doc.get(key), key, _flat_shape(doc, key), path)
     return doc
 
 
-def _grid_array(doc: dict, key: str, comp: tuple, path: str, is_complex: bool = True) -> np.ndarray:
-    """The grid field stored under key, checked against the chart before reshaping.
+def _flat_shape(doc: dict, key: str) -> tuple:
+    """The float64 shape of the array stored under key: points, then components, then (re, im)."""
+    comp, is_complex = _COMPONENTS[key]
+    return (doc["chart"]["grid"] ** 3,) + comp + ((2,) if is_complex else ())
 
-    A version-3 array is one base64 string of little-endian float64
-    bytes; versions 1 and 2 hold nested lists.  Either way the result
-    is a writable view of a fresh array, sharing no memory with doc.
+
+def _grid_array(doc: dict, key: str, path: str) -> np.ndarray:
+    """The grid field stored under key in a checked document, checked against the chart.
+
+    A version-3 array arrives as the little-endian float64 bytes that
+    _load_document decoded; versions 1 and 2 hold nested lists.  Either
+    way the result is a writable view of a fresh array, sharing no
+    memory with doc.
     """
+    import numpy as np
+
     n = doc["chart"]["grid"]
-    want = (n**3,) + comp + ((2,) if is_complex else ())
+    want = _flat_shape(doc, key)
     if doc["format_version"] == 3:
-        flat = _decoded(doc.get(key), key, want, path)
+        # frombuffer over bytes is read-only; astype copies into native, writable memory
+        flat = np.frombuffer(doc[key], dtype="<f8").astype(float).reshape(want)
     else:
         try:
             flat = np.asarray(doc[key], dtype=float)
@@ -148,25 +181,24 @@ def _grid_array(doc: dict, key: str, comp: tuple, path: str, is_complex: bool = 
         raise InputError(f"{path}: {key!r} has shape {flat.shape}, grid {n} needs {want}")
     if not np.all(np.isfinite(flat)):
         raise InputError(f"{path}: {key!r} holds non-finite numbers")
-    if is_complex:
+    if _COMPONENTS[key][1]:
         flat = np.ascontiguousarray(flat).view(complex)[..., 0]  # keeps signed zeros
     return _unflatten_grid(flat, n)
 
 
-def _decoded(text, key: str, want: tuple, path: str) -> np.ndarray:
-    """The float64 array of shape want that a version-3 base64 string holds."""
+def _decoded(text, key: str, want: tuple, path: str) -> bytes:
+    """The bytes of a version-3 base64 string, checked to hold float64 values of shape want."""
     if not isinstance(text, str):
         raise InputError(f"{path}: {key!r} is missing or not a base64 string")
     try:
         raw = base64.b64decode(text, validate=True)
     except ValueError as exc:  # binascii.Error, or a non-ASCII character
         raise InputError(f"{path}: {key!r} is not valid base64: {exc}") from None
-    need = 8 * int(np.prod(want))
+    need = 8 * prod(want)
     if len(raw) != need:
         raise InputError(f"{path}: {key!r} holds {len(raw)} bytes, chart.grid needs {need}: "
                          f"8 per float64 of shape {want}")
-    # frombuffer over bytes is read-only; astype copies into native, writable memory
-    return np.frombuffer(raw, dtype="<f8").astype(float).reshape(want)
+    return raw
 
 
 def write_json_report(report: dict, path: str | None) -> str:

@@ -25,14 +25,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .defaults import _DEFAULT_KERNEL_WIDTH, _DEFAULT_RELIABLE_FRACTION
 from .errors import InputError, gate
 from .fields import _integer_modes
 from .operators import FirstOrderOperator
 
 _CLUSTER_TOL = 1e-7
 _ON_EIGENVALUE_TOL = 1e-9  # a lambda this close to an eigenvalue sits on it
-_DEFAULT_RELIABLE_FRACTION = 0.5  # of the Galerkin mode cutoff
-_DEFAULT_KERNEL_WIDTH = 6.0  # mollifier Fourier half-width, a margin below 2*pi
 _SAMPLES_PER_OCTAVE = 24  # dense geometric sampling of asymptotic_comparison
 _FOURIER_TOL = 1e-13  # smaller Fourier coefficients of operator data are dropped
 
@@ -557,7 +556,8 @@ def asymptotic_comparison(
     n_dense = int(np.floor(_SAMPLES_PER_OCTAVE * n_oct)) + 1
     lams = lo * 2.0 ** (np.arange(n_dense) / _SAMPLES_PER_OCTAVE)
     lams = np.minimum(lams, hi)
-    lams = _tie_free(np.unique(lams), table.values)
+    lams = lams[np.r_[True, np.diff(lams) > 0.0]]  # drop the repeats of hi; lams is sorted
+    lams = _tie_free(lams, table.values)
     counts = _counts(table, lams).astype(float)
     model = a_global * lams**3 + b_global * lams**2
     resid = counts - model
@@ -612,6 +612,9 @@ def _unit_cdf():
     past the sampled range, beyond which F is 0 or 1 to within 7e-10.  F
     is sampled every 0.01, where linear interpolation is good to 6.7e-7.
     The integral runs on x >= 0 only; F(-x) = 1 - F(x) fills in the rest.
+    With x = 0.01 (b + 155 c), each sin(xt) is the imaginary part of
+    exp(0.01i b t) exp(1.55i c t), so the 24001 x 95 sines come from one
+    complex (155 x 95) @ (95 x 156) product.
     """
     global _unit_cdf_grid
     if _unit_cdf_grid is None:
@@ -619,9 +622,11 @@ def _unit_cdf():
         t = np.arange(1, 96) * h  # inner nodes; the node t = 1 carries rho_hat = 0
         w = h * np.exp(1.0 - 1.0 / (1.0 - t**2)) / t
         x = np.linspace(0.0, 240.0, 24001)
-        xt = np.outer(x, t)
+        fine = w * np.exp(0.01j * np.outer(np.arange(155), t))
+        coarse = np.exp(1.55j * np.outer(t, np.arange(156)))
+        sines = (fine @ coarse).imag.T.ravel()[: len(x)]  # sum_k w_k sin(x_j t_k), j = b + 155 c
         # sin(xt)/t tends to x at the node t = 0, whose trapezoid weight is h/2
-        f = 0.5 + (0.5 * h * x + np.sin(xt, out=xt) @ w) / np.pi
+        f = 0.5 + (0.5 * h * x + sines) / np.pi
         _unit_cdf_grid = np.concatenate([-x[:0:-1], x]), np.concatenate([1.0 - f[:0:-1], f])
     return _unit_cdf_grid
 

@@ -282,6 +282,10 @@ REFUSED = {
                                     "--method", "galerkin", "--reliable-fraction", "5"],
     # died with a MemoryError traceback and exit 1
     "sphere-over-budget": ["spectrum", "--scenario", "sphere", "--lambda-max", "1e9"],
+    # died with a ValueError traceback and exit 1
+    "negative-grid": ["decode", "--scenario", "standard-torus", "--grid", "-4"],
+    "negative-grid-random": ["asymptotics", "--scenario", "random-band-limited", "--grid", "-4"],
+    "negative-seed": ["check-dirac", "--scenario", "random-band-limited", "--seed", "-1"],
 }
 # the flag and its reader, which the error message names
 NAMED = {
@@ -293,6 +297,9 @@ NAMED = {
     "grid-of-sphere": ("--grid", "operator"),
     "reliable-fraction-above-one": ("reliable_fraction", "(0, 1]"),
     "sphere-over-budget": ("lambda_max", "budget"),
+    "negative-grid": ("grid size must be even and >= 4, got -4",),
+    "negative-grid-random": ("grid size must be even and >= 4, got -4",),
+    "negative-seed": ("seed must be a non-negative integer, got -1",),
 }
 
 
@@ -472,6 +479,73 @@ def _python(*args):
 
 def _cli_process(*argv):
     return _python("-m", "diracweyl.cli", *argv)
+
+
+def _imported_modules(proc):
+    """The modules a process run with -X importtime imported."""
+    return {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def _truncated_operator(path):
+    """A saved operator whose a0 string has lost its second half."""
+    _edited_operator(lambda doc: doc.update(a0=doc["a0"][: len(doc["a0"]) // 2]))(path)
+
+
+COLD = {
+    "version": (["--version"], None, 0),
+    "help": (["check-dirac", "--help"], None, 0),
+    "usage": (["decode", "--grid", "eight"], None, 2),
+    "exact-table-of-input": (["spectrum", "--input", "IN"], _truncated_operator, 2),
+    "missing": (["check-dirac", "--input", "IN"], lambda path: None, 2),
+    "not-json": (["check-dirac", "--input", "IN"],
+                 lambda path: path.write_text("sigma = [[0, 1], [1, 0]]\n"), 2),
+    "truncated": (["check-dirac", "--input", "IN"], _truncated_operator, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COLD))
+def test_requests_that_compute_nothing_load_no_numpy(case, tmp_path):
+    """--version, --help, usage errors and refused inputs are answered on the standard library."""
+    argv, write, want = COLD[case]
+    path = tmp_path / "input.json"
+    if write is not None:
+        write(path)
+    proc = _python("-X", "importtime", "-m", "diracweyl.cli",
+                   *[str(path) if a == "IN" else a for a in argv])
+    assert proc.returncode == want
+    assert "Traceback" not in proc.stderr
+    assert want == 0 or any(line.startswith(("error: ", "usage: ")) for line in proc.stderr.splitlines())
+    imported = _imported_modules(proc)
+    assert "diracweyl.scenarios" in imported and "numpy" not in imported
+
+
+def test_import_loads_no_numpy_and_no_submodule():
+    proc = _python("-X", "importtime", "-c", "import diracweyl; diracweyl.__version__")
+    assert proc.returncode == 0, proc.stderr
+    imported = _imported_modules(proc)
+    assert "diracweyl" in imported and "numpy" not in imported
+    assert not [m for m in imported if m.startswith("diracweyl.")]
+
+
+def test_growth_comparison_loads_no_masked_arrays():
+    """np.unique of the comparison's samples imported numpy.ma (13-30 ms) in numpy 2.4."""
+    proc = _python("-X", "importtime", "-m", "diracweyl.cli", "spectrum", "--lambda-max", "20",
+                   "--compare", "5,15")
+    assert proc.returncode == 0, proc.stderr
+    assert "numpy.ma" not in _imported_modules(proc)
+
+
+def test_decode_reports_the_metric_eigenvalue_extremes(tmp_path, capsys, curved_frame):
+    """The closed-form extremes agree with LAPACK's eigvalsh of the decoded metric."""
+    path = tmp_path / "frame.json"
+    dw.save_frame(curved_frame, str(path))
+    code, report = _run(capsys, "decode", "--input", str(path))
+    assert code == 0
+    w = np.linalg.eigvalsh(dw.decode_metric(dw.symbol_from_frame(curved_frame)).g_contra)
+    got = report["metric"]
+    assert abs(got["eigenvalue_min"] / w[..., 0].min() - 1.0) <= 1e-14
+    assert abs(got["eigenvalue_max"] / w[..., 2].max() - 1.0) <= 1e-14
 
 
 def test_library_and_cli_import_with_numpy_alone():

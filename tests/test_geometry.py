@@ -376,16 +376,22 @@ def test_dual_2forms_is_its_docstring_contraction():
 
 # --- one ellipticity check per symbol ------------------------------------------
 
+def _count_ellipticity_checks(monkeypatch) -> list:
+    """The shape of each metric geometry._check_ellipticity checks from now on."""
+    calls = []
+    check = geometry._check_ellipticity
+
+    def counting(g, *args, **kwargs):
+        calls.append(np.shape(g))
+        return check(g, *args, **kwargs)
+
+    monkeypatch.setattr(geometry, "_check_ellipticity", counting)
+    return calls
+
+
 def test_decode_metric_does_not_recheck_ellipticity(monkeypatch):
     sym = dw.symbol_from_frame(_random_frame(2))
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def counting(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return eigvalsh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    calls = _count_ellipticity_checks(monkeypatch)
     met = dw.decode_metric(sym)
     assert calls == []
     dw.MetricField(met.g_contra)
@@ -396,14 +402,7 @@ def test_dirac_operator_checks_ellipticity_once(monkeypatch):
     """Its symbol checks ellipticity and its metric is decoded from that symbol;
     building the metric from the frame as well checked the same g twice."""
     fr = dw.random_band_limited_frame(2)
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def counting(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return eigvalsh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    calls = _count_ellipticity_checks(monkeypatch)
     dw.dirac_operator(fr)
     assert calls == [fr.e.shape]
 
@@ -417,6 +416,51 @@ def test_indefinite_metric_field_still_rejected():
     e[..., 2, :] = e[..., 1, :]
     with pytest.raises(EllipticityError):
         dw.MetricField(np.swapaxes(e, -1, -2) @ e)
+
+
+def _rotation(axis, angle):
+    """The rotation by angle about a unit axis, by Rodrigues' formula."""
+    k = np.array([[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]], [-axis[1], axis[0], 0.0]])
+    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * k @ k
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["diagonal", "rotated"])
+@pytest.mark.parametrize("ratio, passes", [(0.99, True), (1.01, False)])
+def test_frame_condition_gate_on_both_sides(ratio, passes, rotated):
+    """p = Q diag(1, 1, s) R with frame condition number 1/s = ratio * 1e8: g = p^T p has
+    smallest eigenvalue s^2 ~ 1e-16 against a largest of 1, which LAPACK's eigvalsh
+    resolves only to about 1e-16 absolute.  det g = (det p)^2 keeps it to rounding."""
+    s = 1.0 / (ratio * 1e8)
+    p = np.diag([1.0, 1.0, s])
+    if rotated:
+        p = _rotation(np.array([2.0, -1.0, 2.0]) / 3.0, 0.7) @ p @ _rotation(np.array([0.6, 0.0, 0.8]), 1.1)
+    e = np.broadcast_to(p, (4, 4, 4, 3, 3))
+    lo, hi = geometry._eigenvalue_extremes(geometry._gram(e), geometry._det3(e) ** 2)
+    assert np.all(np.abs(lo / s**2 - 1.0) <= 1e-7) and np.all(np.abs(hi - 1.0) <= 1e-14)
+    if passes:
+        dw.symbol_from_frame(e)
+    else:
+        with pytest.raises(EllipticityError, match="frame condition number.*ratio 1.01"):
+            dw.symbol_from_frame(e)
+
+
+def test_eigenvalue_extremes_match_eigvalsh():
+    """On generic, repeated and indefinite symmetric stacks, with no warning for g = q I."""
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((6, 6, 6, 3, 3))
+    stacks = {
+        "generic": np.swapaxes(a, -1, -2) @ a,
+        "indefinite": a + np.swapaxes(a, -1, -2),
+        "identity": np.broadcast_to(2.5 * np.eye(3), (6, 6, 6, 3, 3)),
+        "double": np.broadcast_to(np.diag([3.0, 1.0, 1.0]), (6, 6, 6, 3, 3)),
+    }
+    for name, g in stacks.items():
+        w = np.linalg.eigvalsh(g)
+        lo, hi = geometry._eigenvalue_extremes(g)
+        scale = np.abs(w).max(axis=-1)
+        assert np.abs(lo - w[..., 0]).max() <= 1e-13 * scale.max(), name
+        assert np.abs(hi - w[..., 2]).max() <= 1e-13 * scale.max(), name
+    dw.MetricField(np.broadcast_to(np.eye(3), (4, 4, 4, 3, 3)).copy())
 
 
 def test_verdict_analysis_inverts_no_grid_matrices(monkeypatch):

@@ -224,7 +224,7 @@ class TestCheckDirac:
         from diracweyl import asymptotics, geometry, operators
 
         op = dw.dirac_operator(dw.random_band_limited_frame(6))
-        calls = {"decode_metric": [], "eigvalsh": 0, "dirac_operator": 0, "built": 0,
+        calls = {"decode_metric": [], "_check_ellipticity": 0, "dirac_operator": 0, "built": 0,
                  "christoffel_symbols": 0, "_dirac_a0": 0}
 
         def decoding(sym):
@@ -239,18 +239,17 @@ class TestCheckDirac:
 
         for module in (operators, asymptotics):
             monkeypatch.setattr(module, "decode_metric", decoding)
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
         monkeypatch.setattr(operators, "dirac_operator",
                             counted("dirac_operator", dw.dirac_operator))
         for module, name in ((operators, "christoffel_symbols"), (geometry, "christoffel_symbols"),
-                             (operators, "_dirac_a0")):
+                             (operators, "_dirac_a0"), (geometry, "_check_ellipticity")):
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         for cls, method in ((dw.FirstOrderOperator, "__post_init__"),
                             (dw.PrincipalSymbolField, "_hold")):
             monkeypatch.setattr(cls, method, counted("built", getattr(cls, method)))
         assert dw.check_dirac(op).is_dirac
         assert len(calls["decode_metric"]) == 1 and calls["decode_metric"][0] is op.sigma
-        assert calls["eigvalsh"] == calls["dirac_operator"] == calls["built"] == 0
+        assert calls["_check_ellipticity"] == calls["dirac_operator"] == calls["built"] == 0
         assert calls["christoffel_symbols"] == calls["_dirac_a0"] == 0
 
 

@@ -141,3 +141,29 @@ def test_sphere_scenario_has_no_grid_objects():
 def test_unknown_scenario():
     with pytest.raises(InputError):
         build_scenario("moebius", 8)
+
+
+@pytest.mark.parametrize("build", [
+    dw.standard_frame,
+    lambda n: dw.random_band_limited_frame(0, n),
+    lambda n: dw.random_gauge_field(0, n),
+], ids=["standard", "random-frame", "random-gauge"])
+def test_grid_size_is_checked_before_allocating(build):
+    """A negative n reached np.zeros first, which raised a ValueError."""
+    with pytest.raises(InputError, match="grid size must be even and >= 4, got -4"):
+        build(-4)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "3", [1, 2], None], ids=repr)
+@pytest.mark.parametrize("build", [dw.random_band_limited_frame, dw.random_gauge_field],
+                         ids=["frame", "gauge"])
+def test_random_builders_take_a_non_negative_integer_seed(build, seed):
+    """-1 died in np.random.default_rng with a ValueError; None drew an unseeded field."""
+    with pytest.raises(InputError, match=re.escape(f"seed must be a non-negative integer, got {seed!r}")):
+        build(seed, 4)
+
+
+def test_random_builders_take_numpy_integer_seeds():
+    frame, gauge = dw.random_band_limited_frame, dw.random_gauge_field
+    assert np.array_equal(frame(np.int64(3), 4).e, frame(3, 4).e)
+    assert np.array_equal(gauge(np.uint8(3), 4).R, gauge(3, 4).R)

@@ -3,9 +3,10 @@
 No linter is a dependency, so these run with the tests: every module
 uses what it imports, every module-level private name is read
 somewhere in the package, the package's __all__ lists exactly the
-names its __init__ imports, no matmul operand is a transposed view, the
-Pauli encoding and per-float Python lists stay out of the file format,
-and a principal symbol holds its components p and nothing else.
+names of the lazy export table in its __init__, no matmul operand is
+a transposed view, the Pauli encoding and per-float Python lists stay
+out of the file format, and a principal symbol holds its components p
+and nothing else.
 """
 
 import ast
@@ -42,8 +43,8 @@ def _imported(tree):
                 yield alias.asname or alias.name, node.lineno
 
 
-def _module_level_private(tree):
-    """Names starting with _ that a module defines at its top level, with their line numbers."""
+def _module_level_names(tree):
+    """The functions, classes and names a module defines at its top level, with their line numbers."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -53,8 +54,14 @@ def _module_level_private(tree):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
-                yield name, node.lineno
+            yield name, node.lineno
+
+
+def _module_level_private(tree):
+    """Names starting with _ that a module defines at its top level, with their line numbers."""
+    for name, line in _module_level_names(tree):
+        if name.startswith("_") and not name.startswith("__"):
+            yield name, line
 
 
 def test_every_import_is_used():
@@ -76,13 +83,22 @@ def test_every_private_name_is_read():
 
 
 def test_init_exports_exactly_what_it_imports():
-    """__all__ lists each name __init__ imports, once, and nothing else but __version__."""
+    """__init__ imports each export on first use, from its module -> names table: the
+    table lists each name once, each defined at the top level of the module it names,
+    __all__ is __version__ followed by the table's names, and no submodule is imported."""
+    import diracweyl
+
     tree = TREES["__init__.py"]
-    listed = next(ast.literal_eval(node.value) for node in tree.body
-                  if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "__all__")
-    imported = [name for name, _ in _imported(tree)]
-    assert len(listed) == len(set(listed))
-    assert set(listed) - {"__version__"} == set(imported)
+    table = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "_EXPORTS")
+    names = [name for group in table.values() for name in group]
+    assert len(names) == len(set(names))
+    assert diracweyl.__all__ == ["__version__", *names]
+    unresolved = [f"{module}.{name}" for module, group in table.items()
+                  for name in group
+                  if name not in {n for n, _ in _module_level_names(TREES[f"{module}.py"])}]
+    assert unresolved == []
+    assert [name for name, _ in _imported(tree)] == ["import_module"]
 
 
 def _transposed_view(node):

@@ -466,6 +466,16 @@ class TestAsymptoticComparison:
         with pytest.raises(InputError, match="increasing"):
             dw.asymptotic_comparison(table, 1.0, 0.0, lambda_range=(5.0, 5.0))
 
+    @pytest.mark.parametrize("lo, hi", [(5.0, 40.0), (5.0, 100.0), (2.5, 9.0), (3.0, 3.0 * 2**0.5)])
+    def test_samples_are_the_sorted_unique_dense_grid(self, lo, hi):
+        """Repeats of hi are dropped by a diff mask, not np.unique, which imports numpy.ma
+        in numpy 2.4; the samples are those np.unique kept, nudged off eigenvalues."""
+        table = dw.torus_exact_spectrum(TRIVIAL, 101.0)
+        n_dense = int(np.floor(24 * np.log2(hi / lo))) + 1
+        dense = np.minimum(lo * 2.0 ** (np.arange(n_dense) / 24), hi)
+        got = dw.asymptotic_comparison(table, 4.0 * np.pi / 3.0, 0.0, lambda_range=(lo, hi))
+        assert np.array_equal(got.lambda_grid, _tie_free(np.unique(dense), table.values))
+
 
 # --- mollified counting ---------------------------------------------------------------
 
@@ -506,6 +516,13 @@ class TestMollifiedCount:
 
         x, cdf = spectra._unit_cdf()
         assert cdf[np.flatnonzero(x == 0.0)[0]] == 0.5
+        # the factored product against the 24001 x 95 sines it replaces, on the same nodes
+        h = 1.0 / 96
+        t = np.arange(1, 96) * h
+        w = h * np.exp(1.0 - 1.0 / (1.0 - t**2)) / t
+        half = x[x >= 0.0]
+        direct = 0.5 + (0.5 * h * half + np.sin(np.outer(half, t)) @ w) / np.pi
+        assert np.abs(cdf[x >= 0.0] - direct).max() <= 10 * np.finfo(float).eps
         pts = np.random.default_rng(0).uniform(-240.0, 240.0, 12_000)
         t = np.arange(1, 400) / 400
         w = np.exp(1.0 - 1.0 / (1.0 - t**2)) / (400 * t)
