@@ -177,21 +177,21 @@ def cmd_decode(args) -> int:
     import numpy as np
 
     from .fields import grid_integral
-    from .geometry import _det3, _eigenvalue_extremes, decode_frame, decode_metric
+    from .geometry import decode_frame, decode_metric
     from .geometry import topological_charge, torsion
 
     frame = decode_frame(sym)
     metric = decode_metric(sym)
     charge = topological_charge(sym)
     tors = torsion(frame, metric)
-    lo, hi = _eigenvalue_extremes(metric.g_contra, _det3(sym.p) ** 2)
+    eigs = np.linalg.eigvalsh(metric.g_contra)
     report = {
         "config": src.config,
         "charge": int(charge),
         "metric": {
             "volume": float(grid_integral(metric.vol)),
-            "eigenvalue_min": float(lo.min()),
-            "eigenvalue_max": float(hi.max()),
+            "eigenvalue_min": float(eigs[..., 0].min()),
+            "eigenvalue_max": float(eigs[..., -1].max()),
         },
         "torsion": {
             "axial_dual_mean": float(tors.axial_dual.mean()),

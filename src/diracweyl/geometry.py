@@ -83,7 +83,7 @@ class PrincipalSymbolField:
 
     def _hold(self, p: np.ndarray):
         """Take ownership of the component array p and check ellipticity."""
-        _check_ellipticity(_gram(p), _det3(p) ** 2)
+        _check_ellipticity(_gram(p), p)
         p.flags.writeable = False
         self.p = p
 
@@ -184,68 +184,22 @@ class TorsionBundle:
         return t
 
 
-def _eigenvalue_extremes(g: np.ndarray, det: np.ndarray | None = None):
-    """Smallest and largest eigenvalue of a symmetric (..., 3, 3) stack, in closed form.
+def _check_ellipticity(g_contra: np.ndarray, p: np.ndarray | None = None):
+    """Refuse a metric that is not positive definite, or whose frame condition number passes 1e8.
 
-    The trigonometric solution of the characteristic cubic gives the
-    root that lies apart from the other two to rounding; a nearly
-    double root it resolves only to sqrt(eps) of the spread.  So the
-    other two are m +- delta/2, with m from the trace and delta from
-    g - m I restricted to the plane orthogonal to the first root's
-    eigenvector u, where its eigenvalues are +-delta/2 and its squared
-    entries sum to delta^2/2 without cancellation.  The smallest is
-    det/(middle * largest), since a smallest root near eps times the
-    largest keeps none of its digits but det keeps them.  det defaults
-    to that of g; for g = p^T p pass (det p)^2, which stays accurate
-    where det g, a sum of products of g's entries, does not.  All of it
-    runs on contiguous copies of the entries, not on 3x3 stacks.
+    eigvalsh resolves g's smallest eigenvalue only to about eps times its
+    largest, which at the gate (a ratio near 1e-16) leaves no digits.  For
+    a symbol's g = p^T p, the points where that ratio is below 1e-8 take
+    it as the square of p's smallest singular value, which LAPACK's SVD
+    keeps to about eps times the frame condition number.  (Cofactor
+    formulas do not: det p loses all its digits where p has two small
+    singular values.)
     """
-    e = np.moveaxis(g, (-2, -1), (0, 1)).copy()  # e[i][j] is the field g_ij
-    q = (e[0][0] + e[1][1] + e[2][2]) / 3.0
-    d0, d1, d2 = e[0][0] - q, e[1][1] - q, e[2][2] - q
-    g01, g02, g12 = e[0][1], e[0][2], e[1][2]
-    r = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (g01 * g01 + g02 * g02 + g12 * g12)) / 6.0)
-    r_safe = np.where(r > 0.0, r, 1.0)  # r = 0 is g = q I, whose eigenvalues are all q
-    # det((g - q I)/r) / 2 = cos(3 phi) for the largest root q + 2 r cos(phi)
-    half_det = (d0 * (d1 * d2 - g12 * g12) - g01 * (g01 * d2 - g12 * g02)
-                + g02 * (g01 * g12 - d1 * g02)) / (2.0 * r_safe**3)
-    phi = np.arccos(np.clip(half_det, -1.0, 1.0)) / 3.0
-    top = half_det >= 0.0  # the largest root lies apart; otherwise the smallest does
-    apart = q + 2.0 * r * np.cos(np.where(top, phi, phi + 2.0 * np.pi / 3.0))
-
-    # adj(g - apart I) is a multiple of u u^T: its column with the largest diagonal entry is u
-    a = [[e[i][j] - apart if i == j else e[i][j] for j in range(3)] for i in range(3)]
-    adj = [[a[(i + 1) % 3][(j + 1) % 3] * a[(i + 2) % 3][(j + 2) % 3]
-            - a[(i + 1) % 3][(j + 2) % 3] * a[(i + 2) % 3][(j + 1) % 3] for j in range(3)]
-           for i in range(3)]
-    u, size = adj[0], np.abs(adj[0][0])
-    for j in (1, 2):
-        pick = np.abs(adj[j][j]) > size
-        u = [np.where(pick, new, old) for new, old in zip(adj[j], u)]
-        size = np.where(pick, np.abs(adj[j][j]), size)
-    length = np.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
-    u = [c / np.maximum(length, np.finfo(float).tiny) for c in u]  # u = 0 only where g = q I
-    m = 0.5 * (3.0 * q - apart)
-    n = [[e[i][j] - m if i == j else e[i][j] for j in range(3)] for i in range(3)]
-    v = [n[i][0] * u[0] + n[i][1] * u[1] + n[i][2] * u[2] for i in range(3)]
-    uv = u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-    block = {(i, j): n[i][j] - u[i] * v[j] - v[i] * u[j] + uv * u[i] * u[j]
-             for i in range(3) for j in range(i, 3)}
-    squares = sum(b * b if i == j else 2.0 * b * b for (i, j), b in block.items())
-    half_gap = np.sqrt(0.5 * squares)
-
-    hi = np.where(top, apart, m + half_gap)
-    mid = np.where(top, m + half_gap, m - half_gap)
-    lo = np.where(top, m - half_gap, apart)
-    outer = mid * hi
-    # where outer <= 0 (g indefinite or of rank 1 or 0) the root keeps its sign
-    np.divide(_det3(g) if det is None else det, outer, out=lo, where=outer > 0.0)
-    return lo, hi
-
-
-def _check_ellipticity(g_contra: np.ndarray, det: np.ndarray | None = None):
-    """Refuse a metric that is not positive definite, or whose frame condition number passes 1e8."""
-    lo, hi = _eigenvalue_extremes(g_contra, det)
+    w = np.linalg.eigvalsh(g_contra)
+    lo, hi = w[..., 0], w[..., 2]
+    near = lo <= 1e-8 * hi
+    if p is not None and np.any(near):
+        lo[near] = np.linalg.svd(p[near], compute_uv=False)[..., 2] ** 2
     if np.any(lo <= 0.0):
         idx = tuple(int(i) for i in np.unravel_index(np.argmin(lo), lo.shape))
         raise EllipticityError(f"symbol fails ellipticity at grid point {idx}")
