@@ -18,10 +18,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "asymptotics": (
         "AsymptoticCoefficients",
-        "a_density",
-        "b1_density",
         "b1_density_fiber",
-        "b2_density",
         "b2_density_fiber_curvature",
         "b2_density_fiber_torsion",
         "b_density",
@@ -60,7 +57,6 @@ _EXPORTS = {
         "so3_from_su2",
         "su2_lift",
         "subprincipal_symbol",
-        "verify_subprincipal_identity",
     ),
     "scenarios": (
         "build_scenario",

@@ -148,11 +148,6 @@ def u1_curvature(sym, x, xi):
 # coefficient densities
 # ---------------------------------------------------------------------------
 
-def a_density(metric: MetricField) -> np.ndarray:
-    """Leading Weyl density sqrt(det g)/(6 pi^2)."""
-    return metric.vol / (6.0 * np.pi**2)
-
-
 def _weyl_b(metric: MetricField, asub=None, tor=None) -> np.ndarray:
     """Closed form (3 c *T_ax - 2 tr A_sub) sqrt(det g) / (8 pi^2) of b.
 
@@ -161,11 +156,6 @@ def _weyl_b(metric: MetricField, asub=None, tor=None) -> np.ndarray:
     axial = 0.0 if tor is None else 3.0 * tor.charge * tor.axial_dual
     trace = 0.0 if asub is None else (asub[..., 0, 0] + asub[..., 1, 1]).real
     return (axial - 2.0 * trace) * metric.vol / (8.0 * np.pi**2)
-
-
-def b1_density(op: FirstOrderOperator) -> np.ndarray:
-    """Subprincipal contribution -(tr A_sub) sqrt(det g) / (4 pi^2)."""
-    return _weyl_b(decode_metric(op.sigma), asub=subprincipal_symbol(op))
 
 
 def _grid_points(points, n: int) -> list:
@@ -212,13 +202,6 @@ def b1_density_fiber(op: FirstOrderOperator, points) -> np.ndarray:
 
         out[i] = fiber_ball_quadrature(g, integrand)
     return out
-
-
-def b2_density(sym) -> np.ndarray:
-    """Torsion contribution c (*T)^g_g sqrt(det g) / (8 pi^2), closed form."""
-    sym = _principal(sym)
-    metric = decode_metric(sym)
-    return _weyl_b(metric, tor=torsion(decode_frame(sym), metric))
 
 
 def b2_density_fiber_torsion(sym, points) -> np.ndarray:
@@ -269,7 +252,12 @@ def b2_density_fiber_curvature(sym, points) -> np.ndarray:
 
 @dataclass(eq=False)
 class AsymptoticCoefficients:
-    """Weyl densities and their torus integrals for one operator."""
+    """Weyl densities and their torus integrals for one operator.
+
+    a = sqrt(det g)/(6 pi^2); b1 = -(tr A_sub) sqrt(det g)/(4 pi^2) is
+    the subprincipal part of b and b2 = 3c (*T_ax) sqrt(det g)/(8 pi^2)
+    its torsion part.
+    """
 
     a: np.ndarray
     b1: np.ndarray
@@ -297,7 +285,7 @@ def b_density(op: FirstOrderOperator) -> AsymptoticCoefficients:
 
 def _coefficients(metric: MetricField, asub: np.ndarray, tor) -> AsymptoticCoefficients:
     """The densities from an already decoded metric, subprincipal symbol and torsion."""
-    a = a_density(metric)
+    a = metric.vol / (6.0 * np.pi**2)
     b = _weyl_b(metric, asub, tor)
     return AsymptoticCoefficients(
         a=a,

@@ -30,7 +30,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .defaults import _DEFAULT_KERNEL_WIDTH, _DEFAULT_RELIABLE_FRACTION, _DEFAULT_TOL
+from .defaults import _DEFAULT_KERNEL_WIDTH, _DEFAULT_TOL
 from .errors import DiracweylError, InputError
 from .scenarios import _DEFAULT_GRID, SCENARIOS, build_scenario, scenario_params, scenario_spectrum
 from .serialize import _from_document, _load_document, load_operator, write_csv, write_json_report
@@ -52,7 +52,6 @@ _SPECTRUM_OPTIONS = {
     "lambda_max": (20.0, "--method exact", lambda a: not _galerkin(a)),
     "cutoff": (4, "--method galerkin", _galerkin),
     "window": (None, "--method galerkin", _galerkin),
-    "reliable_fraction": (_DEFAULT_RELIABLE_FRACTION, "--method galerkin", _galerkin),
     "kernel_width": (_DEFAULT_KERNEL_WIDTH, "--mollified", lambda a: a.mollified is not None),
 }
 
@@ -279,9 +278,7 @@ def cmd_spectrum(args) -> int:
         op = src.operator()
         from .spectra import galerkin_spectrum
 
-        table = galerkin_spectrum(
-            op, args.cutoff, window=window, reliable_fraction=args.reliable_fraction
-        )
+        table = galerkin_spectrum(op, args.cutoff, window=window)
     else:
         table, growth = src.exact(args.lambda_max)
     import numpy as np
@@ -375,9 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shift", help="exact flat-torus table of spin-structure shift a,b,c "
                                    "(entries 0 or 0.5); the source when none is named, as 0,0,0")
     _add_read_by(p, "cutoff", "Galerkin mode cutoff", int)
-    _add_read_by(p, "window", "Galerkin window lo,hi (write --window=-2,2 for negative lo)", str)
-    _add_read_by(p, "reliable_fraction", "fraction of the cutoff considered spectrally reliable",
-                 _finite)
+    _add_read_by(p, "window", "Galerkin window lo,hi inside the reliable zone, by default all of "
+                 "it: -cutoff/2,cutoff/2 (write --window=-2,2 for negative lo)", str)
     p.add_argument("--count", type=_finite, help="report N(lambda) at this lambda")
     p.add_argument("--mollified", type=_finite, help="report mollified count at this lambda")
     _add_read_by(p, "kernel_width", "mollifier Fourier half-width", _finite)

@@ -5,5 +5,4 @@ the modules that use them.
 """
 
 _DEFAULT_TOL = 1e-7  # check_dirac's verdict tolerance
-_DEFAULT_RELIABLE_FRACTION = 0.5  # of the Galerkin mode cutoff
 _DEFAULT_KERNEL_WIDTH = 6.0  # mollifier Fourier half-width, a margin below 2*pi

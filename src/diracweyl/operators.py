@@ -25,7 +25,6 @@ from .geometry import (
     FrameField,
     MetricField,
     PrincipalSymbolField,
-    TorsionBundle,
     _gram,
     christoffel_symbols,
     decode_frame,
@@ -144,28 +143,6 @@ def _dirac_a0(e: np.ndarray, metric: MetricField) -> np.ndarray:
     a0[..., 0, 0] += 0.25 * coef[..., 3]
     a0[..., 1, 1] += 0.25 * coef[..., 3]
     return a0
-
-
-def verify_subprincipal_identity(frame: FrameField) -> float:
-    """Residual of the subprincipal/axial-torsion identity for a Dirac operator.
-
-    For the Dirac operator of the frame, the subprincipal symbol equals
-    (3c/4) * (*T_ax) * Id with c the orientation charge.  Returns the
-    max entrywise deviation over the grid.
-    """
-    op = dirac_operator(frame)
-    return _identity_residual(subprincipal_symbol(op), torsion(frame, decode_metric(op.sigma)))
-
-
-def _identity_residual(asub: np.ndarray, tor: TorsionBundle) -> float:
-    """max |A_sub - (3c/4) (*T_ax) Id| over the grid, from the torsion of the operator's frame.
-
-    Zero for the Dirac operator of that frame.  For any operator with the
-    same principal symbol it equals max |a0 - a0_Dirac|, since the two
-    subprincipal symbols share their derivative term.
-    """
-    rhs = (0.75 * tor.charge * tor.axial_dual)[..., None, None] * IDENTITY2
-    return float(np.abs(asub - rhs).max())
 
 
 def apply_operator(op: FirstOrderOperator, v: np.ndarray) -> np.ndarray:
@@ -366,7 +343,8 @@ def check_dirac(op: FirstOrderOperator, tol: float = _DEFAULT_TOL) -> DiracVerdi
       the identity (max operator norm of its trace-free part);
     * cond_b_residual - vanishing of the second Weyl coefficient
       density b(x) (max modulus over the grid);
-    * reconstructed_gap - max |A_sub - (3c/4) (*T_ax) Id|, which equals
+    * reconstructed_gap - max |A_sub - (3c/4) (*T_ax) Id|, the residual
+      of the paper's subprincipal/axial-torsion identity, which equals
       max |a0 - a0_Dirac| for the Dirac operator of the decoded frame.
       It reads the subprincipal symbol and torsion the other two
       residuals use, so no Dirac a0 and no Christoffel symbols are built.
@@ -378,7 +356,8 @@ def check_dirac(op: FirstOrderOperator, tol: float = _DEFAULT_TOL) -> DiracVerdi
     metric = decode_metric(op.sigma)
     asub = subprincipal_symbol(op)
     tor = torsion(decode_frame(op.sigma), metric)
-    gap = _identity_residual(asub, tor)
+    identity = (0.75 * tor.charge * tor.axial_dual)[..., None, None] * IDENTITY2
+    gap = float(np.abs(asub - identity).max())
 
     trace_half = 0.5 * (asub[..., 0, 0] + asub[..., 1, 1])
     devi = pauli_components(asub - trace_half[..., None, None] * IDENTITY2)

@@ -54,16 +54,21 @@ def twisted_frame(k3: int, n: int = _DEFAULT_GRID) -> FrameField:
 
     The metric is still flat Euclidean but the frame is topologically
     twisted: for odd k3 the induced rotation field admits no global
-    spin lift.
+    spin lift.  The grid must resolve the twist, n > 2|k3|; a coarser
+    grid would alias it to another twist.
     """
     import numpy as np
 
     from .fields import PeriodicChart
     from .geometry import FrameField
 
-    if not np.isfinite(k3) or int(k3) != k3:
+    if not (isinstance(k3, int) or float(k3).is_integer()):
         raise InputError(f"twist number k3 must be an integer, got {k3}")
-    _, _, x3 = PeriodicChart(n).mesh()
+    chart = PeriodicChart(n)
+    if 2 * abs(int(k3)) >= n:
+        raise InputError(f"twist number k3 = {k3} needs a grid n > 2|k3| = {2 * abs(int(k3))}, "
+                         f"got {n}")
+    _, _, x3 = chart.mesh()
     c, s = np.cos(k3 * x3), np.sin(k3 * x3)
     e = np.zeros((n, n, n, 3, 3))
     e[..., 0, 0] = c
@@ -243,7 +248,7 @@ SCENARIOS = {
     "twisted-torus": Scenario(
         {"k3": 1},
         lambda n, k3: _dirac(twisted_frame(k3, n)),
-        lambda lam, k3: _torus_spectrum((0.0, 0.0, (k3 / 2.0) % 1.0), lam),
+        lambda lam, k3: _torus_spectrum((0.0, 0.0, (k3 % 2) / 2.0), lam),
     ),
     "dirac-plus-scalar": Scenario(
         {"q": 0.3}, lambda n, q: dirac_plus_scalar(standard_frame(n), q), _shifted_torus_spectrum

@@ -21,11 +21,12 @@ so one sampled width-1 CDF serves every width in (0, 2*pi).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .defaults import _DEFAULT_KERNEL_WIDTH, _DEFAULT_RELIABLE_FRACTION
+from .defaults import _DEFAULT_KERNEL_WIDTH
 from .errors import InputError, gate
 from .fields import _integer_modes
 from .operators import FirstOrderOperator
@@ -40,8 +41,9 @@ _FOURIER_TOL = 1e-13  # smaller Fourier coefficients of operator data are droppe
 _DENSE_ORDER_BUDGET = 8000
 # Longest histogram of q = 4|m - s|^2 an exact table builds (lambda_max
 # up to 1024); it and its table take about 40 bytes per entry.  The same
-# budget caps a sphere table's length and, through _q_max, a lattice_count
-# radius.
+# budget caps a sphere table's length, through _q_max a lattice_count
+# radius, and the number of modes in a Galerkin mode cube (cutoff up to
+# 80; about 240 bytes per mode).
 _Q_LENGTH_BUDGET = 1 << 22
 
 
@@ -112,13 +114,17 @@ def _q_max(radius: float, name: str) -> int:
 
     The one admission rule of exact tables and lattice counts: a q
     histogram longer than _Q_LENGTH_BUDGET (radius 1024 and up) is
-    refused, so lattice_count admits every radius a table covers.
+    refused, so lattice_count admits every radius a table covers.  The
+    radius is compared before it is squared, since (2 radius)**2 raises
+    OverflowError past about 6.7e153; in floats too, (2 radius)^2 < 2^22
+    holds exactly when 2 radius < 2^11.
     """
-    qmax = int(np.floor((2.0 * radius) ** 2))
-    if qmax + 1 > _Q_LENGTH_BUDGET:
-        raise InputError(f"{name} {radius} needs q = 4|m - s|^2 up to {qmax}, a histogram of "
-                         f"length {qmax + 1}, over the budget of {_Q_LENGTH_BUDGET}; lower {name}")
-    return qmax
+    if 2.0 * radius < math.isqrt(_Q_LENGTH_BUDGET):
+        return int(np.floor((2.0 * radius) ** 2))
+    square = (2.0 * radius) * (2.0 * radius)  # inf, not OverflowError, past the float range
+    qmax = math.floor(square) if square < math.inf else square
+    raise InputError(f"{name} {radius} needs q = 4|m - s|^2 up to {qmax}, a histogram of "
+                     f"length {qmax + 1}, over the budget of {_Q_LENGTH_BUDGET}; lower {name}")
 
 
 def _shell_counts(shift, lambda_max: float, qmax: int) -> np.ndarray:
@@ -329,12 +335,7 @@ def _coset_matrices(m: np.ndarray, code: np.ndarray, slot: np.ndarray, coef: np.
     return h
 
 
-def galerkin_spectrum(
-    op: FirstOrderOperator,
-    mode_cutoff: int,
-    window=None,
-    reliable_fraction: float = _DEFAULT_RELIABLE_FRACTION,
-) -> SpectrumTable:
+def galerkin_spectrum(op: FirstOrderOperator, mode_cutoff: int, window=None) -> SpectrumTable:
     """Eigenvalues of the operator projected on plane waves |m|_inf <= cutoff.
 
     The projected matrix is assembled from the exact Fourier
@@ -342,17 +343,22 @@ def galerkin_spectrum(
     exactly block-diagonal over the cosets of the lattice spanned by
     the coefficients' Fourier support; each block is assembled, checked
     Hermitian and solved densely on its own, and a block of order above
-    _DENSE_ORDER_BUDGET is refused before anything is allocated.  Only
+    _DENSE_ORDER_BUDGET is refused before anything is allocated.  So is
+    a mode cube of more than _Q_LENGTH_BUDGET modes (cutoff 81 and up):
+    the cube and its coset labels take about 240 bytes per mode, and
+    cutoff 80 takes 8.6 s and a peak RSS of 986 MB on the Dirac operator
+    of standard_frame(8) (2-CPU Xeon VM, one BLAS thread).  Only
     eigenvalues inside `window` are tabulated; the window must sit
-    inside the reliable zone |lambda| <= reliable_fraction * mode_cutoff,
-    with reliable_fraction in (0, 1] so the zone never passes the cutoff.
-    Degenerate eigenvalues are clustered at tolerance _CLUSTER_TOL.
+    inside the reliable zone |lambda| <= mode_cutoff / 2.  Degenerate
+    eigenvalues are clustered at tolerance _CLUSTER_TOL.
     """
     if not isinstance(mode_cutoff, (int, np.integer)) or mode_cutoff < 1:
         raise InputError(f"mode_cutoff must be at least 1 and an integer, got {mode_cutoff!r}")
-    if not 0.0 < reliable_fraction <= 1.0:
-        raise InputError(f"reliable_fraction must lie in (0, 1], got {reliable_fraction}")
-    zone = reliable_fraction * mode_cutoff
+    c = int(mode_cutoff)
+    if (2 * c + 1) ** 3 > _Q_LENGTH_BUDGET:
+        raise InputError(f"Galerkin cutoff {c} needs a cube of (2 cutoff + 1)^3 = {(2 * c + 1) ** 3} "
+                         f"modes, over the budget of {_Q_LENGTH_BUDGET}; lower the cutoff")
+    zone = 0.5 * c
     if window is None:
         window = (-zone, zone)
     lo, hi = float(window[0]), float(window[1])
@@ -361,11 +367,10 @@ def galerkin_spectrum(
     if not -zone - 1e-12 <= lo < hi <= zone + 1e-12:
         raise InputError(
             f"window {window} exceeds the reliable zone [-{zone}, {zone}] "
-            f"at cutoff {mode_cutoff}; raise the cutoff or reliable_fraction"
+            f"at cutoff {mode_cutoff}; raise the cutoff"
         )
 
     ks, sig_hats, a0_hats = _operator_fourier_data(op)
-    c = mode_cutoff
     couples = np.all(np.abs(ks) <= 2 * c, axis=1)  # the rest never joins two cube modes
     ks, sig_hats, a0_hats = ks[couples], sig_hats[couples], a0_hats[couples]
     ax = np.arange(-c, c + 1)

@@ -26,6 +26,14 @@ def peak_mb():
 
 
 @pytest.fixture(scope="session")
+def nyquist_operator():
+    """The 8^3 standard Dirac operator plus 0.1 cos(4 x1) I, a potential at the Nyquist mode."""
+    op = dw.dirac_operator(dw.standard_frame(8))
+    x1 = dw.PeriodicChart(8).mesh()[0]
+    return dw.FirstOrderOperator(op.sigma, op.a0 + 0.1 * np.cos(4 * x1)[..., None, None] * np.eye(2))
+
+
+@pytest.fixture(scope="session")
 def curved_frame():
     """A frame with a non-flat metric and torsion, depending on x^3 alone.
 

@@ -42,7 +42,7 @@ def test_criterion_01_subprincipal_identity():
     """A_sub of every Dirac operator equals (3c/4)(*T_ax) I within 1e-8."""
     worst = 0.0
     for name, frame in FRAMES:
-        gap = dw.verify_subprincipal_identity(frame)
+        gap = dw.check_dirac(dw.dirac_operator(frame)).reconstructed_gap
         worst = max(worst, gap)
         assert gap <= 1e-8, f"{name}: identity residual {gap:.3e}"
     print(f"criterion 1 PASS: identity residual <= {worst:.3e} over {len(FRAMES)} frames")
@@ -82,8 +82,8 @@ def test_criterion_03_b_density_cross_routes():
         sym = dw.symbol_from_frame(frame)
         op = dw.dirac_operator(frame)
         idx = rng.integers(0, GRID, size=(5, 3))
-        b1_grid = dw.b1_density(op)
-        b2_grid = dw.b2_density(sym)
+        coeffs = dw.b_density(op)
+        b1_grid, b2_grid = coeffs.b1, coeffs.b2
         b1_quad = dw.b1_density_fiber(op, idx)
         b2_tors = dw.b2_density_fiber_torsion(sym, idx)
         b2_curv = dw.b2_density_fiber_curvature(sym, idx)

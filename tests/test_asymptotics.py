@@ -21,8 +21,7 @@ def random_setup():
 
 
 def test_a_density_flat():
-    met = dw.decode_metric(dw.symbol_from_frame(dw.standard_frame(8)))
-    a = dw.a_density(met)
+    a = dw.b_density(dw.dirac_operator(dw.standard_frame(8))).a
     assert np.abs(a - 1.0 / (6.0 * np.pi**2)).max() < 1e-14
 
 
@@ -227,21 +226,21 @@ class TestFiberRoutes:
     def test_b1_fiber_matches_closed_form(self, random_setup):
         _, _, op = random_setup
         vals = dw.b1_density_fiber(op, SAMPLE_INDICES)
-        grid = dw.b1_density(op)
+        grid = dw.b_density(op).b1
         for v, (i, j, k) in zip(vals, SAMPLE_INDICES):
             assert abs(v - grid[i, j, k]) < 1e-7
 
     def test_b2_torsion_fiber_matches_closed_form(self, random_setup):
-        _, sym, _ = random_setup
+        _, sym, op = random_setup
         vals = dw.b2_density_fiber_torsion(sym, SAMPLE_INDICES)
-        grid = dw.b2_density(sym)
+        grid = dw.b_density(op).b2
         for v, (i, j, k) in zip(vals, SAMPLE_INDICES):
             assert abs(v - grid[i, j, k]) < 1e-7
 
     def test_b2_curvature_fiber_matches_closed_form(self, random_setup):
-        _, sym, _ = random_setup
+        _, sym, op = random_setup
         vals = dw.b2_density_fiber_curvature(sym, SAMPLE_INDICES)
-        grid = dw.b2_density(sym)
+        grid = dw.b_density(op).b2
         for v, (i, j, k) in zip(vals, SAMPLE_INDICES):
             assert abs(v - grid[i, j, k]) < 1e-6
 
@@ -306,7 +305,8 @@ def test_fiber_routes_match_closed_forms_on_a_curved_frame(curved_frame):
     q = 0.2 * np.cos(x3)[..., None, None] * np.eye(2)
     shifted = dw.FirstOrderOperator(op.sigma, op.a0 + q)
     pts = np.array([(0, 0, 0), (3, 5, 7), (1, 2, 11), (4, 4, 17), (0, 9, 20)])
-    b1, b2 = dw.b1_density(shifted), dw.b2_density(shifted.sigma)
+    coeffs = dw.b_density(shifted)
+    b1, b2 = coeffs.b1, coeffs.b2
     assert np.abs(b1).max() > 0.01 and np.abs(b2).max() > 0.01
     idx = tuple(pts.T)
     gaps = {

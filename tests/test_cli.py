@@ -1,5 +1,6 @@
 """Command-line entry points, exercised through main()."""
 
+import argparse
 import base64
 import json
 import os
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import diracweyl as dw
-from diracweyl.cli import main
+from diracweyl.cli import build_parser, main
 
 
 def _run(capsys, *argv):
@@ -134,12 +135,14 @@ class TestSpectrum:
         assert report["count"]["ambiguous"] is True
 
     def test_twisted_scenario_uses_half_shift(self, capsys):
-        code, report = _run(
-            capsys, "spectrum", "--scenario", "twisted-torus", "--k3", "1", "--lambda-max", "2"
-        )
-        assert code == 0
-        values = [v for v, _ in report["eigenvalues"]]
-        assert min(abs(v) for v in values) == pytest.approx(0.5)
+        # 10^400 + 1 exited 1 with an OverflowError traceback: k3 / 2.0 is past the float range
+        for k3 in ("1", str(10**400 + 1)):
+            code, report = _run(
+                capsys, "spectrum", "--scenario", "twisted-torus", "--k3", k3, "--lambda-max", "2"
+            )
+            assert code == 0
+            values = [v for v, _ in report["eigenvalues"]]
+            assert min(abs(v) for v in values) == pytest.approx(0.5)
 
     def test_explicit_shift_flag(self, capsys):
         code, report = _run(
@@ -238,11 +241,10 @@ class TestSpectrum:
         assert code == 2
 
 
-def test_nyquist_violation_exit_code(capsys):
-    code = main(
-        ["spectrum", "--scenario", "twisted-torus", "--k3", "4", "--grid", "8",
-         "--method", "galerkin", "--cutoff", "3"]
-    )
+def test_nyquist_violation_exit_code(nyquist_operator, tmp_path, capsys):
+    path = tmp_path / "op.json"
+    dw.save_operator(nyquist_operator, str(path))
+    code = main(["spectrum", "--input", str(path), "--method", "galerkin", "--cutoff", "3"])
     assert code == 3
     assert "Nyquist" in capsys.readouterr().err
 
@@ -272,16 +274,23 @@ REFUSED = {
     # spectrum flags that the chosen method or block does not read
     "cutoff-of-exact": ["spectrum", "--scenario", "standard-torus", "--cutoff", "9"],
     "window-of-exact": ["spectrum", "--lambda-max", "3", "--window=-1,1"],
-    "reliable-fraction-of-exact": ["spectrum", "--shift", "0,0,0.5", "--reliable-fraction", "0.9"],
     "lambda-max-of-galerkin": ["spectrum", "--scenario", "standard-torus", "--grid", "8",
                                "--method", "galerkin", "--cutoff", "3", "--lambda-max", "3"],
     "kernel-width-without-mollified": ["spectrum", "--count", "2", "--kernel-width", "3"],
     "grid-of-sphere": ["spectrum", "--scenario", "sphere", "--grid", "8"],
-    # exited 0 with a coverage wider than the cutoff reaches
-    "reliable-fraction-above-one": ["spectrum", "--scenario", "standard-torus", "--grid", "8",
-                                    "--method", "galerkin", "--reliable-fraction", "5"],
+    # the Galerkin reliable zone is cutoff/2, not an option
+    "reliable-fraction": ["spectrum", "--scenario", "standard-torus", "--grid", "8",
+                          "--method", "galerkin", "--reliable-fraction", "5"],
+    # exited 0 answering for the twist k3 = -7
+    "twist-aliased": ["decode", "--scenario", "twisted-torus", "--k3=9", "--grid", "16"],
     # died with a MemoryError traceback and exit 1
     "sphere-over-budget": ["spectrum", "--scenario", "sphere", "--lambda-max", "1e9"],
+    "grid-over-ceiling": ["decode", "--scenario", "standard-torus", "--grid", "100000"],
+    "galerkin-cube-over-budget": ["spectrum", "--scenario", "standard-torus", "--grid", "8",
+                                  "--method", "galerkin", "--cutoff", "100000"],
+    # died with an OverflowError or TypeError traceback and exit 1
+    "lambda-max-1e300": ["spectrum", "--lambda-max", "1e300"],
+    "twist-1e20": ["decode", "--scenario", "twisted-torus", "--k3", "100000000000000000000"],
     # died with a ValueError traceback and exit 1
     "negative-grid": ["decode", "--scenario", "standard-torus", "--grid", "-4"],
     "negative-grid-random": ["asymptotics", "--scenario", "random-band-limited", "--grid", "-4"],
@@ -291,11 +300,15 @@ REFUSED = {
 NAMED = {
     "cutoff-of-exact": ("--cutoff", "--method galerkin"),
     "window-of-exact": ("--window", "--method galerkin"),
-    "reliable-fraction-of-exact": ("--reliable-fraction", "--method galerkin"),
     "lambda-max-of-galerkin": ("--lambda-max", "--method exact"),
     "kernel-width-without-mollified": ("--kernel-width", "--mollified"),
     "grid-of-sphere": ("--grid", "operator"),
-    "reliable-fraction-above-one": ("reliable_fraction", "(0, 1]"),
+    "reliable-fraction": ("unrecognized arguments: --reliable-fraction",),
+    "twist-aliased": ("k3 = 9 needs a grid n > 2|k3| = 18, got 16",),
+    "grid-over-ceiling": ("grid size 100000 is over the ceiling of 128",),
+    "galerkin-cube-over-budget": ("cutoff 100000", "budget of 4194304"),
+    "lambda-max-1e300": ("lambda_max 1e+300", "budget of 4194304"),
+    "twist-1e20": ("n > 2|k3| = 200000000000000000000",),
     "sphere-over-budget": ("lambda_max", "budget"),
     "negative-grid": ("grid size must be even and >= 4, got -4",),
     "negative-grid-random": ("grid size must be even and >= 4, got -4",),
@@ -307,10 +320,13 @@ NAMED = {
 def test_wrong_source_or_unread_flag_exits_2(case, tmp_path, capsys):
     path = tmp_path / "op.json"
     dw.save_operator(dw.dirac_plus_scalar(dw.standard_frame(8), 0.3), str(path))
-    code = main([str(path) if a == "OP" else a for a in REFUSED[case]])
+    try:
+        code = main([str(path) if a == "OP" else a for a in REFUSED[case]])
+    except SystemExit as exc:  # argparse refuses an unknown flag before main runs
+        code = exc.code
     out, err = capsys.readouterr()
     assert code == 2
-    assert out == "" and err.startswith("error: ")
+    assert out == "" and err.startswith("usage: " if case == "reliable-fraction" else "error: ")
     assert all(word in err for word in NAMED.get(case, ())), err
 
 
@@ -324,8 +340,6 @@ NON_FINITE = {
     "mollified-nan": ["spectrum", "--mollified", "nan"],
     "window-nan": ["spectrum", "--scenario", "standard-torus", "--grid", "8",
                    "--method", "galerkin", "--window=nan,1"],
-    "reliable-fraction-nan": ["spectrum", "--scenario", "standard-torus", "--grid", "8",
-                              "--method", "galerkin", "--reliable-fraction", "nan"],
     "q-nan-decode": ["decode", "--scenario", "dirac-plus-scalar", "--q", "nan"],
     "tol-nan": ["check-dirac", "--scenario", "standard-torus", "--grid", "8", "--tol", "nan"],
     "shift-inf": ["spectrum", "--shift", "0,inf,0"],
@@ -411,6 +425,23 @@ def test_readme_python_blocks_run():
     namespace = {}
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
+
+
+def _parser_flags(parser):
+    """Every --flag of a parser and of its subcommands' parsers."""
+    flags = set()
+    for action in parser._actions:
+        flags.update(o for o in action.option_strings if o.startswith("--"))
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= _parser_flags(sub)
+    return flags
+
+
+def test_readme_names_exactly_the_parser_flags():
+    """A flag the README names but the parser lacks (or the reverse) is a stale document."""
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", README.read_text(encoding="utf-8")))
+    assert named - {"--no-build-isolation"} == _parser_flags(build_parser())
 
 
 # --- the input boundary ------------------------------------------------------

@@ -40,6 +40,11 @@ class TestChart:
         with pytest.raises(InputError):
             PeriodicChart(2)
 
+    def test_grid_ceiling_is_128(self):
+        assert PeriodicChart(128).n == 128
+        with pytest.raises(InputError, match="grid size 130 is over the ceiling of 128"):
+            PeriodicChart(130)
+
     def test_chart_of_requires_cubic_leading_axes(self):
         with pytest.raises(InputError, match="three equal leading grid axes"):
             chart_of(np.zeros((4, 4, 6)))

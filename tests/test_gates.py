@@ -72,6 +72,13 @@ def _skew_symbol():
     dw.PrincipalSymbolField(sigma + _bump(sigma.shape, (1, 6, 3, 0, 0, 1), 1e-6))
 
 
+def _nyquist_potential():
+    """The 8^3 standard Dirac operator plus 0.1 cos(4 x1) I: content at the Nyquist mode."""
+    op = dw.dirac_operator(dw.standard_frame(8))
+    x1 = dw.PeriodicChart(8).mesh()[0]
+    return dw.FirstOrderOperator(op.sigma, op.a0 + 0.1 * np.cos(4 * x1)[..., None, None] * np.eye(2))
+
+
 def _b_decomposition():
     b = _bump((8, 8, 8), (3, 0, 7), 1e-9)
     zero = np.zeros((8, 8, 8))
@@ -95,7 +102,7 @@ TRIPPED = {
         InputError, "unitary", (0, 1, 2)),
     "asymptotics-b-decomposition": (lambda mp: _b_decomposition(), ConsistencyError,
                                     "decomposition", (3, 0, 7)),
-    "spectra-nyquist": (lambda mp: dw.galerkin_spectrum(dw.dirac_operator(dw.twisted_frame(4, 8)), 3),
+    "spectra-nyquist": (lambda mp: dw.galerkin_spectrum(_nyquist_potential(), 3),
                         ConsistencyError, "Nyquist", None),
     "spectra-galerkin-hermiticity": (lambda mp: _galerkin_hermiticity(), ConsistencyError,
                                      "not Hermitian", None),
@@ -176,16 +183,6 @@ NAN_THRESHOLDS = {
         lambda: dw.check_dirac(dw.dirac_plus_scalar(dw.standard_frame(8), 0.3), tol=np.inf), "tol"),
     "galerkin-window": (lambda: dw.galerkin_spectrum(_structured_dirac(), 2, window=(np.nan, 0.5)),
                         "window"),
-    "galerkin-reliable_fraction": (
-        lambda: dw.galerkin_spectrum(_structured_dirac(), 2, reliable_fraction=np.nan),
-        "reliable_fraction"),
-    # above 1 the table claimed coverage past its largest eigenvalue, and counts there fell short
-    "galerkin-reliable_fraction-5": (
-        lambda: dw.galerkin_spectrum(_structured_dirac(), 2, reliable_fraction=5.0),
-        "reliable_fraction"),
-    "galerkin-reliable_fraction-inf": (
-        lambda: dw.galerkin_spectrum(_structured_dirac(), 2, reliable_fraction=np.inf),
-        "reliable_fraction"),
     "lattice_count-nan": (lambda: dw.lattice_count((0, 0, 0), np.nan), "radius"),
     "lattice_count-inf": (lambda: dw.lattice_count((0, 0, 0), np.inf), "radius"),
 }
@@ -253,6 +250,20 @@ REFUSED_BRANCHES = {
                             "radius 1024.0 needs q = 4|m - s|^2 up to 4194304"),
     "lattice-radius-1e5": (lambda: dw.lattice_count((0, 0, 0), 1e5), InputError,
                            "over the budget of 4194304; lower radius"),
+    "galerkin-cube-100000": (lambda: dw.galerkin_spectrum(_structured_dirac(), 100000), InputError,
+                             "Galerkin cutoff 100000 needs a cube of (2 cutoff + 1)^3 = "
+                             "8000120000600001 modes, over the budget of 4194304"),
+    "grid-100000": (lambda: dw.standard_frame(100000), InputError,
+                    "grid size 100000 is over the ceiling of 128"),
+    # each raised OverflowError squaring the radius
+    "lattice-radius-1e300": (lambda: dw.lattice_count((0, 0, 0), 1e300), InputError,
+                             "radius 1e+300 needs q = 4|m - s|^2 up to inf"),
+    "torus-lambda-1e300": (lambda: dw.torus_exact_spectrum((0, 0, 0), 1e300), InputError,
+                           "over the budget of 4194304; lower lambda_max"),
+    # a twist the grid cannot resolve was aliased to another twist, k3 = 9 on 16^3 to -7
+    "twist-9-on-16": (lambda: dw.twisted_frame(9, 16), InputError,
+                      "twist number k3 = 9 needs a grid n > 2|k3| = 18, got 16"),
+    "twist-nyquist": (lambda: dw.twisted_frame(-4, 8), InputError, "n > 2|k3| = 8, got 8"),
     # each raised TypeError or ValueError from inside numpy
     "galerkin-cutoff-2.5": (lambda: dw.galerkin_spectrum(_structured_dirac(), 2.5), InputError,
                             "mode_cutoff must be at least 1 and an integer, got 2.5"),
@@ -262,6 +273,8 @@ REFUSED_BRANCHES = {
                             "mode_cutoff must be at least 1 and an integer, got '2'"),
     "twist-inf": (lambda: dw.twisted_frame(np.inf, 8), InputError, "must be an integer, got inf"),
     "twist-nan": (lambda: dw.twisted_frame(np.nan, 8), InputError, "must be an integer, got nan"),
+    "twist-1e20": (lambda: dw.twisted_frame(10**20, 8), InputError,
+                   "needs a grid n > 2|k3| = 200000000000000000000"),
     "gauge-grid": (lambda: dw.gauge_transform(_structured_dirac(), dw.random_gauge_field(0, 16)),
                    InputError, "gauge field on the 16^3 grid and operator on the 8^3 grid"),
     # the non-real gate these replace could not fire: (1/2) tr(s_j R s^k R*) is real for every R
@@ -283,3 +296,15 @@ def test_refusal_branch_raises_its_error(case):
     call, error, words = REFUSED_BRANCHES[case]
     with pytest.raises(error, match=re.escape(words)):
         call()
+
+
+@pytest.mark.parametrize("case", ["galerkin-cube-100000", "grid-100000",
+                                  "lattice-radius-1e300", "torus-lambda-1e300", "twist-1e20"])
+def test_over_budget_request_is_refused_before_allocating(case, peak_mb):
+    call, error, _ = REFUSED_BRANCHES[case]
+
+    def refused():
+        with pytest.raises(error):
+            call()
+
+    assert peak_mb(refused) < 10.0

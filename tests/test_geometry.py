@@ -597,8 +597,6 @@ _ANALYSES = {
     "subprincipal_symbol": dw.subprincipal_symbol,
     "check_dirac": dw.check_dirac,
     "b_density": dw.b_density,
-    "b1_density": dw.b1_density,
-    "b2_density": lambda op: dw.b2_density(op.sigma),
     "b1_density_fiber": lambda op: dw.b1_density_fiber(op, [(0, 1, 2)]),
     "b2_density_fiber_torsion": lambda op: dw.b2_density_fiber_torsion(op.sigma, [(0, 1, 2)]),
     "b2_density_fiber_curvature": lambda op: dw.b2_density_fiber_curvature(op, [(0, 1, 2)]),

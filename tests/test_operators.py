@@ -37,7 +37,7 @@ def test_dirac_zeroth_order_twisted(k3):
 
 def test_subprincipal_identity_residuals():
     for fr in (dw.standard_frame(8), dw.twisted_frame(2, 12), dw.random_band_limited_frame(0)):
-        assert dw.verify_subprincipal_identity(fr) < 1e-10
+        assert dw.check_dirac(dw.dirac_operator(fr)).reconstructed_gap < 1e-10
 
 
 def test_subprincipal_grid_independence():
@@ -404,7 +404,6 @@ def test_curved_frame_with_torsion_is_dirac(curved_frame):
     tor = dw.torsion(curved_frame, dw.decode_metric(dw.symbol_from_frame(curved_frame)))
     assert np.abs(tor.axial_dual).min() > 0.5
     verdict = dw.check_dirac(dw.dirac_operator(curved_frame))
-    residual = dw.verify_subprincipal_identity(curved_frame)
-    print(f"curved frame: {verdict}, identity residual {residual:.2e}")
+    print(f"curved frame: {verdict}")
     assert verdict.is_dirac
-    assert residual <= 1e-12
+    assert verdict.reconstructed_gap <= 1e-12

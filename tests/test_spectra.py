@@ -377,14 +377,6 @@ class TestGalerkin:
         with pytest.raises(InputError, match="reliable"):
             dw.galerkin_spectrum(op, 4, window=(-3.0, 3.0))
 
-    def test_wider_reliable_fraction_opt_in(self):
-        """Pushing the trust region out to 2.5 still matches the flat table."""
-        op = dw.dirac_operator(dw.standard_frame(8))
-        got = dw.galerkin_spectrum(op, 4, window=(-2.5, 2.5), reliable_fraction=0.625)
-        exact = dw.torus_exact_spectrum(TRIVIAL, 2.6)
-        keep = (exact.values >= -2.5) & (exact.values <= 2.5)
-        _match_tables(got, exact.values[keep], exact.multiplicities[keep], 1e-10)
-
     def test_twisted_operator_shifted_lattice(self):
         op = dw.dirac_operator(dw.twisted_frame(1, 12))
         got = dw.galerkin_spectrum(op, 4, window=(-1.6, 1.6))
@@ -417,12 +409,11 @@ class TestGalerkin:
         assert got.metadata["mode_cutoff"] == 3
         assert got.metadata["matrix_order"] == 2 * 7**3
 
-    def test_nyquist_content_rejected(self):
+    def test_nyquist_content_rejected(self, nyquist_operator):
         """Coefficients with spectral content at the grid Nyquist mode
         cannot be assembled faithfully."""
-        op = dw.dirac_operator(dw.twisted_frame(4, 8))
         with pytest.raises(ConsistencyError, match="Nyquist"):
-            dw.galerkin_spectrum(op, 3)
+            dw.galerkin_spectrum(nyquist_operator, 3)
 
 
 # --- growth-law comparison ----------------------------------------------------------
