@@ -54,6 +54,36 @@ def _det3(m: np.ndarray) -> np.ndarray:
             + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0]))
 
 
+def _components_first(m: np.ndarray) -> np.ndarray:
+    """A (..., r, c) stack of matrices as a C-contiguous (r, c, ...) copy: one grid field per entry.
+
+    Pointwise products of small matrices then run on whole contiguous
+    fields (_matmul_cm), and transposing a matrix only swaps two leading
+    axes; np.moveaxis(m, (0, 1), (-2, -1)) is the grid-first view back.
+    """
+    return np.ascontiguousarray(np.moveaxis(m, (-2, -1), (0, 1)))
+
+
+def _matmul_cm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Pointwise x @ y of matrix fields held components first, x[i, j, ...] and y[j, k, ...].
+
+    Each entry is a sum of products of whole contiguous grid fields, so
+    every temporary is one grid field.  A 3x3 product on 32^3 points
+    measured 0.96 ms, against 2.1 ms for numpy's batched BLAS loop and
+    2.7 ms for broadcasting whole rows, whose temporaries are 9 fields
+    (2-CPU Xeon VM, one BLAS thread).
+    """
+    out = np.empty((x.shape[0], y.shape[1]) + x.shape[2:], dtype=np.result_type(x, y))
+    term = np.empty_like(out[0, 0])
+    for i in range(x.shape[0]):
+        for k in range(y.shape[1]):
+            entry = out[i, k]
+            np.multiply(x[i, 0], y[0, k], out=entry)
+            for j in range(1, x.shape[1]):
+                entry += np.multiply(x[i, j], y[j, k], out=term)
+    return out
+
+
 def _gram(p: np.ndarray) -> np.ndarray:
     """g^{ab} = p_j^a p_j^b of a (..., 3, 3) component stack: the metric of a symbol."""
     return _transposed(p) @ p
@@ -313,26 +343,39 @@ def coframe(frame: FrameField, metric: MetricField) -> np.ndarray:
     return c
 
 
+# g_cov's six independent entries, packed in this order; _PACKED[c][d] is the place of g_cd.
+_UPPER = np.triu_indices(3)
+_PACKED = np.zeros((3, 3), dtype=int)
+_PACKED[_UPPER] = _PACKED[_UPPER[::-1]] = np.arange(6)
+
+
 def christoffel_symbols(metric: MetricField) -> np.ndarray:
     """Levi-Civita connection coefficients G[..., b, a, c] (upper, lower, lower).
 
-    The lowered symbols (d_a g_cd + d_c g_ad - d_d g_ac) / 2 are
-    accumulated one derivative direction at a time, so no stack of
-    derivatives is held, and raised by g^{bd} in place, one a-slice at
-    a time: the one (n, n, n, 3, 3, 3) array allocated is the result.
+    Only the six independent entries of g_cov are differentiated.  The
+    lowered symbols (d_a g_cd + d_c g_ad - d_d g_ac) / 2 are summed from
+    those derivatives once per pair a <= c.  Once the derivatives are
+    freed, each pair is raised by g^{db} in one components-first product
+    and written to (a, c) and (c, a), so G is symmetric in a and c
+    exactly.  The result is held components first, as [a, c, b, ...],
+    and returned as a view.
     """
-    g_cov = metric.g_cov
-    s = np.zeros(g_cov.shape[:3] + (3, 3, 3))  # [a, c, d]
-    for mu in range(3):
-        d = spectral_derivative(g_cov, mu + 1)
-        d *= 0.5  # the 1/2 of the symbols, where scaling by 0.5 is exact
-        s[..., mu, :, :] += d
-        s[..., :, mu, :] += d
-        s[..., :, :, mu] -= d
-        del d  # before the next direction's transforms allocate
-    for a in range(3):  # in place: [a, c, b]; g_contra is symmetric
-        s[..., a, :, :] = s[..., a, :, :] @ metric.g_contra
-    return s.transpose(0, 1, 2, 5, 3, 4)
+    packed = np.moveaxis(_components_first(metric.g_cov)[_UPPER], 0, -1)  # grid-first view
+    dg = [np.moveaxis(spectral_derivative(packed, mu + 1), -1, 0) for mu in range(3)]  # [mu][place]
+    del packed
+    s = np.empty((3, 3, 3) + metric.g_cov.shape[:3])  # [a, c, d, ...] for a <= c
+    for a in range(3):
+        for c in range(a, 3):
+            for d in range(3):
+                np.add(dg[a][_PACKED[c, d]], dg[c][_PACKED[a, d]], out=s[a, c, d])
+                s[a, c, d] -= dg[d][_PACKED[a, c]]
+            s[a, c] *= 0.5
+    del dg  # before the raise allocates
+    g = _components_first(metric.g_contra)
+    for a in range(3):  # in place: [a, c, b, ...]; g_contra is symmetric
+        for c in range(a, 3):
+            s[a, c] = s[c, a] = _matmul_cm(s[a, c:c + 1], g)[0]
+    return s.transpose(3, 4, 5, 2, 0, 1)
 
 
 def _dual_2forms(metric: MetricField, forms: np.ndarray) -> np.ndarray:

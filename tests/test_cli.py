@@ -635,6 +635,16 @@ def test_failed_gate_exits_3_saying_how_far_off_and_where(tmp_path):
         assert words in proc.stderr, proc.stderr
 
 
+def test_under_resolved_frame_exits_3_asking_for_a_finer_grid():
+    """A random frame at amplitude 0.01 misses the self-adjointness gate at 16^3."""
+    proc = _cli_process("check-dirac", "--scenario", "random-band-limited", "--amplitude", "0.01",
+                        "--grid", "16")
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
+    for words in ("self-adjoint", "not resolved on the 16^3 grid", "of p's", "finer grid"):
+        assert words in proc.stderr, proc.stderr
+
+
 def test_check_dirac_accepts_a_curved_dirac_operator(curved_frame, tmp_path):
     path = tmp_path / "curved.json"
     dw.save_operator(dw.dirac_operator(curved_frame), str(path))

@@ -6,7 +6,7 @@ import pytest
 import diracweyl as dw
 from diracweyl.errors import ConsistencyError, InputError
 from diracweyl.fields import PeriodicChart, derivative_stack
-from diracweyl.geometry import PAULI, christoffel_symbols
+from diracweyl.geometry import PAULI, christoffel_symbols, pauli_components
 from diracweyl.operators import EPS_CONJ, divergence_sigma
 
 
@@ -129,6 +129,52 @@ def test_gauge_transform_preserves_verdict_and_b():
     b1 = dw.b_density(gauged)
     assert abs(b0.b_global - b1.b_global) < 1e-10
     assert np.abs(b0.b - b1.b).max() < 1e-10
+
+
+def _so3_einsum(r):
+    """The adjoint rotation as one three-operand einsum, R s^k R*, read by pauli_components."""
+    rot = np.einsum("...pq,kqr,...sr->...kps", r, PAULI, np.conj(r), optimize=True)
+    return np.swapaxes(pauli_components(rot), -1, -2)
+
+
+def _gauge_transform_einsum(op, r):
+    """The gauged (p, a0) with a0 = R a0 R* - i R sigma^a d_a R* as two einsums on
+    the complex sigma stack."""
+    rh = np.conj(np.swapaxes(r, -1, -2))
+    a0 = np.einsum("...pq,...qr,...rs->...ps", r, op.a0, rh) - 1j * np.einsum(
+        "...pq,...aqr,...ars->...ps", r, op.sigma.sigma, derivative_stack(rh))
+    return _so3_einsum(r) @ op.sigma.p, a0
+
+
+GAUGED = {
+    "random": lambda: dw.dirac_operator(dw.random_band_limited_frame(3, 16)),
+    "twisted": lambda: dw.dirac_operator(dw.twisted_frame(1, 16)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GAUGED))
+def test_gauge_transform_matches_the_einsum_formulas(name):
+    """The explicit Pauli algebra reproduces the einsum contractions to rounding:
+    at most 2.2e-16 measured, on a0 of size up to 0.52."""
+    op = GAUGED[name]()
+    for seed in (4, 5):
+        gauge = dw.random_gauge_field(seed, 16)
+        want_p, want_a0 = _gauge_transform_einsum(op, gauge.R)
+        got = dw.gauge_transform(op, gauge)
+        assert np.abs(got.sigma.p - want_p).max() <= 1e-15 * max(1.0, np.abs(want_p).max())
+        assert np.abs(got.a0 - want_a0).max() <= 1e-15 * max(1.0, np.abs(want_a0).max())
+        want_o = _so3_einsum(gauge.R)
+        assert np.abs(dw.so3_from_su2(gauge.R) - want_o).max() <= 1e-15 * np.abs(want_o).max()
+
+
+def test_gauge_transform_peak_memory(peak_mb):
+    """The two einsums on the complex sigma stack and a derivative stack of R*
+    peaked at 4.20 MB of traced allocation at n=16; the 2x2 algebra held
+    components first, with its temporaries freed before the results are
+    allocated, peaks at 2.79 MB, the rotated symbol included."""
+    op = dw.dirac_operator(dw.random_band_limited_frame(0, 16))
+    gauge = dw.random_gauge_field(1, 16)
+    assert peak_mb(lambda: dw.gauge_transform(op, gauge)) <= 3.0
 
 
 # --- SU(2) <-> SO(3) -----------------------------------------------------------
@@ -346,6 +392,27 @@ def test_a0_matches_the_previous_assembly(build):
     want = _a0_previous_assembly(frame)
     a0 = dw.dirac_operator(frame).a0
     assert np.abs(a0 - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
+
+
+def _warped_frame(n, amplitude=0.1):
+    """e1 = f d1 with f = 1 + amplitude cos x3: p is band-limited, g_cov = diag(1/f^2, 1, 1) is not."""
+    e = np.broadcast_to(np.eye(3), (n, n, n, 3, 3)).copy()
+    e[..., 0, 0] = 1.0 + amplitude * np.cos(PeriodicChart(n).mesh()[2])
+    return dw.FrameField(e)
+
+
+def test_under_resolved_frame_names_its_fourier_tail():
+    """The warped frame at amplitude 0.1 misses the self-adjointness gate at 16^3
+    (1.61e-10): g_cov's outermost shell holds 7.1e-10 of its largest coefficient,
+    p's none.  The error says so and asks for a finer grid; 20^3 passes."""
+    with pytest.raises(ConsistencyError) as caught:
+        dw.dirac_operator(_warped_frame(16))
+    message = str(caught.value)
+    print(message)
+    for words in ("self-adjoint", "measured 1.610e-10", "not resolved on the 16^3 grid",
+                  "|m|_inf = 8", "0.00e+00 of p's", "7.14e-10 of g_cov's", "finer grid"):
+        assert words in message
+    assert dw.check_dirac(dw.dirac_operator(_warped_frame(20))).is_dirac
 
 
 def test_dirac_operator_peak_memory(peak_mb):

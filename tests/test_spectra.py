@@ -5,7 +5,7 @@ import pytest
 
 import diracweyl as dw
 from diracweyl.errors import ConsistencyError, InputError
-from diracweyl.spectra import _cluster, _coset_blocks, _tie_free
+from diracweyl.spectra import _cluster, _coset_blocks, _lattice_basis, _tie_free
 
 TRIVIAL = dw.SpinStructure((0.0, 0.0, 0.0))
 HALF3 = dw.SpinStructure((0.0, 0.0, 0.5))
@@ -341,6 +341,44 @@ def test_coset_blocks_follow_lattice_membership():
         block_of[row] = b
     in_lattice = np.array([[tuple(d) in lattice for d in modes - m] for m in modes])
     assert np.array_equal(in_lattice, block_of[:, None] == block_of[None, :])
+
+
+def _coset_blocks_by_rows(modes, ks):
+    """The previous labelling: np.unique over the representatives' rows."""
+    rep = modes.copy()
+    for row in _lattice_basis(ks):
+        col = np.flatnonzero(row)[0]
+        rep -= (rep[:, col] // row[col])[:, None] * row
+    label = np.unique(rep, axis=0, return_inverse=True)[1].ravel()
+    size = np.bincount(label)[label]
+    order = np.lexsort((label, size))
+    sizes, n_modes = np.unique(size[order], return_counts=True)
+    return [idx.reshape(-1, b) for idx, b in zip(np.split(order, np.cumsum(n_modes)[:-1]), sizes)]
+
+
+@pytest.mark.parametrize("ks", [
+    [[0, 0, 0]],
+    [[0, 0, 1], [0, 0, -1]],
+    [[1, 1, 0], [-1, -1, 0], [0, 0, 2]],
+    [[0, 0, 0], [2, 1, 0], [-2, -1, 0], [0, 3, 1], [1, 0, 3]],
+    [[3, -5, 7], [-3, 5, -7]],
+], ids=["zero", "x3-line", "plane-and-step", "index-19", "skew-line"])
+def test_coset_codes_give_the_row_labels(ks):
+    """One int64 code per representative orders the cosets as their rows do, so the
+    blocks, and with them the tables, are the same."""
+    ax = np.arange(-4, 5)
+    modes = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
+    got, want = _coset_blocks(modes, np.array(ks)), _coset_blocks_by_rows(modes, np.array(ks))
+    assert len(got) == len(want)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_coset_labels_peak_memory(peak_mb):
+    """Cutoff 40, 531441 modes, each its own coset: np.unique over the rows peaked at
+    64.3 MB of traced allocation; the 1-D codes peak at 30.3 MB."""
+    ax = np.arange(-40, 41)
+    modes = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
+    assert peak_mb(lambda: _coset_blocks(modes, np.zeros((1, 3), dtype=np.int64))) <= 35.0
 
 
 def test_block_solve_memory(peak_mb):
