@@ -183,16 +183,16 @@ def _dirac_a0(sym: PrincipalSymbolField) -> np.ndarray:
 
 
 def apply_operator(op: FirstOrderOperator, v: np.ndarray) -> np.ndarray:
-    """Apply the operator to a two-component field v[..., 2] spectrally."""
+    """Apply the operator to a spinor field v[..., 2] spectrally: a0 v - i s^j w_j, w_j = p_j^a d_a v."""
     v = np.asarray(v, dtype=complex)
     if v.shape != op.a0.shape[:3] + (2,):
         raise InputError(f"spinor field must have shape (n, n, n, 2), got {v.shape}")
-    s = op.sigma.sigma
+    dv = [spectral_derivative(v, a + 1) for a in range(3)]
+    p = op.sigma.p[..., None]  # p_j^a, broadcast over the spinor index
+    w1, w2, w3 = (sum(p[..., j, a, :] * dv[a] for a in range(3)) for j in range(3))
     out = np.einsum("...pq,...q->...p", op.a0, v)
-    for a in range(3):
-        out = out - 1j * np.einsum(
-            "...pq,...q->...p", s[..., a, :, :], spectral_derivative(v, a + 1)
-        )
+    out[..., 0] -= 1j * (w1[..., 1] - 1j * w2[..., 1] + w3[..., 0])
+    out[..., 1] -= 1j * (w1[..., 0] + 1j * w2[..., 0] - w3[..., 1])
     return out
 
 

@@ -6,14 +6,13 @@ each one base64 string of little-endian float64 bytes.  Grid points are
 flattened with the first coordinate varying fastest.  Frame, symbol and
 operator files all store the 9 real frame components per point under
 "frame" (a symbol's p, which is its frame); only an operator's a0 is
-complex, stored as (re, im) pairs of float64.  Version-2 files, which
-held the same arrays as nested JSON lists, and version-1 symbol and
-operator files, which stored the complex symbol matrices under "sigma",
-still load.  Headers stay readable and diffable; the arrays are
-readable from any language with a base64 decoder but are not diffable.
+complex, stored as (re, im) pairs of float64.  Files of format
+versions 1 and 2 (complex symbol matrices, or nested JSON lists) are
+refused.  Headers stay readable and diffable; the arrays are readable
+from any language with a base64 decoder but are not diffable.
 
-Reading checks a file with the standard library first: the header and,
-in version 3, each array's base64 and byte count.  Only then does it
+Reading checks a file with the standard library first: the header and
+each array's base64 and byte count.  Only then does it
 import numpy and the classes, so the command line refuses a malformed
 file without them.
 """
@@ -37,8 +36,8 @@ if TYPE_CHECKING:
 _FORMAT_VERSION = 3
 
 # Components per grid point of each stored array, and whether they are
-# complex (stored as (re, im) pairs); "sigma" holds a version-1 file's symbol matrices.
-_COMPONENTS = {"sigma": ((3, 2, 2), True), "frame": ((3, 3), False), "a0": ((2, 2), True)}
+# complex (stored as (re, im) pairs).
+_COMPONENTS = {"frame": ((3, 3), False), "a0": ((2, 2), True)}
 
 
 def _flatten_grid(arr: np.ndarray) -> np.ndarray:
@@ -106,16 +105,13 @@ def load_operator(path: str) -> FirstOrderOperator:
 
 def _from_document(doc: dict, path: str):
     """The frame, symbol or operator a checked document holds."""
-    from .geometry import FrameField, PrincipalSymbolField, symbol_from_frame
+    from .geometry import FrameField, symbol_from_frame
     from .operators import FirstOrderOperator
 
-    if doc["format_version"] == 1 and doc["kind"] != "frame":
-        sym = PrincipalSymbolField(_grid_array(doc, "sigma", path))
-    else:
-        e = _grid_array(doc, "frame", path)
-        if doc["kind"] == "frame":
-            return FrameField(e)
-        sym = symbol_from_frame(e)
+    e = _grid_array(doc, "frame", path)
+    if doc["kind"] == "frame":
+        return FrameField(e)
+    sym = symbol_from_frame(e)
     if doc["kind"] == "principal-symbol":
         return sym
     return FirstOrderOperator(sym, _grid_array(doc, "a0", path))
@@ -124,8 +120,8 @@ def _from_document(doc: dict, path: str):
 def _load_document(path: str, kind: str | None = None) -> dict:
     """Parse a file once and check it with the standard library; kind=None accepts every known kind.
 
-    Checks the header and, in version 3, replaces each array the kind
-    holds by its base64-decoded bytes, checked against the chart.
+    Checks the header and replaces each array the kind holds by its
+    base64-decoded bytes, checked against the chart.
     """
     try:
         with open(path) as fh:
@@ -139,15 +135,14 @@ def _load_document(path: str, kind: str | None = None) -> dict:
     if got not in wanted:
         raise InputError(f"{path} holds {got!r}, expected {' or '.join(map(repr, wanted))}")
     version = doc.get("format_version")
-    if type(version) is not int or version not in (1, 2, _FORMAT_VERSION):  # not a bool, not 2.0
-        raise InputError(f"{path}: unsupported format version {version!r}; "
-                         f"expected the integer 1, 2 or {_FORMAT_VERSION}")
+    if type(version) is not int or version != _FORMAT_VERSION:  # not a bool, not 3.0
+        raise InputError(f"{path}: unsupported format version {version!r}; expected the "
+                         f"integer {_FORMAT_VERSION} (only format version {_FORMAT_VERSION} is read)")
     chart = doc.get("chart")
     if not isinstance(chart, dict) or not isinstance(chart.get("grid"), int) or chart["grid"] < 1:
         raise InputError(f"{path}: chart.grid must be a positive integer")
-    if version == _FORMAT_VERSION:
-        for key in ("frame", "a0") if got == "operator" else ("frame",):
-            doc[key] = _decoded(doc.get(key), key, _flat_shape(doc, key), path)
+    for key in ("frame", "a0") if got == "operator" else ("frame",):
+        doc[key] = _decoded(doc.get(key), key, _flat_shape(doc, key), path)
     return doc
 
 
@@ -158,36 +153,25 @@ def _flat_shape(doc: dict, key: str) -> tuple:
 
 
 def _grid_array(doc: dict, key: str, path: str) -> np.ndarray:
-    """The grid field stored under key in a checked document, checked against the chart.
+    """The grid field stored under key in a checked document.
 
-    A version-3 array arrives as the little-endian float64 bytes that
-    _load_document decoded; versions 1 and 2 hold nested lists.  Either
-    way the result is a writable view of a fresh array, sharing no
-    memory with doc.
+    The array arrives as the little-endian float64 bytes that
+    _load_document decoded and checked against the chart.  The result
+    is a writable view of a fresh array, sharing no memory with doc.
     """
     import numpy as np
 
-    n = doc["chart"]["grid"]
-    want = _flat_shape(doc, key)
-    if doc["format_version"] == 3:
-        # frombuffer over bytes is read-only; astype copies into native, writable memory
-        flat = np.frombuffer(doc[key], dtype="<f8").astype(float).reshape(want)
-    else:
-        try:
-            flat = np.asarray(doc[key], dtype=float)
-        except (KeyError, TypeError, ValueError):
-            raise InputError(f"{path}: {key!r} is missing or not a regular array of numbers") from None
-    if flat.shape != want:
-        raise InputError(f"{path}: {key!r} has shape {flat.shape}, grid {n} needs {want}")
+    # frombuffer over bytes is read-only; astype copies into native, writable memory
+    flat = np.frombuffer(doc[key], dtype="<f8").astype(float).reshape(_flat_shape(doc, key))
     if not np.all(np.isfinite(flat)):
         raise InputError(f"{path}: {key!r} holds non-finite numbers")
     if _COMPONENTS[key][1]:
         flat = np.ascontiguousarray(flat).view(complex)[..., 0]  # keeps signed zeros
-    return _unflatten_grid(flat, n)
+    return _unflatten_grid(flat, doc["chart"]["grid"])
 
 
 def _decoded(text, key: str, want: tuple, path: str) -> bytes:
-    """The bytes of a version-3 base64 string, checked to hold float64 values of shape want."""
+    """The bytes of a base64 string, checked to hold float64 values of shape want."""
     if not isinstance(text, str):
         raise InputError(f"{path}: {key!r} is missing or not a base64 string")
     try:

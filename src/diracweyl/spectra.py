@@ -23,27 +23,32 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .defaults import _DEFAULT_KERNEL_WIDTH
 from .errors import ConsistencyError, InputError, gate
 from .fields import _integer_modes
-from .operators import FirstOrderOperator
+
+if TYPE_CHECKING:
+    from .operators import FirstOrderOperator
 
 _CLUSTER_TOL = 1e-7
 _ON_EIGENVALUE_TOL = 1e-9  # a lambda this close to an eigenvalue sits on it
 _SAMPLES_PER_OCTAVE = 24  # dense geometric sampling of asymptotic_comparison
 _FOURIER_TOL = 1e-13  # smaller Fourier coefficients of operator data are dropped
 
-# Largest Hermitian block solved densely: order 8000 is about 1 GB of
-# complex128.  Larger Galerkin blocks are refused before allocation.
+# Largest Hermitian block solved densely: its solve holds the block and
+# eigvalsh's copy, 32 bytes per entry (34 + 35 MB measured at order 1458),
+# so about 2 GB at order 8000.  Larger blocks are refused before allocation.
 _DENSE_ORDER_BUDGET = 8000
+_BATCH_BYTES = 1 << 22  # matrices of one size solved together; an order above 512 goes alone
 # Longest histogram of q = 4|m - s|^2 an exact table builds (lambda_max
 # up to 1024); it and its table take about 40 bytes per entry.  The same
 # budget caps a sphere table's length, through _q_max a lattice_count
 # radius, and the number of modes in a Galerkin mode cube (cutoff up to
-# 80; about 240 bytes per mode).
+# 80; about 80 bytes per mode).
 _Q_LENGTH_BUDGET = 1 << 22
 
 
@@ -240,26 +245,28 @@ def lattice_count(center, radius: float) -> int:
 def _operator_fourier_data(op: FirstOrderOperator):
     """Nonzero Fourier modes of the operator coefficients.
 
-    Returns (ks, sig_hats, a0_hats): integer mode vectors (K, 3) and
-    the corresponding coefficient matrices.  Content in a Nyquist bin
+    Returns (ks, coef): integer mode vectors (K, 3) and coef[p, q, a, k],
+    the [p, q] entry of sigma_hat^a(k) for a < 3 and of a0_hat(k) for
+    a = 3.  sigma_hat^a = s^j p_hat_j^a is formed from the transform of
+    the symbol's real components p.  Content in a Nyquist bin
     cannot be assembled faithfully (the mode sign is ambiguous): above
     1e-9 of the coefficient scale we refuse to proceed; below that it
     is discarded, shifting eigenvalues by no more than the dropped
     mass, which is negligible against the quadrature tolerances.
     """
-    s = op.sigma.sigma
-    n = s.shape[0]
-    sig_hat = np.fft.fftn(s, axes=(0, 1, 2)) / n**3
-    a0_hat = np.fft.fftn(op.a0, axes=(0, 1, 2)) / n**3
-    mags = np.abs(sig_hat).reshape(n, n, n, -1).max(axis=-1)
-    mags = np.maximum(mags, np.abs(a0_hat).reshape(n, n, n, -1).max(axis=-1))
+    n = op.a0.shape[0]
+    p1, p2, p3 = np.moveaxis(np.fft.fftn(op.sigma.p, axes=(0, 1, 2)), 3, 0)  # p_hat_j^a as [a]
+    pauli = np.stack([p3, p1 - 1j * p2, p1 + 1j * p2, -p3], axis=-2)  # [2p + q, a]
+    hat = np.concatenate([pauli, np.fft.fftn(op.a0, axes=(0, 1, 2)).reshape(n, n, n, 4, 1)], axis=-1)
+    hat /= n**3
+    mags = np.abs(hat).reshape(n, n, n, -1).max(axis=-1)
     nz = np.nonzero(mags > _FOURIER_TOL)
     ks = _integer_modes(n)[np.stack(nz, axis=1)]
     nyquist = np.any(np.abs(ks) == n // 2, axis=1)
     gate("operator coefficients have content at the Nyquist mode; increase the grid resolution",
          mags[nz][nyquist], 1e-9 * max(1.0, float(mags.max())))
     keep = ~nyquist
-    return ks[keep], sig_hat[nz][keep], a0_hat[nz][keep]
+    return ks[keep], np.moveaxis(hat[nz][keep], 0, -1).reshape(2, 2, 4, -1)
 
 
 def _lattice_basis(ks: np.ndarray) -> np.ndarray:
@@ -331,19 +338,18 @@ def _coset_matrices(m: np.ndarray, code: np.ndarray, slot: np.ndarray, coef: np.
     m holds the cosets' modes (batch, b, 3) and code their codes, whose
     differences address the support table slot.  Entry [p, i, q, j] is
     the [p, q] entry of sigma_hat(k) . m_j + a0_hat(k) with k = m_i - m_j;
-    a k outside the support reads the zero column of coef.
+    a k outside the support reads the zero column of coef.  Each term is
+    gathered into one reused contiguous buffer, into which np.take with
+    mode="clip" allocates nothing (the indices are in range).
     """
     sup = slot[code[:, :, None] - code[:, None, :]]
-    mj = m[:, None, :, :]
-    b = m.shape[1]
-    h = np.empty((len(m), 2, b, 2, b), dtype=complex)
-    for p in range(2):
-        for q in range(2):
-            out, cpq = h[:, p, :, q, :], coef[p, q]
-            np.multiply(cpq[0][sup], mj[..., 0], out=out)
-            out += cpq[1][sup] * mj[..., 1]
-            out += cpq[2][sup] * mj[..., 2]
-            out += cpq[3][sup]
+    w = np.concatenate([m, np.ones_like(m[..., :1])], axis=-1)[:, None]  # m_j^a, then 1 for a0_hat
+    h = np.zeros((len(m), 2, m.shape[1], 2, m.shape[1]), dtype=complex)
+    term = np.empty(sup.shape, dtype=complex)
+    for p, q, a in np.ndindex(2, 2, 4):
+        np.take(coef[p, q, a], sup, out=term, mode="clip")
+        term *= w[..., a]
+        h[:, p, :, q, :] += term
     return h
 
 
@@ -354,11 +360,13 @@ def galerkin_spectrum(op: FirstOrderOperator, mode_cutoff: int, window=None) -> 
     coefficients of the symbol (a band-limited convolution).  It is
     exactly block-diagonal over the cosets of the lattice spanned by
     the coefficients' Fourier support; each block is assembled, checked
-    Hermitian and solved densely on its own, and a block of order above
+    Hermitian and solved densely on its own, blocks of one size in
+    batches of up to _BATCH_BYTES, and at the solve a batch holds only
+    its matrices and eigvalsh's copy of them.  A block of order above
     _DENSE_ORDER_BUDGET is refused before anything is allocated.  So is
     a mode cube of more than _Q_LENGTH_BUDGET modes (cutoff 81 and up):
-    the cube and its coset labels take about 240 bytes per mode, and
-    cutoff 80 takes 8.6 s and a peak RSS of 986 MB on the Dirac operator
+    the cube and its coset labels take about 80 bytes per mode, and
+    cutoff 80 takes 5.8 s and a peak RSS of 355 MB on the Dirac operator
     of standard_frame(8) (2-CPU Xeon VM, one BLAS thread).  Only
     eigenvalues inside `window` are tabulated; the window must sit
     inside the reliable zone |lambda| <= mode_cutoff / 2.  Degenerate
@@ -382,9 +390,10 @@ def galerkin_spectrum(op: FirstOrderOperator, mode_cutoff: int, window=None) -> 
             f"at cutoff {mode_cutoff}; raise the cutoff"
         )
 
-    ks, sig_hats, a0_hats = _operator_fourier_data(op)
+    ks, coef = _operator_fourier_data(op)
     couples = np.all(np.abs(ks) <= 2 * c, axis=1)  # the rest never joins two cube modes
-    ks, sig_hats, a0_hats = ks[couples], sig_hats[couples], a0_hats[couples]
+    ks = ks[couples]
+    coef = np.concatenate([coef[..., couples], np.zeros((2, 2, 4, 1))], axis=-1)  # k absent: 0
     ax = np.arange(-c, c + 1)
     modes = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
     nm = len(modes)
@@ -398,35 +407,40 @@ def galerkin_spectrum(op: FirstOrderOperator, mode_cutoff: int, window=None) -> 
             f"{coupled} into one block; lower the cutoff"
         )
 
-    # Support table over the differences k in [-2c, 2c]^3, addressed by the
-    # mixed-radix code k @ radix, which is linear in k and unique in that box;
-    # negative codes index from the end of slot.  Absent k read the last,
-    # all-zero column of coef.
+    # Support table over the differences k of two modes of one coset, addressed
+    # by the mixed-radix code k @ radix, which is linear in k and unique in
+    # [-2c, 2c]^3; such codes lie in [-reach, reach], and negative ones index
+    # from the end of slot.  Absent k read the last, all-zero column of coef.
     span = 4 * c + 1
     radix = np.array([span * span, span, 1])
-    slot = np.full(span**3, len(ks))
-    slot[ks @ radix] = np.arange(len(ks))
     code = modes @ radix
-    coef = np.zeros((2, 2, 4, len(ks) + 1), dtype=complex)
-    coef[:, :, :3, :-1] = sig_hats.transpose(2, 3, 1, 0)
-    coef[:, :, 3, :-1] = a0_hats.transpose(1, 2, 0)
+    reach = max(int(np.ptp(code[group], axis=1).max()) for group in groups)
+    kcode = ks @ radix
+    near = np.abs(kcode) <= reach
+    slot = np.full(2 * reach + 1, len(ks))
+    slot[kcode[near]] = np.flatnonzero(near)
 
     parts, herm, scale = [], 0.0, 1.0
     for group in groups:
         b = group.shape[1]
-        # blocks of one size are solved together, up to one budget-order block's memory
-        step = max(1, _DENSE_ORDER_BUDGET**2 // (2 * b) ** 2)
+        step = max(1, _BATCH_BYTES // (16 * (2 * b) ** 2))
         for first in range(0, len(group), step):
             idx = group[first:first + step]
             h = _coset_matrices(modes[idx], code[idx], slot, coef)
+            buf = np.empty((len(idx), b, b), dtype=complex)  # the gate and scale read h through it
             for p, q in ((0, 0), (0, 1), (1, 1)):
-                gap = h[:, p, :, q, :] - h[:, q, :, p, :].conj().swapaxes(1, 2)
-                herm = np.maximum(herm, np.abs(gap).max())  # a NaN is kept
-            scale = max(scale, float(np.abs(h).max()))
+                np.conjugate(h[:, q, :, p, :].swapaxes(1, 2), out=buf)
+                np.subtract(h[:, p, :, q, :], buf, out=buf)
+                herm = np.maximum(herm, np.abs(buf, out=buf).real.max())  # a NaN is kept
+            for p, q in np.ndindex(2, 2):
+                scale = max(scale, float(np.abs(h[:, p, :, q, :], out=buf).real.max()))
+            del buf  # so eigvalsh holds only h and its own copy of it
             parts.append(np.linalg.eigvalsh(h.reshape(len(idx), 2 * b, 2 * b)).ravel())
+            del h  # before the next batch is assembled
     herm = gate("projected matrix is not Hermitian; the zeroth-order coefficient is "
                 "inconsistent with formal self-adjointness", herm, 1e-10 * scale)
-    eigs = np.sort(np.concatenate(parts))
+    eigs = np.concatenate(parts)
+    eigs.sort()  # in place: np.sort would hold a third copy beside parts and eigs
 
     # pad by the cluster tolerance so a degenerate cluster sitting on a
     # window edge is kept or dropped whole, never split

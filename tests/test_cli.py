@@ -559,6 +559,19 @@ def test_import_loads_no_numpy_and_no_submodule():
     assert not [m for m in imported if m.startswith("diracweyl.")]
 
 
+def test_exact_spectrum_loads_no_operator_or_geometry_module():
+    """spectra imports FirstOrderOperator for its annotations only."""
+    code = ("import json, sys\n"
+            "from diracweyl.cli import main\n"
+            "assert main(['spectrum', '--shift', '0,0,0.5', '--lambda-max', '3', '--count', '2']) == 0\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('diracweyl.'))))")
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert "diracweyl.spectra" in loaded
+    assert loaded.isdisjoint({"diracweyl.operators", "diracweyl.geometry"})
+
+
 def test_growth_comparison_loads_no_masked_arrays():
     """np.unique of the comparison's samples imported numpy.ma (13-30 ms) in numpy 2.4."""
     proc = _python("-X", "importtime", "-m", "diracweyl.cli", "spectrum", "--lambda-max", "20",

@@ -9,6 +9,7 @@ import pytest
 
 import diracweyl as dw
 from diracweyl import geometry
+from diracweyl.cli import main
 from diracweyl.errors import InputError
 from diracweyl.serialize import _grid_array, _load_document
 
@@ -72,7 +73,7 @@ def test_version_must_be_the_integer_1_2_or_3(tmp_path, version):
     doc = json.loads(path.read_text())
     doc["format_version"] = version
     path.write_text(json.dumps(doc))
-    with pytest.raises(InputError, match="unsupported format version .*expected the integer 1, 2 or 3"):
+    with pytest.raises(InputError, match="unsupported format version .*expected the integer 3 "):
         dw.load_frame(str(path))
 
 
@@ -133,19 +134,17 @@ def _chart(n):
     return {"grid": n, "domain": "[0, 2*pi)^3", "point_order": "x1-fastest"}
 
 
-def _version_1(kind, sym, a0=None):
-    """The document the version-1 writer made: complex symbol matrices under "sigma"."""
-    doc = {"format_version": 1, "kind": kind, "chart": _chart(sym.chart.n), "sigma": _nested(sym.sigma)}
-    if a0 is not None:
-        doc["a0"] = _nested(a0)
-    return doc
-
-
-def _version_2(kind, e, a0=None):
-    """The document the version-2 writer made: the frame components and a0 as nested lists."""
-    doc = {"format_version": 2, "kind": kind, "chart": _chart(e.shape[0]), "frame": _nested(e)}
-    if a0 is not None:
-        doc["a0"] = _nested(a0)
+def _earlier_document(version, kind, op):
+    """The document the version-1 or version-2 writer made: complex symbol matrices under
+    "sigma" (version 1, symbols and operators) or the frame components (version 2), and a0,
+    as nested lists."""
+    doc = {"format_version": version, "kind": kind, "chart": _chart(op.sigma.chart.n)}
+    if version == 1 and kind != "frame":
+        doc["sigma"] = _nested(op.sigma.sigma)
+    else:
+        doc["frame"] = _nested(op.sigma.p)
+    if kind == "operator":
+        doc["a0"] = _nested(op.a0)
     return doc
 
 
@@ -158,28 +157,20 @@ def _same_bits(a, b):
     return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
 
 
-@pytest.mark.parametrize("name", ["standard-torus", "random-band-limited"])
-def test_version_1_documents_load_bit_identical(name, tmp_path):
-    op = dw.build_scenario(name, 16)
-    path = tmp_path / "v1.json"
-    path.write_text(json.dumps(_version_1("operator", op.sigma, op.a0)))
-    back = dw.load_operator(str(path))
-    assert _same_bits(back.sigma.p, op.sigma.p) and _same_bits(back.a0, op.a0)
-    path.write_text(json.dumps(_version_1("principal-symbol", op.sigma)))
-    assert _same_bits(dw.load_symbol(str(path)).p, op.sigma.p)
-
-
-@pytest.mark.parametrize("name", ["standard-torus", "random-band-limited"])
-def test_version_2_documents_load_bit_identical(name, tmp_path):
-    op = dw.build_scenario(name, 16)
-    path = tmp_path / "v2.json"
-    path.write_text(json.dumps(_version_2("operator", op.sigma.p, op.a0)))
-    back = dw.load_operator(str(path))
-    assert _same_bits(back.sigma.p, op.sigma.p) and _same_bits(back.a0, op.a0)
-    path.write_text(json.dumps(_version_2("principal-symbol", op.sigma.p)))
-    assert _same_bits(dw.load_symbol(str(path)).p, op.sigma.p)
-    path.write_text(json.dumps(_version_2("frame", op.sigma.p)))
-    assert _same_bits(dw.load_frame(str(path)).e, op.sigma.p)
+@pytest.mark.parametrize("version, kind", [(1, "operator"), (1, "principal-symbol"), (2, "operator"),
+                                           (2, "principal-symbol"), (2, "frame")])
+def test_format_1_and_2_documents_are_refused(version, kind, tmp_path, capsys):
+    """Only earlier releases wrote them: loading one, or reading it on the command line
+    (exit 2, one error line), names format version 3."""
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(_earlier_document(version, kind, dw.build_scenario("standard-torus", 8))))
+    words = (f"{path}: unsupported format version {version}; "
+             "expected the integer 3 (only format version 3 is read)")
+    load = {"operator": dw.load_operator, "principal-symbol": dw.load_symbol, "frame": dw.load_frame}[kind]
+    with pytest.raises(InputError, match=re.escape(words)):
+        load(str(path))
+    assert main(["decode", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {words}\n"
 
 
 def test_saved_documents_hold_the_nine_frame_components(tmp_path):

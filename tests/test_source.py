@@ -5,8 +5,8 @@ uses what it imports, every module-level private name is read
 somewhere in the package, the package's __all__ lists exactly the
 names of the lazy export table in its __init__, no matmul operand is
 a transposed view, the Pauli encoding and per-float Python lists stay
-out of the file format, and a principal symbol holds its components p
-and nothing else.
+out of the file format, no module builds an operator's complex symbol
+stack, and a principal symbol holds its components p and nothing else.
 """
 
 import ast
@@ -140,17 +140,24 @@ def test_no_matmul_operand_is_a_transposed_view():
 
 
 def test_serialize_stores_no_pauli_encoding():
-    """Files hold the symbol's real frame components; the Pauli encoding lives in geometry.
-
-    A version-1 file's complex matrices are decoded by PrincipalSymbolField, not here.
-    """
-    tree = TREES["serialize.py"]
-    imported = {name for name, _ in _imported(tree)}
+    """Files hold the symbol's real frame components; the Pauli encoding lives in geometry."""
+    imported = {name for name, _ in _imported(TREES["serialize.py"])}
     assert imported.isdisjoint({"PAULI", "pauli_components", "pauli_matrices"})
-    chains = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
-              and node.attr == "sigma" and isinstance(node.value, ast.Attribute)
-              and node.value.attr == "sigma"]
-    assert chains == []
+
+
+def _symbol_stack_reads(tree):
+    """Line numbers of every x.sigma.sigma in the tree: an operator's complex symbol stack."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and node.attr == "sigma" and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "sigma"]
+
+
+def test_no_module_builds_an_operators_complex_symbol_stack():
+    """Library code reads an operator's symbol through its real components op.sigma.p;
+    op.sigma.sigma builds the (n, n, n, 3, 2, 2) complex stack on every read."""
+    assert _symbol_stack_reads(ast.parse("a = op.sigma.sigma\nb = op.sigma.p\nc = sym.sigma\n")) == [1]
+    found = [f"{module}:{line}" for module, tree in TREES.items() for line in _symbol_stack_reads(tree)]
+    assert found == []
 
 
 def _tolist_calls(tree):

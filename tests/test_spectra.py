@@ -387,6 +387,24 @@ def test_block_solve_memory(peak_mb):
     assert peak_mb(lambda: dw.galerkin_spectrum(op, 6)) <= 40.0
 
 
+def test_fully_coupled_block_peak_memory(peak_mb):
+    """One block of order 686 (cutoff 3), a 7.5 MB matrix: assembly and the Hermiticity
+    check traced 14.6 MB with their temporaries; the check buffer is freed before eigvalsh."""
+    op = dw.dirac_operator(dw.random_band_limited_frame(0, 16))
+    assert peak_mb(lambda: dw.galerkin_spectrum(op, 3)) <= 11.5
+
+
+def test_small_blocks_are_batched_by_bytes(peak_mb):
+    """Cutoff 40 on constant coefficients: 531441 blocks of order 2, 34 MB of matrices.
+    Solved in one batch, beside a 33 MB support table over every difference in [-80, 80]^3,
+    the call traced 122.7 MB.  In batches of at most 4 MB, with a table over the differences
+    inside one coset (here k = 0 alone), the peak is the coset labelling's."""
+    op = dw.dirac_operator(dw.standard_frame(8))
+    table = dw.galerkin_spectrum(op, 40, window=(-1.0, 1.0))
+    assert (table.metadata["block_count"], table.metadata["max_block_order"]) == (531441, 2)
+    assert peak_mb(lambda: dw.galerkin_spectrum(op, 40, window=(-1.0, 1.0))) <= 44.0
+
+
 def test_fully_coupled_block_over_budget_refused():
     op = dw.dirac_operator(dw.random_band_limited_frame(0))
     with pytest.raises(InputError, match="18522.*couples every mode into one block"):
