@@ -11,12 +11,12 @@ decoded frame and A_sub the subprincipal symbol.  The module computes
 these closed forms and, independently, the momentum-space fibre
 integrals they compress: the first coefficient from tr(A_sub P+), the
 second both from the dual torsion quadratic form and from the U(1)
-curvature of the positive eigenbundle.  That curvature takes the x- and
-xi-derivatives of the gauge-anchored eigenvector from one first-order
-perturbation formula, with the symbol's x-derivative read from the
-analytic gradient of its trigonometric interpolant; no finite
-differences are taken.  Route agreement is what the test-suite and the
-acceptance gate lean on.
+curvature of the positive eigenbundle.  For the trace-free symbol
+s^j m_j(x, xi) that curvature is the spin-1/2 monopole form in m and
+its x- and xi-derivatives, with the x-derivative read from the
+analytic gradient of the symbol's trigonometric interpolant; no
+eigenvector is built and no finite differences are taken.  Route
+agreement is what the test-suite and the acceptance gate lean on.
 """
 
 from __future__ import annotations
@@ -34,10 +34,9 @@ from .geometry import (
     decode_frame,
     decode_metric,
     pauli_components,
-    pauli_matrices,
     torsion,
 )
-from .operators import EPS_CONJ, FirstOrderOperator, subprincipal_symbol
+from .operators import FirstOrderOperator, subprincipal_symbol
 
 
 def _principal(obj) -> PrincipalSymbolField:
@@ -49,80 +48,40 @@ def _principal(obj) -> PrincipalSymbolField:
 
 
 def _vectors3(value, name: str) -> np.ndarray:
-    """A 3-vector or a (k, 3) array of them, as floats."""
+    """A finite 3-vector or a (k, 3) array of them, as floats."""
     arr = np.asarray(value, dtype=float)
     if arr.ndim not in (1, 2) or arr.shape[-1] != 3:
         raise InputError(f"{name} must be a 3-vector or a (k, 3) array, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise InputError(f"{name} has non-finite entries")
     return arr
 
 
 # ---------------------------------------------------------------------------
-# fibre eigenvector algebra
+# eigenbundle curvature
 # ---------------------------------------------------------------------------
 
-def _positive_band(smats: np.ndarray, xis: np.ndarray):
-    """Positive eigenvalue and anchored eigenvector of M(xi) = sigma^a xi_a.
+def _monopole_curvature(p: np.ndarray, dp: np.ndarray, xis: np.ndarray) -> np.ndarray:
+    """-i {v+*, v+} of the positive eigenbundle at one base point, for a batch of covectors.
 
-    smats: (3, 2, 2) symbol matrices at one point; xis: (K, 3).
-    Returns (h, v, anchors): h = |m| > 0 of shape (K,), v of shape
-    (K, 2) and anchors[k] in {0, 1}, the component of v kept real
-    positive.  The anchor is the component of larger modulus, so it is
-    at least 1/sqrt(2).
+    p: (3, 3) symbol components p_j^a at the base point; dp: (3, 3, 3)
+    their coordinate gradient, index 0 the direction; xis: (K, 3).  The
+    symbol sigma(xi) = s^j m_j with m = p xi is trace-free, so the
+    curvature is the spin-1/2 monopole form
+
+        sum_a m . (d_{x^a} m x d_{xi_a} m) / (2 |m|^3),
+
+    with d_{x^a} m = (d_a p) xi and d_{xi_a} m = p[:, a]; no eigenvector
+    is needed.
     """
-    m = pauli_components(np.tensordot(xis, smats, axes=(1, 0)))  # (K, 3)
+    xis = np.atleast_2d(xis)
+    m = np.tensordot(xis, p, axes=(1, 1))  # (K, 3)
     h = np.sqrt((m**2).sum(axis=1))
     if np.any(h < 1e-12):
         raise InputError("covector is (numerically) zero; the fibre eigenvalue degenerates")
-    up = m[:, 2] >= 0.0
-    w = h + np.abs(m[:, 2])
-    off = m[:, 0] + 1j * m[:, 1]
-    v = np.stack([np.where(up, w, np.conj(off)), np.where(up, off, w)], axis=1)
-    return h, v / np.sqrt(2.0 * h * w)[:, None], np.where(up, 0, 1)
-
-
-class _FiberFrame:
-    """Eigenvector derivatives of the positive fibre band at a fixed base point.
-
-    Reads p and its coordinate gradient at the base point from a
-    trigonometric interpolant of p, once each, as symbol matrices.  Both
-    derivatives of v+ come from exact first-order perturbation of the
-    2x2 eigenproblem,
-
-        d v+ = (v-* dM v+) / (2 h) v- + i gamma v+,
-
-    with dM = sigma^a for the covector slot a and dM = (d_a sigma^b) xi_b
-    for the coordinate slot a.  The phase term i gamma v+ keeps the
-    anchored component of v+ real; no finite differences are taken.
-    """
-
-    def __init__(self, interp: TrigInterpolant, x: np.ndarray):
-        self.s_center = pauli_matrices(interp(x).T)  # (3, 2, 2)
-        self.ds = pauli_matrices(np.swapaxes(interp.gradient(x), -1, -2))  # d_a sigma^b
-
-    def eval(self, xis: np.ndarray):
-        """Return (h, v, dv_dx, dv_dxi) for a batch of covectors.
-
-        dv_dx and dv_dxi have shape (3, K, 2); the leading index is the
-        coordinate/covector slot.
-        """
-        xis = np.atleast_2d(np.asarray(xis, dtype=float))
-        h, v, anchors = _positive_band(self.s_center, xis)
-        v_minus = np.conj(v) @ -EPS_CONJ  # EPS_CONJ.T = -EPS_CONJ
-        idx = np.arange(len(xis))
-
-        def derivative(dm):  # dm: (3, K or 1, 2, 2)
-            coef = (np.conj(v_minus)[:, None, :] @ dm @ v[:, :, None])[..., 0, 0] / (2.0 * h)
-            delta = coef[..., None] * v_minus
-            gamma = -delta[:, idx, anchors].imag / v[idx, anchors].real
-            return delta + 1j * gamma[..., None] * v
-
-        dm_dx = np.tensordot(xis, self.ds, axes=(1, 1)).transpose(1, 0, 2, 3)
-        return h, v, derivative(dm_dx), derivative(self.s_center[:, None])
-
-    def curvature(self, xis: np.ndarray) -> np.ndarray:
-        """-i {v+*, v+} = 2 Im sum_a <d_{x^a} v+, d_{xi_a} v+> for a batch of covectors."""
-        _, _, dv_dx, dv_dxi = self.eval(xis)
-        return 2.0 * np.einsum("akp,akp->k", np.conj(dv_dx), dv_dxi).imag
+    dm_dx = np.einsum("ajb,kb->akj", dp, xis)  # (3, K, 3)
+    triple = np.einsum("kj,akj->k", m, np.cross(dm_dx, p.T[:, None, :]))
+    return triple / (2.0 * h**3)
 
 
 def u1_curvature(sym, x, xi):
@@ -130,8 +89,8 @@ def u1_curvature(sym, x, xi):
 
     Equals (c/2) (*T)(xi, xi) / g(xi, xi)^{3/2} for the decoded
     geometry; homogeneous of degree -1 in xi and independent of the
-    anchoring gauge.  A base point x and covector xi give a float; (k, 3)
-    arrays of them, paired row by row, give k values from one
+    eigenvector's phase.  A base point x and covector xi give a float;
+    (k, 3) arrays of them, paired row by row, give k values from one
     interpolant of the symbol.
     """
     sym = _principal(sym)
@@ -139,7 +98,7 @@ def u1_curvature(sym, x, xi):
     if xs.shape != xis.shape:
         raise InputError(f"base points {xs.shape} and covectors {xis.shape} must pair row by row")
     interp = TrigInterpolant(sym.p)
-    vals = np.array([_FiberFrame(interp, pt).curvature(cov)[0]
+    vals = np.array([_monopole_curvature(interp(pt), interp.gradient(pt), cov)[0]
                      for pt, cov in zip(np.atleast_2d(xs), np.atleast_2d(xis))])
     return float(vals[0]) if xs.ndim == 1 else vals
 
@@ -228,8 +187,8 @@ def b2_density_fiber_torsion(sym, points) -> np.ndarray:
 def b2_density_fiber_curvature(sym, points) -> np.ndarray:
     """Fibre quadrature of (9/2) h+ times the eigenbundle curvature.
 
-    The heaviest route: eigenvector derivatives, both from first-order
-    perturbation (see _FiberFrame), at every quadrature node.  The
+    The curvature is the closed monopole form of _monopole_curvature,
+    read from one interpolant value and gradient of p per point.  The
     integrand equals (9c/4) (*T)(xi, xi) on the unit cosphere, a
     quadratic form, so the cosphere rule is exact for it.
     """
@@ -239,12 +198,13 @@ def b2_density_fiber_curvature(sym, points) -> np.ndarray:
     interp = TrigInterpolant(sym.p)
     out = np.empty(len(points))
     for i, p in enumerate(points):
-        fib = _FiberFrame(interp, TWO_PI * np.array(p, dtype=float) / n)
+        x = TWO_PI * np.array(p, dtype=float) / n
+        comps, grad = interp(x), interp.gradient(x)
         g = _gram(sym.p[p])
 
         def integrand(xis):
             h = np.sqrt(np.einsum("ka,ab,kb->k", xis, g, xis))
-            return 4.5 * h * fib.curvature(xis)
+            return 4.5 * h * _monopole_curvature(comps, grad, xis)
 
         out[i] = fiber_ball_quadrature(g, integrand)
     return out

@@ -22,7 +22,9 @@ from .errors import EllipticityError, InputError, gate
 
 TWO_PI = 2.0 * np.pi
 VOLUME = TWO_PI**3
-_PRUNE_TOL = 1e-15  # TrigInterpolant drops smaller Fourier coefficients
+# Fourier coefficients of at most this size count as zero: TrigInterpolant
+# prunes them and the Galerkin assembly in spectra drops them.
+_FOURIER_TOL = 1e-13
 # Largest grid: check_dirac plus b_density of a random Dirac operator peak
 # at 721 MB RSS (8.6 s) at 96^3 and 1656 MB (21.5 s) at 128^3, about
 # 0.8 KB per grid point (2-CPU Xeon VM, one BLAS thread).
@@ -142,7 +144,7 @@ class TrigInterpolant:
     The interpolant agrees with the samples at grid points and is the
     unique band-limited representative (Nyquist content split evenly
     between +n/2 and -n/2 so real fields interpolate to real values).
-    Coefficients of magnitude at most _PRUNE_TOL are pruned for speed.
+    Coefficients of magnitude at most _FOURIER_TOL are pruned for speed.
     """
 
     def __init__(self, values: np.ndarray):
@@ -155,7 +157,7 @@ class TrigInterpolant:
         mvec = np.stack([m1.ravel(), m2.ravel(), m3.ravel()], axis=1).astype(float)
         cflat = coefs.reshape(n**3, *self.value_shape)
         mags = np.abs(cflat).reshape(n**3, -1).max(axis=1)
-        keep = mags > _PRUNE_TOL
+        keep = mags > _FOURIER_TOL
         mvec, cflat = mvec[keep], cflat[keep]
         for ax in range(3):  # split Nyquist-bin content between the two aliased partners
             nyq = mvec[:, ax] == -(n // 2)

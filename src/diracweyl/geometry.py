@@ -166,6 +166,7 @@ class MetricField:
         g = np.asarray(self.g_contra, dtype=float)
         if g.ndim != 5 or g.shape[3:] != (3, 3):
             raise InputError(f"metric field must have shape (n, n, n, 3, 3), got {g.shape}")
+        chart_of(g)
         gate("metric must be symmetric", g - np.swapaxes(g, -1, -2), 1e-12, InputError)
         _check_ellipticity(g)
         self._complete(g)

@@ -36,10 +36,6 @@ from .geometry import (
     torsion,
 )
 
-# Antisymmetric unit eps; conj(v) @ EPS_CONJ.T = -conj(v) @ EPS_CONJ is the negative-band
-# eigenvector that the fibre frame in asymptotics pairs with the positive one v.
-EPS_CONJ = np.array([[0.0, -1.0], [1.0, 0.0]])
-
 IDENTITY2 = np.eye(2, dtype=complex)
 
 
@@ -423,7 +419,7 @@ def check_dirac(op: FirstOrderOperator, tol: float = _DEFAULT_TOL) -> DiracVerdi
 
     trace_half = 0.5 * (asub[..., 0, 0] + asub[..., 1, 1])
     devi = pauli_components(asub - trace_half[..., None, None] * IDENTITY2)
-    cond_a = float(np.sqrt((devi**2).sum(axis=-1)).max())
+    cond_a = float(np.hypot(np.hypot(devi[..., 0], devi[..., 1]), devi[..., 2]).max())  # no overflow
 
     cond_b = float(np.abs(_coefficients(metric, asub, tor).b).max())
 

@@ -212,10 +212,20 @@ def _sphere_spectrum(lambda_max: float) -> SpectrumTable:
 
 
 def _shifted_torus_spectrum(lambda_max: float, q: float) -> SpectrumTable:
-    """Adding q*I shifts every eigenvalue of the flat operator by q."""
+    """Adding q*I shifts every eigenvalue of the flat operator by q.
+
+    The shifted table is cut from an unshifted one reaching
+    lambda_max + |q|; a reach the exact table refuses is refused naming q.
+    """
     from .spectra import SpectrumTable
 
-    base = _torus_spectrum((0.0, 0.0, 0.0), lambda_max + abs(q))
+    reach = lambda_max + abs(q)
+    try:
+        base = _torus_spectrum((0.0, 0.0, 0.0), reach)
+    except InputError as exc:
+        raise InputError(f"q = {q} shifts every eigenvalue, so the exact table must reach "
+                         f"lambda_max + |q| = {reach}, which it refuses; lower lambda_max or |q|"
+                         ) from exc
     lo, hi = base.coverage
     return SpectrumTable(
         base.values + q, base.multiplicities, "exact-shifted", (lo + q, hi + q), {"q": q}

@@ -29,7 +29,7 @@ import numpy as np
 
 from .defaults import _DEFAULT_KERNEL_WIDTH
 from .errors import ConsistencyError, InputError, gate
-from .fields import _integer_modes
+from .fields import _FOURIER_TOL, _integer_modes
 
 if TYPE_CHECKING:
     from .operators import FirstOrderOperator
@@ -37,7 +37,6 @@ if TYPE_CHECKING:
 _CLUSTER_TOL = 1e-7
 _ON_EIGENVALUE_TOL = 1e-9  # a lambda this close to an eigenvalue sits on it
 _SAMPLES_PER_OCTAVE = 24  # dense geometric sampling of asymptotic_comparison
-_FOURIER_TOL = 1e-13  # smaller Fourier coefficients of operator data are dropped
 
 # Largest Hermitian block solved densely: its solve holds the block and
 # eigvalsh's copy, 32 bytes per entry (34 + 35 MB measured at order 1458),

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 import diracweyl as dw
-from diracweyl.asymptotics import _FiberFrame
 from diracweyl.errors import ConsistencyError, InputError
 from diracweyl.fields import TrigInterpolant
 from diracweyl.geometry import pauli_components, pauli_matrices
-from diracweyl.operators import EPS_CONJ
 
 SAMPLE_INDICES = np.array([(0, 0, 0), (3, 7, 11), (8, 2, 5), (15, 15, 1), (4, 12, 9)])
 
@@ -93,8 +91,48 @@ def _symbol_at(interp, x):
     return pauli_matrices(np.swapaxes(interp(x), -1, -2))
 
 
+# conj(v) @ EPS_CONJ.T is the negative-band eigenvector paired with the positive one v
+EPS_CONJ = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+def _perturbation_frame(interp, x, xis):
+    """Oracle: anchored positive eigenvectors and their derivatives by perturbation.
+
+    At base point x and covectors xis (K, 3) returns (smats, h, v, dv_dx,
+    dv_dxi): the symbol matrices sigma^a, h = |m|, and the positive
+    eigenvector v of sigma(xi) with its larger component (index 0 when
+    m3 >= 0, else 1) kept real positive.  Both derivatives, shape
+    (3, K, 2) with the slot index first, come from exact first-order
+    perturbation of the 2x2 eigenproblem,
+
+        d v = (v-* dM v) / (2 h) v- + i gamma v,
+
+    with dM = sigma^a for the covector slot a and dM = (d_a sigma^b) xi_b
+    for the coordinate slot a; the phase gamma keeps the anchored
+    component of v real.
+    """
+    xis = np.atleast_2d(xis)
+    smats = _symbol_at(interp, x)
+    ds = pauli_matrices(np.swapaxes(interp.gradient(x), -1, -2))  # d_a sigma^b
+    m = pauli_components(np.tensordot(xis, smats, axes=(1, 0)))
+    h = np.linalg.norm(m, axis=1)
+    anchors = (m[:, 2] < 0).astype(int)
+    v = _anchored(smats, xis, anchors)
+    v_minus = np.conj(v) @ EPS_CONJ.T
+    idx = np.arange(len(xis))
+
+    def derivative(dm):  # dm: (3, K or 1, 2, 2)
+        coef = (np.conj(v_minus)[:, None, :] @ dm @ v[:, :, None])[..., 0, 0] / (2.0 * h)
+        delta = coef[..., None] * v_minus
+        gamma = -delta[:, idx, anchors].imag / v[idx, anchors].real
+        return delta + 1j * gamma[..., None] * v
+
+    dm_dx = np.tensordot(xis, ds, axes=(1, 1)).transpose(1, 0, 2, 3)
+    return smats, h, v, derivative(dm_dx), derivative(smats[:, None])
+
+
 def test_fiber_frame_derivatives_match_richardson_differences(random_setup):
-    """Both perturbation derivatives against finite differences with the anchor held fixed."""
+    """Both oracle derivatives against finite differences with the anchor held fixed."""
     _, sym, _ = random_setup
     interp = TrigInterpolant(sym.p)
     rng = np.random.default_rng(8)
@@ -104,7 +142,7 @@ def test_fiber_frame_derivatives_match_richardson_differences(random_setup):
         s_x = _symbol_at(interp, x)
         m = pauli_components(np.tensordot(xis, s_x, axes=(1, 0)))
         anchors = (m[:, 2] < 0).astype(int)
-        h, v, dv_dx, dv_dxi = _FiberFrame(interp, x).eval(xis)
+        _, h, v, dv_dx, dv_dxi = _perturbation_frame(interp, x, xis)
         mats = np.tensordot(xis, s_x, axes=(1, 0))  # sigma(xi), with det = -g(xi, xi)
         assert np.abs((mats @ v[:, :, None])[..., 0] - h[:, None] * v).max() <= 1e-12
         assert np.abs(np.linalg.det(mats) + h**2).max() <= 1e-12
@@ -113,6 +151,31 @@ def test_fiber_frame_derivatives_match_richardson_differences(random_setup):
         ref_xi = _richardson(lambda dxi: _anchored(s_x, xis + dxi, anchors))
         assert np.abs(dv_dx - ref_x).max() <= 1e-9
         assert np.abs(dv_dxi - ref_xi).max() <= 1e-9
+
+
+def test_u1_curvature_matches_the_perturbation_oracle(random_setup):
+    """The closed monopole form against 2 Im sum_a <d_{x^a} v+, d_{xi_a} v+>.
+
+    20 seeded (x, xi), and at five more base points covectors with
+    m3 = 0 and m3 = +-1e-9, where the oracle's anchor switches.
+    """
+    _, sym, _ = random_setup
+    interp = TrigInterpolant(sym.p)
+    rng = np.random.default_rng(11)
+    xs = list(rng.uniform(0.0, 2.0 * np.pi, size=(20, 3)))
+    xis = list(rng.standard_normal((20, 3)))
+    for x in rng.uniform(0.0, 2.0 * np.pi, size=(5, 3)):
+        row3 = interp(x)[2]  # m3 = row3 . xi
+        flat = rng.standard_normal(3)
+        flat -= (row3 @ flat) / (row3 @ row3) * row3
+        for m3 in (0.0, 1e-9, -1e-9):
+            xs.append(x)
+            xis.append(flat + m3 / (row3 @ row3) * row3)
+    xs, xis = np.array(xs), np.array(xis)
+    ref = np.array([2.0 * np.einsum("akp,akp->k", np.conj(dx), dxi)[0].imag
+                    for dx, dxi in (_perturbation_frame(interp, x, xi)[3:]
+                                    for x, xi in zip(xs, xis))])
+    assert np.all(np.abs(dw.u1_curvature(sym, xs, xis) - ref) <= 1e-12 * np.abs(ref))
 
 
 def _count_interpolant_use(monkeypatch):
@@ -166,8 +229,7 @@ def test_generalized_poisson_identities(random_setup):
         x = rng.uniform(0.0, 2.0 * np.pi, size=3)
         xi = rng.normal(size=3)
         xi *= rng.uniform(0.5, 2.0) / np.linalg.norm(xi)
-        fib = _FiberFrame(interp, x)
-        h, v, dv_dx, dv_dxi = fib.eval(xi)
+        smats, h, v, dv_dx, dv_dxi = _perturbation_frame(interp, x, xi)
         h0, v0 = h[0], v[0]
         dx, dxi = dv_dx[:, 0, :], dv_dxi[:, 0, :]
 
@@ -176,7 +238,7 @@ def test_generalized_poisson_identities(random_setup):
             return left - np.einsum("ap,pq,aq->", np.conj(dxi), q, dx)
 
         plain = bracket(eye)
-        mat = np.tensordot(xi, fib.s_center, axes=(0, 0))
+        mat = np.tensordot(xi, smats, axes=(0, 0))
         assert abs(1.5j * bracket(mat - 2.0 * h0 * eye) + 4.5j * h0 * plain) < 1e-9
         assert abs(bracket(np.outer(v0, np.conj(v0)))) < 1e-9
         dx_m = np.conj(dx) @ EPS_CONJ.T
@@ -287,10 +349,16 @@ def test_u1_curvature_rejects_zero_covector(random_setup):
          "must pair row by row"),
         (lambda op: dw.u1_curvature(op.sigma, np.zeros((1, 1, 3)), np.ones((1, 1, 3))),
          "base point x"),
+        (lambda op: dw.u1_curvature(op.sigma, np.full(3, np.nan), np.ones(3)),
+         "base point x has non-finite entries"),
+        (lambda op: dw.u1_curvature(op.sigma, np.zeros((2, 3)), [[1.0, 0.0, 0.0], [0, np.inf, 0]]),
+         "covector xi has non-finite entries"),
+        (lambda op: dw.u1_curvature(op.sigma, np.zeros(3), [np.nan, 1.0, 0.0]),
+         "covector xi has non-finite entries"),
         (lambda op: dw.b1_density_fiber(op.sigma, [(0, 0, 0)]), "op must be a FirstOrderOperator"),
     ],
     ids=["u1-2-vector-point", "u1-2-vector-covector", "u1-unpaired-batch", "u1-rank-3-points",
-         "b1-given-a-symbol"],
+         "u1-nan-point", "u1-inf-covector-in-batch", "u1-nan-covector", "b1-given-a-symbol"],
 )
 def test_fiber_inputs_are_refused_by_name(call, message):
     op = dw.dirac_operator(dw.standard_frame(8))

@@ -91,6 +91,14 @@ class TestCheckDirac:
         assert report["is_dirac"] is False
         assert abs(report["cond_b_residual"] - 0.3 / (2 * np.pi**2)) < 1e-9
 
+    def test_cond_a_of_a_huge_traceless_term_stays_finite(self, capsys):
+        """cond_a is the norm of the traceless part, with no overflow on the way: its
+        squares overflowed, and the report held Infinity, which is not JSON."""
+        code, report = _run(capsys, "check-dirac", "--scenario", "dirac-plus-traceless",
+                            "--epsilon", "2e154", "--grid", "4")
+        assert code == 1 and report["is_dirac"] is False
+        assert report["cond_a_residual"] == pytest.approx(2e154, rel=1e-12)
+
     def test_operator_file_input(self, tmp_path, capsys):
         path = tmp_path / "op.json"
         dw.save_operator(dw.dirac_operator(dw.standard_frame(8)), str(path))
@@ -295,6 +303,9 @@ REFUSED = {
     "negative-grid": ["decode", "--scenario", "standard-torus", "--grid", "-4"],
     "negative-grid-random": ["asymptotics", "--scenario", "random-band-limited", "--grid", "-4"],
     "negative-seed": ["check-dirac", "--scenario", "random-band-limited", "--seed", "-1"],
+    # named a lambda_max of 2005.0 that was never asked for
+    "shifted-table-over-budget": ["spectrum", "--scenario", "dirac-plus-scalar", "--q", "2000",
+                                  "--lambda-max", "5"],
 }
 # the flag and its reader, which the error message names
 NAMED = {
@@ -308,6 +319,8 @@ NAMED = {
     "grid-over-ceiling": ("grid size 100000 is over the ceiling of 128",),
     "galerkin-cube-over-budget": ("cutoff 100000", "budget of 4194304"),
     "lambda-max-1e300": ("lambda_max 1e+300", "budget of 4194304"),
+    "shifted-table-over-budget": ("q = 2000.0", "lambda_max + |q| = 2005.0",
+                                  "lower lambda_max or |q|"),
     "twist-1e20": ("n > 2|k3| = 200000000000000000000",),
     "sphere-over-budget": ("lambda_max", "budget"),
     "negative-grid": ("grid size must be even and >= 4, got -4",),
@@ -502,7 +515,9 @@ MALFORMED = {
 
 def _python(*args):
     src = str(Path(dw.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    # pytest's filterwarnings covers its own process only; a child's warning fails it here
+    env = dict(os.environ, PYTHONPATH=path, PYTHONWARNINGS="error")
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120,
     )

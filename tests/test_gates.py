@@ -223,6 +223,11 @@ REFUSED_BRANCHES = {
     "frame-non-finite": (_non_finite_frame, InputError, "non-finite"),
     "metric-shape": (lambda: dw.MetricField(np.zeros((8, 8, 8, 2, 2))), InputError,
                      "metric field must have shape"),
+    # a metric on a grid no chart samples was accepted, though a frame on it is refused
+    "metric-non-cubic": (lambda: dw.MetricField(np.broadcast_to(np.eye(3), (4, 5, 6, 3, 3))),
+                         InputError, "three equal leading grid axes, got shape (4, 5, 6, 3, 3)"),
+    "metric-odd-grid": (lambda: dw.MetricField(np.broadcast_to(np.eye(3), (5, 5, 5, 3, 3))),
+                        InputError, "grid size must be even and >= 4, got 5"),
     "gauge-shape": (lambda: dw.GaugeField(np.zeros((8, 8, 8, 3, 3))), InputError,
                     "gauge field must have shape"),
     "lift-shape": (lambda: dw.su2_lift(np.zeros((8, 8, 8, 2, 2))), InputError,

@@ -7,7 +7,7 @@ import diracweyl as dw
 from diracweyl.errors import ConsistencyError, InputError
 from diracweyl.fields import PeriodicChart, derivative_stack
 from diracweyl.geometry import PAULI, christoffel_symbols, pauli_components
-from diracweyl.operators import EPS_CONJ, divergence_sigma
+from diracweyl.operators import divergence_sigma
 
 
 def _twist_gauge(k3, n):
@@ -59,6 +59,9 @@ def test_operator_rejects_non_self_adjoint():
         dw.FirstOrderOperator(dw.symbol_from_frame(fr), a0)
     with pytest.raises(InputError, match="a0 must have shape"):
         dw.FirstOrderOperator(dw.symbol_from_frame(fr), np.zeros((n, n, n, 3, 3)))
+
+
+EPS_CONJ = np.array([[0.0, -1.0], [1.0, 0.0]])  # antisymmetric unit eps
 
 
 def _charge_conjugation(v):
