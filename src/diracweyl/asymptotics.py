@@ -26,11 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, gate
-from .fields import TWO_PI, TrigInterpolant, fiber_ball_quadrature, grid_integral
+from .fields import TWO_PI, TrigInterpolant, _transposed, fiber_ball_quadrature, grid_integral
 from .geometry import (
     MetricField,
     PrincipalSymbolField,
-    _gram,
     decode_frame,
     decode_metric,
     pauli_components,
@@ -150,7 +149,7 @@ def b1_density_fiber(op: FirstOrderOperator, points) -> np.ndarray:
     out = np.empty(len(points))
     for i, p in enumerate(points):
         comps, amat = op.sigma.p[p], asub[p]
-        g = _gram(comps)
+        g = _transposed(comps) @ comps  # g^{ab} = p_j^a p_j^b at this point only
         tr_a = np.trace(amat).real
         tr_as = 2.0 * pauli_components(amat - 0.5 * tr_a * np.eye(2))  # tr(A_sub s^j)
 
@@ -200,7 +199,7 @@ def b2_density_fiber_curvature(sym, points) -> np.ndarray:
     for i, p in enumerate(points):
         x = TWO_PI * np.array(p, dtype=float) / n
         comps, grad = interp(x), interp.gradient(x)
-        g = _gram(sym.p[p])
+        g = _transposed(sym.p[p]) @ sym.p[p]
 
         def integrand(xis):
             h = np.sqrt(np.einsum("ka,ab,kb->k", xis, g, xis))

@@ -14,7 +14,9 @@ for spectrum only, --shift (a flat-torus spin structure, by default
 spectrum flag the chosen method or block does not read is bad input.
 
 Exit codes: 0 success (and positive verdict), 1 negative verdict,
-2 bad input, 3 ellipticity or internal-consistency failure.
+2 bad input, 3 ellipticity or internal-consistency failure.  A reader
+that closes stdout early (| head) ends the process by SIGPIPE, as it
+ends cat, with no traceback.
 
 The parser and every check of a request, an input file's header and
 its base64 arrays included, run on the standard library.  A subcommand
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import signal
 import sys
 from typing import TYPE_CHECKING
 
@@ -383,6 +386,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    Called without argv, main is the process's entry point (the
+    diracweyl script, python -m diracweyl.cli): it restores the default
+    SIGPIPE action where the platform has one.  Python ignores SIGPIPE
+    at start-up, which turns a closed stdout into a BrokenPipeError
+    traceback.
+    """
+    if argv is None and hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -36,17 +36,6 @@ PAULI = np.array(
 _FRAME_CONDITION_LIMIT = 1e8
 
 
-def _adjugate3(m: np.ndarray) -> np.ndarray:
-    """Adjugate of a (..., 3, 3) stack in closed form: adj(m) @ m = det(m) I."""
-    adj = np.empty_like(m)
-    for i in range(3):
-        i1, i2 = (i + 1) % 3, (i + 2) % 3
-        for j in range(3):
-            j1, j2 = (j + 1) % 3, (j + 2) % 3
-            adj[..., j, i] = m[..., i1, j1] * m[..., i2, j2] - m[..., i1, j2] * m[..., i2, j1]
-    return adj
-
-
 def _det3(m: np.ndarray) -> np.ndarray:
     """Determinant of a (..., 3, 3) stack, expanded along its first row."""
     return (m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1])
@@ -59,9 +48,16 @@ def _components_first(m: np.ndarray) -> np.ndarray:
 
     Pointwise products of small matrices then run on whole contiguous
     fields (_matmul_cm), and transposing a matrix only swaps two leading
-    axes; np.moveaxis(m, (0, 1), (-2, -1)) is the grid-first view back.
+    axes; np.moveaxis(m, (0, 1), (-2, -1)) is the grid-first view back,
+    and _grid_first its contiguous copy.
     """
     return np.ascontiguousarray(np.moveaxis(m, (-2, -1), (0, 1)))
+
+
+def _grid_first(m: np.ndarray) -> np.ndarray:
+    """A components-first (r, c, ...) stack as a C-contiguous (..., r, c) copy: the inverse of
+    _components_first."""
+    return np.ascontiguousarray(np.moveaxis(m, (0, 1), (-2, -1)))
 
 
 def _matmul_cm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -77,7 +73,7 @@ def _matmul_cm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     term = np.empty_like(out[0, 0])
     for i in range(x.shape[0]):
         for k in range(y.shape[1]):
-            entry = out[i, k]
+            entry = out[i, k, ...]  # a view also for single matrices
             np.multiply(x[i, 0], y[0, k], out=entry)
             for j in range(1, x.shape[1]):
                 entry += np.multiply(x[i, j], y[j, k], out=term)
@@ -85,8 +81,14 @@ def _matmul_cm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _gram(p: np.ndarray) -> np.ndarray:
-    """g^{ab} = p_j^a p_j^b of a (..., 3, 3) component stack: the metric of a symbol."""
-    return _transposed(p) @ p
+    """g^{ab} = p_j^a p_j^b of a (..., 3, 3) component stack, held components first as g[a, b, ...].
+
+    The metric of a symbol.  g^{ab} and g^{ba} sum the same products in
+    the same order, so g is exactly symmetric; _grid_first gives the
+    (..., 3, 3) layout back.
+    """
+    pc = _components_first(p)
+    return _matmul_cm(pc.swapaxes(0, 1), pc)
 
 
 class PrincipalSymbolField:
@@ -113,7 +115,7 @@ class PrincipalSymbolField:
 
     def _hold(self, p: np.ndarray):
         """Take ownership of the component array p and check ellipticity."""
-        _check_ellipticity(_gram(p), p)
+        _check_ellipticity(_grid_first(_gram(p)), p)
         p.flags.writeable = False
         self.p = p
 
@@ -169,14 +171,30 @@ class MetricField:
         chart_of(g)
         gate("metric must be symmetric", g - np.swapaxes(g, -1, -2), 1e-12, InputError)
         _check_ellipticity(g)
-        self._complete(g)
+        self._complete(_components_first(g))
 
-    def _complete(self, g: np.ndarray):
-        """Hold g and fill g_cov = adj(g)/det(g) and vol = 1/sqrt(det g)."""
-        self.g_contra = g
-        adj = _adjugate3(g)
-        det = (g[..., 0, :] * adj[..., :, 0]).sum(axis=-1)  # first row against its cofactors
-        self.g_cov = adj / det[..., None, None]
+    def _complete(self, gc: np.ndarray):
+        """Fill g_contra, g_cov = adj(g)/det(g) and vol = 1/sqrt(det g) from gc[a, b, ...] = g^{ab}.
+
+        The adjugate adj(g) @ g = det(g) I is written out in closed form,
+        one whole grid field per entry; g_contra and g_cov are stored
+        grid-first and C-contiguous.
+        """
+        adj = np.empty_like(gc)
+        term = np.empty_like(gc[0, 0])
+        for i in range(3):
+            i1, i2 = (i + 1) % 3, (i + 2) % 3
+            for j in range(3):
+                j1, j2 = (j + 1) % 3, (j + 2) % 3
+                np.multiply(gc[i1, j1], gc[i2, j2], out=adj[j, i])
+                adj[j, i] -= np.multiply(gc[i1, j2], gc[i2, j1], out=term)
+        det = gc[0, 0] * adj[0, 0]  # first row against its cofactors
+        det += np.multiply(gc[0, 1], adj[1, 0], out=term)
+        det += np.multiply(gc[0, 2], adj[2, 0], out=term)
+        adj /= det
+        self.g_cov = _grid_first(adj)
+        del adj, term  # before the copy of g allocates
+        self.g_contra = _grid_first(gc)
         self.vol = 1.0 / np.sqrt(det)
 
 
@@ -338,10 +356,19 @@ def orthonormalize_frame(e: np.ndarray) -> FrameField:
 
 
 def coframe(frame: FrameField, metric: MetricField) -> np.ndarray:
-    """Metric-dual coframe c[..., k, b] = c^k_b = delta^{kj} g_{bc} e_j^c, shape (n, n, n, 3, 3)."""
-    c = frame.e @ metric.g_cov  # g_cov is symmetric
-    gate("frame/coframe duality violated", c @ _transposed(frame.e) - np.eye(3), 1e-10)
-    return c
+    """Metric-dual coframe c[..., k, b] = c^k_b = delta^{kj} g_{bc} e_j^c, shape (n, n, n, 3, 3).
+
+    The product and the duality residual c e^T - I are formed components
+    first; the coframe is returned grid-first and C-contiguous.
+    """
+    ec = _components_first(frame.e)
+    c = _matmul_cm(ec, _components_first(metric.g_cov))  # g_cov is symmetric
+    dual = _matmul_cm(c, ec.swapaxes(0, 1))
+    for k in range(3):
+        dual[k, k] -= 1.0
+    gate("frame/coframe duality violated", np.moveaxis(dual, (0, 1), (-2, -1)), 1e-10)
+    del ec, dual  # before the grid-first copy allocates
+    return _grid_first(c)
 
 
 # g_cov's six independent entries, packed in this order; _PACKED[c][d] is the place of g_cd.

@@ -25,6 +25,7 @@ from .geometry import (
     FrameField,
     PrincipalSymbolField,
     _components_first,
+    _grid_first,
     _gram,
     _matmul_cm,
     christoffel_symbols,
@@ -255,7 +256,7 @@ def gauge_transform(op: FirstOrderOperator, gauge: GaugeField) -> FirstOrderOper
     x[0] -= 1j * (d[0, 1] - 1j * d[1, 1] + d[2, 0])
     x[1] -= 1j * (d[0, 0] + 1j * d[1, 0] - d[2, 1])
     del d, grid_first, rh  # so the results can take their place
-    a0_new = np.ascontiguousarray(np.moveaxis(_matmul_cm(rc, x), (0, 1), (3, 4)))
+    a0_new = _grid_first(_matmul_cm(rc, x))
     return FirstOrderOperator(symbol_from_frame(so3_from_su2(r) @ op.sigma.p), a0_new)
 
 
@@ -280,8 +281,8 @@ def so3_from_su2(r: np.ndarray) -> np.ndarray:
         o[..., 0, k] = upper[k].real
         o[..., 1, k] = -upper[k].imag
         o[..., 2, k] = diagonal[k]
-    gate("adjoint rotation is not orthogonal; input is not SU(2)", _gram(o) - np.eye(3), 1e-10,
-         InputError)
+    gate("adjoint rotation is not orthogonal; input is not SU(2)",
+         _grid_first(_gram(o)) - np.eye(3), 1e-10, InputError)
     gate("determinant is not 1; input is not SU(2)", _det2(r) - 1.0, 1e-10, InputError)
     return o
 

@@ -216,9 +216,13 @@ def _shifted_torus_spectrum(lambda_max: float, q: float) -> SpectrumTable:
 
     The shifted table is cut from an unshifted one reaching
     lambda_max + |q|; a reach the exact table refuses is refused naming q.
+    lambda_max itself must be positive and finite, as for every exact
+    table: the reach alone would pass a lambda_max <= 0 when |q| is larger.
     """
     from .spectra import SpectrumTable
 
+    if not 0.0 < lambda_max < float("inf"):
+        raise InputError(f"lambda_max must be positive and finite, got {lambda_max}")
     reach = lambda_max + abs(q)
     try:
         base = _torus_spectrum((0.0, 0.0, 0.0), reach)

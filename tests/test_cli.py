@@ -6,6 +6,7 @@ import json
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -306,6 +307,9 @@ REFUSED = {
     # named a lambda_max of 2005.0 that was never asked for
     "shifted-table-over-budget": ["spectrum", "--scenario", "dirac-plus-scalar", "--q", "2000",
                                   "--lambda-max", "5"],
+    # exited 0 with a table covering (1, 3), cut from the reach lambda_max + |q| = 1
+    "shifted-table-negative-lambda-max": ["spectrum", "--scenario", "dirac-plus-scalar", "--q", "2",
+                                          "--lambda-max", "-1"],
 }
 # the flag and its reader, which the error message names
 NAMED = {
@@ -321,6 +325,7 @@ NAMED = {
     "lambda-max-1e300": ("lambda_max 1e+300", "budget of 4194304"),
     "shifted-table-over-budget": ("q = 2000.0", "lambda_max + |q| = 2005.0",
                                   "lower lambda_max or |q|"),
+    "shifted-table-negative-lambda-max": ("lambda_max must be positive and finite, got -1.0",),
     "twist-1e20": ("n > 2|k3| = 200000000000000000000",),
     "sphere-over-budget": ("lambda_max", "budget"),
     "negative-grid": ("grid size must be even and >= 4, got -4",),
@@ -513,13 +518,16 @@ MALFORMED = {
 }
 
 
-def _python(*args):
+def _child_env():
     src = str(Path(dw.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     # pytest's filterwarnings covers its own process only; a child's warning fails it here
-    env = dict(os.environ, PYTHONPATH=path, PYTHONWARNINGS="error")
+    return dict(os.environ, PYTHONPATH=path, PYTHONWARNINGS="error")
+
+
+def _python(*args):
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, *args], capture_output=True, text=True, env=_child_env(), timeout=120,
     )
 
 
@@ -564,6 +572,26 @@ def test_requests_that_compute_nothing_load_no_numpy(case, tmp_path):
     assert want == 0 or any(line.startswith(("error: ", "usage: ")) for line in proc.stderr.splitlines())
     imported = _imported_modules(proc)
     assert "diracweyl.scenarios" in imported and "numpy" not in imported
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_stdout_closed_after_one_line_ends_the_process_quietly():
+    """`spectrum --lambda-max 40 | head -1` printed a BrokenPipeError traceback.  The
+    report (about 800 kB at --lambda-max 100) outgrows the pipe, so the process is still
+    writing when its reader goes; it now ends by SIGPIPE, as cat does, with stderr empty."""
+    proc = subprocess.Popen([sys.executable, "-m", "diracweyl.cli", "spectrum", "--lambda-max",
+                             "100"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=_child_env())
+    try:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == b""
+    assert code == -signal.SIGPIPE
 
 
 def test_import_loads_no_numpy_and_no_submodule():

@@ -8,7 +8,7 @@ import pytest
 import diracweyl as dw
 from diracweyl.errors import ConsistencyError, InputError
 from diracweyl.geometry import PAULI
-from diracweyl.scenarios import SCENARIO_NAMES, build_scenario
+from diracweyl.scenarios import SCENARIO_NAMES, SCENARIOS, build_scenario, scenario_spectrum
 
 
 def test_scenario_names_frozen():
@@ -131,6 +131,16 @@ def test_parameter_the_scenario_does_not_read_is_refused():
     with pytest.raises(InputError, match="does not read k3"):
         build_scenario("standard-torus", 8, k3=2)
     assert dw.scenarios.scenario_params("twisted-torus") == {"k3": 1}
+
+
+@pytest.mark.parametrize("lambda_max", [-1.0, 0.0, np.nan, np.inf])
+@pytest.mark.parametrize("name", [name for name, row in SCENARIOS.items() if row.spectrum])
+def test_exact_tables_refuse_a_lambda_max_that_is_not_positive_and_finite(name, lambda_max):
+    """dirac-plus-scalar read only the reach lambda_max + |q|: at q = 2 a lambda_max of -1
+    gave a table covering (1, 3)."""
+    params = {"q": 2.0} if "q" in SCENARIOS[name].params else {}
+    with pytest.raises(InputError, match="lambda_max must be positive and finite"):
+        scenario_spectrum(name, lambda_max, **params)
 
 
 def test_sphere_scenario_has_no_grid_objects():
