@@ -13,10 +13,11 @@ integrals they compress: the first coefficient from tr(A_sub P+), the
 second both from the dual torsion quadratic form and from the U(1)
 curvature of the positive eigenbundle.  For the trace-free symbol
 s^j m_j(x, xi) that curvature is the spin-1/2 monopole form in m and
-its x- and xi-derivatives, with the x-derivative read from the
-analytic gradient of the symbol's trigonometric interpolant; no
-eigenvector is built and no finite differences are taken.  Route
-agreement is what the test-suite and the acceptance gate lean on.
+its x- and xi-derivatives.  Both second-coefficient routes read the
+x-derivative from the analytic gradient of the symbol's trigonometric
+interpolant at their points alone; no eigenvector is built and no
+finite differences are taken.  Route agreement is what the test-suite
+and the acceptance gate lean on.
 """
 
 from __future__ import annotations
@@ -162,24 +163,63 @@ def b1_density_fiber(op: FirstOrderOperator, points) -> np.ndarray:
     return out
 
 
+def _symbol_jets(sym: PrincipalSymbolField, points: list) -> tuple:
+    """p and its coordinate gradient at grid points, from one interpolant of p.
+
+    Returns p[k, j, a] and dp[k, mu, j, a], mu the direction: one value
+    and one gradient evaluation per point, the gradient being the
+    spectral derivative of the samples there.  No grid field is built.
+    """
+    n = sym.chart.n
+    interp = TrigInterpolant(sym.p)
+    jets = np.empty((len(points), 4, 3, 3))  # the value, then the three derivatives
+    for row, pt in enumerate(points):
+        x = TWO_PI * np.array(pt, dtype=float) / n
+        jets[row, 0], jets[row, 1:] = interp(x), interp.gradient(x)
+    return jets[:, 0], jets[:, 1:]
+
+
+def _torsion_at(sym: PrincipalSymbolField, points: list) -> tuple:
+    """(*T)^a_b, g^{ab} and the charge at grid points, in closed 3x3 algebra per point.
+
+    From the frame e = p and its gradient (_symbol_jets): the coframe
+    c = e^{-T} from cofactors, gated on c e^T = I to 1e-10 as in
+    geometry.coframe; d c = -c (d e)^T c; the curls (d c^j)_{h+1, h+2};
+    *T = e^T (curl c) g_cov / vol; and the charge sign(det p).  No grid
+    field is built, and geometry.torsion, which differentiates the
+    sampled coframe rather than the interpolated frame, is not called.
+    """
+    e, de = _symbol_jets(sym, points)
+    cof = np.cross(e[:, [1, 2, 0]], e[:, [2, 0, 1]])  # row j: e_{j+1} x e_{j+2}
+    det = np.einsum("ka,ka->k", e[:, 0], cof[:, 0])
+    c = cof / det[:, None, None]  # c^k_b = (e^{-T})_{kb}
+    e_t = _transposed(e)
+    gate("frame/coframe duality violated", c @ e_t - np.eye(3), 1e-10)
+    dc = -c[:, None] @ _transposed(de) @ c[:, None]  # d_mu c^j_b as [k, mu, j, b]
+    dc = dc.transpose(0, 2, 1, 3)  # [k, j, mu, b]
+    curl = dc[:, :, [1, 2, 0], [2, 0, 1]] - dc[:, :, [2, 0, 1], [1, 2, 0]]
+    star = e_t @ (curl @ (_transposed(c) @ c))  # g_cov = c^T c
+    star *= np.abs(det)[:, None, None]  # 1/vol = |det e|
+    return star, e_t @ e, np.sign(det)
+
+
 def b2_density_fiber_torsion(sym, points) -> np.ndarray:
-    """Fibre quadrature of (9c/4) (*T)(xi, xi)/g(xi, xi) at grid points."""
+    """Fibre quadrature of (9c/4) (*T)(xi, xi)/g(xi, xi) at grid points.
+
+    *T, g and c are evaluated at the points alone (_torsion_at).
+    """
     sym = _principal(sym)
-    points = _grid_points(points, sym.chart.n)
-    frame = decode_frame(sym)
-    metric = decode_metric(sym)
-    tor = torsion(frame, metric)
-    out = np.empty(len(points))
-    for i, p in enumerate(points):
-        g = metric.g_contra[p]
-        tmat = tor.star_T[p] @ g  # (*T)^a_c g^{cb}, at this point only
+    star, g, charge = _torsion_at(sym, _grid_points(points, sym.chart.n))
+    tmat = star @ g  # (*T)^a_c g^{cb}
+    out = np.empty(len(g))
+    for i in range(len(g)):
 
         def integrand(xis):
-            num = np.einsum("ka,ab,kb->k", xis, tmat, xis)
-            den = np.einsum("ka,ab,kb->k", xis, g, xis)
-            return 2.25 * tor.charge * num / den
+            num = np.einsum("ka,ab,kb->k", xis, tmat[i], xis)
+            den = np.einsum("ka,ab,kb->k", xis, g[i], xis)
+            return 2.25 * charge[i] * num / den
 
-        out[i] = fiber_ball_quadrature(g, integrand)
+        out[i] = fiber_ball_quadrature(g[i], integrand)
     return out
 
 
@@ -187,25 +227,22 @@ def b2_density_fiber_curvature(sym, points) -> np.ndarray:
     """Fibre quadrature of (9/2) h+ times the eigenbundle curvature.
 
     The curvature is the closed monopole form of _monopole_curvature,
-    read from one interpolant value and gradient of p per point.  The
-    integrand equals (9c/4) (*T)(xi, xi) on the unit cosphere, a
-    quadratic form, so the cosphere rule is exact for it.
+    read from one interpolant value and gradient of p per point
+    (_symbol_jets).  The integrand equals (9c/4) (*T)(xi, xi) on the unit
+    cosphere, a quadratic form, so the cosphere rule is exact for it.
     """
     sym = _principal(sym)
-    n = sym.chart.n
-    points = _grid_points(points, n)
-    interp = TrigInterpolant(sym.p)
+    points = _grid_points(points, sym.chart.n)
+    comps, grads = _symbol_jets(sym, points)
+    g = _transposed(comps) @ comps
     out = np.empty(len(points))
-    for i, p in enumerate(points):
-        x = TWO_PI * np.array(p, dtype=float) / n
-        comps, grad = interp(x), interp.gradient(x)
-        g = _transposed(sym.p[p]) @ sym.p[p]
+    for i in range(len(points)):
 
         def integrand(xis):
-            h = np.sqrt(np.einsum("ka,ab,kb->k", xis, g, xis))
-            return 4.5 * h * _monopole_curvature(comps, grad, xis)
+            h = np.sqrt(np.einsum("ka,ab,kb->k", xis, g[i], xis))
+            return 4.5 * h * _monopole_curvature(comps[i], grads[i], xis)
 
-        out[i] = fiber_ball_quadrature(g, integrand)
+        out[i] = fiber_ball_quadrature(g[i], integrand)
     return out
 
 
@@ -239,7 +276,8 @@ def b_density(op: FirstOrderOperator) -> AsymptoticCoefficients:
     with b1 + b2 to rounding.
     """
     metric = decode_metric(op.sigma)
-    return _coefficients(metric, subprincipal_symbol(op), torsion(decode_frame(op.sigma), metric))
+    tor = torsion(decode_frame(op.sigma), metric)  # before A_sub, which its peak need not hold
+    return _coefficients(metric, subprincipal_symbol(op), tor)
 
 
 def _coefficients(metric: MetricField, asub: np.ndarray, tor) -> AsymptoticCoefficients:

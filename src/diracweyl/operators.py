@@ -413,8 +413,8 @@ def check_dirac(op: FirstOrderOperator, tol: float = _DEFAULT_TOL) -> DiracVerdi
     if not 0.0 <= tol < np.inf:
         raise InputError(f"tol must be a finite non-negative number, got {tol}")
     metric = decode_metric(op.sigma)
+    tor = torsion(decode_frame(op.sigma), metric)  # before A_sub, which its peak need not hold
     asub = subprincipal_symbol(op)
-    tor = torsion(decode_frame(op.sigma), metric)
     identity = (0.75 * tor.charge * tor.axial_dual)[..., None, None] * IDENTITY2
     gap = float(np.abs(asub - identity).max())
 

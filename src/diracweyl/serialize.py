@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import base64
 import csv
+import io
 import json
 from math import prod
 from typing import TYPE_CHECKING
 
-from .errors import InputError
+from .errors import ConsistencyError, InputError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -70,11 +71,19 @@ def _encoded(arr: np.ndarray) -> str:
     return base64.b64encode(_flatten_grid(arr).astype(dtype, copy=False).tobytes()).decode("ascii")
 
 
+def _write_text(text: str, path: str) -> None:
+    """Write text to path; a path that cannot be written is bad input, as one that cannot be read."""
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _write_document(doc: dict, path: str) -> None:
     # one json.dumps runs the C encoder; json.dump streams through the
     # pure-Python iterencode and writes the same bytes about twice as slowly
-    with open(path, "w") as fh:
-        fh.write(json.dumps(doc))
+    _write_text(json.dumps(doc), path)
 
 
 def save_symbol(sym: PrincipalSymbolField, path: str) -> None:
@@ -186,16 +195,24 @@ def _decoded(text, key: str, want: tuple, path: str) -> bytes:
 
 
 def write_json_report(report: dict, path: str | None) -> str:
-    text = json.dumps(report, indent=2, sort_keys=True)
+    """The report as strict JSON text, also written to path if one is given.
+
+    A NaN or infinity has no JSON form, so it raises ConsistencyError
+    rather than print a non-standard constant.
+    """
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ConsistencyError(f"report holds a non-finite number: {exc}") from None
     if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        _write_text(text + "\n", path)
     return text
 
 
 def write_csv(columns: dict, path: str) -> None:
     """Named equal-length columns as CSV: a header row, then numbers to 15 significant digits."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(zip(*([f"{v:.15g}" for v in col] for col in columns.values())))
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(columns)
+    writer.writerows(zip(*([f"{v:.15g}" for v in col] for col in columns.values())))
+    _write_text(buf.getvalue(), path)

@@ -352,6 +352,21 @@ def _coset_matrices(m: np.ndarray, code: np.ndarray, slot: np.ndarray, coef: np.
     return h
 
 
+def _eigvalsh2(h: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a (k, 2, 2) stack of Hermitian matrices, in closed form.
+
+    (a + d)/2 -+ hypot((a - d)/2, |b|), reading the real diagonal and the
+    lower entry b = h[1, 0] as eigvalsh does.  On 531441 such matrices,
+    the order-2 blocks of cutoff 40 for a constant-coefficient operator,
+    eigvalsh (one LAPACK call per matrix) took 0.30 s and this 0.02 s
+    (2-CPU Xeon VM, one BLAS thread).
+    """
+    a, d = h[:, 0, 0].real, h[:, 1, 1].real
+    mid = 0.5 * (a + d)
+    rad = np.hypot(0.5 * (a - d), np.abs(h[:, 1, 0]))
+    return np.stack([mid - rad, mid + rad], axis=1)
+
+
 def galerkin_spectrum(op: FirstOrderOperator, mode_cutoff: int, window=None) -> SpectrumTable:
     """Eigenvalues of the operator projected on plane waves |m|_inf <= cutoff.
 
@@ -434,7 +449,8 @@ def galerkin_spectrum(op: FirstOrderOperator, mode_cutoff: int, window=None) -> 
             for p, q in np.ndindex(2, 2):
                 scale = max(scale, float(np.abs(h[:, p, :, q, :], out=buf).real.max()))
             del buf  # so eigvalsh holds only h and its own copy of it
-            parts.append(np.linalg.eigvalsh(h.reshape(len(idx), 2 * b, 2 * b)).ravel())
+            h = h.reshape(len(idx), 2 * b, 2 * b)
+            parts.append((_eigvalsh2(h) if b == 1 else np.linalg.eigvalsh(h)).ravel())
             del h  # before the next batch is assembled
     herm = gate("projected matrix is not Hermitian; the zeroth-order coefficient is "
                 "inconsistent with formal self-adjointness", herm, 1e-10 * scale)

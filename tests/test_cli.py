@@ -18,10 +18,19 @@ import diracweyl as dw
 from diracweyl.cli import build_parser, main
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _loads(text):
+    """Strict JSON: a NaN or Infinity constant fails the test instead of parsing."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
 def _run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
-    return code, json.loads(out) if out.strip() else None
+    return code, _loads(out) if out.strip() else None
 
 
 def test_decode_standard_scenario(capsys):
@@ -264,7 +273,7 @@ def test_report_written_to_file(tmp_path, capsys):
         capsys, "decode", "--scenario", "standard-torus", "--grid", "8", "--out", str(out)
     )
     assert code == 0
-    assert json.loads(out.read_text())["charge"] == 1
+    assert _loads(out.read_text())["charge"] == 1
 
 
 # --- one source, every flag read or refused --------------------------------------
@@ -310,6 +319,16 @@ REFUSED = {
     # exited 0 with a table covering (1, 3), cut from the reach lambda_max + |q| = 1
     "shifted-table-negative-lambda-max": ["spectrum", "--scenario", "dirac-plus-scalar", "--q", "2",
                                           "--lambda-max", "-1"],
+    # printed "b_global": -Infinity, which is not JSON, or exited 3 with a NaN b decomposition
+    "q-1e307": ["asymptotics", "--scenario", "dirac-plus-scalar", "--q", "1e307", "--grid", "8"],
+    "q-1e308-check-dirac": ["check-dirac", "--scenario", "dirac-plus-scalar", "--q", "1e308",
+                            "--grid", "8"],
+    # an unwritable --out: a traceback and exit 1, for check-dirac the "not Dirac" code
+    "out-in-missing-directory": ["check-dirac", "--scenario", "twisted-torus", "--k3", "1",
+                                 "--grid", "8", "--out", "MISSING"],
+    "out-is-a-directory": ["decode", "--scenario", "standard-torus", "--grid", "8", "--out", "DIR"],
+    "csv-out-in-missing-directory": ["asymptotics", "--scenario", "standard-torus", "--grid", "8",
+                                     "--format", "csv", "--out", "MISSING"],
 }
 # the flag and its reader, which the error message names
 NAMED = {
@@ -331,6 +350,11 @@ NAMED = {
     "negative-grid": ("grid size must be even and >= 4, got -4",),
     "negative-grid-random": ("grid size must be even and >= 4, got -4",),
     "negative-seed": ("seed must be a non-negative integer, got -1",),
+    "q-1e307": ("q = 1e+307", "limit |q| <= 1e+300"),
+    "q-1e308-check-dirac": ("q = 1e+308", "limit |q| <= 1e+300"),
+    "out-in-missing-directory": ("cannot write MISSING: No such file or directory",),
+    "out-is-a-directory": ("cannot write DIR: Is a directory",),
+    "csv-out-in-missing-directory": ("cannot write MISSING: No such file or directory",),
 }
 
 
@@ -338,14 +362,28 @@ NAMED = {
 def test_wrong_source_or_unread_flag_exits_2(case, tmp_path, capsys):
     path = tmp_path / "op.json"
     dw.save_operator(dw.dirac_plus_scalar(dw.standard_frame(8), 0.3), str(path))
+    # OP: a saved operator; MISSING: a file in a directory that does not exist; DIR: a directory
+    paths = {"OP": str(path), "MISSING": str(tmp_path / "absent" / "report"), "DIR": str(tmp_path)}
     try:
-        code = main([str(path) if a == "OP" else a for a in REFUSED[case]])
+        code = main([paths.get(a, a) for a in REFUSED[case]])
     except SystemExit as exc:  # argparse refuses an unknown flag before main runs
         code = exc.code
     out, err = capsys.readouterr()
     assert code == 2
     assert out == "" and err.startswith("usage: " if case == "reliable-fraction" else "error: ")
-    assert all(word in err for word in NAMED.get(case, ())), err
+    assert err.count("\n") == 1 or case == "reliable-fraction", err
+    named = [word.replace("MISSING", paths["MISSING"]).replace("DIR", paths["DIR"])
+             for word in NAMED.get(case, ())]
+    assert all(word in err for word in named), err
+
+
+@pytest.mark.parametrize("q", ["1e300", "-1e300"])
+def test_q_at_its_limit_reports_finite_json(q, capsys):
+    """b_global = -4 pi q stays a float64 at the largest |q| dirac-plus-scalar takes."""
+    code, report = _run(capsys, "asymptotics", "--scenario", "dirac-plus-scalar", f"--q={q}",
+                        "--grid", "8")
+    assert code == 0
+    assert report["b_global"] == pytest.approx(-4.0 * np.pi * float(q), rel=1e-12)
 
 
 NON_FINITE = {
@@ -469,7 +507,7 @@ def _edited_operator(edit):
 
     def write(path):
         dw.save_operator(dw.dirac_operator(dw.standard_frame(8)), str(path))
-        doc = json.loads(path.read_text())
+        doc = _loads(path.read_text())
         edit(doc)
         path.write_text(json.dumps(doc))
 
@@ -610,7 +648,7 @@ def test_exact_spectrum_loads_no_operator_or_geometry_module():
             "print(json.dumps(sorted(m for m in sys.modules if m.startswith('diracweyl.'))))")
     proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    loaded = set(_loads(proc.stdout.splitlines()[-1]))
     assert "diracweyl.spectra" in loaded
     assert loaded.isdisjoint({"diracweyl.operators", "diracweyl.geometry"})
 
@@ -676,7 +714,7 @@ def test_failed_gate_exits_3_saying_how_far_off_and_where(tmp_path):
     index 100 (x1 fastest), which is grid point (4, 4, 1)."""
     path = tmp_path / "op.json"
     dw.save_operator(dw.dirac_operator(dw.standard_frame(8)), str(path))
-    doc = json.loads(path.read_text())
+    doc = _loads(path.read_text())
 
     def nudge(a0):
         a0[100, 0, 1, 0] += 1e-3
@@ -706,4 +744,4 @@ def test_check_dirac_accepts_a_curved_dirac_operator(curved_frame, tmp_path):
     dw.save_operator(dw.dirac_operator(curved_frame), str(path))
     proc = _cli_process("check-dirac", "--input", str(path))
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["is_dirac"] is True
+    assert _loads(proc.stdout)["is_dirac"] is True

@@ -177,3 +177,10 @@ def test_random_builders_take_numpy_integer_seeds():
     frame, gauge = dw.random_band_limited_frame, dw.random_gauge_field
     assert np.array_equal(frame(np.int64(3), 4).e, frame(3, 4).e)
     assert np.array_equal(gauge(np.uint8(3), 4).R, gauge(3, 4).R)
+
+
+@pytest.mark.parametrize("q", [1.001e300, -1e307, 1e308, float("nan")])
+def test_dirac_plus_scalar_refuses_q_past_its_limit(q):
+    """Past |q| = 1e300 the torus integral of b can overflow float64 on a fine grid."""
+    with pytest.raises(InputError, match=r"limit \|q\| <= 1e\+300"):
+        dw.dirac_plus_scalar(dw.standard_frame(4), q)

@@ -10,7 +10,7 @@ import pytest
 import diracweyl as dw
 from diracweyl import geometry
 from diracweyl.cli import main
-from diracweyl.errors import InputError
+from diracweyl.errors import ConsistencyError, InputError
 from diracweyl.serialize import _grid_array, _load_document
 
 
@@ -85,6 +85,30 @@ def test_write_json_report(tmp_path):
     on_disk = json.loads(path.read_text())
     assert on_disk == {"alpha": 1, "nested": {"b": 2.5}}
     assert json.loads(text) == on_disk
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_json_report_refuses_non_finite_numbers(value, tmp_path):
+    """NaN and Infinity are not JSON; the report raises rather than print them, and writes nothing."""
+    from diracweyl.serialize import write_json_report
+
+    path = tmp_path / "report.json"
+    with pytest.raises(ConsistencyError, match="non-finite"):
+        write_json_report({"nested": {"b_global": value}}, str(path))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("target", ["absent/doc.json", "."])
+def test_unwritable_path_is_refused_by_name(target, tmp_path):
+    from diracweyl.serialize import write_csv, write_json_report
+
+    path = str(tmp_path / target)
+    writers = [lambda: dw.save_frame(dw.standard_frame(4), path),
+               lambda: write_json_report({"alpha": 1}, path),
+               lambda: write_csv({"x": [1.0]}, path)]
+    for write in writers:
+        with pytest.raises(InputError, match=f"cannot write {re.escape(path)}: "):
+            write()
 
 
 def test_write_spectrum_csv(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 import diracweyl as dw
 from diracweyl.errors import ConsistencyError, InputError
-from diracweyl.spectra import _cluster, _coset_blocks, _lattice_basis, _tie_free
+from diracweyl.spectra import _cluster, _coset_blocks, _eigvalsh2, _lattice_basis, _tie_free
 
 TRIVIAL = dw.SpinStructure((0.0, 0.0, 0.0))
 HALF3 = dw.SpinStructure((0.0, 0.0, 0.5))
@@ -294,6 +294,8 @@ BLOCK_CASES = {
     "twisted-k3-2": (lambda: dw.dirac_operator(dw.twisted_frame(2, 12)), 2 * 81, 10),
     "cosine-diagonal": (_standard_plus_cosine, 17 * 9, 18),
     "random-one-coset": (lambda: dw.dirac_operator(dw.random_band_limited_frame(0)), 1, 2 * 729),
+    # constant coefficients: every mode its own coset, all solved by _eigvalsh2
+    "traceless-order-2": (lambda: dw.dirac_plus_traceless(dw.standard_frame(8), 0.1), 729, 2),
 }
 
 
@@ -309,6 +311,23 @@ def test_block_solve_matches_dense_matrix(case):
     assert got.metadata["matrix_order"] == 2 * 9**3
     assert got.metadata["block_count"] == n_blocks
     assert got.metadata["max_block_order"] == largest
+
+
+def test_order_2_closed_form_matches_eigvalsh():
+    """Random, diagonal, degenerate and widely scaled Hermitian 2x2 blocks, within 1e-14 of
+    their scale, in eigvalsh's ascending order."""
+    rng = np.random.default_rng(11)
+    h = rng.standard_normal((400, 2, 2)) + 1j * rng.standard_normal((400, 2, 2))
+    h = h + np.conj(h.swapaxes(1, 2))
+    h[:50, 1, 0] = h[:50, 0, 1] = 0.0  # diagonal
+    h[50:100, 1, 1] = h[50:100, 0, 0]  # equal diagonal
+    h[100:150] = np.eye(2) * rng.standard_normal((50, 1, 1))  # degenerate
+    h[150:250] *= 10.0 ** rng.uniform(-8, 8, size=(100, 1, 1))
+    h[250:300, 0, 0] += 1e6  # a small off-diagonal beside a wide diagonal gap
+    got, want = _eigvalsh2(h), np.linalg.eigvalsh(h)
+    scale = np.abs(h).max(axis=(1, 2))[:, None]
+    assert np.all(np.abs(got - want) <= 1e-14 * scale)
+    assert np.all(got[:, 0] <= got[:, 1])
 
 
 def test_ball_basis_pollutes_the_twisted_spectrum():
