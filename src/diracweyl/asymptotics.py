@@ -62,25 +62,26 @@ def _vectors3(value, name: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _monopole_curvature(p: np.ndarray, dp: np.ndarray, xis: np.ndarray) -> np.ndarray:
-    """-i {v+*, v+} of the positive eigenbundle at one base point, for a batch of covectors.
+    """-i {v+*, v+} of the positive eigenbundle at base points, for covectors at each.
 
-    p: (3, 3) symbol components p_j^a at the base point; dp: (3, 3, 3)
-    their coordinate gradient, index 0 the direction; xis: (K, 3).  The
-    symbol sigma(xi) = s^j m_j with m = p xi is trace-free, so the
-    curvature is the spin-1/2 monopole form
+    p: (..., 3, 3) symbol components p_j^a at the base points; dp:
+    (..., 3, 3, 3) their coordinate gradient, the direction on the axis
+    after the points'; xis: (..., K, 3).  Returns (..., K).  The symbol
+    sigma(xi) = s^j m_j with m = p xi is trace-free, so the curvature is
+    the spin-1/2 monopole form
 
         sum_a m . (d_{x^a} m x d_{xi_a} m) / (2 |m|^3),
 
     with d_{x^a} m = (d_a p) xi and d_{xi_a} m = p[:, a]; no eigenvector
     is needed.
     """
-    xis = np.atleast_2d(xis)
-    m = np.tensordot(xis, p, axes=(1, 1))  # (K, 3)
-    h = np.sqrt((m**2).sum(axis=1))
+    m = np.einsum("...ja,...ka->...kj", p, xis)
+    h = np.sqrt((m**2).sum(axis=-1))
     if np.any(h < 1e-12):
         raise InputError("covector is (numerically) zero; the fibre eigenvalue degenerates")
-    dm_dx = np.einsum("ajb,kb->akj", dp, xis)  # (3, K, 3)
-    triple = np.einsum("kj,akj->k", m, np.cross(dm_dx, p.T[:, None, :]))
+    dm_dx = np.einsum("...ajb,...kb->...akj", dp, xis)  # (..., 3, K, 3)
+    dm_dxi = _transposed(p)[..., :, None, :]  # (..., 3, 1, 3): row a is p[:, a]
+    triple = np.einsum("...kj,...akj->...k", m, np.cross(dm_dx, dm_dxi))
     return triple / (2.0 * h**3)
 
 
@@ -97,10 +98,23 @@ def u1_curvature(sym, x, xi):
     xs, xis = _vectors3(x, "base point x"), _vectors3(xi, "covector xi")
     if xs.shape != xis.shape:
         raise InputError(f"base points {xs.shape} and covectors {xis.shape} must pair row by row")
+    vals = _monopole_curvature(*_symbol_jets(sym, xs), xis[..., None, :])[..., 0]
+    return float(vals) if xs.ndim == 1 else vals
+
+
+def _symbol_jets(sym: PrincipalSymbolField, x: np.ndarray) -> tuple:
+    """p[..., j, a] and its gradient dp[..., mu, j, a] at torus points x (..., 3).
+
+    One interpolant of p, one value and one gradient evaluation; at grid
+    points dp is the spectral derivative of the samples.
+    """
     interp = TrigInterpolant(sym.p)
-    vals = np.array([_monopole_curvature(interp(pt), interp.gradient(pt), cov)[0]
-                     for pt, cov in zip(np.atleast_2d(xs), np.atleast_2d(xis))])
-    return float(vals[0]) if xs.ndim == 1 else vals
+    return interp(x), interp.gradient(x)
+
+
+def _quadratic(xis: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """xi . m xi for covectors xis (..., K, 3) and forms m (..., 3, 3), shape (..., K)."""
+    return np.einsum("...ka,...ab,...kb->...k", xis, m, xis)
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +131,8 @@ def _weyl_b(metric: MetricField, asub=None, tor=None) -> np.ndarray:
     return (axial - 2.0 * trace) * metric.vol / (8.0 * np.pi**2)
 
 
-def _grid_points(points, n: int) -> list:
-    """Index triples of a (k, 3) array of integer grid indices in [0, n).
+def _grid_points(points, n: int) -> np.ndarray:
+    """A (k, 3) array of integer grid indices in [0, n), as int64.
 
     Anything else raises InputError naming the first bad row.
     """
@@ -134,7 +148,7 @@ def _grid_points(points, n: int) -> list:
         raise InputError(
             f"points row {row} = {arr[row].tolist()} is not a grid index triple in [0, {n})"
         )
-    return [tuple(p) for p in arr.astype(np.int64).tolist()]
+    return arr.astype(np.int64)
 
 
 def b1_density_fiber(op: FirstOrderOperator, points) -> np.ndarray:
@@ -145,42 +159,22 @@ def b1_density_fiber(op: FirstOrderOperator, points) -> np.ndarray:
     """
     if not isinstance(op, FirstOrderOperator):
         raise InputError(f"op must be a FirstOrderOperator, got {type(op).__name__}")
-    points = _grid_points(points, op.sigma.chart.n)
-    asub = subprincipal_symbol(op)
-    out = np.empty(len(points))
-    for i, p in enumerate(points):
-        comps, amat = op.sigma.p[p], asub[p]
-        g = _transposed(comps) @ comps  # g^{ab} = p_j^a p_j^b at this point only
-        tr_a = np.trace(amat).real
-        tr_as = 2.0 * pauli_components(amat - 0.5 * tr_a * np.eye(2))  # tr(A_sub s^j)
+    idx = tuple(_grid_points(points, op.sigma.chart.n).T)
+    comps, amat = op.sigma.p[idx], subprincipal_symbol(op)[idx]
+    g = _transposed(comps) @ comps  # g^{ab} = p_j^a p_j^b at these points only
+    tr_a = (amat[:, 0, 0] + amat[:, 1, 1]).real[:, None]
+    tr_as = 2.0 * pauli_components(amat - 0.5 * tr_a[..., None] * np.eye(2))  # tr(A_sub s^j)
+    tr_ap = np.einsum("kj,kja->ka", tr_as, comps)  # tr(A_sub sigma(xi)) = tr_ap . xi
 
-        def integrand(xis):
-            h = np.sqrt(np.einsum("ka,ab,kb->k", xis, g, xis))
-            tr_am = xis @ (tr_as @ comps)  # tr(A_sub sigma(xi)) with sigma(xi) = s^j p_j^a xi_a
-            return -3.0 * (tr_am + h * tr_a) / (2.0 * h)
+    def integrand(xis):
+        h = np.sqrt(_quadratic(xis, g))
+        return -3.0 * (np.einsum("kna,ka->kn", xis, tr_ap) + h * tr_a) / (2.0 * h)
 
-        out[i] = fiber_ball_quadrature(g, integrand)
-    return out
+    return fiber_ball_quadrature(g, integrand)
 
 
-def _symbol_jets(sym: PrincipalSymbolField, points: list) -> tuple:
-    """p and its coordinate gradient at grid points, from one interpolant of p.
-
-    Returns p[k, j, a] and dp[k, mu, j, a], mu the direction: one value
-    and one gradient evaluation per point, the gradient being the
-    spectral derivative of the samples there.  No grid field is built.
-    """
-    n = sym.chart.n
-    interp = TrigInterpolant(sym.p)
-    jets = np.empty((len(points), 4, 3, 3))  # the value, then the three derivatives
-    for row, pt in enumerate(points):
-        x = TWO_PI * np.array(pt, dtype=float) / n
-        jets[row, 0], jets[row, 1:] = interp(x), interp.gradient(x)
-    return jets[:, 0], jets[:, 1:]
-
-
-def _torsion_at(sym: PrincipalSymbolField, points: list) -> tuple:
-    """(*T)^a_b, g^{ab} and the charge at grid points, in closed 3x3 algebra per point.
+def _torsion_at(sym: PrincipalSymbolField, points) -> tuple:
+    """(*T)^a_b, g^{ab} and the charge at grid points, in closed 3x3 algebra.
 
     From the frame e = p and its gradient (_symbol_jets): the coframe
     c = e^{-T} from cofactors, gated on c e^T = I to 1e-10 as in
@@ -189,7 +183,7 @@ def _torsion_at(sym: PrincipalSymbolField, points: list) -> tuple:
     field is built, and geometry.torsion, which differentiates the
     sampled coframe rather than the interpolated frame, is not called.
     """
-    e, de = _symbol_jets(sym, points)
+    e, de = _symbol_jets(sym, TWO_PI * np.asarray(points, dtype=float) / sym.chart.n)
     cof = np.cross(e[:, [1, 2, 0]], e[:, [2, 0, 1]])  # row j: e_{j+1} x e_{j+2}
     det = np.einsum("ka,ka->k", e[:, 0], cof[:, 0])
     c = cof / det[:, None, None]  # c^k_b = (e^{-T})_{kb}
@@ -211,39 +205,24 @@ def b2_density_fiber_torsion(sym, points) -> np.ndarray:
     sym = _principal(sym)
     star, g, charge = _torsion_at(sym, _grid_points(points, sym.chart.n))
     tmat = star @ g  # (*T)^a_c g^{cb}
-    out = np.empty(len(g))
-    for i in range(len(g)):
-
-        def integrand(xis):
-            num = np.einsum("ka,ab,kb->k", xis, tmat[i], xis)
-            den = np.einsum("ka,ab,kb->k", xis, g[i], xis)
-            return 2.25 * charge[i] * num / den
-
-        out[i] = fiber_ball_quadrature(g[i], integrand)
-    return out
+    return fiber_ball_quadrature(
+        g, lambda xis: 2.25 * charge[:, None] * _quadratic(xis, tmat) / _quadratic(xis, g))
 
 
 def b2_density_fiber_curvature(sym, points) -> np.ndarray:
     """Fibre quadrature of (9/2) h+ times the eigenbundle curvature.
 
     The curvature is the closed monopole form of _monopole_curvature,
-    read from one interpolant value and gradient of p per point
-    (_symbol_jets).  The integrand equals (9c/4) (*T)(xi, xi) on the unit
-    cosphere, a quadratic form, so the cosphere rule is exact for it.
+    read from p and its gradient at all the points (_symbol_jets).  The
+    integrand equals (9c/4) (*T)(xi, xi) on the unit cosphere, a
+    quadratic form, so the cosphere rule is exact for it.
     """
     sym = _principal(sym)
-    points = _grid_points(points, sym.chart.n)
-    comps, grads = _symbol_jets(sym, points)
+    x = TWO_PI * _grid_points(points, sym.chart.n) / sym.chart.n
+    comps, grads = _symbol_jets(sym, x)
     g = _transposed(comps) @ comps
-    out = np.empty(len(points))
-    for i in range(len(points)):
-
-        def integrand(xis):
-            h = np.sqrt(np.einsum("ka,ab,kb->k", xis, g[i], xis))
-            return 4.5 * h * _monopole_curvature(comps[i], grads[i], xis)
-
-        out[i] = fiber_ball_quadrature(g[i], integrand)
-    return out
+    return fiber_ball_quadrature(
+        g, lambda xis: 4.5 * np.sqrt(_quadratic(xis, g)) * _monopole_curvature(comps, grads, xis))
 
 
 @dataclass(eq=False)

@@ -15,6 +15,7 @@ by (2*pi)^-3.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -29,6 +30,9 @@ _FOURIER_TOL = 1e-13
 # at 721 MB RSS (8.6 s) at 96^3 and 1656 MB (21.5 s) at 128^3, about
 # 0.8 KB per grid point (2-CPU Xeon VM, one BLAS thread).
 _GRID_CEILING = 128
+# TrigInterpolant evaluates its points in blocks whose complex mode weights
+# take at most 8 MB, so its memory does not grow with the number of points.
+_WEIGHT_BYTES = 2**23
 
 
 @dataclass(frozen=True)
@@ -152,9 +156,8 @@ class TrigInterpolant:
         self.value_shape = values.shape[3:]
         self.real_input = np.isrealobj(values)
         coefs = np.fft.fftn(values, axes=(0, 1, 2)) / n**3
-        modes = _integer_modes(n)
-        m1, m2, m3 = np.meshgrid(modes, modes, modes, indexing="ij")
-        mvec = np.stack([m1.ravel(), m2.ravel(), m3.ravel()], axis=1).astype(float)
+        modes = _integer_modes(n).astype(float)
+        mvec = np.stack(np.meshgrid(modes, modes, modes, indexing="ij"), axis=-1).reshape(-1, 3)
         cflat = coefs.reshape(n**3, *self.value_shape)
         mags = np.abs(cflat).reshape(n**3, -1).max(axis=1)
         keep = mags > _FOURIER_TOL
@@ -169,27 +172,40 @@ class TrigInterpolant:
         self.coefs = cflat
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        single = points.ndim == 1
-        pts = np.atleast_2d(points)
-        phases = np.exp(1j * pts @ self.modes)  # (npts, nmodes)
-        vals = self._sum(phases)
-        if single:
-            return vals[0]
-        return vals.reshape(points.shape[:-1] + self.value_shape)
+        """Values at a point or a (..., 3) stack of points, shape (..., *value_shape)."""
+        return self._sum(points, None)
 
-    def gradient(self, point: np.ndarray) -> np.ndarray:
-        """Analytic coordinate derivatives at one point, shape (3, *value_shape).
+    def gradient(self, points: np.ndarray) -> np.ndarray:
+        """Analytic coordinate derivatives at a point or a (..., 3) stack of points.
 
-        Index 0 is the differentiation direction; at grid points this is
-        the spectral derivative of the samples.
+        Shape (..., 3, *value_shape): the axis after the points is the
+        differentiation direction.  At grid points this is the spectral
+        derivative of the samples.
         """
-        phase = np.exp(1j * np.asarray(point, dtype=float) @ self.modes)  # (nmodes,)
-        return self._sum(1j * self.modes * phase)
+        return self._sum(points, 1j * self.modes)
 
-    def _sum(self, weights: np.ndarray) -> np.ndarray:
-        # (k, nmodes) mode weights against the coefficients; real fields stay real
-        vals = np.tensordot(weights, self.coefs, axes=(1, 0))
+    def _sum(self, points: np.ndarray, factors) -> np.ndarray:
+        """Sum of c_m exp(i m.x) at each point x, term m times factors[:, m] unless None.
+
+        factors (r, nmodes) adds an axis of length r after the points'.  The
+        points go in blocks whose (k, r, nmodes) weights fit in _WEIGHT_BYTES.
+        """
+        points = np.asarray(points, dtype=float)
+        if points.shape[-1:] != (3,):
+            raise InputError(f"points must have a last axis of length 3, got shape {points.shape}")
+        pts, rows = points.reshape(-1, 3), (1 if factors is None else len(factors))
+        step = max(1, _WEIGHT_BYTES // (16 * rows * len(self.coefs)))
+        vals = np.concatenate([self._block_sum(pts[i:i + step], factors)
+                               for i in range(0, max(len(pts), 1), step)])
+        tail = () if factors is None else (rows,)
+        return vals.reshape(points.shape[:-1] + tail + self.value_shape)
+
+    def _block_sum(self, pts: np.ndarray, factors) -> np.ndarray:
+        # 1j * (x @ m), not (1j * x) @ m: a complex @ operand takes numpy's non-BLAS loop
+        weights = np.exp(1j * (pts @ self.modes))  # (k, nmodes)
+        if factors is not None:
+            weights = weights[:, None, :] * factors  # (k, r, nmodes)
+        vals = np.tensordot(weights, self.coefs, axes=(-1, 0))
         return vals.real if self.real_input else vals
 
 
@@ -203,59 +219,55 @@ def sphere_design_14():
     Octahedron vertices carry 2/5 of the total weight, cube vertices
     the remaining 3/5; weights sum to 4*pi.
     """
-    oct_pts = np.array(
-        [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]], dtype=float
-    )
-    c = 1.0 / np.sqrt(3.0)
-    cube_pts = c * np.array(
-        [[sx, sy, sz] for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)], dtype=float
-    )
-    pts = np.concatenate([oct_pts, cube_pts], axis=0)
-    w = np.concatenate(
-        [np.full(6, 0.4 * 2.0 * TWO_PI / 6.0), np.full(8, 0.6 * 2.0 * TWO_PI / 8.0)]
-    )
-    return pts, w
+    oct_pts = np.kron(np.eye(3), [[1.0], [-1.0]])  # +e1, -e1, +e2, ...
+    cube_pts = np.array(list(product((1.0, -1.0), repeat=3))) / np.sqrt(3.0)
+    w = np.concatenate([np.full(6, 0.4 * 2.0 * TWO_PI / 6.0), np.full(8, 0.6 * 2.0 * TWO_PI / 8.0)])
+    return np.concatenate([oct_pts, cube_pts]), w
 
 
-def metric_ball_map(g_contra: np.ndarray) -> tuple[np.ndarray, float]:
+def metric_ball_map(g_contra: np.ndarray) -> tuple:
     """Linear map sending the Euclidean unit ball onto {xi : g(xi, xi) <= 1}.
 
     Returns (A, jac) where xi = A @ u and jac = det A = sqrt(det g_cov)
     is the constant Jacobian.  A is the principal (symmetric positive)
-    square root of the covariant metric.
+    square root of the covariant metric.  A (..., 3, 3) stack of metrics
+    gives stacks of both, one metric a (3, 3) A and a float jac.
     """
     g = np.asarray(g_contra, dtype=float)
     w, v = np.linalg.eigh(g)
-    if np.any(w <= 0.0):
-        raise EllipticityError(f"metric is not positive definite, eigenvalues {w}")
-    a = (v * (1.0 / np.sqrt(w))) @ _transposed(v)  # g_contra^(-1/2) = sqrt(g_cov)
-    return a, float(1.0 / np.sqrt(np.prod(w)))
+    bad = np.any(w <= 0.0, axis=-1)
+    if np.any(bad):
+        raise EllipticityError(f"metric is not positive definite, eigenvalues {w[bad][0]}")
+    a = (v * (1.0 / np.sqrt(w))[..., None, :]) @ _transposed(v)  # g_contra^(-1/2) = sqrt(g_cov)
+    jac = 1.0 / np.sqrt(np.prod(w, axis=-1))
+    return a, (float(jac) if g.ndim == 2 else jac)
 
 
 def fiber_ball_quadrature(g_contra: np.ndarray, integrand):
     """Integrate over the covector ball g(xi, xi) < 1 against (2*pi)^-3 dxi.
 
-    Parameters
-    ----------
-    g_contra : (3, 3) ndarray
-        Contravariant metric at the base point; must be symmetric
-        positive definite.
-    integrand : callable
-        Vectorised map taking an (N, 3) array of covectors to an (N,)
-        array of values; it must be homogeneous of degree 0 in xi.
+    g_contra is the contravariant metric at a base point, (3, 3), or a
+    (..., 3, 3) stack of them, each symmetric positive definite.  The
+    vectorised integrand maps the (..., 14, 3) covector nodes of the
+    base points to (..., 14) values and must be homogeneous of degree 0
+    in xi.  Returns the (...,) integrals, a scalar for one metric.
 
     A degree-0 integrand is constant along rays, so with xi = A u from
     metric_ball_map its ball integral is (jac / 3) times its integral
     over the unit sphere in u, taken by sphere_design_14.  That is exact
     whenever the integrand restricts to a polynomial of degree <= 5 on
     the unit cosphere g(xi, xi) = 1.  The integrand is evaluated again
-    at the half-length nodes; a relative change above 1e-12 raises
-    InputError, since it is then not homogeneous of degree 0.
+    at the half-length nodes; a change at any base point above 1e-12 of
+    that point's largest |value| (at either length) raises InputError,
+    since the integrand is then not homogeneous of degree 0.
     """
     amap, jac = metric_ball_map(g_contra)
     upts, uw = sphere_design_14()
     xis = upts @ _transposed(amap)  # rows: A @ u, on the unit cosphere
-    vals = np.asarray(integrand(xis))
-    gate("integrand is not homogeneous of degree 0: halving xi moves it",
-         np.asarray(integrand(0.5 * xis)) - vals, 1e-12 * float(np.abs(vals).max()), InputError)
-    return (uw @ vals) * jac / (3.0 * VOLUME)
+    vals, half = np.asarray(integrand(xis)), np.asarray(integrand(0.5 * xis))
+    moved = np.abs(half - vals).max(axis=-1)
+    # moved <= 2 * scale, so the ratio neither overflows nor, where all values are 0, divides by 0
+    scale = np.maximum(np.abs(vals).max(axis=-1), np.abs(half).max(axis=-1))
+    gate("integrand is not homogeneous of degree 0: halving xi moves it, relative to its largest "
+         "value", moved / np.maximum(scale, np.finfo(float).tiny), 1e-12, InputError)
+    return (vals @ uw) * jac / (3.0 * VOLUME)

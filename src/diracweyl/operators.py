@@ -39,6 +39,11 @@ from .geometry import (
 
 IDENTITY2 = np.eye(2, dtype=complex)
 
+# Largest |entry| of an operator's a0.  With a0 = q I the torus integral of b
+# (n^3 densities of q/(2 pi^2)) overflows float64 past |q| = 8.7e305 at 16^3
+# and 1.08e305 at 32^3 (measured), so past about 1.7e303 at the 128^3 ceiling.
+_A0_LIMIT = 1e300
+
 
 @dataclass(eq=False)
 class FirstOrderOperator:
@@ -47,7 +52,8 @@ class FirstOrderOperator:
     sigma holds the principal coefficients, a0 the zeroth-order matrix.
     Formal self-adjointness is equivalent to the subprincipal symbol
     being Hermitian pointwise; that is validated on construction, and a
-    NaN anywhere in a0 fails it.
+    NaN anywhere in a0 fails it.  An a0 entry larger than 1e300 in size
+    is refused first.
     """
 
     sigma: PrincipalSymbolField
@@ -60,10 +66,13 @@ class FirstOrderOperator:
         a0 = np.asarray(self.a0, dtype=complex)
         if a0.shape != self.sigma.p.shape[:3] + (2, 2):
             raise InputError(f"a0 must have shape (n, n, n, 2, 2), got {a0.shape}")
+        largest = float(np.abs(a0).max())  # NaN here is left to the self-adjointness gate
+        if largest > _A0_LIMIT:
+            raise InputError(f"a0 has an entry of size {largest:.3g}, over the limit {_A0_LIMIT:g}")
         self.a0 = a0
         asub = subprincipal_symbol(self)
         gate("operator is not formally self-adjoint: subprincipal symbol is not Hermitian",
-             asub - np.conj(np.swapaxes(asub, -1, -2)), 1e-10 * max(1.0, float(np.abs(a0).max())))
+             asub - np.conj(np.swapaxes(asub, -1, -2)), 1e-10 * max(1.0, largest))
 
     @property
     def chart(self):

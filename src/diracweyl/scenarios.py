@@ -34,12 +34,6 @@ _DEFAULT_AMPLITUDE = 0.003
 # Fourier modes |m|_inf <= _RANDOM_MAX_MODE perturb a random frame.
 _RANDOM_MAX_MODE = 2
 
-# Largest |q| of dirac_plus_scalar.  The torus integral of b sums n^3
-# densities of q/(2 pi^2) and overflows float64 past |q| = 8.7e305 at
-# 16^3 and 1.08e305 at 32^3 (measured), so past about 1.7e303 at the
-# 128^3 grid ceiling.
-_Q_LIMIT = 1e300
-
 
 def standard_frame(n: int = _DEFAULT_GRID) -> FrameField:
     """The constant coordinate frame on the flat torus."""
@@ -184,10 +178,10 @@ def dirac_plus_scalar(frame: FrameField, q: float) -> FirstOrderOperator:
     """The Dirac operator of the frame shifted by a constant scalar potential, |q| <= 1e300."""
     import numpy as np
 
-    from .operators import FirstOrderOperator, dirac_operator
+    from .operators import _A0_LIMIT, FirstOrderOperator, dirac_operator
 
-    if not abs(q) <= _Q_LIMIT:
-        raise InputError(f"q = {q} is over the limit |q| <= {_Q_LIMIT:g}: the torus integral of "
+    if not abs(q) <= _A0_LIMIT:
+        raise InputError(f"q = {q} is over the limit |q| <= {_A0_LIMIT:g}: the torus integral of "
                          f"b overflows float64 past |q| of about 1.7e303 at the 128^3 grid ceiling")
     op = dirac_operator(frame)
     return FirstOrderOperator(op.sigma, op.a0 + q * np.eye(2))

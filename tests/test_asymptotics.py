@@ -195,17 +195,22 @@ def _count_interpolant_use(monkeypatch):
     return calls
 
 
-def test_curvature_route_reads_the_interpolant_once_per_point(random_setup, monkeypatch):
-    """One interpolant per call, and one value and one gradient evaluation per
-    base point, however many quadrature nodes."""
+@pytest.mark.parametrize("route", ["b2_density_fiber_curvature", "b2_density_fiber_torsion"])
+def test_b2_routes_read_the_interpolant_once_per_call(route, random_setup, monkeypatch):
+    """One interpolant, one value and one gradient evaluation per call, however
+    many base points and quadrature nodes."""
     _, sym, _ = random_setup
     calls = _count_interpolant_use(monkeypatch)
-    dw.b2_density_fiber_curvature(sym, SAMPLE_INDICES[:2])
-    assert calls == {"built": 1, "value": 2, "gradient": 2}
+    assert getattr(dw, route)(sym, SAMPLE_INDICES).shape == (len(SAMPLE_INDICES),)
+    assert calls == {"built": 1, "value": 1, "gradient": 1}
 
 
 def test_u1_curvature_batch_builds_one_interpolant(random_setup, monkeypatch):
-    """k (x, xi) pairs take one interpolant and give the k single-pair values."""
+    """k (x, xi) pairs take one interpolant, one value and one gradient
+    evaluation, and give the k single-pair values.  The batch sums the
+    interpolant's modes in one BLAS product for all k points, so it matches
+    the single calls to rounding (measured 3.5e-15 of the largest value),
+    not bit for bit."""
     _, sym, _ = random_setup
     rng = np.random.default_rng(5)
     xs, xis = rng.uniform(0.0, 2.0 * np.pi, size=(4, 3)), rng.standard_normal((4, 3))
@@ -213,8 +218,9 @@ def test_u1_curvature_batch_builds_one_interpolant(random_setup, monkeypatch):
     assert all(isinstance(v, float) for v in singles)
     calls = _count_interpolant_use(monkeypatch)
     batch = dw.u1_curvature(sym, xs, xis)
-    assert calls == {"built": 1, "value": 4, "gradient": 4}
-    assert batch.shape == (4,) and np.array_equal(batch, singles)
+    assert calls == {"built": 1, "value": 1, "gradient": 1}
+    assert batch.shape == (4,)
+    assert np.abs(batch - singles).max() <= 1e-13 * np.abs(singles).max()
 
 
 def test_generalized_poisson_identities(random_setup):

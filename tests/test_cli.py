@@ -329,6 +329,11 @@ REFUSED = {
     "out-is-a-directory": ["decode", "--scenario", "standard-torus", "--grid", "8", "--out", "DIR"],
     "csv-out-in-missing-directory": ["asymptotics", "--scenario", "standard-torus", "--grid", "8",
                                      "--format", "csv", "--out", "MISSING"],
+    # exited 3 with "not Hermitian ... measured nan" after numpy overflow warnings
+    "a0-1e308-galerkin": ["spectrum", "--scenario", "dirac-plus-traceless", "--epsilon=1e308",
+                          "--method", "galerkin", "--grid", "8", "--cutoff", "2"],
+    # exited 3 with "report holds a non-finite number" after a numpy overflow warning
+    "a0-1e307-input": ["asymptotics", "--input", "HUGE"],
 }
 # the flag and its reader, which the error message names
 NAMED = {
@@ -355,15 +360,28 @@ NAMED = {
     "out-in-missing-directory": ("cannot write MISSING: No such file or directory",),
     "out-is-a-directory": ("cannot write DIR: Is a directory",),
     "csv-out-in-missing-directory": ("cannot write MISSING: No such file or directory",),
+    "a0-1e308-galerkin": ("a0 has an entry of size 1e+308, over the limit 1e+300",),
+    "a0-1e307-input": ("a0 has an entry of size 1e+307, over the limit 1e+300",),
 }
+
+
+def _plus_1e307_identity(a0):
+    a0[:, 0, 0, 0] += 1e307  # real parts of the diagonal, a0 entries as (re, im)
+    a0[:, 1, 1, 0] += 1e307
+    return a0
 
 
 @pytest.mark.parametrize("case", sorted(REFUSED))
 def test_wrong_source_or_unread_flag_exits_2(case, tmp_path, capsys):
     path = tmp_path / "op.json"
     dw.save_operator(dw.dirac_plus_scalar(dw.standard_frame(8), 0.3), str(path))
-    # OP: a saved operator; MISSING: a file in a directory that does not exist; DIR: a directory
-    paths = {"OP": str(path), "MISSING": str(tmp_path / "absent" / "report"), "DIR": str(tmp_path)}
+    # OP: a saved operator; MISSING: a file in a directory that does not exist; DIR: a directory;
+    # HUGE: a saved 8^3 Dirac operator plus 1e307 I
+    huge = tmp_path / "huge.json"
+    paths = {"OP": str(path), "MISSING": str(tmp_path / "absent" / "report"), "DIR": str(tmp_path),
+             "HUGE": str(huge)}
+    if "HUGE" in REFUSED[case]:
+        _edited_operator(lambda doc: _edit_array(doc, "a0", _plus_1e307_identity))(huge)
     try:
         code = main([paths.get(a, a) for a in REFUSED[case]])
     except SystemExit as exc:  # argparse refuses an unknown flag before main runs

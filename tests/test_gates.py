@@ -85,10 +85,22 @@ def _b_decomposition():
     dw.AsymptoticCoefficients(a=zero, b1=zero, b2=zero, b=b, a_global=0.0, b_global=0.0, charge=1)
 
 
+def _one_inhomogeneous_point():
+    """1 + |xi|^d over four unit metrics: degree 0 (d = 0) at all but the third."""
+    d = np.array([0.0, 0.0, 2.0, 0.0])[:, None]
+    fiber_ball_quadrature(np.stack([np.eye(3)] * 4), lambda xi: 1.0 + (xi**2).sum(axis=-1)**(d / 2))
+
+
 # case -> (trip, error class, words the message keeps, worst grid point or None)
 TRIPPED = {
     "fields-homogeneity": (
         lambda mp: fiber_ball_quadrature(np.eye(3), lambda xi: (xi**2).sum(axis=1)),
+        InputError, "homogeneous of degree 0", None),
+    "fields-homogeneity-one-point-of-four": (lambda mp: _one_inhomogeneous_point(), InputError,
+                                             "homogeneous of degree 0", None),
+    # 0 on the unit cosphere, 1 at the half-length nodes
+    "fields-homogeneity-zero-on-cosphere": (
+        lambda mp: fiber_ball_quadrature(np.eye(3), lambda xi: 1.0 * ((xi**2).sum(axis=-1) < 0.5)),
         InputError, "homogeneous of degree 0", None),
     "geometry-torsion-route": (_route_with_offset, ConsistencyError, "Hodge vs curl", (2, 5, 1)),
     "geometry-symbol-hermitian": (lambda mp: _skew_symbol(), InputError, "Hermitian", (1, 6, 3)),
