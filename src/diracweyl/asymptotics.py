@@ -13,11 +13,11 @@ integrals they compress: the first coefficient from tr(A_sub P+), the
 second both from the dual torsion quadratic form and from the U(1)
 curvature of the positive eigenbundle.  For the trace-free symbol
 s^j m_j(x, xi) that curvature is the spin-1/2 monopole form in m and
-its x- and xi-derivatives.  Both second-coefficient routes read the
-x-derivative from the analytic gradient of the symbol's trigonometric
-interpolant at their points alone; no eigenvector is built and no
-finite differences are taken.  Route agreement is what the test-suite
-and the acceptance gate lean on.
+its x- and xi-derivatives.  The fibre routes read p and its spectral
+x-derivative off the grid lines through their points alone: no
+interpolant, no whole-grid transform, no eigenvector and no finite
+differences.  Route agreement is what the test-suite and the acceptance
+gate lean on.
 """
 
 from __future__ import annotations
@@ -27,13 +27,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, gate
-from .fields import TWO_PI, TrigInterpolant, _transposed, fiber_ball_quadrature, grid_integral
+from .fields import (TrigInterpolant, _grid_line_jets, _transposed, fiber_ball_quadrature,
+                     grid_integral)
 from .geometry import (
     MetricField,
     PrincipalSymbolField,
     decode_frame,
     decode_metric,
     pauli_components,
+    pauli_matrices,
     torsion,
 )
 from .operators import FirstOrderOperator, subprincipal_symbol
@@ -92,24 +94,15 @@ def u1_curvature(sym, x, xi):
     geometry; homogeneous of degree -1 in xi and independent of the
     eigenvector's phase.  A base point x and covector xi give a float;
     (k, 3) arrays of them, paired row by row, give k values from one
-    interpolant of the symbol.
+    interpolant of the symbol: one value and one gradient evaluation.
     """
     sym = _principal(sym)
     xs, xis = _vectors3(x, "base point x"), _vectors3(xi, "covector xi")
     if xs.shape != xis.shape:
         raise InputError(f"base points {xs.shape} and covectors {xis.shape} must pair row by row")
-    vals = _monopole_curvature(*_symbol_jets(sym, xs), xis[..., None, :])[..., 0]
-    return float(vals) if xs.ndim == 1 else vals
-
-
-def _symbol_jets(sym: PrincipalSymbolField, x: np.ndarray) -> tuple:
-    """p[..., j, a] and its gradient dp[..., mu, j, a] at torus points x (..., 3).
-
-    One interpolant of p, one value and one gradient evaluation; at grid
-    points dp is the spectral derivative of the samples.
-    """
     interp = TrigInterpolant(sym.p)
-    return interp(x), interp.gradient(x)
+    vals = _monopole_curvature(interp(xs), interp.gradient(xs), xis[..., None, :])[..., 0]
+    return float(vals) if xs.ndim == 1 else vals
 
 
 def _quadratic(xis: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -154,13 +147,15 @@ def _grid_points(points, n: int) -> np.ndarray:
 def b1_density_fiber(op: FirstOrderOperator, points) -> np.ndarray:
     """Fibre-quadrature route to b1 at selected grid points.
 
-    Integrates -3 tr(A_sub P+) over the unit covector ball; agrees with
-    the closed form within 1e-7.
+    Integrates -3 tr(A_sub P+), A_sub = a0 + (i/2) s^j d_a p_j^a formed at
+    the points alone, over the unit covector ball; agrees with the closed
+    form within 1e-7.
     """
     if not isinstance(op, FirstOrderOperator):
         raise InputError(f"op must be a FirstOrderOperator, got {type(op).__name__}")
-    idx = tuple(_grid_points(points, op.sigma.chart.n).T)
-    comps, amat = op.sigma.p[idx], subprincipal_symbol(op)[idx]
+    pts = _grid_points(points, op.sigma.chart.n)
+    comps, grads = _grid_line_jets(op.sigma.p, pts)
+    amat = op.a0[tuple(pts.T)] + 0.5j * pauli_matrices(sum(grads[:, a, :, a] for a in range(3)))
     g = _transposed(comps) @ comps  # g^{ab} = p_j^a p_j^b at these points only
     tr_a = (amat[:, 0, 0] + amat[:, 1, 1]).real[:, None]
     tr_as = 2.0 * pauli_components(amat - 0.5 * tr_a[..., None] * np.eye(2))  # tr(A_sub s^j)
@@ -176,14 +171,14 @@ def b1_density_fiber(op: FirstOrderOperator, points) -> np.ndarray:
 def _torsion_at(sym: PrincipalSymbolField, points) -> tuple:
     """(*T)^a_b, g^{ab} and the charge at grid points, in closed 3x3 algebra.
 
-    From the frame e = p and its gradient (_symbol_jets): the coframe
-    c = e^{-T} from cofactors, gated on c e^T = I to 1e-10 as in
-    geometry.coframe; d c = -c (d e)^T c; the curls (d c^j)_{h+1, h+2};
-    *T = e^T (curl c) g_cov / vol; and the charge sign(det p).  No grid
-    field is built, and geometry.torsion, which differentiates the
-    sampled coframe rather than the interpolated frame, is not called.
+    From the frame e = p and its spectral gradient at the points
+    (fields._grid_line_jets): the coframe c = e^{-T} from cofactors,
+    gated on c e^T = I to 1e-10 as in geometry.coframe; d c = -c (d e)^T c;
+    the curls (d c^j)_{h+1, h+2}; *T = e^T (curl c) g_cov / vol; and the
+    charge sign(det p).  No grid field is built, and geometry.torsion,
+    which differentiates the sampled coframe, not the frame, is not called.
     """
-    e, de = _symbol_jets(sym, TWO_PI * np.asarray(points, dtype=float) / sym.chart.n)
+    e, de = _grid_line_jets(sym.p, points)
     cof = np.cross(e[:, [1, 2, 0]], e[:, [2, 0, 1]])  # row j: e_{j+1} x e_{j+2}
     det = np.einsum("ka,ka->k", e[:, 0], cof[:, 0])
     c = cof / det[:, None, None]  # c^k_b = (e^{-T})_{kb}
@@ -212,14 +207,13 @@ def b2_density_fiber_torsion(sym, points) -> np.ndarray:
 def b2_density_fiber_curvature(sym, points) -> np.ndarray:
     """Fibre quadrature of (9/2) h+ times the eigenbundle curvature.
 
-    The curvature is the closed monopole form of _monopole_curvature,
-    read from p and its gradient at all the points (_symbol_jets).  The
-    integrand equals (9c/4) (*T)(xi, xi) on the unit cosphere, a
+    The curvature is the closed monopole form of _monopole_curvature, read
+    from p and its spectral gradient at the points (fields._grid_line_jets).
+    The integrand equals (9c/4) (*T)(xi, xi) on the unit cosphere, a
     quadratic form, so the cosphere rule is exact for it.
     """
     sym = _principal(sym)
-    x = TWO_PI * _grid_points(points, sym.chart.n) / sym.chart.n
-    comps, grads = _symbol_jets(sym, x)
+    comps, grads = _grid_line_jets(sym.p, _grid_points(points, sym.chart.n))
     g = _transposed(comps) @ comps
     return fiber_ball_quadrature(
         g, lambda xis: 4.5 * np.sqrt(_quadratic(xis, g)) * _monopole_curvature(comps, grads, xis))

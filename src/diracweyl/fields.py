@@ -121,6 +121,25 @@ def spectral_derivative(values: np.ndarray, axis: int) -> np.ndarray:
     return np.fft.ifft(spectrum, axis=ax)
 
 
+def _grid_line_jets(values: np.ndarray, points) -> tuple:
+    """values[idx] and spectral_derivative(values, a + 1)[idx], a = 0, 1, 2, at (k, 3) grid points.
+
+    Shapes (k, *components) and (k, 3, *components).  Only the 3k grid
+    lines through the points are read: on an even grid the derivative at
+    line index i is sum_j w(i - j) f_j, with w(d) = (-1)^d cot(pi d/n) / 2
+    and w(0) = 0 (Trefethen, Spectral Methods in MATLAB, ch. 3).
+    """
+    n, pts = chart_of(values).n, np.asarray(points, dtype=np.int64)
+    d, line, tail = np.arange(1, n), np.arange(n), (1,) * (values.ndim - 3)
+    weights = np.concatenate([[0.0], 0.5 * (-1.0) ** d / np.tan(np.pi * d / n)])
+    grads = np.empty((len(pts), 3) + values.shape[3:], dtype=np.result_type(values, float))
+    for a in range(3):
+        through = [line if b == a else pts[:, b, None] for b in range(3)]  # (k, n) axis-a lines
+        kernel = weights[(pts[:, a, None] - line) % n].reshape((len(pts), n) + tail)
+        grads[:, a] = (kernel * values[tuple(through)]).sum(axis=1)
+    return values[tuple(pts.T)], grads
+
+
 def derivative_stack(values: np.ndarray) -> np.ndarray:
     """All three coordinate derivatives, stacked on a new axis at position 3.
 

@@ -113,11 +113,13 @@ class PrincipalSymbolField:
         gate("symbol matrices must be trace-free", s[..., 0, 0] + s[..., 1, 1], bound, InputError)
         self._hold(np.swapaxes(pauli_components(s), -1, -2).copy())
 
-    def _hold(self, p: np.ndarray):
-        """Take ownership of the component array p and check ellipticity."""
-        _check_ellipticity(_grid_first(_gram(p)), p)
+    def _hold(self, p: np.ndarray) -> np.ndarray:
+        """Take ownership of the component array p; check and return its g = _gram(p)."""
+        gram = _gram(p)
+        _check_ellipticity(np.moveaxis(gram, (0, 1), (-2, -1)), p)
         p.flags.writeable = False
         self.p = p
+        return gram
 
     @property
     def sigma(self) -> np.ndarray:
@@ -173,7 +175,7 @@ class MetricField:
         _check_ellipticity(g)
         self._complete(_components_first(g))
 
-    def _complete(self, gc: np.ndarray):
+    def _complete(self, gc: np.ndarray) -> MetricField:
         """Fill g_contra, g_cov = adj(g)/det(g) and vol = 1/sqrt(det g) from gc[a, b, ...] = g^{ab}.
 
         The adjugate adj(g) @ g = det(g) I is written out in closed form,
@@ -196,6 +198,7 @@ class MetricField:
         del adj, term  # before the copy of g allocates
         self.g_contra = _grid_first(gc)
         self.vol = 1.0 / np.sqrt(det)
+        return self
 
 
 # (b, c) = (h + 1, h + 2) mod 3: the index pair of the h-th independent component of a 2-form.
@@ -308,9 +311,7 @@ def decode_metric(sym: PrincipalSymbolField) -> MetricField:
     The symbol's constructor checked ellipticity on this very g, so the
     check is not repeated; a directly constructed MetricField runs it.
     """
-    metric = MetricField.__new__(MetricField)
-    metric._complete(_gram(sym.p))
-    return metric
+    return MetricField.__new__(MetricField)._complete(_gram(sym.p))
 
 
 def topological_charge(sym: PrincipalSymbolField) -> int:

@@ -23,6 +23,7 @@ from .fields import chart_of, spectral_derivative
 from .geometry import (
     PAULI,
     FrameField,
+    MetricField,
     PrincipalSymbolField,
     _components_first,
     _grid_first,
@@ -79,33 +80,25 @@ class FirstOrderOperator:
         return self.sigma.chart
 
 
-def divergence_sigma(sym: PrincipalSymbolField) -> np.ndarray:
-    """sum_a d(sigma^a)/dx^a = s^j d_a p_j^a, the derivative term of the subprincipal symbol.
-
-    Three real-FFT derivatives of the symbol's real components; the
-    result is one complex (n, n, n, 2, 2) matrix field.
-    """
-    return pauli_matrices(sum(spectral_derivative(sym.p[..., :, a], a + 1) for a in range(3)))
-
-
 def subprincipal_symbol(op: FirstOrderOperator) -> np.ndarray:
-    """A_sub = a0 + (i/2) sum_a d(sigma^a)/dx^a (covector-independent here)."""
-    return op.a0 + 0.5j * divergence_sigma(op.sigma)
+    """A_sub = a0 + (i/2) s^j d_a p_j^a (covector-independent here), by three real FFTs of p."""
+    div = sum(spectral_derivative(op.sigma.p[..., :, a], a + 1) for a in range(3))
+    return op.a0 + 0.5j * pauli_matrices(div)
 
 
 def dirac_operator(frame: FrameField) -> FirstOrderOperator:
     """Massless Dirac operator of an orthonormal frame, on half-densities.
 
-    The frame fixes the operator: symbol_from_frame builds its symbol,
-    checking ellipticity once, and _dirac_a0 its zeroth-order part.  A
-    Dirac operator is self-adjoint, so failing that gate means the grid
-    does not resolve the frame: the error then also names how much of
-    p and of g_cov, the fields a0 is built from, sits on the outermost
-    Fourier shell, and asks for a finer grid.
+    The frame fixes the operator: _dirac_a0 builds its symbol, checking
+    ellipticity once, and its zeroth-order part.  A Dirac operator is
+    self-adjoint, so failing that gate means the grid does not resolve
+    the frame: the error then also names how much of p and of g_cov, the
+    fields a0 is built from, sits on the outermost Fourier shell, and
+    asks for a finer grid.
     """
-    sym = symbol_from_frame(frame)
+    sym, a0 = _dirac_a0(frame)
     try:
-        return FirstOrderOperator(sym, _dirac_a0(sym))
+        return FirstOrderOperator(sym, a0)
     except ConsistencyError as err:
         n = sym.p.shape[0]
         tails = (_outer_shell_fraction(sym.p), _outer_shell_fraction(decode_metric(sym).g_cov))
@@ -136,8 +129,8 @@ def _trace3(m: np.ndarray) -> np.ndarray:
     return m[0, 0] + m[1, 1] + m[2, 2]
 
 
-def _dirac_a0(sym: PrincipalSymbolField) -> np.ndarray:
-    """Zeroth-order part of the Dirac operator of the frame e = p a symbol holds:
+def _dirac_a0(frame: FrameField) -> tuple:
+    """The symbol of a frame and the zeroth-order part of its Dirac operator, with e = p:
 
         a0 = -(i/4) sigma^a sigma_b (d_a sigma^b + G^b_{ag} sigma^g)
              + (i/2) sigma^a G^b_{ab}
@@ -158,12 +151,15 @@ def _dirac_a0(sym: PrincipalSymbolField) -> np.ndarray:
     u = e tr(W) and V = e ax(W), with the per-direction scalars stacked
     on a: a0 is a real multiple of I plus i times one traceless
     Hermitian matrix.  The 3x3 algebra runs components first, on
-    contiguous grid fields.  The metric is decoded here and dropped once
-    the Christoffel symbols and the coframe are built, and the temporaries
-    are freed before the result is allocated, which can then reuse their
+    contiguous grid fields.  The metric is decoded from the g = p^T p
+    that the symbol's ellipticity check formed, and dropped once the
+    Christoffel symbols and the coframe are built; the temporaries are
+    freed before the result is allocated, which can then reuse their
     memory: dirac_operator peaks at 2.72 MB of traced allocation at 16^3.
     """
-    metric = decode_metric(sym)
+    e = frame.e if isinstance(frame, FrameField) else FrameField(frame).e
+    sym = PrincipalSymbolField.__new__(PrincipalSymbolField)  # as symbol_from_frame builds it
+    metric = MetricField.__new__(MetricField)._complete(sym._hold(e.copy()))
     work = christoffel_symbols(metric).transpose(4, 5, 3, 0, 1, 2)  # G^b_{ag} as [a, g, b, ...]
     ec = _components_first(sym.p)  # e_j^a as [j, a, ...]
     cof_t = _matmul_cm(_components_first(metric.g_cov), ec.swapaxes(0, 1))  # c^k_b as [b, k, ...]
@@ -185,7 +181,7 @@ def _dirac_a0(sym: PrincipalSymbolField) -> np.ndarray:
     scalar = 0.25 * _trace3(v)
     a0[..., 0, 0] -= scalar
     a0[..., 1, 1] -= scalar
-    return a0
+    return sym, a0
 
 
 def apply_operator(op: FirstOrderOperator, v: np.ndarray) -> np.ndarray:

@@ -49,3 +49,48 @@ def curved_frame():
     e[..., 1, 0], e[..., 1, 1] = -np.sin(x3), np.cos(x3)
     e[..., 2, 2] = 1.0
     return dw.FrameField(e)
+
+
+@pytest.fixture(scope="session")
+def warped_frame():
+    """Builder of the n^3 warped frame e1 = f d1, e2 = d2, e3 = d3, f = 1 + 0.1 cos x3.
+
+    p is band-limited; g_cov = diag(1/f^2, 1, 1) is not.
+    """
+
+    def build(n):
+        e = np.broadcast_to(np.eye(3), (n, n, n, 3, 3)).copy()
+        e[..., 0, 0] = 1.0 + 0.1 * np.cos(dw.PeriodicChart(n).mesh()[2])
+        return dw.FrameField(e)
+
+    return build
+
+
+@pytest.fixture(scope="session")
+def pullback_frame():
+    """Builder of (frame, J, dphi) for the flat frame pulled back by a torus diffeomorphism.
+
+    The frame is e' = (d phi)^{-1} e, row j the leg e'_j, and J = det d phi:
+    * "shear", phi = (x1 + 0.3 sin x3, x2, x3): e'_3 = d3 - 0.3 cos x3 d1, J = 1;
+    * "stretch", phi = (x1, x2, x3 + 0.1 sin x3): e'_3 = d3 / J, J = 1 + 0.1 cos x3.
+    On half-densities its Dirac operator is unitarily equivalent to the flat
+    one, so its torsion is 0, its charge 1, its g_cov is dphi^T dphi, and its
+    densities a(x), b(x) are the flat ones times J.  The stretch is not
+    band-limited: use 16^3 or finer.
+    """
+
+    def build(name, n):
+        x3 = dw.PeriodicChart(n).mesh()[2]
+        dphi = np.broadcast_to(np.eye(3), (n, n, n, 3, 3)).copy()
+        e = dphi.copy()
+        if name == "shear":
+            dphi[..., 0, 2] = 0.3 * np.cos(x3)
+            e[..., 2, 0] = -0.3 * np.cos(x3)
+        elif name == "stretch":
+            dphi[..., 2, 2] = 1.0 + 0.1 * np.cos(x3)
+            e[..., 2, 2] = 1.0 / dphi[..., 2, 2]
+        else:
+            raise ValueError(f"no pullback map named {name!r}")
+        return dw.FrameField(e), np.linalg.det(dphi), dphi
+
+    return build

@@ -8,7 +8,6 @@ frames shared by several criteria are built once at module scope.
 import time
 
 import numpy as np
-import pytest
 
 import diracweyl as dw
 

@@ -195,14 +195,59 @@ def _count_interpolant_use(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("route", ["b2_density_fiber_curvature", "b2_density_fiber_torsion"])
-def test_b2_routes_read_the_interpolant_once_per_call(route, random_setup, monkeypatch):
-    """One interpolant, one value and one gradient evaluation per call, however
-    many base points and quadrature nodes."""
-    _, sym, _ = random_setup
-    calls = _count_interpolant_use(monkeypatch)
-    assert getattr(dw, route)(sym, SAMPLE_INDICES).shape == (len(SAMPLE_INDICES),)
-    assert calls == {"built": 1, "value": 1, "gradient": 1}
+FIBER_ROUTES = ("b1_density_fiber", "b2_density_fiber_torsion", "b2_density_fiber_curvature")
+
+
+def _fiber_route(route, op, points):
+    """One fibre route at grid points: b1 reads the operator, the b2 routes its symbol."""
+    return getattr(dw, route)(op if route == "b1_density_fiber" else op.sigma, points)
+
+
+def _refuse(name):
+    """A stand-in that raises AssertionError naming `name` whenever it is called."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+
+    return refuse
+
+
+def _refuse_everywhere(monkeypatch, real):
+    """Make every diracweyl module's binding of the function `real` raise AssertionError."""
+    for module in [m for key, m in sys.modules.items() if key.startswith("diracweyl")]:
+        if getattr(module, real.__name__, None) is real:
+            monkeypatch.setattr(module, real.__name__, _refuse(real.__name__))
+
+
+def test_fiber_routes_build_no_interpolant_and_no_grid_transform(random_setup, monkeypatch):
+    """All three routes give their values unchanged with TrigInterpolant's constructor
+    and every binding of fields.spectral_derivative raising: they read p and its
+    gradient off the grid lines through their points."""
+    _, _, op = random_setup
+    want = {route: _fiber_route(route, op, SAMPLE_INDICES) for route in FIBER_ROUTES}
+    monkeypatch.setattr(TrigInterpolant, "__init__", _refuse("TrigInterpolant"))
+    _refuse_everywhere(monkeypatch, dw.fields.spectral_derivative)
+    with pytest.raises(AssertionError, match="was called"):
+        dw.b_density(op)
+    with pytest.raises(AssertionError, match="was called"):
+        TrigInterpolant(op.sigma.p)
+    for route in FIBER_ROUTES:
+        assert np.array_equal(_fiber_route(route, op, SAMPLE_INDICES), want[route])
+
+
+@pytest.fixture(scope="module")
+def random_operator_32():
+    return dw.dirac_operator(dw.random_band_limited_frame(2, 32))
+
+
+@pytest.mark.parametrize("route", FIBER_ROUTES)
+def test_fiber_route_peak_memory(route, random_operator_32, peak_mb):
+    """5 points of a 32^3 operator: 0.04 MB traced, where the routes traced 2.9 MB (b1, a
+    whole-grid A_sub) and 9.4 MB (each b2 route, an interpolant of p) before they read
+    the grid lines through their points alone."""
+    peak = peak_mb(lambda: _fiber_route(route, random_operator_32, SAMPLE_INDICES))
+    print(f"{route}: traced peak {peak:.3f} MB")
+    assert peak < 0.5
 
 
 def test_u1_curvature_batch_builds_one_interpolant(random_setup, monkeypatch):
@@ -415,11 +460,9 @@ TORSION_POINT_CASES = {
 def test_torsion_at_points_matches_the_grid_bundle(case, curved_frame):
     """The fibre route's pointwise *T, g and charge against torsion's grid bundle.
 
-    The route differentiates the interpolated frame by the chain rule and
-    torsion the sampled coframe; measured gaps were at most 8.7e-12 (gauged,
-    16^3), so the bound is torsion's own 1e-10 route gate.  g reads the
-    interpolant, whose pruned modes (below 1e-13 each) move it by up to
-    2.8e-12 from the samples on the random and gauged frames.
+    The route differentiates the frame by the chain rule and torsion the
+    sampled coframe; measured gaps were at most 3.2e-12 (random, 16^3), so
+    the bound is torsion's own 1e-10 route gate.  g is p^T p of the samples.
     """
     op = (dw.dirac_operator(curved_frame) if case == "curved" else TORSION_POINT_CASES[case]())
     sym = op.sigma
@@ -441,15 +484,47 @@ def test_torsion_route_does_not_call_geometry_torsion(random_setup, monkeypatch)
     """The b2 torsion route still runs with every binding of geometry.torsion raising."""
     _, sym, op = random_setup
     want = dw.b_density(op).b2[tuple(SAMPLE_INDICES.T)]
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("geometry.torsion was called")
-
-    real = dw.geometry.torsion
-    for module in [m for name, m in sys.modules.items() if name.startswith("diracweyl")]:
-        if getattr(module, "torsion", None) is real:
-            monkeypatch.setattr(module, "torsion", refuse)
+    _refuse_everywhere(monkeypatch, dw.geometry.torsion)
     with pytest.raises(AssertionError, match="was called"):
         dw.torsion(dw.decode_frame(sym), dw.decode_metric(sym))
     got = dw.b2_density_fiber_torsion(sym, SAMPLE_INDICES)
     assert np.abs(got - want).max() <= 1e-7
+
+
+PULLBACK_CASES = [(name, n) for name in ("shear", "stretch") for n in (16, 24)]
+
+
+def _edge_points(n):
+    """Grid indices on the grid's edges and corners, and one inside."""
+    return np.array([(0, 0, 0), (n - 1, n - 1, n - 1), (0, n - 1, n // 2), (n - 1, 0, 1), (3, 5, 7)])
+
+
+@pytest.mark.parametrize("name, n", PULLBACK_CASES)
+def test_fiber_routes_on_pullback_frames_are_the_flat_values_times_j(name, n, pullback_frame):
+    """Dirac plus 0.3 I of a pulled-back flat frame: b1 = J (-0.3 / 2 pi^2) and b2 = 0
+    exactly, so each route is held to 1e-15 (measured at most 3.5e-18 and 2.8e-18)."""
+    frame, jac, _ = pullback_frame(name, n)
+    op = dw.dirac_plus_scalar(frame, 0.3)
+    pts = _edge_points(n)
+    want = {"b1_density_fiber": jac[tuple(pts.T)] * (-0.3 / (2.0 * np.pi**2)),
+            "b2_density_fiber_torsion": 0.0, "b2_density_fiber_curvature": 0.0}
+    gaps = {route: np.abs(_fiber_route(route, op, pts) - want[route]).max()
+            for route in FIBER_ROUTES}
+    print(f"{name} {n}^3: " + ", ".join(f"{route} {gap:.1e}" for route, gap in gaps.items()))
+    assert max(gaps.values()) <= 1e-15
+
+
+@pytest.mark.parametrize("name, n", PULLBACK_CASES)
+def test_pullback_frames_decode_to_the_pulled_back_geometry(name, n, pullback_frame):
+    """Torsion 0 within 1e-13 (measured at most 1.5e-15), charge 1 and g_cov = dphi^T dphi
+    within 1e-12."""
+    frame, _, dphi = pullback_frame(name, n)
+    sym = dw.symbol_from_frame(frame)
+    metric = dw.decode_metric(sym)
+    tor = dw.torsion(dw.decode_frame(sym), metric)
+    torsion_gap = np.abs(tor.components).max()
+    metric_gap = np.abs(metric.g_cov - np.swapaxes(dphi, -1, -2) @ dphi).max()
+    print(f"{name} {n}^3: |T| = {torsion_gap:.1e}, |g_cov - dphi^T dphi| = {metric_gap:.1e}")
+    assert torsion_gap <= 1e-13
+    assert tor.charge == 1 and dw.topological_charge(sym) == 1
+    assert metric_gap <= 1e-12

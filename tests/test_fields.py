@@ -5,12 +5,14 @@ import re
 import numpy as np
 import pytest
 
+import diracweyl as dw
 from diracweyl.errors import EllipticityError, InputError
 from diracweyl.geometry import symbol_from_frame
 from diracweyl.scenarios import random_band_limited_frame
 from diracweyl.fields import (
     PeriodicChart,
     TrigInterpolant,
+    _grid_line_jets,
     _transposed,
     chart_of,
     derivative_stack,
@@ -182,6 +184,43 @@ def test_interpolant_memory_does_not_grow_with_the_point_count(peak_mb):
     grads = interp.gradient(pts)
     for row in (0, 199, 399):  # in the first, a middle and the last block
         assert np.abs(grads[row] - interp.gradient(pts[row])).max() <= 1e-14
+
+
+def _line_jet_fields(curved_frame):
+    """Grid fields for the line-jet checks: symbol components p and one complex a0."""
+    gauged = dw.gauge_transform(dw.dirac_operator(dw.twisted_frame(1, 16)),
+                                dw.random_gauge_field(1, 16))
+    rng = np.random.default_rng(41)
+    return {
+        "random p": symbol_from_frame(random_band_limited_frame(2, 16)).p,
+        "twisted p": symbol_from_frame(dw.twisted_frame(3, 16)).p,
+        "gauged p": gauged.sigma.p,
+        "gauged a0": gauged.a0,
+        "curved p": symbol_from_frame(curved_frame).p,
+        "n=4 real": rng.standard_normal((4, 4, 4, 3)),  # populates every Nyquist bin
+        "n=4 complex": rng.standard_normal((4, 4, 4, 2)) + 1j * rng.standard_normal((4, 4, 4, 2)),
+    }
+
+
+def test_grid_line_jets_are_the_samples_and_spectral_derivatives(curved_frame):
+    """The line helper against whole-grid spectral_derivative, at corner and random
+    indices: within 1e-12 of the field's or its derivative's largest entry on every
+    field (the random frame's derivatives reach only 4e-3 of its entries), and k = 0
+    points give empty stacks."""
+    for name, values in _line_jet_fields(curved_frame).items():
+        n = values.shape[0]
+        pts = np.concatenate([[(0, 0, 0), (n - 1, n - 1, n - 1), (0, n - 1, 0), (n - 1, 0, n // 2)],
+                              np.random.default_rng(43).integers(0, n, size=(4, 3))])
+        idx = tuple(pts.T)
+        want = np.stack([spectral_derivative(values, a + 1)[idx] for a in range(3)], axis=1)
+        vals, grads = _grid_line_jets(values, pts)
+        assert grads.shape == want.shape and grads.dtype == want.dtype
+        gap = np.abs(grads - want).max() / max(np.abs(values).max(), np.abs(want).max())
+        print(f"{name}: gradient gap {gap:.1e} of the largest entry")
+        assert np.array_equal(vals, values[idx])
+        assert gap <= 1e-12
+        vals, grads = _grid_line_jets(values, np.zeros((0, 3), dtype=np.int64))
+        assert vals.shape == (0,) + values.shape[3:] and grads.shape == (0, 3) + values.shape[3:]
 
 
 # --- quadrature ------------------------------------------------------------

@@ -509,13 +509,6 @@ def test_verdict_analysis_inverts_no_grid_matrices(monkeypatch):
 
 # --- curved metrics: the Levi-Civita connection --------------------------------
 
-def _warped_frame(n, amplitude=0.1):
-    """e1 = f d1, e2 = d2, e3 = d3 with f = 1 + amplitude cos x3."""
-    e = np.broadcast_to(np.eye(3), (n, n, n, 3, 3)).copy()
-    e[..., 0, 0] = 1.0 + amplitude * np.cos(PeriodicChart(n).mesh()[2])
-    return dw.FrameField(e)
-
-
 def _generic_frame(n, amplitude=0.05, seed=5):
     """Identity plus a band-limited perturbation, not orthonormalised: g is a generic
     non-constant metric."""
@@ -529,7 +522,7 @@ def _generic_frame(n, amplitude=0.05, seed=5):
     return dw.FrameField(e)
 
 
-def test_christoffel_matches_the_warped_closed_form():
+def test_christoffel_matches_the_warped_closed_form(warped_frame):
     """For g_11 = 1/f^2(x3): G^3_11 = f'/f^3, G^1_13 = G^1_31 = -f'/f, all others 0."""
     n = 32
     x3 = PeriodicChart(n).mesh()[2]
@@ -537,7 +530,7 @@ def test_christoffel_matches_the_warped_closed_form():
     want = np.zeros((n, n, n, 3, 3, 3))
     want[..., 2, 0, 0] = fp / f**3
     want[..., 0, 0, 2] = want[..., 0, 2, 0] = -fp / f
-    got = christoffel_symbols(dw.decode_metric(dw.symbol_from_frame(_warped_frame(n))))
+    got = christoffel_symbols(dw.decode_metric(dw.symbol_from_frame(warped_frame(n))))
     gap = np.abs(got - want).max()
     print(f"warped Christoffel gap {gap:.2e}")
     assert gap <= 1e-13

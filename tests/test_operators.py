@@ -7,7 +7,6 @@ import diracweyl as dw
 from diracweyl.errors import ConsistencyError, InputError
 from diracweyl.fields import PeriodicChart, derivative_stack
 from diracweyl.geometry import PAULI, christoffel_symbols, pauli_components
-from diracweyl.operators import divergence_sigma
 
 
 def _twist_gauge(k3, n):
@@ -397,25 +396,18 @@ def test_a0_matches_the_previous_assembly(build):
     assert np.abs(a0 - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
 
 
-def _warped_frame(n, amplitude=0.1):
-    """e1 = f d1 with f = 1 + amplitude cos x3: p is band-limited, g_cov = diag(1/f^2, 1, 1) is not."""
-    e = np.broadcast_to(np.eye(3), (n, n, n, 3, 3)).copy()
-    e[..., 0, 0] = 1.0 + amplitude * np.cos(PeriodicChart(n).mesh()[2])
-    return dw.FrameField(e)
-
-
-def test_under_resolved_frame_names_its_fourier_tail():
+def test_under_resolved_frame_names_its_fourier_tail(warped_frame):
     """The warped frame at amplitude 0.1 misses the self-adjointness gate at 16^3
     (1.61e-10): g_cov's outermost shell holds 7.1e-10 of its largest coefficient,
     p's none.  The error says so and asks for a finer grid; 20^3 passes."""
     with pytest.raises(ConsistencyError) as caught:
-        dw.dirac_operator(_warped_frame(16))
+        dw.dirac_operator(warped_frame(16))
     message = str(caught.value)
     print(message)
     for words in ("self-adjoint", "measured 1.610e-10", "not resolved on the 16^3 grid",
                   "|m|_inf = 8", "0.00e+00 of p's", "7.14e-10 of g_cov's", "finer grid"):
         assert words in message
-    assert dw.check_dirac(dw.dirac_operator(_warped_frame(20))).is_dirac
+    assert dw.check_dirac(dw.dirac_operator(warped_frame(20))).is_dirac
 
 
 def test_dirac_operator_peak_memory(peak_mb):
@@ -443,7 +435,9 @@ def test_check_dirac_peak_memory(peak_mb):
 
 
 def test_divergence_sigma_takes_real_transforms_only(monkeypatch):
-    """sum_a d_a sigma^a from the real components against the complex-FFT derivative."""
+    """subprincipal_symbol's derivative term sum_a d_a sigma^a, from the real components,
+    against the complex-FFT derivative; a0 = -(i/2) sum_a d_a sigma^a keeps the operator
+    self-adjoint."""
     sym = dw.symbol_from_frame(dw.random_band_limited_frame(1, 12, amplitude=0.01))
     sigma = sym.sigma
     mult = 1j * np.fft.fftfreq(12, d=1.0 / 12)
@@ -453,6 +447,7 @@ def test_divergence_sigma_takes_real_transforms_only(monkeypatch):
         spectrum = np.fft.fft(sigma[..., a, :, :], axis=a)
         shape = [-1 if i == a else 1 for i in range(5)]
         want = want + np.fft.ifft(spectrum * mult.reshape(shape), axis=a)
+    op = dw.FirstOrderOperator(sym, -0.5j * want)
     calls = []
     for name in ("fft", "ifft"):
         real = getattr(np.fft, name)
@@ -462,7 +457,7 @@ def test_divergence_sigma_takes_real_transforms_only(monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counting)
-    got = divergence_sigma(sym)
+    got = (dw.subprincipal_symbol(op) - op.a0) / 0.5j
     assert calls == []
     assert np.abs(want).max() > 1e-3
     assert np.abs(got - want).max() <= 1e-14

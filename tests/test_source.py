@@ -1,13 +1,13 @@
 """Static checks on the package source, with the standard library's ast.
 
-No linter is a dependency, so these run with the tests: every module
-uses what it imports, every module-level private name is read
-somewhere in the package, the package's __all__ lists exactly the
-names of the lazy export table in its __init__, no matmul operand is
-a transposed view or a product with a complex constant, the Pauli
-encoding and per-float Python lists stay out of the file format, no
-module builds an operator's complex symbol stack, and a principal
-symbol holds its components p and nothing else.
+No linter is a dependency, so these run with the tests: every module,
+the test modules included, uses what it imports, every module-level
+private name is read somewhere in the package, the package's __all__
+lists exactly the names of the lazy export table in its __init__, no
+matmul operand is a transposed view or a product with a complex
+constant, the Pauli encoding and per-float Python lists stay out of the
+file format, no module builds an operator's complex symbol stack, and a
+principal symbol holds its components p and nothing else.
 """
 
 import ast
@@ -15,6 +15,8 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "diracweyl"
 TREES = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+TEST_TREES = {f"tests/{path.name}": ast.parse(path.read_text())
+              for path in sorted(Path(__file__).resolve().parent.glob("*.py"))}
 
 
 def _loaded(tree):
@@ -67,7 +69,7 @@ def _module_level_private(tree):
 
 def test_every_import_is_used():
     unused = []
-    for module, tree in TREES.items():
+    for module, tree in {**TREES, **TEST_TREES}.items():
         if module == "__init__.py":  # it imports to re-export
             continue
         loaded = _loaded(tree)
