@@ -195,6 +195,25 @@ def _count_interpolant_use(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize("route", ["b2_density_fiber_curvature", "b2_density_fiber_torsion"])
+def test_b2_routes_read_the_interpolant_once_per_call(route, random_setup, monkeypatch):
+    """p is read once per call, however many base points and quadrature nodes:
+    one pass of fields._grid_line_jets over the grid lines through the points,
+    and no TrigInterpolant built or evaluated."""
+    _, sym, _ = random_setup
+    calls = _count_interpolant_use(monkeypatch)
+    real, reads = dw.asymptotics._grid_line_jets, []
+
+    def counting(values, points):
+        reads.append(len(points))
+        return real(values, points)
+
+    monkeypatch.setattr(dw.asymptotics, "_grid_line_jets", counting)
+    assert getattr(dw, route)(sym, SAMPLE_INDICES).shape == (len(SAMPLE_INDICES),)
+    assert reads == [len(SAMPLE_INDICES)]
+    assert calls == {"built": 0, "value": 0, "gradient": 0}
+
+
 FIBER_ROUTES = ("b1_density_fiber", "b2_density_fiber_torsion", "b2_density_fiber_curvature")
 
 
