@@ -16,6 +16,8 @@ means T^a_{bc}; the dual torsion star_T[..., a, b] means (*T)^a_b.
 
 from __future__ import annotations
 
+import weakref
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +36,7 @@ PAULI = np.array(
 )
 
 _FRAME_CONDITION_LIMIT = 1e8
+_HELD_P = weakref.WeakValueDictionary()  # (shape, crc32 of the bytes) -> a p some live symbol holds
 
 
 def _det3(m: np.ndarray) -> np.ndarray:
@@ -99,7 +102,9 @@ class PrincipalSymbolField:
     matrices and reads p off it; symbol_from_frame sets p directly.  Both
     check ellipticity.  p is the one attribute a symbol holds: the sigma
     property rebuilds the complex stack on each access and keeps nothing,
-    and off-grid readers build their own TrigInterpolant of p.
+    and off-grid readers build their own TrigInterpolant of p.  A p that
+    is bit for bit one a live symbol holds is shared, not kept twice, so
+    PrincipalSymbolField(sym.sigma) costs no memory beyond sym's.
     """
 
     def __init__(self, sigma: np.ndarray):
@@ -114,11 +119,15 @@ class PrincipalSymbolField:
         self._hold(np.swapaxes(pauli_components(s), -1, -2).copy())
 
     def _hold(self, p: np.ndarray) -> np.ndarray:
-        """Take ownership of the component array p; check and return its g = _gram(p)."""
+        """Hold p, or the bit-identical p a live symbol holds; check and return g = _gram(p)."""
         gram = _gram(p)
         _check_ellipticity(np.moveaxis(gram, (0, 1), (-2, -1)), p)
         p.flags.writeable = False
-        self.p = p
+        key = (p.shape, zlib.crc32(p))
+        held = _HELD_P.get(key)
+        if held is not None and np.array_equal(held.view(np.uint64), p.view(np.uint64)):
+            p = held
+        self.p = _HELD_P[key] = p
         return gram
 
     @property

@@ -1,5 +1,9 @@
 """Decoding geometry from symbols and the flat-connection calculus."""
 
+import gc
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -613,6 +617,29 @@ def test_nearly_hermitian_complex_input_rebuilds_sigma():
     noisy = sigma + 1e-14 * (rng.uniform(-1, 1, sigma.shape) + 1j * rng.uniform(-1, 1, sigma.shape))
     assert 0.0 < np.abs(noisy - np.conj(np.swapaxes(noisy, -1, -2))).max() <= 1e-13
     assert np.abs(dw.PrincipalSymbolField(noisy).sigma - noisy).max() <= 1e-13
+
+
+def test_symbol_rebuilt_from_its_sigma_shares_p():
+    """PrincipalSymbolField(sym.sigma) holds sym's read-only p, not a second copy, so
+    keeping rebuilt symbols alive costs no grid memory; a p one bit apart is its own."""
+    frame = _random_frame(3, n=16)
+    sym = dw.symbol_from_frame(frame)
+    tracemalloc.start()
+    try:
+        kept = [dw.PrincipalSymbolField(sym.sigma) for _ in range(5)]
+        retained = tracemalloc.get_traced_memory()[0] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert all(again.p is sym.p for again in kept)
+    assert retained < 0.1, retained  # five copies of p would hold 1.47 MB
+    e = frame.e.copy()
+    e[3, 4, 5, 1, 2] = np.nextafter(e[3, 4, 5, 1, 2], np.inf)
+    other = dw.symbol_from_frame(dw.FrameField(e))
+    assert other.p is not sym.p and not np.shares_memory(other.p, sym.p)
+    held = weakref.ref(sym.p)
+    del sym, kept
+    gc.collect()
+    assert held() is None  # the table of held arrays keeps none alive
 
 
 # --- a symbol holds p alone ----------------------------------------------------
