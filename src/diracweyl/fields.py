@@ -164,10 +164,11 @@ def grid_integral(values: np.ndarray):
 class TrigInterpolant:
     """Evaluate a grid field anywhere on the torus by trigonometric mode sum.
 
-    The interpolant agrees with the samples at grid points and is the
-    unique band-limited representative (Nyquist content split evenly
-    between +n/2 and -n/2 so real fields interpolate to real values).
-    Coefficients of magnitude at most _FOURIER_TOL are pruned for speed.
+    The unique band-limited representative (Nyquist content split evenly
+    between +n/2 and -n/2 so real fields interpolate to real values) less
+    its coefficients of size at most _FOURIER_TOL, pruned for speed: at grid
+    points it misses the samples by up to their sum, 2.0e-12 at 200 points
+    of random_band_limited_frame(2, 16)'s 16^3 symbol (2197 of 4096 modes kept).
     """
 
     def __init__(self, values: np.ndarray):
@@ -198,8 +199,9 @@ class TrigInterpolant:
         """Analytic coordinate derivatives at a point or a (..., 3) stack of points.
 
         Shape (..., 3, *value_shape): the axis after the points is the
-        differentiation direction.  At grid points this is the spectral
-        derivative of the samples.
+        differentiation direction.  At grid points it misses the spectral
+        derivative by the pruned modes times their mode numbers: by 1.45e-11
+        on the symbol above, whose derivatives reach 3.6e-3.
         """
         return self._sum(points, 1j * self.modes)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConsistencyError, EllipticityError, InputError, gate
-from .fields import _transposed, chart_of, spectral_derivative
+from .fields import chart_of, spectral_derivative
 
 # Standard Pauli matrices; the fixed fibre basis for all 2x2 symbols.
 PAULI = np.array(
@@ -365,20 +365,20 @@ def orthonormalize_frame(e: np.ndarray) -> FrameField:
     return FrameField(e)
 
 
-def coframe(frame: FrameField, metric: MetricField) -> np.ndarray:
-    """Metric-dual coframe c[..., k, b] = c^k_b = delta^{kj} g_{bc} e_j^c, shape (n, n, n, 3, 3).
+def _coframe(ec: np.ndarray, gc: np.ndarray) -> np.ndarray:
+    """Coframe c^k_b = delta^{kj} g_{bc} e_j^c as [b, k, ...] from e_j^a as ec[j, a, ...] and gc = g_cov,
+    all components first, gated on the duality e c^T = I to 1e-10."""
+    cof = _matmul_cm(gc, ec.swapaxes(0, 1))  # g_cov is symmetric
+    dual = _matmul_cm(ec, cof)
+    dual[[0, 1, 2], [0, 1, 2]] -= 1.0  # e c^T - I
+    gate("frame/coframe duality violated", dual.transpose(2, 3, 4, 0, 1), 1e-10)
+    return cof
 
-    The product and the duality residual c e^T - I are formed components
-    first; the coframe is returned grid-first and C-contiguous.
-    """
-    ec = _components_first(frame.e)
-    c = _matmul_cm(ec, _components_first(metric.g_cov))  # g_cov is symmetric
-    dual = _matmul_cm(c, ec.swapaxes(0, 1))
-    for k in range(3):
-        dual[k, k] -= 1.0
-    gate("frame/coframe duality violated", np.moveaxis(dual, (0, 1), (-2, -1)), 1e-10)
-    del ec, dual  # before the grid-first copy allocates
-    return _grid_first(c)
+
+def coframe(frame: FrameField, metric: MetricField) -> np.ndarray:
+    """Metric-dual coframe c[..., k, b] = c^k_b = delta^{kj} g_{bc} e_j^c, grid-first and C-contiguous."""
+    cof = _coframe(_components_first(frame.e), _components_first(metric.g_cov))
+    return _grid_first(cof.swapaxes(0, 1))
 
 
 # g_cov's six independent entries, packed in this order; _PACKED[c][d] is the place of g_cd.
@@ -416,23 +416,22 @@ def christoffel_symbols(metric: MetricField) -> np.ndarray:
     return s.transpose(3, 4, 5, 2, 0, 1)
 
 
-def _dual_2forms(metric: MetricField, forms: np.ndarray) -> np.ndarray:
-    """(1/2) sqrt(det g) eps_{efb} g^{ec} g^{fd} w_{cd} for a stack of 2-forms.
+def _dual_2forms(forms: np.ndarray, gc: np.ndarray, vol: np.ndarray) -> np.ndarray:
+    """(1/2) sqrt(det g) eps_{efb} g^{ec} g^{fd} w_{cd} for a stack of 2-forms, components first.
 
-    The forms come as their independent components forms[..., k, h] =
-    w_{bc} with (b, c) = (h + 1, h + 2) mod 3, the layout of
-    TorsionBundle.components.  By eps_{efb} g^{ec} g^{fd} =
-    det(g^{..}) eps^{cdh} g_{hb} the dual is forms[..., k, h] g_{hb} / vol
-    with vol = sqrt(det g_{..}): one 3x3 matmul per point.
+    The forms come as their independent components forms[k, h, ...] =
+    w_{bc} with (b, c) = (h + 1, h + 2) mod 3, and g_cov as gc[h, b, ...].
+    By eps_{efb} g^{ec} g^{fd} = det(g^{..}) eps^{cdh} g_{hb} the dual
+    [k, b, ...] is forms[k, h] g_{hb} / vol with vol = sqrt(det g_{..}).
     """
-    out = forms @ metric.g_cov
-    out /= metric.vol[..., None, None]
+    out = _matmul_cm(forms, gc)
+    out /= vol
     return out
 
 
-def _star_torsion_from_curl(e_t: np.ndarray, metric: MetricField, curl: np.ndarray) -> np.ndarray:
-    """(*T)^a_b as sum_j e_j^a (*d c^j)_b, from e_t[..., a, j] = e_j^a and the coframe curls."""
-    return e_t @ _dual_2forms(metric, curl)
+def _star_torsion_from_curl(ec: np.ndarray, star_curl: np.ndarray) -> np.ndarray:
+    """(*T)^a_b as sum_j e_j^a (*d c^j)_b, from ec[j, a] = e_j^a and the dual curls star_curl[j, b]."""
+    return _matmul_cm(ec.swapaxes(0, 1), star_curl)
 
 
 def torsion(frame: FrameField, metric: MetricField) -> TorsionBundle:
@@ -443,55 +442,52 @@ def torsion(frame: FrameField, metric: MetricField) -> TorsionBundle:
     definition and from the curl formula, and the axial scalar from the
     dual trace and from the explicit coframe expression
     *T_ax = (1/3) sqrt(det g_contra) eps^{bmc} sum_k c^k_b d_m c^k_c.
-    Every route works on the three independent components of each
-    antisymmetric pair of indices, and all share one coframe,
-    differentiated one direction at a time.  Any disagreement beyond
-    1e-10 (on O(1) fields) raises ConsistencyError.
+    Every route works components first on the three independent
+    components of each antisymmetric index pair, and all share one
+    coframe, of which direction mu differentiates only the six entries
+    c^j_b, b != mu, that they read.  Any disagreement beyond 1e-10 (on
+    O(1) fields) raises ConsistencyError.
     """
     if frame.e.shape != metric.g_contra.shape:
         raise InputError(f"frame on the {frame.e.shape[0]}^3 grid and metric on the "
                          f"{metric.g_contra.shape[0]}^3 grid do not match")
-    cof = coframe(frame, metric)
-    e_t = _transposed(frame.e)  # e_t[..., a, j] = e_j^a
-    conn = np.zeros_like(cof)  # T^a_{bc} = G^a_{bc} - G^a_{cb}, by component
-    curl = np.zeros_like(cof)  # (d c^j)_{bc} = d_b c^j_c - d_c c^j_b, by component
+    ec = _components_first(frame.e)  # e_j^a as [j, a]
+    cof = _coframe(ec, _components_first(metric.g_cov))  # c^j_b as [b, j]
+    conn = np.zeros_like(cof)  # T^a_{bc} = G^a_{bc} - G^a_{cb} as [a, h]
+    curl = np.zeros_like(cof)  # (d c^j)_{bc} = d_b c^j_c - d_c c^j_b as [j, h]
     for mu in range(3):
         # component mu - 1 has (b, c) = (mu, mu + 1) and component mu + 1 has (mu - 1, mu)
         before, after = (mu - 1) % 3, (mu + 1) % 3
-        d = spectral_derivative(cof, mu + 1)  # d_mu c^j_b as [j, b]
-        g = e_t @ d  # G^a_{mu b} as [a, b]
-        conn[..., before] += g[..., after]
-        conn[..., after] -= g[..., before]
-        curl[..., before] += d[..., after]
-        curl[..., after] -= d[..., before]
-        del d, g  # before the next direction's transforms allocate
+        grid_first = np.moveaxis(cof[before::after - before][:2], (0, 1), (3, 4))  # b = before, after
+        d = np.moveaxis(spectral_derivative(grid_first, mu + 1), (3, 4), (0, 1))  # d_mu c^j_b as [b, j]
+        g = _matmul_cm(d, ec)  # G^a_{mu b} as [b, a] for b = before, after
+        conn[:, before] += g[1]
+        conn[:, after] -= g[0]
+        curl[:, before] += d[1]
+        curl[:, after] -= d[0]
+        del grid_first, d, g  # the view would hold cof; the rest go before the next transforms
     # eps^{bmc} sum_k c^k_b d_m c^k_c = sum_k c^k . curl c^k
-    ax2 = np.einsum("...kh,...kh->...", cof, curl) / (3.0 * metric.vol)
+    ax2 = (cof.swapaxes(0, 1) * curl).sum(axis=(0, 1)) / (3.0 * metric.vol)
     del cof
     bound = 1e-10 * max(1.0, float(conn.max()), -float(conn.min()))
-    gap = e_t @ curl  # sum_j e_j^a (d c^j)_{bc}
+    gap = _matmul_cm(ec.swapaxes(0, 1), curl)  # sum_j e_j^a (d c^j)_{bc}
     gap -= conn
-    gap_t = gate("torsion routes (connection vs coframe) disagree", gap, bound)
+    gap_t = gate("torsion routes (connection vs coframe) disagree", gap.transpose(2, 3, 4, 0, 1), bound)
     del gap
 
-    star1 = _dual_2forms(metric, conn)
-    star2 = _star_torsion_from_curl(e_t, metric, curl)
+    gc = _components_first(metric.g_cov)
+    star_curl = _dual_2forms(curl, gc, metric.vol)
+    del curl  # so the curl route's product can take its place
+    star2 = _star_torsion_from_curl(ec, star_curl)
+    del star_curl, ec
+    star1 = _dual_2forms(conn, gc, metric.vol)
     star2 -= star1
-    gap_star = gate("dual torsion routes (Hodge vs curl) disagree", star2, bound)
-    del star2
+    gap_star = gate("dual torsion routes (Hodge vs curl) disagree", star2.transpose(2, 3, 4, 0, 1), bound)
+    del star2, gc
 
-    ax1 = np.einsum("...aa->...", star1) / 3.0
+    ax1 = (star1[0, 0] + star1[1, 1] + star1[2, 2]) / 3.0
     gap_ax = gate("axial dual routes (trace vs coframe formula) disagree", ax1 - ax2, bound)
-
-    residuals = {
-        "connection_vs_coframe": gap_t,
-        "hodge_vs_curl": gap_star,
-        "trace_vs_coframe_axial": gap_ax,
-    }
-    return TorsionBundle(
-        components=conn,
-        star_T=star1,
-        axial_dual=ax1,
-        charge=frame.orientation(),
-        route_residuals=residuals,
-    )
+    residuals = {"connection_vs_coframe": gap_t, "hodge_vs_curl": gap_star,
+                 "trace_vs_coframe_axial": gap_ax}
+    return TorsionBundle(components=_grid_first(conn), star_T=_grid_first(star1), axial_dual=ax1,
+                         charge=frame.orientation(), route_residuals=residuals)

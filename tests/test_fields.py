@@ -175,6 +175,27 @@ def test_interpolant_on_a_stack_of_points_equals_single_calls(name):
         assert np.abs(got - singles).max() <= 1e-14 * np.abs(singles).max()
 
 
+def test_interpolant_misses_grid_samples_by_its_pruned_modes():
+    """The 16^3 symbol of random_band_limited_frame(2, 16) keeps 2197 of 4096 modes.  At 200
+    grid points the values were off the samples by 2.0e-12 and the gradient off
+    spectral_derivative by 1.45e-11, where the derivatives reach 3.6e-3; the line helper,
+    which prunes nothing, was off by 5.1e-15."""
+    p = symbol_from_frame(random_band_limited_frame(2, 16)).p
+    interp = TrigInterpolant(p)
+    pts = np.random.default_rng(0).integers(0, 16, size=(200, 3))
+    idx = tuple(pts.T)
+    want = np.stack([spectral_derivative(p, a + 1)[idx] for a in range(3)], axis=1)
+    value_gap = np.abs(interp(TWO_PI * pts / 16) - p[idx]).max()
+    gradient_gap = np.abs(interp.gradient(TWO_PI * pts / 16) - want).max()
+    line_gap = np.abs(_grid_line_jets(p, pts)[1] - want).max()
+    print(f"off the samples by {value_gap:.2e}, off the derivatives by {gradient_gap:.2e} "
+          f"(line helper {line_gap:.1e}; largest derivative {np.abs(want).max():.1e})")
+    assert len(interp.coefs) == 2197
+    assert 1e-13 < value_gap <= 3e-12
+    assert 1e-12 < gradient_gap <= 2e-11
+    assert line_gap <= 1e-14
+
+
 def test_interpolant_memory_does_not_grow_with_the_point_count(peak_mb):
     """400 gradients of a 16^3 frame symbol (2197 modes) in blocks of at most 8 MB of
     mode weights: traced peak 11.5 MB, where one (400, 3, 2197) block takes 42 MB."""

@@ -48,10 +48,11 @@ def _bump(shape, point, size):
 
 
 def _route_with_offset(monkeypatch):
-    """The curl route of the dual torsion, off by 1e-6 at grid point (2, 5, 1)."""
+    """The curl route of the dual torsion, off by 1e-6 at grid point (2, 5, 1); the route
+    holds its 3x3 fields components first, as [a, b, ...]."""
     curl = geometry._star_torsion_from_curl
     monkeypatch.setattr(geometry, "_star_torsion_from_curl",
-                        lambda *a: curl(*a) + _bump((8, 8, 8, 3, 3), (2, 5, 1, 0, 0), 1e-6))
+                        lambda *a: curl(*a) + _bump((3, 3, 8, 8, 8), (0, 0, 2, 5, 1), 1e-6))
     frame = dw.twisted_frame(1, 8)
     dw.torsion(frame, dw.decode_metric(dw.symbol_from_frame(frame)))
 

@@ -228,10 +228,11 @@ def test_coframe_duality():
 # --- one pass over the coframe -------------------------------------------------
 
 def test_torsion_differentiates_the_coframe_once(monkeypatch):
-    """The three cross-check routes share one coframe, differentiated once per direction;
+    """The three cross-check routes share one coframe, built once; direction mu
+    differentiates it once, and only its six entries c^j_b with b != mu, read as a view;
     nothing else is differentiated."""
     coframes, derivatives = [], []
-    real_coframe = geometry.coframe
+    real_coframe = geometry._coframe
 
     def counting_coframe(*args):
         coframes.append(real_coframe(*args))
@@ -247,19 +248,25 @@ def test_torsion_differentiates_the_coframe_once(monkeypatch):
 
     fr = _random_frame(1)
     met = dw.decode_metric(dw.symbol_from_frame(fr))
-    monkeypatch.setattr(geometry, "coframe", counting_coframe)
+    monkeypatch.setattr(geometry, "_coframe", counting_coframe)
     monkeypatch.setattr(geometry, "spectral_derivative", counting_derivative)
     monkeypatch.setattr(geometry, "derivative_stack", counting_stack, raising=False)
     dw.torsion(fr, met)
     assert len(coframes) == 1
     assert [axis for _, axis in derivatives] == [1, 2, 3]
-    assert all(values is coframes[0] for values, _ in derivatives)
+    cof = coframes[0]  # c^j_b as [b, j, ...]
+    for values, axis in derivatives:
+        others = [(axis - 2) % 3, axis % 3]  # b = mu - 1, mu + 1 for mu = axis - 1
+        assert values.shape == fr.e.shape[:3] + (2, 3)
+        assert np.shares_memory(values, cof)
+        assert np.array_equal(np.moveaxis(values, (3, 4), (0, 1)), cof[others])
 
 
 def test_torsion_peak_memory(peak_mb):
     """At n=16 the four-fold coframe rebuild peaked at 7.44 MB of traced allocation and
     the one-stack version with full (n, n, n, 3, 3, 3) tensors at 3.38 MB; by component
-    and by direction it is 1.81 MB."""
+    and by direction it was 1.81 MB, and components first, differentiating six coframe
+    entries per direction, it is 1.61 MB."""
     fr = _random_frame(0, n=16)
     met = dw.decode_metric(dw.symbol_from_frame(fr))
     assert peak_mb(lambda: dw.torsion(fr, met)) <= 2.0
@@ -268,7 +275,7 @@ def test_torsion_peak_memory(peak_mb):
 def test_torsion_frees_its_rank_3_arrays_once_used(peak_mb):
     """Keeping each direction's derivative into the next direction's transforms, the
     coframe to the end and the route gaps alive peaked at 2.98 MB at n=16; freeing each
-    once used gives 1.81 MB."""
+    once used gave 1.81 MB (1.61 MB components first)."""
     fr = _random_frame(0, n=16)
     met = dw.decode_metric(dw.symbol_from_frame(fr))
     assert peak_mb(lambda: dw.torsion(fr, met)) <= 2.0
@@ -321,7 +328,7 @@ DECODED = {
 def test_metric_and_coframe_match_lapack_inverses(name, curved_frame):
     """decode_metric and coframe against np.linalg: g_cov = inv(g_contra), vol =
     det(g_contra)^(-1/2) and c = inv(e)^T, to 1e-13 relative; each public array is
-    grid-first and C-contiguous, as _dual_2forms' batched @ wants its operands."""
+    grid-first and C-contiguous."""
     fr = DECODED[name](curved_frame)
     met = dw.decode_metric(dw.symbol_from_frame(fr))
     cof = coframe(fr, met)
@@ -363,6 +370,13 @@ def _dual_by_raised_contraction(metric, forms):
     return 0.5 * dual * metric.vol[..., None, None]
 
 
+def _dual_of_pairs(metric, pairs):
+    """geometry._dual_2forms on grid-first independent components pairs[..., k, h], grid-first."""
+    gc = geometry._components_first(metric.g_cov)
+    return geometry._grid_first(geometry._dual_2forms(geometry._components_first(pairs), gc,
+                                                      metric.vol))
+
+
 @pytest.mark.parametrize("name", sorted(FRAMES))
 def test_dual_2forms_matches_raised_contraction(name):
     fr = FRAMES[name]()
@@ -370,7 +384,7 @@ def test_dual_2forms_matches_raised_contraction(name):
     w = np.random.default_rng(1).standard_normal(fr.e.shape[:3] + (3, 3, 3))
     w = w - np.swapaxes(w, -1, -2)
     want = _dual_by_raised_contraction(met, w)
-    got = geometry._dual_2forms(met, _pair_components(w))
+    got = _dual_of_pairs(met, _pair_components(w))
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
     tor = dw.torsion(fr, met)
     want = _dual_by_raised_contraction(met, tor.T)
@@ -395,7 +409,7 @@ def test_torsion_tensor_built_on_access(name):
     assert np.array_equal(t, -np.swapaxes(t, -1, -2))
     assert not np.diagonal(t, axis1=-2, axis2=-1).any()
     assert np.array_equal(_pair_components(t), tor.components)
-    dual = geometry._dual_2forms(met, _pair_components(t))
+    dual = _dual_of_pairs(met, _pair_components(t))
     assert np.abs(dual - tor.star_T).max() <= 1e-14 * np.abs(tor.star_T).max()
     want = _connection_route_torsion(fr, met)
     assert np.abs(t - want).max() <= 1e-14 * np.abs(want).max()
@@ -409,9 +423,75 @@ def test_dual_2forms_is_its_docstring_contraction():
     g = met.g_contra
     want = 0.5 * np.sqrt(np.linalg.det(met.g_cov))[..., None, None] * np.einsum(
         "...ec,...fd,efb,...kcd->...kb", g, g, EPSILON, w, optimize=True)
-    gap = np.abs(geometry._dual_2forms(met, _pair_components(w)) - want).max()
+    gap = np.abs(_dual_of_pairs(met, _pair_components(w)) - want).max()
     print(f"dual of 2-forms off by {gap:.1e}, max |value| {np.abs(want).max():.1f}")
     assert gap < 1e-12
+
+
+# --- the batched-@ torsion as the oracle -----------------------------------------
+
+def _torsion_by_batched_matmul(fr, met):
+    """(components, star_T, axial_dual, charge) as torsion computed them on grid-first
+    (n, n, n, 3, 3) stacks through numpy's batched @, differentiating all nine coframe
+    entries in each direction; every route gap is held to torsion's 1e-10 bound."""
+    cof = coframe(fr, met)
+    e_t = np.ascontiguousarray(np.swapaxes(fr.e, -1, -2))  # e_t[..., a, j] = e_j^a
+    conn, curl = np.zeros_like(cof), np.zeros_like(cof)
+    for mu in range(3):
+        before, after = (mu - 1) % 3, (mu + 1) % 3
+        d = spectral_derivative(cof, mu + 1)  # d_mu c^j_b as [j, b]
+        g = e_t @ d  # G^a_{mu b} as [a, b]
+        conn[..., before] += g[..., after]
+        conn[..., after] -= g[..., before]
+        curl[..., before] += d[..., after]
+        curl[..., after] -= d[..., before]
+    ax2 = np.einsum("...kh,...kh->...", cof, curl) / (3.0 * met.vol)
+
+    def dual(forms):
+        return forms @ met.g_cov / met.vol[..., None, None]
+
+    star = dual(conn)
+    ax1 = np.einsum("...aa->...", star) / 3.0
+    bound = 1e-10 * max(1.0, np.abs(conn).max())
+    assert np.abs(e_t @ curl - conn).max() <= bound
+    assert np.abs(e_t @ dual(curl) - star).max() <= bound
+    assert np.abs(ax1 - ax2).max() <= bound
+    return conn, star, ax1, fr.orientation()
+
+
+def _bench_verdict_frames(n=16):
+    """The frames of the five bench verdict families, from their operators' symbols."""
+    rand = dw.dirac_operator(dw.random_band_limited_frame(1, n, amplitude=0.003))
+    std = dw.standard_frame(n)
+    ops = {
+        "random": rand,
+        "twisted": dw.dirac_operator(dw.twisted_frame(2, n)),
+        "gauged": dw.gauge_transform(rand, dw.random_gauge_field(2, n, amplitude=0.04)),
+        "scalar": dw.dirac_plus_scalar(std, 0.3),
+        "traceless": dw.dirac_plus_traceless(std, 0.1),
+    }
+    return {name: dw.decode_frame(op.sigma) for name, op in ops.items()}
+
+
+def test_torsion_matches_the_batched_matmul_oracle(curved_frame, pullback_frame):
+    """components, star_T and axial_dual within 1e-14 of the field's largest entry (or of 1)
+    of the grid-first batched-@ formulas, with the same charge, on the bench verdict
+    families at 16^3, the curved frame and both pullback frames."""
+    frames = {**_bench_verdict_frames(), "curved": curved_frame,
+              **{name: pullback_frame(name, 16)[0] for name in ("shear", "stretch")}}
+    worst = (0.0, "")
+    for name, fr in frames.items():
+        met = dw.decode_metric(dw.symbol_from_frame(fr))
+        tor = dw.torsion(fr, met)
+        *want, charge = _torsion_by_batched_matmul(fr, met)
+        assert tor.charge == charge, name
+        for key, ref in zip(("components", "star_T", "axial_dual"), want):
+            got = getattr(tor, key)
+            assert got.shape == ref.shape, (name, key)
+            gap = np.abs(got - ref).max() / max(1.0, np.abs(ref).max())
+            assert gap <= 1e-14, (name, key, gap)
+            worst = max(worst, (gap, f"{name} {key}"))
+    print(f"torsion off the batched-@ oracle by at most {worst[0]:.1e} ({worst[1]})")
 
 
 # --- one ellipticity check per symbol ------------------------------------------
