@@ -29,16 +29,8 @@ import numpy as np
 from .errors import InputError, gate
 from .fields import (TrigInterpolant, _grid_line_jets, _transposed, fiber_ball_quadrature,
                      grid_integral)
-from .geometry import (
-    MetricField,
-    PrincipalSymbolField,
-    decode_frame,
-    decode_metric,
-    pauli_components,
-    pauli_matrices,
-    torsion,
-)
-from .operators import FirstOrderOperator, subprincipal_symbol
+from .geometry import MetricField, PrincipalSymbolField, pauli_components, pauli_matrices
+from .operators import FirstOrderOperator, _weyl_data
 
 
 def _principal(obj) -> PrincipalSymbolField:
@@ -246,11 +238,10 @@ def b_density(op: FirstOrderOperator) -> AsymptoticCoefficients:
 
     b is assembled from the closed form
     (3 c *T_ax - 2 tr A_sub) sqrt(det g)/(8 pi^2) and must coincide
-    with b1 + b2 to rounding.
+    with b1 + b2 to rounding.  Right after check_dirac(op) it returns the
+    coefficients that call built (operators._weyl_data), else new ones.
     """
-    metric = decode_metric(op.sigma)
-    tor = torsion(decode_frame(op.sigma), metric)  # before A_sub, which its peak need not hold
-    return _coefficients(metric, subprincipal_symbol(op), tor)
+    return _weyl_data(op, for_b=True)[1]
 
 
 def _coefficients(metric: MetricField, asub: np.ndarray, tor) -> AsymptoticCoefficients:

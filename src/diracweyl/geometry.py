@@ -157,14 +157,18 @@ class FrameField:
 
     def orientation(self) -> int:
         """Sign of det e, checked to be uniform across the grid."""
-        d = _det3(self.e)
-        if np.any(np.abs(d) < 1e-14):
-            idx = tuple(int(i) for i in np.unravel_index(np.argmin(np.abs(d)), d.shape))
-            raise EllipticityError(f"frame degenerates at grid point {idx}")
-        signs = np.sign(d)
-        if signs.min() != signs.max():
-            raise ConsistencyError("frame orientation changes sign across the grid")
-        return int(signs.flat[0])
+        return _orientation(_det3(self.e))
+
+
+def _orientation(d: np.ndarray) -> int:
+    """Sign of a frame's determinant field d, checked nonzero and uniform across the grid."""
+    if np.any(np.abs(d) < 1e-14):
+        idx = tuple(int(i) for i in np.unravel_index(np.argmin(np.abs(d)), d.shape))
+        raise EllipticityError(f"frame degenerates at grid point {idx}")
+    signs = np.sign(d)
+    if signs.min() != signs.max():
+        raise ConsistencyError("frame orientation changes sign across the grid")
+    return int(signs.flat[0])
 
 
 @dataclass(eq=False)
@@ -332,8 +336,9 @@ def topological_charge(sym: PrincipalSymbolField) -> int:
     the grid.  Since tr(sigma^1 sigma^2 sigma^3) = 2i det p, the fibre
     route reads sqrt(det g_cov) det p off the real components.
     """
-    orientation = FrameField(sym.p).orientation()  # decode_frame would evaluate it twice
-    c_field = decode_metric(sym).vol * _det3(sym.p)
+    det = _det3(sym.p)  # one determinant for both routes
+    orientation = _orientation(det)
+    c_field = decode_metric(sym).vol * det
     c0 = int(np.rint(c_field.flat[0]))
     if c0 not in (-1, 1):
         raise ConsistencyError(f"charge {c_field.flat[0]!r} is not a unit")

@@ -8,6 +8,12 @@ import pytest
 import diracweyl as dw
 
 
+@pytest.fixture(autouse=True)
+def _empty_handoff_slot():
+    """Each test starts with check_dirac and b_density's hand-off slot empty, whatever ran before."""
+    dw.operators._weyl_slot = None
+
+
 @pytest.fixture
 def peak_mb():
     """Traced allocation peak of one call, in MB, measured after a warm-up call."""
@@ -72,7 +78,11 @@ def pullback_frame():
 
     The frame is e' = (d phi)^{-1} e, row j the leg e'_j, and J = det d phi:
     * "shear", phi = (x1 + 0.3 sin x3, x2, x3): e'_3 = d3 - 0.3 cos x3 d1, J = 1;
-    * "stretch", phi = (x1, x2, x3 + 0.1 sin x3): e'_3 = d3 / J, J = 1 + 0.1 cos x3.
+    * "stretch", phi = (x1, x2, x3 + 0.1 sin x3): e'_3 = d3 / J, J = 1 + 0.1 cos x3;
+    * "two-shear", x2 moved by 0.2 sin x1, then x1 by 0.3 sin x3:
+      phi = (x1 + 0.3 sin x3, x2 + 0.2 sin x1, x3), J = 1, and e' is the
+      transpose of (I - 0.2 cos x1 E21)(I - 0.3 cos x3 E13): 9 Fourier
+      modes on a rank-2 lattice, so its Galerkin blocks couple two directions.
     On half-densities its Dirac operator is unitarily equivalent to the flat
     one, so its torsion is 0, its charge 1, its g_cov is dphi^T dphi, and its
     densities a(x), b(x) are the flat ones times J.  The stretch is not
@@ -80,7 +90,7 @@ def pullback_frame():
     """
 
     def build(name, n):
-        x3 = dw.PeriodicChart(n).mesh()[2]
+        x1, _, x3 = dw.PeriodicChart(n).mesh()
         dphi = np.broadcast_to(np.eye(3), (n, n, n, 3, 3)).copy()
         e = dphi.copy()
         if name == "shear":
@@ -89,6 +99,10 @@ def pullback_frame():
         elif name == "stretch":
             dphi[..., 2, 2] = 1.0 + 0.1 * np.cos(x3)
             e[..., 2, 2] = 1.0 / dphi[..., 2, 2]
+        elif name == "two-shear":
+            dphi[..., 0, 2], dphi[..., 1, 0] = 0.3 * np.cos(x3), 0.2 * np.cos(x1)
+            e[..., 2, 0], e[..., 0, 1] = -dphi[..., 0, 2], -dphi[..., 1, 0]
+            e[..., 2, 1] = dphi[..., 0, 2] * dphi[..., 1, 0]
         else:
             raise ValueError(f"no pullback map named {name!r}")
         return dw.FrameField(e), np.linalg.det(dphi), dphi

@@ -7,8 +7,9 @@ lists exactly the names of the lazy export table in its __init__, no
 matmul operand is a transposed view or a product with a complex
 constant, the components-first 3x3 kernels take no batched @ or
 einsum, the Pauli encoding and per-float Python lists stay out of the
-file format, no module builds an operator's complex symbol stack, and a
-principal symbol holds its components p and nothing else.
+file format, no module builds an operator's complex symbol stack, a
+principal symbol holds its components p and nothing else, only two
+declared globals are rebound at run time, and no functools cache is used.
 """
 
 import ast
@@ -266,3 +267,41 @@ def test_principal_symbol_assigns_only_p():
     assigned = {f"{name} (line {line})" for name, line in _self_attributes_assigned(cls)
                 if name != "p"}
     assert assigned == set()
+
+
+def _globals_declared(tree):
+    """The names of every global statement in the tree."""
+    return {name for node in ast.walk(tree) if isinstance(node, ast.Global) for name in node.names}
+
+
+_CACHE_DECORATORS = {"cache", "lru_cache", "cached_property"}
+
+
+def _cache_decorators(tree):
+    """Line numbers of every functools cache decorator in the tree, called or not."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for dec in node.decorator_list:
+                func = dec.func if isinstance(dec, ast.Call) else dec
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if name in _CACHE_DECORATORS:
+                    yield dec.lineno
+
+
+def test_module_state_is_declared_and_bounded():
+    """Two module-level names are rebound at run time: spectra's unit-width counting CDF
+    (one fixed grid, built on first use) and operators' check_dirac/b_density hand-off
+    slot (one operator's four density fields at most, emptied on use).  Any further
+    global or functools cache has to be added here, with its bound."""
+    caught = list(_cache_decorators(ast.parse(
+        "@functools.lru_cache(maxsize=4)\ndef f(x): pass\n"
+        "@cache\ndef g(x): pass\n"
+        "class C:\n    @cached_property\n    def h(self): pass\n"
+        "@staticmethod\ndef k(x): pass\n"
+    )))
+    assert caught == [1, 3, 6]
+    declared = {f"{module[:-3]}.{name}" for module, tree in TREES.items()
+                for name in _globals_declared(tree)}
+    assert declared == {"spectra._unit_cdf_grid", "operators._weyl_slot"}
+    found = [f"{module}:{line}" for module, tree in TREES.items() for line in _cache_decorators(tree)]
+    assert found == []

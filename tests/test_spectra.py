@@ -491,6 +491,39 @@ class TestGalerkin:
             dw.galerkin_spectrum(nyquist_operator, 3)
 
 
+# Grid and cutoff of each pulled-back flat frame; the stretch is not band-limited.
+PULLBACK_GALERKIN = {"shear": (16, 8), "stretch": (24, 8), "two-shear": (16, 6)}
+
+
+@pytest.mark.parametrize("name", sorted(PULLBACK_GALERKIN))
+def test_pullback_tables_and_b_are_the_flat_ones(name, pullback_frame):
+    """A flat frame pulled back by a torus diffeomorphism has a non-constant metric, yet its
+    Dirac operator is unitarily equivalent to the flat one on half-densities.  So on
+    |lambda| <= cutoff/2 - 1/2 its Galerkin table is the trivial spin structure's exact
+    table, and D + 0.3 I's is that table plus 0.3, each within 1e-11 (measured at most
+    8.9e-15, 4.3e-15 and 1.4e-12); and b(x) of D + 0.3 I is J(x) (-0.3 / 2 pi^2) within
+    1e-15 (measured 3.5e-18), read right after check_dirac on the same operator (through the hand-off slot,
+    which that empties) and on a new operator over the same arrays."""
+    n, cutoff = PULLBACK_GALERKIN[name]
+    frame, jac, _ = pullback_frame(name, n)
+    half = 0.5 * cutoff - 0.5
+    exact = dw.torus_exact_spectrum(TRIVIAL, half)
+    gaps = {}
+    for q, op in ((0.0, dw.dirac_operator(frame)), (0.3, dw.dirac_plus_scalar(frame, 0.3))):
+        got = dw.galerkin_spectrum(op, cutoff, window=(q - half, q + half))
+        assert np.array_equal(got.multiplicities, exact.multiplicities)
+        gaps[f"table of D + {q} I"] = np.abs(got.values - (exact.values + q)).max()
+    want = jac * (-0.3 / (2.0 * np.pi**2))
+    dw.check_dirac(op)
+    gaps["b after check_dirac"] = np.abs(dw.b_density(op).b - want).max()
+    assert dw.operators._weyl_slot is None
+    new = dw.FirstOrderOperator(op.sigma, op.a0)
+    gaps["b of a new operator"] = np.abs(dw.b_density(new).b - want).max()
+    print(f"{name} {n}^3, cutoff {cutoff}: " + ", ".join(f"{k} {v:.1e}" for k, v in gaps.items()))
+    assert max(v for k, v in gaps.items() if k.startswith("table")) <= 1e-11
+    assert max(v for k, v in gaps.items() if k.startswith("b ")) <= 1e-15
+
+
 # --- growth-law comparison ----------------------------------------------------------
 
 @pytest.fixture(scope="module")
