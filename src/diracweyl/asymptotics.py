@@ -29,8 +29,8 @@ import numpy as np
 from .errors import InputError, gate
 from .fields import (TrigInterpolant, _grid_line_jets, _transposed, fiber_ball_quadrature,
                      grid_integral)
-from .geometry import MetricField, PrincipalSymbolField, pauli_components, pauli_matrices
-from .operators import FirstOrderOperator, _weyl_data
+from .geometry import PrincipalSymbolField, pauli_components, pauli_matrices
+from .operators import FirstOrderOperator, _weyl_b, _weyl_data
 
 
 def _principal(obj) -> PrincipalSymbolField:
@@ -105,16 +105,6 @@ def _quadratic(xis: np.ndarray, m: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # coefficient densities
 # ---------------------------------------------------------------------------
-
-def _weyl_b(metric: MetricField, asub=None, tor=None) -> np.ndarray:
-    """Closed form (3 c *T_ax - 2 tr A_sub) sqrt(det g) / (8 pi^2) of b.
-
-    Leaving out the torsion gives b1, leaving out A_sub gives b2.
-    """
-    axial = 0.0 if tor is None else 3.0 * tor.charge * tor.axial_dual
-    trace = 0.0 if asub is None else (asub[..., 0, 0] + asub[..., 1, 1]).real
-    return (axial - 2.0 * trace) * metric.vol / (8.0 * np.pi**2)
-
 
 def _grid_points(points, n: int) -> np.ndarray:
     """A (k, 3) array of integer grid indices in [0, n), as int64.
@@ -238,22 +228,18 @@ def b_density(op: FirstOrderOperator) -> AsymptoticCoefficients:
 
     b is assembled from the closed form
     (3 c *T_ax - 2 tr A_sub) sqrt(det g)/(8 pi^2) and must coincide
-    with b1 + b2 to rounding.  Right after check_dirac(op) it returns the
-    coefficients that call built (operators._weyl_data), else new ones.
+    with b1 + b2 to rounding.  The parts fixed by p come from
+    operators._weyl_data, shared with check_dirac; every density is new.
     """
-    return _weyl_data(op, for_b=True)[1]
-
-
-def _coefficients(metric: MetricField, asub: np.ndarray, tor) -> AsymptoticCoefficients:
-    """The densities from an already decoded metric, subprincipal symbol and torsion."""
-    a = metric.vol / (6.0 * np.pi**2)
-    b = _weyl_b(metric, asub, tor)
+    vol, c_tax, charge, asub = _weyl_data(op)
+    a = vol / (6.0 * np.pi**2)
+    b = _weyl_b(vol, c_tax, asub)
     return AsymptoticCoefficients(
         a=a,
-        b1=_weyl_b(metric, asub=asub),
-        b2=_weyl_b(metric, tor=tor),
+        b1=_weyl_b(vol, asub=asub),
+        b2=_weyl_b(vol, c_tax),
         b=b,
         a_global=float(grid_integral(a)),
         b_global=float(grid_integral(b)),
-        charge=tor.charge,
+        charge=charge,
     )

@@ -215,7 +215,7 @@ class TrigInterpolant:
         if points.shape[-1:] != (3,):
             raise InputError(f"points must have a last axis of length 3, got shape {points.shape}")
         pts, rows = points.reshape(-1, 3), (1 if factors is None else len(factors))
-        step = max(1, _WEIGHT_BYTES // (16 * rows * len(self.coefs)))
+        step = max(1, _WEIGHT_BYTES // (16 * rows * max(1, len(self.coefs))))  # no modes: zeros
         vals = np.concatenate([self._block_sum(pts[i:i + step], factors)
                                for i in range(0, max(len(pts), 1), step)])
         tail = () if factors is None else (rows,)

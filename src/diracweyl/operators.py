@@ -14,7 +14,6 @@ topological obstruction) lives here as well.
 from __future__ import annotations
 
 import weakref
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,8 +84,12 @@ class FirstOrderOperator:
 
 def subprincipal_symbol(op: FirstOrderOperator) -> np.ndarray:
     """A_sub = a0 + (i/2) s^j d_a p_j^a (covector-independent here), by three real FFTs of p."""
-    div = sum(spectral_derivative(op.sigma.p[..., :, a], a + 1) for a in range(3))
-    return op.a0 + 0.5j * pauli_matrices(div)
+    return op.a0 + 0.5j * pauli_matrices(_divergence(op.sigma.p))
+
+
+def _divergence(p: np.ndarray) -> np.ndarray:
+    """The real divergences sum_a d_a p_j^a, stacked on j as (n, n, n, 3)."""
+    return sum(spectral_derivative(p[..., :, a], a + 1) for a in range(3))
 
 
 def dirac_operator(frame: FrameField) -> FirstOrderOperator:
@@ -417,47 +420,46 @@ def check_dirac(op: FirstOrderOperator, tol: float = _DEFAULT_TOL) -> DiracVerdi
       It reads the subprincipal symbol and torsion the other two
       residuals use, so no Dirac a0 and no Christoffel symbols are built.
 
-    A b_density on the same operator right after takes the coefficients this built (_weyl_data).
+    The parts fixed by p come from _weyl_data, shared with b_density.
     """
     if not 0.0 <= tol < np.inf:
         raise InputError(f"tol must be a finite non-negative number, got {tol}")
-    cond_a, gap, cond_b = _weyl_data(op, for_b=False)[0]
+    vol, c_tax, _, asub = _weyl_data(op)
+    gap = float(np.abs(asub - (0.75 * c_tax)[..., None, None] * IDENTITY2).max())
+    trace_half = 0.5 * (asub[..., 0, 0] + asub[..., 1, 1])
+    devi = pauli_components(asub - trace_half[..., None, None] * IDENTITY2)
+    cond_a = float(np.hypot(np.hypot(devi[..., 0], devi[..., 1]), devi[..., 2]).max())  # no overflow
+    cond_b = float(np.abs(_weyl_b(vol, c_tax, asub)).max())
     ok = cond_a <= tol and cond_b <= tol and gap <= tol
     return DiracVerdict(is_dirac=bool(ok), cond_a_residual=cond_a, cond_b_residual=cond_b,
                         reconstructed_gap=gap, tol=tol)
 
 
-# _weyl_data's hand-off slot: weak references to op, op.sigma and op.a0, a0's crc32 (a0 is
-# writable), the residuals and coefficients no caller has seen (or None); or None when empty.
+def _weyl_b(vol: np.ndarray, c_tax=None, asub=None) -> np.ndarray:
+    """b = (3 c *T_ax - 2 tr A_sub) sqrt(det g) / (8 pi^2); b1 without c_tax, b2 without asub."""
+    axial = 0.0 if c_tax is None else 3.0 * c_tax
+    trace = 0.0 if asub is None else (asub[..., 0, 0] + asub[..., 1, 1]).real
+    return (axial - 2.0 * trace) * vol / (8.0 * np.pi**2)
+
+
+# The record _weyl_data keeps of the last symbol it read: a weak reference to its p, vol,
+# c *T_ax, the charge and the divergence sum_a d_a p_j^a (five grid fields); or None.
 _weyl_slot = None
 
 
-def _weyl_data(op: FirstOrderOperator, for_b: bool) -> tuple:
-    """((cond_a, gap, cond_b), AsymptoticCoefficients) of op from one metric, torsion and A_sub.
+def _weyl_data(op: FirstOrderOperator) -> tuple:
+    """(vol, c *T_ax, charge, A_sub) of op: all but A_sub are fixed by the read-only p.
 
-    Each call empties the slot; one keyed to this operator, symbol and a0 bytes takes the
-    residuals (none depends on tol) or, for_b, the coefficients a check_dirac left.  Any other
-    computes both and leaves the residuals, with the coefficients only if its caller returns
-    none: the slot holds at most four grid fields, and no coefficients object goes out twice.
+    They come from the record if it holds op.sigma.p, else from one metric decode, torsion and
+    divergence, which replace it.  A_sub = a0 + (i/2) s^j div_j is new on each call.
     """
-    from .asymptotics import _coefficients  # local import to avoid a cycle
-
     global _weyl_slot
-    held, _weyl_slot = _weyl_slot, None
-    objs = (op, op.sigma, op.a0)
-    crc = zlib.crc32(np.ascontiguousarray(op.a0))  # a file's a0 may be a strided view
-    if (held is not None and held[1] == crc and all(r() is x for r, x in zip(held[0], objs))
-            and (held[3] is not None or not for_b)):
-        return held[2], held[3]
-    metric = decode_metric(op.sigma)
-    tor = torsion(decode_frame(op.sigma), metric)  # before A_sub, which its peak need not hold
-    asub = subprincipal_symbol(op)
-    identity = (0.75 * tor.charge * tor.axial_dual)[..., None, None] * IDENTITY2
-    gap = float(np.abs(asub - identity).max())
-    trace_half = 0.5 * (asub[..., 0, 0] + asub[..., 1, 1])
-    devi = pauli_components(asub - trace_half[..., None, None] * IDENTITY2)
-    cond_a = float(np.hypot(np.hypot(devi[..., 0], devi[..., 1]), devi[..., 2]).max())  # no overflow
-    coeffs = _coefficients(metric, asub, tor)
-    residuals = (cond_a, gap, float(np.abs(coeffs.b).max()))
-    _weyl_slot = (tuple(map(weakref.ref, objs)), crc, residuals, None if for_b else coeffs)
-    return residuals, coeffs
+    p, held = op.sigma.p, _weyl_slot  # read once: another thread may replace it
+    if held is None or held[0]() is not p:
+        _weyl_slot = held = None  # the old record goes before the new one is built
+        metric = decode_metric(op.sigma)
+        tor = torsion(decode_frame(op.sigma), metric)
+        _weyl_slot = held = (weakref.ref(p), metric.vol, tor.charge * tor.axial_dual, tor.charge,
+                             _divergence(p))
+    _, vol, c_tax, charge, div = held
+    return vol, c_tax, charge, op.a0 + 0.5j * pauli_matrices(div)

@@ -37,6 +37,10 @@ if TYPE_CHECKING:
 _CLUSTER_TOL = 1e-7
 _ON_EIGENVALUE_TOL = 1e-9  # a lambda this close to an eigenvalue sits on it
 _SAMPLES_PER_OCTAVE = 24  # dense geometric sampling of asymptotic_comparison
+_NUDGE = 1e-6  # how far asymptotic_comparison moves a sample that sits on an eigenvalue
+# From this start on, its sample spacing lambda (2^(1/24) - 1) exceeds the nudge plus the
+# tie tolerance, so a nudged sample stays below the next (and lambda^2 far from underflow).
+_COMPARE_FLOOR = (_NUDGE + _ON_EIGENVALUE_TOL) / (2.0 ** (1.0 / _SAMPLES_PER_OCTAVE) - 1.0)
 
 # Largest Hermitian block solved densely: its solve holds the block and
 # eigvalsh's copy, 32 bytes per entry (34 + 35 MB measured at order 1458),
@@ -395,7 +399,10 @@ def galerkin_spectrum(op: FirstOrderOperator, mode_cutoff: int, window=None) -> 
     zone = 0.5 * c
     if window is None:
         window = (-zone, zone)
-    lo, hi = float(window[0]), float(window[1])
+    try:
+        lo, hi = (float(edge) for edge in window)
+    except (TypeError, ValueError):
+        raise InputError(f"window must be a pair (lo, hi) of numbers, got {window!r}") from None
     if not lo < hi:
         raise InputError(f"window must be a nonempty interval, got {window}")
     if not -zone - 1e-12 <= lo < hi <= zone + 1e-12:
@@ -556,7 +563,7 @@ def _tie_free(lams: np.ndarray, values: np.ndarray) -> np.ndarray:
     v = np.concatenate([[-np.inf], values, [np.inf]])
     j = np.searchsorted(v, lams)
     near = np.minimum(v[j] - lams, lams - v[j - 1]) <= _ON_EIGENVALUE_TOL
-    return np.where(near, lams + 1e-6, lams)
+    return np.where(near, lams + _NUDGE, lams)
 
 
 def _exact_window_max(table: SpectrumTable, a: float, b: float, left: float, right: float) -> float:
@@ -590,13 +597,17 @@ def asymptotic_comparison(
 
     Samples geometrically, _SAMPLES_PER_OCTAVE per octave (sample
     points landing on an eigenvalue are nudged just above it, where the
-    strict count is unambiguous).  Reports |residual|/lambda^2 maxima
-    on dyadic windows -- their decay is the sharp-remainder diagnostic
-    -- and a log-log least-squares growth exponent of |residual|.
+    strict count is unambiguous; a range starting below _COMPARE_FLOOR,
+    3.42e-05, is refused).  Reports |residual|/lambda^2 maxima on dyadic
+    windows -- their decay is the sharp-remainder diagnostic -- and a
+    log-log least-squares growth exponent of |residual|.
     """
     lo, hi = float(lambda_range[0]), float(lambda_range[1])
     if not (0.0 < lo < hi):
         raise InputError("lambda_range must be positive and increasing")
+    if lo < _COMPARE_FLOOR:
+        raise InputError(f"lambda_range must start at {_COMPARE_FLOOR:.3g} or above, got {lo:g}: "
+                         f"below it a sample moved {_NUDGE:g} off an eigenvalue can pass the next")
     _check_threshold(table, hi)
     n_oct = np.log2(hi / lo)
     n_dense = int(np.floor(_SAMPLES_PER_OCTAVE * n_oct)) + 1

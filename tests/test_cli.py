@@ -679,6 +679,16 @@ def test_growth_comparison_loads_no_masked_arrays():
     assert "numpy.ma" not in _imported_modules(proc)
 
 
+@pytest.mark.parametrize("lo", ["1e-300", "1e-9"])
+def test_growth_comparison_from_below_the_floor_exits_2_naming_it(lo):
+    """--compare 1e-300,1 exited 0, printed two numpy RuntimeWarnings and repeated 1e-06
+    among the octave samples."""
+    proc = _cli_process("spectrum", "--lambda-max", "3", "--compare", f"{lo},1")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "3.42e-05" in proc.stderr, proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_decode_reports_the_metric_eigenvalue_extremes(tmp_path, capsys, curved_frame):
     """The extremes of LAPACK's eigvalsh over the decoded metric."""
     path = tmp_path / "frame.json"

@@ -126,6 +126,17 @@ class TestTrigInterpolant:
             with pytest.raises(InputError, match=words):
                 evaluate(np.zeros(shape))
 
+    @pytest.mark.parametrize("values", [np.zeros((4, 4, 4)), np.full((4, 4, 4, 2), 1e-14)])
+    def test_a_field_with_no_modes_left_is_zero(self, values):
+        """Every coefficient at or below _FOURIER_TOL is pruned; the block size divided by
+        the zero mode count and raised ZeroDivisionError."""
+        interp = TrigInterpolant(values)
+        assert len(interp.coefs) == 0
+        tail = values.shape[3:]
+        for points, lead in ((np.full(3, 0.5), ()), (np.full((2, 3, 3), 0.5), (2, 3))):
+            assert np.array_equal(interp(points), np.zeros(lead + tail))
+            assert np.array_equal(interp.gradient(points), np.zeros(lead + (3,) + tail))
+
     def test_matrix_valued_fields(self):
         x1, _, _ = _mesh(8)
         f = np.zeros((8, 8, 8, 2, 2))

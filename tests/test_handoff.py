@@ -1,14 +1,14 @@
-"""The hand-off slot between check_dirac and b_density on one operator.
+"""The record check_dirac and b_density share for one principal symbol.
 
-Both read one metric, one torsion and one A_sub (operators._weyl_data).
-Called on the same operator one after the other, in either order, the
-second takes what the first left in the module's one slot.  A new
-operator object, a changed a0 or another operator in between misses
-it, the slot is empty once a pair has used it, and no coefficients
-object is handed out twice.
+Both read vol, c *T_ax, the charge and the divergence of p from
+operators._weyl_data, which keeps them for the last p it read, keyed by
+a weak reference to that read-only array.  Any operator over the same p
+reads the record, whatever its a0; A_sub and every result are formed on
+each call.  Another p replaces the record, and the record keeps no p alive.
 """
 
 import dataclasses
+import gc
 
 import numpy as np
 import pytest
@@ -21,15 +21,16 @@ OTHER = {"check_dirac": "b_density", "b_density": "check_dirac"}
 
 
 @pytest.fixture
-def computed(monkeypatch):
-    """Counts of the torsion and subprincipal_symbol calls _weyl_data makes from here on."""
-    counts = dict.fromkeys(("torsion", "subprincipal_symbol"), 0)
-    for name in counts:
-        def counted(*args, _name=name, _real=getattr(operators, name)):
-            counts[_name] += 1
-            return _real(*args)
-        monkeypatch.setattr(operators, name, counted)
-    return counts
+def torsions(monkeypatch):
+    """The number of torsion calls _weyl_data makes from here on, as torsions[0]."""
+    count = [0]
+
+    def counted(*args, _real=operators.torsion):
+        count[0] += 1
+        return _real(*args)
+
+    monkeypatch.setattr(operators, "torsion", counted)
+    return count
 
 
 def _operator(seed=0):
@@ -38,9 +39,10 @@ def _operator(seed=0):
     return dw.FirstOrderOperator(op.sigma, op.a0 + np.diag([0.35, 0.25]))
 
 
-def _new(op):
-    """A new operator object over the same symbol and a copy of a0, which misses the slot."""
-    return dw.FirstOrderOperator(op.sigma, op.a0.copy())
+def _emptied(name, op):
+    """The result of one call that starts from an empty slot."""
+    operators._weyl_slot = None
+    return CALLS[name](op)
 
 
 def _bits(result):
@@ -49,76 +51,93 @@ def _bits(result):
 
 
 @pytest.mark.parametrize("first", sorted(CALLS))
-def test_a_pair_computes_once_and_matches_a_new_operator(first, computed):
+def test_a_pair_computes_once_and_matches_a_new_operator(first, torsions):
+    """Either order runs torsion once and matches a new operator's call from an empty slot."""
     op = _operator()
     pair = (first, OTHER[first])
-    computed.update(torsion=0, subprincipal_symbol=0)
     got = {name: CALLS[name](op) for name in pair}
-    assert computed == {"torsion": 1, "subprincipal_symbol": 1}
-    assert operators._weyl_slot is None
+    assert torsions[0] == 1
     for name in pair:
-        assert _bits(got[name]) == _bits(CALLS[name](_new(op)))
+        assert _bits(got[name]) == _bits(_emptied(name, dw.FirstOrderOperator(op.sigma, op.a0.copy())))
     assert got["check_dirac"].cond_b_residual > 0.0 and got["check_dirac"].cond_a_residual > 0.0
 
 
-@pytest.mark.parametrize("first", sorted(CALLS))
-def test_a_new_operator_over_the_same_arrays_misses(first, computed):
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_a_new_operator_over_the_same_p_reads_the_record(name, torsions):
+    """Another a0 over the same symbol reuses the torsion and gets its own results."""
     op = _operator()
-    new = dw.FirstOrderOperator(op.sigma, op.a0)
-    second = OTHER[first]
-    CALLS[first](op)
-    got = CALLS[second](new)
-    assert computed["torsion"] == 2
-    assert _bits(got) == _bits(CALLS[second](_new(op)))
-
-
-@pytest.mark.parametrize("first", sorted(CALLS))
-def test_an_in_place_change_to_a0_misses(first, computed):
-    op = _operator()
-    second = OTHER[first]
-    before = CALLS[second](_new(op))
-    CALLS[first](op)
-    op.a0 += 0.1 * np.eye(2)  # still Hermitian
-    got = CALLS[second](op)
-    assert computed["torsion"] == 3
-    assert _bits(got) == _bits(CALLS[second](_new(op)))
-    assert _bits(got) != _bits(before)
+    before = CALLS[name](op)
+    new = dw.FirstOrderOperator(op.sigma, op.a0 + 0.1 * np.eye(2))
+    got = CALLS[name](new)
+    assert torsions[0] == 1
+    assert _bits(got) != _bits(before) and _bits(got) == _bits(_emptied(name, new))
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))
-def test_interleaved_operators_get_their_own_results(name, computed):
-    """A, B, A: the second call on A misses B's slot and returns A's results."""
-    a, b = _operator(0), _operator(1)
-    other = OTHER[name]
-    CALLS[other](a)
-    CALLS[other](b)
-    got = CALLS[name](a)
-    assert computed["torsion"] == 3
-    assert _bits(got) == _bits(CALLS[name](_new(a)))
-
-
-def test_no_coefficients_object_is_handed_out_twice(computed):
-    """Two b_density calls compute twice; zeroing a returned b moves no later verdict."""
+def test_an_in_place_change_to_a0_reads_the_record(name, torsions):
+    """A_sub is formed from a0 on every call, so a changed a0 is seen without a new torsion."""
     op = _operator()
-    want = _bits(dw.check_dirac(_new(op)))
-    first, second = dw.b_density(op), dw.b_density(op)
-    assert first is not second and computed["torsion"] == 3
-    second.b[...] = 0.0
-    assert _bits(dw.check_dirac(op)) == want  # the residuals the second call left
+    before = CALLS[name](op)
+    op.a0 += 0.1 * np.eye(2)  # still Hermitian
+    got = CALLS[name](op)
+    assert torsions[0] == 1
+    assert _bits(got) != _bits(before) and _bits(got) == _bits(_emptied(name, op))
+
+
+def test_scalar_then_traceless_of_one_frame_share_the_record(torsions):
+    """dirac_plus_scalar and dirac_plus_traceless of one frame hold one p (geometry._HELD_P)."""
+    frame = dw.random_band_limited_frame(1)
+    ops = (dw.dirac_plus_scalar(frame, 0.3), dw.dirac_plus_traceless(frame, 0.1))
+    assert ops[0].sigma.p is ops[1].sigma.p
+    got = [(dw.check_dirac(op), dw.b_density(op)) for op in ops]
+    assert torsions[0] == 1
+    for op, (verdict, coeffs) in zip(ops, got):
+        assert _bits(verdict) == _bits(_emptied("check_dirac", op))
+        assert _bits(coeffs) == _bits(_emptied("b_density", op))
+    assert got[0][0].cond_a_residual < 1e-10 < got[1][0].cond_a_residual
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_interleaved_operators_get_their_own_results(name, torsions):
+    """A, B, A: B replaces A's record, so the second call on A computes again."""
+    a, b = _operator(0), _operator(1)
+    CALLS[OTHER[name]](a)
+    CALLS[OTHER[name]](b)
+    got = CALLS[name](a)
+    assert torsions[0] == 3
+    assert _bits(got) == _bits(_emptied(name, a))
+
+
+def test_the_record_keeps_no_p_alive():
+    op = dw.dirac_operator(dw.random_band_limited_frame(29))  # a p no other test holds
     dw.check_dirac(op)
-    dw.b_density(op).b[...] = 0.0  # the coefficients check_dirac left
-    assert _bits(dw.check_dirac(op)) == want
-    assert computed["torsion"] == 5
+    held = operators._weyl_slot[0]
+    assert held() is op.sigma.p
+    del op
+    gc.collect()
+    assert held() is None
+
+
+def test_no_coefficients_object_is_handed_out_twice(torsions):
+    """Two b_density calls give distinct objects; zeroing one's b moves no later result."""
+    op = _operator()
+    verdict = _bits(dw.check_dirac(op))
+    first, second = dw.b_density(op), dw.b_density(op)
+    assert first is not second and first.b is not second.b
+    want = _bits(second)
+    first.b[...] = 0.0
+    first.a[...] = 0.0
+    assert _bits(dw.b_density(op)) == want and _bits(dw.check_dirac(op)) == verdict
+    assert torsions[0] == 1
 
 
 @pytest.mark.parametrize("first", sorted(CALLS))
-def test_a_loaded_operator_with_a_strided_a0_pairs(first, computed, tmp_path):
+def test_a_loaded_operator_with_a_strided_a0_pairs(first, torsions, tmp_path):
     dw.save_operator(_operator(), tmp_path / "op.json")
     op = dw.load_operator(tmp_path / "op.json")
     assert not op.a0.flags.c_contiguous
     pair = (first, OTHER[first])
-    computed.update(torsion=0)
     got = {name: CALLS[name](op) for name in pair}
-    assert computed["torsion"] == 1 and operators._weyl_slot is None
+    assert torsions[0] == 1
     for name in pair:
-        assert _bits(got[name]) == _bits(CALLS[name](_new(op)))
+        assert _bits(got[name]) == _bits(_emptied(name, op))

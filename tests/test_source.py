@@ -9,7 +9,8 @@ constant, the components-first 3x3 kernels take no batched @ or
 einsum, the Pauli encoding and per-float Python lists stay out of the
 file format, no module builds an operator's complex symbol stack, a
 principal symbol holds its components p and nothing else, only two
-declared globals are rebound at run time, and no functools cache is used.
+declared globals are rebound at run time, no functools cache is used, and
+only geometry imports a checksum module.
 """
 
 import ast
@@ -290,9 +291,9 @@ def _cache_decorators(tree):
 
 def test_module_state_is_declared_and_bounded():
     """Two module-level names are rebound at run time: spectra's unit-width counting CDF
-    (one fixed grid, built on first use) and operators' check_dirac/b_density hand-off
-    slot (one operator's four density fields at most, emptied on use).  Any further
-    global or functools cache has to be added here, with its bound."""
+    (one fixed grid, built on first use) and operators' check_dirac/b_density record (five
+    grid fields of one p, held by a weak reference and never kept alive by it).  Any
+    further global or functools cache has to be added here, with its bound."""
     caught = list(_cache_decorators(ast.parse(
         "@functools.lru_cache(maxsize=4)\ndef f(x): pass\n"
         "@cache\ndef g(x): pass\n"
@@ -304,4 +305,33 @@ def test_module_state_is_declared_and_bounded():
                 for name in _globals_declared(tree)}
     assert declared == {"spectra._unit_cdf_grid", "operators._weyl_slot"}
     found = [f"{module}:{line}" for module, tree in TREES.items() for line in _cache_decorators(tree)]
+    assert found == []
+
+
+_CHECKSUM_MODULES = {"zlib", "hashlib"}
+
+
+def _checksum_imports(tree):
+    """Line numbers of every import of zlib or hashlib, or of a name from them."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] in _CHECKSUM_MODULES for name in names):
+            yield node.lineno
+
+
+def test_only_geometry_takes_content_checksums():
+    """geometry._HELD_P keys the p arrays it shares between symbols on a crc32.  No other
+    module imports zlib or hashlib, so a checksum of an array's bytes does not come back
+    as a cache key: the check_dirac/b_density record is keyed on a weak reference to p."""
+    caught = list(_checksum_imports(ast.parse(
+        "import zlib\nfrom hashlib import blake2b\nimport json, hashlib\nimport weakref\n"
+    )))
+    assert caught == [1, 2, 3]
+    found = [f"{module}:{line}" for module, tree in TREES.items() if module != "geometry.py"
+             for line in _checksum_imports(tree)]
     assert found == []

@@ -5,7 +5,8 @@ import pytest
 
 import diracweyl as dw
 from diracweyl.errors import ConsistencyError, InputError
-from diracweyl.spectra import _cluster, _coset_blocks, _eigvalsh2, _lattice_basis, _tie_free
+from diracweyl.spectra import (_COMPARE_FLOOR, _cluster, _coset_blocks, _eigvalsh2, _lattice_basis,
+                              _tie_free)
 
 TRIVIAL = dw.SpinStructure((0.0, 0.0, 0.0))
 HALF3 = dw.SpinStructure((0.0, 0.0, 0.5))
@@ -452,6 +453,13 @@ class TestGalerkin:
         with pytest.raises(InputError, match="reliable"):
             dw.galerkin_spectrum(op, 4, window=(-3.0, 3.0))
 
+    @pytest.mark.parametrize("window", [(1.0,), (-1.0, 0.0, 5.0), 1.0, (), ("a", 1.0)])
+    def test_window_that_is_not_a_pair_of_numbers_rejected(self, window):
+        """(1.0,) raised IndexError and (-1, 0, 5) dropped the 5 without a word."""
+        op = dw.dirac_operator(dw.standard_frame(8))
+        with pytest.raises(InputError, match="pair"):
+            dw.galerkin_spectrum(op, 4, window=window)
+
     def test_twisted_operator_shifted_lattice(self):
         op = dw.dirac_operator(dw.twisted_frame(1, 12))
         got = dw.galerkin_spectrum(op, 4, window=(-1.6, 1.6))
@@ -502,8 +510,8 @@ def test_pullback_tables_and_b_are_the_flat_ones(name, pullback_frame):
     |lambda| <= cutoff/2 - 1/2 its Galerkin table is the trivial spin structure's exact
     table, and D + 0.3 I's is that table plus 0.3, each within 1e-11 (measured at most
     8.9e-15, 4.3e-15 and 1.4e-12); and b(x) of D + 0.3 I is J(x) (-0.3 / 2 pi^2) within
-    1e-15 (measured 3.5e-18), read right after check_dirac on the same operator (through the hand-off slot,
-    which that empties) and on a new operator over the same arrays."""
+    1e-15 (measured 3.5e-18), read right after check_dirac on the same operator and on a new
+    operator over the same arrays, both from the record check_dirac left for this p."""
     n, cutoff = PULLBACK_GALERKIN[name]
     frame, jac, _ = pullback_frame(name, n)
     half = 0.5 * cutoff - 0.5
@@ -516,7 +524,7 @@ def test_pullback_tables_and_b_are_the_flat_ones(name, pullback_frame):
     want = jac * (-0.3 / (2.0 * np.pi**2))
     dw.check_dirac(op)
     gaps["b after check_dirac"] = np.abs(dw.b_density(op).b - want).max()
-    assert dw.operators._weyl_slot is None
+    assert dw.operators._weyl_slot[0]() is op.sigma.p
     new = dw.FirstOrderOperator(op.sigma, op.a0)
     gaps["b of a new operator"] = np.abs(dw.b_density(new).b - want).max()
     print(f"{name} {n}^3, cutoff {cutoff}: " + ", ".join(f"{k} {v:.1e}" for k, v in gaps.items()))
@@ -564,6 +572,26 @@ class TestAsymptoticComparison:
         table = dw.torus_exact_spectrum(TRIVIAL, 10.0)
         with pytest.raises(InputError, match="increasing"):
             dw.asymptotic_comparison(table, 1.0, 0.0, lambda_range=(5.0, 5.0))
+
+    @pytest.mark.parametrize("lo", [1e-9, 1e-100, 1e-300, 3.4e-5])
+    def test_range_starting_below_the_floor_rejected(self, lo):
+        """On the trivial torus, samples within 1e-9 of the eigenvalue 0 were moved to
+        lambda + 1e-6, past later samples: from lo = 1e-9 the grid was not increasing, from
+        1e-100 many octave samples were repeats, and below about 1e-162 lambda^2 underflowed
+        so a window maximum divided 0 by 0."""
+        table = dw.torus_exact_spectrum(TRIVIAL, 2.0)
+        with pytest.raises(InputError, match=r"start at 3\.42e-05 or above"):
+            dw.asymptotic_comparison(table, 4.0 * np.pi / 3.0, 0.0, lambda_range=(lo, 1.0))
+
+    def test_samples_increase_from_the_floor_when_every_one_sits_on_an_eigenvalue(self):
+        """The worst case for the nudge: each dense sample from the floor on is an eigenvalue."""
+        lo = _COMPARE_FLOOR
+        values = np.concatenate([[0.0], lo * 2.0 ** (np.arange(49) / 24)])
+        table = dw.SpectrumTable(values, np.ones(50, dtype=int), "test", (-1.0, 1.0))
+        got = dw.asymptotic_comparison(table, 1.0, 0.0, lambda_range=(lo, 4.0 * lo))
+        assert len(got.lambda_grid) == 49 and np.all(np.diff(got.lambda_grid) > 0.0)
+        assert np.all(np.diff(got.octave_lambdas) > 0.0)
+        assert np.isfinite(got.window_maxima).all() and np.isfinite(got.max_scaled_residual)
 
     @pytest.mark.parametrize("lo, hi", [(5.0, 40.0), (5.0, 100.0), (2.5, 9.0), (3.0, 3.0 * 2**0.5)])
     def test_samples_are_the_sorted_unique_dense_grid(self, lo, hi):
