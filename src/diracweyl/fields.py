@@ -23,8 +23,7 @@ from .errors import EllipticityError, InputError, gate
 
 TWO_PI = 2.0 * np.pi
 VOLUME = TWO_PI**3
-# Fourier coefficients of at most this size count as zero: TrigInterpolant
-# prunes them and the Galerkin assembly in spectra drops them.
+# The one rule (_fourier_content): a Fourier mode whose coefficients are all at most this is absent.
 _FOURIER_TOL = 1e-13
 # Largest grid: check_dirac plus b_density of a random Dirac operator peak
 # at 721 MB RSS (8.6 s) at 96^3 and 1656 MB (21.5 s) at 128^3, about
@@ -74,6 +73,16 @@ def chart_of(values: np.ndarray) -> PeriodicChart:
 def _integer_modes(n: int) -> np.ndarray:
     # FFT bin -> signed integer mode, in FFT storage order.
     return np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
+
+
+def _fourier_content(values: np.ndarray) -> tuple:
+    """A grid field's modes, signed (K, 3), and coefficients (K, *components), by one fftn / n^3:
+    those where some component is above _FOURIER_TOL, in FFT storage order.  K may be 0."""
+    n = chart_of(values).n
+    coefs = np.fft.fftn(values, axes=(0, 1, 2)).reshape(n**3, *values.shape[3:])
+    coefs /= n**3
+    keep = np.flatnonzero(np.abs(coefs).reshape(n**3, -1).max(axis=1) > _FOURIER_TOL)
+    return _integer_modes(n)[np.stack(np.unravel_index(keep, (n, n, n)), axis=1)], coefs[keep]
 
 
 def _transposed(m: np.ndarray) -> np.ndarray:
@@ -165,30 +174,24 @@ class TrigInterpolant:
     """Evaluate a grid field anywhere on the torus by trigonometric mode sum.
 
     The unique band-limited representative (Nyquist content split evenly
-    between +n/2 and -n/2 so real fields interpolate to real values) less
-    its coefficients of size at most _FOURIER_TOL, pruned for speed: at grid
-    points it misses the samples by up to their sum, 2.0e-12 at 200 points
-    of random_band_limited_frame(2, 16)'s 16^3 symbol (2197 of 4096 modes kept).
+    between +n/2 and -n/2 so real fields interpolate to real values) of the modes
+    _fourier_content keeps: at grid points it misses the samples by up to the pruned
+    coefficients' sum, 2.0e-12 at 200 points of random_band_limited_frame(2, 16)'s 16^3
+    symbol (2197 of 4096 modes kept).
     """
 
     def __init__(self, values: np.ndarray):
         n = chart_of(values).n
         self.value_shape = values.shape[3:]
         self.real_input = np.isrealobj(values)
-        coefs = np.fft.fftn(values, axes=(0, 1, 2)) / n**3
-        modes = _integer_modes(n).astype(float)
-        mvec = np.stack(np.meshgrid(modes, modes, modes, indexing="ij"), axis=-1).reshape(-1, 3)
-        cflat = coefs.reshape(n**3, *self.value_shape)
-        mags = np.abs(cflat).reshape(n**3, -1).max(axis=1)
-        keep = mags > _FOURIER_TOL
-        mvec, cflat = mvec[keep], cflat[keep]
+        mvec, cflat = _fourier_content(values)
         for ax in range(3):  # split Nyquist-bin content between the two aliased partners
             nyq = mvec[:, ax] == -(n // 2)
             cflat[nyq] *= 0.5
             partners = mvec[nyq]
             partners[:, ax] = n // 2
             mvec, cflat = np.concatenate([mvec, partners]), np.concatenate([cflat, cflat[nyq]])
-        self.modes = _transposed(mvec)  # (3, nmodes)
+        self.modes = _transposed(mvec.astype(float))  # (3, nmodes)
         self.coefs = cflat
 
     def __call__(self, points: np.ndarray) -> np.ndarray:

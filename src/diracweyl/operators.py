@@ -20,7 +20,7 @@ import numpy as np
 
 from .defaults import _DEFAULT_TOL
 from .errors import ConsistencyError, InputError, gate
-from .fields import chart_of, spectral_derivative
+from .fields import _FOURIER_TOL, _fourier_content, chart_of, spectral_derivative
 from .geometry import (
     PAULI,
     FrameField,
@@ -32,7 +32,6 @@ from .geometry import (
     _gram,
     _matmul_cm,
     christoffel_symbols,
-    decode_frame,
     decode_metric,
     pauli_components,
     pauli_matrices,
@@ -115,11 +114,10 @@ def dirac_operator(frame: FrameField) -> FirstOrderOperator:
 
 
 def _outer_shell_fraction(values: np.ndarray) -> float:
-    """Largest Fourier coefficient of a grid field on the shell |m|_inf = n/2, relative to its largest."""
-    coefs = np.abs(np.fft.fftn(values, axes=(0, 1, 2)))
-    nyquist = values.shape[0] // 2
-    shell = max(coefs[nyquist].max(), coefs[:, nyquist].max(), coefs[:, :, nyquist].max())
-    return float(shell / coefs.max())
+    """Largest Fourier coefficient on the shell |m|_inf = n/2 relative to the largest, both as kept."""
+    modes, coefs = _fourier_content(values)
+    shell = np.any(np.abs(modes) == values.shape[0] // 2, axis=1)
+    return float(np.abs(coefs[shell]).max(initial=0.0) / np.abs(coefs).max(initial=_FOURIER_TOL))
 
 
 _NEXT, _AFTER = [1, 2, 0], [2, 0, 1]
@@ -458,7 +456,7 @@ def _weyl_data(op: FirstOrderOperator) -> tuple:
     if held is None or held[0]() is not p:
         _weyl_slot = held = None  # the old record goes before the new one is built
         metric = decode_metric(op.sigma)
-        tor = torsion(decode_frame(op.sigma), metric)
+        tor = torsion(FrameField(p), metric)  # its orientation check refuses a degenerate frame
         _weyl_slot = held = (weakref.ref(p), metric.vol, tor.charge * tor.axial_dual, tor.charge,
                              _divergence(p))
     _, vol, c_tax, charge, div = held

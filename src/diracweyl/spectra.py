@@ -29,7 +29,7 @@ import numpy as np
 
 from .defaults import _DEFAULT_KERNEL_WIDTH
 from .errors import ConsistencyError, InputError, gate
-from .fields import _FOURIER_TOL, _integer_modes
+from .fields import _fourier_content
 
 if TYPE_CHECKING:
     from .operators import FirstOrderOperator
@@ -246,30 +246,25 @@ def lattice_count(center, radius: float) -> int:
 # ---------------------------------------------------------------------------
 
 def _operator_fourier_data(op: FirstOrderOperator):
-    """Nonzero Fourier modes of the operator coefficients.
+    """Fourier modes of the operator coefficients, by the one rule of fields._fourier_content.
 
-    Returns (ks, coef): integer mode vectors (K, 3) and coef[p, q, a, k],
-    the [p, q] entry of sigma_hat^a(k) for a < 3 and of a0_hat(k) for
-    a = 3.  sigma_hat^a = s^j p_hat_j^a is formed from the transform of
-    the symbol's real components p.  Content in a Nyquist bin
-    cannot be assembled faithfully (the mode sign is ambiguous): above
-    1e-9 of the coefficient scale we refuse to proceed; below that it
-    is discarded, shifting eigenvalues by no more than the dropped
-    mass, which is negligible against the quadrature tolerances.
+    Returns (ks, coef): integer mode vectors (K, 3) and coef[p, q, a, k], the [p, q] entry
+    of sigma_hat^a(k) for a < 3 and of a0_hat(k) for a = 3, on the modes p's 9 real
+    components and a0's 4 entries hold.  Content in a Nyquist bin cannot be assembled
+    faithfully (the mode sign is ambiguous): above 1e-9 of the coefficient scale we refuse
+    to proceed; below that it is discarded, shifting eigenvalues by no more than the
+    dropped mass, negligible against the quadrature tolerances.
     """
     n = op.a0.shape[0]
-    p1, p2, p3 = np.moveaxis(np.fft.fftn(op.sigma.p, axes=(0, 1, 2)), 3, 0)  # p_hat_j^a as [a]
+    ks, raw = _fourier_content(np.concatenate([op.sigma.p.reshape(n, n, n, 9),
+                                               op.a0.reshape(n, n, n, 4)], axis=-1))
+    p1, p2, p3 = np.moveaxis(raw[:, :9].reshape(-1, 3, 3), 1, 0)  # p_hat_j^a as [a]
     pauli = np.stack([p3, p1 - 1j * p2, p1 + 1j * p2, -p3], axis=-2)  # [2p + q, a]
-    hat = np.concatenate([pauli, np.fft.fftn(op.a0, axes=(0, 1, 2)).reshape(n, n, n, 4, 1)], axis=-1)
-    hat /= n**3
-    mags = np.abs(hat).reshape(n, n, n, -1).max(axis=-1)
-    nz = np.nonzero(mags > _FOURIER_TOL)
-    ks = _integer_modes(n)[np.stack(nz, axis=1)]
+    hat = np.concatenate([pauli, raw[:, 9:, None]], axis=-1)
     nyquist = np.any(np.abs(ks) == n // 2, axis=1)
     gate("operator coefficients have content at the Nyquist mode; increase the grid resolution",
-         mags[nz][nyquist], 1e-9 * max(1.0, float(mags.max())))
-    keep = ~nyquist
-    return ks[keep], np.moveaxis(hat[nz][keep], 0, -1).reshape(2, 2, 4, -1)
+         hat[nyquist].ravel(), 1e-9 * np.abs(hat).max(initial=1.0))
+    return ks[~nyquist], np.moveaxis(hat[~nyquist], 0, -1).reshape(2, 2, 4, -1)
 
 
 def _lattice_basis(ks: np.ndarray) -> np.ndarray:
@@ -371,6 +366,15 @@ def _eigvalsh2(h: np.ndarray) -> np.ndarray:
     return np.stack([mid - rad, mid + rad], axis=1)
 
 
+def _number_pair(value, name: str) -> tuple:
+    """value as two floats (lo, hi); anything else is refused with InputError naming it."""
+    try:
+        lo, hi = (float(edge) for edge in value)
+    except (TypeError, ValueError):
+        raise InputError(f"{name} must be a pair (lo, hi) of numbers, got {value!r}") from None
+    return lo, hi
+
+
 def galerkin_spectrum(op: FirstOrderOperator, mode_cutoff: int, window=None) -> SpectrumTable:
     """Eigenvalues of the operator projected on plane waves |m|_inf <= cutoff.
 
@@ -397,12 +401,7 @@ def galerkin_spectrum(op: FirstOrderOperator, mode_cutoff: int, window=None) -> 
         raise InputError(f"Galerkin cutoff {c} needs a cube of (2 cutoff + 1)^3 = {(2 * c + 1) ** 3} "
                          f"modes, over the budget of {_Q_LENGTH_BUDGET}; lower the cutoff")
     zone = 0.5 * c
-    if window is None:
-        window = (-zone, zone)
-    try:
-        lo, hi = (float(edge) for edge in window)
-    except (TypeError, ValueError):
-        raise InputError(f"window must be a pair (lo, hi) of numbers, got {window!r}") from None
+    lo, hi = (-zone, zone) if window is None else _number_pair(window, "window")
     if not lo < hi:
         raise InputError(f"window must be a nonempty interval, got {window}")
     if not -zone - 1e-12 <= lo < hi <= zone + 1e-12:
@@ -602,7 +601,7 @@ def asymptotic_comparison(
     windows -- their decay is the sharp-remainder diagnostic -- and a
     log-log least-squares growth exponent of |residual|.
     """
-    lo, hi = float(lambda_range[0]), float(lambda_range[1])
+    lo, hi = _number_pair(lambda_range, "lambda_range")
     if not (0.0 < lo < hi):
         raise InputError("lambda_range must be positive and increasing")
     if lo < _COMPARE_FLOOR:

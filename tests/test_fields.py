@@ -10,8 +10,10 @@ from diracweyl.errors import EllipticityError, InputError
 from diracweyl.geometry import symbol_from_frame
 from diracweyl.scenarios import random_band_limited_frame
 from diracweyl.fields import (
+    _FOURIER_TOL,
     PeriodicChart,
     TrigInterpolant,
+    _fourier_content,
     _grid_line_jets,
     _transposed,
     chart_of,
@@ -145,6 +147,55 @@ class TestTrigInterpolant:
         v = interp(np.array([0.3, 0.0, 0.0]))
         assert v.shape == (2, 2)
         assert abs(v[0, 1] - np.sin(0.3)) < 1e-11
+
+
+def test_fourier_content_keeps_a_mode_only_above_the_tolerance():
+    """Planted coefficients 0.5, 1 and 2 times _FOURIER_TOL, one per component on the 4^3
+    grid, whose transform is exact: only the 2x one is kept, at its signed mode."""
+    idx = np.stack(np.meshgrid(*(np.arange(4),) * 3, indexing="ij"), axis=-1)
+    planted = {(1, 0, 0): 0.5, (-2, 1, 0): 1.0, (0, -1, 1): 2.0}
+    values = np.zeros((4, 4, 4, 3), dtype=complex)
+    for k, (mode, scale) in enumerate(planted.items()):
+        values[..., k] = scale * _FOURIER_TOL * np.array([1, 1j, -1, -1j])[(idx @ mode) % 4]
+    modes, coefs = _fourier_content(values)
+    assert np.issubdtype(modes.dtype, np.integer)
+    assert modes.tolist() == [[0, -1, 1]]
+    assert coefs.tolist() == [[0.0, 0.0, 2.0 * _FOURIER_TOL]]
+    modes, coefs = _fourier_content(np.zeros((4, 4, 4, 2, 2)))
+    assert modes.shape == (0, 3) and coefs.shape == (0, 2, 2)
+
+
+def _interpolant_before_fourier_content(values):
+    """(modes, coefs) as TrigInterpolant built them with its own transform and prune."""
+    n = values.shape[0]
+    coefs = np.fft.fftn(values, axes=(0, 1, 2)) / n**3
+    modes = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64).astype(float)
+    mvec = np.stack(np.meshgrid(modes, modes, modes, indexing="ij"), axis=-1).reshape(-1, 3)
+    cflat = coefs.reshape(n**3, *values.shape[3:])
+    keep = np.abs(cflat).reshape(n**3, -1).max(axis=1) > _FOURIER_TOL
+    mvec, cflat = mvec[keep], cflat[keep]
+    for ax in range(3):
+        nyq = mvec[:, ax] == -(n // 2)
+        cflat[nyq] *= 0.5
+        partners = mvec[nyq]
+        partners[:, ax] = n // 2
+        mvec, cflat = np.concatenate([mvec, partners]), np.concatenate([cflat, cflat[nyq]])
+    return _transposed(mvec), cflat
+
+
+@pytest.mark.parametrize("name", ["symbol", "real 8^3", "complex"])
+def test_interpolant_modes_are_the_ones_it_built_itself(name):
+    """Reading _fourier_content leaves the interpolant's modes and coefficients bitwise as
+    they were when it ran its own transform and prune."""
+    rng = np.random.default_rng(7)
+    values = {"symbol": lambda: symbol_from_frame(random_band_limited_frame(1, 16)).p,
+              "real 8^3": lambda: rng.standard_normal((8, 8, 8)),
+              "complex": lambda: rng.standard_normal((8, 8, 8, 2)) + 1j * rng.standard_normal((8, 8, 8, 2)),
+              }[name]()
+    interp = TrigInterpolant(values)
+    modes, coefs = _interpolant_before_fourier_content(values)
+    assert interp.modes.dtype == modes.dtype and interp.coefs.dtype == coefs.dtype
+    assert interp.modes.tobytes() == modes.tobytes() and interp.coefs.tobytes() == coefs.tobytes()
 
 
 def _gradient_cases():

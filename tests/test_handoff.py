@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import diracweyl as dw
-from diracweyl import operators
+from diracweyl import geometry, operators
 
 CALLS = {"check_dirac": dw.check_dirac, "b_density": dw.b_density}
 OTHER = {"check_dirac": "b_density", "b_density": "check_dirac"}
@@ -141,3 +141,22 @@ def test_a_loaded_operator_with_a_strided_a0_pairs(first, torsions, tmp_path):
     assert torsions[0] == 1
     for name in pair:
         assert _bits(got[name]) == _bits(_emptied(name, op))
+
+
+@pytest.mark.parametrize("first", sorted(CALLS))
+def test_a_record_build_takes_one_frame_determinant(first, monkeypatch):
+    """torsion's orientation check is the build's one determinant of p (decode_frame took a
+    second before it); the call that reads the record takes none."""
+    dets = [0]
+
+    def counted(m, _real=geometry._det3):
+        dets[0] += 1
+        return _real(m)
+
+    op = _operator()
+    operators._weyl_slot = None
+    monkeypatch.setattr(geometry, "_det3", counted)
+    CALLS[first](op)
+    assert dets[0] == 1
+    CALLS[OTHER[first]](op)
+    assert dets[0] == 1

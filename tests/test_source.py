@@ -9,8 +9,9 @@ constant, the components-first 3x3 kernels take no batched @ or
 einsum, the Pauli encoding and per-float Python lists stay out of the
 file format, no module builds an operator's complex symbol stack, a
 principal symbol holds its components p and nothing else, only two
-declared globals are rebound at run time, no functools cache is used, and
-only geometry imports a checksum module.
+declared globals are rebound at run time, no functools cache is used,
+only geometry imports a checksum module, and only fields._fourier_content
+takes a forward transform of a whole grid.
 """
 
 import ast
@@ -335,3 +336,30 @@ def test_only_geometry_takes_content_checksums():
     found = [f"{module}:{line}" for module, tree in TREES.items() if module != "geometry.py"
              for line in _checksum_imports(tree)]
     assert found == []
+
+
+_GRID_TRANSFORMS = {"fftn", "rfftn"}
+
+
+def _grid_transforms(tree):
+    """Line numbers of every fftn or rfftn call in the tree."""
+    return {node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and _GRID_TRANSFORMS & {getattr(node.func, "attr", None), getattr(node.func, "id", None)}}
+
+
+def test_only_fourier_content_transforms_a_whole_grid():
+    """Which Fourier modes a grid field holds is decided in one place: the interpolant, the
+    Galerkin assembly and the resolution refusal read fields._fourier_content, the one
+    forward whole-grid transform.  Per-axis transforms (spectral derivatives) are not caught."""
+    caught = _grid_transforms(ast.parse(
+        "a = np.fft.fftn(x, axes=(0, 1, 2))\nb = np.fft.fft(x, axis=0)\n"
+        "c = np.fft.rfftn(x)\nd = fftn(x)\ne = np.fft.ifftn(x)\n"
+    ))
+    assert caught == {1, 3, 4}
+    helper = next((node for node in TREES["fields.py"].body
+                   if isinstance(node, ast.FunctionDef) and node.name == "_fourier_content"), None)
+    allowed = set() if helper is None else _grid_transforms(helper)
+    found = [f"{module}:{line}" for module, tree in TREES.items()
+             for line in sorted(_grid_transforms(tree) - (allowed if module == "fields.py" else set()))]
+    assert found == []
+    assert len(allowed) == 1

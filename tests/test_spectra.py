@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import diracweyl as dw
+from diracweyl import spectra
 from diracweyl.errors import ConsistencyError, InputError
+from diracweyl.fields import _FOURIER_TOL
 from diracweyl.spectra import (_COMPARE_FLOOR, _cluster, _coset_blocks, _eigvalsh2, _lattice_basis,
                               _tie_free)
 
@@ -314,6 +316,40 @@ def test_block_solve_matches_dense_matrix(case):
     assert got.metadata["max_block_order"] == largest
 
 
+def _fourier_data_with_its_own_transforms(op):
+    """spectra._operator_fourier_data as it was before fields._fourier_content: two transforms,
+    the Pauli entries formed on the whole grid and the prune applied to them."""
+    n = op.a0.shape[0]
+    p1, p2, p3 = np.moveaxis(np.fft.fftn(op.sigma.p, axes=(0, 1, 2)), 3, 0)
+    pauli = np.stack([p3, p1 - 1j * p2, p1 + 1j * p2, -p3], axis=-2)
+    hat = np.concatenate([pauli, np.fft.fftn(op.a0, axes=(0, 1, 2)).reshape(n, n, n, 4, 1)], axis=-1)
+    hat /= n**3
+    mags = np.abs(hat).reshape(n, n, n, -1).max(axis=-1)
+    nz = np.nonzero(mags > _FOURIER_TOL)
+    ks = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)[np.stack(nz, axis=1)]
+    nyquist = np.any(np.abs(ks) == n // 2, axis=1)
+    assert mags[nz][nyquist].max(initial=0.0) <= 1e-9 * max(1.0, float(mags.max()))
+    return ks[~nyquist], np.moveaxis(hat[nz][~nyquist], 0, -1).reshape(2, 2, 4, -1)
+
+
+def test_one_fourier_rule_leaves_the_galerkin_table(monkeypatch):
+    """The gauged random 20^3 operator: pruning p's and a0's components, not the Pauli
+    entries, drops 2 of its 3259 modes, whose largest entry is 1.1e-13; the cutoff-3 table
+    moved by 6.3e-15."""
+    op = dw.gauge_transform(dw.dirac_operator(dw.random_band_limited_frame(0, 20)),
+                            dw.random_gauge_field(0, 20))
+    kept = {tuple(k) for k in spectra._operator_fourier_data(op)[0]}
+    before = {tuple(k) for k in _fourier_data_with_its_own_transforms(op)[0]}
+    assert kept < before and len(before - kept) == 2
+    got = dw.galerkin_spectrum(op, 3)
+    monkeypatch.setattr(spectra, "_operator_fourier_data", _fourier_data_with_its_own_transforms)
+    want = dw.galerkin_spectrum(op, 3)
+    residual = np.abs(got.values - want.values).max()
+    print(f"{len(got.values)} eigenvalues, largest move {residual:.1e}")
+    assert np.array_equal(got.multiplicities, want.multiplicities)
+    assert residual <= 1e-12
+
+
 def test_order_2_closed_form_matches_eigvalsh():
     """Random, diagonal, degenerate and widely scaled Hermitian 2x2 blocks, within 1e-14 of
     their scale, in eigvalsh's ascending order."""
@@ -459,6 +495,17 @@ class TestGalerkin:
         op = dw.dirac_operator(dw.standard_frame(8))
         with pytest.raises(InputError, match="pair"):
             dw.galerkin_spectrum(op, 4, window=window)
+
+    @pytest.mark.parametrize("lambda_range", [(5.0,), (5.0, 8.0, 1.0), 5.0, ("a", "b")])
+    def test_lambda_range_that_is_not_a_pair_of_numbers_rejected(self, lambda_range):
+        """asymptotic_comparison parses its range as the window above is: (5.0,) raised
+        IndexError, (5.0, 8.0, 1.0) dropped the 1.0, 5.0 raised TypeError and ("a", "b")
+        ValueError.  A pair, as the bench's compare profiles give it, is read."""
+        table = dw.torus_exact_spectrum(TRIVIAL, 10.0)
+        with pytest.raises(InputError, match=r"lambda_range must be a pair"):
+            dw.asymptotic_comparison(table, 1.0, 0.0, lambda_range=lambda_range)
+        for pair in ((2.5, 9.0), [2.5, 9.0], np.array([5.0, 10.0])):
+            assert dw.asymptotic_comparison(table, 1.0, 0.0, lambda_range=pair).window_edges[0][0] == pair[0]
 
     def test_twisted_operator_shifted_lattice(self):
         op = dw.dirac_operator(dw.twisted_frame(1, 12))
