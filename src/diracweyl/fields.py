@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import index
 
 import numpy as np
 
@@ -47,6 +48,10 @@ class PeriodicChart:
     n: int
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "n", index(self.n))  # int or numpy integer; no float or string
+        except TypeError:
+            raise InputError(f"grid size must be an integer, got {self.n!r}") from None
         if self.n < 4 or self.n % 2 != 0:
             raise InputError(f"grid size must be even and >= 4, got {self.n}")
         if self.n > _GRID_CEILING:
@@ -166,7 +171,7 @@ def grid_integral(values: np.ndarray):
 
     Scalar fields give a scalar; trailing component axes are kept.
     """
-    n3 = values.shape[0] * values.shape[1] * values.shape[2]
+    n3 = chart_of(values).n ** 3
     return values.reshape(n3, *values.shape[3:]).mean(axis=0) * VOLUME
 
 
@@ -258,6 +263,8 @@ def metric_ball_map(g_contra: np.ndarray) -> tuple:
     gives stacks of both, one metric a (3, 3) A and a float jac.
     """
     g = np.asarray(g_contra, dtype=float)
+    if not np.all(np.isfinite(g)):
+        raise InputError("metric contains non-finite entries")
     w, v = np.linalg.eigh(g)
     bad = np.any(w <= 0.0, axis=-1)
     if np.any(bad):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import weakref
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -171,16 +171,14 @@ def _orientation(d: np.ndarray) -> int:
     return int(signs.flat[0])
 
 
-@dataclass(eq=False)
 class MetricField:
-    """Contravariant/covariant metric samples plus the Riemannian density."""
+    """Metric samples held components first, contra[a, b, ...] = g^{ab} and cov[a, b, ...] = g_{ab},
+    the layout its kernels read, plus the Riemannian density vol = sqrt(det g_cov).  g_contra and
+    g_cov are new grid-first, C-contiguous (n, n, n, 3, 3) copies on each access.
+    """
 
-    g_contra: np.ndarray
-    g_cov: np.ndarray = field(init=False)
-    vol: np.ndarray = field(init=False)  # sqrt(det g_cov)
-
-    def __post_init__(self):
-        g = np.asarray(self.g_contra, dtype=float)
+    def __init__(self, g_contra: np.ndarray):
+        g = np.asarray(g_contra, dtype=float)
         if g.ndim != 5 or g.shape[3:] != (3, 3):
             raise InputError(f"metric field must have shape (n, n, n, 3, 3), got {g.shape}")
         chart_of(g)
@@ -188,12 +186,14 @@ class MetricField:
         _check_ellipticity(g)
         self._complete(_components_first(g))
 
+    g_contra = property(lambda self: _grid_first(self.contra), doc="g^{ab}, grid-first, copied on access.")
+    g_cov = property(lambda self: _grid_first(self.cov), doc="g_{ab}, grid-first, copied on access.")
+
     def _complete(self, gc: np.ndarray) -> MetricField:
-        """Fill g_contra, g_cov = adj(g)/det(g) and vol = 1/sqrt(det g) from gc[a, b, ...] = g^{ab}.
+        """Hold contra = gc[a, b, ...] = g^{ab}, cov = adj(g)/det(g) and vol = 1/sqrt(det g).
 
         The adjugate adj(g) @ g = det(g) I is written out in closed form,
-        one whole grid field per entry; g_contra and g_cov are stored
-        grid-first and C-contiguous.
+        one whole grid field per entry.
         """
         adj = np.empty_like(gc)
         term = np.empty_like(gc[0, 0])
@@ -207,10 +207,7 @@ class MetricField:
         det += np.multiply(gc[0, 1], adj[1, 0], out=term)
         det += np.multiply(gc[0, 2], adj[2, 0], out=term)
         adj /= det
-        self.g_cov = _grid_first(adj)
-        del adj, term  # before the copy of g allocates
-        self.g_contra = _grid_first(gc)
-        self.vol = 1.0 / np.sqrt(det)
+        self.contra, self.cov, self.vol = gc, adj, 1.0 / np.sqrt(det)
         return self
 
 
@@ -220,32 +217,35 @@ _PAIRS = ((1, 2), (2, 0), (0, 1))
 
 @dataclass(eq=False)
 class TorsionBundle:
-    """Torsion of the frame connection and its duals.
+    """Torsion of the frame connection and its duals, held components first as torsion builds them.
 
-    components[..., a, h] = T^a_{bc} with (b, c) = (h + 1, h + 2) mod 3,
-    the three independent components of each leg's antisymmetric
-    T^a_{bc}; the T property builds the full T[..., a, b, c] from them
-    on each access and keeps nothing.  star_T[..., a, b] = (*T)^a_b;
-    axial_dual is the scalar *T_ax = (1/3) (*T)^g_g; charge is the
-    orientation sign of the generating frame.  route_residuals records
-    the largest disagreement between the independent computation routes
-    that were cross-checked while building the bundle.
+    conn[a, h, ...] = T^a_{bc} with (b, c) = (h + 1, h + 2) mod 3, the
+    three independent components of each leg's antisymmetric T^a_{bc};
+    star[a, b, ...] = (*T)^a_b.  components[..., a, h] and star_T[..., a, b]
+    are new grid-first, C-contiguous copies of them on each access, and
+    the T property builds the full T[..., a, b, c] on each access; none
+    is kept.  axial_dual is the scalar *T_ax = (1/3) (*T)^g_g; charge is
+    the orientation sign of the generating frame.  route_residuals
+    records the largest disagreement between the independent computation
+    routes that were cross-checked while building the bundle.
     """
 
-    components: np.ndarray
-    star_T: np.ndarray
+    conn: np.ndarray
+    star: np.ndarray
     axial_dual: np.ndarray
     charge: int
-    route_residuals: dict = field(default_factory=dict)
+    route_residuals: dict
+
+    components = property(lambda self: _grid_first(self.conn), doc="T^a_{bc} as [..., a, h], copied on access.")
+    star_T = property(lambda self: _grid_first(self.star), doc="(*T)^a_b as [..., a, b], copied on access.")
 
     @property
     def T(self) -> np.ndarray:
         """The full (n, n, n, 3, 3, 3) tensor T^a_{bc}, zero on b = c, built on each access."""
-        comps = self.components
-        t = np.zeros(comps.shape + (3,))
+        t = np.zeros(self.conn.shape[2:] + (3, 3, 3))
         for h, (b, c) in enumerate(_PAIRS):
-            t[..., b, c] = comps[..., h]
-            np.negative(comps[..., h], out=t[..., c, b])
+            t[..., b, c] = np.moveaxis(self.conn[:, h], 0, -1)
+            np.negative(t[..., b, c], out=t[..., c, b])
         return t
 
 
@@ -382,8 +382,7 @@ def _coframe(ec: np.ndarray, gc: np.ndarray) -> np.ndarray:
 
 def coframe(frame: FrameField, metric: MetricField) -> np.ndarray:
     """Metric-dual coframe c[..., k, b] = c^k_b = delta^{kj} g_{bc} e_j^c, grid-first and C-contiguous."""
-    cof = _coframe(_components_first(frame.e), _components_first(metric.g_cov))
-    return _grid_first(cof.swapaxes(0, 1))
+    return _grid_first(_coframe(_components_first(frame.e), metric.cov).swapaxes(0, 1))
 
 
 # g_cov's six independent entries, packed in this order; _PACKED[c][d] is the place of g_cd.
@@ -400,13 +399,13 @@ def christoffel_symbols(metric: MetricField) -> np.ndarray:
     those derivatives once per pair a <= c.  Once the derivatives are
     freed, each pair is raised by g^{db} in one components-first product
     and written to (a, c) and (c, a), so G is symmetric in a and c
-    exactly.  The result is held components first, as [a, c, b, ...],
-    and returned as a view.
+    exactly.  It reads the metric's components-first arrays; the result
+    is held components first, as [a, c, b, ...], and returned as a view.
     """
-    packed = np.moveaxis(_components_first(metric.g_cov)[_UPPER], 0, -1)  # grid-first view
+    packed = np.moveaxis(metric.cov[_UPPER], 0, -1)  # grid-first view
     dg = [np.moveaxis(spectral_derivative(packed, mu + 1), -1, 0) for mu in range(3)]  # [mu][place]
     del packed
-    s = np.empty((3, 3, 3) + metric.g_cov.shape[:3])  # [a, c, d, ...] for a <= c
+    s = np.empty((3, 3, 3) + metric.vol.shape)  # [a, c, d, ...] for a <= c
     for a in range(3):
         for c in range(a, 3):
             for d in range(3):
@@ -414,10 +413,9 @@ def christoffel_symbols(metric: MetricField) -> np.ndarray:
                 s[a, c, d] -= dg[d][_PACKED[a, c]]
             s[a, c] *= 0.5
     del dg  # before the raise allocates
-    g = _components_first(metric.g_contra)
-    for a in range(3):  # in place: [a, c, b, ...]; g_contra is symmetric
+    for a in range(3):  # in place: [a, c, b, ...]; g^{db} is symmetric
         for c in range(a, 3):
-            s[a, c] = s[c, a] = _matmul_cm(s[a, c:c + 1], g)[0]
+            s[a, c] = s[c, a] = _matmul_cm(s[a, c:c + 1], metric.contra)[0]
     return s.transpose(3, 4, 5, 2, 0, 1)
 
 
@@ -453,11 +451,11 @@ def torsion(frame: FrameField, metric: MetricField) -> TorsionBundle:
     c^j_b, b != mu, that they read.  Any disagreement beyond 1e-10 (on
     O(1) fields) raises ConsistencyError.
     """
-    if frame.e.shape != metric.g_contra.shape:
+    if frame.e.shape[:3] != metric.vol.shape:
         raise InputError(f"frame on the {frame.e.shape[0]}^3 grid and metric on the "
-                         f"{metric.g_contra.shape[0]}^3 grid do not match")
+                         f"{metric.vol.shape[0]}^3 grid do not match")
     ec = _components_first(frame.e)  # e_j^a as [j, a]
-    cof = _coframe(ec, _components_first(metric.g_cov))  # c^j_b as [b, j]
+    cof = _coframe(ec, metric.cov)  # c^j_b as [b, j]
     conn = np.zeros_like(cof)  # T^a_{bc} = G^a_{bc} - G^a_{cb} as [a, h]
     curl = np.zeros_like(cof)  # (d c^j)_{bc} = d_b c^j_c - d_c c^j_b as [j, h]
     for mu in range(3):
@@ -480,19 +478,18 @@ def torsion(frame: FrameField, metric: MetricField) -> TorsionBundle:
     gap_t = gate("torsion routes (connection vs coframe) disagree", gap.transpose(2, 3, 4, 0, 1), bound)
     del gap
 
-    gc = _components_first(metric.g_cov)
-    star_curl = _dual_2forms(curl, gc, metric.vol)
+    star_curl = _dual_2forms(curl, metric.cov, metric.vol)
     del curl  # so the curl route's product can take its place
     star2 = _star_torsion_from_curl(ec, star_curl)
     del star_curl, ec
-    star1 = _dual_2forms(conn, gc, metric.vol)
+    star1 = _dual_2forms(conn, metric.cov, metric.vol)
     star2 -= star1
     gap_star = gate("dual torsion routes (Hodge vs curl) disagree", star2.transpose(2, 3, 4, 0, 1), bound)
-    del star2, gc
+    del star2
 
     ax1 = (star1[0, 0] + star1[1, 1] + star1[2, 2]) / 3.0
     gap_ax = gate("axial dual routes (trace vs coframe formula) disagree", ax1 - ax2, bound)
     residuals = {"connection_vs_coframe": gap_t, "hodge_vs_curl": gap_star,
                  "trace_vs_coframe_axial": gap_ax}
-    return TorsionBundle(components=_grid_first(conn), star_T=_grid_first(star1), axial_dual=ax1,
-                         charge=frame.orientation(), route_residuals=residuals)
+    return TorsionBundle(conn=conn, star=star1, axial_dual=ax1, charge=frame.orientation(),
+                         route_residuals=residuals)

@@ -164,8 +164,8 @@ def _dirac_a0(frame: FrameField) -> tuple:
     sym = PrincipalSymbolField.__new__(PrincipalSymbolField)  # as symbol_from_frame builds it
     metric = MetricField.__new__(MetricField)._complete(sym._hold(e.copy()))
     work = christoffel_symbols(metric).transpose(4, 5, 3, 0, 1, 2)  # G^b_{ag} as [a, g, b, ...]
-    gc = _components_first(metric.g_cov)
-    del metric  # before the coframe and the transforms allocate
+    gc = metric.cov
+    del metric  # its g^{ab} and vol go before the coframe and the transforms allocate
     ec = _components_first(sym.p)  # e_j^a as [j, a, ...]
     cof_t = _coframe(ec, gc)  # c^k_b as [b, k, ...]
     del gc

@@ -12,6 +12,7 @@ when it is called.
 from __future__ import annotations
 
 from itertools import product
+from numbers import Real
 from operator import index
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -62,7 +63,7 @@ def twisted_frame(k3: int, n: int = _DEFAULT_GRID) -> FrameField:
     from .fields import PeriodicChart
     from .geometry import FrameField
 
-    if not (isinstance(k3, int) or float(k3).is_integer()):
+    if not (isinstance(k3, int) or isinstance(k3, Real) and float(k3).is_integer()):
         raise InputError(f"twist number k3 must be an integer, got {k3}")
     chart = PeriodicChart(n)
     if 2 * abs(int(k3)) >= n:

@@ -99,6 +99,8 @@ class SpectrumTable:
         m = np.asarray(self.multiplicities, dtype=int)
         if v.ndim != 1 or v.shape != m.shape:
             raise InputError("values and multiplicities must be matching 1-d arrays")
+        if not np.all(np.isfinite(v)):
+            raise InputError("eigenvalues must be finite")
         if len(v) > 1 and np.any(np.diff(v) <= 0.0):
             raise InputError("eigenvalues must be strictly increasing")
         if np.any(m <= 0):

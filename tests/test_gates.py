@@ -306,6 +306,24 @@ REFUSED_BRANCHES = {
     "torsion-grid": (
         lambda: dw.torsion(dw.standard_frame(8), dw.MetricField(_grid_of(np.eye(3))[::2, ::2, ::2])),
         InputError, "frame on the 8^3 grid and metric on the 4^3 grid"),
+    # a NaN passed the strictly-increasing check, and the table then counted 0 below 1.5
+    "spectrum-nan": (lambda: dw.SpectrumTable([0.0, np.nan, 1.0], [1, 1, 1], "x", (0.0, 2.0)),
+                     InputError, "eigenvalues must be finite"),
+    "spectrum-minus-inf": (lambda: dw.SpectrumTable([-np.inf, 1.0], [1, 1], "x", (0.0, 2.0)),
+                           InputError, "eigenvalues must be finite"),
+    # each raised TypeError from np.zeros or from comparing a string with 4
+    "grid-float": (lambda: dw.standard_frame(8.0), InputError, "grid size must be an integer, got 8.0"),
+    "grid-str": (lambda: dw.standard_frame("8"), InputError, "grid size must be an integer, got '8'"),
+    "scenario-grid-str": (lambda: dw.build_scenario("standard-torus", "8"), InputError,
+                          "grid size must be an integer, got '8'"),
+    # float("1") passed the integer check and numpy raised UFuncTypeError
+    "twist-str": (lambda: dw.twisted_frame("1", 8), InputError, "must be an integer, got 1"),
+    # IndexError reading a third grid axis
+    "integral-2d": (lambda: dw.grid_integral(np.zeros((8, 8))), InputError,
+                    "three equal leading grid axes, got shape (8, 8)"),
+    # LinAlgError: eigenvalues did not converge
+    "ball-nan-metric": (lambda: fiber_ball_quadrature(np.full((3, 3), np.nan), lambda xi: 1.0),
+                        InputError, "metric contains non-finite entries"),
 }
 
 

@@ -327,10 +327,20 @@ DECODED = {
 @pytest.mark.parametrize("name", sorted(DECODED))
 def test_metric_and_coframe_match_lapack_inverses(name, curved_frame):
     """decode_metric and coframe against np.linalg: g_cov = inv(g_contra), vol =
-    det(g_contra)^(-1/2) and c = inv(e)^T, to 1e-13 relative; each public array is
-    grid-first and C-contiguous."""
+    det(g_contra)^(-1/2) and c = inv(e)^T, to 1e-13 relative; each public array, the
+    torsion bundle's components and star_T too, is grid-first and C-contiguous, and a
+    new copy on each read, so writing into one changes no later result."""
     fr = DECODED[name](curved_frame)
     met = dw.decode_metric(dw.symbol_from_frame(fr))
+    tor = dw.torsion(fr, met)
+    for got in (tor.components, tor.star_T):
+        assert got.shape == fr.e.shape and got.flags.c_contiguous
+    read = met.g_contra
+    assert not np.shares_memory(read, met.g_contra)
+    read[...] = np.nan
+    met.g_cov[...] = np.nan
+    tor.components[...] = np.nan
+    assert np.array_equal(dw.torsion(fr, met).components, tor.components)
     cof = coframe(fr, met)
     g_contra = np.einsum("...ja,...jb->...ab", fr.e, fr.e)
     want = {
@@ -492,6 +502,33 @@ def test_torsion_matches_the_batched_matmul_oracle(curved_frame, pullback_frame)
             assert gap <= 1e-14, (name, key, gap)
             worst = max(worst, (gap, f"{name} {key}"))
     print(f"torsion off the batched-@ oracle by at most {worst[0]:.1e} ({worst[1]})")
+
+
+# --- kernels read the held components-first layout ---------------------------------
+
+def test_metric_and_torsion_kernels_copy_no_layout(monkeypatch):
+    """decode_metric gathers only p (for g = p^T p), torsion only the frame, and neither
+    copies out; christoffel_symbols gathers and copies nothing.  Each gather or copy of
+    a 32^3 stack takes about half a millisecond."""
+    fr = _random_frame(2)
+    sym = dw.symbol_from_frame(fr)
+    met = dw.decode_metric(sym)
+    counts = {}
+    for name in ("_components_first", "_grid_first"):
+        def counting(m, kernel=getattr(geometry, name), name=name):
+            counts[name] += 1
+            return kernel(m)
+        monkeypatch.setattr(geometry, name, counting)
+
+    def layout_calls(call):
+        counts.update(_components_first=0, _grid_first=0)
+        call()
+        return counts["_components_first"], counts["_grid_first"]
+
+    assert layout_calls(lambda: dw.decode_metric(sym)) == (1, 0)
+    assert layout_calls(lambda: dw.torsion(fr, met)) == (1, 0)
+    assert layout_calls(lambda: christoffel_symbols(met)) == (0, 0)
+    assert layout_calls(lambda: coframe(fr, met)) == (1, 1)  # the frame in, the coframe out
 
 
 # --- one ellipticity check per symbol ------------------------------------------
