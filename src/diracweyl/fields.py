@@ -3,8 +3,12 @@
 All fields live on an n x n x n uniform grid covering [0, 2*pi)^3, with
 grid point (i1, i2, i3) at x = 2*pi/n * (i1, i2, i3).  Arrays carry the
 three grid axes first; any remaining trailing axes hold tensor/matrix
-components.  Differentiation is FFT-based and therefore exact (to
-rounding) for trigonometric polynomials of per-axis degree < n/2.
+components (internal kernels may hold them first, as (..., n, n, n)).
+Differentiation along a grid axis is one matrix product of the lines
+with the even-n circulant derivative matrix (_derivative), which is
+exact (to rounding) for trigonometric polynomials of per-axis degree
+< n/2.  The only Fourier transforms here decide which modes a field
+holds (_fourier_content).
 
 The module also provides the momentum-space quadrature used by the
 asymptotic coefficient routines: integration of degree-0 integrands
@@ -100,52 +104,88 @@ def _transposed(m: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.swapaxes(m, -1, -2))
 
 
+def _cot_weights(n: int) -> np.ndarray:
+    """The even-n derivative weights w(d) = (-1)^d cot(pi d/n) / 2, d = 0, ..., n - 1.
+
+    On a periodic line of n samples the derivative at index i is
+    sum_j w(i - j) f_j (Trefethen, Spectral Methods in MATLAB, ch. 3): the
+    derivative of the band-limited interpolant, its Nyquist mode
+    annihilated.  Built exactly antisymmetric, w(n - d) = -w(d) with
+    w(0) = w(n/2) = 0, so each row of the matrix sums to zero pair by pair.
+    """
+    d = np.arange(1, n // 2)
+    half = 0.5 * (-1.0) ** d / np.tan(np.pi * d / n)
+    return np.concatenate([[0.0], half, [0.0], -half[::-1]])
+
+
+def _derivative(values: np.ndarray, axis: int) -> np.ndarray:
+    """d/dx of a periodic field along array axis `axis`, one of its grid axes, by one np.matmul.
+
+    The lines along the axis go through the circulant matrix
+    D[i, j] = w(i - j) of _cot_weights.  Each line is first centred on
+    its first sample, which D sends to zero: that subtraction is exact
+    where a line is nearly constant, so rounding follows the field's
+    variation rather than its size.  The centred copy is C-contiguous
+    (any input layout is read), and a complex field goes through as
+    float pairs.  Real input, integer included, gives float64 output,
+    complex input complex128; the result has the input's shape and is
+    C-contiguous.
+    """
+    x = np.asarray(values)
+    shape, n = x.shape, x.shape[axis]
+    first = x[(slice(None),) * (axis % x.ndim) + (slice(0, 1),)]
+    centred = np.empty(shape, dtype=complex if np.iscomplexobj(x) else float)
+    np.subtract(x, first, out=centred, dtype=centred.dtype)
+    lines = centred.view(float).reshape(int(np.prod(shape[:axis], dtype=np.int64)), n, -1)
+    line = np.arange(n)
+    dmat = _cot_weights(n)[(line[:, None] - line) % n]
+    if lines.shape[2] == 1:  # the axis is the last: one gemm on rows, by D^T = -D
+        out = lines[..., 0] @ -dmat
+    else:
+        out = np.matmul(dmat, lines)
+    return out.view(centred.dtype).reshape(shape)
+
+
 def spectral_derivative(values: np.ndarray, axis: int) -> np.ndarray:
     """Differentiate a periodic grid field along coordinate axis 1, 2 or 3.
 
     Parameters
     ----------
     values : ndarray
-        Field samples, grid axes first.  Real or complex; trailing
-        component axes are differentiated entrywise.
+        Field samples, grid axes first.  Real, integer or complex;
+        trailing component axes are differentiated entrywise.
     axis : int
-        Coordinate direction, 1-based.
+        Coordinate direction, 1-based.  A bool or a float is refused.
 
     Returns
     -------
-    ndarray of the same shape.  Real input yields real output.  The
-    Nyquist mode is annihilated, the standard choice that keeps the
-    derivative of a real field real; band-limited fields never populate
-    it so the derivative is exact for them.
+    ndarray of the same shape, float64 for real or integer input and
+    complex128 for complex input.  It is the derivative of the
+    band-limited interpolant with the Nyquist mode annihilated, the
+    standard choice that keeps the derivative of a real field real;
+    band-limited fields never populate that mode, so the derivative is
+    exact for them.  It is taken by one matrix product (_derivative).
     """
-    if axis not in (1, 2, 3):
-        raise InputError(f"axis must be 1, 2 or 3, got {axis}")
-    n = chart_of(values).n
-    ax = axis - 1
-    real = np.isrealobj(values)
-    # real fields use the half spectrum, whose last bin is the Nyquist mode
-    mult = 1j * (np.arange(n // 2 + 1) if real else _integer_modes(n))
-    mult[n // 2] = 0.0
-    shape = [1] * values.ndim
-    shape[ax] = len(mult)
-    spectrum = np.fft.rfft(values, axis=ax) if real else np.fft.fft(values, axis=ax)
-    spectrum *= mult.reshape(shape)  # in place: one spectrum-sized temporary, not two
-    if real:
-        return np.fft.irfft(spectrum, n=n, axis=ax)
-    return np.fft.ifft(spectrum, axis=ax)
+    if (isinstance(axis, (bool, np.bool_)) or not isinstance(axis, (int, np.integer))
+            or axis not in (1, 2, 3)):
+        raise InputError(f"axis must be 1, 2 or 3, got {axis!r}")
+    values = np.asarray(values)
+    if values.dtype.kind not in "biufc":
+        raise InputError(f"values must be a numeric field, got dtype {values.dtype}")
+    chart_of(values)
+    return _derivative(values, axis - 1)
 
 
 def _grid_line_jets(values: np.ndarray, points) -> tuple:
     """values[idx] and spectral_derivative(values, a + 1)[idx], a = 0, 1, 2, at (k, 3) grid points.
 
     Shapes (k, *components) and (k, 3, *components).  Only the 3k grid
-    lines through the points are read: on an even grid the derivative at
-    line index i is sum_j w(i - j) f_j, with w(d) = (-1)^d cot(pi d/n) / 2
-    and w(0) = 0 (Trefethen, Spectral Methods in MATLAB, ch. 3).
+    lines through the points are read, each against the row of
+    _cot_weights that _derivative applies at its index.
     """
     n, pts = chart_of(values).n, np.asarray(points, dtype=np.int64)
-    d, line, tail = np.arange(1, n), np.arange(n), (1,) * (values.ndim - 3)
-    weights = np.concatenate([[0.0], 0.5 * (-1.0) ** d / np.tan(np.pi * d / n)])
+    line, tail = np.arange(n), (1,) * (values.ndim - 3)
+    weights = _cot_weights(n)
     grads = np.empty((len(pts), 3) + values.shape[3:], dtype=np.result_type(values, float))
     for a in range(3):
         through = [line if b == a else pts[:, b, None] for b in range(3)]  # (k, n) axis-a lines

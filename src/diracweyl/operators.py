@@ -20,7 +20,7 @@ import numpy as np
 
 from .defaults import _DEFAULT_TOL
 from .errors import ConsistencyError, InputError, gate
-from .fields import _FOURIER_TOL, _fourier_content, chart_of, spectral_derivative
+from .fields import _FOURIER_TOL, _derivative, _fourier_content, chart_of, spectral_derivative
 from .geometry import (
     PAULI,
     FrameField,
@@ -82,7 +82,7 @@ class FirstOrderOperator:
 
 
 def subprincipal_symbol(op: FirstOrderOperator) -> np.ndarray:
-    """A_sub = a0 + (i/2) s^j d_a p_j^a (covector-independent here), by three real FFTs of p."""
+    """A_sub = a0 + (i/2) s^j d_a p_j^a (covector-independent here), by three real derivatives of p."""
     return op.a0 + 0.5j * pauli_matrices(_divergence(op.sigma.p))
 
 
@@ -165,19 +165,19 @@ def _dirac_a0(frame: FrameField) -> tuple:
     metric = MetricField.__new__(MetricField)._complete(sym._hold(e.copy()))
     work = christoffel_symbols(metric).transpose(4, 5, 3, 0, 1, 2)  # G^b_{ag} as [a, g, b, ...]
     gc = metric.cov
-    del metric  # its g^{ab} and vol go before the coframe and the transforms allocate
+    del metric  # its g^{ab} and vol go before the coframe and the derivatives allocate
     ec = _components_first(sym.p)  # e_j^a as [j, a, ...]
     cof_t = _coframe(ec, gc)  # c^k_b as [b, k, ...]
     del gc
     for a in range(3):
-        d = np.moveaxis(spectral_derivative(np.moveaxis(ec, (0, 1), (3, 4)), a + 1), (3, 4), (0, 1))
+        d = _derivative(ec, a + 2)  # d_a e_l^b as [l, b]
         d += _matmul_cm(ec, work[a])  # D_a
         w = _matmul_cm(d, cof_t)
         del d
         # G_a is spent: its [0, 0] entry keeps G^b_{ab} / 2 - tr(W_a) / 4, its second row ax(W_a)
         work[a, 0, 0] = 0.5 * _trace3(work[a]) - 0.25 * _trace3(w)
         work[a, 1] = _axial(w)
-        del w  # before the next direction's transforms allocate
+        del w  # before the next direction's derivative allocates
     v = _matmul_cm(ec, work[:, 1])  # V = e ax(W)
     vec = _matmul_cm(ec, work[:, 0, :1])[:, 0] - 0.25 * _axial(v)
     del work, cof_t, ec  # so the result can take their place
@@ -255,17 +255,16 @@ def gauge_transform(op: FirstOrderOperator, gauge: GaugeField) -> FirstOrderOper
     rc = _components_first(r)
     rh = np.conj(rc.swapaxes(0, 1))  # R* as [p, q, ...]
     pc = _components_first(op.sigma.p)  # p_j^a as [j, a, ...]
-    grid_first = np.moveaxis(rh, (0, 1), (3, 4))
     d = np.zeros((3,) + rh.shape, dtype=complex)  # (p_j . grad) R* as [j, p, q, ...]
     for a in range(3):
-        d_a = np.moveaxis(spectral_derivative(grid_first, a + 1), (3, 4), (0, 1))
+        d_a = _derivative(rh, a + 2)
         for j in range(3):
             d[j] += pc[j, a] * d_a
     # s^j D_j: s^1 swaps the rows of D_1, s^2 swaps them times (-i, i), s^3 negates the second
     x = _matmul_cm(_components_first(op.a0), rh)
     x[0] -= 1j * (d[0, 1] - 1j * d[1, 1] + d[2, 0])
     x[1] -= 1j * (d[0, 0] + 1j * d[1, 0] - d[2, 1])
-    del d, grid_first, rh  # so the results can take their place
+    del d, rh  # so the results can take their place
     a0_new = _grid_first(_matmul_cm(rc, x))
     return FirstOrderOperator(symbol_from_frame(so3_from_su2(r) @ op.sigma.p), a0_new)
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import diracweyl as dw
-from diracweyl.errors import EllipticityError, InputError
+from diracweyl.errors import EllipticityError, InputError, gate
 from diracweyl.fields import PeriodicChart, derivative_stack, spectral_derivative
 from diracweyl import geometry
 from diracweyl.geometry import christoffel_symbols, coframe
@@ -229,10 +229,10 @@ def test_coframe_duality():
 
 def test_torsion_differentiates_the_coframe_once(monkeypatch):
     """The three cross-check routes share one coframe, built once; direction mu
-    differentiates it once, and only its six entries c^j_b with b != mu, read as a view;
-    nothing else is differentiated."""
+    differentiates it once, and only its six entries c^j_b with b != mu, read as a
+    components-first view; nothing else is differentiated."""
     coframes, derivatives = [], []
-    real_coframe = geometry._coframe
+    real_coframe, real_derivative = geometry._coframe, geometry._derivative
 
     def counting_coframe(*args):
         coframes.append(real_coframe(*args))
@@ -240,26 +240,21 @@ def test_torsion_differentiates_the_coframe_once(monkeypatch):
 
     def counting_derivative(values, axis):
         derivatives.append((values, axis))
-        return spectral_derivative(values, axis)
-
-    def counting_stack(values):
-        derivatives.append((values, "all"))
-        return derivative_stack(values)
+        return real_derivative(values, axis)
 
     fr = _random_frame(1)
     met = dw.decode_metric(dw.symbol_from_frame(fr))
     monkeypatch.setattr(geometry, "_coframe", counting_coframe)
-    monkeypatch.setattr(geometry, "spectral_derivative", counting_derivative)
-    monkeypatch.setattr(geometry, "derivative_stack", counting_stack, raising=False)
+    monkeypatch.setattr(geometry, "_derivative", counting_derivative)
     dw.torsion(fr, met)
     assert len(coframes) == 1
-    assert [axis for _, axis in derivatives] == [1, 2, 3]
+    assert [axis for _, axis in derivatives] == [2, 3, 4]  # the grid axes of [b, j, ...]
     cof = coframes[0]  # c^j_b as [b, j, ...]
     for values, axis in derivatives:
-        others = [(axis - 2) % 3, axis % 3]  # b = mu - 1, mu + 1 for mu = axis - 1
-        assert values.shape == fr.e.shape[:3] + (2, 3)
+        others = [(axis - 3) % 3, (axis - 1) % 3]  # b = mu - 1, mu + 1 for mu = axis - 2
+        assert values.shape == (2, 3) + fr.e.shape[:3]
         assert np.shares_memory(values, cof)
-        assert np.array_equal(np.moveaxis(values, (3, 4), (0, 1)), cof[others])
+        assert np.array_equal(values, cof[others])
 
 
 def test_torsion_peak_memory(peak_mb):
@@ -598,6 +593,68 @@ def test_frame_condition_gate_on_both_sides(ratio, passes, small, rotated):
     else:
         with pytest.raises(EllipticityError, match="frame condition number.*ratio 1.01"):
             dw.symbol_from_frame(e)
+
+
+def _parent_ellipticity_outcome(g, p=None):
+    """None or the EllipticityError text of the all-LAPACK check: eigvalsh's extreme
+    eigenvalues of the grid-first g, and for a symbol lo from p's SVD where eigvalsh's
+    ratio is below 1e-8."""
+    w = np.linalg.eigvalsh(g)
+    lo, hi = w[..., 0], w[..., 2]
+    near = lo <= 1e-8 * hi
+    if p is not None and np.any(near):
+        lo[near] = np.linalg.svd(p[near], compute_uv=False)[..., 2] ** 2
+    try:
+        if np.any(lo <= 0.0):
+            idx = tuple(int(i) for i in np.unravel_index(np.argmin(lo), lo.shape))
+            raise EllipticityError(f"symbol fails ellipticity at grid point {idx}")
+        gate("frame condition number", np.sqrt(hi / lo), 1e8, EllipticityError)
+    except EllipticityError as err:
+        return str(err)
+    return None
+
+
+def _outcome(build):
+    try:
+        build()
+    except EllipticityError as err:
+        return str(err)
+    return None
+
+
+@pytest.mark.parametrize("family", [("1", "t", "t"), ("1", "1", "t"), ("1", "2", "t")],
+                         ids=["1-t-t", "1-1-t", "1-2-t"])
+def test_closed_form_ellipticity_decides_as_lapack(family):
+    """p with singular values (1, t, t), (1, 1, t) or (1, 2, t) at the even points of a 4^3
+    grid, between random rotations, and a random p with singular values in [0.5, 2] at the
+    odd ones, for t = 1e-1 to 1e-9: the symbol and the bare MetricField of g = p^T p each
+    accept or refuse as the all-LAPACK check does, with its message.  The closed form's
+    smallest eigenvalue was off by up to 7.6e-9 of the largest at (1, t, t), where the two
+    smallest coincide, and by 3.3e-15 otherwise; the points it sends to LAPACK,
+    lo <= 1e-6 hi, cover that 130 times over."""
+    rng = np.random.default_rng(11)
+
+    def rotations(k):
+        q, r = np.linalg.qr(rng.standard_normal((k, 3, 3)))
+        return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+
+    decisions, worst = [], 0.0
+    for t in 10.0 ** -np.arange(1, 10):
+        sv = np.where(np.arange(64)[:, None] % 2 == 0, [t if v == "t" else float(v) for v in family],
+                      rng.uniform(0.5, 2.0, size=(64, 3)))
+        p = ((rotations(64) * sv[:, None, :]) @ rotations(64)).reshape(4, 4, 4, 3, 3)
+        g = np.moveaxis(geometry._gram(p), (0, 1), (-2, -1))
+        with np.errstate(invalid="ignore"):  # an accepted g with two small eigenvalues: det <= 0
+            got = _outcome(lambda: dw.symbol_from_frame(p)), _outcome(lambda: dw.MetricField(g))
+        want = _parent_ellipticity_outcome(g, p), _parent_ellipticity_outcome(g.copy())
+        assert got == want
+        lo = geometry._extreme_eigenvalues(geometry._gram(p))[0]
+        true = np.linalg.svd(p, compute_uv=False)
+        worst = max(worst, float((np.abs(lo - true[..., 2] ** 2) / true[..., 0] ** 2).max()))
+        decisions.append(want)
+    print(f"{family}: closed-form lo off by {worst:.1e} of hi; {decisions}")
+    assert worst <= (1e-8 if family[1] == "t" else 1e-14)
+    assert decisions[0] == (None, None) and decisions[-1][0] is not None
 
 
 def test_verdict_analysis_inverts_no_grid_matrices(monkeypatch):

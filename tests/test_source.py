@@ -10,8 +10,9 @@ einsum, the Pauli encoding and per-float Python lists stay out of the
 file format, no module builds an operator's complex symbol stack, a
 principal symbol holds its components p and nothing else, only two
 declared globals are rebound at run time, no functools cache is used,
-only geometry imports a checksum module, and only fields._fourier_content
-takes a forward transform of a whole grid.
+only geometry imports a checksum module, only fields._fourier_content
+takes a forward transform of a whole grid, and numpy.fft is called in
+three functions only, none of them a derivative.
 """
 
 import ast
@@ -363,3 +364,48 @@ def test_only_fourier_content_transforms_a_whole_grid():
              for line in sorted(_grid_transforms(tree) - (allowed if module == "fields.py" else set()))]
     assert found == []
     assert len(allowed) == 1
+
+
+# The functions that may call numpy.fft: which modes a field holds, the FFT bin order, and the
+# one-transform synthesis of random scenario fields.
+_FFT_CALLERS = {("fields.py", "_fourier_content"), ("fields.py", "_integer_modes"),
+                ("scenarios.py", "_trig_polynomial")}
+
+
+def _fft_uses(tree):
+    """(function, line) of every numpy.fft call and import; function is the top-level def or the
+    method holding it, "" at module level."""
+    def uses(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute):
+                owner = sub.func.value
+                if getattr(owner, "attr", None) == "fft" or getattr(owner, "id", None) == "fft":
+                    yield sub.lineno
+            elif isinstance(sub, ast.ImportFrom) and (sub.module or "").startswith("numpy.fft"):
+                yield sub.lineno
+
+    for node in tree.body:
+        defs = [node] if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else []
+        if isinstance(node, ast.ClassDef):
+            defs = [d for d in node.body if isinstance(d, ast.FunctionDef)]
+        for owner in defs:
+            yield from ((owner.name, line) for line in uses(owner))
+        if not defs:
+            yield from (("", line) for line in uses(node))
+
+
+def test_only_three_functions_call_numpy_fft():
+    """A derivative is one matrix product (fields._derivative), so no Fourier transform
+    differentiates: numpy.fft is called only to find a field's modes, to order the FFT bins
+    and to synthesise a random scenario field.  The real-FFT derivative that
+    spectral_derivative used to take is caught."""
+    caught = list(_fft_uses(ast.parse(
+        "def spectral_derivative(values, ax):\n"
+        "    spectrum = np.fft.rfft(values, axis=ax)\n"
+        "    return np.fft.irfft(spectrum, axis=ax)\n"
+        "class K:\n    def f(self, x):\n        return fft.ifft(x)\n"
+        "from numpy.fft import rfft\nx = numpy.fft.fftfreq(4)\ny = np.fftn(x)\n"
+    )))
+    assert caught == [("spectral_derivative", 2), ("spectral_derivative", 3), ("f", 6), ("", 7), ("", 8)]
+    found = {(module, name) for module, tree in TREES.items() for name, _ in _fft_uses(tree)}
+    assert found == _FFT_CALLERS
