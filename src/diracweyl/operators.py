@@ -30,12 +30,11 @@ from .geometry import (
     _components_first,
     _grid_first,
     _gram,
+    _held_symbol,
     _matmul_cm,
     christoffel_symbols,
     decode_metric,
-    pauli_components,
     pauli_matrices,
-    symbol_from_frame,
     torsion,
 )
 
@@ -83,12 +82,13 @@ class FirstOrderOperator:
 
 def subprincipal_symbol(op: FirstOrderOperator) -> np.ndarray:
     """A_sub = a0 + (i/2) s^j d_a p_j^a (covector-independent here), by three real derivatives of p."""
-    return op.a0 + 0.5j * pauli_matrices(_divergence(op.sigma.p))
+    return op.a0 + 0.5j * pauli_matrices(np.moveaxis(_divergence(op.sigma.p), 0, -1))
 
 
 def _divergence(p: np.ndarray) -> np.ndarray:
-    """The real divergences sum_a d_a p_j^a, stacked on j as (n, n, n, 3)."""
-    return sum(spectral_derivative(p[..., :, a], a + 1) for a in range(3))
+    """The real divergences sum_a d_a p_j^a as [j, ...], from contiguous fields of p."""
+    pc = _components_first(p)
+    return np.array([sum(spectral_derivative(pc[j, a], a + 1) for a in range(3)) for j in range(3)])
 
 
 def dirac_operator(frame: FrameField) -> FirstOrderOperator:
@@ -161,8 +161,8 @@ def _dirac_a0(frame: FrameField) -> tuple:
     used, so dirac_operator peaks at 2.46 MB of traced allocation at 16^3.
     """
     e = frame.e if isinstance(frame, FrameField) else FrameField(frame).e
-    sym = PrincipalSymbolField.__new__(PrincipalSymbolField)  # as symbol_from_frame builds it
-    metric = MetricField.__new__(MetricField)._complete(sym._hold(e.copy()))
+    sym, gram = _held_symbol(np.moveaxis(e, (-2, -1), (0, 1)).copy())  # as symbol_from_frame builds it
+    metric = MetricField.__new__(MetricField)._complete(gram)
     work = christoffel_symbols(metric).transpose(4, 5, 3, 0, 1, 2)  # G^b_{ag} as [a, g, b, ...]
     gc = metric.cov
     del metric  # its g^{ab} and vol go before the coframe and the derivatives allocate
@@ -246,7 +246,7 @@ def gauge_transform(op: FirstOrderOperator, gauge: GaugeField) -> FirstOrderOper
     product-rule term -i R sigma^a d_a(R*) = -i R S, where
     S = s^j (p_j . grad) R* is read off p and the gradient of R* by
     explicit Pauli algebra.  So a0 becomes R (a0 R* - i S): two 2x2
-    products, components first.
+    products, components first; O p is one 3x3 product on the symbol's own array.
     """
     r = gauge.R
     if r.shape[:3] != op.a0.shape[:3]:
@@ -266,7 +266,9 @@ def gauge_transform(op: FirstOrderOperator, gauge: GaugeField) -> FirstOrderOper
     x[1] -= 1j * (d[0, 0] + 1j * d[1, 0] - d[2, 1])
     del d, rh  # so the results can take their place
     a0_new = _grid_first(_matmul_cm(rc, x))
-    return FirstOrderOperator(symbol_from_frame(so3_from_su2(r) @ op.sigma.p), a0_new)
+    del rc, x  # before O p allocates
+    sym = _held_symbol(_matmul_cm(_components_first(so3_from_su2(r)), pc))[0]
+    return FirstOrderOperator(sym, a0_new)
 
 
 def so3_from_su2(r: np.ndarray) -> np.ndarray:
@@ -277,6 +279,7 @@ def so3_from_su2(r: np.ndarray) -> np.ndarray:
     R whose O is not orthogonal, or whose determinant is not 1 (each to
     1e-10), is refused: it is not in SU(2).  The determinant check
     catches unitary R off SU(2), such as i Id, whose O is a rotation.
+    O is the grid-first view of a components-first O[j, k, ...], as a symbol's p.
     """
     r = np.asarray(r, dtype=complex)
     a, b = r[..., 0, 0], r[..., 0, 1]
@@ -285,13 +288,10 @@ def so3_from_su2(r: np.ndarray) -> np.ndarray:
     ab_bar = a * np.conj(b)
     diagonal = (2.0 * ab_bar.real, 2.0 * ab_bar.imag,  # (R s^k R*)_00, real
                 (a * np.conj(a)).real - (b * np.conj(b)).real)
-    o = np.empty(r.shape[:-2] + (3, 3))
-    for k in range(3):
-        o[..., 0, k] = upper[k].real
-        o[..., 1, k] = -upper[k].imag
-        o[..., 2, k] = diagonal[k]
+    o = np.array([[u.real for u in upper], [-u.imag for u in upper], diagonal])  # O_jk as [j, k, ...]
+    o = np.moveaxis(o, (0, 1), (-2, -1))
     gate("adjoint rotation is not orthogonal; input is not SU(2)",
-         _grid_first(_gram(o)) - np.eye(3), 1e-10, InputError)
+         np.moveaxis(_gram(o), (0, 1), (-2, -1)) - np.eye(3), 1e-10, InputError)
     gate("determinant is not 1; input is not SU(2)", _det2(r) - 1.0, 1e-10, InputError)
     return o
 
@@ -421,26 +421,29 @@ def check_dirac(op: FirstOrderOperator, tol: float = _DEFAULT_TOL) -> DiracVerdi
     """
     if not 0.0 <= tol < np.inf:
         raise InputError(f"tol must be a finite non-negative number, got {tol}")
-    vol, c_tax, _, asub = _weyl_data(op)
-    gap = float(np.abs(asub - (0.75 * c_tax)[..., None, None] * IDENTITY2).max())
-    trace_half = 0.5 * (asub[..., 0, 0] + asub[..., 1, 1])
-    devi = pauli_components(asub - trace_half[..., None, None] * IDENTITY2)
-    cond_a = float(np.hypot(np.hypot(devi[..., 0], devi[..., 1]), devi[..., 2]).max())  # no overflow
+    vol, c_tax, _, asub = _weyl_data(op)  # a new asub[p, q, ...]
     cond_b = float(np.abs(_weyl_b(vol, c_tax, asub)).max())
+    # A - tr(A)/2 = (Re A01, -Im A01, diag).s
+    diag = asub[0, 0].real - 0.5 * (asub[0, 0].real + asub[1, 1].real)
+    cond_a = float(np.hypot(np.hypot(asub[0, 1].real, asub[0, 1].imag), diag).max())  # no overflow
+    asub[[0, 1], [0, 1]] -= 0.75 * c_tax
+    gap = float(np.abs(asub).max())
     ok = cond_a <= tol and cond_b <= tol and gap <= tol
     return DiracVerdict(is_dirac=bool(ok), cond_a_residual=cond_a, cond_b_residual=cond_b,
                         reconstructed_gap=gap, tol=tol)
 
 
 def _weyl_b(vol: np.ndarray, c_tax=None, asub=None) -> np.ndarray:
-    """b = (3 c *T_ax - 2 tr A_sub) sqrt(det g) / (8 pi^2); b1 without c_tax, b2 without asub."""
+    """b = (3 c *T_ax - 2 tr A_sub) sqrt(det g) / (8 pi^2), A_sub held as asub[p, q, ...];
+    b1 without c_tax, b2 without asub."""
     axial = 0.0 if c_tax is None else 3.0 * c_tax
-    trace = 0.0 if asub is None else (asub[..., 0, 0] + asub[..., 1, 1]).real
+    trace = 0.0 if asub is None else asub[0, 0].real + asub[1, 1].real
     return (axial - 2.0 * trace) * vol / (8.0 * np.pi**2)
 
 
 # The record _weyl_data keeps of the last symbol it read: a weak reference to its p, vol,
-# c *T_ax, the charge and the divergence sum_a d_a p_j^a (five grid fields); or None.
+# c *T_ax, the charge and half the divergence, sum_a d_a p_j^a / 2 as [j, ...] (five grid fields);
+# or None.
 _weyl_slot = None
 
 
@@ -448,7 +451,9 @@ def _weyl_data(op: FirstOrderOperator) -> tuple:
     """(vol, c *T_ax, charge, A_sub) of op: all but A_sub are fixed by the read-only p.
 
     They come from the record if it holds op.sigma.p, else from one metric decode, torsion and
-    divergence, which replace it.  A_sub = a0 + (i/2) s^j div_j is new on each call.
+    divergence, which replace it.  A_sub = a0 + (i/2) s^j div_j is new on each call, held
+    components first as asub[p, q, ...]: (i/2) s^j div_j is i div_3 / 2 and -i div_3 / 2 on the
+    diagonal, (div_2 + i div_1) / 2 above it and (-div_2 + i div_1) / 2 below.
     """
     global _weyl_slot
     p, held = op.sigma.p, _weyl_slot  # read once: another thread may replace it
@@ -457,6 +462,14 @@ def _weyl_data(op: FirstOrderOperator) -> tuple:
         metric = decode_metric(op.sigma)
         tor = torsion(FrameField(p), metric)  # its orientation check refuses a degenerate frame
         _weyl_slot = held = (weakref.ref(p), metric.vol, tor.charge * tor.axial_dual, tor.charge,
-                             _divergence(p))
-    _, vol, c_tax, charge, div = held
-    return vol, c_tax, charge, op.a0 + 0.5j * pauli_matrices(div)
+                             0.5 * _divergence(p))
+    _, vol, c_tax, charge, (d1, d2, d3) = held
+    asub = np.array(np.moveaxis(op.a0, (-2, -1), (0, 1)), dtype=complex, order="C")  # a new array
+    re, im = asub.real, asub.imag
+    im[0, 0] += d3
+    im[1, 1] -= d3
+    re[0, 1] += d2
+    im[0, 1] += d1
+    re[1, 0] -= d2
+    im[1, 0] += d1
+    return vol, c_tax, charge, asub

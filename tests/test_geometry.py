@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import diracweyl as dw
-from diracweyl.errors import EllipticityError, InputError, gate
+from diracweyl.errors import DiracweylError, EllipticityError, InputError, gate
 from diracweyl.fields import PeriodicChart, derivative_stack, spectral_derivative
 from diracweyl import geometry
 from diracweyl.geometry import christoffel_symbols, coframe
@@ -101,6 +101,24 @@ def test_degenerate_frame_rejected():
     e[..., 1, :] = e[..., 0, :]
     with pytest.raises(EllipticityError, match="ellipticity"):
         dw.symbol_from_frame(e)
+
+
+@pytest.mark.parametrize("c", [1e-5, 1.0, 1e5])
+def test_degeneracy_test_is_scale_invariant(c):
+    """c e for the standard frame is as far from degenerate at any c: decode, charge and
+    verdict agree with c = 1, and a frame with a vanishing leg is refused at every scale.
+    With an absolute 1e-14 on det e, c = 1e-5 (det 1e-15) was refused as degenerate."""
+    e = c * dw.standard_frame(8).e
+    sym = dw.symbol_from_frame(e)
+    assert dw.decode_frame(sym).orientation() == dw.topological_charge(sym) == 1
+    assert dw.check_dirac(dw.dirac_operator(dw.FrameField(e))).is_dirac
+    assert not dw.check_dirac(dw.dirac_plus_scalar(dw.FrameField(e), 0.3)).is_dirac
+    flat = e.copy()
+    flat[3, 4, 5, 1, :] = 0.0
+    with pytest.raises(EllipticityError, match=r"degenerates at grid point \(3, 4, 5\)"):
+        dw.FrameField(flat).orientation()
+    with pytest.raises(EllipticityError, match="degenerates"):
+        dw.FrameField(0.0 * e).orientation()
 
 
 def test_symbol_validation():
@@ -502,28 +520,42 @@ def test_torsion_matches_the_batched_matmul_oracle(curved_frame, pullback_frame)
 # --- kernels read the held components-first layout ---------------------------------
 
 def test_metric_and_torsion_kernels_copy_no_layout(monkeypatch):
-    """decode_metric gathers only p (for g = p^T p), torsion only the frame, and neither
-    copies out; christoffel_symbols gathers and copies nothing.  Each gather or copy of
-    a 32^3 stack takes about half a millisecond."""
+    """A symbol holds p components first, so no kernel that reads it copies it: not
+    decode_metric, torsion of the decoded frame, the Dirac a0 of the symbol it builds, or
+    gauge_transform (which copies R and a0, and holds O components first).  A user's
+    grid-first frame is gathered once, and christoffel_symbols copies nothing.  Each
+    copy of a 32^3 stack takes about half a millisecond.  A layout call counts only when
+    its result does not share memory with its input."""
     fr = _random_frame(2)
     sym = dw.symbol_from_frame(fr)
     met = dw.decode_metric(sym)
-    counts = {}
+    copied = {}
     for name in ("_components_first", "_grid_first"):
-        def counting(m, kernel=getattr(geometry, name), name=name):
-            counts[name] += 1
-            return kernel(m)
-        monkeypatch.setattr(geometry, name, counting)
+        kernel = getattr(geometry, name)
+        for module in (geometry, dw.operators):
+            def counting(m, kernel=kernel, name=name):
+                out = kernel(m)
+                if not np.shares_memory(out, m):
+                    copied[name].append(m)
+                return out
+            monkeypatch.setattr(module, name, counting)
 
-    def layout_calls(call):
-        counts.update(_components_first=0, _grid_first=0)
+    def copies(call, of=None):
+        copied.update(_components_first=[], _grid_first=[])
         call()
-        return counts["_components_first"], counts["_grid_first"]
+        return tuple(sum(1 for m in copied[name] if of is None or np.shares_memory(m, of))
+                     for name in ("_components_first", "_grid_first"))
 
-    assert layout_calls(lambda: dw.decode_metric(sym)) == (1, 0)
-    assert layout_calls(lambda: dw.torsion(fr, met)) == (1, 0)
-    assert layout_calls(lambda: christoffel_symbols(met)) == (0, 0)
-    assert layout_calls(lambda: coframe(fr, met)) == (1, 1)  # the frame in, the coframe out
+    assert copies(lambda: dw.decode_metric(sym)) == (0, 0)
+    assert copies(lambda: dw.torsion(dw.decode_frame(sym), dw.decode_metric(sym))) == (0, 0)
+    assert copies(lambda: christoffel_symbols(met)) == (0, 0)
+    assert copies(lambda: coframe(fr, met)) == (1, 1)  # the frame in, the coframe out
+    resolved = _random_frame(2, n=16)  # its Dirac operator is not resolved at N = 12
+    assert copies(lambda: dw.dirac_operator(resolved)) == (0, 0)
+    op = dw.dirac_operator(resolved)
+    gauge = dw.random_gauge_field(3, 16)
+    assert copies(lambda: dw.gauge_transform(op, gauge), of=op.sigma.p) == (0, 0)
+    assert copies(lambda: dw.gauge_transform(op, gauge))[0] == 2  # R and a0
 
 
 # --- one ellipticity check per symbol ------------------------------------------
@@ -655,6 +687,32 @@ def test_closed_form_ellipticity_decides_as_lapack(family):
     print(f"{family}: closed-form lo off by {worst:.1e} of hi; {decisions}")
     assert worst <= (1e-8 if family[1] == "t" else 1e-14)
     assert decisions[0] == (None, None) and decisions[-1][0] is not None
+
+
+@pytest.mark.parametrize("t", [1e-5, 1e-6])
+def test_nearly_degenerate_metric_has_a_finite_volume(t):
+    """p with singular values (1, t, t) between random rotations on a 4^3 grid: the
+    cofactor sum of det g = t^4 has no digits left: vol was NaN at 27 (bare MetricField)
+    and 28 (decode_metric) of 64 points at t = 1e-5, and the charge raised ValueError at
+    t = 1e-6.  Those points take LAPACK's determinant, so vol is finite and close to
+    1/t^2, and the charge is +-1 or a library error."""
+    rng = np.random.default_rng(0)
+
+    def rotations(k):  # proper ones, so that the orientation is uniform
+        q = np.linalg.qr(rng.standard_normal((k, 3, 3)))[0]
+        return q * np.sign(np.linalg.det(q))[:, None, None]
+
+    p = ((rotations(64) * np.array([1.0, t, t])) @ rotations(64)).reshape(4, 4, 4, 3, 3)
+    sym = dw.symbol_from_frame(p)
+    for met in (dw.MetricField(np.swapaxes(p, -1, -2) @ p), dw.decode_metric(sym)):
+        assert np.all(np.isfinite(met.vol)) and np.all(met.vol > 0.0)
+        assert np.abs(met.vol * t**2 - 1.0).max() <= 1e-3
+    try:
+        charge = dw.topological_charge(sym)
+    except DiracweylError:
+        pass
+    else:
+        assert charge in (-1, 1)
 
 
 def test_verdict_analysis_inverts_no_grid_matrices(monkeypatch):

@@ -174,17 +174,21 @@ def _batched_products(tree):
 
 # Kernels that hold their 3x3 fields components first, with the helpers they call.
 _COMPONENTS_FIRST_KERNELS = {
-    "geometry.py": ("torsion", "coframe", "_coframe", "_dual_2forms", "_star_torsion_from_curl"),
-    "operators.py": ("_dirac_a0",),
+    "geometry.py": ("torsion", "coframe", "_coframe", "_dual_2forms", "_star_torsion_from_curl",
+                    "decode_metric", "topological_charge"),
+    "operators.py": ("_dirac_a0", "_weyl_data", "check_dirac", "gauge_transform"),
 }
 
 
 def test_components_first_kernels_take_no_batched_matmul():
     """numpy's batched @ on an (n, n, n, 3, 3) stack calls BLAS once per 3x3 matrix: one
-    product on 32^3 points takes 2.1 ms against 0.96 ms for geometry._matmul_cm on whole
-    grid fields, and einsum does no better.  So these kernels do their grid 3x3 algebra
-    through _matmul_cm; the torsion of the previous layout, with seven batched products
-    and an einsum, is caught."""
+    product on 32^3 points took 2.1-2.5 ms, and 2.8 ms with a grid-first view of a
+    components-first array (a symbol's p) as operand.  geometry._matmul_cm is one einsum
+    on contiguous components-first fields: a 3x3 by 3x3 product measured 0.91 ms (1.21 ms
+    for its former per-entry ufunc loop), 2x3 by 3x3 0.61 ms and 3x3 by 3x1 0.29 ms.  So
+    these kernels route their grid 3x3 algebra through _matmul_cm, where the one einsum
+    lives; the torsion of the grid-first layout, with seven batched products and an
+    einsum, is caught."""
     caught = list(_batched_products(ast.parse(
         "g = e_t @ d\n"
         "ax2 = np.einsum('...kh,...kh->...', cof, curl)\n"
