@@ -29,8 +29,8 @@ import numpy as np
 from .errors import InputError, gate
 from .fields import (TrigInterpolant, _grid_line_jets, _transposed, fiber_ball_quadrature,
                      grid_integral)
-from .geometry import PrincipalSymbolField, pauli_components, pauli_matrices
-from .operators import FirstOrderOperator, _weyl_b, _weyl_data
+from .geometry import PrincipalSymbolField, pauli_components
+from .operators import FirstOrderOperator, _subprincipal, _weyl_b, _weyl_data
 
 
 def _principal(obj) -> PrincipalSymbolField:
@@ -137,7 +137,8 @@ def b1_density_fiber(op: FirstOrderOperator, points) -> np.ndarray:
         raise InputError(f"op must be a FirstOrderOperator, got {type(op).__name__}")
     pts = _grid_points(points, op.sigma.chart.n)
     comps, grads = _grid_line_jets(op.sigma.p, pts)
-    amat = op.a0[tuple(pts.T)] + 0.5j * pauli_matrices(sum(grads[:, a, :, a] for a in range(3)))
+    half_div = 0.5 * sum(grads[:, a, :, a] for a in range(3)).T  # sum_a d_a p_j^a / 2 as [j, k]
+    amat = np.moveaxis(_subprincipal(op.a0[tuple(pts.T)], half_div), (0, 1), (-2, -1))
     g = _transposed(comps) @ comps  # g^{ab} = p_j^a p_j^b at these points only
     tr_a = (amat[:, 0, 0] + amat[:, 1, 1]).real[:, None]
     tr_as = 2.0 * pauli_components(amat - 0.5 * tr_a[..., None] * np.eye(2))  # tr(A_sub s^j)
@@ -226,17 +227,17 @@ class AsymptoticCoefficients:
 def b_density(op: FirstOrderOperator) -> AsymptoticCoefficients:
     """All coefficient densities of an operator, with torus integrals.
 
-    b is assembled from the closed form
-    (3 c *T_ax - 2 tr A_sub) sqrt(det g)/(8 pi^2) and must coincide
-    with b1 + b2 to rounding.  The parts fixed by p come from
+    b is assembled from the closed form (3 c *T_ax - 2 tr A_sub)
+    sqrt(det g)/(8 pi^2), with tr A_sub = tr a0, and must coincide with
+    b1 + b2 to rounding.  The parts fixed by p come from
     operators._weyl_data, shared with check_dirac; every density is new.
     """
-    vol, c_tax, charge, asub = _weyl_data(op)
+    vol, c_tax, charge, _ = _weyl_data(op)
     a = vol / (6.0 * np.pi**2)
-    b = _weyl_b(vol, c_tax, asub)
+    b = _weyl_b(vol, c_tax, op.a0)
     return AsymptoticCoefficients(
         a=a,
-        b1=_weyl_b(vol, asub=asub),
+        b1=_weyl_b(vol, a0=op.a0),
         b2=_weyl_b(vol, c_tax),
         b=b,
         a_global=float(grid_integral(a)),

@@ -35,7 +35,8 @@ from typing import TYPE_CHECKING
 from . import __version__
 from .defaults import _DEFAULT_KERNEL_WIDTH, _DEFAULT_TOL
 from .errors import DiracweylError, InputError
-from .scenarios import _DEFAULT_GRID, SCENARIOS, build_scenario, scenario_params, scenario_spectrum
+from .scenarios import (_DEFAULT_GRID, SCENARIOS, _scenario_frame, build_scenario, scenario_params,
+                        scenario_spectrum)
 from .serialize import _from_document, _load_document, load_operator, write_csv, write_json_report
 
 if TYPE_CHECKING:
@@ -114,7 +115,7 @@ class _Source:
         if given and args.scenario is None:
             raise InputError(f"{', '.join('--' + k for k in given)} only apply to --scenario")
         gridless = args.input is None and (args.scenario is None
-                                           or SCENARIOS[args.scenario].operator is None)
+                                           or SCENARIOS[args.scenario].frame is None)
         if "grid" in given and gridless:
             raise InputError(f"--grid is read only by scenarios with an operator; "
                              f"{args.scenario!r} has none")
@@ -139,10 +140,11 @@ class _Source:
         return build_scenario(self.args.scenario, self.config["grid"], **self.params)
 
     def symbol(self):
-        """The scenario's symbol, or the one an input operator, symbol or frame holds."""
+        """The symbol of the scenario's frame, or the one an input operator, symbol or frame holds."""
         if self.args.input is None:
-            return self.operator().sigma
-        obj = _from_document(_load_document(self.args.input), self.args.input)
+            obj = _scenario_frame(self.args.scenario, self.config["grid"], self.params)
+        else:
+            obj = _from_document(_load_document(self.args.input), self.args.input)
         from .geometry import FrameField, symbol_from_frame
         from .operators import FirstOrderOperator
 

@@ -194,18 +194,6 @@ def _grid_line_jets(values: np.ndarray, points) -> tuple:
     return values[tuple(pts.T)], grads
 
 
-def derivative_stack(values: np.ndarray) -> np.ndarray:
-    """All three coordinate derivatives, stacked on a new axis at position 3.
-
-    Output shape: (n, n, n, 3, *component_shape); index 3 is the
-    differentiation direction.
-    """
-    out = np.empty(values.shape[:3] + (3,) + values.shape[3:], dtype=np.result_type(values, float))
-    for ax in (1, 2, 3):
-        out[:, :, :, ax - 1] = spectral_derivative(values, ax)
-    return out
-
-
 def grid_integral(values: np.ndarray):
     """Integral over the torus: periodic trapezoid = grid mean * (2*pi)^3.
 

@@ -71,9 +71,12 @@ class FirstOrderOperator:
         if largest > _A0_LIMIT:
             raise InputError(f"a0 has an entry of size {largest:.3g}, over the limit {_A0_LIMIT:g}")
         self.a0 = a0
-        asub = subprincipal_symbol(self)
+        skew = _subprincipal(a0, _half_divergence(self.sigma.p))
+        re, im = skew.real, skew.imag  # A_sub - A_sub^* in place; numpy buffers the overlapping operand
+        re -= re.swapaxes(0, 1)
+        im += im.swapaxes(0, 1)
         gate("operator is not formally self-adjoint: subprincipal symbol is not Hermitian",
-             asub - np.conj(np.swapaxes(asub, -1, -2)), 1e-10 * max(1.0, largest))
+             np.moveaxis(skew, (0, 1), (-2, -1)), 1e-10 * max(1.0, largest))
 
     @property
     def chart(self):
@@ -82,13 +85,29 @@ class FirstOrderOperator:
 
 def subprincipal_symbol(op: FirstOrderOperator) -> np.ndarray:
     """A_sub = a0 + (i/2) s^j d_a p_j^a (covector-independent here), by three real derivatives of p."""
-    return op.a0 + 0.5j * pauli_matrices(np.moveaxis(_divergence(op.sigma.p), 0, -1))
+    return _grid_first(_subprincipal(op.a0, _half_divergence(op.sigma.p)))
 
 
-def _divergence(p: np.ndarray) -> np.ndarray:
-    """The real divergences sum_a d_a p_j^a as [j, ...], from contiguous fields of p."""
+def _half_divergence(p: np.ndarray) -> np.ndarray:
+    """Half the real divergences, sum_a d_a p_j^a / 2 as [j, ...]: one derivative per p[:, a] stack."""
     pc = _components_first(p)
-    return np.array([sum(spectral_derivative(pc[j, a], a + 1) for a in range(3)) for j in range(3)])
+    return 0.5 * sum(_derivative(pc[:, a], a + 1) for a in range(3))
+
+
+def _subprincipal(a0: np.ndarray, half_div: np.ndarray) -> np.ndarray:
+    """A_sub = a0 + (i/2) s^j div_j, new and components first as asub[p, q, ...], from half_div[j, ...]:
+    i div_3 / 2 and -i div_3 / 2 on the diagonal, (div_2 + i div_1) / 2 above it and
+    (-div_2 + i div_1) / 2 below.  The term is trace-free, so tr A_sub = tr a0."""
+    asub = np.array(np.moveaxis(a0, (-2, -1), (0, 1)), dtype=complex, order="C")
+    d1, d2, d3 = half_div
+    re, im = asub.real, asub.imag
+    im[0, 0] += d3
+    im[1, 1] -= d3
+    re[0, 1] += d2
+    im[0, 1] += d1
+    re[1, 0] -= d2
+    im[1, 0] += d1
+    return asub
 
 
 def dirac_operator(frame: FrameField) -> FirstOrderOperator:
@@ -421,8 +440,9 @@ def check_dirac(op: FirstOrderOperator, tol: float = _DEFAULT_TOL) -> DiracVerdi
     """
     if not 0.0 <= tol < np.inf:
         raise InputError(f"tol must be a finite non-negative number, got {tol}")
-    vol, c_tax, _, asub = _weyl_data(op)  # a new asub[p, q, ...]
-    cond_b = float(np.abs(_weyl_b(vol, c_tax, asub)).max())
+    vol, c_tax, _, half_div = _weyl_data(op)
+    cond_b = float(np.abs(_weyl_b(vol, c_tax, op.a0)).max())
+    asub = _subprincipal(op.a0, half_div)
     # A - tr(A)/2 = (Re A01, -Im A01, diag).s
     diag = asub[0, 0].real - 0.5 * (asub[0, 0].real + asub[1, 1].real)
     cond_a = float(np.hypot(np.hypot(asub[0, 1].real, asub[0, 1].imag), diag).max())  # no overflow
@@ -433,11 +453,11 @@ def check_dirac(op: FirstOrderOperator, tol: float = _DEFAULT_TOL) -> DiracVerdi
                         reconstructed_gap=gap, tol=tol)
 
 
-def _weyl_b(vol: np.ndarray, c_tax=None, asub=None) -> np.ndarray:
-    """b = (3 c *T_ax - 2 tr A_sub) sqrt(det g) / (8 pi^2), A_sub held as asub[p, q, ...];
-    b1 without c_tax, b2 without asub."""
+def _weyl_b(vol: np.ndarray, c_tax=None, a0=None) -> np.ndarray:
+    """b = (3 c *T_ax - 2 tr A_sub) sqrt(det g) / (8 pi^2), with tr A_sub = tr a0;
+    b1 without c_tax, b2 without a0."""
     axial = 0.0 if c_tax is None else 3.0 * c_tax
-    trace = 0.0 if asub is None else asub[0, 0].real + asub[1, 1].real
+    trace = 0.0 if a0 is None else a0[..., 0, 0].real + a0[..., 1, 1].real
     return (axial - 2.0 * trace) * vol / (8.0 * np.pi**2)
 
 
@@ -448,13 +468,9 @@ _weyl_slot = None
 
 
 def _weyl_data(op: FirstOrderOperator) -> tuple:
-    """(vol, c *T_ax, charge, A_sub) of op: all but A_sub are fixed by the read-only p.
-
-    They come from the record if it holds op.sigma.p, else from one metric decode, torsion and
-    divergence, which replace it.  A_sub = a0 + (i/2) s^j div_j is new on each call, held
-    components first as asub[p, q, ...]: (i/2) s^j div_j is i div_3 / 2 and -i div_3 / 2 on the
-    diagonal, (div_2 + i div_1) / 2 above it and (-div_2 + i div_1) / 2 below.
-    """
+    """(vol, c *T_ax, charge, half the divergence) of op, all fixed by the read-only p: from the
+    record if it holds op.sigma.p, else from one metric decode, torsion and divergence, which
+    replace it."""
     global _weyl_slot
     p, held = op.sigma.p, _weyl_slot  # read once: another thread may replace it
     if held is None or held[0]() is not p:
@@ -462,14 +478,5 @@ def _weyl_data(op: FirstOrderOperator) -> tuple:
         metric = decode_metric(op.sigma)
         tor = torsion(FrameField(p), metric)  # its orientation check refuses a degenerate frame
         _weyl_slot = held = (weakref.ref(p), metric.vol, tor.charge * tor.axial_dual, tor.charge,
-                             0.5 * _divergence(p))
-    _, vol, c_tax, charge, (d1, d2, d3) = held
-    asub = np.array(np.moveaxis(op.a0, (-2, -1), (0, 1)), dtype=complex, order="C")  # a new array
-    re, im = asub.real, asub.imag
-    im[0, 0] += d3
-    im[1, 1] -= d3
-    re[0, 1] += d2
-    im[0, 1] += d1
-    re[1, 0] -= d2
-    im[1, 0] += d1
-    return vol, c_tax, charge, asub
+                             _half_divergence(p))
+    return held[1:]

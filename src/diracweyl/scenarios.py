@@ -3,7 +3,8 @@
 Each builder returns plain library objects (FrameField,
 FirstOrderOperator, ...) on an n^3 periodic grid.  SCENARIOS is the one
 table of named scenarios: the parameters each reads with their
-defaults, the operator it builds and its exact spectrum, if it has one.
+defaults, the frame it builds, the operator on that frame and its exact
+spectrum, if it has one.
 The module imports no numpy: the command line reads the table to parse
 and check a request, and each builder imports the numerical modules
 when it is called.
@@ -197,7 +198,7 @@ def dirac_plus_traceless(frame: FrameField, epsilon: float) -> FirstOrderOperato
     return FirstOrderOperator(op.sigma, op.a0 + epsilon * PAULI[2])
 
 
-def _dirac(frame: FrameField) -> FirstOrderOperator:
+def _dirac(frame: FrameField, **_) -> FirstOrderOperator:
     from .operators import dirac_operator
 
     return dirac_operator(frame)
@@ -244,39 +245,33 @@ class Scenario(NamedTuple):
     """One named scenario.
 
     params maps every parameter the scenario reads to its default.
-    operator(grid, **params) builds its operator and spectrum(lambda_max,
-    **params) its exact eigenvalue table; either may be absent.  growth
-    is the two-term law (a, b) of a table that has no operator to
+    frame(grid, **params) builds its frame and spectrum(lambda_max,
+    **params) its exact eigenvalue table; either may be absent, and a
+    scenario without a frame has no operator.  operator(frame, **params)
+    builds the operator on the frame, by default its Dirac operator.
+    growth is the two-term law (a, b) of a table that has no operator to
     compute it from.
     """
 
     params: dict
-    operator: Callable | None = None
+    frame: Callable | None = None
     spectrum: Callable | None = None
+    operator: Callable = _dirac
     growth: tuple | None = None
 
 
 SCENARIOS = {
-    "standard-torus": Scenario(
-        {},
-        lambda n: _dirac(standard_frame(n)),
-        lambda lam: _torus_spectrum((0.0, 0.0, 0.0), lam),
-    ),
+    "standard-torus": Scenario({}, standard_frame, lambda lam: _torus_spectrum((0.0, 0.0, 0.0), lam)),
     # k3 turns of the frame along x^3 lift to the spin structure shifted by k3/2 there
-    "twisted-torus": Scenario(
-        {"k3": 1},
-        lambda n, k3: _dirac(twisted_frame(k3, n)),
-        lambda lam, k3: _torus_spectrum((0.0, 0.0, (k3 % 2) / 2.0), lam),
-    ),
-    "dirac-plus-scalar": Scenario(
-        {"q": 0.3}, lambda n, q: dirac_plus_scalar(standard_frame(n), q), _shifted_torus_spectrum
-    ),
-    "dirac-plus-traceless": Scenario(
-        {"epsilon": 0.1}, lambda n, epsilon: dirac_plus_traceless(standard_frame(n), epsilon)
-    ),
+    "twisted-torus": Scenario({"k3": 1}, lambda n, k3: twisted_frame(k3, n),
+                              lambda lam, k3: _torus_spectrum((0.0, 0.0, (k3 % 2) / 2.0), lam)),
+    "dirac-plus-scalar": Scenario({"q": 0.3}, lambda n, q: standard_frame(n), _shifted_torus_spectrum,
+                                  dirac_plus_scalar),
+    "dirac-plus-traceless": Scenario({"epsilon": 0.1}, lambda n, epsilon: standard_frame(n),
+                                     operator=dirac_plus_traceless),
     "random-band-limited": Scenario(
         {"seed": 0, "amplitude": _DEFAULT_AMPLITUDE},
-        lambda n, seed, amplitude: _dirac(random_band_limited_frame(seed, n, amplitude)),
+        lambda n, seed, amplitude: random_band_limited_frame(seed, n, amplitude),
     ),
     # the round unit 3-sphere counts exactly lambda^3/3 - lambda/3
     "sphere": Scenario({}, spectrum=_sphere_spectrum, growth=(1.0 / 3.0, 0.0)),
@@ -303,12 +298,17 @@ def scenario_params(name: str, **given) -> dict:
 def build_scenario(name: str, grid: int = _DEFAULT_GRID, **params) -> FirstOrderOperator:
     """The named scenario's operator on a grid^3 grid; params override its defaults."""
     params = scenario_params(name, **params)
-    if SCENARIOS[name].operator is None:
+    return SCENARIOS[name].operator(_scenario_frame(name, grid, params), **params)
+
+
+def _scenario_frame(name: str, grid: int, params: dict) -> FrameField:
+    """The frame the named scenario builds its operator on; params as scenario_params gives them."""
+    if SCENARIOS[name].frame is None:
         raise InputError(
             f"scenario {name!r} only provides an exact spectrum; "
             "it has no operator on the torus grid"
         )
-    return SCENARIOS[name].operator(grid, **params)
+    return SCENARIOS[name].frame(grid, **params)
 
 
 def scenario_spectrum(name: str, lambda_max: float, **params) -> SpectrumTable:

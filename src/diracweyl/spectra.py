@@ -714,7 +714,7 @@ def mollified_count(
     if lam + tail > table.coverage[1] + 1e-12:
         raise InputError(
             f"table coverage {table.coverage[1]} is too short for lambda {lam} "
-            f"plus kernel tail {tail:.2f}"
+            f"plus kernel tail {tail:.3g}"
         )
     x, cdf = _unit_cdf()
     reach = x[-1] / tau

@@ -240,12 +240,12 @@ def _refuse_everywhere(monkeypatch, real):
 
 def test_fiber_routes_build_no_interpolant_and_no_grid_transform(random_setup, monkeypatch):
     """All three routes give their values unchanged with TrigInterpolant's constructor
-    and every binding of fields.spectral_derivative raising: they read p and its
-    gradient off the grid lines through their points."""
+    and every binding of fields._derivative, the kernel of every whole-grid derivative,
+    raising: they read p and its gradient off the grid lines through their points."""
     _, _, op = random_setup
     want = {route: _fiber_route(route, op, SAMPLE_INDICES) for route in FIBER_ROUTES}
     monkeypatch.setattr(TrigInterpolant, "__init__", _refuse("TrigInterpolant"))
-    _refuse_everywhere(monkeypatch, dw.fields.spectral_derivative)
+    _refuse_everywhere(monkeypatch, dw.fields._derivative)
     with pytest.raises(AssertionError, match="was called"):
         dw.b_density(op)
     with pytest.raises(AssertionError, match="was called"):

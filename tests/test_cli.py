@@ -75,6 +75,30 @@ def test_decode_frame_file(tmp_path, capsys):
         assert "'frame'" in capsys.readouterr().err
 
 
+# each built the operator first: the random frame's missed the self-adjointness gate (exit 3)
+# at the default grid 16, and the others' a0 the limit of 1e300 (exit 2)
+DECODED_SCENARIOS = {
+    "random-amplitude-0.01": (["--scenario", "random-band-limited", "--amplitude", "0.01"],
+                              lambda: dw.random_band_limited_frame(0, 16, 0.01)),
+    "scalar-q-2e300": (["--scenario", "dirac-plus-scalar", "--q", "2e300", "--grid", "8"],
+                       lambda: dw.standard_frame(8)),
+    "traceless-epsilon-2e300": (["--scenario", "dirac-plus-traceless", "--epsilon", "2e300",
+                                 "--grid", "8"], lambda: dw.standard_frame(8)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DECODED_SCENARIOS))
+def test_decode_scenario_reads_its_frame_alone(case, tmp_path, capsys):
+    """A scenario decodes the symbol of its frame, as decode --input does the saved frame."""
+    argv, frame = DECODED_SCENARIOS[case]
+    path = tmp_path / "frame.json"
+    dw.save_frame(frame(), str(path))
+    reports = [_run(capsys, "decode", *argv), _run(capsys, "decode", "--input", str(path))]
+    assert [code for code, _ in reports] == [0, 0]
+    blocks = [{k: report[k] for k in ("charge", "metric", "torsion")} for _, report in reports]
+    assert blocks[0] == blocks[1]
+
+
 def test_decode_without_source_is_usage_error(capsys):
     code = main(["decode"])
     assert code == 2
@@ -334,6 +358,8 @@ REFUSED = {
                           "--method", "galerkin", "--grid", "8", "--cutoff", "2"],
     # exited 3 with "report holds a non-finite number" after a numpy overflow warning
     "a0-1e307-input": ["asymptotics", "--input", "HUGE"],
+    # printed the kernel tail as a 300-digit number
+    "kernel-tail-1e301": ["spectrum", "--mollified", "1", "--kernel-width", "1e-300"],
 }
 # the flag and its reader, which the error message names
 NAMED = {
@@ -362,6 +388,7 @@ NAMED = {
     "csv-out-in-missing-directory": ("cannot write MISSING: No such file or directory",),
     "a0-1e308-galerkin": ("a0 has an entry of size 1e+308, over the limit 1e+300",),
     "a0-1e307-input": ("a0 has an entry of size 1e+307, over the limit 1e+300",),
+    "kernel-tail-1e301": ("lambda 1.0 plus kernel tail 4.57e+301",),
 }
 
 
@@ -571,6 +598,7 @@ MALFORMED = {
         lambda doc: _edit_bytes(doc, "frame", lambda raw: b"\xff" * 8 + raw[8:]))),
     "missing-path": ("check-dirac", lambda path: None),
     "not-json": ("asymptotics", lambda path: path.write_text("sigma = [[0, 1], [1, 0]]\n")),
+    "chart-grid-zero": ("decode", _edited_operator(lambda doc: doc["chart"].update(grid=0))),
 }
 
 
@@ -611,6 +639,8 @@ COLD = {
     "not-json": (["check-dirac", "--input", "IN"],
                  lambda path: path.write_text("sigma = [[0, 1], [1, 0]]\n"), 2),
     "truncated": (["check-dirac", "--input", "IN"], _truncated_operator, 2),
+    "decode-sphere": (["decode", "--scenario", "sphere"], None, 2),
+    "decode-missing": (["decode", "--input", "IN"], lambda path: None, 2),
 }
 
 

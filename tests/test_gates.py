@@ -213,6 +213,15 @@ def _grid_of(matrix):
     return np.broadcast_to(np.asarray(matrix, dtype=float), (8, 8, 8) + np.shape(matrix)).copy()
 
 
+def _alternating_turn():
+    """8^3 rotations alternating along x1 between the identity and a 0.9 pi turn about x3:
+    their SU(2) lifts align by cos(0.45 pi) = 0.16, under the floor of 0.3."""
+    c, s = np.cos(0.9 * np.pi), np.sin(0.9 * np.pi)
+    o = _grid_of(np.eye(3))
+    o[1::2] = [[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]
+    return o
+
+
 def _flipped_frame():
     e = _grid_of(np.eye(3))
     e[4:, :, :, 0, 0] = -1.0
@@ -247,6 +256,8 @@ REFUSED_BRANCHES = {
                    "rotation field must have shape"),
     "lift-det-minus-one": (lambda: dw.su2_lift(_grid_of(np.diag([1.0, 1.0, -1.0]))), InputError,
                            "special orthogonal"),
+    "lift-too-fast": (lambda: dw.su2_lift(_alternating_turn()), InputError,
+                      "rotation field varies too fast between neighbouring grid points"),
     "galerkin-cutoff-0": (lambda: dw.galerkin_spectrum(_structured_dirac(), 0), InputError,
                           "mode_cutoff must be at least 1"),
     "twist-fractional": (lambda: dw.twisted_frame(1.5, 8), InputError, "must be an integer"),

@@ -9,7 +9,7 @@ import pytest
 
 import diracweyl as dw
 from diracweyl.errors import DiracweylError, EllipticityError, InputError, gate
-from diracweyl.fields import PeriodicChart, derivative_stack, spectral_derivative
+from diracweyl.fields import PeriodicChart, spectral_derivative
 from diracweyl import geometry
 from diracweyl.geometry import christoffel_symbols, coframe
 
@@ -19,13 +19,18 @@ N = 12
 EPSILON = np.cross(np.eye(3)[:, None], np.eye(3))
 
 
+def _derivative_stack(values):
+    """The three coordinate derivatives of a grid field, stacked on a new axis at position 3."""
+    return np.stack([spectral_derivative(values, a) for a in (1, 2, 3)], axis=3)
+
+
 def _random_frame(seed, n=N):
     return dw.random_band_limited_frame(seed, n=n)
 
 
 def _teleparallel_coefficients(fr, met):
     """Connection G[..., a, mu, b] = e_k^a d_mu c^k_b that makes the frame parallel."""
-    return np.einsum("...ka,...mkb->...amb", fr.e, derivative_stack(coframe(fr, met)))
+    return np.einsum("...ka,...mkb->...amb", fr.e, _derivative_stack(coframe(fr, met)))
 
 
 def _pair_components(w):
@@ -225,12 +230,12 @@ def test_connection_kills_frame_derivative():
     fr = dw.twisted_frame(1, 16)
     met = dw.decode_metric(dw.symbol_from_frame(fr))
     gam = _teleparallel_coefficients(fr, met)
-    de = derivative_stack(fr.e)
+    de = _derivative_stack(fr.e)
     cov = de + np.einsum("...amb,...jb->...mja", gam, fr.e)
     assert np.abs(cov).max() < 1e-12
     fr = _random_frame(2, n=16)
     met = dw.decode_metric(dw.symbol_from_frame(fr))
-    cov = derivative_stack(fr.e) + np.einsum(
+    cov = _derivative_stack(fr.e) + np.einsum(
         "...amb,...jb->...mja", _teleparallel_coefficients(fr, met), fr.e
     )
     assert np.abs(cov).max() < 1e-6
@@ -775,7 +780,7 @@ def test_christoffel_matches_the_warped_closed_form(warped_frame):
 def test_christoffel_matches_the_three_einsum_formula():
     """G^b_ac = g^bd (d_a g_cd + d_c g_ad - d_d g_ac) / 2, term by term."""
     met = dw.decode_metric(dw.symbol_from_frame(_generic_frame(12)))
-    dg = derivative_stack(met.g_cov)  # [..., mu, alpha, beta]
+    dg = _derivative_stack(met.g_cov)  # [..., mu, alpha, beta]
     g = met.g_contra
     want = 0.5 * (
         np.einsum("...bd,...acd->...bac", g, dg)
@@ -802,7 +807,7 @@ def test_christoffel_traces_are_the_log_volume_derivative(curved_frame):
     """
     met = dw.decode_metric(dw.symbol_from_frame(curved_frame))
     gamma = christoffel_symbols(met)
-    want = derivative_stack(np.log(met.vol))
+    want = _derivative_stack(np.log(met.vol))
     assert np.abs(want[..., 2]).max() > 0.04
     for trace in ("...bab->...a", "...bba->...a"):
         assert np.abs(np.einsum(trace, gamma) - want).max() <= 1e-12

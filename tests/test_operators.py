@@ -5,8 +5,13 @@ import pytest
 
 import diracweyl as dw
 from diracweyl.errors import ConsistencyError, InputError
-from diracweyl.fields import PeriodicChart, derivative_stack
+from diracweyl.fields import PeriodicChart, spectral_derivative
 from diracweyl.geometry import PAULI, christoffel_symbols, pauli_components
+
+
+def _derivative_stack(values):
+    """The three coordinate derivatives of a grid field, stacked on a new axis at position 3."""
+    return np.stack([spectral_derivative(values, a) for a in (1, 2, 3)], axis=3)
 
 
 def _twist_gauge(k3, n):
@@ -144,7 +149,7 @@ def _gauge_transform_einsum(op, r):
     the complex sigma stack."""
     rh = np.conj(np.swapaxes(r, -1, -2))
     a0 = np.einsum("...pq,...qr,...rs->...ps", r, op.a0, rh) - 1j * np.einsum(
-        "...pq,...aqr,...ars->...ps", r, op.sigma.sigma, derivative_stack(rh))
+        "...pq,...aqr,...ars->...ps", r, op.sigma.sigma, _derivative_stack(rh))
     return _so3_einsum(r) @ op.sigma.p, a0
 
 
@@ -334,7 +339,7 @@ def _a0_one_shot(frame):
     s = dw.symbol_from_frame(frame).sigma
     gamma = christoffel_symbols(metric)
     s_low = np.einsum("...bd,...dpq->...bpq", metric.g_cov, s)
-    covd = derivative_stack(s) + np.einsum("...bag,...gpq->...abpq", gamma, s)
+    covd = _derivative_stack(s) + np.einsum("...bag,...gpq->...abpq", gamma, s)
     a0 = -0.25j * np.einsum("...apq,...bqr,...abrs->...ps", s, s_low, covd)
     return a0 + 0.5j * np.einsum("...apq,...a->...pq", s, np.einsum("...bab->...a", gamma))
 

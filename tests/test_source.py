@@ -8,7 +8,8 @@ matmul operand is a transposed view or a product with a complex
 constant, the components-first 3x3 kernels take no batched @ or
 einsum, the Pauli encoding and per-float Python lists stay out of the
 file format, no module builds an operator's complex symbol stack, a
-principal symbol holds its components p and nothing else, only two
+principal symbol holds its components p and nothing else, one builder
+forms the subprincipal symbol, only two
 declared globals are rebound at run time, no functools cache is used,
 only geometry imports a checksum module, only fields._fourier_content
 takes a forward transform of a whole grid, and numpy.fft is called in
@@ -176,7 +177,8 @@ def _batched_products(tree):
 _COMPONENTS_FIRST_KERNELS = {
     "geometry.py": ("torsion", "coframe", "_coframe", "_dual_2forms", "_star_torsion_from_curl",
                     "decode_metric", "topological_charge"),
-    "operators.py": ("_dirac_a0", "_weyl_data", "check_dirac", "gauge_transform"),
+    "operators.py": ("_dirac_a0", "_weyl_data", "check_dirac", "gauge_transform", "_half_divergence",
+                     "_subprincipal"),
 }
 
 
@@ -224,6 +226,26 @@ def test_no_module_builds_an_operators_complex_symbol_stack():
     assert _symbol_stack_reads(ast.parse("a = op.sigma.sigma\nb = op.sigma.p\nc = sym.sigma\n")) == [1]
     found = [f"{module}:{line}" for module, tree in TREES.items() for line in _symbol_stack_reads(tree)]
     assert found == []
+
+
+def _callers(name):
+    """module:function for every package function that calls name, methods by their own name."""
+    return {f"{module[:-3]}.{fn.name}" for module, tree in TREES.items() for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef)
+            and any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+                    for node in ast.walk(fn))}
+
+
+def test_one_builder_forms_the_subprincipal_symbol():
+    """A_sub = a0 + (i/2) s^j div_j is formed by operators._subprincipal alone: on the grid for
+    the self-adjointness gate, subprincipal_symbol and check_dirac, and at its points for the
+    b1 fibre route.  b reads tr A_sub = tr a0, so b_density forms none.  The grid divergence is
+    taken by _half_divergence alone."""
+    assert _callers("_subprincipal") == {"operators.__post_init__", "operators.subprincipal_symbol",
+                                         "operators.check_dirac", "asymptotics.b1_density_fiber"}
+    assert _callers("_half_divergence") == {"operators.__post_init__",
+                                            "operators.subprincipal_symbol", "operators._weyl_data"}
+    assert _callers("subprincipal_symbol") == set()
 
 
 def _tolist_calls(tree):
