@@ -29,8 +29,8 @@ import numpy as np
 from .errors import InputError, gate
 from .fields import (TrigInterpolant, _grid_line_jets, _transposed, fiber_ball_quadrature,
                      grid_integral)
-from .geometry import PrincipalSymbolField, pauli_components
-from .operators import FirstOrderOperator, _subprincipal, _weyl_b, _weyl_data
+from .geometry import FrameField, PrincipalSymbolField, decode_metric, pauli_components, torsion
+from .operators import FirstOrderOperator, _subprincipal, _weyl_b
 
 
 def _principal(obj) -> PrincipalSymbolField:
@@ -229,18 +229,14 @@ def b_density(op: FirstOrderOperator) -> AsymptoticCoefficients:
 
     b is assembled from the closed form (3 c *T_ax - 2 tr A_sub)
     sqrt(det g)/(8 pi^2), with tr A_sub = tr a0, and must coincide with
-    b1 + b2 to rounding.  The parts fixed by p come from
-    operators._weyl_data, shared with check_dirac; every density is new.
+    b1 + b2 to rounding.  The metric and the torsion are those a caller
+    still holds for the symbol (decode_metric, torsion), as for
+    check_dirac; no divergence of p is taken, and every density is new.
     """
-    vol, c_tax, charge, _ = _weyl_data(op)
-    a = vol / (6.0 * np.pi**2)
-    b = _weyl_b(vol, c_tax, op.a0)
-    return AsymptoticCoefficients(
-        a=a,
-        b1=_weyl_b(vol, a0=op.a0),
-        b2=_weyl_b(vol, c_tax),
-        b=b,
-        a_global=float(grid_integral(a)),
-        b_global=float(grid_integral(b)),
-        charge=charge,
-    )
+    metric = decode_metric(op.sigma)
+    tor = torsion(FrameField(op.sigma.p), metric)
+    vol, c_tax = metric.vol, tor.charge * tor.axial_dual
+    a, b = vol / (6.0 * np.pi**2), _weyl_b(vol, c_tax, op.a0)
+    return AsymptoticCoefficients(a=a, b1=_weyl_b(vol, a0=op.a0), b2=_weyl_b(vol, c_tax), b=b,
+                                  a_global=float(grid_integral(a)), b_global=float(grid_integral(b)),
+                                  charge=tor.charge)

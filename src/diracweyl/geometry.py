@@ -89,6 +89,11 @@ def _gram(p: np.ndarray) -> np.ndarray:
     return _matmul_cm(pc.swapaxes(0, 1), pc)
 
 
+def _unlinked(obj) -> dict:
+    """The attributes of obj but its weak links, which pickle cannot store: geometry's __getstate__."""
+    return {key: value for key, value in vars(obj).items() if type(value) is not weakref.ref}
+
+
 class PrincipalSymbolField:
     """Symbol sigma^alpha = s^j p_j^alpha, held as the read-only real array p[..., j, alpha].
 
@@ -97,13 +102,16 @@ class PrincipalSymbolField:
     contiguous grid fields.  PrincipalSymbolField(sigma) gates the complex
     stack sigma[..., alpha, :, :] on Hermitian and trace-free matrices and
     reads p off it; symbol_from_frame sets p directly.  Both check
-    ellipticity.  p is the one attribute a symbol holds: the sigma
-    property rebuilds the complex stack on each access and keeps nothing,
-    and off-grid readers build their own TrigInterpolant of p.  A p that
-    is bit for bit one a live symbol holds is shared, as that very view
-    object, so PrincipalSymbolField(sym.sigma) costs no memory beyond
-    sym's and operators._weyl_data's record, keyed on it, serves both.
+    ellipticity.  p is all a symbol keeps alive: the sigma property
+    rebuilds the complex stack on each access and keeps nothing, off-grid
+    readers build their own TrigInterpolant of p, and decode_metric links
+    the metric it builds to the symbol by a weak reference, _metric, which
+    a new symbol over an equal p starts without.  A p that is bit for bit
+    one a live symbol holds is shared, as that very view object, so
+    PrincipalSymbolField(sym.sigma) costs no memory beyond sym's.
     """
+
+    __getstate__ = _unlinked
 
     def __init__(self, sigma: np.ndarray):
         s = np.asarray(sigma, dtype=complex)
@@ -173,9 +181,12 @@ def _orientation(d: np.ndarray, e: np.ndarray) -> int:
 
 class MetricField:
     """Metric samples held components first, contra[a, b, ...] = g^{ab} and cov[a, b, ...] = g_{ab},
-    the layout its kernels read, plus the Riemannian density vol = sqrt(det g_cov).  g_contra and
-    g_cov are new grid-first, C-contiguous (n, n, n, 3, 3) copies on each access.
+    the layout its kernels read, plus the Riemannian density vol = sqrt(det g_cov), all read-only.
+    g_contra and g_cov are new grid-first, C-contiguous (n, n, n, 3, 3) copies on each access.  A
+    metric from decode_metric also holds the weak links _p and _torsion that torsion reads.
     """
+
+    __getstate__ = _unlinked
 
     def __init__(self, g_contra: np.ndarray):
         g = np.asarray(g_contra, dtype=float)
@@ -191,10 +202,15 @@ class MetricField:
     g_cov = property(lambda self: _grid_first(self.cov), doc="g_{ab}, grid-first, copied on access.")
 
     def _complete(self, gc: np.ndarray) -> MetricField:
-        """Hold contra = gc[a, b, ...] = g^{ab}, cov = adj(g)/det(g) and vol = 1/sqrt(det g).
+        """Hold contra = gc[a, b, ...] = g^{ab}, cov = adj(g)/det(g) and vol = 1/sqrt(det g), read-only.
 
         The adjugate adj(g) @ g = det(g) I is written out in closed form,
-        one whole grid field per entry.
+        one whole grid field per entry.  The cofactor sum det g rounds to a
+        few eps D^3, D the largest diagonal entry on the grid, so where it is
+        at most 1e-6 D^3 it may have no digits left (NaN in vol at frame
+        condition 1e5).  There, in place, det takes LAPACK's LU value, good
+        to about eps times g's condition number; a point where that is not
+        positive either is refused.
         """
         adj = np.empty_like(gc)
         term = np.empty_like(gc[0, 0])
@@ -207,28 +223,28 @@ class MetricField:
         det = gc[0, 0] * adj[0, 0]  # first row against its cofactors, as _det3 sums them
         det += np.multiply(gc[0, 1], adj[1, 0], out=term)
         det += np.multiply(gc[0, 2], adj[2, 0], out=term)
-        det = _metric_det(np.moveaxis(gc, (0, 1), (-2, -1)), det)
+        band = ~(det > 1e-6 * max(gc[0, 0].max(), gc[1, 1].max(), gc[2, 2].max()) ** 3)
+        if np.any(band):
+            det[band] = np.linalg.det(np.moveaxis(gc, (0, 1), (-2, -1))[band])
+            if not np.all(det[band] > 0.0):
+                idx = tuple(int(i) for i in np.unravel_index(np.argmin(np.where(band, det, 1.0)), det.shape))
+                raise EllipticityError(f"metric determinant is not positive at grid point {idx}")
         adj /= det
-        self.contra, self.cov, self.vol = gc, adj, 1.0 / np.sqrt(det)
+        self.contra, self.cov, self.vol = _read_only(gc, adj, 1.0 / np.sqrt(det))
         return self
 
 
-def _metric_det(g: np.ndarray, det: np.ndarray) -> np.ndarray:
-    """det g of a positive definite (..., 3, 3) field g, given its cofactor sum det (_det3).
+def _read_only(*arrays: np.ndarray) -> tuple:
+    """The arrays, each flagged read-only in place."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
-    The sum rounds to a few eps D^3, D the largest diagonal entry on the
-    grid, so where it is at most 1e-6 D^3 it may have no digits left
-    (NaN in vol at frame condition 1e5).  There, in place, det takes
-    LAPACK's LU value, good to about eps times g's condition number; a
-    point where that is not positive either is refused.
-    """
-    band = ~(det > 1e-6 * max(g[..., 0, 0].max(), g[..., 1, 1].max(), g[..., 2, 2].max()) ** 3)
-    if np.any(band):
-        det[band] = np.linalg.det(g[band])
-        if not np.all(det[band] > 0.0):
-            idx = tuple(int(i) for i in np.unravel_index(np.argmin(np.where(band, det, 1.0)), det.shape))
-            raise EllipticityError(f"metric determinant is not positive at grid point {idx}")
-    return det
+
+def _linked(owner, name: str):
+    """What owner's weak reference name points at, or None if owner has none or it has died."""
+    link = vars(owner).get(name)
+    return None if link is None else link()
 
 
 # (b, c) = (h + 1, h + 2) mod 3: the index pair of the h-th independent component of a 2-form.
@@ -247,7 +263,7 @@ class TorsionBundle:
     is kept.  axial_dual is the scalar *T_ax = (1/3) (*T)^g_g; charge is
     the orientation sign of the generating frame.  route_residuals
     records the largest disagreement between the independent computation
-    routes that were cross-checked while building the bundle.
+    routes that were cross-checked while building the bundle.  The arrays are read-only.
     """
 
     conn: np.ndarray
@@ -395,8 +411,16 @@ def decode_metric(sym: PrincipalSymbolField) -> MetricField:
 
     The symbol's constructor checked ellipticity on this very g, so the
     check is not repeated; a directly constructed MetricField runs it.
+    While some caller holds the metric, a later call on the same symbol
+    object returns it: the symbol keeps a weak reference to it, _metric,
+    and it one to sym.p, _p.  A metric nobody holds is built anew.
     """
-    return MetricField.__new__(MetricField)._complete(_gram(sym.p))
+    metric = _linked(sym, "_metric")
+    if metric is None:
+        metric = MetricField.__new__(MetricField)._complete(_gram(sym.p))
+        metric._p = weakref.ref(sym.p)
+        sym._metric = weakref.ref(metric)
+    return metric
 
 
 def topological_charge(sym: PrincipalSymbolField) -> int:
@@ -406,12 +430,11 @@ def topological_charge(sym: PrincipalSymbolField) -> int:
     determinant -(i/2) sqrt(det g_cov) tr(sigma^1 sigma^2 sigma^3), and
     as the sign of the frame determinant.  Both must be constant across
     the grid.  Since tr(sigma^1 sigma^2 sigma^3) = 2i det p, the fibre
-    route reads sqrt(det g_cov) det p off the real components.
+    route reads vol det p, vol = sqrt(det g_cov) from decode_metric.
     """
     det = _det3(sym.p)  # one determinant of p for both routes
     orientation = _orientation(det, sym.p)
-    g = np.moveaxis(_gram(sym.p), (0, 1), (-2, -1))
-    c_field = det / np.sqrt(_metric_det(g, _det3(g)))  # sqrt(det g_cov) det p
+    c_field = det * decode_metric(sym).vol  # sqrt(det g_cov) det p
     c0 = int(np.rint(c_field.flat[0]))
     if c0 not in (-1, 1):
         raise ConsistencyError(f"charge {c_field.flat[0]!r} is not a unit")
@@ -523,10 +546,25 @@ def torsion(frame: FrameField, metric: MetricField) -> TorsionBundle:
     coframe, of which direction mu differentiates only the six entries
     c^j_b, b != mu, that they read.  Any disagreement beyond 1e-10 (on
     O(1) fields) raises ConsistencyError.
+
+    While some caller holds the bundle of a metric from decode_metric and
+    a frame over the very p it was decoded from, the pair gets it again
+    (the metric's weak reference _torsion); any other pair builds anew.
     """
     if frame.e.shape[:3] != metric.vol.shape:
         raise InputError(f"frame on the {frame.e.shape[0]}^3 grid and metric on the "
                          f"{metric.vol.shape[0]}^3 grid do not match")
+    shared = frame.e is _linked(metric, "_p")
+    bundle = _linked(metric, "_torsion") if shared else None
+    if bundle is None:
+        bundle = _torsion(frame, metric)
+        if shared:
+            metric._torsion = weakref.ref(bundle)
+    return bundle
+
+
+def _torsion(frame: FrameField, metric: MetricField) -> TorsionBundle:
+    """The torsion bundle of a frame and a metric on one grid, every route built and gated."""
     ec = _components_first(frame.e)  # e_j^a as [j, a]
     cof = _coframe(ec, metric.cov)  # c^j_b as [b, j]
     conn = np.zeros_like(cof)  # T^a_{bc} = G^a_{bc} - G^a_{cb} as [a, h]
@@ -563,5 +601,6 @@ def torsion(frame: FrameField, metric: MetricField) -> TorsionBundle:
     gap_ax = gate("axial dual routes (trace vs coframe formula) disagree", ax1 - ax2, bound)
     residuals = {"connection_vs_coframe": gap_t, "hodge_vs_curl": gap_star,
                  "trace_vs_coframe_axial": gap_ax}
+    conn, star1, ax1 = _read_only(conn, star1, ax1)
     return TorsionBundle(conn=conn, star=star1, axial_dual=ax1, charge=frame.orientation(),
                          route_residuals=residuals)

@@ -180,22 +180,20 @@ def dirac_plus_scalar(frame: FrameField, q: float) -> FirstOrderOperator:
     """The Dirac operator of the frame shifted by a constant scalar potential, |q| <= 1e300."""
     import numpy as np
 
-    from .operators import _A0_LIMIT, FirstOrderOperator, dirac_operator
+    from .operators import _A0_LIMIT, _shifted_dirac
 
     if not abs(q) <= _A0_LIMIT:
         raise InputError(f"q = {q} is over the limit |q| <= {_A0_LIMIT:g}: the torus integral of "
                          f"b overflows float64 past |q| of about 1.7e303 at the 128^3 grid ceiling")
-    op = dirac_operator(frame)
-    return FirstOrderOperator(op.sigma, op.a0 + q * np.eye(2))
+    return _shifted_dirac(frame, q * np.eye(2))
 
 
 def dirac_plus_traceless(frame: FrameField, epsilon: float) -> FirstOrderOperator:
     """The Dirac operator plus a constant traceless Hermitian perturbation."""
     from .geometry import PAULI
-    from .operators import FirstOrderOperator, dirac_operator
+    from .operators import _shifted_dirac
 
-    op = dirac_operator(frame)
-    return FirstOrderOperator(op.sigma, op.a0 + epsilon * PAULI[2])
+    return _shifted_dirac(frame, epsilon * PAULI[2])
 
 
 def _dirac(frame: FrameField, **_) -> FirstOrderOperator:

@@ -8,12 +8,6 @@ import pytest
 import diracweyl as dw
 
 
-@pytest.fixture(autouse=True)
-def _empty_handoff_slot():
-    """Each test starts with check_dirac and b_density's hand-off slot empty, whatever ran before."""
-    dw.operators._weyl_slot = None
-
-
 @pytest.fixture
 def peak_mb():
     """Traced allocation peak of one call, in MB, measured after a warm-up call."""

@@ -290,7 +290,7 @@ class TestCheckDirac:
                 return func(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(operators, "decode_metric", decoding)  # asymptotics binds none
+        monkeypatch.setattr(operators, "decode_metric", decoding)  # check_dirac's binding
         monkeypatch.setattr(operators, "dirac_operator",
                             counted("dirac_operator", dw.dirac_operator))
         for module, name in ((operators, "christoffel_symbols"), (geometry, "christoffel_symbols"),
@@ -414,6 +414,39 @@ def test_under_resolved_frame_names_its_fourier_tail(warped_frame):
     assert dw.check_dirac(dw.dirac_operator(warped_frame(20))).is_dirac
 
 
+_SHIFTED = {"scalar": lambda frame: dw.dirac_plus_scalar(frame, 0.3),
+            "traceless": lambda frame: dw.dirac_plus_traceless(frame, 0.1)}
+
+
+@pytest.mark.parametrize("name", sorted(_SHIFTED))
+def test_a_shifted_dirac_operator_is_gated_once(name, monkeypatch):
+    """dirac_plus_scalar and dirac_plus_traceless build one operator, so the self-adjointness
+    gate takes one half divergence of p (two when they built dirac_operator first)."""
+    from diracweyl import operators
+
+    calls = [0]
+
+    def counted(p, _real=operators._half_divergence):
+        calls[0] += 1
+        return _real(p)
+
+    monkeypatch.setattr(operators, "_half_divergence", counted)
+    op = _SHIFTED[name](dw.standard_frame(8))
+    assert calls[0] == 1
+    base = dw.dirac_operator(dw.standard_frame(8))
+    shift = 0.3 * np.eye(2) if name == "scalar" else 0.1 * PAULI[2]
+    assert np.array_equal(op.a0, base.a0 + shift)
+
+
+@pytest.mark.parametrize("name", sorted(_SHIFTED))
+def test_a_shifted_dirac_operator_names_the_unresolved_frame(name, warped_frame):
+    """The one gate of a shifted operator is refused inside dirac_operator's wrapper."""
+    with pytest.raises(ConsistencyError) as caught:
+        _SHIFTED[name](warped_frame(16))
+    for words in ("self-adjoint", "measured 1.610e-10", "not resolved on the 16^3 grid", "finer grid"):
+        assert words in str(caught.value)
+
+
 def test_dirac_operator_peak_memory(peak_mb):
     """At n=16 the one-shot three-operand einsum peaked at 8.59 MB of traced
     allocation; an optimize=True contraction adds a 4 MB intermediate on top."""
@@ -433,15 +466,10 @@ def test_dirac_operator_frees_the_connection_once_used(peak_mb):
 def test_check_dirac_peak_memory(peak_mb):
     """At n=16 check_dirac peaked at 4.43 MB of traced allocation with full-tensor torsion
     and the a0 bracket beside the connection; by component, in place and with the a0
-    contraction first it is 2.86 MB.  Each call empties the hand-off slot first, so the
-    measured call computes rather than reading what the warm-up call left."""
+    contraction first it is 2.86 MB.  The warm-up call's metric and torsion are dropped
+    with its verdict, so the measured call builds them again."""
     op = dw.dirac_operator(dw.random_band_limited_frame(0, 16))
-
-    def computing():
-        dw.operators._weyl_slot = None
-        return dw.check_dirac(op)
-
-    assert peak_mb(computing) <= 3.15
+    assert peak_mb(lambda: dw.check_dirac(op)) <= 3.15
 
 
 def test_divergence_sigma_takes_real_transforms_only(monkeypatch):

@@ -8,12 +8,12 @@ matmul operand is a transposed view or a product with a complex
 constant, the components-first 3x3 kernels take no batched @ or
 einsum, the Pauli encoding and per-float Python lists stay out of the
 file format, no module builds an operator's complex symbol stack, a
-principal symbol holds its components p and nothing else, one builder
-forms the subprincipal symbol, only two
-declared globals are rebound at run time, no functools cache is used,
-only geometry imports a checksum module, only fields._fourier_content
-takes a forward transform of a whole grid, and numpy.fft is called in
-three functions only, none of them a derivative.
+principal symbol keeps its components p alone alive and only geometry
+sets weak links between its results, one builder forms the subprincipal
+symbol, only one declared global is rebound at run time, no functools
+cache is used, only geometry imports a checksum module, only
+fields._fourier_content takes a forward transform of a whole grid, and
+numpy.fft is called in three functions only, none of them a derivative.
 """
 
 import ast
@@ -175,9 +175,9 @@ def _batched_products(tree):
 
 # Kernels that hold their 3x3 fields components first, with the helpers they call.
 _COMPONENTS_FIRST_KERNELS = {
-    "geometry.py": ("torsion", "coframe", "_coframe", "_dual_2forms", "_star_torsion_from_curl",
+    "geometry.py": ("_torsion", "coframe", "_coframe", "_dual_2forms", "_star_torsion_from_curl",
                     "decode_metric", "topological_charge"),
-    "operators.py": ("_dirac_a0", "_weyl_data", "check_dirac", "gauge_transform", "_half_divergence",
+    "operators.py": ("_dirac_a0", "check_dirac", "gauge_transform", "_half_divergence",
                      "_subprincipal"),
 }
 
@@ -244,7 +244,7 @@ def test_one_builder_forms_the_subprincipal_symbol():
     assert _callers("_subprincipal") == {"operators.__post_init__", "operators.subprincipal_symbol",
                                          "operators.check_dirac", "asymptotics.b1_density_fiber"}
     assert _callers("_half_divergence") == {"operators.__post_init__",
-                                            "operators.subprincipal_symbol", "operators._weyl_data"}
+                                            "operators.subprincipal_symbol", "operators.check_dirac"}
     assert _callers("subprincipal_symbol") == set()
 
 
@@ -281,7 +281,9 @@ def _self_attributes_assigned(cls):
 
 
 def test_principal_symbol_assigns_only_p():
-    """Nothing derived is kept on a symbol: a cache there would be held by every operator."""
+    """Nothing derived is kept alive on a symbol: a cache there would be held by every
+    operator.  Its class body assigns p alone; the one other attribute a symbol gets is
+    decode_metric's weak link (test_only_geometry_sets_weak_links)."""
     caught = [name for name, _ in _self_attributes_assigned(ast.parse(
         "class S:\n"
         "    def f(self):\n"
@@ -296,6 +298,44 @@ def test_principal_symbol_assigns_only_p():
     assigned = {f"{name} (line {line})" for name, line in _self_attributes_assigned(cls)
                 if name != "p"}
     assert assigned == set()
+
+
+def _foreign_attributes_assigned(tree):
+    """(function, "owner.name", whether the value is a weakref.ref call) for every assignment to
+    an attribute of a named object other than self, function the top-level def holding it."""
+    for fn in tree.body:
+        for node in ast.walk(fn):
+            if not isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                continue
+            weak = (isinstance(node.value, ast.Call) and isinstance(node.value.func, ast.Attribute)
+                    and node.value.func.attr == "ref"
+                    and getattr(node.value.func.value, "id", None) == "weakref")
+            targets = getattr(node, "targets", None) or [node.target]
+            for sub in (e for t in targets for e in getattr(t, "elts", [t])):
+                if (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+                        and sub.value.id != "self"):
+                    yield getattr(fn, "name", ""), f"{sub.value.id}.{sub.attr}", weak
+
+
+def test_only_geometry_sets_weak_links():
+    """decode_metric links a symbol to its metric and the metric to its p, and torsion the
+    metric to its bundle, each by a weak reference, so a result is shared only while a
+    caller holds it and no link keeps anything alive.  No other package function assigns
+    an attribute of a named object other than self."""
+    caught = list(_foreign_attributes_assigned(ast.parse(
+        "def f(sym, m):\n"
+        "    sym._metric = weakref.ref(m)\n"
+        "    m._cache = m.vol\n"
+        "    self.p = 1\n"
+        "    m.flags.writeable = False\n"
+        "    a.x, b = 1, 2\n"
+    )))
+    assert caught == [("f", "sym._metric", True), ("f", "m._cache", False), ("f", "a.x", False)]
+    found = {(module, *link) for module, tree in TREES.items()
+             for link in _foreign_attributes_assigned(tree)}
+    assert found == {("geometry.py", "decode_metric", "sym._metric", True),
+                     ("geometry.py", "decode_metric", "metric._p", True),
+                     ("geometry.py", "torsion", "metric._torsion", True)}
 
 
 def _globals_declared(tree):
@@ -318,10 +358,9 @@ def _cache_decorators(tree):
 
 
 def test_module_state_is_declared_and_bounded():
-    """Two module-level names are rebound at run time: spectra's unit-width counting CDF
-    (one fixed grid, built on first use) and operators' check_dirac/b_density record (five
-    grid fields of one p, held by a weak reference and never kept alive by it).  Any
-    further global or functools cache has to be added here, with its bound."""
+    """One module-level name is rebound at run time: spectra's unit-width counting CDF (one
+    fixed grid, built on first use).  Any further global or functools cache has to be
+    added here, with its bound."""
     caught = list(_cache_decorators(ast.parse(
         "@functools.lru_cache(maxsize=4)\ndef f(x): pass\n"
         "@cache\ndef g(x): pass\n"
@@ -331,7 +370,7 @@ def test_module_state_is_declared_and_bounded():
     assert caught == [1, 3, 6]
     declared = {f"{module[:-3]}.{name}" for module, tree in TREES.items()
                 for name in _globals_declared(tree)}
-    assert declared == {"spectra._unit_cdf_grid", "operators._weyl_slot"}
+    assert declared == {"spectra._unit_cdf_grid"}
     found = [f"{module}:{line}" for module, tree in TREES.items() for line in _cache_decorators(tree)]
     assert found == []
 
@@ -355,7 +394,8 @@ def _checksum_imports(tree):
 def test_only_geometry_takes_content_checksums():
     """geometry._HELD_P keys the p arrays it shares between symbols on a crc32.  No other
     module imports zlib or hashlib, so a checksum of an array's bytes does not come back
-    as a cache key: the check_dirac/b_density record is keyed on a weak reference to p."""
+    as a cache key: decode_metric and torsion share their results through weak
+    references to the objects themselves."""
     caught = list(_checksum_imports(ast.parse(
         "import zlib\nfrom hashlib import blake2b\nimport json, hashlib\nimport weakref\n"
     )))

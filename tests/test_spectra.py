@@ -558,7 +558,7 @@ def test_pullback_tables_and_b_are_the_flat_ones(name, pullback_frame):
     table, and D + 0.3 I's is that table plus 0.3, each within 1e-11 (measured at most
     8.9e-15, 4.3e-15 and 1.4e-12); and b(x) of D + 0.3 I is J(x) (-0.3 / 2 pi^2) within
     1e-15 (measured 3.5e-18), read right after check_dirac on the same operator and on a new
-    operator over the same arrays, both from the record check_dirac left for this p."""
+    operator over the same symbol."""
     n, cutoff = PULLBACK_GALERKIN[name]
     frame, jac, _ = pullback_frame(name, n)
     half = 0.5 * cutoff - 0.5
@@ -571,7 +571,6 @@ def test_pullback_tables_and_b_are_the_flat_ones(name, pullback_frame):
     want = jac * (-0.3 / (2.0 * np.pi**2))
     dw.check_dirac(op)
     gaps["b after check_dirac"] = np.abs(dw.b_density(op).b - want).max()
-    assert dw.operators._weyl_slot[0]() is op.sigma.p
     new = dw.FirstOrderOperator(op.sigma, op.a0)
     gaps["b of a new operator"] = np.abs(dw.b_density(new).b - want).max()
     print(f"{name} {n}^3, cutoff {cutoff}: " + ", ".join(f"{k} {v:.1e}" for k, v in gaps.items()))
