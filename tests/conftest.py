@@ -33,8 +33,7 @@ def nyquist_operator():
     return dw.FirstOrderOperator(op.sigma, op.a0 + 0.1 * np.cos(4 * x1)[..., None, None] * np.eye(2))
 
 
-@pytest.fixture(scope="session")
-def curved_frame():
+def make_curved_frame():
     """A frame with a non-flat metric and torsion, depending on x^3 alone.
 
     e1 = f (cos x3, sin x3, 0), e2 = (-sin x3, cos x3, 0), e3 = d3 with
@@ -52,6 +51,11 @@ def curved_frame():
 
 
 @pytest.fixture(scope="session")
+def curved_frame():
+    return make_curved_frame()
+
+
+@pytest.fixture(scope="session")
 def warped_frame():
     """Builder of the n^3 warped frame e1 = f d1, e2 = d2, e3 = d3, f = 1 + 0.1 cos x3.
 
@@ -66,9 +70,8 @@ def warped_frame():
     return build
 
 
-@pytest.fixture(scope="session")
-def pullback_frame():
-    """Builder of (frame, J, dphi) for the flat frame pulled back by a torus diffeomorphism.
+def make_pullback_frame(name, n):
+    """(frame, J, dphi) for the flat frame pulled back by the torus diffeomorphism `name` on n^3.
 
     The frame is e' = (d phi)^{-1} e, row j the leg e'_j, and J = det d phi:
     * "shear", phi = (x1 + 0.3 sin x3, x2, x3): e'_3 = d3 - 0.3 cos x3 d1, J = 1;
@@ -82,23 +85,24 @@ def pullback_frame():
     densities a(x), b(x) are the flat ones times J.  The stretch is not
     band-limited: use 16^3 or finer.
     """
+    x1, _, x3 = dw.PeriodicChart(n).mesh()
+    dphi = np.broadcast_to(np.eye(3), (n, n, n, 3, 3)).copy()
+    e = dphi.copy()
+    if name == "shear":
+        dphi[..., 0, 2] = 0.3 * np.cos(x3)
+        e[..., 2, 0] = -0.3 * np.cos(x3)
+    elif name == "stretch":
+        dphi[..., 2, 2] = 1.0 + 0.1 * np.cos(x3)
+        e[..., 2, 2] = 1.0 / dphi[..., 2, 2]
+    elif name == "two-shear":
+        dphi[..., 0, 2], dphi[..., 1, 0] = 0.3 * np.cos(x3), 0.2 * np.cos(x1)
+        e[..., 2, 0], e[..., 0, 1] = -dphi[..., 0, 2], -dphi[..., 1, 0]
+        e[..., 2, 1] = dphi[..., 0, 2] * dphi[..., 1, 0]
+    else:
+        raise ValueError(f"no pullback map named {name!r}")
+    return dw.FrameField(e), np.linalg.det(dphi), dphi
 
-    def build(name, n):
-        x1, _, x3 = dw.PeriodicChart(n).mesh()
-        dphi = np.broadcast_to(np.eye(3), (n, n, n, 3, 3)).copy()
-        e = dphi.copy()
-        if name == "shear":
-            dphi[..., 0, 2] = 0.3 * np.cos(x3)
-            e[..., 2, 0] = -0.3 * np.cos(x3)
-        elif name == "stretch":
-            dphi[..., 2, 2] = 1.0 + 0.1 * np.cos(x3)
-            e[..., 2, 2] = 1.0 / dphi[..., 2, 2]
-        elif name == "two-shear":
-            dphi[..., 0, 2], dphi[..., 1, 0] = 0.3 * np.cos(x3), 0.2 * np.cos(x1)
-            e[..., 2, 0], e[..., 0, 1] = -dphi[..., 0, 2], -dphi[..., 1, 0]
-            e[..., 2, 1] = dphi[..., 0, 2] * dphi[..., 1, 0]
-        else:
-            raise ValueError(f"no pullback map named {name!r}")
-        return dw.FrameField(e), np.linalg.det(dphi), dphi
 
-    return build
+@pytest.fixture(scope="session")
+def pullback_frame():
+    return make_pullback_frame

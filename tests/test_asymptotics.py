@@ -1,5 +1,6 @@
 """Two-term spectral growth coefficients and their cross-checks."""
 
+import pickle
 import sys
 
 import numpy as np
@@ -252,6 +253,32 @@ def test_fiber_routes_build_no_interpolant_and_no_grid_transform(random_setup, m
         TrigInterpolant(op.sigma.p)
     for route in FIBER_ROUTES:
         assert np.array_equal(_fiber_route(route, op, SAMPLE_INDICES), want[route])
+
+
+def test_no_operator_path_calls_numpy_fft(random_setup, monkeypatch):
+    """A derivative is one matrix product (fields._derivative), so no Fourier transform
+    differentiates: with every numpy.fft function raising, the operator builders, the
+    verdict, the densities, the derivative and the fibre routes give the same bits (the same
+    pickle).  The inputs are built first: scenarios._trig_polynomial synthesises a random
+    field by one ifftn."""
+    frame, _, op = random_setup
+    gauge = dw.random_gauge_field(3)
+    calls = {
+        "dirac_operator": lambda: dw.dirac_operator(frame),
+        "gauge_transform": lambda: dw.gauge_transform(op, gauge),
+        "check_dirac": lambda: dw.check_dirac(op),
+        "b_density": lambda: dw.b_density(op),
+        "subprincipal_symbol": lambda: dw.subprincipal_symbol(op),
+        "spectral_derivative": lambda: dw.spectral_derivative(op.sigma.p, 2),
+        **{route: lambda r=route: _fiber_route(r, op, SAMPLE_INDICES) for route in FIBER_ROUTES},
+    }
+    want = {name: pickle.dumps(call()) for name, call in calls.items()}
+    for name in np.fft.__all__:
+        _refuse_everywhere(monkeypatch, getattr(np.fft, name))
+        monkeypatch.setattr(np.fft, name, _refuse(f"numpy.fft.{name}"))
+    with pytest.raises(AssertionError, match="numpy.fft.ifftn was called"):
+        dw.random_gauge_field(3)
+    assert [name for name, call in calls.items() if pickle.dumps(call()) != want[name]] == []
 
 
 @pytest.fixture(scope="module")

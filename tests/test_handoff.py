@@ -7,7 +7,9 @@ the links are weak references (the symbol's _metric, the metric's _p and
 _torsion).  So check_dirac and b_density read the metric and the torsion
 a caller such as the bench's analysis holds, a new symbol over an equal
 p starts cold, and a caller that holds nothing builds on every call.
-A_sub, the densities and every verdict are formed on each call.
+A_sub, the densities and every verdict are formed on each call, and
+beyond their declared fields the three links are all that the operator,
+the symbol, the metric and the bundle of an analysis hold.
 """
 
 import dataclasses
@@ -181,7 +183,7 @@ def test_dropped_results_leave_every_link_dead():
     assert [link() for link in links] == [None, None]
 
 
-def test_the_record_keeps_no_p_alive():
+def test_a_held_metric_and_bundle_keep_no_p_alive():
     """The metric and the bundle a caller still holds keep no p alive: the metric's link to
     its p is weak."""
     op = dw.dirac_operator(dw.random_band_limited_frame(29))  # a p no other test holds
@@ -205,11 +207,19 @@ def test_writing_to_a_shared_array_raises():
 
 
 def test_linked_objects_pickle_without_their_links():
-    """Weak references cannot be pickled, so a symbol and a metric drop their links when
+    """After a whole analysis the operator, its symbol, the metric and the bundle hold their
+    declared fields and the three weak links only: nothing derived is kept alive on them.
+    Weak references cannot be pickled, so a symbol and a metric drop their links when
     pickled; what comes back is equal and starts cold."""
     op = _operator()
-    metric, bundle = _held(op)
-    verdict = dw.check_dirac(op)
+    held = _analysis(op)
+    metric, bundle, verdict = held["metric"], held["torsion"], held["verdict"]
+    expected = [(op, {"sigma", "a0"}, set()), (op.sigma, {"p"}, {"_metric"}),
+                (metric, {"contra", "cov", "vol"}, {"_p", "_torsion"}),
+                (bundle, {f.name for f in dataclasses.fields(bundle)}, set())]
+    for obj, fields, links in expected:
+        weak = {name for name, value in vars(obj).items() if type(value) is weakref.ref}
+        assert (set(vars(obj)) - weak, weak) == (fields, links), type(obj).__name__
     again, metric_again = pickle.loads(pickle.dumps(op)), pickle.loads(pickle.dumps(metric))
     assert list(vars(again.sigma)) == ["p"] and "_p" not in vars(metric_again)
     assert np.array_equal(again.sigma.p, op.sigma.p) and _bits(metric_again) == _bits(metric)
@@ -218,7 +228,7 @@ def test_linked_objects_pickle_without_their_links():
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))
-def test_a_new_operator_over_the_same_p_reads_the_record(name, builds):
+def test_a_new_operator_over_the_same_symbol_reads_what_the_caller_holds(name, builds):
     """An operator with another a0 over the same symbol reads the metric and the torsion the
     caller holds for that symbol, and gets its own results."""
     op = _operator()
@@ -233,7 +243,7 @@ def test_a_new_operator_over_the_same_p_reads_the_record(name, builds):
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))
-def test_an_in_place_change_to_a0_reads_the_record(name, builds):
+def test_an_in_place_change_to_a0_is_seen_without_a_new_torsion(name, builds):
     """A_sub and the densities are formed from a0 on every call, so a changed a0 is seen
     without a new torsion."""
     op = _operator()
@@ -249,7 +259,8 @@ def test_an_in_place_change_to_a0_reads_the_record(name, builds):
 
 @pytest.mark.parametrize("name", sorted(CALLS))
 def test_interleaved_operators_get_their_own_results(name, builds):
-    """A, B, A with nothing held: no module-level record, so each call builds for its operator."""
+    """A, B, A with nothing held: no result is kept in module state, so each call builds for
+    its operator."""
     a, b = _operator(0), _operator(1)
     count = builds()
     CALLS[OTHER[name]](a)
@@ -291,7 +302,7 @@ def test_a_loaded_operator_with_a_strided_a0_pairs(first, builds, tmp_path):
 
 
 @pytest.mark.parametrize("first", sorted(CALLS))
-def test_a_record_build_takes_one_frame_determinant(first, monkeypatch):
+def test_a_torsion_build_takes_one_frame_determinant(first, monkeypatch):
     """A torsion build takes one determinant of p, its orientation check; the calls that read
     the bundle a caller holds take none."""
     dets = [0]

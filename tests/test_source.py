@@ -7,13 +7,10 @@ lists exactly the names of the lazy export table in its __init__, no
 matmul operand is a transposed view or a product with a complex
 constant, the components-first 3x3 kernels take no batched @ or
 einsum, the Pauli encoding and per-float Python lists stay out of the
-file format, no module builds an operator's complex symbol stack, a
-principal symbol keeps its components p alone alive and only geometry
-sets weak links between its results, one builder forms the subprincipal
-symbol, only one declared global is rebound at run time, no functools
-cache is used, only geometry imports a checksum module, only
-fields._fourier_content takes a forward transform of a whole grid, and
-numpy.fft is called in three functions only, none of them a derivative.
+file format, no module builds an operator's complex symbol stack, the
+module state that changes at run time is the declared two names, no
+functools cache is used, and only fields._fourier_content takes a
+forward transform of a whole grid.
 """
 
 import ast
@@ -228,26 +225,6 @@ def test_no_module_builds_an_operators_complex_symbol_stack():
     assert found == []
 
 
-def _callers(name):
-    """module:function for every package function that calls name, methods by their own name."""
-    return {f"{module[:-3]}.{fn.name}" for module, tree in TREES.items() for fn in ast.walk(tree)
-            if isinstance(fn, ast.FunctionDef)
-            and any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
-                    for node in ast.walk(fn))}
-
-
-def test_one_builder_forms_the_subprincipal_symbol():
-    """A_sub = a0 + (i/2) s^j div_j is formed by operators._subprincipal alone: on the grid for
-    the self-adjointness gate, subprincipal_symbol and check_dirac, and at its points for the
-    b1 fibre route.  b reads tr A_sub = tr a0, so b_density forms none.  The grid divergence is
-    taken by _half_divergence alone."""
-    assert _callers("_subprincipal") == {"operators.__post_init__", "operators.subprincipal_symbol",
-                                         "operators.check_dirac", "asymptotics.b1_density_fiber"}
-    assert _callers("_half_divergence") == {"operators.__post_init__",
-                                            "operators.subprincipal_symbol", "operators.check_dirac"}
-    assert _callers("subprincipal_symbol") == set()
-
-
 def _tolist_calls(tree):
     """Line numbers of every .tolist() call in the tree."""
     return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
@@ -262,85 +239,17 @@ def test_serialize_builds_no_python_float_lists():
     assert _tolist_calls(TREES["serialize.py"]) == []
 
 
-def _self_attributes_assigned(cls):
-    """The self.<name> targets a class body assigns, augments or deletes, with line numbers."""
-    for node in ast.walk(cls):
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            targets = [node.target]
-        elif isinstance(node, ast.Delete):
-            targets = node.targets
-        else:
-            continue
-        for target in targets:
-            for sub in ast.walk(target):
-                if (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
-                        and sub.value.id == "self"):
-                    yield sub.attr, sub.lineno
-
-
-def test_principal_symbol_assigns_only_p():
-    """Nothing derived is kept alive on a symbol: a cache there would be held by every
-    operator.  Its class body assigns p alone; the one other attribute a symbol gets is
-    decode_metric's weak link (test_only_geometry_sets_weak_links)."""
-    caught = [name for name, _ in _self_attributes_assigned(ast.parse(
-        "class S:\n"
-        "    def f(self):\n"
-        "        self.p = 1\n"
-        "        self._cache = 2\n"
-        "        self.a, self.b = 3, 4\n"
-        "        self.n += 1\n"
-    ))]
-    assert caught == ["p", "_cache", "a", "b", "n"]
-    cls = next(node for node in TREES["geometry.py"].body
-               if isinstance(node, ast.ClassDef) and node.name == "PrincipalSymbolField")
-    assigned = {f"{name} (line {line})" for name, line in _self_attributes_assigned(cls)
-                if name != "p"}
-    assert assigned == set()
-
-
-def _foreign_attributes_assigned(tree):
-    """(function, "owner.name", whether the value is a weakref.ref call) for every assignment to
-    an attribute of a named object other than self, function the top-level def holding it."""
-    for fn in tree.body:
-        for node in ast.walk(fn):
-            if not isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                continue
-            weak = (isinstance(node.value, ast.Call) and isinstance(node.value.func, ast.Attribute)
-                    and node.value.func.attr == "ref"
-                    and getattr(node.value.func.value, "id", None) == "weakref")
-            targets = getattr(node, "targets", None) or [node.target]
-            for sub in (e for t in targets for e in getattr(t, "elts", [t])):
-                if (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
-                        and sub.value.id != "self"):
-                    yield getattr(fn, "name", ""), f"{sub.value.id}.{sub.attr}", weak
-
-
-def test_only_geometry_sets_weak_links():
-    """decode_metric links a symbol to its metric and the metric to its p, and torsion the
-    metric to its bundle, each by a weak reference, so a result is shared only while a
-    caller holds it and no link keeps anything alive.  No other package function assigns
-    an attribute of a named object other than self."""
-    caught = list(_foreign_attributes_assigned(ast.parse(
-        "def f(sym, m):\n"
-        "    sym._metric = weakref.ref(m)\n"
-        "    m._cache = m.vol\n"
-        "    self.p = 1\n"
-        "    m.flags.writeable = False\n"
-        "    a.x, b = 1, 2\n"
-    )))
-    assert caught == [("f", "sym._metric", True), ("f", "m._cache", False), ("f", "a.x", False)]
-    found = {(module, *link) for module, tree in TREES.items()
-             for link in _foreign_attributes_assigned(tree)}
-    assert found == {("geometry.py", "decode_metric", "sym._metric", True),
-                     ("geometry.py", "decode_metric", "metric._p", True),
-                     ("geometry.py", "torsion", "metric._torsion", True)}
-
-
-def _globals_declared(tree):
-    """The names of every global statement in the tree."""
-    return {name for node in ast.walk(tree) if isinstance(node, ast.Global) for name in node.names}
+def _module_state_written(tree):
+    """The names a global statement declares, and the module-level names a function writes
+    into or deletes from by subscript: the module state that changes at run time."""
+    top = {name for name, _ in _module_level_names(tree)}
+    for node in (n for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for n in ast.walk(fn)):
+        if isinstance(node, ast.Global):
+            yield from node.names
+        elif (isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del))
+              and isinstance(node.value, ast.Name) and node.value.id in top):
+            yield node.value.id
 
 
 _CACHE_DECORATORS = {"cache", "lru_cache", "cached_property"}
@@ -358,9 +267,16 @@ def _cache_decorators(tree):
 
 
 def test_module_state_is_declared_and_bounded():
-    """One module-level name is rebound at run time: spectra's unit-width counting CDF (one
-    fixed grid, built on first use).  Any further global or functools cache has to be
-    added here, with its bound."""
+    """Two module-level names change at run time: spectra's unit-width counting CDF (one
+    fixed grid, built on first use) and geometry._HELD_P, the p arrays live symbols hold,
+    keyed on a crc32 (weak values, so it holds nothing alive).  Any further global, written
+    container or functools cache has to be added here, with its bound."""
+    state = set(_module_state_written(ast.parse(
+        "_SEEN = {}\n_LIMITS = [1, 2]\n_LIMITS[1] = 3\n"
+        "def f(k):\n    global _count\n    _SEEN[k] = 1\n    local = {}\n    local[k] = _LIMITS[0]\n"
+        "class C:\n    def g(self, k):\n        del _SEEN[k]\n        _LIMITS[0] = 1\n"
+    )))
+    assert state == {"_count", "_SEEN", "_LIMITS"}
     caught = list(_cache_decorators(ast.parse(
         "@functools.lru_cache(maxsize=4)\ndef f(x): pass\n"
         "@cache\ndef g(x): pass\n"
@@ -368,40 +284,10 @@ def test_module_state_is_declared_and_bounded():
         "@staticmethod\ndef k(x): pass\n"
     )))
     assert caught == [1, 3, 6]
-    declared = {f"{module[:-3]}.{name}" for module, tree in TREES.items()
-                for name in _globals_declared(tree)}
-    assert declared == {"spectra._unit_cdf_grid"}
+    written = {f"{module[:-3]}.{name}" for module, tree in TREES.items()
+               for name in _module_state_written(tree)}
+    assert written == {"spectra._unit_cdf_grid", "geometry._HELD_P"}
     found = [f"{module}:{line}" for module, tree in TREES.items() for line in _cache_decorators(tree)]
-    assert found == []
-
-
-_CHECKSUM_MODULES = {"zlib", "hashlib"}
-
-
-def _checksum_imports(tree):
-    """Line numbers of every import of zlib or hashlib, or of a name from them."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            names = [node.module or ""]
-        else:
-            continue
-        if any(name.split(".")[0] in _CHECKSUM_MODULES for name in names):
-            yield node.lineno
-
-
-def test_only_geometry_takes_content_checksums():
-    """geometry._HELD_P keys the p arrays it shares between symbols on a crc32.  No other
-    module imports zlib or hashlib, so a checksum of an array's bytes does not come back
-    as a cache key: decode_metric and torsion share their results through weak
-    references to the objects themselves."""
-    caught = list(_checksum_imports(ast.parse(
-        "import zlib\nfrom hashlib import blake2b\nimport json, hashlib\nimport weakref\n"
-    )))
-    assert caught == [1, 2, 3]
-    found = [f"{module}:{line}" for module, tree in TREES.items() if module != "geometry.py"
-             for line in _checksum_imports(tree)]
     assert found == []
 
 
@@ -430,48 +316,3 @@ def test_only_fourier_content_transforms_a_whole_grid():
              for line in sorted(_grid_transforms(tree) - (allowed if module == "fields.py" else set()))]
     assert found == []
     assert len(allowed) == 1
-
-
-# The functions that may call numpy.fft: which modes a field holds, the FFT bin order, and the
-# one-transform synthesis of random scenario fields.
-_FFT_CALLERS = {("fields.py", "_fourier_content"), ("fields.py", "_integer_modes"),
-                ("scenarios.py", "_trig_polynomial")}
-
-
-def _fft_uses(tree):
-    """(function, line) of every numpy.fft call and import; function is the top-level def or the
-    method holding it, "" at module level."""
-    def uses(node):
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute):
-                owner = sub.func.value
-                if getattr(owner, "attr", None) == "fft" or getattr(owner, "id", None) == "fft":
-                    yield sub.lineno
-            elif isinstance(sub, ast.ImportFrom) and (sub.module or "").startswith("numpy.fft"):
-                yield sub.lineno
-
-    for node in tree.body:
-        defs = [node] if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else []
-        if isinstance(node, ast.ClassDef):
-            defs = [d for d in node.body if isinstance(d, ast.FunctionDef)]
-        for owner in defs:
-            yield from ((owner.name, line) for line in uses(owner))
-        if not defs:
-            yield from (("", line) for line in uses(node))
-
-
-def test_only_three_functions_call_numpy_fft():
-    """A derivative is one matrix product (fields._derivative), so no Fourier transform
-    differentiates: numpy.fft is called only to find a field's modes, to order the FFT bins
-    and to synthesise a random scenario field.  The real-FFT derivative that
-    spectral_derivative used to take is caught."""
-    caught = list(_fft_uses(ast.parse(
-        "def spectral_derivative(values, ax):\n"
-        "    spectrum = np.fft.rfft(values, axis=ax)\n"
-        "    return np.fft.irfft(spectrum, axis=ax)\n"
-        "class K:\n    def f(self, x):\n        return fft.ifft(x)\n"
-        "from numpy.fft import rfft\nx = numpy.fft.fftfreq(4)\ny = np.fftn(x)\n"
-    )))
-    assert caught == [("spectral_derivative", 2), ("spectral_derivative", 3), ("f", 6), ("", 7), ("", 8)]
-    found = {(module, name) for module, tree in TREES.items() for name, _ in _fft_uses(tree)}
-    assert found == _FFT_CALLERS
