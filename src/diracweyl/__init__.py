@@ -27,7 +27,6 @@ _EXPORTS = {
     "errors": ("ConsistencyError", "DiracweylError", "EllipticityError", "InputError"),
     "fields": (
         "PeriodicChart",
-        "TrigInterpolant",
         "fiber_ball_quadrature",
         "grid_integral",
         "spectral_derivative",
@@ -50,7 +49,6 @@ _EXPORTS = {
         "FirstOrderOperator",
         "GaugeField",
         "Obstruction",
-        "apply_operator",
         "check_dirac",
         "dirac_operator",
         "gauge_transform",

@@ -27,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, gate
-from .fields import (TrigInterpolant, _grid_line_jets, _transposed, fiber_ball_quadrature,
-                     grid_integral)
+from .fields import _grid_line_jets, _transposed, fiber_ball_quadrature, grid_integral
 from .geometry import FrameField, PrincipalSymbolField, decode_metric, pauli_components, torsion
 from .operators import FirstOrderOperator, _subprincipal, _weyl_b
 
@@ -39,16 +38,6 @@ def _principal(obj) -> PrincipalSymbolField:
     if isinstance(obj, PrincipalSymbolField):
         return obj
     raise InputError(f"expected a symbol or operator, got {type(obj).__name__}")
-
-
-def _vectors3(value, name: str) -> np.ndarray:
-    """A finite 3-vector or a (k, 3) array of them, as floats."""
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim not in (1, 2) or arr.shape[-1] != 3:
-        raise InputError(f"{name} must be a 3-vector or a (k, 3) array, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise InputError(f"{name} has non-finite entries")
-    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -79,22 +68,25 @@ def _monopole_curvature(p: np.ndarray, dp: np.ndarray, xis: np.ndarray) -> np.nd
     return triple / (2.0 * h**3)
 
 
-def u1_curvature(sym, x, xi):
-    """Curvature of the positive eigenbundle at points of phase space.
+def u1_curvature(sym, points, xi) -> np.ndarray:
+    """Curvature of the positive eigenbundle at grid points of phase space.
 
     Equals (c/2) (*T)(xi, xi) / g(xi, xi)^{3/2} for the decoded
     geometry; homogeneous of degree -1 in xi and independent of the
-    eigenvector's phase.  A base point x and covector xi give a float;
-    (k, 3) arrays of them, paired row by row, give k values from one
-    interpolant of the symbol: one value and one gradient evaluation.
+    eigenvector's phase.  points are (k, 3) grid indices, as for the fibre
+    routes, and xi a (k, 3) array of covectors paired with them row by
+    row; the k values take one read of p and its spectral gradient off the
+    grid lines through the points (fields._grid_line_jets).
     """
     sym = _principal(sym)
-    xs, xis = _vectors3(x, "base point x"), _vectors3(xi, "covector xi")
-    if xs.shape != xis.shape:
-        raise InputError(f"base points {xs.shape} and covectors {xis.shape} must pair row by row")
-    interp = TrigInterpolant(sym.p)
-    vals = _monopole_curvature(interp(xs), interp.gradient(xs), xis[..., None, :])[..., 0]
-    return float(vals) if xs.ndim == 1 else vals
+    pts, xis = _grid_points(points, sym.chart.n), np.asarray(xi, dtype=float)
+    if xis.shape != pts.shape:
+        raise InputError(f"covector xi must be a {pts.shape} array, paired row by row with the "
+                         f"points, got shape {xis.shape}")
+    if not np.isfinite(xis).all():
+        raise InputError("covector xi has non-finite entries")
+    comps, grads = _grid_line_jets(sym.p, pts)
+    return _monopole_curvature(comps, grads, xis[:, None, :])[:, 0]
 
 
 def _quadratic(xis: np.ndarray, m: np.ndarray) -> np.ndarray:

@@ -34,9 +34,6 @@ _FOURIER_TOL = 1e-13
 # at 721 MB RSS (8.6 s) at 96^3 and 1656 MB (21.5 s) at 128^3, about
 # 0.8 KB per grid point (2-CPU Xeon VM, one BLAS thread).
 _GRID_CEILING = 128
-# TrigInterpolant evaluates its points in blocks whose complex mode weights
-# take at most 8 MB, so its memory does not grow with the number of points.
-_WEIGHT_BYTES = 2**23
 
 
 @dataclass(frozen=True)
@@ -201,69 +198,6 @@ def grid_integral(values: np.ndarray):
     """
     n3 = chart_of(values).n ** 3
     return values.reshape(n3, *values.shape[3:]).mean(axis=0) * VOLUME
-
-
-class TrigInterpolant:
-    """Evaluate a grid field anywhere on the torus by trigonometric mode sum.
-
-    The unique band-limited representative (Nyquist content split evenly
-    between +n/2 and -n/2 so real fields interpolate to real values) of the modes
-    _fourier_content keeps: at grid points it misses the samples by up to the pruned
-    coefficients' sum, 2.0e-12 at 200 points of random_band_limited_frame(2, 16)'s 16^3
-    symbol (2197 of 4096 modes kept).
-    """
-
-    def __init__(self, values: np.ndarray):
-        n = chart_of(values).n
-        self.value_shape = values.shape[3:]
-        self.real_input = np.isrealobj(values)
-        mvec, cflat = _fourier_content(values)
-        for ax in range(3):  # split Nyquist-bin content between the two aliased partners
-            nyq = mvec[:, ax] == -(n // 2)
-            cflat[nyq] *= 0.5
-            partners = mvec[nyq]
-            partners[:, ax] = n // 2
-            mvec, cflat = np.concatenate([mvec, partners]), np.concatenate([cflat, cflat[nyq]])
-        self.modes = _transposed(mvec.astype(float))  # (3, nmodes)
-        self.coefs = cflat
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        """Values at a point or a (..., 3) stack of points, shape (..., *value_shape)."""
-        return self._sum(points, None)
-
-    def gradient(self, points: np.ndarray) -> np.ndarray:
-        """Analytic coordinate derivatives at a point or a (..., 3) stack of points.
-
-        Shape (..., 3, *value_shape): the axis after the points is the
-        differentiation direction.  At grid points it misses the spectral
-        derivative by the pruned modes times their mode numbers: by 1.45e-11
-        on the symbol above, whose derivatives reach 3.6e-3.
-        """
-        return self._sum(points, 1j * self.modes)
-
-    def _sum(self, points: np.ndarray, factors) -> np.ndarray:
-        """Sum of c_m exp(i m.x) at each point x, term m times factors[:, m] unless None.
-
-        factors (r, nmodes) adds an axis of length r after the points'.  The
-        points go in blocks whose (k, r, nmodes) weights fit in _WEIGHT_BYTES.
-        """
-        points = np.asarray(points, dtype=float)
-        if points.shape[-1:] != (3,):
-            raise InputError(f"points must have a last axis of length 3, got shape {points.shape}")
-        pts, rows = points.reshape(-1, 3), (1 if factors is None else len(factors))
-        step = max(1, _WEIGHT_BYTES // (16 * rows * max(1, len(self.coefs))))  # no modes: zeros
-        vals = np.concatenate([self._block_sum(pts[i:i + step], factors)
-                               for i in range(0, max(len(pts), 1), step)])
-        tail = () if factors is None else (rows,)
-        return vals.reshape(points.shape[:-1] + tail + self.value_shape)
-
-    def _block_sum(self, pts: np.ndarray, factors) -> np.ndarray:
-        # 1j * (x @ m), not (1j * x) @ m: a complex @ operand takes numpy's non-BLAS loop
-        weights = np.exp(1j * (pts @ self.modes))  # (k, nmodes)
-        if factors is not None:
-            weights = weights[:, None, :] * factors  # (k, r, nmodes)
-        vals = np.tensordot(weights, self.coefs, axes=(-1, 0))
-        return vals.real if self.real_input else vals
 
 
 # ---------------------------------------------------------------------------

@@ -103,10 +103,9 @@ class PrincipalSymbolField:
     stack sigma[..., alpha, :, :] on Hermitian and trace-free matrices and
     reads p off it; symbol_from_frame sets p directly.  Both check
     ellipticity.  p is all a symbol keeps alive: the sigma property
-    rebuilds the complex stack on each access and keeps nothing, off-grid
-    readers build their own TrigInterpolant of p, and decode_metric links
-    the metric it builds to the symbol by a weak reference, _metric, which
-    a new symbol over an equal p starts without.  A p that is bit for bit
+    rebuilds the complex stack on each access and keeps nothing, and
+    decode_metric links the metric it builds to the symbol by a weak
+    reference, _metric, which a new symbol over an equal p starts without.  A p that is bit for bit
     one a live symbol holds is shared, as that very view object, so
     PrincipalSymbolField(sym.sigma) costs no memory beyond sym's.
     """

@@ -19,7 +19,7 @@ import numpy as np
 
 from .defaults import _DEFAULT_TOL
 from .errors import ConsistencyError, InputError, gate
-from .fields import _FOURIER_TOL, _derivative, _fourier_content, chart_of, spectral_derivative
+from .fields import _FOURIER_TOL, _derivative, _fourier_content, chart_of
 from .geometry import (
     PAULI,
     FrameField,
@@ -116,8 +116,9 @@ def dirac_operator(frame: FrameField) -> FirstOrderOperator:
     ellipticity once, and its zeroth-order part.  A Dirac operator is
     self-adjoint, so failing that gate means the grid does not resolve
     the frame: the error then also names how much of p and of g_cov, the
-    fields a0 is built from, sits on the outermost Fourier shell, and
-    asks for a finer grid.
+    fields a0 is built from, sits on the outermost Fourier shell (or that
+    neither has any there, so the products that form a0 alias), and asks
+    for a finer grid.
     """
     return _shifted_dirac(frame)
 
@@ -132,11 +133,14 @@ def _shifted_dirac(frame: FrameField, shift=None) -> FirstOrderOperator:
         return FirstOrderOperator(sym, a0)
     except ConsistencyError as err:
         n = sym.p.shape[0]
-        tails = (_outer_shell_fraction(sym.p), _outer_shell_fraction(decode_metric(sym).g_cov))
-        raise ConsistencyError(
-            f"{err}; the frame is not resolved on the {n}^3 grid: its outermost Fourier shell "
-            f"|m|_inf = {n // 2} holds {tails[0]:.2e} of p's largest coefficient and "
-            f"{tails[1]:.2e} of g_cov's; use a finer grid") from err
+        tails = {"p": sym.p, "g_cov": decode_metric(sym).g_cov}
+        held = " and ".join(f"{t:.2e} of {name}'s largest coefficient" for name, values in tails.items()
+                            if (t := _outer_shell_fraction(values)) > 0)
+        why = (f"its outermost Fourier shell |m|_inf = {n // 2} holds {held}" if held else
+               f"p and g_cov have no content on its outermost Fourier shell |m|_inf = {n // 2}, so "
+               f"the residual comes from aliasing in the products that form a0")
+        raise ConsistencyError(f"{err}; the frame is not resolved on the {n}^3 grid: {why}; use a "
+                               f"finer grid") from err
 
 
 def _outer_shell_fraction(values: np.ndarray) -> float:
@@ -213,20 +217,6 @@ def _dirac_a0(frame: FrameField) -> tuple:
     a0[..., 0, 0] -= scalar
     a0[..., 1, 1] -= scalar
     return sym, a0
-
-
-def apply_operator(op: FirstOrderOperator, v: np.ndarray) -> np.ndarray:
-    """Apply the operator to a spinor field v[..., 2] spectrally: a0 v - i s^j w_j, w_j = p_j^a d_a v."""
-    v = np.asarray(v, dtype=complex)
-    if v.shape != op.a0.shape[:3] + (2,):
-        raise InputError(f"spinor field must have shape (n, n, n, 2), got {v.shape}")
-    dv = [spectral_derivative(v, a + 1) for a in range(3)]
-    p = op.sigma.p[..., None]  # p_j^a, broadcast over the spinor index
-    w1, w2, w3 = (sum(p[..., j, a, :] * dv[a] for a in range(3)) for j in range(3))
-    out = np.einsum("...pq,...q->...p", op.a0, v)
-    out[..., 0] -= 1j * (w1[..., 1] - 1j * w2[..., 1] + w3[..., 0])
-    out[..., 1] -= 1j * (w1[..., 0] + 1j * w2[..., 0] - w3[..., 1])
-    return out
 
 
 def _det2(r: np.ndarray) -> np.ndarray:

@@ -33,6 +33,30 @@ def nyquist_operator():
     return dw.FirstOrderOperator(op.sigma, op.a0 + 0.1 * np.cos(4 * x1)[..., None, None] * np.eye(2))
 
 
+def trig_jets(values, points):
+    """Values and coordinate gradients of a grid field's band-limited interpolant at (k, 3)
+    points anywhere on the torus, shaped as fields._grid_line_jets returns them at grid points.
+
+    One Fourier sum over every mode of one fftn, none pruned.  Each Nyquist bin is split
+    evenly between -n/2 and n/2, cos(n x / 2) along its axis, so a real field stays real and
+    the gradient at grid points is the spectral derivative.
+    """
+    n = values.shape[0]
+    coefs = np.fft.fftn(values, axes=(0, 1, 2)) / n**3
+    modes = np.fft.fftfreq(n, d=1.0 / n)  # the Nyquist bin holds -n/2
+    phase = np.asarray(points, dtype=float).T[:, :, None] * modes  # (3, k, n)
+    waves, slopes = np.exp(1j * phase), 1j * modes * np.exp(1j * phase)
+    waves[..., n // 2], slopes[..., n // 2] = np.cos(phase[..., n // 2]), n / 2 * np.sin(phase[..., n // 2])
+
+    def total(*factors):
+        return np.einsum("abc...,ka,kb,kc->k...", coefs, *factors, optimize=True)
+
+    vals = total(*waves)
+    grads = np.stack([total(*(slopes[b] if b == a else waves[b] for b in range(3))) for a in range(3)],
+                     axis=1)
+    return (vals.real, grads.real) if np.isrealobj(values) else (vals, grads)
+
+
 def make_curved_frame():
     """A frame with a non-flat metric and torsion, depending on x^3 alone.
 

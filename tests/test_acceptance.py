@@ -58,7 +58,7 @@ def test_criterion_02_curvature_identity():
         star_up = np.einsum("...ag,...gb->...ab", tor.star_T, met.g_contra)
         draws = [(rng.integers(0, GRID, 3), rng.standard_normal(3)) for _ in range(50)]
         idx, xis = (np.array(column) for column in zip(*draws))
-        u1 = dw.u1_curvature(sym, 2.0 * np.pi * idx / GRID, xis)  # one call for the 50 samples
+        u1 = dw.u1_curvature(sym, idx, xis)  # one call for the 50 samples
         for (i, j, k), xi, value in zip(idx, xis, u1):
             gxx = xi @ met.g_contra[i, j, k] @ xi
             closed = 0.5 * tor.charge * (xi @ star_up[i, j, k] @ xi) / gxx**1.5

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import diracweyl as dw
-from diracweyl.asymptotics import _torsion_at
+from conftest import trig_jets
+from diracweyl.asymptotics import _monopole_curvature, _torsion_at
 from diracweyl.errors import ConsistencyError, InputError
-from diracweyl.fields import TrigInterpolant
+from diracweyl.fields import _grid_line_jets
 from diracweyl.geometry import pauli_components, pauli_matrices
 
 SAMPLE_INDICES = np.array([(0, 0, 0), (3, 7, 11), (8, 2, 5), (15, 15, 1), (4, 12, 9)])
@@ -36,15 +37,14 @@ class TestU1Curvature:
     def test_twisted_reference_value(self):
         """u1 at xi = e^1 on the twisted frame equals -1/2."""
         sym = dw.symbol_from_frame(dw.twisted_frame(1, 12))
-        val = dw.u1_curvature(sym, np.zeros(3), np.array([1.0, 0.0, 0.0]))
-        assert abs(val + 0.5) < 1e-9
+        val = dw.u1_curvature(sym, [(0, 0, 0)], [(1.0, 0.0, 0.0)])
+        assert abs(val[0] + 0.5) < 1e-9
 
     def test_homogeneous_of_degree_minus_one(self, random_setup):
         _, sym, _ = random_setup
-        x = np.array([0.3, 1.1, 2.0])
-        xi = np.array([0.7, -0.2, 0.4])
+        x, xi = [(1, 3, 5)], np.array([(0.7, -0.2, 0.4)])
         u1 = dw.u1_curvature(sym, x, xi)
-        assert abs(dw.u1_curvature(sym, x, 3.0 * xi) - u1 / 3.0) < 1e-9
+        assert abs(dw.u1_curvature(sym, x, 3.0 * xi)[0] - u1[0] / 3.0) < 1e-9
 
     def test_twist_gauge_shifts_u1(self):
         """u1 follows the decoded frame, not the operator class.
@@ -54,18 +54,25 @@ class TestU1Curvature:
         up the compensating shift so the total b stays invariant).
         """
         std = dw.symbol_from_frame(dw.standard_frame(12))
-        x = np.array([0.2, 0.4, 1.0])
-        xi = np.array([1.0, 0.0, 0.0])
-        assert abs(dw.u1_curvature(std, x, xi)) < 1e-10
+        x, xi = [(0, 1, 2)], [(1.0, 0.0, 0.0)]
+        assert abs(dw.u1_curvature(std, x, xi)[0]) < 1e-10
         twisted = dw.symbol_from_frame(dw.twisted_frame(2, 12))
-        assert abs(dw.u1_curvature(twisted, x, xi) + 1.0) < 1e-9
-
+        assert abs(dw.u1_curvature(twisted, x, xi)[0] + 1.0) < 1e-9
 
     def test_twisted_value_off_the_grid(self):
-        """u1 = -k3/2 at xi = e^1 on the twisted frame, to rounding."""
-        sym = dw.symbol_from_frame(dw.twisted_frame(2, 12))
-        val = dw.u1_curvature(sym, np.array([0.2, 0.4, 1.0]), np.array([1.0, 0.0, 0.0]))
-        assert abs(val + 1.0) <= 1e-13
+        """u1 = -k3/2 at xi = e^1 on the twisted frame, to rounding: the monopole form of the
+        analytic frame p = e(x3) and its gradient, at x3 between grid points, and u1_curvature
+        at every grid point of one line along x3."""
+        k3, xi = 2, np.array([[1.0, 0.0, 0.0]])
+        for x3 in (1.0, 0.37):
+            c, s = np.cos(k3 * x3), np.sin(k3 * x3)
+            dp = np.zeros((3, 3, 3))
+            dp[2, :2, :2] = k3 * np.array([[-s, c], [-c, -s]])
+            p = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
+            assert abs(_monopole_curvature(p, dp, xi)[0] + 1.0) <= 1e-13
+        sym = dw.symbol_from_frame(dw.twisted_frame(k3, 12))
+        line = [(0, 0, i) for i in range(12)]
+        assert np.abs(dw.u1_curvature(sym, line, np.repeat(xi, 12, axis=0)) + 1.0).max() <= 1e-13
 
 
 def _anchored(smats, xis, anchors):
@@ -90,19 +97,25 @@ def _richardson(f, step=1e-4):
     return np.array(out)
 
 
-def _symbol_at(interp, x):
-    """The three symbol matrices sigma^a = s^j p_j^a at an arbitrary point, shape (3, 2, 2)."""
-    return pauli_matrices(np.swapaxes(interp(x), -1, -2))
+def _symbol_at(p):
+    """The three symbol matrices sigma^a = s^j p_j^a of the components p_j^a at a point, (3, 2, 2)."""
+    return pauli_matrices(np.swapaxes(p, -1, -2))
+
+
+def _jets_at(sym, x):
+    """p and its gradient at one point x anywhere on the torus, by conftest.trig_jets."""
+    return tuple(jet[0] for jet in trig_jets(sym.p, np.asarray(x)[None]))
 
 
 # conj(v) @ EPS_CONJ.T is the negative-band eigenvector paired with the positive one v
 EPS_CONJ = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
-def _perturbation_frame(interp, x, xis):
+def _perturbation_frame(p, dp, xis):
     """Oracle: anchored positive eigenvectors and their derivatives by perturbation.
 
-    At base point x and covectors xis (K, 3) returns (smats, h, v, dv_dx,
+    For the symbol components p (3, 3) at a base point, their gradient dp
+    (3, 3, 3), direction first, and covectors xis (K, 3) returns (smats, h, v, dv_dx,
     dv_dxi): the symbol matrices sigma^a, h = |m|, and the positive
     eigenvector v of sigma(xi) with its larger component (index 0 when
     m3 >= 0, else 1) kept real positive.  Both derivatives, shape
@@ -116,8 +129,8 @@ def _perturbation_frame(interp, x, xis):
     component of v real.
     """
     xis = np.atleast_2d(xis)
-    smats = _symbol_at(interp, x)
-    ds = pauli_matrices(np.swapaxes(interp.gradient(x), -1, -2))  # d_a sigma^b
+    smats = _symbol_at(p)
+    ds = _symbol_at(dp)  # d_a sigma^b
     m = pauli_components(np.tensordot(xis, smats, axes=(1, 0)))
     h = np.linalg.norm(m, axis=1)
     anchors = (m[:, 2] < 0).astype(int)
@@ -136,22 +149,23 @@ def _perturbation_frame(interp, x, xis):
 
 
 def test_fiber_frame_derivatives_match_richardson_differences(random_setup):
-    """Both oracle derivatives against finite differences with the anchor held fixed."""
+    """Both oracle derivatives against finite differences with the anchor held fixed, off
+    the grid through conftest.trig_jets."""
     _, sym, _ = random_setup
-    interp = TrigInterpolant(sym.p)
     rng = np.random.default_rng(8)
     for _ in range(4):
         x = rng.uniform(0.0, 2.0 * np.pi, size=3)
         xis = rng.standard_normal((6, 3))
-        s_x = _symbol_at(interp, x)
+        p, dp = _jets_at(sym, x)
+        s_x = _symbol_at(p)
         m = pauli_components(np.tensordot(xis, s_x, axes=(1, 0)))
         anchors = (m[:, 2] < 0).astype(int)
-        _, h, v, dv_dx, dv_dxi = _perturbation_frame(interp, x, xis)
+        _, h, v, dv_dx, dv_dxi = _perturbation_frame(p, dp, xis)
         mats = np.tensordot(xis, s_x, axes=(1, 0))  # sigma(xi), with det = -g(xi, xi)
         assert np.abs((mats @ v[:, :, None])[..., 0] - h[:, None] * v).max() <= 1e-12
         assert np.abs(np.linalg.det(mats) + h**2).max() <= 1e-12
         assert np.abs(v - _anchored(s_x, xis, anchors)).max() <= 1e-14
-        ref_x = _richardson(lambda dx: _anchored(_symbol_at(interp, x + dx), xis, anchors))
+        ref_x = _richardson(lambda dx: _anchored(_symbol_at(_jets_at(sym, x + dx)[0]), xis, anchors))
         ref_xi = _richardson(lambda dxi: _anchored(s_x, xis + dxi, anchors))
         assert np.abs(dv_dx - ref_x).max() <= 1e-9
         assert np.abs(dv_dxi - ref_xi).max() <= 1e-9
@@ -160,16 +174,16 @@ def test_fiber_frame_derivatives_match_richardson_differences(random_setup):
 def test_u1_curvature_matches_the_perturbation_oracle(random_setup):
     """The closed monopole form against 2 Im sum_a <d_{x^a} v+, d_{xi_a} v+>.
 
-    20 seeded (x, xi), and at five more base points covectors with
-    m3 = 0 and m3 = +-1e-9, where the oracle's anchor switches.
+    20 seeded (x, xi), x a grid point, and at five more grid points covectors
+    with m3 = 0 and m3 = +-1e-9, where the oracle's anchor switches.  The oracle
+    reads p and its gradient as u1_curvature does, by fields._grid_line_jets.
     """
     _, sym, _ = random_setup
-    interp = TrigInterpolant(sym.p)
     rng = np.random.default_rng(11)
-    xs = list(rng.uniform(0.0, 2.0 * np.pi, size=(20, 3)))
+    xs = list(rng.integers(0, 16, size=(20, 3)))
     xis = list(rng.standard_normal((20, 3)))
-    for x in rng.uniform(0.0, 2.0 * np.pi, size=(5, 3)):
-        row3 = interp(x)[2]  # m3 = row3 . xi
+    for x in rng.integers(0, 16, size=(5, 3)):
+        row3 = sym.p[tuple(x)][2]  # m3 = row3 . xi
         flat = rng.standard_normal(3)
         flat -= (row3 @ flat) / (row3 @ row3) * row3
         for m3 in (0.0, 1e-9, -1e-9):
@@ -177,32 +191,17 @@ def test_u1_curvature_matches_the_perturbation_oracle(random_setup):
             xis.append(flat + m3 / (row3 @ row3) * row3)
     xs, xis = np.array(xs), np.array(xis)
     ref = np.array([2.0 * np.einsum("akp,akp->k", np.conj(dx), dxi)[0].imag
-                    for dx, dxi in (_perturbation_frame(interp, x, xi)[3:]
-                                    for x, xi in zip(xs, xis))])
+                    for dx, dxi in (_perturbation_frame(p, dp, xi)[3:]
+                                    for p, dp, xi in zip(*_grid_line_jets(sym.p, xs), xis))])
     assert np.all(np.abs(dw.u1_curvature(sym, xs, xis) - ref) <= 1e-12 * np.abs(ref))
 
 
-def _count_interpolant_use(monkeypatch):
-    """Patch TrigInterpolant to count builds and value and gradient evaluations."""
-    calls = {"built": 0, "value": 0, "gradient": 0}
-    for name, key in (("__init__", "built"), ("__call__", "value"), ("gradient", "gradient")):
-        real = getattr(TrigInterpolant, name)
-
-        def counting(self, *args, _real=real, _key=key):
-            calls[_key] += 1
-            return _real(self, *args)
-
-        monkeypatch.setattr(TrigInterpolant, name, counting)
-    return calls
-
-
-@pytest.mark.parametrize("route", ["b2_density_fiber_curvature", "b2_density_fiber_torsion"])
-def test_b2_routes_read_the_interpolant_once_per_call(route, random_setup, monkeypatch):
+@pytest.mark.parametrize("route", ["b2_density_fiber_curvature", "b2_density_fiber_torsion",
+                                   "u1_curvature"])
+def test_routes_read_the_grid_lines_once_per_call(route, random_setup, monkeypatch):
     """p is read once per call, however many base points and quadrature nodes:
-    one pass of fields._grid_line_jets over the grid lines through the points,
-    and no TrigInterpolant built or evaluated."""
+    one pass of fields._grid_line_jets over the grid lines through the points."""
     _, sym, _ = random_setup
-    calls = _count_interpolant_use(monkeypatch)
     real, reads = dw.asymptotics._grid_line_jets, []
 
     def counting(values, points):
@@ -210,9 +209,9 @@ def test_b2_routes_read_the_interpolant_once_per_call(route, random_setup, monke
         return real(values, points)
 
     monkeypatch.setattr(dw.asymptotics, "_grid_line_jets", counting)
-    assert getattr(dw, route)(sym, SAMPLE_INDICES).shape == (len(SAMPLE_INDICES),)
+    xis = (np.ones(SAMPLE_INDICES.shape),) if route == "u1_curvature" else ()
+    assert getattr(dw, route)(sym, SAMPLE_INDICES, *xis).shape == (len(SAMPLE_INDICES),)
     assert reads == [len(SAMPLE_INDICES)]
-    assert calls == {"built": 0, "value": 0, "gradient": 0}
 
 
 FIBER_ROUTES = ("b1_density_fiber", "b2_density_fiber_torsion", "b2_density_fiber_curvature")
@@ -240,17 +239,14 @@ def _refuse_everywhere(monkeypatch, real):
 
 
 def test_fiber_routes_build_no_interpolant_and_no_grid_transform(random_setup, monkeypatch):
-    """All three routes give their values unchanged with TrigInterpolant's constructor
-    and every binding of fields._derivative, the kernel of every whole-grid derivative,
-    raising: they read p and its gradient off the grid lines through their points."""
+    """All three routes give their values unchanged with every binding of
+    fields._derivative, the kernel of every whole-grid derivative, raising: they read
+    p and its gradient off the grid lines through their points."""
     _, _, op = random_setup
     want = {route: _fiber_route(route, op, SAMPLE_INDICES) for route in FIBER_ROUTES}
-    monkeypatch.setattr(TrigInterpolant, "__init__", _refuse("TrigInterpolant"))
     _refuse_everywhere(monkeypatch, dw.fields._derivative)
     with pytest.raises(AssertionError, match="was called"):
         dw.b_density(op)
-    with pytest.raises(AssertionError, match="was called"):
-        TrigInterpolant(op.sigma.p)
     for route in FIBER_ROUTES:
         assert np.array_equal(_fiber_route(route, op, SAMPLE_INDICES), want[route])
 
@@ -271,6 +267,7 @@ def test_no_operator_path_calls_numpy_fft(random_setup, monkeypatch):
         "subprincipal_symbol": lambda: dw.subprincipal_symbol(op),
         "spectral_derivative": lambda: dw.spectral_derivative(op.sigma.p, 2),
         **{route: lambda r=route: _fiber_route(r, op, SAMPLE_INDICES) for route in FIBER_ROUTES},
+        "u1_curvature": lambda: dw.u1_curvature(op.sigma, SAMPLE_INDICES, np.ones((5, 3))),
     }
     want = {name: pickle.dumps(call()) for name, call in calls.items()}
     for name in np.fft.__all__:
@@ -296,24 +293,6 @@ def test_fiber_route_peak_memory(route, random_operator_32, peak_mb):
     assert peak < 0.5
 
 
-def test_u1_curvature_batch_builds_one_interpolant(random_setup, monkeypatch):
-    """k (x, xi) pairs take one interpolant, one value and one gradient
-    evaluation, and give the k single-pair values.  The batch sums the
-    interpolant's modes in one BLAS product for all k points, so it matches
-    the single calls to rounding (measured 3.5e-15 of the largest value),
-    not bit for bit."""
-    _, sym, _ = random_setup
-    rng = np.random.default_rng(5)
-    xs, xis = rng.uniform(0.0, 2.0 * np.pi, size=(4, 3)), rng.standard_normal((4, 3))
-    singles = [dw.u1_curvature(sym, x, xi) for x, xi in zip(xs, xis)]
-    assert all(isinstance(v, float) for v in singles)
-    calls = _count_interpolant_use(monkeypatch)
-    batch = dw.u1_curvature(sym, xs, xis)
-    assert calls == {"built": 1, "value": 1, "gradient": 1}
-    assert batch.shape == (4,)
-    assert np.abs(batch - singles).max() <= 1e-13 * np.abs(singles).max()
-
-
 def test_generalized_poisson_identities(random_setup):
     """The bracket identities behind the curvature form of b2, at 20 seeded (x, xi).
 
@@ -322,14 +301,13 @@ def test_generalized_poisson_identities(random_setup):
     curvatures of the two eigenbundles cancel.
     """
     _, sym, _ = random_setup
-    interp = TrigInterpolant(sym.p)
     rng = np.random.default_rng(1)
     eye = np.eye(2)
     for _ in range(20):
         x = rng.uniform(0.0, 2.0 * np.pi, size=3)
         xi = rng.normal(size=3)
         xi *= rng.uniform(0.5, 2.0) / np.linalg.norm(xi)
-        smats, h, v, dv_dx, dv_dxi = _perturbation_frame(interp, x, xi)
+        smats, h, v, dv_dx, dv_dxi = _perturbation_frame(*_jets_at(sym, x), xi)
         h0, v0 = h[0], v[0]
         dx, dxi = dv_dx[:, 0, :], dv_dxi[:, 0, :]
 
@@ -424,36 +402,36 @@ class TestFiberRoutes:
     ],
     ids=["index-n", "index-minus-one", "fractional", "single-triple"],
 )
-@pytest.mark.parametrize(
-    "route", [dw.b1_density_fiber, dw.b2_density_fiber_torsion, dw.b2_density_fiber_curvature]
-)
+@pytest.mark.parametrize("route", [dw.b1_density_fiber, dw.b2_density_fiber_torsion,
+                                   dw.b2_density_fiber_curvature, dw.u1_curvature])
 def test_fiber_routes_refuse_bad_points(route, points, message):
     op = dw.dirac_operator(dw.standard_frame(8))
     target = op if route is dw.b1_density_fiber else op.sigma
+    xis = (np.ones((2, 3)),) if route is dw.u1_curvature else ()
     with pytest.raises(InputError, match=message):
-        route(target, points)
+        route(target, points, *xis)
 
 
 def test_u1_curvature_rejects_zero_covector(random_setup):
     _, sym, _ = random_setup
     with pytest.raises(InputError, match="zero"):
-        dw.u1_curvature(sym, np.zeros(3), np.zeros(3))
+        dw.u1_curvature(sym, [(0, 0, 0)], np.zeros((1, 3)))
 
 
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda op: dw.u1_curvature(op.sigma, np.zeros(2), np.ones(3)), "base point x"),
-        (lambda op: dw.u1_curvature(op.sigma, np.zeros(3), np.ones(2)), "covector xi"),
+        (lambda op: dw.u1_curvature(op.sigma, np.zeros(2), np.ones(3)), r"points must be a \(k, 3\)"),
+        (lambda op: dw.u1_curvature(op.sigma, [(0, 0, 0)], np.ones(2)), "covector xi"),
         (lambda op: dw.u1_curvature(op.sigma, np.zeros((2, 3)), np.ones((3, 3))),
-         "must pair row by row"),
+         "paired row by row"),
         (lambda op: dw.u1_curvature(op.sigma, np.zeros((1, 1, 3)), np.ones((1, 1, 3))),
-         "base point x"),
-        (lambda op: dw.u1_curvature(op.sigma, np.full(3, np.nan), np.ones(3)),
-         "base point x has non-finite entries"),
+         r"points must be a \(k, 3\)"),
+        (lambda op: dw.u1_curvature(op.sigma, np.full((1, 3), np.nan), np.ones((1, 3))),
+         "points row 0"),
         (lambda op: dw.u1_curvature(op.sigma, np.zeros((2, 3)), [[1.0, 0.0, 0.0], [0, np.inf, 0]]),
          "covector xi has non-finite entries"),
-        (lambda op: dw.u1_curvature(op.sigma, np.zeros(3), [np.nan, 1.0, 0.0]),
+        (lambda op: dw.u1_curvature(op.sigma, [(0, 0, 0)], [[np.nan, 1.0, 0.0]]),
          "covector xi has non-finite entries"),
         (lambda op: dw.b1_density_fiber(op.sigma, [(0, 0, 0)]), "op must be a FirstOrderOperator"),
     ],

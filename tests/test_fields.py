@@ -1,4 +1,4 @@
-"""Grid calculus: spectral derivatives, interpolation, quadrature."""
+"""Grid calculus: spectral derivatives, grid-line jets, quadrature."""
 
 import re
 
@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 import diracweyl as dw
+from conftest import trig_jets
 from diracweyl.errors import EllipticityError, InputError
 from diracweyl.geometry import symbol_from_frame
 from diracweyl.scenarios import random_band_limited_frame
 from diracweyl.fields import (
     _FOURIER_TOL,
     PeriodicChart,
-    TrigInterpolant,
     _derivative,
     _fourier_content,
     _grid_line_jets,
@@ -101,57 +101,66 @@ def test_grid_integral_constant_and_sin_squared():
 
 
 class TestTrigInterpolant:
+    """conftest.trig_jets, the tests' unpruned trigonometric interpolant, which reads a grid
+    field between grid points for the oracles that need it there."""
+
     def test_reproduces_samples(self):
-        rng = np.random.default_rng(3)
-        f = rng.standard_normal((8, 8, 8))
-        interp = TrigInterpolant(f)
-        pts = TWO_PI * np.stack(np.meshgrid(*(np.arange(8) / 8,) * 3, indexing="ij"), -1)
-        vals = interp(pts.reshape(-1, 3)).reshape(8, 8, 8)
+        f = np.random.default_rng(3).standard_normal((8, 8, 8))
+        pts = np.stack(np.meshgrid(*(np.arange(8),) * 3, indexing="ij"), -1).reshape(-1, 3)
+        vals = trig_jets(f, TWO_PI * pts / 8)[0].reshape(8, 8, 8)
         assert np.abs(vals - f).max() < 1e-11
 
     def test_band_limited_off_grid(self):
-        """Off-grid values of a trig polynomial are reproduced exactly."""
+        """Off-grid values and gradients of a trig polynomial are reproduced exactly."""
         x1, x2, x3 = _mesh(16)
-        f = np.cos(x1 + 2 * x3) - 0.25 * np.sin(x2)
-        interp = TrigInterpolant(f)
-        rng = np.random.default_rng(11)
-        pts = rng.uniform(0.0, TWO_PI, size=(40, 3))
-        expect = np.cos(pts[:, 0] + 2 * pts[:, 2]) - 0.25 * np.sin(pts[:, 1])
-        assert np.abs(interp(pts) - expect).max() < 1e-11
+        pts = np.random.default_rng(11).uniform(0.0, TWO_PI, size=(40, 3))
+        vals, grads = trig_jets(np.cos(x1 + 2 * x3) - 0.25 * np.sin(x2), pts)
+        wave = pts[:, 0] + 2 * pts[:, 2]
+        assert np.abs(vals - (np.cos(wave) - 0.25 * np.sin(pts[:, 1]))).max() < 1e-11
+        expect = np.stack([-np.sin(wave), -0.25 * np.cos(pts[:, 1]), -2 * np.sin(wave)], axis=1)
+        assert np.abs(grads - expect).max() < 1e-11
 
     def test_real_input_gives_real_output(self):
         rng = np.random.default_rng(5)
-        interp = TrigInterpolant(rng.standard_normal((8, 8, 8)))
-        out = interp(rng.uniform(0, TWO_PI, size=(10, 3)))
-        assert np.isrealobj(out)
-
-    @pytest.mark.parametrize("shape", [(6,), (2, 4), ()])
-    def test_refuses_points_without_a_last_axis_of_3(self, shape):
-        interp = TrigInterpolant(np.zeros((4, 4, 4)))
-        words = re.escape(f"last axis of length 3, got shape {shape}")
-        for evaluate in (interp, interp.gradient):
-            with pytest.raises(InputError, match=words):
-                evaluate(np.zeros(shape))
-
-    @pytest.mark.parametrize("values", [np.zeros((4, 4, 4)), np.full((4, 4, 4, 2), 1e-14)])
-    def test_a_field_with_no_modes_left_is_zero(self, values):
-        """Every coefficient at or below _FOURIER_TOL is pruned; the block size divided by
-        the zero mode count and raised ZeroDivisionError."""
-        interp = TrigInterpolant(values)
-        assert len(interp.coefs) == 0
-        tail = values.shape[3:]
-        for points, lead in ((np.full(3, 0.5), ()), (np.full((2, 3, 3), 0.5), (2, 3))):
-            assert np.array_equal(interp(points), np.zeros(lead + tail))
-            assert np.array_equal(interp.gradient(points), np.zeros(lead + (3,) + tail))
+        vals, grads = trig_jets(rng.standard_normal((8, 8, 8)), rng.uniform(0, TWO_PI, size=(10, 3)))
+        assert np.isrealobj(vals) and np.isrealobj(grads)
 
     def test_matrix_valued_fields(self):
         x1, _, _ = _mesh(8)
         f = np.zeros((8, 8, 8, 2, 2))
         f[..., 0, 1] = np.sin(x1)
-        interp = TrigInterpolant(f)
-        v = interp(np.array([0.3, 0.0, 0.0]))
+        v = trig_jets(f, [(0.3, 0.0, 0.0)])[0][0]
         assert v.shape == (2, 2)
         assert abs(v[0, 1] - np.sin(0.3)) < 1e-11
+
+
+def _gradient_cases():
+    rng = np.random.default_rng(17)
+    real = rng.standard_normal((8, 8, 8))  # populates every Nyquist bin
+    symbol = symbol_from_frame(random_band_limited_frame(4, n=8)).sigma
+    return {"real-with-nyquist": real, "complex-symbol": symbol}
+
+
+@pytest.mark.parametrize("name", ["real-with-nyquist", "complex-symbol"])
+def test_interpolant_gradient_is_the_spectral_derivative_at_grid_points(name):
+    """trig_jets' analytic gradient reproduces spectral_derivative on the grid."""
+    values = _gradient_cases()[name]
+    pts = np.random.default_rng(23).integers(0, 8, size=(12, 3))
+    grads = trig_jets(values, TWO_PI * pts / 8)[1]
+    assert grads.shape == (12, 3) + values.shape[3:]
+    assert np.isrealobj(grads) == np.isrealobj(values)
+    assert np.abs(grads - _derivative_stack(values)[tuple(pts.T)]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["real-with-nyquist", "complex-symbol"])
+def test_interpolant_on_a_stack_of_points_equals_single_calls(name):
+    """Values and gradients at 8 points in one trig_jets call, against one call per point.
+    The einsum sums the modes for all points at once, so they agree to rounding."""
+    values = _gradient_cases()[name]
+    pts = np.random.default_rng(29).uniform(0.0, TWO_PI, size=(8, 3))
+    for got, k in zip(trig_jets(values, pts), (0, 1)):
+        singles = np.array([trig_jets(values, p[None])[k][0] for p in pts])
+        assert np.abs(got - singles).max() <= 1e-14 * np.abs(singles).max()
 
 
 def test_fourier_content_keeps_a_mode_only_above_the_tolerance():
@@ -168,110 +177,6 @@ def test_fourier_content_keeps_a_mode_only_above_the_tolerance():
     assert coefs.tolist() == [[0.0, 0.0, 2.0 * _FOURIER_TOL]]
     modes, coefs = _fourier_content(np.zeros((4, 4, 4, 2, 2)))
     assert modes.shape == (0, 3) and coefs.shape == (0, 2, 2)
-
-
-def _interpolant_before_fourier_content(values):
-    """(modes, coefs) as TrigInterpolant built them with its own transform and prune."""
-    n = values.shape[0]
-    coefs = np.fft.fftn(values, axes=(0, 1, 2)) / n**3
-    modes = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64).astype(float)
-    mvec = np.stack(np.meshgrid(modes, modes, modes, indexing="ij"), axis=-1).reshape(-1, 3)
-    cflat = coefs.reshape(n**3, *values.shape[3:])
-    keep = np.abs(cflat).reshape(n**3, -1).max(axis=1) > _FOURIER_TOL
-    mvec, cflat = mvec[keep], cflat[keep]
-    for ax in range(3):
-        nyq = mvec[:, ax] == -(n // 2)
-        cflat[nyq] *= 0.5
-        partners = mvec[nyq]
-        partners[:, ax] = n // 2
-        mvec, cflat = np.concatenate([mvec, partners]), np.concatenate([cflat, cflat[nyq]])
-    return _transposed(mvec), cflat
-
-
-@pytest.mark.parametrize("name", ["symbol", "real 8^3", "complex"])
-def test_interpolant_modes_are_the_ones_it_built_itself(name):
-    """Reading _fourier_content leaves the interpolant's modes and coefficients bitwise as
-    they were when it ran its own transform and prune."""
-    rng = np.random.default_rng(7)
-    values = {"symbol": lambda: symbol_from_frame(random_band_limited_frame(1, 16)).p,
-              "real 8^3": lambda: rng.standard_normal((8, 8, 8)),
-              "complex": lambda: rng.standard_normal((8, 8, 8, 2)) + 1j * rng.standard_normal((8, 8, 8, 2)),
-              }[name]()
-    interp = TrigInterpolant(values)
-    modes, coefs = _interpolant_before_fourier_content(values)
-    assert interp.modes.dtype == modes.dtype and interp.coefs.dtype == coefs.dtype
-    assert interp.modes.tobytes() == modes.tobytes() and interp.coefs.tobytes() == coefs.tobytes()
-
-
-def _gradient_cases():
-    rng = np.random.default_rng(17)
-    real = rng.standard_normal((8, 8, 8))  # populates every Nyquist bin
-    symbol = symbol_from_frame(random_band_limited_frame(4, n=8)).sigma
-    return {"real-with-nyquist": real, "complex-symbol": symbol}
-
-
-@pytest.mark.parametrize("name", ["real-with-nyquist", "complex-symbol"])
-def test_interpolant_gradient_is_the_spectral_derivative_at_grid_points(name):
-    """The analytic gradient of the interpolant reproduces spectral_derivative on the grid."""
-    values = _gradient_cases()[name]
-    interp = TrigInterpolant(values)
-    stack = _derivative_stack(values)
-    rng = np.random.default_rng(23)
-    for p in rng.integers(0, 8, size=(12, 3)):
-        grad = interp.gradient(TWO_PI * p / 8)
-        assert grad.shape == (3,) + values.shape[3:]
-        assert np.isrealobj(grad) == np.isrealobj(values)
-        assert np.abs(grad - stack[tuple(p)]).max() <= 1e-12
-
-
-@pytest.mark.parametrize("name", ["real-with-nyquist", "complex-symbol"])
-def test_interpolant_on_a_stack_of_points_equals_single_calls(name):
-    """Values and gradients at a (2, 4, 3) stack of points, against one call per point.
-
-    The stack sums the modes in one BLAS product, the single calls one
-    point at a time, so they agree to rounding: measured 3.1e-15 of the
-    largest value and 5.3e-15 of the largest gradient entry."""
-    values = _gradient_cases()[name]
-    interp = TrigInterpolant(values)
-    pts = np.random.default_rng(29).uniform(0.0, TWO_PI, size=(2, 4, 3))
-    vals, grads = interp(pts), interp.gradient(pts)
-    assert vals.shape == (2, 4) + values.shape[3:]
-    assert grads.shape == (2, 4, 3) + values.shape[3:]
-    for got, one in ((vals, interp.__call__), (grads, interp.gradient)):
-        singles = np.array([one(p) for p in pts.reshape(-1, 3)]).reshape(got.shape)
-        assert np.abs(got - singles).max() <= 1e-14 * np.abs(singles).max()
-
-
-def test_interpolant_misses_grid_samples_by_its_pruned_modes():
-    """The 16^3 symbol of random_band_limited_frame(2, 16) keeps 2197 of 4096 modes.  At 200
-    grid points the values were off the samples by 2.0e-12 and the gradient off
-    spectral_derivative by 1.45e-11, where the derivatives reach 3.6e-3; the line helper,
-    which prunes nothing, was off by 5.1e-15."""
-    p = symbol_from_frame(random_band_limited_frame(2, 16)).p
-    interp = TrigInterpolant(p)
-    pts = np.random.default_rng(0).integers(0, 16, size=(200, 3))
-    idx = tuple(pts.T)
-    want = np.stack([spectral_derivative(p, a + 1)[idx] for a in range(3)], axis=1)
-    value_gap = np.abs(interp(TWO_PI * pts / 16) - p[idx]).max()
-    gradient_gap = np.abs(interp.gradient(TWO_PI * pts / 16) - want).max()
-    line_gap = np.abs(_grid_line_jets(p, pts)[1] - want).max()
-    print(f"off the samples by {value_gap:.2e}, off the derivatives by {gradient_gap:.2e} "
-          f"(line helper {line_gap:.1e}; largest derivative {np.abs(want).max():.1e})")
-    assert len(interp.coefs) == 2197
-    assert 1e-13 < value_gap <= 3e-12
-    assert 1e-12 < gradient_gap <= 2e-11
-    assert line_gap <= 1e-14
-
-
-def test_interpolant_memory_does_not_grow_with_the_point_count(peak_mb):
-    """400 gradients of a 16^3 frame symbol (2197 modes) in blocks of at most 8 MB of
-    mode weights: traced peak 11.5 MB, where one (400, 3, 2197) block takes 42 MB."""
-    interp = TrigInterpolant(symbol_from_frame(random_band_limited_frame(4, n=16)).p)
-    pts = np.random.default_rng(31).uniform(0.0, TWO_PI, size=(400, 3))
-    assert peak_mb(lambda: interp.gradient(pts)) < 16.0
-    grads = interp.gradient(pts)
-    for row in (0, 199, 399):  # in the first, a middle and the last block
-        assert np.abs(grads[row] - interp.gradient(pts[row])).max() <= 1e-14
 
 
 def _line_jet_fields(curved_frame):
@@ -294,7 +199,7 @@ def test_grid_line_jets_are_the_samples_and_spectral_derivatives(curved_frame):
     """The line helper against whole-grid spectral_derivative, at corner and random
     indices: within 1e-12 of the field's or its derivative's largest entry on every
     field (the random frame's derivatives reach only 4e-3 of its entries), and k = 0
-    points give empty stacks."""
+    points give empty stacks.  On the random 16^3 symbol, within 1e-14 at 200 points."""
     for name, values in _line_jet_fields(curved_frame).items():
         n = values.shape[0]
         pts = np.concatenate([[(0, 0, 0), (n - 1, n - 1, n - 1), (0, n - 1, 0), (n - 1, 0, n // 2)],
@@ -309,6 +214,9 @@ def test_grid_line_jets_are_the_samples_and_spectral_derivatives(curved_frame):
         assert gap <= 1e-12
         vals, grads = _grid_line_jets(values, np.zeros((0, 3), dtype=np.int64))
         assert vals.shape == (0,) + values.shape[3:] and grads.shape == (0, 3) + values.shape[3:]
+    p, pts = _line_jet_fields(curved_frame)["random p"], np.random.default_rng(0).integers(0, 16, (200, 3))
+    want = np.stack([spectral_derivative(p, a + 1)[tuple(pts.T)] for a in range(3)], axis=1)
+    assert np.abs(_grid_line_jets(p, pts)[1] - want).max() <= 1e-14  # measured 5.1e-15 at 200 points
 
 
 # --- quadrature ------------------------------------------------------------

@@ -893,8 +893,7 @@ _ANALYSES = {
     "b1_density_fiber": lambda op: dw.b1_density_fiber(op, [(0, 1, 2)]),
     "b2_density_fiber_torsion": lambda op: dw.b2_density_fiber_torsion(op.sigma, [(0, 1, 2)]),
     "b2_density_fiber_curvature": lambda op: dw.b2_density_fiber_curvature(op, [(0, 1, 2)]),
-    "u1_curvature": lambda op: dw.u1_curvature(op.sigma, np.ones((2, 3)), np.eye(3)[:2]),
-    "apply_operator": lambda op: dw.apply_operator(op, np.ones(op.a0.shape[:4], dtype=complex)),
+    "u1_curvature": lambda op: dw.u1_curvature(op.sigma, [(0, 1, 2), (1, 1, 1)], np.eye(3)[:2]),
     "gauge_transform": lambda op: dw.gauge_transform(op, dw.random_gauge_field(1, 16)),
     "galerkin_spectrum": lambda op: dw.galerkin_spectrum(op, 1),
 }

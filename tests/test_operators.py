@@ -68,38 +68,19 @@ def test_operator_rejects_non_self_adjoint():
 EPS_CONJ = np.array([[0.0, -1.0], [1.0, 0.0]])  # antisymmetric unit eps
 
 
-def _charge_conjugation(v):
-    """Antilinear C(v) = eps conj(v), with C^2 = -1."""
-    return np.conj(v) @ EPS_CONJ.T
-
-
 class TestChargeConjugation:
-    def test_commutes_with_dirac(self):
-        """C D = D C, the symmetry forcing even multiplicities."""
-        op = dw.dirac_operator(dw.random_band_limited_frame(1))
-        rng = np.random.default_rng(3)
-        v = rng.standard_normal((16, 16, 16, 2)) + 1j * rng.standard_normal((16, 16, 16, 2))
-        lhs = _charge_conjugation(dw.apply_operator(op, v))
-        rhs = dw.apply_operator(op, _charge_conjugation(v))
-        assert np.abs(lhs - rhs).max() < 1e-10
-
-
-def test_apply_operator_plane_wave():
-    """On the flat operator, e^{i m.x} u is mapped through s.m."""
-    n = 8
-    op = dw.dirac_operator(dw.standard_frame(n))
-    x1, _, _ = PeriodicChart(n).mesh()
-    m = np.array([1.0, 0.0, 0.0])
-    u = np.array([1.0, 1.0]) / np.sqrt(2.0)  # eigenvector of s1, eigenvalue +1
-    v = np.exp(1j * m[0] * x1)[..., None] * u
-    out = dw.apply_operator(op, v)
-    assert np.abs(out - v).max() < 1e-12
-
-
-def test_apply_operator_shape_check():
-    op = dw.dirac_operator(dw.standard_frame(8))
-    with pytest.raises(InputError, match="spinor field"):
-        dw.apply_operator(op, np.zeros((8, 8, 8, 3)))
+    def test_commutes_with_dirac(self, curved_frame):
+        """C D = D C for C v = eps conj(v), the symmetry forcing even multiplicities.  The
+        principal part -i s^j p_j^a d_a commutes with C for any real p, since
+        eps conj(s^j) eps^T = -s^j, so C D = D C is eps conj(a0) eps^T = a0.  It holds on
+        every Dirac family and fails for an added traceless Hermitian potential."""
+        frames = (dw.standard_frame(8), dw.twisted_frame(1, 12), dw.twisted_frame(2, 12),
+                  dw.random_band_limited_frame(1), curved_frame)
+        for op in [dw.dirac_operator(frame) for frame in frames] + [
+                dw.dirac_plus_scalar(dw.standard_frame(8), 0.3)]:
+            assert np.abs(EPS_CONJ @ np.conj(op.a0) @ EPS_CONJ.T - op.a0).max() < 1e-10
+        shifted = dw.dirac_plus_traceless(dw.standard_frame(8), 0.1)
+        assert np.abs(EPS_CONJ @ np.conj(shifted.a0) @ EPS_CONJ.T - shifted.a0).max() > 0.1
 
 
 # --- gauge -------------------------------------------------------------------
@@ -403,15 +384,30 @@ def test_a0_matches_the_previous_assembly(build):
 def test_under_resolved_frame_names_its_fourier_tail(warped_frame):
     """The warped frame at amplitude 0.1 misses the self-adjointness gate at 16^3
     (1.61e-10): g_cov's outermost shell holds 7.1e-10 of its largest coefficient,
-    p's none.  The error says so and asks for a finer grid; 20^3 passes."""
+    p's none.  The error says so, citing no share of 0, and asks for a finer grid; 20^3 passes."""
     with pytest.raises(ConsistencyError) as caught:
         dw.dirac_operator(warped_frame(16))
     message = str(caught.value)
     print(message)
     for words in ("self-adjoint", "measured 1.610e-10", "not resolved on the 16^3 grid",
-                  "|m|_inf = 8", "0.00e+00 of p's", "7.14e-10 of g_cov's", "finer grid"):
+                  "|m|_inf = 8", "7.14e-10 of g_cov's", "finer grid"):
         assert words in message
+    assert "of p's" not in message
     assert dw.check_dirac(dw.dirac_operator(warped_frame(20))).is_dirac
+
+
+def test_under_resolved_frame_with_no_outer_shell_content_names_aliasing():
+    """The random frame at amplitude 0.3 misses the gate at 48^3 (ratio 1.47) with no content
+    on the outermost shell of p or g_cov: the error cites no share of 0 but the aliasing
+    in the products that form a0.  It stays a ConsistencyError, CLI exit 3."""
+    with pytest.raises(ConsistencyError) as caught:
+        dw.dirac_operator(dw.random_band_limited_frame(1, 48, amplitude=0.3))
+    message = str(caught.value)
+    print(message)
+    for words in ("not resolved on the 48^3 grid", "p and g_cov have no content on its outermost "
+                  "Fourier shell |m|_inf = 24", "aliasing in the products that form a0", "finer grid"):
+        assert words in message
+    assert "e+00" not in message
 
 
 _SHIFTED = {"scalar": lambda frame: dw.dirac_plus_scalar(frame, 0.3),

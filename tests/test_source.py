@@ -9,11 +9,13 @@ constant, the components-first 3x3 kernels take no batched @ or
 einsum, the Pauli encoding and per-float Python lists stay out of the
 file format, no module builds an operator's complex symbol stack, the
 module state that changes at run time is the declared two names, no
-functools cache is used, and only fields._fourier_content takes a
-forward transform of a whole grid.
+functools cache is used, only fields._fourier_content takes a forward
+transform of a whole grid, and the README's paper-to-code table names
+exported functions and collected tests.
 """
 
 import ast
+import re
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "diracweyl"
@@ -142,7 +144,7 @@ def test_no_matmul_operand_takes_the_non_blas_loop():
     """A swapped view as an @ operand sends numpy's batched matmul to its non-BLAS loop
     (p^T p on 32^3 points: 11.7 ms against 2.9 ms plus a 1.0 ms copy); fields._transposed
     makes the contiguous copy.  So does a complex operand against a real one: 1j * x @ m
-    parses as (1j * x) @ m, and the interpolant's phases at 50 points took 41 ms that way
+    parses as (1j * x) @ m, and a trigonometric interpolant's phases at 50 points took 41 ms that way
     against 3.6 ms for 1j * (x @ m)."""
     caught = [line for line, _ in _slow_matmul_operands(ast.parse(
         "a = np.swapaxes(p, -1, -2) @ p\n"
@@ -301,9 +303,9 @@ def _grid_transforms(tree):
 
 
 def test_only_fourier_content_transforms_a_whole_grid():
-    """Which Fourier modes a grid field holds is decided in one place: the interpolant, the
-    Galerkin assembly and the resolution refusal read fields._fourier_content, the one
-    forward whole-grid transform.  Per-axis transforms (spectral derivatives) are not caught."""
+    """Which Fourier modes a grid field holds is decided in one place: the Galerkin assembly
+    and the resolution refusal read fields._fourier_content, the one forward whole-grid
+    transform.  Per-axis transforms (spectral derivatives) are not caught."""
     caught = _grid_transforms(ast.parse(
         "a = np.fft.fftn(x, axes=(0, 1, 2))\nb = np.fft.fft(x, axis=0)\n"
         "c = np.fft.rfftn(x)\nd = fftn(x)\ne = np.fft.ifftn(x)\n"
@@ -316,3 +318,31 @@ def test_only_fourier_content_transforms_a_whole_grid():
              for line in sorted(_grid_transforms(tree) - (allowed if module == "fields.py" else set()))]
     assert found == []
     assert len(allowed) == 1
+
+
+def _collected(tree):
+    """The test names pytest collects from a test module: its test* functions, and the test*
+    methods of its Test* classes as Class::method."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("test"):
+            out.add(node.name)
+        elif isinstance(node, ast.ClassDef) and node.name.startswith("Test"):
+            out.update(f"{node.name}::{f.name}" for f in node.body
+                       if isinstance(f, ast.FunctionDef) and f.name.startswith("test"))
+    return out
+
+
+def test_readme_paper_table_names_exported_functions_and_collected_tests():
+    """Each of the eight rows of the table that opens the README names at least one function
+    that diracweyl exports and one test that pytest collects."""
+    import diracweyl
+
+    head = (PACKAGE.parent.parent / "README.md").read_text().split("\n## ")[0]
+    rows = [line.strip("|").split("|") for line in head.splitlines() if line.startswith("|")][2:]
+    assert len(rows) == 8
+    for _, functions, tests in rows:
+        names, ids = re.findall(r"`(\w+)`", functions), re.findall(r"`(tests/\w+\.py)::([\w:]+)`", tests)
+        assert names and ids, (functions, tests)
+        assert [name for name in names if not callable(getattr(diracweyl, name, None))] == []
+        assert [f"{path}::{name}" for path, name in ids if name not in _collected(TEST_TREES[path])] == []
