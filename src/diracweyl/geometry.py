@@ -123,18 +123,18 @@ class PrincipalSymbolField:
         gate("symbol matrices must be trace-free", s[..., 0, 0] + s[..., 1, 1], bound, InputError)
         self._hold(_components_first(np.swapaxes(pauli_components(s), -1, -2)))
 
-    def _hold(self, pc: np.ndarray) -> np.ndarray:
-        """Hold a view of the new pc[j, alpha, ...], or the equal p a live symbol holds; return g."""
+    def _hold(self, pc: np.ndarray) -> PrincipalSymbolField:
+        """Check ellipticity, then hold a view of the new pc[j, alpha, ...], or the equal p a live
+        symbol holds."""
         pc.flags.writeable = False  # before the view inherits the flag
         p = np.moveaxis(pc, (0, 1), (-2, -1))
-        gram = _gram(p)
-        _check_ellipticity(np.moveaxis(gram, (0, 1), (-2, -1)), p)
+        _check_ellipticity(_gram(p), p)
         key = (pc.shape, zlib.crc32(pc))  # of the contiguous bytes
         held = _HELD_P.get(key)
         if held is None or not np.array_equal(_components_first(held).view(np.uint64), pc.view(np.uint64)):
             held = _HELD_P[key] = p
         self.p = held
-        return gram
+        return self
 
     @property
     def sigma(self) -> np.ndarray:
@@ -179,38 +179,21 @@ def _orientation(d: np.ndarray, e: np.ndarray) -> int:
 
 
 class MetricField:
-    """Metric samples held components first, contra[a, b, ...] = g^{ab} and cov[a, b, ...] = g_{ab},
-    the layout its kernels read, plus the Riemannian density vol = sqrt(det g_cov), all read-only.
-    g_contra and g_cov are new grid-first, C-contiguous (n, n, n, 3, 3) copies on each access.  A
-    metric from decode_metric also holds the weak links _p and _torsion that torsion reads.
+    """The metric of a symbol, held components first: contra[a, b, ...] = g^{ab} = p_j^a p_j^b,
+    cov[a, b, ...] = g_{ab} and the Riemannian density vol = sqrt(det g_cov), all read-only.
+
+    det g = (det p)^2, so vol = 1/|det p|, from the cofactor sum _det3 of p that the charge and
+    the frame orientation read, and g_cov = adj(g) vol^2, the adjugate adj(g) @ g = det(g) I
+    written out in closed form, one whole grid field per entry.  The symbol's constructor checked
+    ellipticity on this g, so it is not checked again.  g_contra and g_cov are new grid-first,
+    C-contiguous (n, n, n, 3, 3) copies on each access.  A metric from decode_metric also holds
+    the weak links _p and _torsion that torsion reads.
     """
 
     __getstate__ = _unlinked
 
-    def __init__(self, g_contra: np.ndarray):
-        g = np.asarray(g_contra, dtype=float)
-        if g.ndim != 5 or g.shape[3:] != (3, 3):
-            raise InputError(f"metric field must have shape (n, n, n, 3, 3), got {g.shape}")
-        chart_of(g)
-        gate("metric must be symmetric", g - np.swapaxes(g, -1, -2), 1e-12, InputError)
-        gc = _components_first(g)
-        _check_ellipticity(np.moveaxis(gc, (0, 1), (-2, -1)))  # a view of the copy the kernels read
-        self._complete(gc)
-
-    g_contra = property(lambda self: _grid_first(self.contra), doc="g^{ab}, grid-first, copied on access.")
-    g_cov = property(lambda self: _grid_first(self.cov), doc="g_{ab}, grid-first, copied on access.")
-
-    def _complete(self, gc: np.ndarray) -> MetricField:
-        """Hold contra = gc[a, b, ...] = g^{ab}, cov = adj(g)/det(g) and vol = 1/sqrt(det g), read-only.
-
-        The adjugate adj(g) @ g = det(g) I is written out in closed form,
-        one whole grid field per entry.  The cofactor sum det g rounds to a
-        few eps D^3, D the largest diagonal entry on the grid, so where it is
-        at most 1e-6 D^3 it may have no digits left (NaN in vol at frame
-        condition 1e5).  There, in place, det takes LAPACK's LU value, good
-        to about eps times g's condition number; a point where that is not
-        positive either is refused.
-        """
+    def __init__(self, sym: PrincipalSymbolField):
+        gc = _gram(sym.p)
         adj = np.empty_like(gc)
         term = np.empty_like(gc[0, 0])
         for i in range(3):
@@ -219,18 +202,12 @@ class MetricField:
                 j1, j2 = (j + 1) % 3, (j + 2) % 3
                 np.multiply(gc[i1, j1], gc[i2, j2], out=adj[j, i])
                 adj[j, i] -= np.multiply(gc[i1, j2], gc[i2, j1], out=term)
-        det = gc[0, 0] * adj[0, 0]  # first row against its cofactors, as _det3 sums them
-        det += np.multiply(gc[0, 1], adj[1, 0], out=term)
-        det += np.multiply(gc[0, 2], adj[2, 0], out=term)
-        band = ~(det > 1e-6 * max(gc[0, 0].max(), gc[1, 1].max(), gc[2, 2].max()) ** 3)
-        if np.any(band):
-            det[band] = np.linalg.det(np.moveaxis(gc, (0, 1), (-2, -1))[band])
-            if not np.all(det[band] > 0.0):
-                idx = tuple(int(i) for i in np.unravel_index(np.argmin(np.where(band, det, 1.0)), det.shape))
-                raise EllipticityError(f"metric determinant is not positive at grid point {idx}")
-        adj /= det
-        self.contra, self.cov, self.vol = _read_only(gc, adj, 1.0 / np.sqrt(det))
-        return self
+        vol = 1.0 / np.abs(_det3(sym.p))
+        adj *= vol**2
+        self.contra, self.cov, self.vol = _read_only(gc, adj, vol)
+
+    g_contra = property(lambda self: _grid_first(self.contra), doc="g^{ab}, grid-first, copied on access.")
+    g_cov = property(lambda self: _grid_first(self.cov), doc="g_{ab}, grid-first, copied on access.")
 
 
 def _read_only(*arrays: np.ndarray) -> tuple:
@@ -319,35 +296,31 @@ def _extreme_eigenvalues(gc: np.ndarray) -> tuple:
     return lo.reshape(gc.shape[2:]), hi.reshape(gc.shape[2:])
 
 
-# Points whose closed-form smallest eigenvalue is at most this times the largest take LAPACK's
-# values.  That covers the closed form's error 130 times over: 7.6e-9 of the largest eigenvalue,
+# Points whose closed-form smallest eigenvalue is at most this times the largest take p's
+# singular values.  That covers the closed form's error 130 times over: 7.6e-9 of the largest eigenvalue,
 # measured on p with singular values (1, t, t), t = 1e-1 to 1e-9.
 _CLOSED_FORM_BAND = 1e-6
 
 
-def _check_ellipticity(g_contra: np.ndarray, p: np.ndarray | None = None):
-    """Refuse a metric that is not positive definite, or whose frame condition number passes 1e8.
+def _check_ellipticity(gc: np.ndarray, p: np.ndarray):
+    """Refuse a symbol p whose metric is not positive definite, or whose frame condition number
+    passes 1e8.
 
-    g_contra is grid-first, at best a view of a components-first array,
-    from which the closed form reads the extreme eigenvalues lo and hi
-    (_extreme_eigenvalues).  Where it reads lo <= 1e-6 hi, or NaN, its
-    sqrt(eps) hi error could matter, so those points take eigvalsh's
-    values.  eigvalsh resolves lo only to about eps times hi, which at the
-    gate (a ratio near 1e-16) leaves no digits.  For a symbol's g = p^T p,
-    the points where eigvalsh's ratio is below 1e-8 take lo as the square
-    of p's smallest singular value, which LAPACK's SVD keeps to about eps
-    times the frame condition number.  (Cofactor formulas do not: det p
-    loses all its digits where p has two small singular values.)  So
-    every point that can fail either test is decided on LAPACK's values.
+    The closed form reads the extreme eigenvalues lo and hi of g = p^T p,
+    held components first as gc[a, b, ...] (_extreme_eigenvalues).  Where
+    it reads lo <= 1e-6 hi, or NaN, its sqrt(eps) hi error could matter, so
+    those points take lo and hi as the squares of p's extreme singular
+    values, which LAPACK's SVD keeps to about eps times the frame condition
+    number.  (eigvalsh on g resolves lo only to about eps times hi, no
+    digits at the gate's ratio near 1e-16, and cofactor formulas lose all
+    the digits of det p where p has two small singular values.)  So every
+    point that can fail either test is decided on LAPACK's SVD.
     """
-    lo, hi = _extreme_eigenvalues(np.moveaxis(g_contra, (-2, -1), (0, 1)))
+    lo, hi = _extreme_eigenvalues(gc)
     band = ~(lo > _CLOSED_FORM_BAND * hi)  # NaN included
     if np.any(band):
-        w = np.linalg.eigvalsh(g_contra[band])
-        near = w[:, 0] <= 1e-8 * w[:, 2]
-        if p is not None and np.any(near):
-            w[near, 0] = np.linalg.svd(p[band][near], compute_uv=False)[:, 2] ** 2
-        lo[band], hi[band] = w[:, 0], w[:, 2]
+        s = np.linalg.svd(p[band], compute_uv=False)
+        lo[band], hi[band] = s[:, 2] ** 2, s[:, 0] ** 2
     if np.any(lo <= 0.0):
         idx = tuple(int(i) for i in np.unravel_index(np.argmin(lo), lo.shape))
         raise EllipticityError(f"symbol fails ellipticity at grid point {idx}")
@@ -384,13 +357,12 @@ def symbol_from_frame(frame: FrameField | np.ndarray) -> PrincipalSymbolField:
     ellipticity is checked.
     """
     e = frame.e if isinstance(frame, FrameField) else FrameField(frame).e
-    return _held_symbol(np.moveaxis(e, (-2, -1), (0, 1)).copy())[0]
+    return _held_symbol(np.moveaxis(e, (-2, -1), (0, 1)).copy())
 
 
-def _held_symbol(pc: np.ndarray) -> tuple:
-    """A symbol holding the fresh components-first pc[j, alpha, ...] and the g = _gram(p) it checked."""
-    sym = PrincipalSymbolField.__new__(PrincipalSymbolField)
-    return sym, sym._hold(pc)
+def _held_symbol(pc: np.ndarray) -> PrincipalSymbolField:
+    """A symbol holding the fresh components-first pc[j, alpha, ...], checked for ellipticity."""
+    return PrincipalSymbolField.__new__(PrincipalSymbolField)._hold(pc)
 
 
 def decode_frame(sym: PrincipalSymbolField) -> FrameField:
@@ -408,15 +380,13 @@ def decode_frame(sym: PrincipalSymbolField) -> FrameField:
 def decode_metric(sym: PrincipalSymbolField) -> MetricField:
     """Riemannian metric g^{ab} = p_j^a p_j^b, so that det(sigma . xi) = -g(xi, xi).
 
-    The symbol's constructor checked ellipticity on this very g, so the
-    check is not repeated; a directly constructed MetricField runs it.
     While some caller holds the metric, a later call on the same symbol
     object returns it: the symbol keeps a weak reference to it, _metric,
     and it one to sym.p, _p.  A metric nobody holds is built anew.
     """
     metric = _linked(sym, "_metric")
     if metric is None:
-        metric = MetricField.__new__(MetricField)._complete(_gram(sym.p))
+        metric = MetricField(sym)
         metric._p = weakref.ref(sym.p)
         sym._metric = weakref.ref(metric)
     return metric
@@ -429,7 +399,7 @@ def topological_charge(sym: PrincipalSymbolField) -> int:
     determinant -(i/2) sqrt(det g_cov) tr(sigma^1 sigma^2 sigma^3), and
     as the sign of the frame determinant.  Both must be constant across
     the grid.  Since tr(sigma^1 sigma^2 sigma^3) = 2i det p, the fibre
-    route reads vol det p, vol = sqrt(det g_cov) from decode_metric.
+    route reads vol det p, vol = sqrt(det g_cov) = 1/|det p| from decode_metric.
     """
     det = _det3(sym.p)  # one determinant of p for both routes
     orientation = _orientation(det, sym.p)

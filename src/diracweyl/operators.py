@@ -34,6 +34,7 @@ from .geometry import (
     christoffel_symbols,
     decode_metric,
     pauli_matrices,
+    symbol_from_frame,
     torsion,
 )
 
@@ -185,14 +186,12 @@ def _dirac_a0(frame: FrameField) -> tuple:
     u = e tr(W) and V = e ax(W), with the per-direction scalars stacked
     on a: a0 is a real multiple of I plus i times one traceless
     Hermitian matrix.  The 3x3 algebra runs components first, on
-    contiguous grid fields.  The metric is decoded from the g = p^T p
-    that the symbol's ellipticity check formed, and dropped, all but g_cov,
-    once the Christoffel symbols are built; each temporary is freed once
+    contiguous grid fields.  The metric is dropped, all but g_cov, once
+    the Christoffel symbols are built; each temporary is freed once
     used, so dirac_operator peaks at 2.46 MB of traced allocation at 16^3.
     """
-    e = frame.e if isinstance(frame, FrameField) else FrameField(frame).e
-    sym, gram = _held_symbol(np.moveaxis(e, (-2, -1), (0, 1)).copy())  # as symbol_from_frame builds it
-    metric = MetricField.__new__(MetricField)._complete(gram)
+    sym = symbol_from_frame(frame)
+    metric = MetricField(sym)
     work = christoffel_symbols(metric).transpose(4, 5, 3, 0, 1, 2)  # G^b_{ag} as [a, g, b, ...]
     gc = metric.cov
     del metric  # its g^{ab} and vol go before the coframe and the derivatives allocate
@@ -283,7 +282,7 @@ def gauge_transform(op: FirstOrderOperator, gauge: GaugeField) -> FirstOrderOper
     del d, rh  # so the results can take their place
     a0_new = _grid_first(_matmul_cm(rc, x))
     del rc, x  # before O p allocates
-    sym = _held_symbol(_matmul_cm(_components_first(so3_from_su2(r)), pc))[0]
+    sym = _held_symbol(_matmul_cm(_components_first(so3_from_su2(r)), pc))
     return FirstOrderOperator(sym, a0_new)
 
 

@@ -552,3 +552,55 @@ def test_pullback_frames_decode_to_the_pulled_back_geometry(name, n, pullback_fr
     assert torsion_gap <= 1e-13
     assert tor.charge == 1 and dw.topological_charge(sym) == 1
     assert metric_gap <= 1e-12
+
+
+def _curved_frame_pulled_back(n):
+    """(e', J, phi^3) for conftest's curved frame pulled back by the torus diffeomorphism
+    phi = (x1 + 0.3 sin x3, x2, x3 + 0.1 sin x3): e' = (d phi)^{-1} e o phi, row j the leg
+    e'_j, and J = det d phi = 1 + 0.1 cos x3.  e depends on x3 alone, so e o phi is the
+    curved frame's closed form at phi^3, and e' depends on x3 alone too."""
+    x3 = dw.PeriodicChart(n).mesh()[2]
+    y = x3 + 0.1 * np.sin(x3)
+    f = 1.0 + 0.1 * np.cos(y)
+    e = np.zeros((n, n, n, 3, 3))
+    e[..., 0, 0], e[..., 0, 1] = f * np.cos(y), f * np.sin(y)
+    e[..., 1, 0], e[..., 1, 1] = -np.sin(y), np.cos(y)
+    e[..., 2, 2] = 1.0
+    dphi = np.broadcast_to(np.eye(3), (n, n, n, 3, 3)).copy()
+    dphi[..., 0, 2], dphi[..., 2, 2] = 0.3 * np.cos(x3), 1.0 + 0.1 * np.cos(x3)
+    return dw.FrameField(e @ np.swapaxes(np.linalg.inv(dphi), -1, -2)), dphi[..., 2, 2], y
+
+
+def test_curved_torsionful_frame_pulled_back_is_covariant(curved_frame):
+    """A torus diffeomorphism isotopic to the identity maps the Dirac operator of e, plus a
+    scalar q, to one unitarily equivalent to that of e' = (d phi)^{-1} e o phi, plus q o phi, on
+    half-densities.  So vol' = J vol o phi, *T'_ax = *T_ax o phi and b' = J b o phi pointwise,
+    and the charges, the integrals of b and the verdicts are equal.  The base has a
+    non-constant metric and torsion, and every field depends on x3 alone, so its values at
+    phi^3 come from the unpruned Fourier sum of its x3 profile (conftest.trig_jets)."""
+    n = curved_frame.e.shape[0]
+    frame, jac, y = _curved_frame_pulled_back(n)
+    line = np.stack([np.zeros(n), np.zeros(n), y[0, 0]], axis=1)  # (0, 0, phi^3) along x3
+
+    def at_phi(field):
+        return np.broadcast_to(trig_jets(field, line)[0], field.shape)
+
+    x3 = dw.PeriodicChart(n).mesh()[2]
+    base, pulled = (dw.dirac_operator(fr) for fr in (curved_frame, frame))
+    shifted = [dw.FirstOrderOperator(op.sigma, op.a0 + (0.3 * np.cos(q))[..., None, None] * np.eye(2))
+               for op, q in ((base, x3), (pulled, y))]
+    metrics = [dw.decode_metric(op.sigma) for op in (base, pulled)]
+    axial = [dw.torsion(dw.decode_frame(op.sigma), m).axial_dual for op, m in zip((base, pulled), metrics)]
+    coeffs = [dw.b_density(op) for op in shifted]
+    gaps = {"vol": (metrics[1].vol, jac * at_phi(metrics[0].vol)),
+            "*T_ax": (axial[1], at_phi(axial[0])),
+            "b": (coeffs[1].b, jac * at_phi(coeffs[0].b))}
+    for name, (got, want) in gaps.items():
+        gap, size = float(np.abs(got - want).max()), float(np.abs(want).max())
+        print(f"{name}: off by {gap:.1e} of its largest {size:.2g}")
+        assert gap <= 1e-12 * size, name
+    print(f"integrals of b: {coeffs[0].b_global!r}, {coeffs[1].b_global!r}")
+    assert abs(coeffs[1].b_global - coeffs[0].b_global) <= 1e-12
+    assert np.abs(axial[0]).max() > 0.1 and np.ptp(metrics[0].vol) > 0.1
+    assert dw.topological_charge(base.sigma) == dw.topological_charge(pulled.sigma) == 1
+    assert dw.check_dirac(base).is_dirac and dw.check_dirac(pulled).is_dirac

@@ -105,9 +105,6 @@ TRIPPED = {
         InputError, "homogeneous of degree 0", None),
     "geometry-torsion-route": (_route_with_offset, ConsistencyError, "Hodge vs curl", (2, 5, 1)),
     "geometry-symbol-hermitian": (lambda mp: _skew_symbol(), InputError, "Hermitian", (1, 6, 3)),
-    "geometry-metric-symmetry": (
-        lambda mp: dw.MetricField(np.eye(3) + _bump((8, 8, 8, 3, 3), (1, 2, 3, 0, 1), 1e-6)),
-        InputError, "symmetric", (1, 2, 3)),
     "operators-self-adjointness": (lambda mp: _self_adjointness(), ConsistencyError,
                                    "self-adjoint", (4, 4, 1)),
     "operators-gauge-unitarity": (
@@ -152,11 +149,6 @@ def test_symbol_with_a_nan_is_input_error():
     sigma = dw.symbol_from_frame(dw.standard_frame(8)).sigma
     with pytest.raises(InputError, match=r"measured nan.*\(0, 0, 5\)"):
         dw.PrincipalSymbolField(_with_nan(sigma, (0, 0, 5, 2, 0, 0)))
-
-
-def test_metric_of_nan_is_input_error():
-    with pytest.raises(InputError, match="measured nan"):
-        dw.MetricField(np.full((8, 8, 8, 3, 3), np.nan))
 
 
 def test_gauge_field_of_nan_is_input_error():
@@ -243,13 +235,6 @@ REFUSED_BRANCHES = {
     "frame-shape": (lambda: dw.FrameField(np.zeros((8, 8, 8, 3))), InputError,
                     "frame field must have shape"),
     "frame-non-finite": (_non_finite_frame, InputError, "non-finite"),
-    "metric-shape": (lambda: dw.MetricField(np.zeros((8, 8, 8, 2, 2))), InputError,
-                     "metric field must have shape"),
-    # a metric on a grid no chart samples was accepted, though a frame on it is refused
-    "metric-non-cubic": (lambda: dw.MetricField(np.broadcast_to(np.eye(3), (4, 5, 6, 3, 3))),
-                         InputError, "three equal leading grid axes, got shape (4, 5, 6, 3, 3)"),
-    "metric-odd-grid": (lambda: dw.MetricField(np.broadcast_to(np.eye(3), (5, 5, 5, 3, 3))),
-                        InputError, "grid size must be even and >= 4, got 5"),
     "gauge-shape": (lambda: dw.GaugeField(np.zeros((8, 8, 8, 3, 3))), InputError,
                     "gauge field must have shape"),
     "lift-shape": (lambda: dw.su2_lift(np.zeros((8, 8, 8, 2, 2))), InputError,
@@ -315,7 +300,7 @@ REFUSED_BRANCHES = {
     "so3-unit-phase": (lambda: dw.so3_from_su2(1j * np.eye(2)), InputError,
                        "determinant is not 1; input is not SU(2)"),
     "torsion-grid": (
-        lambda: dw.torsion(dw.standard_frame(8), dw.MetricField(_grid_of(np.eye(3))[::2, ::2, ::2])),
+        lambda: dw.torsion(dw.standard_frame(8), dw.MetricField(dw.symbol_from_frame(dw.standard_frame(4)))),
         InputError, "frame on the 8^3 grid and metric on the 4^3 grid"),
     # a NaN passed the strictly-increasing check, and the table then counted 0 below 1.5
     "spectrum-nan": (lambda: dw.SpectrumTable([0.0, np.nan, 1.0], [1, 1, 1], "x", (0.0, 2.0)),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import diracweyl as dw
-from diracweyl.errors import DiracweylError, EllipticityError, InputError, gate
+from diracweyl.errors import EllipticityError, InputError, gate
 from diracweyl.fields import PeriodicChart, spectral_derivative
 from diracweyl import geometry
 from diracweyl.geometry import christoffel_symbols, coframe
@@ -59,7 +59,7 @@ def test_metric_routes_agree():
     fr = _random_frame(5)
     sym = dw.symbol_from_frame(fr)
     g1 = dw.decode_metric(sym).g_contra
-    g2 = dw.MetricField(np.swapaxes(fr.e, -1, -2) @ fr.e).g_contra
+    g2 = np.swapaxes(fr.e, -1, -2) @ fr.e
     assert np.abs(g1 - g2).max() < 1e-12
 
 
@@ -310,14 +310,13 @@ FRAMES = {
 
 @pytest.mark.parametrize("name", sorted(FRAMES))
 def test_closed_form_metric_matches_lapack(name):
-    """g_cov = adj(g)/det(g), vol = 1/sqrt(det g) and det e against np.linalg."""
+    """g_cov = adj(g) vol^2, vol = 1/|det p| and det e against np.linalg."""
     fr = FRAMES[name]()
-    for met in (dw.MetricField(np.swapaxes(fr.e, -1, -2) @ fr.e),
-                dw.decode_metric(dw.symbol_from_frame(fr))):
-        g_cov = np.linalg.inv(met.g_contra)
-        assert np.abs(met.g_cov - g_cov).max() <= 1e-13 * np.abs(g_cov).max()
-        vol = np.sqrt(np.linalg.det(g_cov))
-        assert np.abs(met.vol / vol - 1.0).max() <= 1e-13
+    met = dw.decode_metric(dw.symbol_from_frame(fr))
+    g_cov = np.linalg.inv(met.g_contra)
+    assert np.abs(met.g_cov - g_cov).max() <= 1e-13 * np.abs(g_cov).max()
+    vol = np.sqrt(np.linalg.det(g_cov))
+    assert np.abs(met.vol / vol - 1.0).max() <= 1e-13
     d = geometry._det3(fr.e)
     want = np.linalg.det(fr.e)
     assert np.abs(d / want - 1.0).max() <= 1e-13
@@ -566,45 +565,43 @@ def test_metric_and_torsion_kernels_copy_no_layout(monkeypatch):
 # --- one ellipticity check per symbol ------------------------------------------
 
 def _count_ellipticity_checks(monkeypatch) -> list:
-    """The shape of each metric geometry._check_ellipticity checks from now on."""
+    """The shape of each symbol p geometry._check_ellipticity checks from now on."""
     calls = []
     check = geometry._check_ellipticity
 
-    def counting(g, *args, **kwargs):
-        calls.append(np.shape(g))
-        return check(g, *args, **kwargs)
+    def counting(gc, p):
+        calls.append(np.shape(p))
+        return check(gc, p)
 
     monkeypatch.setattr(geometry, "_check_ellipticity", counting)
     return calls
 
 
 def test_decode_metric_does_not_recheck_ellipticity(monkeypatch):
+    """A metric is built from a symbol, whose constructor checked ellipticity on the same g."""
     sym = dw.symbol_from_frame(_random_frame(2))
     calls = _count_ellipticity_checks(monkeypatch)
-    met = dw.decode_metric(sym)
+    dw.decode_metric(sym)
+    dw.MetricField(sym)
     assert calls == []
-    dw.MetricField(met.g_contra)
-    assert calls == [met.g_contra.shape]
 
 
 def test_dirac_operator_checks_ellipticity_once(monkeypatch):
-    """Its symbol checks ellipticity and its metric is decoded from that symbol;
-    building the metric from the frame as well checked the same g twice."""
+    """Its symbol checks ellipticity and its metric is built from that symbol with no
+    second check; building the metric from the frame as well checked the same g twice."""
     fr = dw.random_band_limited_frame(2)
     calls = _count_ellipticity_checks(monkeypatch)
     dw.dirac_operator(fr)
     assert calls == [fr.e.shape]
 
 
-def test_indefinite_metric_field_still_rejected():
-    g = np.broadcast_to(np.eye(3), (8, 8, 8, 3, 3)).copy()
-    g[3, 4, 5, 2, 2] = -0.5
-    with pytest.raises(EllipticityError, match=r"grid point \(3, 4, 5\)"):
-        dw.MetricField(g)
+def test_a_frame_singular_at_one_point_is_refused_there():
+    """g = p^T p is never indefinite, but it is singular where p is: p's SVD reads a smallest
+    singular value of 0 there."""
     e = dw.standard_frame(8).e.copy()
-    e[..., 2, :] = e[..., 1, :]
-    with pytest.raises(EllipticityError):
-        dw.MetricField(np.swapaxes(e, -1, -2) @ e)
+    e[3, 4, 5, 2, :] = 0.0
+    with pytest.raises(EllipticityError, match=r"fails ellipticity at grid point \(3, 4, 5\)"):
+        dw.symbol_from_frame(e)
 
 
 def _rotation(axis, angle):
@@ -632,14 +629,14 @@ def test_frame_condition_gate_on_both_sides(ratio, passes, small, rotated):
             dw.symbol_from_frame(e)
 
 
-def _parent_ellipticity_outcome(g, p=None):
+def _parent_ellipticity_outcome(g, p):
     """None or the EllipticityError text of the all-LAPACK check: eigvalsh's extreme
-    eigenvalues of the grid-first g, and for a symbol lo from p's SVD where eigvalsh's
-    ratio is below 1e-8."""
+    eigenvalues of the grid-first g = p^T p, and lo from p's SVD where eigvalsh's ratio is
+    below 1e-8."""
     w = np.linalg.eigvalsh(g)
     lo, hi = w[..., 0], w[..., 2]
     near = lo <= 1e-8 * hi
-    if p is not None and np.any(near):
+    if np.any(near):
         lo[near] = np.linalg.svd(p[near], compute_uv=False)[..., 2] ** 2
     try:
         if np.any(lo <= 0.0):
@@ -664,11 +661,10 @@ def _outcome(build):
 def test_closed_form_ellipticity_decides_as_lapack(family):
     """p with singular values (1, t, t), (1, 1, t) or (1, 2, t) at the even points of a 4^3
     grid, between random rotations, and a random p with singular values in [0.5, 2] at the
-    odd ones, for t = 1e-1 to 1e-9: the symbol and the bare MetricField of g = p^T p each
-    accept or refuse as the all-LAPACK check does, with its message.  The closed form's
-    smallest eigenvalue was off by up to 7.6e-9 of the largest at (1, t, t), where the two
-    smallest coincide, and by 3.3e-15 otherwise; the points it sends to LAPACK,
-    lo <= 1e-6 hi, cover that 130 times over."""
+    odd ones, for t = 1e-1 to 1e-9: the symbol accepts or refuses as the all-LAPACK check
+    does, with its message.  The closed form's smallest eigenvalue was off by up to 7.6e-9
+    of the largest at (1, t, t), where the two smallest coincide, and by 3.3e-15 otherwise;
+    the points it sends to p's SVD, lo <= 1e-6 hi, cover that 130 times over."""
     rng = np.random.default_rng(11)
 
     def rotations(k):
@@ -681,43 +677,55 @@ def test_closed_form_ellipticity_decides_as_lapack(family):
                       rng.uniform(0.5, 2.0, size=(64, 3)))
         p = ((rotations(64) * sv[:, None, :]) @ rotations(64)).reshape(4, 4, 4, 3, 3)
         g = np.moveaxis(geometry._gram(p), (0, 1), (-2, -1))
-        with np.errstate(invalid="ignore"):  # an accepted g with two small eigenvalues: det <= 0
-            got = _outcome(lambda: dw.symbol_from_frame(p)), _outcome(lambda: dw.MetricField(g))
-        want = _parent_ellipticity_outcome(g, p), _parent_ellipticity_outcome(g.copy())
-        assert got == want
+        want = _parent_ellipticity_outcome(g, p)
+        assert _outcome(lambda: dw.symbol_from_frame(p)) == want
         lo = geometry._extreme_eigenvalues(geometry._gram(p))[0]
         true = np.linalg.svd(p, compute_uv=False)
         worst = max(worst, float((np.abs(lo - true[..., 2] ** 2) / true[..., 0] ** 2).max()))
         decisions.append(want)
     print(f"{family}: closed-form lo off by {worst:.1e} of hi; {decisions}")
     assert worst <= (1e-8 if family[1] == "t" else 1e-14)
-    assert decisions[0] == (None, None) and decisions[-1][0] is not None
+    assert decisions[0] is None and decisions[-1] is not None
+
+
+def _proper_rotations(rng, k):
+    """k random rotations with determinant +1, so that a frame built from them keeps one orientation."""
+    q = np.linalg.qr(rng.standard_normal((k, 3, 3)))[0]
+    return q * np.sign(np.linalg.det(q))[:, None, None]
 
 
 @pytest.mark.parametrize("t", [1e-5, 1e-6])
 def test_nearly_degenerate_metric_has_a_finite_volume(t):
     """p with singular values (1, t, t) between random rotations on a 4^3 grid: the
-    cofactor sum of det g = t^4 has no digits left: vol was NaN at 27 (bare MetricField)
-    and 28 (decode_metric) of 64 points at t = 1e-5, and the charge raised ValueError at
-    t = 1e-6.  Those points take LAPACK's determinant, so vol is finite and close to
-    1/t^2, and the charge is +-1 or a library error."""
+    cofactor sum of det g = t^4 has no digits left, and vol was NaN at 28 of 64 points at
+    t = 1e-5 when it was read off g.  vol = 1/|det p| is finite and close to 1/t^2, and the
+    charge is +1."""
     rng = np.random.default_rng(0)
+    p = (_proper_rotations(rng, 64) * np.array([1.0, t, t])) @ _proper_rotations(rng, 64)
+    sym = dw.symbol_from_frame(p.reshape(4, 4, 4, 3, 3))
+    met = dw.decode_metric(sym)
+    assert np.all(np.isfinite(met.vol)) and np.all(met.vol > 0.0)
+    assert np.abs(met.vol * t**2 - 1.0).max() <= 1e-3
+    assert dw.topological_charge(sym) == 1
 
-    def rotations(k):  # proper ones, so that the orientation is uniform
-        q = np.linalg.qr(rng.standard_normal((k, 3, 3)))[0]
-        return q * np.sign(np.linalg.det(q))[:, None, None]
 
-    p = ((rotations(64) * np.array([1.0, t, t])) @ rotations(64)).reshape(4, 4, 4, 3, 3)
-    sym = dw.symbol_from_frame(p)
-    for met in (dw.MetricField(np.swapaxes(p, -1, -2) @ p), dw.decode_metric(sym)):
-        assert np.all(np.isfinite(met.vol)) and np.all(met.vol > 0.0)
-        assert np.abs(met.vol * t**2 - 1.0).max() <= 1e-3
-    try:
-        charge = dw.topological_charge(sym)
-    except DiracweylError:
-        pass
-    else:
-        assert charge in (-1, 1)
+@pytest.mark.parametrize("t", [1e-6, 1e-7])
+@pytest.mark.parametrize("family", [(1.0, 1.0, "t"), (1.0, "t", "t")], ids=["1-1-t", "1-t-t"])
+def test_nearly_degenerate_frames_keep_charge_and_volume(family, t):
+    """p = Q diag(s) R with proper random rotations Q and R on a 4^3 grid, at frame condition
+    1/t, which the ellipticity gate (1e8) accepts.  With det g from LAPACK's LU of g, good to
+    eps cond(p)^2, vol at (1, 1, t) was off by 6.1e-5 (t = 1e-6) and 6.1e-3 (t = 1e-7) of an
+    exact rational reference, and the charge raised ConsistencyError on both families.
+    vol = 1/|det p| was off by 3.7e-11 and 3.7e-10, and vol det p is +-1 to rounding."""
+    rng = np.random.default_rng(7)
+    s = np.array([t if v == "t" else v for v in family])
+    p = (_proper_rotations(rng, 64) * s) @ _proper_rotations(rng, 64)
+    sym = dw.symbol_from_frame(p.reshape(4, 4, 4, 3, 3))
+    assert dw.topological_charge(sym) == 1
+    if family[1] == 1.0:
+        err = float(np.abs(dw.decode_metric(sym).vol * t - 1.0).max())
+        print(f"(1, 1, {t:g}): vol t off 1 by {err:.1e}")
+        assert err <= 1e-8
 
 
 def test_verdict_analysis_inverts_no_grid_matrices(monkeypatch):

@@ -29,8 +29,8 @@ OTHER = {"check_dirac": "b_density", "b_density": "check_dirac"}
 
 @pytest.fixture
 def builds(monkeypatch):
-    """builds() counts, from the call on, the metrics and torsion bundles built, in the private
-    kernels MetricField._complete and geometry._torsion."""
+    """builds() counts, from the call on, the metrics and torsion bundles built, in
+    MetricField.__init__ and the private kernel geometry._torsion."""
 
     def start():
         count = {"metric": 0, "torsion": 0}
@@ -39,12 +39,12 @@ def builds(monkeypatch):
             count["torsion"] += 1
             return _real(*args)
 
-        def complete(self, gc, _real=geometry.MetricField._complete):
+        def init(self, sym, _real=geometry.MetricField.__init__):
             count["metric"] += 1
-            return _real(self, gc)
+            _real(self, sym)
 
         monkeypatch.setattr(geometry, "_torsion", torsion)
-        monkeypatch.setattr(geometry.MetricField, "_complete", complete)
+        monkeypatch.setattr(geometry.MetricField, "__init__", init)
         return count
 
     return start
@@ -166,7 +166,7 @@ def test_only_a_decoded_metric_and_a_frame_over_its_p_share(builds):
     metric, bundle = _held(op)
     copy = dw.FrameField(op.sigma.p.copy())
     assert dw.torsion(copy, metric) is not bundle
-    direct = dw.MetricField(metric.g_contra)
+    direct = dw.MetricField(op.sigma)
     first = dw.torsion(dw.FrameField(op.sigma.p), direct)
     assert dw.torsion(dw.FrameField(op.sigma.p), direct) is not first
     assert count["torsion"] == 4

@@ -8,10 +8,11 @@ matmul operand is a transposed view or a product with a complex
 constant, the components-first 3x3 kernels take no batched @ or
 einsum, the Pauli encoding and per-float Python lists stay out of the
 file format, no module builds an operator's complex symbol stack, the
-module state that changes at run time is the declared two names, no
+module state that changes at run time is the declared one name, no
 functools cache is used, only fields._fourier_content takes a forward
-transform of a whole grid, and the README's paper-to-code table names
-exported functions and collected tests.
+transform of a whole grid, the README's paper-to-code table names
+exported functions and collected tests, and the open-defects list of
+CHANGES.md names the open FOUND entries of its log.
 """
 
 import ast
@@ -269,10 +270,9 @@ def _cache_decorators(tree):
 
 
 def test_module_state_is_declared_and_bounded():
-    """Two module-level names change at run time: spectra's unit-width counting CDF (one
-    fixed grid, built on first use) and geometry._HELD_P, the p arrays live symbols hold,
-    keyed on a crc32 (weak values, so it holds nothing alive).  Any further global, written
-    container or functools cache has to be added here, with its bound."""
+    """One module-level name changes at run time: geometry._HELD_P, the p arrays live symbols
+    hold, keyed on a crc32 (weak values, so it holds nothing alive).  Any further global,
+    written container or functools cache has to be added here, with its bound."""
     state = set(_module_state_written(ast.parse(
         "_SEEN = {}\n_LIMITS = [1, 2]\n_LIMITS[1] = 3\n"
         "def f(k):\n    global _count\n    _SEEN[k] = 1\n    local = {}\n    local[k] = _LIMITS[0]\n"
@@ -288,7 +288,7 @@ def test_module_state_is_declared_and_bounded():
     assert caught == [1, 3, 6]
     written = {f"{module[:-3]}.{name}" for module, tree in TREES.items()
                for name in _module_state_written(tree)}
-    assert written == {"spectra._unit_cdf_grid", "geometry._HELD_P"}
+    assert written == {"geometry._HELD_P"}
     found = [f"{module}:{line}" for module, tree in TREES.items() for line in _cache_decorators(tree)]
     assert found == []
 
@@ -346,3 +346,16 @@ def test_readme_paper_table_names_exported_functions_and_collected_tests():
         assert names and ids, (functions, tests)
         assert [name for name in names if not callable(getattr(diracweyl, name, None))] == []
         assert [f"{path}::{name}" for path, name in ids if name not in _collected(TEST_TREES[path])] == []
+
+
+def test_open_defects_list_names_the_open_found_entries_of_the_log():
+    """Each "FOUND n (item k)" bullet under "Open defects" in CHANGES.md names log entry n,
+    counting the log's first entry as 1, and that entry begins "- FOUND:".  The numbers are
+    unique and ascending, and every log entry that begins "- FOUND:" is listed."""
+    head, log = (PACKAGE.parent.parent / "CHANGES.md").read_text().split("\n## Log\n")
+    opening = head.split("## Open defects")[1]
+    listed = [int(n) for n in re.findall(r"^- FOUND (\d+) \(item \d+\)", opening, re.M)]
+    entries = [line for line in log.splitlines() if line.startswith("- ")]
+    assert listed and listed == sorted(set(listed))
+    assert [n for n in listed if not (n <= len(entries) and entries[n - 1].startswith("- FOUND:"))] == []
+    assert listed == [n for n, entry in enumerate(entries, 1) if entry.startswith("- FOUND:")]

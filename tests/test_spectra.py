@@ -706,12 +706,15 @@ class TestMollifiedCount:
         assert gap <= 1e-6
 
     def test_rebuilt_kernel_gives_identical_counts(self, monkeypatch):
+        """The CDF built at import is read-only, and a rebuilt one gives the same counts."""
         from diracweyl import spectra
 
         table = dw.torus_exact_spectrum(TRIVIAL, 30.0)
         first = dw.mollified_count(table, 5.0)
-        assert spectra._unit_cdf() is spectra._unit_cdf()
-        monkeypatch.setattr(spectra, "_unit_cdf_grid", None)
+        for a in spectra._UNIT_CDF:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+        monkeypatch.setattr(spectra, "_UNIT_CDF", spectra._unit_cdf())
         assert dw.mollified_count(table, 5.0) == first
 
     def test_widths_agree_on_an_evenly_spaced_table(self, peak_mb):
