@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, gate
+from .errors import InputError, expect_type, gate
 from .fields import _grid_line_jets, _transposed, fiber_ball_quadrature, grid_integral
 from .geometry import FrameField, PrincipalSymbolField, decode_metric, pauli_components, torsion
 from .operators import FirstOrderOperator, _subprincipal, _weyl_b
@@ -125,8 +125,7 @@ def b1_density_fiber(op: FirstOrderOperator, points) -> np.ndarray:
     the points alone, over the unit covector ball; agrees with the closed
     form within 1e-7.
     """
-    if not isinstance(op, FirstOrderOperator):
-        raise InputError(f"op must be a FirstOrderOperator, got {type(op).__name__}")
+    expect_type(op, FirstOrderOperator, "op")
     pts = _grid_points(points, op.sigma.chart.n)
     comps, grads = _grid_line_jets(op.sigma.p, pts)
     half_div = 0.5 * sum(grads[:, a, :, a] for a in range(3)).T  # sum_a d_a p_j^a / 2 as [j, k]
@@ -225,6 +224,7 @@ def b_density(op: FirstOrderOperator) -> AsymptoticCoefficients:
     still holds for the symbol (decode_metric, torsion), as for
     check_dirac; no divergence of p is taken, and every density is new.
     """
+    expect_type(op, FirstOrderOperator, "op")
     metric = decode_metric(op.sigma)
     tor = torsion(FrameField(op.sigma.p), metric)
     vol, c_tax = metric.vol, tor.charge * tor.axial_dual

@@ -24,6 +24,12 @@ class ConsistencyError(DiracweylError):
     """Independent computation routes disagree beyond tolerance."""
 
 
+def expect_type(value, cls: type, name: str) -> None:
+    """Refuse, with InputError naming the expected and the received type, a value that is no cls."""
+    if not isinstance(value, cls):
+        raise InputError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+
+
 def gate(what: str, residual, bound: float, error=ConsistencyError) -> float:
     """max|residual| if it is at most bound; otherwise raise error saying how far off and where.
 

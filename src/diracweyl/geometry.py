@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, EllipticityError, InputError, gate
+from .errors import ConsistencyError, EllipticityError, InputError, expect_type, gate
 from .fields import _derivative, chart_of
 
 # Standard Pauli matrices; the fixed fibre basis for all 2x2 symbols.
@@ -193,6 +193,7 @@ class MetricField:
     __getstate__ = _unlinked
 
     def __init__(self, sym: PrincipalSymbolField):
+        expect_type(sym, PrincipalSymbolField, "sym")
         gc = _gram(sym.p)
         adj = np.empty_like(gc)
         term = np.empty_like(gc[0, 0])
@@ -219,7 +220,7 @@ def _read_only(*arrays: np.ndarray) -> tuple:
 
 def _linked(owner, name: str):
     """What owner's weak reference name points at, or None if owner has none or it has died."""
-    link = vars(owner).get(name)
+    link = getattr(owner, name, None)
     return None if link is None else link()
 
 
@@ -372,6 +373,7 @@ def decode_frame(sym: PrincipalSymbolField) -> FrameField:
     off-diagonal symbol entry, leg 3 the upper diagonal entry; this
     inverts symbol_from_frame exactly.
     """
+    expect_type(sym, PrincipalSymbolField, "sym")
     fr = FrameField(sym.p)
     fr.orientation()  # force the degeneracy check
     return fr
@@ -393,24 +395,13 @@ def decode_metric(sym: PrincipalSymbolField) -> MetricField:
 
 
 def topological_charge(sym: PrincipalSymbolField) -> int:
-    """Orientation invariant of the symbol, +1 or -1.
+    """Orientation invariant of the symbol, +1 or -1: the sign of det p, the same at every grid point.
 
-    Computed two ways and cross-checked: as the normalised fibre
-    determinant -(i/2) sqrt(det g_cov) tr(sigma^1 sigma^2 sigma^3), and
-    as the sign of the frame determinant.  Both must be constant across
-    the grid.  Since tr(sigma^1 sigma^2 sigma^3) = 2i det p, the fibre
-    route reads vol det p, vol = sqrt(det g_cov) = 1/|det p| from decode_metric.
-    """
-    det = _det3(sym.p)  # one determinant of p for both routes
-    orientation = _orientation(det, sym.p)
-    c_field = det * decode_metric(sym).vol  # sqrt(det g_cov) det p
-    c0 = int(np.rint(c_field.flat[0]))
-    if c0 not in (-1, 1):
-        raise ConsistencyError(f"charge {c_field.flat[0]!r} is not a unit")
-    gate("charge is not constant across the grid", c_field - c0, 1e-6)
-    if orientation != c0:
-        raise ConsistencyError("fibre-determinant charge disagrees with frame orientation")
-    return c0
+    By tr(sigma^1 sigma^2 sigma^3) = 2i det p and sqrt(det g_cov) = 1/|det p|, it is the paper's
+    normalised fibre determinant -(i/2) sqrt(det g_cov) tr(sigma^1 sigma^2 sigma^3).  A sign change
+    or a degenerate frame is refused, as by FrameField.orientation."""
+    expect_type(sym, PrincipalSymbolField, "sym")
+    return _orientation(_det3(sym.p), sym.p)
 
 
 def orthonormalize_frame(e: np.ndarray) -> FrameField:
@@ -447,6 +438,8 @@ def _coframe(ec: np.ndarray, gc: np.ndarray) -> np.ndarray:
 
 def coframe(frame: FrameField, metric: MetricField) -> np.ndarray:
     """Metric-dual coframe c[..., k, b] = c^k_b = delta^{kj} g_{bc} e_j^c, grid-first and C-contiguous."""
+    expect_type(frame, FrameField, "frame")
+    expect_type(metric, MetricField, "metric")
     return _grid_first(_coframe(_components_first(frame.e), metric.cov).swapaxes(0, 1))
 
 
@@ -520,6 +513,8 @@ def torsion(frame: FrameField, metric: MetricField) -> TorsionBundle:
     a frame over the very p it was decoded from, the pair gets it again
     (the metric's weak reference _torsion); any other pair builds anew.
     """
+    expect_type(frame, FrameField, "frame")
+    expect_type(metric, MetricField, "metric")
     if frame.e.shape[:3] != metric.vol.shape:
         raise InputError(f"frame on the {frame.e.shape[0]}^3 grid and metric on the "
                          f"{metric.vol.shape[0]}^3 grid do not match")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .defaults import _DEFAULT_TOL
-from .errors import ConsistencyError, InputError, gate
+from .errors import ConsistencyError, InputError, expect_type, gate
 from .fields import _FOURIER_TOL, _derivative, _fourier_content, chart_of
 from .geometry import (
     PAULI,
@@ -61,9 +61,7 @@ class FirstOrderOperator:
     a0: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.sigma, PrincipalSymbolField):
-            got = type(self.sigma).__name__
-            raise InputError(f"sigma must be a PrincipalSymbolField, got {got}")
+        expect_type(self.sigma, PrincipalSymbolField, "sigma")
         a0 = np.asarray(self.a0, dtype=complex)
         if a0.shape != self.sigma.p.shape[:3] + (2, 2):
             raise InputError(f"a0 must have shape (n, n, n, 2, 2), got {a0.shape}")
@@ -263,6 +261,8 @@ def gauge_transform(op: FirstOrderOperator, gauge: GaugeField) -> FirstOrderOper
     explicit Pauli algebra.  So a0 becomes R (a0 R* - i S): two 2x2
     products, components first; O p is one 3x3 product on the symbol's own array.
     """
+    expect_type(op, FirstOrderOperator, "op")
+    expect_type(gauge, GaugeField, "gauge")
     r = gauge.R
     if r.shape[:3] != op.a0.shape[:3]:
         raise InputError(f"gauge field on the {r.shape[0]}^3 grid and operator on the "
@@ -435,6 +435,7 @@ def check_dirac(op: FirstOrderOperator, tol: float = _DEFAULT_TOL) -> DiracVerdi
     The metric and the torsion are those a caller still holds for the
     symbol (decode_metric, torsion); the half divergence is new each call.
     """
+    expect_type(op, FirstOrderOperator, "op")
     if not 0.0 <= tol < np.inf:
         raise InputError(f"tol must be a finite non-negative number, got {tol}")
     metric = decode_metric(op.sigma)

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .defaults import _DEFAULT_KERNEL_WIDTH
-from .errors import ConsistencyError, InputError, gate
+from .errors import ConsistencyError, InputError, expect_type, gate
 from .fields import _fourier_content
 
 if TYPE_CHECKING:
@@ -42,9 +42,9 @@ _NUDGE = 1e-6  # how far asymptotic_comparison moves a sample that sits on an ei
 # tie tolerance, so a nudged sample stays below the next (and lambda^2 far from underflow).
 _COMPARE_FLOOR = (_NUDGE + _ON_EIGENVALUE_TOL) / (2.0 ** (1.0 / _SAMPLES_PER_OCTAVE) - 1.0)
 
-# Largest Hermitian block solved densely: its solve holds the block and
-# eigvalsh's copy, 32 bytes per entry (34 + 35 MB measured at order 1458),
-# so about 2 GB at order 8000.  Larger blocks are refused before allocation.
+# Largest Hermitian block solved densely: its solve holds the block and eigvalsh's copy,
+# 34 bytes per entry (36 + 36 MB resident measured at order 1458, 2-CPU Xeon VM), so
+# about 2.2 GB at order 8000.  Larger blocks are refused before allocation.
 _DENSE_ORDER_BUDGET = 8000
 _BATCH_BYTES = 1 << 22  # matrices of one size solved together; an order above 512 goes alone
 # Longest histogram of q = 4|m - s|^2 an exact table builds (lambda_max
@@ -332,25 +332,28 @@ def _coset_blocks(modes: np.ndarray, ks: np.ndarray) -> list:
     return [idx.reshape(-1, b) for idx, b in zip(np.split(order, bounds), sizes)]
 
 
-def _coset_matrices(m: np.ndarray, code: np.ndarray, slot: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """Projected matrices of a batch of equal-size cosets, shape (batch, 2, b, 2, b).
+def _coset_matrices(m: np.ndarray, code: np.ndarray, slot: np.ndarray, coef: np.ndarray,
+                    scale: float) -> tuple:
+    """Projected matrices (batch, 2b, 2b) of equal-size cosets, and scale raised to their largest |entry|.
 
-    m holds the cosets' modes (batch, b, 3) and code their codes, whose
-    differences address the support table slot.  Entry [p, i, q, j] is
-    the [p, q] entry of sigma_hat(k) . m_j + a0_hat(k) with k = m_i - m_j;
-    a k outside the support reads the zero column of coef.  Each term is
-    gathered into one reused contiguous buffer, into which np.take with
-    mode="clip" allocates nothing (the indices are in range).
+    m holds the cosets' modes (batch, b, 3) and code their codes, whose differences address the
+    support table slot.  Entry [pb + i, qb + j] is the [p, q] entry of sigma_hat(k) . m_j + a0_hat(k)
+    with k = m_i - m_j; a k outside the support reads the zero column of coef.  Only the blocks
+    (0, 0), (1, 0) and (1, 1), the lower triangle eigvalsh (UPLO='L') and _eigvalsh2 read, are
+    summed.  Each term is gathered into one reused buffer, into which np.take with mode="clip"
+    allocates nothing (the indices are in range), and each block's largest |entry| is read through it.
     """
     sup = slot[code[:, :, None] - code[:, None, :]]
     w = np.concatenate([m, np.ones_like(m[..., :1])], axis=-1)[:, None]  # m_j^a, then 1 for a0_hat
     h = np.zeros((len(m), 2, m.shape[1], 2, m.shape[1]), dtype=complex)
     term = np.empty(sup.shape, dtype=complex)
-    for p, q, a in np.ndindex(2, 2, 4):
-        np.take(coef[p, q, a], sup, out=term, mode="clip")
-        term *= w[..., a]
-        h[:, p, :, q, :] += term
-    return h
+    for p, q in ((0, 0), (1, 0), (1, 1)):
+        for a in range(4):
+            np.take(coef[p, q, a], sup, out=term, mode="clip")
+            term *= w[..., a]
+            h[:, p, :, q, :] += term
+        scale = max(scale, float(np.abs(h[:, p, :, q, :], out=term).real.max()))
+    return h.reshape(len(m), 2 * m.shape[1], 2 * m.shape[1]), scale
 
 
 def _eigvalsh2(h: np.ndarray) -> np.ndarray:
@@ -380,22 +383,22 @@ def _number_pair(value, name: str) -> tuple:
 def galerkin_spectrum(op: FirstOrderOperator, mode_cutoff: int, window=None) -> SpectrumTable:
     """Eigenvalues of the operator projected on plane waves |m|_inf <= cutoff.
 
-    The projected matrix is assembled from the exact Fourier
-    coefficients of the symbol (a band-limited convolution).  It is
-    exactly block-diagonal over the cosets of the lattice spanned by
-    the coefficients' Fourier support; each block is assembled, checked
-    Hermitian and solved densely on its own, blocks of one size in
-    batches of up to _BATCH_BYTES, and at the solve a batch holds only
-    its matrices and eigvalsh's copy of them.  A block of order above
-    _DENSE_ORDER_BUDGET is refused before anything is allocated.  So is
-    a mode cube of more than _Q_LENGTH_BUDGET modes (cutoff 81 and up):
-    the cube and its coset labels take about 80 bytes per mode, and
-    cutoff 80 takes 5.8 s and a peak RSS of 355 MB on the Dirac operator
-    of standard_frame(8) (2-CPU Xeon VM, one BLAS thread).  Only
-    eigenvalues inside `window` are tabulated; the window must sit
-    inside the reliable zone |lambda| <= mode_cutoff / 2.  Degenerate
-    eigenvalues are clustered at tolerance _CLUSTER_TOL.
+    The projected matrix is assembled from the exact Fourier coefficients of the symbol (a
+    band-limited convolution).  It is exactly block-diagonal over the cosets of the lattice
+    spanned by the coefficients' Fourier support; the lower triangle of each block is assembled
+    and solved densely on its own, blocks of one size in batches of up to _BATCH_BYTES, and at the
+    solve a batch holds only its matrices and eigvalsh's copy of them.  Self-adjointness is gated
+    once, on the coefficient table, as H[pi, qj] - conj(H[qj, pi]) depends on k = m_i - m_j alone
+    (metadata "hermiticity_residual").  A block of order above _DENSE_ORDER_BUDGET is refused
+    before anything is allocated.  So is a mode cube of more than _Q_LENGTH_BUDGET modes (cutoff
+    81 and up): the cube and its coset labels take about 80 bytes per mode, and cutoff 80 takes
+    5.8 s and a peak RSS of 355 MB on the Dirac operator of standard_frame(8) (2-CPU Xeon VM, one
+    BLAS thread).  Only eigenvalues inside `window` are tabulated; the window must sit inside the
+    reliable zone |lambda| <= mode_cutoff / 2.  Degenerate eigenvalues are clustered at tolerance
+    _CLUSTER_TOL.
     """
+    from .operators import FirstOrderOperator  # here, so exact tables load no operator code
+    expect_type(op, FirstOrderOperator, "op")
     if not isinstance(mode_cutoff, (int, np.integer)) or mode_cutoff < 1:
         raise InputError(f"mode_cutoff must be at least 1 and an integer, got {mode_cutoff!r}")
     c = int(mode_cutoff)
@@ -432,36 +435,30 @@ def galerkin_spectrum(op: FirstOrderOperator, mode_cutoff: int, window=None) -> 
     # Support table over the differences k of two modes of one coset, addressed
     # by the mixed-radix code k @ radix, which is linear in k and unique in
     # [-2c, 2c]^3; such codes lie in [-reach, reach], and negative ones index
-    # from the end of slot.  Absent k read the last, all-zero column of coef.
+    # from the end of slot.  Every support k joins two cube modes of one coset; absent k read the
+    # last, all-zero column of coef.
     span = 4 * c + 1
     radix = np.array([span * span, span, 1])
     code = modes @ radix
     reach = max(int(np.ptp(code[group], axis=1).max()) for group in groups)
     kcode = ks @ radix
-    near = np.abs(kcode) <= reach
     slot = np.full(2 * reach + 1, len(ks))
-    slot[kcode[near]] = np.flatnonzero(near)
+    slot[kcode] = np.arange(len(ks))
 
-    parts, herm, scale = [], 0.0, 1.0
+    parts, scale = [], 1.0
     for group in groups:
         b = group.shape[1]
         step = max(1, _BATCH_BYTES // (16 * (2 * b) ** 2))
         for first in range(0, len(group), step):
             idx = group[first:first + step]
-            h = _coset_matrices(modes[idx], code[idx], slot, coef)
-            buf = np.empty((len(idx), b, b), dtype=complex)  # the gate and scale read h through it
-            for p, q in ((0, 0), (0, 1), (1, 1)):
-                np.conjugate(h[:, q, :, p, :].swapaxes(1, 2), out=buf)
-                np.subtract(h[:, p, :, q, :], buf, out=buf)
-                herm = np.maximum(herm, np.abs(buf, out=buf).real.max())  # a NaN is kept
-            for p, q in np.ndindex(2, 2):
-                scale = max(scale, float(np.abs(h[:, p, :, q, :], out=buf).real.max()))
-            del buf  # so eigvalsh holds only h and its own copy of it
-            h = h.reshape(len(idx), 2 * b, 2 * b)
+            h, scale = _coset_matrices(modes[idx], code[idx], slot, coef, scale)
             parts.append((_eigvalsh2(h) if b == 1 else np.linalg.eigvalsh(h)).ravel())
             del h  # before the next batch is assembled
+    # H[pi, qj] - conj(H[qj, pi]) = a0_hat_pq(k) - conj(a0_hat_qp(-k)) - sigma_hat_pq(k) . k, k = m_i - m_j
+    back = coef[:, :, 3, slot[-kcode]].swapaxes(0, 1)  # a0_hat_qp(-k) as [p, q, k]; an absent -k reads 0
+    defect = coef[:, :, 3, :-1] - np.conj(back) - (coef[:, :, :3, :-1] * ks.T).sum(axis=2)
     herm = gate("projected matrix is not Hermitian; the zeroth-order coefficient is "
-                "inconsistent with formal self-adjointness", herm, 1e-10 * scale)
+                "inconsistent with formal self-adjointness", defect.ravel(), 1e-10 * scale)
     eigs = np.concatenate(parts)
     eigs.sort()  # in place: np.sort would hold a third copy beside parts and eigs
 

@@ -174,6 +174,10 @@ def _structured_dirac():
     return dw.dirac_operator(dw.standard_frame(8))
 
 
+def _standard_symbol():
+    return dw.symbol_from_frame(dw.standard_frame(8))
+
+
 # call -> the argument its refusal must name
 NAN_THRESHOLDS = {
     "counting_bounds": (lambda: dw.counting_bounds(dw.torus_exact_spectrum((0, 0, 0), 5), np.nan),
@@ -320,6 +324,33 @@ REFUSED_BRANCHES = {
     # LinAlgError: eigenvalues did not converge
     "ball-nan-metric": (lambda: fiber_ball_quadrature(np.full((3, 3), np.nan), lambda xi: 1.0),
                         InputError, "metric contains non-finite entries"),
+    # each raised AttributeError, or TypeError from vars(), reading the wrong object
+    "metric-of-array": (lambda: dw.MetricField(_grid_of(np.eye(3))), InputError,
+                        "sym must be a PrincipalSymbolField, got ndarray"),
+    "decode-metric-of-array": (lambda: dw.decode_metric(_grid_of(np.eye(3))), InputError,
+                               "sym must be a PrincipalSymbolField, got ndarray"),
+    "decode-frame-of-frame": (lambda: dw.decode_frame(dw.standard_frame(8)), InputError,
+                              "sym must be a PrincipalSymbolField, got FrameField"),
+    "charge-of-operator": (lambda: dw.topological_charge(_structured_dirac()), InputError,
+                           "sym must be a PrincipalSymbolField, got FirstOrderOperator"),
+    "torsion-of-symbol": (lambda: dw.torsion(_standard_symbol(), dw.decode_metric(_standard_symbol())),
+                          InputError, "frame must be a FrameField, got PrincipalSymbolField"),
+    "torsion-of-g-array": (lambda: dw.torsion(dw.standard_frame(8), _grid_of(np.eye(3))), InputError,
+                           "metric must be a MetricField, got ndarray"),
+    "coframe-of-symbol": (lambda: dw.coframe(_standard_symbol(), dw.decode_metric(_standard_symbol())),
+                          InputError, "frame must be a FrameField, got PrincipalSymbolField"),
+    "coframe-of-g-array": (lambda: dw.coframe(dw.standard_frame(8), _grid_of(np.eye(3))), InputError,
+                           "metric must be a MetricField, got ndarray"),
+    "check-dirac-of-symbol": (lambda: dw.check_dirac(_standard_symbol()), InputError,
+                              "op must be a FirstOrderOperator, got PrincipalSymbolField"),
+    "b-density-of-symbol": (lambda: dw.b_density(_standard_symbol()), InputError,
+                            "op must be a FirstOrderOperator, got PrincipalSymbolField"),
+    "galerkin-of-symbol": (lambda: dw.galerkin_spectrum(_standard_symbol(), 2), InputError,
+                           "op must be a FirstOrderOperator, got PrincipalSymbolField"),
+    "gauge-transform-of-symbol": (lambda: dw.gauge_transform(_standard_symbol(), dw.random_gauge_field(0, 8)),
+                                  InputError, "op must be a FirstOrderOperator, got PrincipalSymbolField"),
+    "gauge-transform-of-array": (lambda: dw.gauge_transform(_structured_dirac(), _grid_of(np.eye(2))),
+                                 InputError, "gauge must be a GaugeField, got ndarray"),
 }
 
 

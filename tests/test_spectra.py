@@ -5,7 +5,7 @@ import pytest
 
 import diracweyl as dw
 from diracweyl import spectra
-from diracweyl.errors import ConsistencyError, InputError
+from diracweyl.errors import ConsistencyError, InputError, gate
 from diracweyl.fields import _FOURIER_TOL
 from diracweyl.spectra import (_COMPARE_FLOOR, _cluster, _coset_blocks, _eigvalsh2, _lattice_basis,
                               _tie_free)
@@ -245,7 +245,7 @@ def _match_tables(got, want_vals, want_mults, tol):
     assert (got.multiplicities == want_mults).all()
 
 
-def _dense_galerkin(op, cutoff, window, cluster_tol=1e-7, ball=False):
+def _dense_matrix(op, cutoff, ball=False):
     """One dense matrix over the whole cube basis |m|_inf <= cutoff (or the
     ball |m|_2 <= cutoff), assembled mode vector by mode vector."""
     n = op.sigma.sigma.shape[0]
@@ -279,7 +279,12 @@ def _dense_galerkin(op, cutoff, window, cluster_tol=1e-7, ball=False):
         tgt_idx = tgt_idx[tgt_idx >= 0]
         blocks = np.einsum("apq,sa->spq", sig_hat[i1, i2, i3], mprime[ok].astype(float))
         h4[tgt_idx, :, src[ok], :] += blocks + a0_hat[i1, i2, i3]
-    eigs = np.linalg.eigvalsh(h4.reshape(2 * nm, 2 * nm))
+    return h4.reshape(2 * nm, 2 * nm)
+
+
+def _dense_galerkin(op, cutoff, window, cluster_tol=1e-7, ball=False):
+    """The clustered eigenvalues in the window of _dense_matrix."""
+    eigs = np.linalg.eigvalsh(_dense_matrix(op, cutoff, ball))
     inside = eigs[(eigs >= window[0] - cluster_tol) & (eigs <= window[1] + cluster_tol)]
     return _cluster(inside, cluster_tol)
 
@@ -314,6 +319,45 @@ def test_block_solve_matches_dense_matrix(case):
     assert got.metadata["matrix_order"] == 2 * 9**3
     assert got.metadata["block_count"] == n_blocks
     assert got.metadata["max_block_order"] == largest
+
+
+# the operators of the table gate's test: one coset, split blocks, order-2 blocks
+HERMITICITY_CASES = {"random-one-coset": BLOCK_CASES["random-one-coset"][0],
+                     "twisted-k3-2": BLOCK_CASES["twisted-k3-2"][0],
+                     "traceless-order-2": BLOCK_CASES["traceless-order-2"][0]}
+
+
+@pytest.mark.parametrize("case", sorted(HERMITICITY_CASES))
+def test_hermiticity_gate_on_the_table_reads_the_dense_matrix(case, monkeypatch):
+    """The gate reads H[pi, qj] - conj(H[qj, pi]) off the coefficient table, once per support
+    mode k = m_i - m_j.  With 1e-6 cos x1 [[0, i], [0, 0]] added to a0 after construction, the
+    value it refuses is max|H - H^*| of the whole dense matrix, within 1e-12 relative; unperturbed,
+    it reads at most 1e-13 of the scale."""
+    build = HERMITICITY_CASES[case]
+    clean = build()
+    got = dw.galerkin_spectrum(clean, 4)
+    h = _dense_matrix(clean, 4)
+    print(f"{case}: table {got.metadata['hermiticity_residual']:.2e}, "
+          f"dense {np.abs(h - h.conj().T).max():.2e}")
+    assert got.metadata["hermiticity_residual"] <= 1e-13 * np.abs(h).max()
+
+    op = build()
+    x1 = dw.PeriodicChart(op.a0.shape[0]).mesh()[0]
+    op.a0 = op.a0 + 1e-6 * np.cos(x1)[..., None, None] * np.array([[0.0, 1j], [0.0, 0.0]])
+    measured = []
+
+    def recording_gate(what, residual, bound, *rest):
+        if "not Hermitian" in what:
+            measured.append(float(np.abs(residual).max()))
+        return gate(what, residual, bound, *rest)
+
+    monkeypatch.setattr(spectra, "gate", recording_gate)
+    with pytest.raises(ConsistencyError, match="not Hermitian"):
+        dw.galerkin_spectrum(op, 4)
+    h = _dense_matrix(op, 4)
+    want = np.abs(h - h.conj().T).max()
+    print(f"{case} perturbed: table {measured[0]:.15e}, dense {want:.15e}")
+    assert abs(measured[0] - want) <= 1e-12 * want
 
 
 def _fourier_data_with_its_own_transforms(op):
@@ -444,8 +488,8 @@ def test_block_solve_memory(peak_mb):
 
 
 def test_fully_coupled_block_peak_memory(peak_mb):
-    """One block of order 686 (cutoff 3), a 7.5 MB matrix: assembly and the Hermiticity
-    check traced 14.6 MB with their temporaries; the check buffer is freed before eigvalsh."""
+    """One block of order 686 (cutoff 3), a 7.5 MB matrix: assembly traces 11.3 MB with its
+    temporaries, and the Hermiticity check reads the coefficient table, not the matrix."""
     op = dw.dirac_operator(dw.random_band_limited_frame(0, 16))
     assert peak_mb(lambda: dw.galerkin_spectrum(op, 3)) <= 11.5
 
