@@ -24,10 +24,14 @@ class ConsistencyError(DiracweylError):
     """Independent computation routes disagree beyond tolerance."""
 
 
-def expect_type(value, cls: type, name: str) -> None:
-    """Refuse, with InputError naming the expected and the received type, a value that is no cls."""
+def expect_type(value, cls, name: str) -> None:
+    """Refuse, with InputError naming the expected and the received type, a value that is no cls.
+
+    cls is a class or, as for isinstance, a tuple of classes, named "A or B" in the message.
+    """
     if not isinstance(value, cls):
-        raise InputError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+        names = " or ".join(c.__name__ for c in (cls if isinstance(cls, tuple) else (cls,)))
+        raise InputError(f"{name} must be a {names}, got {type(value).__name__}")
 
 
 def gate(what: str, residual, bound: float, error=ConsistencyError) -> float:

@@ -357,6 +357,7 @@ def symbol_from_frame(frame: FrameField | np.ndarray) -> PrincipalSymbolField:
     aliased.  Hermitian and trace-free hold by construction; only
     ellipticity is checked.
     """
+    expect_type(frame, (FrameField, np.ndarray), "frame")
     e = frame.e if isinstance(frame, FrameField) else FrameField(frame).e
     return _held_symbol(np.moveaxis(e, (-2, -1), (0, 1)).copy())
 
@@ -410,6 +411,7 @@ def orthonormalize_frame(e: np.ndarray) -> FrameField:
     Explicitly opt-in: decoding never orthonormalises behind the
     caller's back.  Rows are processed in order 1, 2, 3.
     """
+    expect_type(e, np.ndarray, "e")
     e = np.asarray(e, dtype=float).copy()
 
     def dot(a, b):

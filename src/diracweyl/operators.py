@@ -83,6 +83,7 @@ class FirstOrderOperator:
 
 def subprincipal_symbol(op: FirstOrderOperator) -> np.ndarray:
     """A_sub = a0 + (i/2) s^j d_a p_j^a (covector-independent here), by three real derivatives of p."""
+    expect_type(op, FirstOrderOperator, "op")
     return _grid_first(_subprincipal(op.a0, _half_divergence(op.sigma.p)))
 
 
@@ -119,6 +120,7 @@ def dirac_operator(frame: FrameField) -> FirstOrderOperator:
     neither has any there, so the products that form a0 alias), and asks
     for a finer grid.
     """
+    expect_type(frame, (FrameField, np.ndarray), "frame")
     return _shifted_dirac(frame)
 
 
@@ -347,6 +349,7 @@ def su2_lift(o_field: np.ndarray):
     rotations must stay within a quarter turn of each other, otherwise
     the continuation is ill-defined and InputError is raised.
     """
+    expect_type(o_field, np.ndarray, "o_field")
     o = np.asarray(o_field, dtype=float)
     if o.ndim != 5 or o.shape[3:] != (3, 3):
         raise InputError(f"rotation field must have shape (n, n, n, 3, 3), got {o.shape}")

@@ -8,9 +8,11 @@ coefficients the matrix elements are exact Fourier data, so interior
 eigenvalues converge extremely fast and are reliable in a window well
 inside the mode cutoff.  The projected matrix splits exactly into
 blocks, one per coset of the lattice spanned by the coefficients'
-Fourier support, and each block is solved on its own.  Requests whose
-dense blocks or exact-table histograms exceed a fixed memory budget
-are refused before anything is allocated.
+Fourier support, and each block is solved on its own; one that commutes
+with the spinor time reversal is solved from half its entries, as a
+quaternion Hermitian matrix.  Requests whose dense blocks or
+exact-table histograms exceed a fixed memory budget are refused before
+anything is allocated.
 
 Counting utilities: the sharp eigenvalue counting function (strict
 inequality, ambiguity surfaced rather than resolved), comparison
@@ -42,11 +44,17 @@ _NUDGE = 1e-6  # how far asymptotic_comparison moves a sample that sits on an ei
 # tie tolerance, so a nudged sample stays below the next (and lambda^2 far from underflow).
 _COMPARE_FLOOR = (_NUDGE + _ON_EIGENVALUE_TOL) / (2.0 ** (1.0 / _SAMPLES_PER_OCTAVE) - 1.0)
 
-# Largest Hermitian block solved densely: its solve holds the block and eigvalsh's copy,
-# 34 bytes per entry (36 + 36 MB resident measured at order 1458, 2-CPU Xeon VM), so
-# about 2.2 GB at order 8000.  Larger blocks are refused before allocation.
+# Largest Hermitian block solved densely.  On the eigvalsh path its solve holds the block and
+# eigvalsh's copy, 34 bytes per entry (36 + 36 MB resident measured at order 1458, 2-CPU Xeon
+# VM), so about 2.2 GB at order 8000.  The quaternion-pair path (_kramers_tridiagonal) holds half
+# the block and its pending update, 12 bytes per entry (25 MB resident growth measured at order
+# 1458, of which the pair is 17 MB).  Larger blocks are refused before allocation.
 _DENSE_ORDER_BUDGET = 8000
-_BATCH_BYTES = 1 << 22  # matrices of one size solved together; an order above 512 goes alone
+_BATCH_BYTES = 1 << 22  # matrices of one size solved together; an order above 362 goes alone
+# A lone self-conjugate block is solved as a quaternion pair when the time-reversal defect
+# bounds every eigenvalue's move by this much, far below the 1e-12 the block solve is held to.
+_KRAMERS_TOL = 1e-13
+_KRAMERS_PANEL = 32  # reflectors accumulated before the trailing rows are updated at once
 # Longest histogram of q = 4|m - s|^2 an exact table builds (lambda_max
 # up to 1024); it and its table take about 40 bytes per entry.  The same
 # budget caps a sphere table's length, through _q_max a lattice_count
@@ -332,28 +340,140 @@ def _coset_blocks(modes: np.ndarray, ks: np.ndarray) -> list:
     return [idx.reshape(-1, b) for idx, b in zip(np.split(order, bounds), sizes)]
 
 
-def _coset_matrices(m: np.ndarray, code: np.ndarray, slot: np.ndarray, coef: np.ndarray,
-                    scale: float) -> tuple:
-    """Projected matrices (batch, 2b, 2b) of equal-size cosets, and scale raised to their largest |entry|.
+def _add_terms(out: np.ndarray, coef_pq: np.ndarray, sup: np.ndarray, w: np.ndarray,
+               term: np.ndarray) -> None:
+    """out += sum_a coef_pq[a, sup] * w[..., a], with w's last axis m_j^a, then 1 for a0_hat.
+
+    Each term is gathered into the reused buffer term, into which np.take with mode="clip"
+    allocates nothing (the indices are in range).
+    """
+    for a in range(4):
+        np.take(coef_pq[a], sup, out=term, mode="clip")
+        term *= w[..., a]
+        out += term
+
+
+def _coset_matrices(m: np.ndarray, code: np.ndarray, slot: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Projected matrices (batch, 2b, 2b) of equal-size cosets.
 
     m holds the cosets' modes (batch, b, 3) and code their codes, whose differences address the
     support table slot.  Entry [pb + i, qb + j] is the [p, q] entry of sigma_hat(k) . m_j + a0_hat(k)
     with k = m_i - m_j; a k outside the support reads the zero column of coef.  Only the blocks
     (0, 0), (1, 0) and (1, 1), the lower triangle eigvalsh (UPLO='L') and _eigvalsh2 read, are
-    summed.  Each term is gathered into one reused buffer, into which np.take with mode="clip"
-    allocates nothing (the indices are in range), and each block's largest |entry| is read through it.
+    summed.
     """
     sup = slot[code[:, :, None] - code[:, None, :]]
-    w = np.concatenate([m, np.ones_like(m[..., :1])], axis=-1)[:, None]  # m_j^a, then 1 for a0_hat
+    w = np.concatenate([m, np.ones_like(m[..., :1])], axis=-1)[:, None]
     h = np.zeros((len(m), 2, m.shape[1], 2, m.shape[1]), dtype=complex)
     term = np.empty(sup.shape, dtype=complex)
     for p, q in ((0, 0), (1, 0), (1, 1)):
-        for a in range(4):
-            np.take(coef[p, q, a], sup, out=term, mode="clip")
-            term *= w[..., a]
-            h[:, p, :, q, :] += term
-        scale = max(scale, float(np.abs(h[:, p, :, q, :], out=term).real.max()))
-    return h.reshape(len(m), 2 * m.shape[1], 2 * m.shape[1]), scale
+        _add_terms(h[:, p, :, q, :], coef[p, q], sup, w, term)
+    return h.reshape(len(m), 2 * m.shape[1], 2 * m.shape[1])
+
+
+def _kramers_pair(m: np.ndarray, code: np.ndarray, slot: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """The rows [A, B] of a self-conjugate coset's block, interleaved: half its entries.
+
+    With spin-up modes m_i and spin-down modes -m_j as the two halves of the basis, a block that
+    commutes with the time reversal J reads [[A, B], [-conj(B), conj(A)]], where
+    A[i, j] = H[(m_i, up), (m_j, up)] and B[i, j] = H[(m_i, up), (-m_j, down)].  B's mode
+    difference k = m_i + m_j has the code code_i + code_j, and its column mode is -m_j.  Returns
+    g (b, 2b) with g[:, 0::2] = A and g[:, 1::2] = B, assembled _KRAMERS_PANEL rows at a time, so
+    that beside g only one slab's support indices and term buffer are held.
+    """
+    b = len(m)
+    g = np.zeros((b, b, 2), dtype=complex)
+    term = np.empty((min(b, _KRAMERS_PANEL), b), dtype=complex)
+    for q, sign in ((0, 1), (1, -1)):
+        w = np.concatenate([sign * m, np.ones_like(m[:, :1])], axis=-1)
+        for lo in range(0, b, _KRAMERS_PANEL):
+            sup = slot[code[lo:lo + _KRAMERS_PANEL, None] - sign * code]
+            _add_terms(g[lo:lo + _KRAMERS_PANEL, :, q], coef[0, q], sup, w, term[:len(sup)])
+    return g.reshape(b, 2 * b)
+
+
+def _time_reversed(v: np.ndarray) -> np.ndarray:
+    """J v for an interleaved vector v = (x_0, y_0, x_1, y_1, ...): (conj y, -conj x), new."""
+    out = np.conj(v.reshape(-1, 2)[:, ::-1]).ravel()
+    out[1::2] *= -1.0
+    return out
+
+
+def _kramers_tridiagonal(g: np.ndarray) -> tuple:
+    """The real tridiagonal (d, e) whose eigenvalues, each taken twice, are the quaternion pair g's.
+
+    g (b, 2b) interleaves A (Hermitian) and B (skew-symmetric) as _kramers_pair does, and is
+    overwritten.  The complex matrix
+    M = [[A, B], [-conj(B), conj(A)]] of order 2b commutes with J(x, y) = (conj y, -conj x), where
+    J^2 = -1, so each of its eigenvalues appears twice.  A reflector I - w w^* - Jw (Jw)^* commutes
+    with J too, and b - 1 of them reduce M to a real symmetric tridiagonal of order b (Dongarra,
+    Gabriel, Koelling & Wilkinson, Linear Algebra Appl. 60 (1984) 27-42).  Step k's reflector maps
+    column k below the diagonal onto a multiple of its first quaternion entry; the off-diagonal
+    entry it leaves has the column's norm as modulus, and a diagonal quaternion rescaling makes it
+    real.  Only M's top rows, g, are stored and updated, in place: the bottom rows are J's image
+    of them, so M (w, Jw) is read off the two products g (w, Jw).  Reflectors are accumulated
+    _KRAMERS_PANEL at a time as the pending update u v of g's trailing part.  A step corrects its
+    pivot row and its products for that update, and each panel applies it to the trailing rows
+    by one product of inner order 4 _KRAMERS_PANEL, a slab of rows at a time.
+    """
+    n = len(g)
+    d, e = np.empty(n), np.zeros(n - 1)
+    for k0 in range(0, n - 1, _KRAMERS_PANEL):
+        k1 = min(k0 + _KRAMERS_PANEL, n - 1)
+        u = np.zeros((n - k0, 4 * (k1 - k0)), dtype=complex)  # its rows are g's rows k0..
+        v = np.zeros((4 * (k1 - k0), 2 * (n - k0)), dtype=complex)  # its columns g's columns 2 k0..
+        for k in range(k0, k1):
+            j, s = k - k0, 4 * (k - k0)
+            row = g[k, 2 * k:] - u[j, :s] @ v[:s, 2 * j:]
+            d[k] = row[0].real
+            x = np.conj(row[2:])  # column k below the diagonal, by Hermiticity
+            sigma = e[k] = np.linalg.norm(x)
+            rho = math.hypot(abs(x[0]), abs(x[1]))
+            w = x.copy()
+            if rho > 0.0:
+                w[:2] *= 1.0 + sigma / rho
+            else:
+                w[0] = sigma
+            if sigma > 0.0:  # then |w|^2 = 2 sigma (sigma + rho) becomes 2
+                w /= math.sqrt(sigma)
+                w /= math.sqrt(sigma + rho)
+            jw = _time_reversed(w)
+            wj = np.stack([w, jw], axis=1)
+            r = g[k + 1:, 2 * k + 2:] @ wj - u[j + 1:, :s] @ (v[:s, 2 * j + 2:] @ wj)
+            p = np.stack([r[:, 0], np.conj(r[:, 1])], axis=1).ravel()  # M w
+            q = p - 0.5 * np.vdot(w, p).real * w
+            jq = _time_reversed(q)
+            # M -= W q^* + q W^* with W = (w, Jw) and q = (q, Jq), on g's rows: u v
+            u[j + 1:, s:s + 4] = np.stack([w[0::2], jw[0::2], q[0::2], jq[0::2]], axis=1)
+            v[s:s + 4, 2 * j + 2:] = np.conj(np.stack([q, jq, w, jw]))
+        lead = k1 - k0
+        for lo in range(k1, n, _KRAMERS_PANEL):
+            g[lo:lo + _KRAMERS_PANEL, 2 * k1:] -= u[lo - k0:lo - k0 + _KRAMERS_PANEL] @ v[:, 2 * lead:]
+    d[-1] = g[-1, -2].real
+    return d, e
+
+
+def _tridiagonal_eigvalsh(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the real symmetric tridiagonal with diagonal d and off-diagonal e."""
+    n = len(d)
+    t = np.zeros((n, n))
+    t.flat[::n + 1] = d
+    t.flat[1::n + 1] = e
+    return np.linalg.eigvalsh(t, UPLO="U")
+
+
+def _entry_scale(ks: np.ndarray, coef: np.ndarray, c: int) -> float:
+    """Largest |entry| of the projected matrix on the cube |m|_inf <= c, read off the table.
+
+    Entry (m + k, m) is sigma_hat(k) . m + a0_hat(k) for every cube mode m with m + k in the cube,
+    a box of modes.  Each [p, q] entry is affine in m, and the modulus of an affine function peaks
+    at a vertex, so the box's 8 corners give its largest value.
+    """
+    lo, hi = np.maximum(-c, -c - ks), np.minimum(c, c - ks)
+    bits = (np.arange(8)[:, None] >> np.arange(3)) & 1
+    corners = np.moveaxis(np.where(bits[:, None, :] == 1, hi, lo), -1, 1)  # [corner, a, k]
+    entries = (coef[:, :, :3, :-1] * corners[:, None, None]).sum(axis=3) + coef[:, :, 3, :-1]
+    return float(np.abs(entries).max(initial=0.0))
 
 
 def _eigvalsh2(h: np.ndarray) -> np.ndarray:
@@ -385,17 +505,30 @@ def galerkin_spectrum(op: FirstOrderOperator, mode_cutoff: int, window=None) -> 
 
     The projected matrix is assembled from the exact Fourier coefficients of the symbol (a
     band-limited convolution).  It is exactly block-diagonal over the cosets of the lattice
-    spanned by the coefficients' Fourier support; the lower triangle of each block is assembled
-    and solved densely on its own, blocks of one size in batches of up to _BATCH_BYTES, and at the
-    solve a batch holds only its matrices and eigvalsh's copy of them.  Self-adjointness is gated
-    once, on the coefficient table, as H[pi, qj] - conj(H[qj, pi]) depends on k = m_i - m_j alone
-    (metadata "hermiticity_residual").  A block of order above _DENSE_ORDER_BUDGET is refused
-    before anything is allocated.  So is a mode cube of more than _Q_LENGTH_BUDGET modes (cutoff
-    81 and up): the cube and its coset labels take about 80 bytes per mode, and cutoff 80 takes
-    5.8 s and a peak RSS of 355 MB on the Dirac operator of standard_frame(8) (2-CPU Xeon VM, one
-    BLAS thread).  Only eigenvalues inside `window` are tabulated; the window must sit inside the
-    reliable zone |lambda| <= mode_cutoff / 2.  Degenerate eigenvalues are clustered at tolerance
-    _CLUSTER_TOL.
+    spanned by the coefficients' Fourier support, and each block is solved densely on its own.
+    Self-adjointness is gated first, before any block is assembled, on the coefficient table: as
+    H[pi, qj] - conj(H[qj, pi]) depends on k = m_i - m_j alone, it is formed once per support mode
+    (metadata "hermiticity_residual"), against a scale, the largest |entry|, read off the table too.
+
+    Two solves.  Blocks of one size go in batches of up to _BATCH_BYTES: the lower triangle of
+    each is assembled and solved by eigvalsh (order 2 in closed form), and a batch holds only its
+    matrices and eigvalsh's copy of them.  A block solved alone (order above 362) whose coset is
+    its own mirror image -C takes the quaternion-pair path instead when the operator commutes
+    with the spinor time reversal J = i s^2 conj (m -> -m), J^2 = -1, as every massless Dirac
+    operator does, gauged or shifted by a real scalar.  Such a block's eigenvalues come in equal
+    pairs (Kramers), and the block is an order-b quaternion Hermitian matrix: _kramers_pair
+    assembles half its entries, and _kramers_tridiagonal reduces them in place to a real
+    tridiagonal whose eigenvalues are taken twice, with no eigvalsh copy of the block.  The
+    defect of J is read off the table too, as a bound on the 2-norm of H - J H J^-1 and so on
+    how far any eigenvalue can move (metadata "time_reversal_defect"); the path is taken when it
+    is at most _KRAMERS_TOL, and "kramers_blocks" counts the blocks it solved.
+
+    A block of order above _DENSE_ORDER_BUDGET is refused before anything is allocated.  So is a
+    mode cube of more than _Q_LENGTH_BUDGET modes (cutoff 81 and up): the cube and its coset
+    labels take about 80 bytes per mode, and cutoff 80 takes 5.8 s and a peak RSS of 355 MB on the
+    Dirac operator of standard_frame(8) (2-CPU Xeon VM, one BLAS thread).  Only eigenvalues inside
+    `window` are tabulated; the window must sit inside the reliable zone |lambda| <= mode_cutoff / 2.
+    Degenerate eigenvalues are clustered at tolerance _CLUSTER_TOL.
     """
     from .operators import FirstOrderOperator  # here, so exact tables load no operator code
     expect_type(op, FirstOrderOperator, "op")
@@ -445,20 +578,41 @@ def galerkin_spectrum(op: FirstOrderOperator, mode_cutoff: int, window=None) -> 
     slot = np.full(2 * reach + 1, len(ks))
     slot[kcode] = np.arange(len(ks))
 
-    parts, scale = [], 1.0
+    # Both gates read the table once per support mode k = m_i - m_j, looking -k up through slot
+    # (an absent -k reads 0), before anything is assembled.
+    # H[pi, qj] - conj(H[qj, pi]) = a0_hat_pq(k) - conj(a0_hat_qp(-k)) - sigma_hat_pq(k) . k
+    rev = coef[..., slot[-kcode]]  # the table at -k, as [p, q, a, k]
+    defect = (coef[:, :, 3, :-1] - np.conj(rev[:, :, 3].swapaxes(0, 1))
+              - (coef[:, :, :3, :-1] * ks.T).sum(axis=2))
+    herm = gate("projected matrix is not Hermitian; the zeroth-order coefficient is "
+                "inconsistent with formal self-adjointness", defect.ravel(),
+                1e-10 * max(1.0, _entry_scale(ks, coef, c)))
+    # H - J H J^-1 for the time reversal J = e conj (m -> -m), e = i s^2: sigma_hat^a(k) plus,
+    # and a0_hat(k) minus, e conj(X(-k)) e^T, where e X e^T = [[X11, -X10], [-X01, X00]].  With
+    # |m_j^a| <= c, summing each entry's bound over k and over q (or p) bounds every row (or
+    # column) sum of the block's part of it, so also its 2-norm and, by Weyl, how far the
+    # J-symmetric block's eigenvalues lie from the block's.
+    flip = np.conj(rev[::-1, ::-1]) * np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None, None]
+    odd = np.abs(coef[..., :-1] + flip * np.array([1.0, 1.0, 1.0, -1.0])[:, None])
+    sums = (c * odd[:, :, :3].sum(axis=2) + odd[:, :, 3]).sum(axis=-1)
+    delta_j = float(max(sums.sum(axis=1).max(), sums.sum(axis=0).max()))
+
+    parts, kramers = [], 0
     for group in groups:
         b = group.shape[1]
         step = max(1, _BATCH_BYTES // (16 * (2 * b) ** 2))
         for first in range(0, len(group), step):
             idx = group[first:first + step]
-            h, scale = _coset_matrices(modes[idx], code[idx], slot, coef, scale)
-            parts.append((_eigvalsh2(h) if b == 1 else np.linalg.eigvalsh(h)).ravel())
-            del h  # before the next batch is assembled
-    # H[pi, qj] - conj(H[qj, pi]) = a0_hat_pq(k) - conj(a0_hat_qp(-k)) - sigma_hat_pq(k) . k, k = m_i - m_j
-    back = coef[:, :, 3, slot[-kcode]].swapaxes(0, 1)  # a0_hat_qp(-k) as [p, q, k]; an absent -k reads 0
-    defect = coef[:, :, 3, :-1] - np.conj(back) - (coef[:, :, :3, :-1] * ks.T).sum(axis=2)
-    herm = gate("projected matrix is not Hermitian; the zeroth-order coefficient is "
-                "inconsistent with formal self-adjointness", defect.ravel(), 1e-10 * scale)
+            # a lone block whose coset holds the mirror image of its first mode, so all of -C
+            if step == 1 and delta_j <= _KRAMERS_TOL and np.any(code[idx[0]] == -code[idx[0, 0]]):
+                # the pair is dropped as the reduction returns, before its tridiagonal is solved
+                d, e = _kramers_tridiagonal(_kramers_pair(modes[idx[0]], code[idx[0]], slot, coef))
+                parts.append(np.repeat(_tridiagonal_eigvalsh(d, e), 2))
+                kramers += 1
+            else:
+                h = _coset_matrices(modes[idx], code[idx], slot, coef)
+                parts.append((_eigvalsh2(h) if b == 1 else np.linalg.eigvalsh(h)).ravel())
+                del h  # before the next batch is assembled
     eigs = np.concatenate(parts)
     eigs.sort()  # in place: np.sort would hold a third copy beside parts and eigs
 
@@ -477,6 +631,8 @@ def galerkin_spectrum(op: FirstOrderOperator, mode_cutoff: int, window=None) -> 
             "block_count": sum(len(g) for g in groups),
             "max_block_order": 2 * largest,
             "hermiticity_residual": herm,
+            "time_reversal_defect": delta_j,
+            "kramers_blocks": kramers,
             "cluster_tol": _CLUSTER_TOL,
         },
     )

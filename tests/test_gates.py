@@ -351,6 +351,17 @@ REFUSED_BRANCHES = {
                                   InputError, "op must be a FirstOrderOperator, got PrincipalSymbolField"),
     "gauge-transform-of-array": (lambda: dw.gauge_transform(_structured_dirac(), _grid_of(np.eye(2))),
                                  InputError, "gauge must be a GaugeField, got ndarray"),
+    # AttributeError reading a0, and TypeError from float() on the symbol
+    "subprincipal-of-symbol": (lambda: dw.subprincipal_symbol(_standard_symbol()), InputError,
+                               "op must be a FirstOrderOperator, got PrincipalSymbolField"),
+    "symbol-from-symbol": (lambda: dw.symbol_from_frame(_standard_symbol()), InputError,
+                           "frame must be a FrameField or ndarray, got PrincipalSymbolField"),
+    "dirac-of-symbol": (lambda: dw.dirac_operator(_standard_symbol()), InputError,
+                        "frame must be a FrameField or ndarray, got PrincipalSymbolField"),
+    "orthonormalize-symbol": (lambda: dw.orthonormalize_frame(_standard_symbol()), InputError,
+                              "e must be a ndarray, got PrincipalSymbolField"),
+    "lift-of-symbol": (lambda: dw.su2_lift(_standard_symbol()), InputError,
+                       "o_field must be a ndarray, got PrincipalSymbolField"),
 }
 
 

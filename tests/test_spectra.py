@@ -7,8 +7,9 @@ import diracweyl as dw
 from diracweyl import spectra
 from diracweyl.errors import ConsistencyError, InputError, gate
 from diracweyl.fields import _FOURIER_TOL
-from diracweyl.spectra import (_COMPARE_FLOOR, _cluster, _coset_blocks, _eigvalsh2, _lattice_basis,
-                              _tie_free)
+from diracweyl.spectra import (_COMPARE_FLOOR, _KRAMERS_PANEL, _KRAMERS_TOL, _cluster, _coset_blocks,
+                              _eigvalsh2, _kramers_tridiagonal, _lattice_basis, _tie_free,
+                              _tridiagonal_eigvalsh)
 
 TRIVIAL = dw.SpinStructure((0.0, 0.0, 0.0))
 HALF3 = dw.SpinStructure((0.0, 0.0, 0.5))
@@ -297,28 +298,103 @@ def _standard_plus_cosine(n=8, amplitude=0.2):
     return dw.FirstOrderOperator(base.sigma, a0)
 
 
-# (operator, number of coset blocks, largest block order) at cutoff 4
+def _random_plus_cosine_s3():
+    """The random frame's Dirac operator plus 0.05 cos x1 s^3: still formally self-adjoint, but
+    s^3 is odd under the time reversal, so its one coset has no Kramers pairs."""
+    base = dw.dirac_operator(dw.random_band_limited_frame(0))
+    x1 = dw.PeriodicChart(base.a0.shape[0]).mesh()[0]
+    s3 = np.diag([1.0, -1.0])
+    return dw.FirstOrderOperator(base.sigma, base.a0 + 0.05 * np.cos(x1)[..., None, None] * s3)
+
+
+# (operator, number of coset blocks, largest block order, blocks solved as quaternion pairs)
+# at cutoff 4
 BLOCK_CASES = {
-    "twisted-k3-2": (lambda: dw.dirac_operator(dw.twisted_frame(2, 12)), 2 * 81, 10),
-    "cosine-diagonal": (_standard_plus_cosine, 17 * 9, 18),
-    "random-one-coset": (lambda: dw.dirac_operator(dw.random_band_limited_frame(0)), 1, 2 * 729),
+    "twisted-k3-2": (lambda: dw.dirac_operator(dw.twisted_frame(2, 12)), 2 * 81, 10, 0),
+    "cosine-diagonal": (_standard_plus_cosine, 17 * 9, 18, 0),
+    "random-one-coset": (lambda: dw.dirac_operator(dw.random_band_limited_frame(0)), 1, 2 * 729, 1),
+    "random-plus-cos-s3": (_random_plus_cosine_s3, 1, 2 * 729, 0),
     # constant coefficients: every mode its own coset, all solved by _eigvalsh2
-    "traceless-order-2": (lambda: dw.dirac_plus_traceless(dw.standard_frame(8), 0.1), 729, 2),
+    "traceless-order-2": (lambda: dw.dirac_plus_traceless(dw.standard_frame(8), 0.1), 729, 2, 0),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
 def test_block_solve_matches_dense_matrix(case):
-    build, n_blocks, largest = BLOCK_CASES[case]
+    """Both solves of a lone block, eigvalsh and the quaternion pair, and the batched ones."""
+    build, n_blocks, largest, kramers = BLOCK_CASES[case]
     op = build()
     got = dw.galerkin_spectrum(op, 4)
     values, mults = _dense_galerkin(op, 4, got.coverage)
+    print(f"{case}: largest move {np.abs(got.values - values).max():.1e}, "
+          f"time-reversal defect {got.metadata['time_reversal_defect']:.1e}")
     assert len(got.values) == len(values) > 0
     assert np.abs(got.values - values).max() <= 1e-12
     assert np.array_equal(got.multiplicities, mults)
     assert got.metadata["matrix_order"] == 2 * 9**3
     assert got.metadata["block_count"] == n_blocks
     assert got.metadata["max_block_order"] == largest
+    assert got.metadata["kramers_blocks"] == kramers
+
+
+def _gauged_twisted():
+    """The bench's gauged twisted operator: one coset, time-reversal symmetric up to rounding."""
+    twisted = dw.dirac_operator(dw.twisted_frame(1, 16))
+    return dw.gauge_transform(twisted, dw.random_gauge_field(5, 16, amplitude=0.04))
+
+
+# operator, and whether its one coset is solved as a quaternion pair, at cutoff 3 (order 686)
+KRAMERS_CASES = {
+    "random": (lambda: dw.dirac_operator(dw.random_band_limited_frame(0)), True),
+    "gauged-twisted": (_gauged_twisted, True),
+    "random-plus-scalar": (lambda: dw.dirac_plus_scalar(dw.random_band_limited_frame(0), 0.3), True),
+    "random-plus-cos-s3": (_random_plus_cosine_s3, False),
+    "random-plus-traceless": (lambda: dw.dirac_plus_traceless(dw.random_band_limited_frame(0), 0.1),
+                              False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KRAMERS_CASES))
+def test_kramers_path_runs_exactly_on_time_reversal_symmetric_blocks(case):
+    """A Dirac operator, gauged or shifted by a real scalar, commutes with J = i s^2 conj
+    (m -> -m); a traceless potential or an s^3 term does not.  The recorded defect decides the
+    path, and a quaternion pair yields every eigenvalue twice."""
+    build, symmetric = KRAMERS_CASES[case]
+    got = dw.galerkin_spectrum(build(), 3)
+    defect = got.metadata["time_reversal_defect"]
+    print(f"{case}: time-reversal defect {defect:.2e}")
+    assert (defect <= _KRAMERS_TOL) == symmetric
+    assert got.metadata["kramers_blocks"] == int(symmetric)
+    if symmetric:
+        assert np.all(got.multiplicities % 2 == 0)
+
+
+def _quaternion_pair(n, rng):
+    """A random Hermitian A and skew-symmetric B of order n."""
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return a + np.conj(a.swapaxes(0, 1)), b - b.swapaxes(0, 1)
+
+
+@pytest.mark.parametrize("n, zero", [(1, None), (2, None), (_KRAMERS_PANEL + 9, None),
+                                     (12, "column"), (12, "leading-entry")],
+                         ids=["order-1", "order-2", "across-a-panel", "zero-column",
+                              "zero-leading-entry"])
+def test_kramers_reduction_matches_the_complex_adjoint(n, zero):
+    """Each eigenvalue of the tridiagonal, taken twice, is one of the complex adjoint
+    [[A, -B], [conj B, conj A]] of the quaternion matrix A + B j.  A zero column 0 leaves
+    the first step nothing to reflect; a zero entry right below the diagonal leaves its
+    reflector no phase to copy."""
+    a, b = _quaternion_pair(n, np.random.default_rng(n))
+    if zero == "column":
+        a[0, :] = a[:, 0] = b[0, :] = b[:, 0] = 0.0
+    elif zero == "leading-entry":
+        a[0, 1] = a[1, 0] = b[0, 1] = b[1, 0] = 0.0
+    g = np.stack([a, b], axis=-1).reshape(n, 2 * n)
+    want = np.linalg.eigvalsh(np.block([[a, -b], [np.conj(b), np.conj(a)]]))
+    got = np.repeat(_tridiagonal_eigvalsh(*_kramers_tridiagonal(g)), 2)
+    assert np.all(np.diff(got) >= 0.0)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 # the operators of the table gate's test: one coset, split blocks, order-2 blocks
@@ -330,9 +406,11 @@ HERMITICITY_CASES = {"random-one-coset": BLOCK_CASES["random-one-coset"][0],
 @pytest.mark.parametrize("case", sorted(HERMITICITY_CASES))
 def test_hermiticity_gate_on_the_table_reads_the_dense_matrix(case, monkeypatch):
     """The gate reads H[pi, qj] - conj(H[qj, pi]) off the coefficient table, once per support
-    mode k = m_i - m_j.  With 1e-6 cos x1 [[0, i], [0, 0]] added to a0 after construction, the
-    value it refuses is max|H - H^*| of the whole dense matrix, within 1e-12 relative; unperturbed,
-    it reads at most 1e-13 of the scale."""
+    mode k = m_i - m_j, and its scale, the largest |entry|, off the corners of each k's box of
+    modes.  With 1e-6 cos x1 [[0, i], [0, 0]] added to a0 after construction, it refuses before
+    any block is assembled or solved; the value it refuses is max|H - H^*| of the whole dense
+    matrix, within 1e-12 relative, and its scale that matrix's max|entry|.  Unperturbed, it reads
+    at most 1e-13 of the scale."""
     build = HERMITICITY_CASES[case]
     clean = build()
     got = dw.galerkin_spectrum(clean, 4)
@@ -348,16 +426,25 @@ def test_hermiticity_gate_on_the_table_reads_the_dense_matrix(case, monkeypatch)
 
     def recording_gate(what, residual, bound, *rest):
         if "not Hermitian" in what:
-            measured.append(float(np.abs(residual).max()))
+            measured.append((float(np.abs(residual).max()), bound / 1e-10))
         return gate(what, residual, bound, *rest)
 
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a block was assembled or solved before the Hermiticity gate")
+
     monkeypatch.setattr(spectra, "gate", recording_gate)
+    for name in ("_coset_matrices", "_kramers_pair", "_eigvalsh2", "_kramers_tridiagonal",
+                 "_tridiagonal_eigvalsh"):
+        monkeypatch.setattr(spectra, name, unreachable)
+    monkeypatch.setattr(np.linalg, "eigvalsh", unreachable)
     with pytest.raises(ConsistencyError, match="not Hermitian"):
         dw.galerkin_spectrum(op, 4)
     h = _dense_matrix(op, 4)
-    want = np.abs(h - h.conj().T).max()
-    print(f"{case} perturbed: table {measured[0]:.15e}, dense {want:.15e}")
-    assert abs(measured[0] - want) <= 1e-12 * want
+    want, scale = np.abs(h - h.conj().T).max(), np.abs(h).max()
+    print(f"{case} perturbed: table {measured[0][0]:.15e}, dense {want:.15e}; "
+          f"scale {measured[0][1]:.15e}, dense {scale:.15e}")
+    assert abs(measured[0][0] - want) <= 1e-12 * want
+    assert abs(measured[0][1] - scale) <= 1e-14 * scale
 
 
 def _fourier_data_with_its_own_transforms(op):
@@ -488,8 +575,9 @@ def test_block_solve_memory(peak_mb):
 
 
 def test_fully_coupled_block_peak_memory(peak_mb):
-    """One block of order 686 (cutoff 3), a 7.5 MB matrix: assembly traces 11.3 MB with its
-    temporaries, and the Hermiticity check reads the coefficient table, not the matrix."""
+    """One block of order 686 (cutoff 3), a 7.5 MB matrix.  Its lower triangle and temporaries
+    traced 11.3 MB; it commutes with time reversal, so it is solved as a 3.8 MB quaternion pair,
+    and the call traces 9.4 MB.  The Hermiticity check reads the coefficient table, not a matrix."""
     op = dw.dirac_operator(dw.random_band_limited_frame(0, 16))
     assert peak_mb(lambda: dw.galerkin_spectrum(op, 3)) <= 11.5
 
