@@ -232,15 +232,15 @@ _PAIRS = ((1, 2), (2, 0), (0, 1))
 class TorsionBundle:
     """Torsion of the frame connection and its duals, held components first as torsion builds them.
 
-    conn[a, h, ...] = T^a_{bc} with (b, c) = (h + 1, h + 2) mod 3, the
-    three independent components of each leg's antisymmetric T^a_{bc};
-    star[a, b, ...] = (*T)^a_b.  components[..., a, h] and star_T[..., a, b]
-    are new grid-first, C-contiguous copies of them on each access, and
-    the T property builds the full T[..., a, b, c] on each access; none
-    is kept.  axial_dual is the scalar *T_ax = (1/3) (*T)^g_g; charge is
-    the orientation sign of the generating frame.  route_residuals
-    records the largest disagreement between the independent computation
-    routes that were cross-checked while building the bundle.  The arrays are read-only.
+    conn[a, h, ...] = T^a_{bc} with (b, c) = (h + 1, h + 2) mod 3, the three independent
+    components of each leg's antisymmetric T^a_{bc}; star[a, b, ...] = (*T)^a_b.
+    components[..., a, h] and star_T[..., a, b] are new grid-first, C-contiguous copies of them on
+    each access, and the T property builds the full T[..., a, b, c] on each access; none is kept.
+    axial_dual is the scalar *T_ax = (1/3) (*T)^g_g; charge is the orientation sign of the
+    generating frame.  The arrays are read-only.  route_residuals records the largest disagreement
+    at torsion's three route gates, which regroup sums over one shared coframe derivative and so
+    measure rounding; the independent check is asymptotics._torsion_at, which differentiates the
+    frame, against this bundle (test_torsion_at_points_matches_the_grid_bundle).
     """
 
     conn: np.ndarray

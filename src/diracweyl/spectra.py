@@ -6,13 +6,13 @@ round-sphere Dirac operator.  Numerical spectra come from a plane-wave
 Galerkin projection of a first-order operator; for band-limited
 coefficients the matrix elements are exact Fourier data, so interior
 eigenvalues converge extremely fast and are reliable in a window well
-inside the mode cutoff.  The projected matrix splits exactly into
-blocks, one per coset of the lattice spanned by the coefficients'
-Fourier support, and each block is solved on its own; one that commutes
-with the spinor time reversal is solved from half its entries, as a
-quaternion Hermitian matrix.  Requests whose dense blocks or
-exact-table histograms exceed a fixed memory budget are refused before
-anything is allocated.
+inside the mode cutoff.  One table of those data per call gates the
+operator and assembles the projected matrix's blocks, one per coset of
+the lattice spanned by the coefficients' Fourier support, each solved on
+its own; one that commutes with the spinor time reversal is solved from
+half its entries, as a quaternion Hermitian matrix.  Requests whose
+dense blocks or exact-table histograms exceed a fixed memory budget are
+refused before anything is allocated.
 
 Counting utilities: the sharp eigenvalue counting function (strict
 inequality, ambiguity surfaced rather than resolved), comparison
@@ -340,56 +340,118 @@ def _coset_blocks(modes: np.ndarray, ks: np.ndarray) -> list:
     return [idx.reshape(-1, b) for idx, b in zip(np.split(order, bounds), sizes)]
 
 
-def _add_terms(out: np.ndarray, coef_pq: np.ndarray, sup: np.ndarray, w: np.ndarray,
-               term: np.ndarray) -> None:
-    """out += sum_a coef_pq[a, sup] * w[..., a], with w's last axis m_j^a, then 1 for a0_hat.
+class _GalerkinTable:
+    """The coefficient table of one Galerkin call, and the only reader of its mode codes.
 
-    Each term is gathered into the reused buffer term, into which np.take with mode="clip"
-    allocates nothing (the indices are in range).
+    ks (K, 3) holds the support modes that join two modes of the cube |m|_inf <= c, and _coef
+    their coefficients [p, q, a, k] as _operator_fourier_data gives them, plus a last, all-zero
+    column that an absent k reads; _rev is the table at -k.  modes are the cube's modes and groups
+    their coset blocks (_coset_blocks).  Two modes of one coset differ by a k in [-2c, 2c]^3, where
+    the mixed-radix code k @ radix is linear in k and unique, and _slot[code] is k's column of
+    _coef (such codes lie in [-reach, reach], and a negative one indexes from the end of _slot).
     """
-    for a in range(4):
-        np.take(coef_pq[a], sup, out=term, mode="clip")
-        term *= w[..., a]
-        out += term
 
+    def __init__(self, op: FirstOrderOperator, c: int):
+        ks, coef = _operator_fourier_data(op)
+        couples = np.all(np.abs(ks) <= 2 * c, axis=1)  # the rest never joins two cube modes
+        self.c, self.ks = c, ks[couples]
+        self._coef = np.concatenate([coef[..., couples], np.zeros((2, 2, 4, 1))], axis=-1)
+        ax = np.arange(-c, c + 1)
+        self.modes = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
+        self.groups = _coset_blocks(self.modes, self.ks)
+        largest, nm = self.groups[-1].shape[1], len(self.modes)
+        if 2 * largest > _DENSE_ORDER_BUDGET:  # before the codes and _slot are built
+            coupled = "every mode" if largest == nm else f"{largest} of its {nm} modes"
+            raise InputError(
+                f"Galerkin cutoff {c} needs a dense block of order {2 * largest}, over the "
+                f"budget of {_DENSE_ORDER_BUDGET}: the operator's Fourier support couples "
+                f"{coupled} into one block; lower the cutoff"
+            )
+        span = 4 * c + 1
+        radix = np.array([span * span, span, 1])
+        self._code = self.modes @ radix
+        reach = max(int(np.ptp(self._code[group], axis=1).max()) for group in self.groups)
+        kcode = self.ks @ radix
+        self._slot = np.full(2 * reach + 1, len(self.ks))
+        self._slot[kcode] = np.arange(len(self.ks))
+        self._rev = self._coef[..., self._slot[-kcode]]  # an absent -k reads 0
 
-def _coset_matrices(m: np.ndarray, code: np.ndarray, slot: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """Projected matrices (batch, 2b, 2b) of equal-size cosets.
+    def hermiticity_defect(self) -> tuple:
+        """H[pi, qj] - conj(H[qj, pi]) as [p, q, k], and its scale, the largest |entry| of H.
 
-    m holds the cosets' modes (batch, b, 3) and code their codes, whose differences address the
-    support table slot.  Entry [pb + i, qb + j] is the [p, q] entry of sigma_hat(k) . m_j + a0_hat(k)
-    with k = m_i - m_j; a k outside the support reads the zero column of coef.  Only the blocks
-    (0, 0), (1, 0) and (1, 1), the lower triangle eigvalsh (UPLO='L') and _eigvalsh2 read, are
-    summed.
-    """
-    sup = slot[code[:, :, None] - code[:, None, :]]
-    w = np.concatenate([m, np.ones_like(m[..., :1])], axis=-1)[:, None]
-    h = np.zeros((len(m), 2, m.shape[1], 2, m.shape[1]), dtype=complex)
-    term = np.empty(sup.shape, dtype=complex)
-    for p, q in ((0, 0), (1, 0), (1, 1)):
-        _add_terms(h[:, p, :, q, :], coef[p, q], sup, w, term)
-    return h.reshape(len(m), 2 * m.shape[1], 2 * m.shape[1])
+        The defect depends on k = m_i - m_j alone, so it is formed once per support mode:
+        a0_hat_pq(k) - conj(a0_hat_qp(-k)) - sigma_hat_pq(k) . k.  Entry (m + k, m) is
+        sigma_hat(k) . m + a0_hat(k) for every cube mode m with m + k in the cube, a box of modes.
+        Each [p, q] entry is affine in m, and the modulus of an affine function peaks at a vertex,
+        so the box's 8 corners give its largest value.
+        """
+        coef, ks, c = self._coef[..., :-1], self.ks, self.c
+        defect = (coef[:, :, 3] - np.conj(self._rev[:, :, 3].swapaxes(0, 1))
+                  - (coef[:, :, :3] * ks.T).sum(axis=2))
+        lo, hi = np.maximum(-c, -c - ks), np.minimum(c, c - ks)
+        bits = (np.arange(8)[:, None] >> np.arange(3)) & 1
+        corners = np.moveaxis(np.where(bits[:, None, :] == 1, hi, lo), -1, 1)  # [corner, a, k]
+        entries = (coef[:, :, :3] * corners[:, None, None]).sum(axis=3) + coef[:, :, 3]
+        return defect, float(np.abs(entries).max(initial=0.0))
 
+    def time_reversal_defect(self) -> float:
+        """delta_J, a bound on each block's ||H - J H J^-1||_2 and so, by Weyl, on any eigenvalue's move.
 
-def _kramers_pair(m: np.ndarray, code: np.ndarray, slot: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """The rows [A, B] of a self-conjugate coset's block, interleaved: half its entries.
+        For J = e conj (m -> -m), e = i s^2, sigma_hat^a(k) gains and a0_hat(k) loses
+        e conj(X(-k)) e^T, where e X e^T = [[X11, -X10], [-X01, X00]].  With |m_j^a| <= c, summing
+        each entry's bound over k and over q (or p) bounds every row (or column) sum of the block.
+        """
+        flip = np.conj(self._rev[::-1, ::-1]) * np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None, None]
+        odd = np.abs(self._coef[..., :-1] + flip * np.array([1.0, 1.0, 1.0, -1.0])[:, None])
+        sums = (self.c * odd[:, :, :3].sum(axis=2) + odd[:, :, 3]).sum(axis=-1)
+        return float(max(sums.sum(axis=1).max(), sums.sum(axis=0).max()))
 
-    With spin-up modes m_i and spin-down modes -m_j as the two halves of the basis, a block that
-    commutes with the time reversal J reads [[A, B], [-conj(B), conj(A)]], where
-    A[i, j] = H[(m_i, up), (m_j, up)] and B[i, j] = H[(m_i, up), (-m_j, down)].  B's mode
-    difference k = m_i + m_j has the code code_i + code_j, and its column mode is -m_j.  Returns
-    g (b, 2b) with g[:, 0::2] = A and g[:, 1::2] = B, assembled _KRAMERS_PANEL rows at a time, so
-    that beside g only one slab's support indices and term buffer are held.
-    """
-    b = len(m)
-    g = np.zeros((b, b, 2), dtype=complex)
-    term = np.empty((min(b, _KRAMERS_PANEL), b), dtype=complex)
-    for q, sign in ((0, 1), (1, -1)):
-        w = np.concatenate([sign * m, np.ones_like(m[:, :1])], axis=-1)
+    def self_conjugate(self, idx: np.ndarray) -> bool:
+        """Whether the coset of modes idx holds the mirror image of its first mode, so all of -C."""
+        return bool(np.any(self._code[idx] == -self._code[idx[0]]))
+
+    def blocks(self, idx: np.ndarray) -> np.ndarray:
+        """Projected matrices (batch, 2b, 2b) of the equal-size cosets of modes idx (batch, b).
+
+        Entry [pb + i, qb + j] is H[(m_i, p), (m_j, q)].  Only the blocks (0, 0), (1, 0) and
+        (1, 1), the lower triangle eigvalsh (UPLO='L') and _eigvalsh2 read, are summed.
+        """
+        batch, b = idx.shape
+        h = np.zeros((batch, 2, b, 2, b), dtype=complex)
+        self._add([(p, q, h[:, p, :, q, :]) for p, q in ((0, 0), (1, 0), (1, 1))], idx, idx, 1)
+        return h.reshape(batch, 2 * b, 2 * b)
+
+    def pair(self, idx: np.ndarray) -> np.ndarray:
+        """The top rows [A, B] of the self-conjugate coset idx's block, interleaved (b, 2b).
+
+        A[i, j] = H[(m_i, up), (m_j, up)] and B[i, j] = H[(m_i, up), (-m_j, down)], assembled
+        _KRAMERS_PANEL rows at a time: beside them one slab's indices and terms are held.
+        """
+        b = len(idx)
+        g = np.zeros((b, b, 2), dtype=complex)
         for lo in range(0, b, _KRAMERS_PANEL):
-            sup = slot[code[lo:lo + _KRAMERS_PANEL, None] - sign * code]
-            _add_terms(g[lo:lo + _KRAMERS_PANEL, :, q], coef[0, q], sup, w, term[:len(sup)])
-    return g.reshape(b, 2 * b)
+            rows = idx[lo:lo + _KRAMERS_PANEL]
+            for q, sign in ((0, 1), (1, -1)):
+                self._add([(0, q, g[lo:lo + _KRAMERS_PANEL, :, q])], rows, idx, sign)
+        return g.reshape(b, 2 * b)
+
+    def _add(self, targets: list, rows: np.ndarray, cols: np.ndarray, sign: int) -> None:
+        """out[..., i, j] += H[(m_i, p), (sign m_j, q)] for each (p, q, out) of targets.
+
+        rows and cols index the modes m_i and m_j, with one leading shape.  The entry is
+        sigma_hat_pq(k) . (sign m_j) + a0_hat_pq(k), and k = m_i - sign m_j has the column
+        _slot[code_i - sign code_j] of _coef.  Each of its four terms is gathered into one reused
+        buffer by np.take, whose mode="clip" allocates nothing (indices in range), and added to out.
+        """
+        sup = self._slot[self._code[rows][..., :, None] - sign * self._code[cols][..., None, :]]
+        m = self.modes[cols]
+        w = np.concatenate([sign * m, np.ones_like(m[..., :1])], axis=-1)[..., None, :, :]
+        term = np.empty(sup.shape, dtype=complex)
+        for p, q, out in targets:
+            for a in range(4):
+                np.take(self._coef[p, q, a], sup, out=term, mode="clip")
+                term *= w[..., a]
+                out += term
 
 
 def _time_reversed(v: np.ndarray) -> np.ndarray:
@@ -402,19 +464,19 @@ def _time_reversed(v: np.ndarray) -> np.ndarray:
 def _kramers_tridiagonal(g: np.ndarray) -> tuple:
     """The real tridiagonal (d, e) whose eigenvalues, each taken twice, are the quaternion pair g's.
 
-    g (b, 2b) interleaves A (Hermitian) and B (skew-symmetric) as _kramers_pair does, and is
-    overwritten.  The complex matrix
-    M = [[A, B], [-conj(B), conj(A)]] of order 2b commutes with J(x, y) = (conj y, -conj x), where
-    J^2 = -1, so each of its eigenvalues appears twice.  A reflector I - w w^* - Jw (Jw)^* commutes
-    with J too, and b - 1 of them reduce M to a real symmetric tridiagonal of order b (Dongarra,
-    Gabriel, Koelling & Wilkinson, Linear Algebra Appl. 60 (1984) 27-42).  Step k's reflector maps
-    column k below the diagonal onto a multiple of its first quaternion entry; the off-diagonal
-    entry it leaves has the column's norm as modulus, and a diagonal quaternion rescaling makes it
-    real.  Only M's top rows, g, are stored and updated, in place: the bottom rows are J's image
-    of them, so M (w, Jw) is read off the two products g (w, Jw).  Reflectors are accumulated
-    _KRAMERS_PANEL at a time as the pending update u v of g's trailing part.  A step corrects its
-    pivot row and its products for that update, and each panel applies it to the trailing rows
-    by one product of inner order 4 _KRAMERS_PANEL, a slab of rows at a time.
+    g (b, 2b) interleaves A (Hermitian) and B (skew-symmetric) as _GalerkinTable.pair does, and
+    is overwritten.  The complex matrix M = [[A, B], [-conj(B), conj(A)]] of order 2b commutes
+    with J(x, y) = (conj y, -conj x), where J^2 = -1, so each of its eigenvalues appears twice.
+    A reflector I - w w^* - Jw (Jw)^* commutes with J too, and b - 1 of them reduce M to a real
+    symmetric tridiagonal of order b (Dongarra, Gabriel, Koelling & Wilkinson, Linear Algebra
+    Appl. 60 (1984) 27-42).  Step k's reflector maps column k below the diagonal onto a multiple
+    of its first quaternion entry; the off-diagonal entry it leaves has the column's norm as
+    modulus, and a diagonal quaternion rescaling makes it real.  Only M's top rows, g, are stored
+    and updated, in place: the bottom rows are J's image of them, so M (w, Jw) is read off the two
+    products g (w, Jw).  Reflectors are accumulated _KRAMERS_PANEL at a time as the pending update
+    u v of g's trailing part.  A step corrects its pivot row and its products for that update, and
+    each panel applies it to the trailing rows by one product of inner order 4 _KRAMERS_PANEL, a
+    slab of rows at a time.
     """
     n = len(g)
     d, e = np.empty(n), np.zeros(n - 1)
@@ -462,20 +524,6 @@ def _tridiagonal_eigvalsh(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(t, UPLO="U")
 
 
-def _entry_scale(ks: np.ndarray, coef: np.ndarray, c: int) -> float:
-    """Largest |entry| of the projected matrix on the cube |m|_inf <= c, read off the table.
-
-    Entry (m + k, m) is sigma_hat(k) . m + a0_hat(k) for every cube mode m with m + k in the cube,
-    a box of modes.  Each [p, q] entry is affine in m, and the modulus of an affine function peaks
-    at a vertex, so the box's 8 corners give its largest value.
-    """
-    lo, hi = np.maximum(-c, -c - ks), np.minimum(c, c - ks)
-    bits = (np.arange(8)[:, None] >> np.arange(3)) & 1
-    corners = np.moveaxis(np.where(bits[:, None, :] == 1, hi, lo), -1, 1)  # [corner, a, k]
-    entries = (coef[:, :, :3, :-1] * corners[:, None, None]).sum(axis=3) + coef[:, :, 3, :-1]
-    return float(np.abs(entries).max(initial=0.0))
-
-
 def _eigvalsh2(h: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a (k, 2, 2) stack of Hermitian matrices, in closed form.
 
@@ -504,24 +552,19 @@ def galerkin_spectrum(op: FirstOrderOperator, mode_cutoff: int, window=None) -> 
     """Eigenvalues of the operator projected on plane waves |m|_inf <= cutoff.
 
     The projected matrix is assembled from the exact Fourier coefficients of the symbol (a
-    band-limited convolution).  It is exactly block-diagonal over the cosets of the lattice
-    spanned by the coefficients' Fourier support, and each block is solved densely on its own.
-    Self-adjointness is gated first, before any block is assembled, on the coefficient table: as
-    H[pi, qj] - conj(H[qj, pi]) depends on k = m_i - m_j alone, it is formed once per support mode
-    (metadata "hermiticity_residual"), against a scale, the largest |entry|, read off the table too.
+    band-limited convolution), all read through one _GalerkinTable.  It is exactly block-diagonal
+    over the cosets of the lattice spanned by their Fourier support, each block solved on its own.
+    Self-adjointness is gated on the table before any block is assembled ("hermiticity_residual").
 
-    Two solves.  Blocks of one size go in batches of up to _BATCH_BYTES: the lower triangle of
-    each is assembled and solved by eigvalsh (order 2 in closed form), and a batch holds only its
-    matrices and eigvalsh's copy of them.  A block solved alone (order above 362) whose coset is
-    its own mirror image -C takes the quaternion-pair path instead when the operator commutes
-    with the spinor time reversal J = i s^2 conj (m -> -m), J^2 = -1, as every massless Dirac
-    operator does, gauged or shifted by a real scalar.  Such a block's eigenvalues come in equal
-    pairs (Kramers), and the block is an order-b quaternion Hermitian matrix: _kramers_pair
+    Two solves.  Blocks of one size go in batches of up to _BATCH_BYTES, their lower triangles
+    solved by eigvalsh (order 2 in closed form); a batch holds only its matrices and eigvalsh's
+    copy of them.  A block solved alone (order above 362) whose coset is its own mirror image
+    takes the quaternion-pair path instead when the operator commutes with the spinor time
+    reversal J = i s^2 conj (m -> -m), J^2 = -1, as every massless Dirac operator does, gauged or
+    shifted by a real scalar.  Its eigenvalues then come in equal pairs (Kramers): the table
     assembles half its entries, and _kramers_tridiagonal reduces them in place to a real
-    tridiagonal whose eigenvalues are taken twice, with no eigvalsh copy of the block.  The
-    defect of J is read off the table too, as a bound on the 2-norm of H - J H J^-1 and so on
-    how far any eigenvalue can move (metadata "time_reversal_defect"); the path is taken when it
-    is at most _KRAMERS_TOL, and "kramers_blocks" counts the blocks it solved.
+    tridiagonal, with no eigvalsh copy.  The path is taken when the table's time-reversal defect
+    (metadata "time_reversal_defect") is at most _KRAMERS_TOL; "kramers_blocks" counts its blocks.
 
     A block of order above _DENSE_ORDER_BUDGET is refused before anything is allocated.  So is a
     mode cube of more than _Q_LENGTH_BUDGET modes (cutoff 81 and up): the cube and its coset
@@ -532,7 +575,8 @@ def galerkin_spectrum(op: FirstOrderOperator, mode_cutoff: int, window=None) -> 
     """
     from .operators import FirstOrderOperator  # here, so exact tables load no operator code
     expect_type(op, FirstOrderOperator, "op")
-    if not isinstance(mode_cutoff, (int, np.integer)) or mode_cutoff < 1:
+    if (isinstance(mode_cutoff, (bool, np.bool_)) or not isinstance(mode_cutoff, (int, np.integer))
+            or mode_cutoff < 1):
         raise InputError(f"mode_cutoff must be at least 1 and an integer, got {mode_cutoff!r}")
     c = int(mode_cutoff)
     if (2 * c + 1) ** 3 > _Q_LENGTH_BUDGET:
@@ -548,69 +592,24 @@ def galerkin_spectrum(op: FirstOrderOperator, mode_cutoff: int, window=None) -> 
             f"at cutoff {mode_cutoff}; raise the cutoff"
         )
 
-    ks, coef = _operator_fourier_data(op)
-    couples = np.all(np.abs(ks) <= 2 * c, axis=1)  # the rest never joins two cube modes
-    ks = ks[couples]
-    coef = np.concatenate([coef[..., couples], np.zeros((2, 2, 4, 1))], axis=-1)  # k absent: 0
-    ax = np.arange(-c, c + 1)
-    modes = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
-    nm = len(modes)
-    groups = _coset_blocks(modes, ks)
-    largest = groups[-1].shape[1]
-    if 2 * largest > _DENSE_ORDER_BUDGET:
-        coupled = "every mode" if largest == nm else f"{largest} of its {nm} modes"
-        raise InputError(
-            f"Galerkin cutoff {c} needs a dense block of order {2 * largest}, over the "
-            f"budget of {_DENSE_ORDER_BUDGET}: the operator's Fourier support couples "
-            f"{coupled} into one block; lower the cutoff"
-        )
-
-    # Support table over the differences k of two modes of one coset, addressed
-    # by the mixed-radix code k @ radix, which is linear in k and unique in
-    # [-2c, 2c]^3; such codes lie in [-reach, reach], and negative ones index
-    # from the end of slot.  Every support k joins two cube modes of one coset; absent k read the
-    # last, all-zero column of coef.
-    span = 4 * c + 1
-    radix = np.array([span * span, span, 1])
-    code = modes @ radix
-    reach = max(int(np.ptp(code[group], axis=1).max()) for group in groups)
-    kcode = ks @ radix
-    slot = np.full(2 * reach + 1, len(ks))
-    slot[kcode] = np.arange(len(ks))
-
-    # Both gates read the table once per support mode k = m_i - m_j, looking -k up through slot
-    # (an absent -k reads 0), before anything is assembled.
-    # H[pi, qj] - conj(H[qj, pi]) = a0_hat_pq(k) - conj(a0_hat_qp(-k)) - sigma_hat_pq(k) . k
-    rev = coef[..., slot[-kcode]]  # the table at -k, as [p, q, a, k]
-    defect = (coef[:, :, 3, :-1] - np.conj(rev[:, :, 3].swapaxes(0, 1))
-              - (coef[:, :, :3, :-1] * ks.T).sum(axis=2))
+    table = _GalerkinTable(op, c)
+    defect, scale = table.hermiticity_defect()
     herm = gate("projected matrix is not Hermitian; the zeroth-order coefficient is "
-                "inconsistent with formal self-adjointness", defect.ravel(),
-                1e-10 * max(1.0, _entry_scale(ks, coef, c)))
-    # H - J H J^-1 for the time reversal J = e conj (m -> -m), e = i s^2: sigma_hat^a(k) plus,
-    # and a0_hat(k) minus, e conj(X(-k)) e^T, where e X e^T = [[X11, -X10], [-X01, X00]].  With
-    # |m_j^a| <= c, summing each entry's bound over k and over q (or p) bounds every row (or
-    # column) sum of the block's part of it, so also its 2-norm and, by Weyl, how far the
-    # J-symmetric block's eigenvalues lie from the block's.
-    flip = np.conj(rev[::-1, ::-1]) * np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None, None]
-    odd = np.abs(coef[..., :-1] + flip * np.array([1.0, 1.0, 1.0, -1.0])[:, None])
-    sums = (c * odd[:, :, :3].sum(axis=2) + odd[:, :, 3]).sum(axis=-1)
-    delta_j = float(max(sums.sum(axis=1).max(), sums.sum(axis=0).max()))
-
+                "inconsistent with formal self-adjointness", defect.ravel(), 1e-10 * max(1.0, scale))
+    delta_j = table.time_reversal_defect()
     parts, kramers = [], 0
-    for group in groups:
+    for group in table.groups:
         b = group.shape[1]
         step = max(1, _BATCH_BYTES // (16 * (2 * b) ** 2))
         for first in range(0, len(group), step):
             idx = group[first:first + step]
-            # a lone block whose coset holds the mirror image of its first mode, so all of -C
-            if step == 1 and delta_j <= _KRAMERS_TOL and np.any(code[idx[0]] == -code[idx[0, 0]]):
+            if step == 1 and delta_j <= _KRAMERS_TOL and table.self_conjugate(idx[0]):
                 # the pair is dropped as the reduction returns, before its tridiagonal is solved
-                d, e = _kramers_tridiagonal(_kramers_pair(modes[idx[0]], code[idx[0]], slot, coef))
+                d, e = _kramers_tridiagonal(table.pair(idx[0]))
                 parts.append(np.repeat(_tridiagonal_eigvalsh(d, e), 2))
                 kramers += 1
             else:
-                h = _coset_matrices(modes[idx], code[idx], slot, coef)
+                h = table.blocks(idx)
                 parts.append((_eigvalsh2(h) if b == 1 else np.linalg.eigvalsh(h)).ravel())
                 del h  # before the next batch is assembled
     eigs = np.concatenate(parts)
@@ -626,10 +625,10 @@ def galerkin_spectrum(op: FirstOrderOperator, mode_cutoff: int, window=None) -> 
         provenance="galerkin",
         coverage=(lo, hi),
         metadata={
-            "mode_cutoff": mode_cutoff,
-            "matrix_order": 2 * nm,
-            "block_count": sum(len(g) for g in groups),
-            "max_block_order": 2 * largest,
+            "mode_cutoff": c,
+            "matrix_order": 2 * len(table.modes),
+            "block_count": sum(len(g) for g in table.groups),
+            "max_block_order": 2 * table.groups[-1].shape[1],
             "hermiticity_residual": herm,
             "time_reversal_defect": delta_j,
             "kramers_blocks": kramers,

@@ -289,6 +289,9 @@ REFUSED_BRANCHES = {
                             "mode_cutoff must be at least 1 and an integer, got inf"),
     "galerkin-cutoff-str": (lambda: dw.galerkin_spectrum(_structured_dirac(), "2"), InputError,
                             "mode_cutoff must be at least 1 and an integer, got '2'"),
+    # ran as cutoff 1 and recorded mode_cutoff True
+    "galerkin-cutoff-bool": (lambda: dw.galerkin_spectrum(_structured_dirac(), True), InputError,
+                             "mode_cutoff must be at least 1 and an integer, got True"),
     "twist-inf": (lambda: dw.twisted_frame(np.inf, 8), InputError, "must be an integer, got inf"),
     "twist-nan": (lambda: dw.twisted_frame(np.nan, 8), InputError, "must be an integer, got nan"),
     "twist-1e20": (lambda: dw.twisted_frame(10**20, 8), InputError,

@@ -1,5 +1,7 @@
 """Exact spectra, Galerkin tables, counting and mollified counting."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -246,6 +248,12 @@ def _match_tables(got, want_vals, want_mults, tol):
     assert (got.multiplicities == want_mults).all()
 
 
+def _dense_position(modes, cutoff):
+    """Each mode's index in the cube basis of _dense_matrix, whose row 2 i + p is (m_i, p)."""
+    side = 2 * cutoff + 1
+    return ((modes[..., 0] + cutoff) * side + modes[..., 1] + cutoff) * side + modes[..., 2] + cutoff
+
+
 def _dense_matrix(op, cutoff, ball=False):
     """One dense matrix over the whole cube basis |m|_inf <= cutoff (or the
     ball |m|_2 <= cutoff), assembled mode vector by mode vector."""
@@ -257,7 +265,6 @@ def _dense_matrix(op, cutoff, ball=False):
         np.abs(a0_hat).reshape(n, n, n, -1).max(axis=-1),
     )
     freq = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-    side = 2 * cutoff + 1
     ax = np.arange(-cutoff, cutoff + 1)
     mprime = np.stack([g.ravel() for g in np.meshgrid(ax, ax, ax, indexing="ij")], axis=1)
     position = np.arange(len(mprime))
@@ -274,8 +281,7 @@ def _dense_matrix(op, cutoff, ball=False):
             continue
         tgt = mprime + k
         ok = np.all(np.abs(tgt) <= cutoff, axis=1)
-        code = ((tgt[ok, 0] + cutoff) * side + (tgt[ok, 1] + cutoff)) * side + (tgt[ok, 2] + cutoff)
-        tgt_idx = position[code]
+        tgt_idx = position[_dense_position(tgt[ok], cutoff)]
         ok[ok] = tgt_idx >= 0
         tgt_idx = tgt_idx[tgt_idx >= 0]
         blocks = np.einsum("apq,sa->spq", sig_hat[i1, i2, i3], mprime[ok].astype(float))
@@ -433,8 +439,9 @@ def test_hermiticity_gate_on_the_table_reads_the_dense_matrix(case, monkeypatch)
         raise AssertionError("a block was assembled or solved before the Hermiticity gate")
 
     monkeypatch.setattr(spectra, "gate", recording_gate)
-    for name in ("_coset_matrices", "_kramers_pair", "_eigvalsh2", "_kramers_tridiagonal",
-                 "_tridiagonal_eigvalsh"):
+    for name in ("blocks", "pair", "_add"):  # every assembly, and the one assembler behind them
+        monkeypatch.setattr(spectra._GalerkinTable, name, unreachable)
+    for name in ("_eigvalsh2", "_kramers_tridiagonal", "_tridiagonal_eigvalsh"):
         monkeypatch.setattr(spectra, name, unreachable)
     monkeypatch.setattr(np.linalg, "eigvalsh", unreachable)
     with pytest.raises(ConsistencyError, match="not Hermitian"):
@@ -445,6 +452,43 @@ def test_hermiticity_gate_on_the_table_reads_the_dense_matrix(case, monkeypatch)
           f"scale {measured[0][1]:.15e}, dense {scale:.15e}")
     assert abs(measured[0][0] - want) <= 1e-12 * want
     assert abs(measured[0][1] - scale) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("case, cutoff", [("random-one-coset", 3), ("twisted-k3-2", 4)])
+def test_assembled_entries_match_the_dense_matrix(case, cutoff):
+    """Entries, not only eigenvalues, against _dense_matrix, within 1e-14 of its max|entry|.
+
+    random-one-coset: its one coset is its own mirror image, and the table's pair rows are
+    A = H[(m, up), (m', up)] and B = H[(m, up), (-m', down)].  twisted-k3-2: the lower triangle of
+    each batched block, whose row p b + i is (m_i, p), is the dense matrix's on those modes."""
+    op = BLOCK_CASES[case][0]()
+    dense = _dense_matrix(op, cutoff)
+    table = spectra._GalerkinTable(op, cutoff)
+    if case == "random-one-coset":
+        (idx,) = table.groups[-1]
+        assert len(table.groups) == 1 and table.self_conjugate(idx)
+        at, mirror = _dense_position(table.modes[idx], cutoff), _dense_position(-table.modes[idx], cutoff)
+        g = table.pair(idx)
+        gaps = [np.abs(g[:, 0::2] - dense[np.ix_(2 * at, 2 * at)]).max(),
+                np.abs(g[:, 1::2] - dense[np.ix_(2 * at, 2 * mirror + 1)]).max()]
+    else:
+        gaps = []
+        for group in table.groups:
+            at = _dense_position(table.modes[group], cutoff)
+            rows = np.concatenate([2 * at, 2 * at + 1], axis=1)  # (count, 2b): spin up, then down
+            want = dense[rows[:, :, None], rows[:, None, :]]
+            gaps.append(np.abs(np.tril(table.blocks(group)) - np.tril(want)).max())
+    scale = np.abs(dense).max()
+    print(f"{case}: largest entry gap {max(gaps):.1e}, max|entry| {scale:.2e}")
+    assert max(gaps) <= 1e-14 * scale
+
+
+def test_galerkin_metadata_survives_json():
+    """A numpy integer cutoff is stored as a Python int: np.int64 in the metadata made
+    json.dumps raise TypeError."""
+    table = dw.galerkin_spectrum(dw.dirac_operator(dw.standard_frame(8)), np.int64(2))
+    assert type(table.metadata["mode_cutoff"]) is int
+    assert json.loads(json.dumps(table.metadata)) == table.metadata
 
 
 def _fourier_data_with_its_own_transforms(op):
