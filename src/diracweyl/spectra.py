@@ -24,6 +24,7 @@ so one sampled width-1 CDF serves every width in (0, 2*pi).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -47,8 +48,8 @@ _COMPARE_FLOOR = (_NUDGE + _ON_EIGENVALUE_TOL) / (2.0 ** (1.0 / _SAMPLES_PER_OCT
 # Largest Hermitian block solved densely.  On the eigvalsh path its solve holds the block and
 # eigvalsh's copy, 34 bytes per entry (36 + 36 MB resident measured at order 1458, 2-CPU Xeon
 # VM), so about 2.2 GB at order 8000.  The quaternion-pair path (_kramers_tridiagonal) holds half
-# the block and its pending update, 12 bytes per entry (25 MB resident growth measured at order
-# 1458, of which the pair is 17 MB).  Larger blocks are refused before allocation.
+# the block and its pending update, 13 bytes per entry (26.7 MB resident growth measured at
+# order 1458, of which the pair is 17 MB).  Larger blocks are refused before allocation.
 _DENSE_ORDER_BUDGET = 8000
 _BATCH_BYTES = 1 << 22  # matrices of one size solved together; an order above 362 goes alone
 # A lone self-conjugate block is solved as a quaternion pair when the time-reversal defect
@@ -70,10 +71,11 @@ class SpinStructure:
     shift: tuple
 
     def __post_init__(self):
-        s = tuple(float(x) for x in self.shift)
-        if len(s) != 3 or any(x not in (0.0, 0.5) for x in s):
-            raise InputError(f"spin-structure shift must lie in {{0, 1/2}}^3, got {self.shift}")
-        object.__setattr__(self, "shift", s)
+        shift = self.shift
+        s = () if isinstance(shift, str) or not np.iterable(shift) else tuple(shift)
+        if len(s) != 3 or not all(isinstance(x, numbers.Real) and x in (0.0, 0.5) for x in s):
+            raise InputError(f"spin-structure shift must lie in {{0, 1/2}}^3, got {shift!r}")
+        object.__setattr__(self, "shift", tuple(float(x) for x in s))
 
     def is_trivial(self) -> bool:
         return self.shift == (0.0, 0.0, 0.0)
@@ -119,12 +121,6 @@ class SpectrumTable:
 
     def __len__(self):
         return len(self.values)
-
-
-def _coerce_shift(shift) -> SpinStructure:
-    if isinstance(shift, SpinStructure):
-        return shift
-    return SpinStructure(tuple(shift))
 
 
 def _q_max(radius: float, name: str) -> int:
@@ -176,8 +172,8 @@ def torus_exact_spectrum(shift, lambda_max: float) -> SpectrumTable:
     a histogram of length (2 lambda_max)^2 + 1; one longer than
     _Q_LENGTH_BUDGET is refused (see _q_max).
     """
-    s = _coerce_shift(shift)
-    if not 0.0 < lambda_max < np.inf:
+    s = shift if isinstance(shift, SpinStructure) else SpinStructure(shift)
+    if not (isinstance(lambda_max, numbers.Real) and 0.0 < lambda_max < np.inf):
         raise InputError(f"lambda_max must be positive and finite, got {lambda_max}")
     qmax = _q_max(lambda_max, "lambda_max")
     counts = _shell_counts(s.shift, lambda_max, qmax)
@@ -201,7 +197,7 @@ def sphere_exact_spectrum(lambda_max: float) -> SpectrumTable:
 
     A table longer than _Q_LENGTH_BUDGET is refused before allocation.
     """
-    if not 0.0 < lambda_max < np.inf:
+    if not (isinstance(lambda_max, numbers.Real) and 0.0 < lambda_max < np.inf):
         raise InputError(f"lambda_max must be positive and finite, got {lambda_max}")
     k_max = int(np.floor(lambda_max - 0.5))
     if 2 * k_max > _Q_LENGTH_BUDGET:
@@ -231,8 +227,9 @@ def lattice_count(center, radius: float) -> int:
     _q_max), so its plane holds at most (2 radius + 3)^2 points;
     larger radii are refused before allocation.
     """
-    center = np.asarray(center, dtype=float)
-    if center.shape != (3,) or not np.isfinite(center).all() or not 0.0 < radius < np.inf:
+    center = np.asarray(center)
+    if (center.shape != (3,) or center.dtype.kind not in "iuf" or not np.isfinite(center).all()
+            or not isinstance(radius, numbers.Real) or not 0.0 < radius < np.inf):
         raise InputError(f"center must be a finite 3-vector and radius positive and finite, "
                          f"got center {center.tolist()} and radius {radius}")
     _q_max(radius, "radius")
@@ -454,13 +451,6 @@ class _GalerkinTable:
                 out += term
 
 
-def _time_reversed(v: np.ndarray) -> np.ndarray:
-    """J v for an interleaved vector v = (x_0, y_0, x_1, y_1, ...): (conj y, -conj x), new."""
-    out = np.conj(v.reshape(-1, 2)[:, ::-1]).ravel()
-    out[1::2] *= -1.0
-    return out
-
-
 def _kramers_tridiagonal(g: np.ndarray) -> tuple:
     """The real tridiagonal (d, e) whose eigenvalues, each taken twice, are the quaternion pair g's.
 
@@ -473,44 +463,53 @@ def _kramers_tridiagonal(g: np.ndarray) -> tuple:
     of its first quaternion entry; the off-diagonal entry it leaves has the column's norm as
     modulus, and a diagonal quaternion rescaling makes it real.  Only M's top rows, g, are stored
     and updated, in place: the bottom rows are J's image of them, so M (w, Jw) is read off the two
-    products g (w, Jw).  Reflectors are accumulated _KRAMERS_PANEL at a time as the pending update
-    u v of g's trailing part.  A step corrects its pivot row and its products for that update, and
-    each panel applies it to the trailing rows by one product of inner order 4 _KRAMERS_PANEL, a
-    slab of rows at a time.
+    products g (w, Jw).  np.vecdot forms both from one read of each trailing row, where a matrix
+    product with two columns first packs the whole trailing part.  Reflectors are accumulated
+    _KRAMERS_PANEL at a time as the pending update u v of g's trailing part.  A step corrects its
+    pivot row and its products for that update and writes its vectors straight into u and v, so
+    it allocates no stack.  Each panel applies the update to the trailing rows by one product of
+    inner order 4 _KRAMERS_PANEL, a slab of 4 _KRAMERS_PANEL rows at a time (3 MB at order 729).
     """
     n = len(g)
     d, e = np.empty(n), np.zeros(n - 1)
+    r = np.empty((n, 2), dtype=complex)
     for k0 in range(0, n - 1, _KRAMERS_PANEL):
         k1 = min(k0 + _KRAMERS_PANEL, n - 1)
         u = np.zeros((n - k0, 4 * (k1 - k0)), dtype=complex)  # its rows are g's rows k0..
         v = np.zeros((4 * (k1 - k0), 2 * (n - k0)), dtype=complex)  # its columns g's columns 2 k0..
         for k in range(k0, k1):
-            j, s = k - k0, 4 * (k - k0)
-            row = g[k, 2 * k:] - u[j, :s] @ v[:s, 2 * j:]
-            d[k] = row[0].real
-            x = np.conj(row[2:])  # column k below the diagonal, by Hermiticity
-            sigma = e[k] = np.linalg.norm(x)
-            rho = math.hypot(abs(x[0]), abs(x[1]))
-            w = x.copy()
+            j, s, m = k - k0, 4 * (k - k0), n - 1 - k
+            # M -= W q^* + q W^* with W = (w, Jw) and q = (q, Jq), on g's rows: u v.  The step's
+            # rows of v are conj(q, Jq, w, Jw), and conj(J x) = J conj(x) fills the odd ones.
+            vk = v[s:s + 4, 2 * j + 2:]
+            wj, cw, cq = vk[2:], vk[2], vk[0]  # np.vecdot conjugates wj back to (w, Jw)
+            d[k] = (g[k, 2 * k] - u[j, :s] @ v[:s, 2 * j]).real
+            np.subtract(g[k, 2 * k + 2:], np.matmul(u[j, :s], v[:s, 2 * j + 2:], out=cw), out=cw)
+            sigma = e[k] = np.linalg.norm(cw)  # cw is conj of column k below the diagonal
+            rho = math.hypot(abs(cw[0]), abs(cw[1]))
             if rho > 0.0:
-                w[:2] *= 1.0 + sigma / rho
+                cw[:2] *= 1.0 + sigma / rho
             else:
-                w[0] = sigma
+                cw[0] = sigma
             if sigma > 0.0:  # then |w|^2 = 2 sigma (sigma + rho) becomes 2
-                w /= math.sqrt(sigma)
-                w /= math.sqrt(sigma + rho)
-            jw = _time_reversed(w)
-            wj = np.stack([w, jw], axis=1)
-            r = g[k + 1:, 2 * k + 2:] @ wj - u[j + 1:, :s] @ (v[:s, 2 * j + 2:] @ wj)
-            p = np.stack([r[:, 0], np.conj(r[:, 1])], axis=1).ravel()  # M w
-            q = p - 0.5 * np.vdot(w, p).real * w
-            jq = _time_reversed(q)
-            # M -= W q^* + q W^* with W = (w, Jw) and q = (q, Jq), on g's rows: u v
-            u[j + 1:, s:s + 4] = np.stack([w[0::2], jw[0::2], q[0::2], jq[0::2]], axis=1)
-            v[s:s + 4, 2 * j + 2:] = np.conj(np.stack([q, jq, w, jw]))
-        lead = k1 - k0
-        for lo in range(k1, n, _KRAMERS_PANEL):
-            g[lo:lo + _KRAMERS_PANEL, 2 * k1:] -= u[lo - k0:lo - k0 + _KRAMERS_PANEL] @ v[:, 2 * lead:]
+                cw /= math.sqrt(sigma)
+                cw /= math.sqrt(sigma + rho)
+            np.conjugate(cw[1::2], out=vk[3, 0::2])
+            np.negative(np.conjugate(cw[0::2], out=vk[3, 1::2]), out=vk[3, 1::2])
+            rk = np.vecdot(wj, g[k + 1:, 2 * k + 2:][:, None, :], out=r[:m])  # g (w, Jw)
+            if s:
+                rk -= u[j + 1:, :s] @ np.vecdot(wj, v[:s, 2 * j + 2:][:, None, :])
+            np.conjugate(rk[:, 0], out=cq[0::2])  # conj(M w); M w interleaves g w and conj(g Jw)
+            cq[1::2] = rk[:, 1]
+            # conj(q), q = M w - (w^* M w / 2) w, with vk[1] as scratch until it takes conj(Jq)
+            cq -= np.multiply(cw, 0.5 * np.vdot(cw, cq).real, out=vk[1])
+            np.conjugate(cq[1::2], out=vk[1, 0::2])
+            np.negative(np.conjugate(cq[0::2], out=vk[1, 1::2]), out=vk[1, 1::2])
+            np.conjugate(vk[2:, 0::2].T, out=u[j + 1:, s:s + 2])  # w, Jw on g's rows
+            np.conjugate(vk[:2, 0::2].T, out=u[j + 1:, s + 2:s + 4])  # q, Jq
+        lead, slab = k1 - k0, 4 * _KRAMERS_PANEL
+        for lo in range(k1, n, slab):
+            g[lo:lo + slab, 2 * k1:] -= u[lo - k0:lo - k0 + slab] @ v[:, 2 * lead:]
     d[-1] = g[-1, -2].real
     return d, e
 
@@ -540,12 +539,11 @@ def _eigvalsh2(h: np.ndarray) -> np.ndarray:
 
 
 def _number_pair(value, name: str) -> tuple:
-    """value as two floats (lo, hi); anything else is refused with InputError naming it."""
-    try:
-        lo, hi = (float(edge) for edge in value)
-    except (TypeError, ValueError):
-        raise InputError(f"{name} must be a pair (lo, hi) of numbers, got {value!r}") from None
-    return lo, hi
+    """value as two floats (lo, hi); anything else, a string too, is refused with InputError."""
+    pair = () if isinstance(value, str) or not np.iterable(value) else tuple(value)
+    if len(pair) != 2 or not all(isinstance(edge, numbers.Real) for edge in pair):
+        raise InputError(f"{name} must be a pair (lo, hi) of numbers, got {value!r}")
+    return float(pair[0]), float(pair[1])
 
 
 def galerkin_spectrum(op: FirstOrderOperator, mode_cutoff: int, window=None) -> SpectrumTable:
@@ -658,8 +656,8 @@ def _counts(table: SpectrumTable, lams, side: str = "left"):
 
 
 def _check_threshold(table: SpectrumTable, lam: float) -> None:
-    if not lam > 0.0:
-        raise InputError(f"counting threshold lam must be positive, got {lam}")
+    if not (isinstance(lam, numbers.Real) and lam > 0.0):
+        raise InputError(f"counting threshold lam must be positive, got {lam!r}")
     if lam > table.coverage[1] + 1e-12:
         raise InputError(
             f"lambda {lam} exceeds table coverage {table.coverage[1]}; "
@@ -755,6 +753,8 @@ def asymptotic_comparison(
     windows -- their decay is the sharp-remainder diagnostic -- and a
     log-log least-squares growth exponent of |residual|.
     """
+    expect_type(a_global, numbers.Real, "a_global")
+    expect_type(b_global, numbers.Real, "b_global")
     lo, hi = _number_pair(lambda_range, "lambda_range")
     if not (0.0 < lo < hi):
         raise InputError("lambda_range must be positive and increasing")
@@ -857,11 +857,11 @@ def mollified_count(
     weigh 1 and are read off the table's cumulative count, those further
     above weigh 0.
     """
+    if not (isinstance(kernel_width, numbers.Real) and 0.0 < kernel_width < 2.0 * np.pi):
+        raise InputError(f"kernel_width must lie in (0, 2*pi), got {kernel_width!r}")
+    if not (isinstance(lam, numbers.Real) and lam > 0.0):
+        raise InputError(f"lam must be positive, got {lam!r}")
     tau = float(kernel_width)
-    if not (0.0 < tau < 2.0 * np.pi):
-        raise InputError(f"kernel width must lie in (0, 2*pi), got {tau}")
-    if not lam > 0.0:
-        raise InputError(f"lam must be positive, got {lam}")
     tail = 45.75 / tau
     if lam + tail > table.coverage[1] + 1e-12:
         raise InputError(

@@ -230,6 +230,10 @@ def _non_finite_frame():
     return dw.FrameField(e)
 
 
+def _torus_table():
+    return dw.torus_exact_spectrum((0, 0, 0), 10)
+
+
 def _dependent_legs():
     return dw.orthonormalize_frame(_grid_of([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
 
@@ -365,6 +369,28 @@ REFUSED_BRANCHES = {
                               "e must be a ndarray, got PrincipalSymbolField"),
     "lift-of-symbol": (lambda: dw.su2_lift(_standard_symbol()), InputError,
                        "o_field must be a ndarray, got PrincipalSymbolField"),
+    # TypeError comparing a string with 0.0
+    "counting-function-str": (lambda: dw.counting_function(_torus_table(), "3"), InputError,
+                              "counting threshold lam must be positive, got '3'"),
+    "counting-bounds-str": (lambda: dw.counting_bounds(_torus_table(), "3"), InputError,
+                            "counting threshold lam must be positive, got '3'"),
+    "mollified-lam-str": (lambda: dw.mollified_count(_torus_table(), "3"), InputError,
+                          "lam must be positive, got '3'"),
+    "torus-lambda-str": (lambda: dw.torus_exact_spectrum((0, 0, 0), "x"), InputError,
+                         "lambda_max must be positive and finite, got x"),
+    "sphere-lambda-str": (lambda: dw.sphere_exact_spectrum("x"), InputError,
+                          "lambda_max must be positive and finite, got x"),
+    # ValueError from float() of a string
+    "mollified-width-str": (lambda: dw.mollified_count(_torus_table(), 3.0, "x"), InputError,
+                            "kernel_width must lie in (0, 2*pi), got 'x'"),
+    "torus-shift-str": (lambda: dw.torus_exact_spectrum("abc", 10), InputError,
+                        "spin-structure shift must lie in {0, 1/2}^3, got 'abc'"),
+    "lattice-center-str": (lambda: dw.lattice_count("abc", 3.0), InputError,
+                           "center must be a finite 3-vector and radius positive and finite, "
+                           "got center abc"),
+    # UFuncTypeError multiplying a string by the sample points
+    "comparison-a-str": (lambda: dw.asymptotic_comparison(_torus_table(), "x", 0.0, (1, 5)),
+                         InputError, "a_global must be a Real, got str"),
 }
 
 

@@ -375,6 +375,20 @@ def test_kramers_path_runs_exactly_on_time_reversal_symmetric_blocks(case):
         assert np.all(got.multiplicities % 2 == 0)
 
 
+@pytest.mark.parametrize("case", ["gauged-twisted", "random-plus-scalar"])
+def test_kramers_pair_matches_the_dense_matrix(case):
+    """The pair path on a gauged and on a shifted Dirac operator, whose pairs carry the gauge
+    field's phases and the scalar's diagonal, against the dense matrix's window eigenvalues."""
+    op = KRAMERS_CASES[case][0]()
+    got = dw.galerkin_spectrum(op, 3)
+    values, mults = _dense_galerkin(op, 3, got.coverage)
+    print(f"{case}: largest move {np.abs(got.values - values).max():.1e}")
+    assert got.metadata["kramers_blocks"] == 1
+    assert len(got.values) == len(values) > 0
+    assert np.abs(got.values - values).max() <= 1e-12
+    assert np.array_equal(got.multiplicities, mults)
+
+
 def _quaternion_pair(n, rng):
     """A random Hermitian A and skew-symmetric B of order n."""
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -383,12 +397,14 @@ def _quaternion_pair(n, rng):
 
 
 @pytest.mark.parametrize("n, zero", [(1, None), (2, None), (_KRAMERS_PANEL + 9, None),
-                                     (12, "column"), (12, "leading-entry")],
-                         ids=["order-1", "order-2", "across-a-panel", "zero-column",
-                              "zero-leading-entry"])
+                                     (5 * _KRAMERS_PANEL + 9, None), (12, "column"),
+                                     (12, "leading-entry")],
+                         ids=["order-1", "order-2", "across-a-panel", "across-a-slab",
+                              "zero-column", "zero-leading-entry"])
 def test_kramers_reduction_matches_the_complex_adjoint(n, zero):
     """Each eigenvalue of the tridiagonal, taken twice, is one of the complex adjoint
-    [[A, -B], [conj B, conj A]] of the quaternion matrix A + B j.  A zero column 0 leaves
+    [[A, -B], [conj B, conj A]] of the quaternion matrix A + B j.  Past order 5 _KRAMERS_PANEL
+    the first panel's update reaches more trailing rows than one slab holds.  A zero column 0 leaves
     the first step nothing to reflect; a zero entry right below the diagonal leaves its
     reflector no phase to copy."""
     a, b = _quaternion_pair(n, np.random.default_rng(n))
@@ -665,14 +681,14 @@ class TestGalerkin:
         with pytest.raises(InputError, match="reliable"):
             dw.galerkin_spectrum(op, 4, window=(-3.0, 3.0))
 
-    @pytest.mark.parametrize("window", [(1.0,), (-1.0, 0.0, 5.0), 1.0, (), ("a", 1.0)])
+    @pytest.mark.parametrize("window", [(1.0,), (-1.0, 0.0, 5.0), 1.0, (), ("a", 1.0), ("-1", "1")])
     def test_window_that_is_not_a_pair_of_numbers_rejected(self, window):
         """(1.0,) raised IndexError and (-1, 0, 5) dropped the 5 without a word."""
         op = dw.dirac_operator(dw.standard_frame(8))
         with pytest.raises(InputError, match="pair"):
             dw.galerkin_spectrum(op, 4, window=window)
 
-    @pytest.mark.parametrize("lambda_range", [(5.0,), (5.0, 8.0, 1.0), 5.0, ("a", "b")])
+    @pytest.mark.parametrize("lambda_range", [(5.0,), (5.0, 8.0, 1.0), 5.0, ("a", "b"), ("1", "5")])
     def test_lambda_range_that_is_not_a_pair_of_numbers_rejected(self, lambda_range):
         """asymptotic_comparison parses its range as the window above is: (5.0,) raised
         IndexError, (5.0, 8.0, 1.0) dropped the 1.0, 5.0 raised TypeError and ("a", "b")
