@@ -29,7 +29,7 @@ import numpy as np
 from .errors import InputError, expect_type, gate
 from .fields import _grid_line_jets, _transposed, fiber_ball_quadrature, grid_integral
 from .geometry import FrameField, PrincipalSymbolField, decode_metric, pauli_components, torsion
-from .operators import FirstOrderOperator, _subprincipal, _weyl_b
+from .operators import FirstOrderOperator, _subprincipal
 
 
 def _principal(obj) -> PrincipalSymbolField:
@@ -228,7 +228,9 @@ def b_density(op: FirstOrderOperator) -> AsymptoticCoefficients:
     metric = decode_metric(op.sigma)
     tor = torsion(FrameField(op.sigma.p), metric)
     vol, c_tax = metric.vol, tor.charge * tor.axial_dual
-    a, b = vol / (6.0 * np.pi**2), _weyl_b(vol, c_tax, op.a0)
-    return AsymptoticCoefficients(a=a, b1=_weyl_b(vol, a0=op.a0), b2=_weyl_b(vol, c_tax), b=b,
+    trace = op.a0[..., 0, 0].real + op.a0[..., 1, 1].real
+    a, b = vol / (6.0 * np.pi**2), (3.0 * c_tax - 2.0 * trace) * vol / (8.0 * np.pi**2)
+    return AsymptoticCoefficients(a=a, b1=-2.0 * trace * vol / (8.0 * np.pi**2),
+                                  b2=3.0 * c_tax * vol / (8.0 * np.pi**2), b=b,
                                   a_global=float(grid_integral(a)), b_global=float(grid_integral(b)),
                                   charge=tor.charge)

@@ -7,6 +7,8 @@ imports no numpy, so the command line refuses bad input without it;
 gate loads numpy when it is first called.
 """
 
+import numbers
+
 
 class DiracweylError(Exception):
     """Base class for all library errors."""
@@ -32,6 +34,13 @@ def expect_type(value, cls, name: str) -> None:
     if not isinstance(value, cls):
         names = " or ".join(c.__name__ for c in (cls if isinstance(cls, tuple) else (cls,)))
         raise InputError(f"{name} must be a {names}, got {type(value).__name__}")
+
+
+def is_number(value, integral: bool = False) -> bool:
+    """Whether value is a real number (an integer if integral), numpy's scalars included, and
+    no bool, which Python counts as the int 0 or 1."""
+    kind = numbers.Integral if integral else numbers.Real
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def gate(what: str, residual, bound: float, error=ConsistencyError) -> float:

@@ -24,7 +24,7 @@ from operator import index
 
 import numpy as np
 
-from .errors import EllipticityError, InputError, gate
+from .errors import EllipticityError, InputError, gate, is_number
 
 TWO_PI = 2.0 * np.pi
 VOLUME = TWO_PI**3
@@ -163,8 +163,7 @@ def spectral_derivative(values: np.ndarray, axis: int) -> np.ndarray:
     band-limited fields never populate that mode, so the derivative is
     exact for them.  It is taken by one matrix product (_derivative).
     """
-    if (isinstance(axis, (bool, np.bool_)) or not isinstance(axis, (int, np.integer))
-            or axis not in (1, 2, 3)):
+    if not is_number(axis, integral=True) or axis not in (1, 2, 3):
         raise InputError(f"axis must be 1, 2 or 3, got {axis!r}")
     values = np.asarray(values)
     if values.dtype.kind not in "biufc":

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .defaults import _DEFAULT_TOL
-from .errors import ConsistencyError, InputError, expect_type, gate
+from .errors import ConsistencyError, InputError, expect_type, gate, is_number
 from .fields import _FOURIER_TOL, _derivative, _fourier_content, chart_of
 from .geometry import (
     PAULI,
@@ -408,9 +408,9 @@ def su2_lift(o_field: np.ndarray):
 class DiracVerdict:
     """Outcome of the massless-Dirac characterisation for one operator.
 
-    cond_a_residual and cond_b_residual measure the paper's two conditions;
-    reconstructed_gap is the distance of a0 from the Dirac operator of the
-    decoded frame, read off the subprincipal/axial-torsion identity.
+    is_dirac is (a) and (b), each residual at most tol in the unit of A_sub (check_dirac);
+    cond_a_residual is that of (a), while cond_b_residual reports max|b|, 2 pi^2 / sqrt(det g)
+    times the residual of (b).  reconstructed_gap, reported only, is max|a0 - a0_Dirac|.
     """
 
     is_dirac: bool
@@ -423,42 +423,32 @@ class DiracVerdict:
 def check_dirac(op: FirstOrderOperator, tol: float = _DEFAULT_TOL) -> DiracVerdict:
     """Decide whether the operator is the massless Dirac operator of its frame.
 
-    Three residuals, all required below tol:
+    The paper's theorem: Dirac if and only if (a) A_sub is proportional to Id and (b) b = 0
+    at every point.  Both residuals read one field, M = A_sub - (3c/4) (*T_ax) Id, which a
+    Dirac operator makes 0 (the subprincipal/axial-torsion identity), and the verdict is
+    that both are at most tol, in the unit of A_sub:
 
-    * cond_a_residual - proportionality of the subprincipal symbol to
-      the identity (max operator norm of its trace-free part);
-    * cond_b_residual - vanishing of the second Weyl coefficient
-      density b(x) (max modulus over the grid);
-    * reconstructed_gap - max |A_sub - (3c/4) (*T_ax) Id|, the residual
-      of the paper's subprincipal/axial-torsion identity, which equals
-      max |a0 - a0_Dirac| for the Dirac operator of the decoded frame.
-      It reads the subprincipal symbol and torsion the other two
-      residuals use, so no Dirac a0 and no Christoffel symbols are built.
+    * (a), cond_a_residual: the largest operator norm of M's trace-free part, A_sub's;
+    * (b): max|Re tr M| / 2 = 2 pi^2 max|b / sqrt(det g)|, as b = -(Re tr M / 2) sqrt(det g)
+      / (2 pi^2); cond_b_residual reports max|b|.
 
-    The metric and the torsion are those a caller still holds for the
-    symbol (decode_metric, torsion); the half divergence is new each call.
+    reconstructed_gap = max|M| is max|a0 - a0_Dirac| for the Dirac operator of the decoded
+    frame (the two share A_sub's derivative term), and decides nothing: with
+    h = max|A_sub - A_sub^*|, which the operator's self-adjointness gate holds to
+    1e-10 max(1, max|a0|), gap <= (a) + (b) + h.  The metric and the torsion are those a
+    caller still holds for the symbol (decode_metric, torsion); the half divergence is new.
     """
     expect_type(op, FirstOrderOperator, "op")
-    if not 0.0 <= tol < np.inf:
-        raise InputError(f"tol must be a finite non-negative number, got {tol}")
+    if not (is_number(tol) and 0.0 <= tol < np.inf):
+        raise InputError(f"tol must be a finite non-negative number, got {tol!r}")
     metric = decode_metric(op.sigma)
     tor = torsion(FrameField(op.sigma.p), metric)  # its orientation check refuses a degenerate frame
-    c_tax = tor.charge * tor.axial_dual
-    cond_b = float(np.abs(_weyl_b(metric.vol, c_tax, op.a0)).max())
-    asub = _subprincipal(op.a0, _half_divergence(op.sigma.p))
-    # A - tr(A)/2 = (Re A01, -Im A01, diag).s
-    diag = asub[0, 0].real - 0.5 * (asub[0, 0].real + asub[1, 1].real)
-    cond_a = float(np.hypot(np.hypot(asub[0, 1].real, asub[0, 1].imag), diag).max())  # no overflow
-    asub[[0, 1], [0, 1]] -= 0.75 * c_tax
-    gap = float(np.abs(asub).max())
-    ok = cond_a <= tol and cond_b <= tol and gap <= tol
-    return DiracVerdict(is_dirac=bool(ok), cond_a_residual=cond_a, cond_b_residual=cond_b,
-                        reconstructed_gap=gap, tol=tol)
-
-
-def _weyl_b(vol: np.ndarray, c_tax=None, a0=None) -> np.ndarray:
-    """b = (3 c *T_ax - 2 tr A_sub) sqrt(det g) / (8 pi^2), with tr A_sub = tr a0;
-    b1 without c_tax, b2 without a0."""
-    axial = 0.0 if c_tax is None else 3.0 * c_tax
-    trace = 0.0 if a0 is None else a0[..., 0, 0].real + a0[..., 1, 1].real
-    return (axial - 2.0 * trace) * vol / (8.0 * np.pi**2)
+    m = _subprincipal(op.a0, _half_divergence(op.sigma.p))
+    m[[0, 1], [0, 1]] -= 0.75 * tor.charge * tor.axial_dual
+    half_trace = 0.5 * (m[0, 0].real + m[1, 1].real)
+    diag = m[0, 0].real - half_trace  # M - tr(M)/2 = (Re M01, -Im M01, diag).s
+    cond_a = float(np.hypot(np.hypot(m[0, 1].real, m[0, 1].imag), diag).max())  # no overflow
+    cond_b = float(np.abs(half_trace).max())
+    max_b = float(np.abs(half_trace * metric.vol).max()) / (2.0 * np.pi**2)
+    return DiracVerdict(is_dirac=cond_a <= tol and cond_b <= tol, cond_a_residual=cond_a,
+                        cond_b_residual=max_b, reconstructed_gap=float(np.abs(m).max()), tol=tol)

@@ -13,11 +13,10 @@ when it is called.
 from __future__ import annotations
 
 from itertools import product
-from numbers import Real
-from operator import index
+from numbers import Integral
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .errors import InputError
+from .errors import InputError, is_number
 
 if TYPE_CHECKING:
     import numpy as np
@@ -64,7 +63,7 @@ def twisted_frame(k3: int, n: int = _DEFAULT_GRID) -> FrameField:
     from .fields import PeriodicChart
     from .geometry import FrameField
 
-    if not (isinstance(k3, int) or isinstance(k3, Real) and float(k3).is_integer()):
+    if not (is_number(k3) and (isinstance(k3, Integral) or float(k3).is_integer())):
         raise InputError(f"twist number k3 must be an integer, got {k3}")
     chart = PeriodicChart(n)
     if 2 * abs(int(k3)) >= n:
@@ -107,13 +106,9 @@ def _rng(seed):
     """numpy's generator of a seed, which must be a non-negative integer."""
     import numpy as np
 
-    try:
-        value = index(seed)  # int or numpy integer; no float, string or sequence
-    except TypeError:
-        value = -1
-    if value < 0:
+    if not (is_number(seed, integral=True) and seed >= 0):  # no bool, float, string or sequence
         raise InputError(f"seed must be a non-negative integer, got {seed!r}")
-    return np.random.default_rng(value)
+    return np.random.default_rng(int(seed))
 
 
 def random_band_limited_frame(
@@ -136,7 +131,7 @@ def random_band_limited_frame(
     from .geometry import orthonormalize_frame
 
     rng = _rng(seed)
-    if amplitude < 0.0 or amplitude >= 0.5:
+    if not (is_number(amplitude) and 0.0 <= amplitude < 0.5):
         raise InputError("amplitude must lie in [0, 0.5) to keep the frame nondegenerate")
     coef = rng.standard_normal((len(_FRAME_MODES), 2, 3, 3))
     pert = _trig_polynomial(_FRAME_MODES, coef, n)
@@ -162,6 +157,8 @@ def random_gauge_field(seed: int, n: int = _DEFAULT_GRID, amplitude: float = 0.0
     from .geometry import pauli_matrices
     from .operators import GaugeField
 
+    if not is_number(amplitude):
+        raise InputError(f"amplitude must be a real number, got {amplitude!r}")
     coef = _rng(seed).standard_normal((4, len(_GAUGE_MODES), 2))
     fields = _trig_polynomial(_GAUGE_MODES, np.moveaxis(coef, 0, -1), n)  # t, u^1, u^2, u^3
     fields = amplitude * fields / np.abs(fields).max(axis=(0, 1, 2))
@@ -182,6 +179,8 @@ def dirac_plus_scalar(frame: FrameField, q: float) -> FirstOrderOperator:
 
     from .operators import _A0_LIMIT, _shifted_dirac
 
+    if not is_number(q):
+        raise InputError(f"q must be a real number, got {q!r}")
     if not abs(q) <= _A0_LIMIT:
         raise InputError(f"q = {q} is over the limit |q| <= {_A0_LIMIT:g}: the torus integral of "
                          f"b overflows float64 past |q| of about 1.7e303 at the 128^3 grid ceiling")
@@ -193,6 +192,8 @@ def dirac_plus_traceless(frame: FrameField, epsilon: float) -> FirstOrderOperato
     from .geometry import PAULI
     from .operators import _shifted_dirac
 
+    if not is_number(epsilon):
+        raise InputError(f"epsilon must be a real number, got {epsilon!r}")
     return _shifted_dirac(frame, epsilon * PAULI[2])
 
 

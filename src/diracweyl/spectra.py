@@ -24,14 +24,13 @@ so one sampled width-1 CDF serves every width in (0, 2*pi).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .defaults import _DEFAULT_KERNEL_WIDTH
-from .errors import ConsistencyError, InputError, expect_type, gate
+from .errors import ConsistencyError, InputError, expect_type, gate, is_number
 from .fields import _fourier_content
 
 if TYPE_CHECKING:
@@ -73,7 +72,7 @@ class SpinStructure:
     def __post_init__(self):
         shift = self.shift
         s = () if isinstance(shift, str) or not np.iterable(shift) else tuple(shift)
-        if len(s) != 3 or not all(isinstance(x, numbers.Real) and x in (0.0, 0.5) for x in s):
+        if len(s) != 3 or not all(is_number(x) and x in (0.0, 0.5) for x in s):
             raise InputError(f"spin-structure shift must lie in {{0, 1/2}}^3, got {shift!r}")
         object.__setattr__(self, "shift", tuple(float(x) for x in s))
 
@@ -173,7 +172,7 @@ def torus_exact_spectrum(shift, lambda_max: float) -> SpectrumTable:
     _Q_LENGTH_BUDGET is refused (see _q_max).
     """
     s = shift if isinstance(shift, SpinStructure) else SpinStructure(shift)
-    if not (isinstance(lambda_max, numbers.Real) and 0.0 < lambda_max < np.inf):
+    if not (is_number(lambda_max) and 0.0 < lambda_max < np.inf):
         raise InputError(f"lambda_max must be positive and finite, got {lambda_max}")
     qmax = _q_max(lambda_max, "lambda_max")
     counts = _shell_counts(s.shift, lambda_max, qmax)
@@ -197,7 +196,7 @@ def sphere_exact_spectrum(lambda_max: float) -> SpectrumTable:
 
     A table longer than _Q_LENGTH_BUDGET is refused before allocation.
     """
-    if not (isinstance(lambda_max, numbers.Real) and 0.0 < lambda_max < np.inf):
+    if not (is_number(lambda_max) and 0.0 < lambda_max < np.inf):
         raise InputError(f"lambda_max must be positive and finite, got {lambda_max}")
     k_max = int(np.floor(lambda_max - 0.5))
     if 2 * k_max > _Q_LENGTH_BUDGET:
@@ -227,11 +226,11 @@ def lattice_count(center, radius: float) -> int:
     _q_max), so its plane holds at most (2 radius + 3)^2 points;
     larger radii are refused before allocation.
     """
-    center = np.asarray(center)
-    if (center.shape != (3,) or center.dtype.kind not in "iuf" or not np.isfinite(center).all()
-            or not isinstance(radius, numbers.Real) or not 0.0 < radius < np.inf):
+    given, center = center, np.asarray(center)
+    if (center.shape != (3,) or center.dtype.kind not in "iuf" or not all(map(is_number, given))
+            or not np.isfinite(center).all() or not is_number(radius) or not 0.0 < radius < np.inf):
         raise InputError(f"center must be a finite 3-vector and radius positive and finite, "
-                         f"got center {center.tolist()} and radius {radius}")
+                         f"got center {given} and radius {radius}")
     _q_max(radius, "radius")
     lo = np.floor(center - radius).astype(int)
     hi = np.ceil(center + radius).astype(int)
@@ -541,7 +540,7 @@ def _eigvalsh2(h: np.ndarray) -> np.ndarray:
 def _number_pair(value, name: str) -> tuple:
     """value as two floats (lo, hi); anything else, a string too, is refused with InputError."""
     pair = () if isinstance(value, str) or not np.iterable(value) else tuple(value)
-    if len(pair) != 2 or not all(isinstance(edge, numbers.Real) for edge in pair):
+    if len(pair) != 2 or not all(map(is_number, pair)):
         raise InputError(f"{name} must be a pair (lo, hi) of numbers, got {value!r}")
     return float(pair[0]), float(pair[1])
 
@@ -573,8 +572,7 @@ def galerkin_spectrum(op: FirstOrderOperator, mode_cutoff: int, window=None) -> 
     """
     from .operators import FirstOrderOperator  # here, so exact tables load no operator code
     expect_type(op, FirstOrderOperator, "op")
-    if (isinstance(mode_cutoff, (bool, np.bool_)) or not isinstance(mode_cutoff, (int, np.integer))
-            or mode_cutoff < 1):
+    if not is_number(mode_cutoff, integral=True) or mode_cutoff < 1:
         raise InputError(f"mode_cutoff must be at least 1 and an integer, got {mode_cutoff!r}")
     c = int(mode_cutoff)
     if (2 * c + 1) ** 3 > _Q_LENGTH_BUDGET:
@@ -656,7 +654,7 @@ def _counts(table: SpectrumTable, lams, side: str = "left"):
 
 
 def _check_threshold(table: SpectrumTable, lam: float) -> None:
-    if not (isinstance(lam, numbers.Real) and lam > 0.0):
+    if not (is_number(lam) and lam > 0.0):
         raise InputError(f"counting threshold lam must be positive, got {lam!r}")
     if lam > table.coverage[1] + 1e-12:
         raise InputError(
@@ -753,8 +751,9 @@ def asymptotic_comparison(
     windows -- their decay is the sharp-remainder diagnostic -- and a
     log-log least-squares growth exponent of |residual|.
     """
-    expect_type(a_global, numbers.Real, "a_global")
-    expect_type(b_global, numbers.Real, "b_global")
+    for name, value in (("a_global", a_global), ("b_global", b_global)):
+        if not is_number(value):
+            raise InputError(f"{name} must be a Real, got {type(value).__name__}")
     lo, hi = _number_pair(lambda_range, "lambda_range")
     if not (0.0 < lo < hi):
         raise InputError("lambda_range must be positive and increasing")
@@ -857,9 +856,9 @@ def mollified_count(
     weigh 1 and are read off the table's cumulative count, those further
     above weigh 0.
     """
-    if not (isinstance(kernel_width, numbers.Real) and 0.0 < kernel_width < 2.0 * np.pi):
+    if not (is_number(kernel_width) and 0.0 < kernel_width < 2.0 * np.pi):
         raise InputError(f"kernel_width must lie in (0, 2*pi), got {kernel_width!r}")
-    if not (isinstance(lam, numbers.Real) and lam > 0.0):
+    if not (is_number(lam) and lam > 0.0):
         raise InputError(f"lam must be positive, got {lam!r}")
     tau = float(kernel_width)
     tail = 45.75 / tau

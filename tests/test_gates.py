@@ -391,6 +391,48 @@ REFUSED_BRANCHES = {
     # UFuncTypeError multiplying a string by the sample points
     "comparison-a-str": (lambda: dw.asymptotic_comparison(_torus_table(), "x", 0.0, (1, 5)),
                          InputError, "a_global must be a Real, got str"),
+    # each ran with the bool as 0 or 1: Python counts True as the int 1
+    "counting-function-bool": (lambda: dw.counting_function(_torus_table(), True), InputError,
+                               "counting threshold lam must be positive, got True"),
+    "counting-bounds-bool": (lambda: dw.counting_bounds(_torus_table(), True), InputError,
+                             "counting threshold lam must be positive, got True"),
+    "lattice-radius-bool": (lambda: dw.lattice_count((0, 0, 0), True), InputError,
+                            "got center (0, 0, 0) and radius True"),
+    "lattice-center-bool": (lambda: dw.lattice_count((True, 0, 0), 3.0), InputError,
+                            "got center (True, 0, 0) and radius 3.0"),
+    "mollified-lam-bool": (lambda: dw.mollified_count(dw.sphere_exact_spectrum(60), True),
+                           InputError, "lam must be positive, got True"),
+    "mollified-width-bool": (lambda: dw.mollified_count(_torus_table(), 3.0, True), InputError,
+                             "kernel_width must lie in (0, 2*pi), got True"),
+    "torus-lambda-bool": (lambda: dw.torus_exact_spectrum((0, 0, 0), True), InputError,
+                          "lambda_max must be positive and finite, got True"),
+    "sphere-lambda-bool": (lambda: dw.sphere_exact_spectrum(True), InputError,
+                           "lambda_max must be positive and finite, got True"),
+    "comparison-a-bool": (lambda: dw.asymptotic_comparison(_torus_table(), True, 0.0, (1, 5)),
+                          InputError, "a_global must be a Real, got bool"),
+    "comparison-range-bool": (lambda: dw.asymptotic_comparison(_torus_table(), 0.1, 0.0, (True, 5)),
+                              InputError, "lambda_range must be a pair (lo, hi) of numbers, got (True, 5)"),
+    "galerkin-window-bool": (lambda: dw.galerkin_spectrum(_structured_dirac(), 2, window=(False, 1.0)),
+                             InputError, "window must be a pair (lo, hi) of numbers, got (False, 1.0)"),
+    "spin-shift-bool": (lambda: dw.SpinStructure((False, 0, 0)), InputError,
+                        "spin-structure shift must lie in {0, 1/2}^3, got (False, 0, 0)"),
+    "twist-bool": (lambda: dw.twisted_frame(True, 8), InputError,
+                   "twist number k3 must be an integer, got True"),
+    "scalar-q-bool": (lambda: dw.dirac_plus_scalar(dw.standard_frame(8), True), InputError,
+                      "q must be a real number, got True"),
+    "traceless-epsilon-bool": (lambda: dw.dirac_plus_traceless(dw.standard_frame(8), True),
+                               InputError, "epsilon must be a real number, got True"),
+    "gauge-seed-bool": (lambda: dw.random_gauge_field(True, 8), InputError,
+                        "seed must be a non-negative integer, got True"),
+    "frame-seed-bool": (lambda: dw.random_band_limited_frame(True, 8), InputError,
+                        "seed must be a non-negative integer, got True"),
+    "gauge-amplitude-bool": (lambda: dw.random_gauge_field(0, 8, amplitude=True), InputError,
+                             "amplitude must be a real number, got True"),
+    "frame-amplitude-bool": (lambda: dw.random_band_limited_frame(0, 8, amplitude=False),
+                             InputError, "amplitude must lie in [0, 0.5)"),
+    # decided at tol = 1
+    "check-dirac-tol-bool": (lambda: dw.check_dirac(_structured_dirac(), tol=True), InputError,
+                             "tol must be a finite non-negative number, got True"),
 }
 
 

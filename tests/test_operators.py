@@ -251,6 +251,33 @@ class TestCheckDirac:
         assert dw.check_dirac(op, tol=1e-7).is_dirac
         assert not dw.check_dirac(op, tol=1e-12).is_dirac
 
+    @pytest.mark.parametrize("build", [lambda: dw.standard_frame(8),
+                                       lambda: dw.random_band_limited_frame(4, 24)],
+                             ids=["standard-8", "random-24"])
+    @pytest.mark.parametrize("perturb", [dw.dirac_plus_scalar, dw.dirac_plus_traceless])
+    def test_each_condition_flips_within_a_factor_two_of_tol(self, build, perturb):
+        """Conditions (a) and (b) are both in the unit of A_sub, so a scalar and a traceless
+        shift of size epsilon each read "not Dirac" from epsilon of about tol on."""
+        tol, frame = 1e-7, build()
+        eps = tol * 2.0 ** (np.arange(-12, 13) / 4.0)
+        verdicts = [dw.check_dirac(perturb(frame, e), tol).is_dirac for e in eps]
+        flip = verdicts.index(False)
+        print(f"{perturb.__name__}: last Dirac at {eps[flip - 1]:.3g}, first refused at {eps[flip]:.3g}")
+        assert all(verdicts[:flip]) and not any(verdicts[flip:])
+        assert tol / 2.0 < eps[flip - 1] and eps[flip] < 2.0 * tol
+
+    def test_only_the_two_conditions_decide(self):
+        """0.8 tol (Id + s^3) fails neither condition, though its gap to the Dirac operator is
+        1.6 tol: the gap is reported, not decided on."""
+        tol = 1e-7
+        op = dw.dirac_operator(dw.standard_frame(8))
+        mixed = dw.FirstOrderOperator(op.sigma, op.a0 + 0.8 * tol * (np.eye(2) + PAULI[2]))
+        verdict = dw.check_dirac(mixed, tol)
+        assert verdict.is_dirac
+        assert abs(verdict.cond_a_residual - 0.8 * tol) < 1e-20
+        assert abs(verdict.cond_b_residual - 0.8 * tol / (2 * np.pi**2)) < 1e-20
+        assert abs(verdict.reconstructed_gap - 1.6 * tol) < 1e-20
+
     def test_check_dirac_decodes_the_metric_once(self, monkeypatch):
         """The verdict decodes the operator's symbol once and builds no second
         operator: no Dirac operator, no symbol, no ellipticity check, and
@@ -310,6 +337,43 @@ def test_reconstructed_gap_is_the_gap_to_the_rebuilt_operator():
             print(f"{name} {n}^3: reconstructed_gap {got!r}, rebuilt-operator gap {want!r}, "
                   f"difference {abs(got - want):.2e}")
             assert abs(got - want) <= bound, f"{name} at {n}^3"
+
+
+def test_bumped_gauged_random_operators_fail_the_condition_they_break():
+    """Seeded compositions: a random frame's Dirac operator, gauged by a random SU(2) field,
+    plus a one-mode bump of seeded size at least 2 tol peaking at a seeded grid point, q(x) Id
+    (even seeds) or eps(x) s^1 (odd seeds).  Without the bump the verdict is Dirac and every
+    residual is at most 2.3e-11.  With it, the failed condition's residual is its prediction,
+    max|eps| or max|q sqrt(det g)| / (2 pi^2), and the other one stays at that floor."""
+    tol, floor, n = 1e-7, 2.3e-11, 16
+    x = PeriodicChart(n).mesh()
+    accepted, refused = 0.0, np.inf
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        frame = dw.random_band_limited_frame(seed, n, amplitude=rng.uniform(0.0, 0.003))
+        gauge = dw.random_gauge_field(seed + 100, n, amplitude=rng.uniform(0.0, 0.04))
+        op = dw.gauge_transform(dw.dirac_operator(frame), gauge)
+        verdict = dw.check_dirac(op, tol)
+        residuals = (verdict.cond_a_residual, verdict.cond_b_residual, verdict.reconstructed_gap)
+        assert verdict.is_dirac and max(residuals) <= floor, seed
+        accepted = max(accepted, *residuals)
+
+        size = 2.0 * tol * 10.0 ** rng.uniform(0.0, 3.0)
+        mode, peak = rng.integers(-2, 3, size=3), tuple(rng.integers(0, n, size=3))
+        bump = size * np.cos(sum(m * (xa - xa[peak]) for m, xa in zip(mode, x)))
+        scalar = seed % 2 == 0
+        bumped = dw.check_dirac(dw.FirstOrderOperator(
+            op.sigma, op.a0 + bump[..., None, None] * (np.eye(2) if scalar else PAULI[0])), tol)
+        if scalar:
+            vol = dw.decode_metric(op.sigma).vol
+            want = (0.0, float(np.abs(bump * vol).max()) / (2.0 * np.pi**2))
+        else:
+            want = (float(np.abs(bump).max()), 0.0)
+        got = (bumped.cond_a_residual, bumped.cond_b_residual)
+        assert not bumped.is_dirac, seed
+        assert np.abs(np.subtract(got, want)).max() <= floor, (seed, got, want)
+        refused = min(refused, size)
+    print(f"largest accepted residual {accepted:.3g}, smallest refused bump {refused:.3g}")
 
 
 # --- the zeroth-order contraction ----------------------------------------------

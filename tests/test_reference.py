@@ -46,16 +46,21 @@ def _table(table):
             "coverage": table.coverage}
 
 
+def reference_operators():
+    """The ten reference operators by name."""
+    rand = dw.dirac_operator(dw.random_band_limited_frame(1, 16, amplitude=0.003))
+    return {"random": rand, "twisted": dw.dirac_operator(dw.twisted_frame(1, 16)),
+            "gauged": dw.gauge_transform(rand, dw.random_gauge_field(2, 16, amplitude=0.04)),
+            "scalar": dw.dirac_plus_scalar(dw.standard_frame(16), 0.3),
+            "traceless": dw.dirac_plus_traceless(dw.standard_frame(16), 0.1),
+            "curved": dw.dirac_operator(make_curved_frame()),
+            **{f"pullback-{name}": dw.dirac_operator(make_pullback_frame(name, 16)[0])
+               for name in ("shear", "stretch", "two-shear")}}
+
+
 def reference_outputs():
     """Every reference quantity, in the plain JSON types it is stored as."""
-    rand = dw.dirac_operator(dw.random_band_limited_frame(1, 16, amplitude=0.003))
-    ops = {"random": rand, "twisted": dw.dirac_operator(dw.twisted_frame(1, 16)),
-           "gauged": dw.gauge_transform(rand, dw.random_gauge_field(2, 16, amplitude=0.04)),
-           "scalar": dw.dirac_plus_scalar(dw.standard_frame(16), 0.3),
-           "traceless": dw.dirac_plus_traceless(dw.standard_frame(16), 0.1),
-           "curved": dw.dirac_operator(make_curved_frame()),
-           **{f"pullback-{name}": dw.dirac_operator(make_pullback_frame(name, 16)[0])
-              for name in ("shear", "stretch", "two-shear")}}
+    ops = reference_operators()
     out = {name: _analysis(op) for name, op in ops.items()}
     out["exact-torus-half3"] = _table(dw.torus_exact_spectrum((0.0, 0.0, 0.5), 3.0))
     out["galerkin-pullback-two-shear"] = _table(
@@ -82,6 +87,22 @@ def test_outputs_match_the_reference():
     worst = max(changes, key=lambda change: change[0])
     print(f"largest relative change {worst[0]:.3g}, in {worst[1]}")
     assert [where for _, where, ok in changes if not ok] == []
+
+
+def test_verdict_gap_is_bounded_by_the_conditions_and_the_skew_part():
+    """gap <= (a) + (b) + h on every reference operator, (b) = 2 pi^2 max|b / sqrt(det g)| and
+    h = max|A_sub - A_sub^*|, to a few ulps of the gap; equality holds on the scalar and
+    traceless operators.  Without h it fails on five of them: the gap also reads A_sub's
+    anti-Hermitian rounding, which neither condition measures."""
+    slack = {}
+    for name, op in reference_operators().items():
+        verdict, asub, vol = dw.check_dirac(op), dw.subprincipal_symbol(op), dw.decode_metric(op.sigma).vol
+        cond_b = 2 * np.pi**2 * float(np.abs(dw.b_density(op).b / vol).max())
+        h = float(np.abs(asub - np.conj(asub.swapaxes(-1, -2))).max())
+        slack[name] = verdict.cond_a_residual + cond_b + h - verdict.reconstructed_gap
+        assert slack[name] >= -4 * np.spacing(verdict.reconstructed_gap), name
+    name = min(slack, key=slack.get)
+    print(f"smallest slack {slack[name]:.3g}, on {name}")
 
 
 if __name__ == "__main__":  # one line per quantity

@@ -11,8 +11,9 @@ file format, no module builds an operator's complex symbol stack, the
 module state that changes at run time is the declared one name, no
 functools cache is used, only fields._fourier_content takes a forward
 transform of a whole grid, the README's paper-to-code table names
-exported functions and collected tests, and the open-defects list of
-CHANGES.md names the open FOUND entries of its log.
+exported functions and collected tests, the open-defects list of
+CHANGES.md names the open FOUND entries of its log, and its recent log
+entries are short.
 """
 
 import ast
@@ -359,3 +360,16 @@ def test_open_defects_list_names_the_open_found_entries_of_the_log():
     assert listed and listed == sorted(set(listed))
     assert [n for n in listed if not (n <= len(entries) and entries[n - 1].startswith("- FOUND:"))] == []
     assert listed == [n for n, entry in enumerate(entries, 1) if entry.startswith("- FOUND:")]
+
+
+def test_recent_changes_entries_fit_fifteen_lines_of_100_columns():
+    """Each CHANGES.md log entry from "One Galerkin coefficient table" on, FOUND and MENDED
+    entries aside, is at most 15 lines, its first "- " line and the indented ones after it,
+    each of at most 100 characters."""
+    log = (PACKAGE.parent.parent / "CHANGES.md").read_text().split("\n## Log\n")[1]
+    recent = "- One Galerkin coefficient table" + log.split("\n- One Galerkin coefficient table")[1]
+    entries = [entry.splitlines() for entry in re.split(r"\n(?=- )", recent.strip())]
+    checked = [lines for lines in entries if not lines[0].startswith(("- FOUND:", "- MENDED:"))]
+    assert len(checked) >= 2
+    assert [(lines[0][:60], len(lines), max(map(len, lines))) for lines in checked
+            if len(lines) > 15 or max(map(len, lines)) > 100] == []
