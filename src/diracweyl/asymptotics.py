@@ -79,6 +79,7 @@ def u1_curvature(sym, points, xi) -> np.ndarray:
     grid lines through the points (fields._grid_line_jets).
     """
     sym = _principal(sym)
+    _refuse_bools(xi, "covector xi")
     pts, xis = _grid_points(points, sym.chart.n), np.asarray(xi, dtype=float)
     if xis.shape != pts.shape:
         raise InputError(f"covector xi must be a {pts.shape} array, paired row by row with the "
@@ -98,11 +99,20 @@ def _quadratic(xis: np.ndarray, m: np.ndarray) -> np.ndarray:
 # coefficient densities
 # ---------------------------------------------------------------------------
 
+def _refuse_bools(values, name: str):
+    """Refuse, with InputError naming the argument, values that hold a Python or numpy bool
+    anywhere: numpy would read it as 0 or 1."""
+    if any(isinstance(x, (bool, np.bool_)) for x in np.asarray(values, dtype=object).flat):
+        raise InputError(f"{name} must hold numbers, not bools, got {values!r}")
+
+
 def _grid_points(points, n: int) -> np.ndarray:
     """A (k, 3) array of integer grid indices in [0, n), as int64.
 
-    Anything else raises InputError naming the first bad row.
+    A bool entry is refused by name; anything else raises InputError
+    naming the first bad row.
     """
+    _refuse_bools(points, "points")
     arr = np.asarray(points)
     if arr.ndim != 2 or arr.shape[1] != 3 or arr.dtype.kind not in "iuf":
         raise InputError(

@@ -202,7 +202,6 @@ def cmd_decode(args) -> int:
             "axial_dual_min": float(tors.axial_dual.min()),
             "axial_dual_max": float(tors.axial_dual.max()),
             "star_trace_mean": float(np.einsum("...aa->...", tors.star_T).mean()),
-            "route_residuals": {k: float(v) for k, v in tors.route_residuals.items()},
         },
     }
     _emit(args, report)

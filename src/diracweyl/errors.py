@@ -2,9 +2,10 @@
 
 The command line tool maps these onto exit codes: bad or malformed input
 data exits with 2, numerical-consistency failures (loss of ellipticity,
-route disagreement, Hermiticity violations) exit with 3.  The module
-imports no numpy, so the command line refuses bad input without it;
-gate loads numpy when it is first called.
+an orientation that changes sign, self-adjointness or Hermiticity
+violations) exit with 3.  The module imports no numpy, so the command
+line refuses bad input without it; gate loads numpy when it is first
+called.
 """
 
 import numbers
@@ -23,7 +24,7 @@ class EllipticityError(DiracweylError):
 
 
 class ConsistencyError(DiracweylError):
-    """Independent computation routes disagree beyond tolerance."""
+    """A computed quantity fails a consistency check beyond its tolerance."""
 
 
 def expect_type(value, cls, name: str) -> None:

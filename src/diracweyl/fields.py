@@ -49,10 +49,9 @@ class PeriodicChart:
     n: int
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "n", index(self.n))  # int or numpy integer; no float or string
-        except TypeError:
-            raise InputError(f"grid size must be an integer, got {self.n!r}") from None
+        if not is_number(self.n, integral=True):  # int or numpy integer; no bool, float or string
+            raise InputError(f"grid size must be an integer, got {self.n!r}")
+        object.__setattr__(self, "n", index(self.n))
         if self.n < 4 or self.n % 2 != 0:
             raise InputError(f"grid size must be even and >= 4, got {self.n}")
         if self.n > _GRID_CEILING:

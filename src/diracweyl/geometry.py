@@ -5,8 +5,8 @@ pointwise, an orthonormal frame, a Riemannian metric, an orientation
 sign, and a metric-compatible flat connection whose torsion carries all
 the remaining local information.  This module decodes those objects
 from grid samples of the symbol and provides the associated tensor
-calculus (connection coefficients and torsion in several equivalent
-computational routes).
+calculus: the Levi-Civita connection, and the torsion of the frame
+connection, built once, by one route (torsion).
 
 Index conventions: frames are stored as e[..., j, alpha] with j the
 orthonormal-leg label and alpha the coordinate index (vectors);
@@ -237,17 +237,15 @@ class TorsionBundle:
     components[..., a, h] and star_T[..., a, b] are new grid-first, C-contiguous copies of them on
     each access, and the T property builds the full T[..., a, b, c] on each access; none is kept.
     axial_dual is the scalar *T_ax = (1/3) (*T)^g_g; charge is the orientation sign of the
-    generating frame.  The arrays are read-only.  route_residuals records the largest disagreement
-    at torsion's three route gates, which regroup sums over one shared coframe derivative and so
-    measure rounding; the independent check is asymptotics._torsion_at, which differentiates the
-    frame, against this bundle (test_torsion_at_points_matches_the_grid_bundle).
+    generating frame.  The arrays are read-only.  torsion builds them by one route, the frame
+    connection; asymptotics._torsion_at, the curvature route b2_density_fiber_curvature and the
+    test oracles of tests/test_geometry.py compute them otherwise, and check this bundle.
     """
 
     conn: np.ndarray
     star: np.ndarray
     axial_dual: np.ndarray
     charge: int
-    route_residuals: dict
 
     components = property(lambda self: _grid_first(self.conn), doc="T^a_{bc} as [..., a, h], copied on access.")
     star_T = property(lambda self: _grid_first(self.star), doc="(*T)^a_b as [..., a, b], copied on access.")
@@ -492,24 +490,21 @@ def _dual_2forms(forms: np.ndarray, gc: np.ndarray, vol: np.ndarray) -> np.ndarr
     return out
 
 
-def _star_torsion_from_curl(ec: np.ndarray, star_curl: np.ndarray) -> np.ndarray:
-    """(*T)^a_b as sum_j e_j^a (*d c^j)_b, from ec[j, a] = e_j^a and the dual curls star_curl[j, b]."""
-    return _matmul_cm(ec.swapaxes(0, 1), star_curl)
-
-
 def torsion(frame: FrameField, metric: MetricField) -> TorsionBundle:
-    """Torsion of the frame connection, with all routes cross-checked.
+    """Torsion of the frame connection, built once, by one route.
 
-    Computes the tensor from the connection G^a_{mu b} = e_j^a d_mu c^j_b
-    and from the coframe exterior derivatives, the dual from the Hodge
-    definition and from the curl formula, and the axial scalar from the
-    dual trace and from the explicit coframe expression
-    *T_ax = (1/3) sqrt(det g_contra) eps^{bmc} sum_k c^k_b d_m c^k_c.
-    Every route works components first on the three independent
-    components of each antisymmetric index pair, and all share one
-    coframe, of which direction mu differentiates only the six entries
-    c^j_b, b != mu, that they read.  Any disagreement beyond 1e-10 (on
-    O(1) fields) raises ConsistencyError.
+    T^a_{bc} = G^a_{bc} - G^a_{cb} from the connection G^a_{mu b} =
+    e_j^a d_mu c^j_b of the metric-dual coframe, of which direction mu
+    differentiates only the six entries c^j_b, b != mu, that T reads; the
+    Hodge dual *T of each leg's 2-form (_dual_2forms); and the axial
+    scalar *T_ax = (1/3) tr *T.  It works components first on the three
+    independent components of each antisymmetric index pair.  The checks
+    that compute the torsion otherwise: asymptotics._torsion_at, which
+    differentiates the frame by the chain rule, against this bundle at
+    every grid point (test_torsion_at_points_matches_the_grid_bundle);
+    b2_density_fiber_curvature, which forms no coframe, against the b2
+    this torsion gives (acceptance criterion 3); and the test oracles of
+    tests/test_geometry.py, which build T from the full derivative stack.
 
     While some caller holds the bundle of a metric from decode_metric and
     a frame over the very p it was decoded from, the pair gets it again
@@ -530,11 +525,10 @@ def torsion(frame: FrameField, metric: MetricField) -> TorsionBundle:
 
 
 def _torsion(frame: FrameField, metric: MetricField) -> TorsionBundle:
-    """The torsion bundle of a frame and a metric on one grid, every route built and gated."""
+    """The torsion bundle of a frame and a metric on one grid, by the connection route."""
     ec = _components_first(frame.e)  # e_j^a as [j, a]
     cof = _coframe(ec, metric.cov)  # c^j_b as [b, j]
     conn = np.zeros_like(cof)  # T^a_{bc} = G^a_{bc} - G^a_{cb} as [a, h]
-    curl = np.zeros_like(cof)  # (d c^j)_{bc} = d_b c^j_c - d_c c^j_b as [j, h]
     for mu in range(3):
         # component mu - 1 has (b, c) = (mu, mu + 1) and component mu + 1 has (mu - 1, mu)
         before, after = (mu - 1) % 3, (mu + 1) % 3
@@ -542,31 +536,9 @@ def _torsion(frame: FrameField, metric: MetricField) -> TorsionBundle:
         g = _matmul_cm(d, ec)  # G^a_{mu b} as [b, a] for b = before, after
         conn[:, before] += g[1]
         conn[:, after] -= g[0]
-        curl[:, before] += d[1]
-        curl[:, after] -= d[0]
         del d, g  # before the next direction's product allocates
-    # eps^{bmc} sum_k c^k_b d_m c^k_c = sum_k c^k . curl c^k
-    ax2 = (cof.swapaxes(0, 1) * curl).sum(axis=(0, 1)) / (3.0 * metric.vol)
     del cof
-    bound = 1e-10 * max(1.0, float(conn.max()), -float(conn.min()))
-    gap = _matmul_cm(ec.swapaxes(0, 1), curl)  # sum_j e_j^a (d c^j)_{bc}
-    gap -= conn
-    gap_t = gate("torsion routes (connection vs coframe) disagree", gap.transpose(2, 3, 4, 0, 1), bound)
-    del gap
-
-    star_curl = _dual_2forms(curl, metric.cov, metric.vol)
-    del curl  # so the curl route's product can take its place
-    star2 = _star_torsion_from_curl(ec, star_curl)
-    del star_curl, ec
-    star1 = _dual_2forms(conn, metric.cov, metric.vol)
-    star2 -= star1
-    gap_star = gate("dual torsion routes (Hodge vs curl) disagree", star2.transpose(2, 3, 4, 0, 1), bound)
-    del star2
-
-    ax1 = (star1[0, 0] + star1[1, 1] + star1[2, 2]) / 3.0
-    gap_ax = gate("axial dual routes (trace vs coframe formula) disagree", ax1 - ax2, bound)
-    residuals = {"connection_vs_coframe": gap_t, "hodge_vs_curl": gap_star,
-                 "trace_vs_coframe_axial": gap_ax}
-    conn, star1, ax1 = _read_only(conn, star1, ax1)
-    return TorsionBundle(conn=conn, star=star1, axial_dual=ax1, charge=frame.orientation(),
-                         route_residuals=residuals)
+    star = _dual_2forms(conn, metric.cov, metric.vol)
+    axial = (star[0, 0] + star[1, 1] + star[2, 2]) / 3.0
+    conn, star, axial = _read_only(conn, star, axial)
+    return TorsionBundle(conn=conn, star=star, axial_dual=axial, charge=frame.orientation())

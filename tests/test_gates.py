@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import diracweyl as dw
-from diracweyl import geometry
 from diracweyl.errors import ConsistencyError, EllipticityError, InputError, gate
 from diracweyl.fields import fiber_ball_quadrature
 from diracweyl.scenarios import scenario_spectrum
@@ -47,14 +46,13 @@ def _bump(shape, point, size):
     return out
 
 
-def _route_with_offset(monkeypatch):
-    """The curl route of the dual torsion, off by 1e-6 at grid point (2, 5, 1); the route
-    holds its 3x3 fields components first, as [a, b, ...]."""
-    curl = geometry._star_torsion_from_curl
-    monkeypatch.setattr(geometry, "_star_torsion_from_curl",
-                        lambda *a: curl(*a) + _bump((3, 3, 8, 8, 8), (0, 0, 2, 5, 1), 1e-6))
+def _foreign_metric():
+    """The torsion of a twisted frame with the metric of a copy whose first leg is 1e-6 longer
+    at grid point (2, 5, 1): the coframe of that metric is not dual to the frame there."""
     frame = dw.twisted_frame(1, 8)
-    dw.torsion(frame, dw.decode_metric(dw.symbol_from_frame(frame)))
+    e = frame.e.copy()
+    e[2, 5, 1, 0] *= 1.0 + 1e-6
+    dw.torsion(frame, dw.decode_metric(dw.symbol_from_frame(e)))
 
 
 def _self_adjointness():
@@ -103,7 +101,7 @@ TRIPPED = {
     "fields-homogeneity-zero-on-cosphere": (
         lambda mp: fiber_ball_quadrature(np.eye(3), lambda xi: 1.0 * ((xi**2).sum(axis=-1) < 0.5)),
         InputError, "homogeneous of degree 0", None),
-    "geometry-torsion-route": (_route_with_offset, ConsistencyError, "Hodge vs curl", (2, 5, 1)),
+    "geometry-coframe-duality": (lambda mp: _foreign_metric(), ConsistencyError, "duality", (2, 5, 1)),
     "geometry-symbol-hermitian": (lambda mp: _skew_symbol(), InputError, "Hermitian", (1, 6, 3)),
     "operators-self-adjointness": (lambda mp: _self_adjointness(), ConsistencyError,
                                    "self-adjoint", (4, 4, 1)),
@@ -433,6 +431,20 @@ REFUSED_BRANCHES = {
     # decided at tol = 1
     "check-dirac-tol-bool": (lambda: dw.check_dirac(_structured_dirac(), tol=True), InputError,
                              "tol must be a finite non-negative number, got True"),
+    # each read the bool as 0 or 1 and returned 0.0
+    "points-bool": (lambda: dw.b2_density_fiber_torsion(_standard_symbol(), [[True, 0, 0]]),
+                    InputError, "points must hold numbers, not bools, got [[True, 0, 0]]"),
+    "points-bool-last": (lambda: dw.b1_density_fiber(_structured_dirac(), [[1, 0, False]]),
+                         InputError, "points must hold numbers, not bools, got [[1, 0, False]]"),
+    "points-numpy-bool": (lambda: dw.b2_density_fiber_curvature(_standard_symbol(), [[np.True_, 0, 0]]),
+                          InputError, "points must hold numbers, not bools"),
+    "xi-bool": (lambda: dw.u1_curvature(_standard_symbol(), [[0, 0, 0]], [[True, 0, 0]]), InputError,
+                "covector xi must hold numbers, not bools, got [[True, 0, 0]]"),
+    "xi-bool-array": (
+        lambda: dw.u1_curvature(_standard_symbol(), [[0, 0, 0]], np.array([[True, False, True]])),
+        InputError, "covector xi must hold numbers, not bools"),
+    # refused as "got 1"
+    "grid-bool": (lambda: dw.PeriodicChart(True), InputError, "grid size must be an integer, got True"),
 }
 
 

@@ -171,16 +171,6 @@ class TestTorsion:
         assert np.abs(tor.T).max() < 1e-13
         assert np.abs(tor.axial_dual).max() < 1e-13
 
-    def test_route_residuals_reported(self):
-        fr = _random_frame(7)
-        tor = dw.torsion(fr, dw.decode_metric(dw.symbol_from_frame(fr)))
-        assert set(tor.route_residuals) == {
-            "connection_vs_coframe",
-            "hodge_vs_curl",
-            "trace_vs_coframe_axial",
-        }
-        assert all(v < 1e-10 for v in tor.route_residuals.values())
-
     def test_torsion_antisymmetry(self):
         fr = _random_frame(8)
         tor = dw.torsion(fr, dw.decode_metric(dw.symbol_from_frame(fr)))
@@ -251,9 +241,9 @@ def test_coframe_duality():
 # --- one pass over the coframe -------------------------------------------------
 
 def test_torsion_differentiates_the_coframe_once(monkeypatch):
-    """The three cross-check routes share one coframe, built once; direction mu
-    differentiates it once, and only its six entries c^j_b with b != mu, read as a
-    components-first view; nothing else is differentiated."""
+    """The torsion builds one coframe; direction mu differentiates it once, and only its
+    six entries c^j_b with b != mu, read as a components-first view; nothing else is
+    differentiated."""
     coframes, derivatives = [], []
     real_coframe, real_derivative = geometry._coframe, geometry._derivative
 
@@ -283,8 +273,8 @@ def test_torsion_differentiates_the_coframe_once(monkeypatch):
 def test_torsion_peak_memory(peak_mb):
     """At n=16 the four-fold coframe rebuild peaked at 7.44 MB of traced allocation and
     the one-stack version with full (n, n, n, 3, 3, 3) tensors at 3.38 MB; by component
-    and by direction it was 1.81 MB, and components first, differentiating six coframe
-    entries per direction, it is 1.61 MB."""
+    and by direction it was 1.81 MB, components first, differentiating six coframe
+    entries per direction, 1.61 MB, and by the connection route alone it is 1.35 MB."""
     fr = _random_frame(0, n=16)
     met = dw.decode_metric(dw.symbol_from_frame(fr))
     assert peak_mb(lambda: dw.torsion(fr, met)) <= 2.0
@@ -293,7 +283,8 @@ def test_torsion_peak_memory(peak_mb):
 def test_torsion_frees_its_rank_3_arrays_once_used(peak_mb):
     """Keeping each direction's derivative into the next direction's transforms, the
     coframe to the end and the route gaps alive peaked at 2.98 MB at n=16; freeing each
-    once used gave 1.81 MB (1.61 MB components first)."""
+    once used gave 1.81 MB (1.61 MB components first, 1.35 MB by the connection route
+    alone)."""
     fr = _random_frame(0, n=16)
     met = dw.decode_metric(dw.symbol_from_frame(fr))
     assert peak_mb(lambda: dw.torsion(fr, met)) <= 2.0
@@ -460,7 +451,7 @@ def test_dual_2forms_is_its_docstring_contraction():
 def _torsion_by_batched_matmul(fr, met):
     """(components, star_T, axial_dual, charge) as torsion computed them on grid-first
     (n, n, n, 3, 3) stacks through numpy's batched @, differentiating all nine coframe
-    entries in each direction; every route gap is held to torsion's 1e-10 bound."""
+    entries in each direction; its three routes agree within 1e-10."""
     cof = coframe(fr, met)
     e_t = np.ascontiguousarray(np.swapaxes(fr.e, -1, -2))  # e_t[..., a, j] = e_j^a
     conn, curl = np.zeros_like(cof), np.zeros_like(cof)

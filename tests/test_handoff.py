@@ -84,8 +84,7 @@ def _bits(result):
         return [a.tobytes() for a in (result.contra, result.cov, result.vol)]
     if isinstance(result, int):
         return result
-    return [np.asarray(getattr(result, f.name)).tobytes() if f.name != "route_residuals"
-            else getattr(result, f.name) for f in dataclasses.fields(result)]
+    return [np.asarray(getattr(result, f.name)).tobytes() for f in dataclasses.fields(result)]
 
 
 def test_a_bench_shaped_analysis_builds_one_metric_and_one_torsion(builds):

@@ -2,9 +2,9 @@
 
 Ten operators: the five families of the benchmark's verdict workload at 16^3, the
 Dirac operators of conftest's curved frame at 24^3 and of its three pullback frames at
-16^3.  For each: the charge, the integrals of a and b, max|b|, the verdict, the torsion
-route residuals, and a0, A_sub, b, *T_ax and the three fibre routes at 16 seeded grid
-points, complex entries as (re, im).  Plus one exact torus table and one cutoff-4
+16^3.  For each: the charge, the integrals of a and b, max|b|, the verdict, and a0,
+A_sub, b, *T_ax and the three fibre routes at 16 seeded grid points, complex entries as
+(re, im).  Plus one exact torus table and one cutoff-4
 Galerkin table.  Integers and booleans must match exactly, every float within
 1e-13 max|quantity| + 1e-15.  A change that moves a formula on purpose rewrites the file,
 each float in the shortest form that reads back bit for bit, by
@@ -38,7 +38,7 @@ def _analysis(op):
                "b2_fiber_curvature": dw.b2_density_fiber_curvature(sym, pts)}
     return {"charge": dw.topological_charge(sym), "a_global": coeffs.a_global,
             "b_global": coeffs.b_global, "max_abs_b": float(np.abs(coeffs.b).max()), **vars(verdict),
-            "route_residuals": tor.route_residuals, **{k: _flat(v) for k, v in samples.items()}}
+            **{k: _flat(v) for k, v in samples.items()}}
 
 
 def _table(table):

@@ -176,8 +176,8 @@ def _batched_products(tree):
 
 # Kernels that hold their 3x3 fields components first, with the helpers they call.
 _COMPONENTS_FIRST_KERNELS = {
-    "geometry.py": ("_torsion", "coframe", "_coframe", "_dual_2forms", "_star_torsion_from_curl",
-                    "decode_metric", "topological_charge"),
+    "geometry.py": ("_torsion", "coframe", "_coframe", "_dual_2forms", "decode_metric",
+                    "topological_charge"),
     "operators.py": ("_dirac_a0", "check_dirac", "gauge_transform", "_half_divergence",
                      "_subprincipal"),
 }
